@@ -76,7 +76,7 @@ def parse_backend(name: str) -> groups.GroupSpec:
 
 
 def build_measure(spec, desc: dict) -> measures.StepMeasure:
-    allowed = {"type", "laziness", "alpha", "r0", "r_cap"}
+    allowed = {"type", "laziness", "alpha", "r0"}
     unknown = set(desc) - allowed
     if unknown:
         raise ConfigError(f"unknown measure keys {sorted(unknown)}")
@@ -85,8 +85,7 @@ def build_measure(spec, desc: dict) -> measures.StepMeasure:
     if mtype == "srw":
         mu = measures.uniform_on_generators(groups.standard_generators(spec))
     elif mtype == "shell":
-        mu = measures.shell_measure(spec, int(desc.get("r0", 3)),
-                                    int(desc.get("r_cap", 10 ** 6)))
+        mu = measures.shell_measure(spec, int(desc.get("r0", 3)))
     elif mtype == "stable":
         mu = measures.stable_z_measure(float(desc["alpha"]))
     else:
@@ -370,14 +369,12 @@ def _on_diagonal(cfg):
 # Driver
 # ---------------------------------------------------------------------------
 
-def run(config_path: str, cache_dir=None, seed=None, jobs: int = 1,
+def run(config_path: str, cache_dir=None, seed=None,
         force_recompute: bool = False, emit_plot_script: bool = False) -> int:
     try:
         cfg = load_config(config_path)
         if seed is not None:
             cfg["seed"] = int(seed)
-        if jobs < 1:
-            raise ConfigError("--jobs must be positive")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return STATUS_CONFIG
@@ -456,13 +453,12 @@ def main(argv=None) -> int:
     runp.add_argument("config")
     runp.add_argument("--cache-dir", default=None)
     runp.add_argument("--seed", type=int, default=None)
-    runp.add_argument("--jobs", type=int, default=1)
     runp.add_argument("--force-recompute", action="store_true")
     runp.add_argument("--emit-plot-script", action="store_true")
     args = parser.parse_args(argv)
     if args.command == "run":
         return run(args.config, cache_dir=args.cache_dir, seed=args.seed,
-                   jobs=args.jobs, force_recompute=args.force_recompute,
+                   force_recompute=args.force_recompute,
                    emit_plot_script=args.emit_plot_script)
     return STATUS_CONFIG
 

@@ -2,10 +2,11 @@
 the exit-measure variation functional, their comparison band, Martin kernels,
 the Green metric, telescoping identities, and decay-rate fits.
 
-All Green access goes through a provider exposing ``value(a, x)`` and
-``bracket(a, x)``; interval arithmetic over brackets yields one-sided safe
-error bars (a row is only called "decayed below tau" when its upper
-endpoint is).
+All Green access goes through a provider exposing ``value(a, x)``,
+``bracket(a, x)`` and, for whole boundaries at once,
+``bracket_row(a, xs) -> (values, lowers, uppers)``; interval arithmetic
+over brackets yields one-sided safe error bars (a row is only called
+"decayed below tau" when its upper endpoint is).
 """
 
 from __future__ import annotations
@@ -30,6 +31,17 @@ class DegenerateBracketError(ValueError):
 # The Green-variation functional
 # ---------------------------------------------------------------------------
 
+def _running_argmax(values: np.ndarray) -> tuple:
+    """(max, index) where the running best moves only when a value exceeds
+    it by more than 1e-15, so the first of (near-)ties wins; (-1.0, None)
+    when nothing exceeds -1."""
+    best, where = -1.0, None
+    for i, v in enumerate(values.tolist()):
+        if v > best + 1e-15:
+            best, where = v, i
+    return best, where
+
+
 @dataclass
 class DeltaRow:
     scale: int
@@ -50,28 +62,24 @@ def delta(domain: Domain, a, b, provider, scale: Optional[int] = None) -> DeltaR
     the lexicographically smallest boundary point attaining the maximal
     point value (deterministic reports).
     """
-    if domain.boundary is None:
+    bdry = domain.boundary
+    if bdry is None:
         raise ValueError("domain carries no boundary")
-    if a in domain.boundary or b in domain.boundary:
+    if a in bdry or b in bdry:
         raise ValueError("basepoints must avoid the boundary")
-    best_val, best_x = -1.0, None
-    lo_max, hi_max = 0.0, 0.0
-    for x in domain.boundary:
-        ga, gb = provider.value(a, x), provider.value(b, x)
-        la, ha = provider.bracket(a, x)
-        lb, hb = provider.bracket(b, x)
-        if la <= 0.0:
-            raise DegenerateBracketError(f"G(a,{x!r}) bracket touches zero")
-        num_lo = max(0.0, la - hb, lb - ha)
-        num_hi = max(ha - lb, hb - la, 0.0)
-        lo_max = max(lo_max, num_lo / ha)
-        hi_max = max(hi_max, num_hi / la)
-        v = abs(ga - gb) / ga
-        if v > best_val + 1e-15:
-            best_val, best_x = v, x
+    ga, la, ha = provider.bracket_row(a, bdry)
+    gb, lb, hb = provider.bracket_row(b, bdry)
+    if (la <= 0.0).any():
+        x = bdry[int(np.argmax(la <= 0.0))]
+        raise DegenerateBracketError(f"G(a,{x!r}) bracket touches zero")
+    num_lo = np.maximum(np.maximum(la - hb, lb - ha), 0.0)
+    num_hi = np.maximum(np.maximum(ha - lb, hb - la), 0.0)
+    lo_max = float((num_lo / ha).max(initial=0.0))
+    hi_max = float((num_hi / la).max(initial=0.0))
+    best_val, i = _running_argmax(np.abs(ga - gb) / ga)
     err = max(best_val - lo_max, hi_max - best_val, 0.0)
-    return DeltaRow(scale if scale is not None else -1,
-                    best_val, best_x, err, lo_max, hi_max)
+    return DeltaRow(scale if scale is not None else -1, best_val,
+                    None if i is None else bdry[i], err, lo_max, hi_max)
 
 
 @dataclass
@@ -108,19 +116,14 @@ def epsilon(domain: Domain, a, b, mu: StepMeasure,
         exits_a = exit_distribution(domain, a, mu, "solve", tol=tol)
     if exits_b is None:
         exits_b = exit_distribution(domain, b, mu, "solve", tol=tol)
-    best, best_x, excluded = -1.0, None, 0
-    for x in domain.boundary:
-        pa = exits_a.probs.get(x, 0.0)
-        pb = exits_b.probs.get(x, 0.0)
-        if pa <= 0.0:
-            excluded += 1
-            continue
-        v = abs(pa - pb) / pa
-        if v > best + 1e-15:
-            best, best_x = v, x
-    if best_x is None:
+    pa, pb = exits_a.vector, exits_b.vector
+    keep = pa > 0.0
+    ratio = np.full(len(pa), -np.inf)
+    ratio[keep] = np.abs(pa[keep] - pb[keep]) / pa[keep]
+    best, i = _running_argmax(ratio)
+    if i is None:
         raise ValueError("all boundary points excluded")
-    return EpsilonResult(best, best_x, excluded)
+    return EpsilonResult(best, domain.boundary[i], int((~keep).sum()))
 
 
 @dataclass
@@ -148,17 +151,19 @@ def eps_delta_band_check(domain: Domain, a, b, mu: StepMeasure, provider,
     o = identity(spec) if origin is None else origin
     exits = {p: exit_distribution(domain, p, mu, "solve", tol=tol)
              for p in {a, b, o}}
+    bdry = domain.boundary
+    go = provider.bracket_row(o, bdry)[0]
     eta = 0.0
     for p in (a, b):
         if p == o:
             continue            # theta vanishes identically at the origin
-        for z in domain.boundary:
-            cz = exits[o].probs.get(z, 0.0)
-            pz = exits[p].probs.get(z, 0.0)
-            if cz <= 0.0 or pz <= 0.0:
-                continue
-            theta = pz * provider.value(o, z) / (cz * provider.value(p, z)) - 1.0
-            eta = max(eta, abs(theta))
+        cz, pz = exits[o].vector, exits[p].vector
+        ok = (cz > 0.0) & (pz > 0.0)
+        gp = provider.bracket_row(p, bdry)[0]
+        theta = pz[ok] * go[ok] / (cz[ok] * gp[ok]) - 1.0
+        # eta stays a numpy scalar, so band_ok is too: reports print it as
+        # "True"/"False" (a Python bool would print "true"/"false")
+        eta = max(eta, np.abs(theta).max(initial=0.0))
     drow = delta(domain, a, b, provider)
     eres = epsilon(domain, a, b, mu, exits.get(a), exits.get(b), tol=tol)
     if eta >= 1.0:
@@ -382,11 +387,10 @@ def ehe_probe(domains: list, a, b, alpha: float, provider,
         if d_ab > theta * rk:
             skipped += 1
             continue
-        worst = 0.0
-        for x in dom.boundary:
-            ga, gb = provider.value(a, x), provider.value(b, x)
-            ratio = abs(ga - gb) / ((d_ab / rk) ** alpha * min(ga, gb))
-            worst = max(worst, ratio)
+        ga = provider.bracket_row(a, dom.boundary)[0]
+        gb = provider.bracket_row(b, dom.boundary)[0]
+        ratio = np.abs(ga - gb) / ((d_ab / rk) ** alpha * np.minimum(ga, gb))
+        worst = float(ratio.max(initial=0.0))
         per_scale.append((rk, worst))
         overall = max(overall, worst)
     return {"sup": overall, "per_scale": per_scale, "skipped": skipped}

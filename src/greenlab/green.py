@@ -12,6 +12,7 @@ choice is recorded on the domain.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,32 +50,72 @@ def check_transient(spec: GroupSpec) -> None:
 class Domain:
     """Finite element set S with optional outer boundary w.r.t. support T.
 
-    Payload lookups go through ``lookup`` so large domains can keep an
-    array-backed index instead of a tuple dict.
+    Every consumer reads a domain through one index protocol:
+
+    * ``positions(payloads)``: the index of each payload in ``elements``,
+      or -1 outside S (int64 array);
+    * ``step_table(steps)``: int64 table [n, m] whose entry (i, k) locates
+      elements[i] * steps[k]: values in [0, n) lie in S, n + j is
+      ``boundary[j]``, and -1 is any other point (every point outside S when
+      the domain carries no boundary).
+
+    ``elements`` and ``boundary`` keep a canonical order, because cached
+    tables are positional.
     """
 
-    def __init__(self, spec: GroupSpec, label: str, elements: list,
-                 boundary: Optional[list], support: tuple):
-        self.spec = spec
-        self.label = label
-        self.elements = elements
-        self.boundary = boundary
-        self.support = support
-        self._index = None
-
-    def __len__(self):
-        return len(self.elements)
+    spec: GroupSpec
+    label: str
+    boundary: Optional[list]
+    support: tuple
 
     def __contains__(self, g):
         return self.lookup(g) is not None
 
     def lookup(self, g) -> Optional[int]:
-        if self._index is None:
-            self._index = {h: i for i, h in enumerate(self.elements)}
-        return self._index.get(g)
+        i = int(self.positions([g])[0])
+        return None if i < 0 else i
 
-    def iter_indexed(self):
-        return ((g, i) for i, g in enumerate(self.elements))
+    def _table(self, steps, column) -> np.ndarray:
+        table = np.empty((len(self), len(steps)), dtype=np.int64)
+        for k, s in enumerate(steps):
+            table[:, k] = column(s)
+        return table
+
+
+def _sorted_positions(sorted_vals: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Index of each value in a sorted array, -1 when absent."""
+    i = np.clip(np.searchsorted(sorted_vals, vals), 0, len(sorted_vals) - 1)
+    return np.where(sorted_vals[i] == vals, i, -1)
+
+
+class _BfsDomain(Domain):
+    """Any finite payload set (the generic BFS ball), indexed by a dict; a
+    step table is built once per step list by a Python loop."""
+
+    def __init__(self, spec: GroupSpec, label: str, elements: list,
+                 boundary: Optional[list], support: tuple):
+        self.spec, self.label, self.support = spec, label, support
+        self.elements, self.boundary = elements, boundary
+        self._index = {g: i for i, g in enumerate(elements)}
+        self._tables = {}
+
+    def __len__(self):
+        return len(self.elements)
+
+    def positions(self, payloads) -> np.ndarray:
+        return np.array([self._index.get(g, -1) for g in payloads], dtype=np.int64)
+
+    def step_table(self, steps) -> np.ndarray:
+        key = tuple(steps)
+        if key not in self._tables:
+            n = len(self.elements)
+            index = dict(self._index)
+            index.update((z, n + j) for j, z in enumerate(self.boundary or ()))
+            table = np.array([[index.get(mul(self.spec, g, s), -1) for s in steps]
+                              for g in self.elements], dtype=np.int64)
+            table.flags.writeable = False       # shared by every caller
+            self._tables[key] = table.reshape(n, len(steps))
+        return self._tables[key]
 
 
 class _FreeBallDomain(Domain):
@@ -82,54 +123,52 @@ class _FreeBallDomain(Domain):
 
     Letter codes: generator i -> 2(i-1), its inverse -> 2(i-1)+1; appending
     letter l to code c is (c << s) | l unless it cancels the last letter
-    (l == last ^ 1), in which case c >> s.  Used only for the standard
-    one-letter support.
+    (l == last ^ 1), in which case c >> s.  Elements are in code order
+    (shortlex); the boundary is in payload order.  Used only for the
+    standard one-letter support.
     """
 
     def __init__(self, spec: GroupSpec, radius: int, with_boundary: bool):
-        self.rank = spec.rank
         self.two_k = 2 * spec.rank
         self.shift = int(np.ceil(np.log2(self.two_k)))
         # level r holds the codes of reduced words of length exactly r; a
         # non-cancelling append is exactly a step whose code crosses the
         # next length threshold 2^(shift*(r+1))
         levels = [np.array([1], dtype=np.int64)]
-        for r in range(radius):
-            stepped = self._step_all(levels[-1])
+        for r in range(radius + int(with_boundary)):
+            stepped = np.concatenate([self._append(levels[-1], letter)
+                                      for letter in range(self.two_k)])
             thresh = np.int64(1) << (self.shift * (r + 1))
             levels.append(np.unique(stepped[stepped >= thresh]))
-        self.level_codes = levels
-        self.codes = np.sort(np.concatenate(levels))
-        boundary = None
+        self.codes = np.sort(np.concatenate(levels[:radius + 1]))
+        self.boundary = None
         if with_boundary:
-            stepped = self._step_all(levels[radius])
-            thresh = np.int64(1) << (self.shift * (radius + 1))
-            bcodes = np.unique(stepped[stepped >= thresh])
-            boundary = sorted(self.decode(int(c)) for c in bcodes)
+            self._bcodes = levels[radius + 1]
+            words = [self.decode(int(c)) for c in self._bcodes]
+            order = sorted(range(len(words)), key=words.__getitem__)
+            self.boundary = [words[i] for i in order]
+            self._bslot = np.empty(len(order), dtype=np.int64)
+            self._bslot[order] = np.arange(len(order))
         self.spec = spec
         self.label = f"ball[F_{spec.rank},R={radius}]"
-        self.boundary = boundary
         self.support = tuple(groups.standard_generators(spec).elements)
         self._elements = None
 
-    def _step_all(self, codes: np.ndarray) -> np.ndarray:
-        outs = []
+    def _append(self, codes: np.ndarray, letter: int) -> np.ndarray:
         s = self.shift
-        for letter in range(self.two_k):
-            last = codes & ((1 << s) - 1)
-            nontrivial = codes != 1
-            cancel = nontrivial & (last == (letter ^ 1))
-            stepped = np.where(cancel, codes >> s, (codes << s) | letter)
-            outs.append(stepped)
-        return np.concatenate(outs)
+        cancel = (codes != 1) & ((codes & ((1 << s) - 1)) == (letter ^ 1))
+        return np.where(cancel, codes >> s, (codes << s) | letter)
 
     # -- payload conversions -------------------------------------------------
+
+    @staticmethod
+    def _letter(letter: int) -> int:
+        return 2 * (abs(letter) - 1) + (1 if letter < 0 else 0)
 
     def encode(self, word: tuple) -> int:
         c = 1
         for letter in word:
-            l = 2 * (abs(letter) - 1) + (1 if letter < 0 else 0)
-            c = (c << self.shift) | l
+            c = (c << self.shift) | self._letter(letter)
         return c
 
     def decode(self, code: int) -> tuple:
@@ -142,7 +181,7 @@ class _FreeBallDomain(Domain):
             code >>= s
         return tuple(reversed(letters))
 
-    # -- Domain interface ----------------------------------------------------
+    # -- index protocol ------------------------------------------------------
 
     @property
     def elements(self):
@@ -150,76 +189,78 @@ class _FreeBallDomain(Domain):
             self._elements = [self.decode(int(c)) for c in self.codes]
         return self._elements
 
-    @elements.setter
-    def elements(self, value):
-        self._elements = value
-
     def __len__(self):
         return len(self.codes)
 
-    def lookup(self, g) -> Optional[int]:
-        c = self.encode(g)
-        i = int(np.searchsorted(self.codes, c))
-        if i < len(self.codes) and self.codes[i] == c:
-            return i
-        return None
+    def positions(self, payloads) -> np.ndarray:
+        codes = np.array([self.encode(w) for w in payloads], dtype=np.int64)
+        return _sorted_positions(self.codes, codes)
 
-    def iter_indexed(self):
-        return ((g, i) for i, g in enumerate(self.elements))
+    def step_table(self, steps) -> np.ndarray:
+        n = len(self.codes)
 
-    def code_positions(self, codes: np.ndarray) -> np.ndarray:
-        """Indices of codes in the domain (-1 when absent)."""
-        i = np.searchsorted(self.codes, codes)
-        i = np.clip(i, 0, len(self.codes) - 1)
-        hit = self.codes[i] == codes
-        return np.where(hit, i, -1)
+        def column(word):
+            c = self.codes
+            for letter in word:
+                c = self._append(c, self._letter(letter))
+            i = _sorted_positions(self.codes, c)
+            if self.boundary is None:
+                return i
+            k = _sorted_positions(self._bcodes, c)
+            return np.where(i >= 0, i, np.where(k >= 0, n + self._bslot[k], -1))
+
+        return self._table(steps, column)
 
 
-class _LatticeBallDomain(Domain):
-    """L1 ball in Z^d with a dense grid index for O(1) vector lookups."""
+class _LatticeDomain(Domain):
+    """Finite subset of Z^d as a lexicographically sorted coordinate array,
+    with a dense grid over the bounding window of S and its boundary for
+    O(1) vector lookups: the grid holds i at elements[i], n + j at
+    boundary[j] and -1 elsewhere.  Elements are decoded to tuples lazily."""
 
-    def __init__(self, spec: GroupSpec, radius: int, center, with_boundary: bool,
-                 support: tuple):
-        coords = np.array(groups.lattice_ball(spec.d, radius), dtype=np.int64)
-        coords += np.asarray(center, dtype=np.int64)
-        boundary = None
-        if with_boundary:
-            sphere = np.array(
-                [g for g in groups.lattice_ball(spec.d, radius + 1)
-                 if sum(abs(a) for a in g) == radius + 1], dtype=np.int64)
-            sphere += np.asarray(center, dtype=np.int64)
-            boundary = [tuple(int(a) for a in row) for row in sphere]
+    def __init__(self, spec: GroupSpec, label: str, coords: np.ndarray,
+                 bcoords: Optional[np.ndarray], support: tuple):
+        self.spec, self.label, self.support = spec, label, support
         self.coords = coords
-        self.center = np.asarray(center, dtype=np.int64)
-        self.radius = radius
-        half = radius + 1
-        self.half = half
-        shape = (2 * half + 1,) * spec.d
-        self.grid = np.full(shape, -1, dtype=np.int32)
-        rel = coords - self.center + half
-        self.grid[tuple(rel.T)] = np.arange(len(coords), dtype=np.int32)
-        elements = [tuple(int(a) for a in row) for row in coords]
-        super().__init__(spec, f"ball[{spec.label()},R={radius}]",
-                         elements, boundary, support)
+        pts = coords if bcoords is None else np.concatenate([coords, bcoords])
+        self.lo = pts.min(axis=0)
+        self.grid = np.full(tuple(pts.max(axis=0) - self.lo + 1), -1, dtype=np.int32)
+        self.grid[tuple((pts - self.lo).T)] = np.arange(len(pts), dtype=np.int32)
+        self.boundary = None if bcoords is None else [tuple(r) for r in bcoords.tolist()]
+        self._elements = None
 
-    def lookup(self, g) -> Optional[int]:
-        rel = np.asarray(g, dtype=np.int64) - self.center + self.half
-        if np.any(rel < 0) or np.any(rel >= self.grid.shape[0]):
-            return None
-        i = int(self.grid[tuple(rel)])
-        return None if i < 0 else i
+    @property
+    def elements(self):
+        if self._elements is None:
+            self._elements = [tuple(r) for r in self.coords.tolist()]
+        return self._elements
 
-    def coord_positions(self, pts: np.ndarray) -> np.ndarray:
-        rel = pts - self.center + self.half
-        ok = np.all((rel >= 0) & (rel < self.grid.shape[0]), axis=1)
+    def __len__(self):
+        return len(self.coords)
+
+    def _grid_at(self, pts: np.ndarray) -> np.ndarray:
+        rel = pts - self.lo
+        ok = np.all((rel >= 0) & (rel < self.grid.shape), axis=1)
         out = np.full(len(pts), -1, dtype=np.int64)
         out[ok] = self.grid[tuple(rel[ok].T)]
         return out
 
+    def positions(self, payloads) -> np.ndarray:
+        i = self._grid_at(np.asarray(payloads, dtype=np.int64).reshape(-1, self.spec.d))
+        return np.where(i < len(self), i, -1)
 
-def _is_standard_lattice_support(spec: GroupSpec, steps: list) -> bool:
-    want = set(groups.standard_generators(spec).elements)
-    return set(steps) == want
+    def step_table(self, steps) -> np.ndarray:
+        return self._table(steps, lambda s: self._grid_at(
+            self.coords + np.asarray(s, dtype=np.int64)))
+
+
+def _l1_ball_coords(d: int, radius: int, shell: bool) -> np.ndarray:
+    """Points of Z^d with |x|_1 <= radius (or == radius + 1 when shell), in
+    lexicographic order."""
+    ax = np.abs(np.arange(-radius - 1, radius + 2, dtype=np.int32))
+    l1 = functools.reduce(np.add.outer, [ax] * d)
+    mask = (l1 == radius + 1) if shell else (l1 <= radius)
+    return np.argwhere(mask) - (radius + 1)
 
 
 def ball_domain(spec: GroupSpec, mu: StepMeasure, radius: int, center=None,
@@ -230,11 +271,15 @@ def ball_domain(spec: GroupSpec, mu: StepMeasure, radius: int, center=None,
     steps = [s for s in support if s != e]
     if center is None:
         center = e
-    if spec.variant == "free" and set(steps) == set(groups.standard_generators(spec).elements) \
-            and center == e:
+    standard = set(steps) == set(groups.standard_generators(spec).elements)
+    if spec.variant == "free" and standard and center == e:
         return _FreeBallDomain(spec, radius, with_boundary)
-    if spec.variant == "lattice" and _is_standard_lattice_support(spec, steps):
-        return _LatticeBallDomain(spec, radius, center, with_boundary, support)
+    label = f"ball[{spec.label()},R={radius}]"
+    if spec.variant == "lattice" and standard:
+        c = np.asarray(center, dtype=np.int64)
+        bcoords = _l1_ball_coords(spec.d, radius, True) + c if with_boundary else None
+        return _LatticeDomain(spec, label, _l1_ball_coords(spec.d, radius, False) + c,
+                              bcoords, support)
     # generic BFS
     dist = {center: 0}
     frontier = [center]
@@ -249,41 +294,25 @@ def ball_domain(spec: GroupSpec, mu: StepMeasure, radius: int, center=None,
                     nxt.append(h)
         frontier = nxt
         d += 1
-    elements = sorted(dist.keys())
-    eset = set(elements)
     boundary = None
     if with_boundary:
-        bdry = set()
-        for g in frontier:
-            for s in steps:
-                h = mul(spec, g, s)
-                if h not in eset:
-                    bdry.add(h)
-        boundary = sorted(bdry)
-    return Domain(spec, f"ball[{spec.label()},R={radius}]",
-                  elements, boundary, support)
+        boundary = sorted({h for g in frontier for s in steps
+                           if (h := mul(spec, g, s)) not in dist})
+    return _BfsDomain(spec, label, sorted(dist), boundary, support)
 
 
 def box_domain(spec: GroupSpec, mu: StepMeasure, halfwidth: int) -> Domain:
-    """Lattice box [-L, L]^d with its one-step outer boundary."""
+    """Lattice box [-L, L]^d with its outer boundary w.r.t. supp(mu)."""
     if spec.variant != "lattice":
         raise ValueError("box domains are lattice-only")
     support = tuple(sorted(mu.support_elements()))
-    e = identity(spec)
-    steps = [s for s in support if s != e]
-    axes = [range(-halfwidth, halfwidth + 1)] * spec.d
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, spec.d)
-    elements = [tuple(int(a) for a in row) for row in mesh]
-    eset = set(elements)
-    bdry = set()
-    for g in elements:
-        if max(abs(a) for a in g) == halfwidth:
-            for s in steps:
-                h = mul(spec, g, s)
-                if h not in eset:
-                    bdry.add(h)
-    return Domain(spec, f"box[{spec.label()},L={halfwidth}]",
-                  sorted(elements), sorted(bdry), support)
+    steps = np.array(support, dtype=np.int64).reshape(-1, spec.d)
+    axes = [np.arange(-halfwidth, halfwidth + 1)] * spec.d
+    coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, spec.d)
+    stepped = (coords[:, None, :] + steps[None, :, :]).reshape(-1, spec.d)
+    outside = stepped[np.abs(stepped).max(axis=1) > halfwidth]
+    return _LatticeDomain(spec, f"box[{spec.label()},L={halfwidth}]", coords,
+                          np.unique(outside, axis=0), support)
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +332,17 @@ class GreenTable:
     tol: float
 
     def green(self, a, x) -> float:
-        i = self.sources.index(a)
-        j = self.omega.lookup(x)
-        if j is None:
-            raise KeyError(f"{x!r} outside the computation domain")
-        return float(self.values[i, j])
+        return float(self.row_at(a, [x])[0])
 
     def row(self, a) -> np.ndarray:
         return self.values[self.sources.index(a)]
+
+    def row_at(self, a, xs) -> np.ndarray:
+        """G_Omega(a, x) for each x in xs."""
+        pos = self.omega.positions(xs)
+        if (pos < 0).any():
+            raise KeyError(f"{xs[int(np.argmin(pos))]!r} outside the computation domain")
+        return self.row(a)[pos]
 
     def bracket(self, a, x) -> tuple:
         """Solver-error bracket of the killed value (not of the full G)."""
@@ -322,56 +354,26 @@ class GreenTable:
         return float(self.residuals.max())
 
 
+def _steps(spec: GroupSpec, mu: StepMeasure) -> tuple:
+    """Non-identity support of mu (sorted) with its probabilities."""
+    e = identity(spec)
+    steps = [s for s in mu.support_elements() if s != e]
+    return steps, np.array([mu.pmf(s) for s in steps])
+
+
 def _operator(omega: Domain, mu: StepMeasure) -> sp.csr_matrix:
     """I - P restricted to Omega (SPD for symmetric substochastic P)."""
     if not mu.finite_range():
         raise ValueError("killed solver requires a finite-support measure")
-    spec = omega.spec
-    e = identity(spec)
-    steps = [(s, mu.pmf(s)) for s in mu.support_elements() if s != e]
-    diag = mu.pmf(e)
     n = len(omega)
-
-    if isinstance(omega, _FreeBallDomain):
-        codes = omega.codes
-        s_bits = omega.shift
-        rows, cols, vals = [], [], []
-        for letter in range(omega.two_k):
-            p = mu.pmf(((letter // 2 + 1) * (-1 if letter & 1 else 1),))
-            last = codes & ((1 << s_bits) - 1)
-            cancel = (codes != 1) & (last == (letter ^ 1))
-            stepped = np.where(cancel, codes >> s_bits, (codes << s_bits) | letter)
-            pos = omega.code_positions(stepped)
-            ok = pos >= 0
-            rows.append(np.nonzero(ok)[0])
-            cols.append(pos[ok])
-            vals.append(np.full(int(ok.sum()), -p))
-        mat = sp.csr_matrix((np.concatenate(vals),
-                             (np.concatenate(rows), np.concatenate(cols))),
-                            shape=(n, n))
-    elif isinstance(omega, _LatticeBallDomain):
-        rows, cols, vals = [], [], []
-        for s, p in steps:
-            stepped = omega.coords + np.asarray(s, dtype=np.int64)
-            pos = omega.coord_positions(stepped)
-            ok = pos >= 0
-            rows.append(np.nonzero(ok)[0])
-            cols.append(pos[ok])
-            vals.append(np.full(int(ok.sum()), -p))
-        mat = sp.csr_matrix((np.concatenate(vals),
-                             (np.concatenate(rows), np.concatenate(cols))),
-                            shape=(n, n))
-    else:
-        rows, cols, vals = [], [], []
-        for g, i in omega.iter_indexed():
-            for s, p in steps:
-                j = omega.lookup(mul(spec, g, s))
-                if j is not None:
-                    rows.append(i)
-                    cols.append(j)
-                    vals.append(-p)
-        mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return mat + sp.identity(n, format="csr") * (1.0 - diag)
+    steps, p = _steps(omega.spec, mu)
+    table = omega.step_table(steps)
+    inside = (table >= 0) & (table < n)
+    indptr = np.concatenate([[0], np.cumsum(inside.sum(axis=1))])
+    mat = sp.csr_matrix((np.broadcast_to(-p, table.shape)[inside], table[inside],
+                         indptr), shape=(n, n))
+    mat.sort_indices()
+    return mat + sp.identity(n, format="csr") * (1.0 - mu.pmf(identity(omega.spec)))
 
 
 def killed_green_solve(omega: Domain, sources: list, mu: StepMeasure,
@@ -467,58 +469,61 @@ def _bracket_from_triplet(vals, r1: int, r2: int) -> GreenBracket:
 class ExitDistribution:
     domain: Domain
     start: object
-    probs: dict                   # boundary element -> probability
+    vector: np.ndarray            # exit probability per point of domain.boundary
     method: str
 
-    def total(self) -> float:
-        return sum(self.probs.values())
+    @property
+    def probs(self) -> dict:
+        """Boundary point -> probability, over the points carrying mass."""
+        return {z: v for z, v in zip(self.domain.boundary, self.vector.tolist())
+                if v != 0.0}
 
-    def vector(self) -> np.ndarray:
-        return np.array([self.probs.get(z, 0.0) for z in self.domain.boundary])
+    def total(self) -> float:
+        return float(self.vector.sum())
 
 
 def exit_distribution(domain: Domain, a, mu: StepMeasure,
                       method: str = "solve", trials: int = 0,
                       rng: Optional[np.random.Generator] = None,
                       tol: float = DEFAULT_TOL) -> ExitDistribution:
-    """Law of the first position outside S started from a in S.
+    """Law of the first position outside S started from a in S, as a vector
+    over ``domain.boundary``.
 
     "solve": mu_S(a, z) = sum_{y in S} G_S(a, y) mu(y^{-1} z) from the
-    absorbing-chain linear system on S.  "mc": empirical exit counts.
+    absorbing-chain linear system on S.  "mc": empirical exit frequencies
+    of ``trials`` walkers moved together through the domain's step table.
+    Raises ValueError when the domain carries no boundary.
     """
+    if domain.boundary is None:
+        raise ValueError("domain carries no boundary")
     if a not in domain:
         raise ValueError("start point must lie in S")
-    spec = domain.spec
-    e = identity(spec)
-    if method == "solve":
-        table = killed_green_solve(domain, [a], mu, tol)
-        gvals = table.row(a)
-        steps = [(s, mu.pmf(s)) for s in mu.support_elements() if s != e]
-        probs = {}
-        for g, i in zip(domain.elements, range(len(domain))):
-            gv = gvals[i]
-            if gv == 0.0:
-                continue
-            for s, p in steps:
-                h = mul(spec, g, s)
-                if domain.lookup(h) is None:
-                    probs[h] = probs.get(h, 0.0) + gv * p
-        return ExitDistribution(domain, a, probs, "solve")
-    if method != "mc":
+    if method not in ("solve", "mc"):
         raise ValueError("method must be 'solve' or 'mc'")
-    if rng is None or trials <= 0:
+    if method == "mc" and (rng is None or trials <= 0):
         raise ValueError("Monte Carlo mode needs rng and trials")
-    counts = {}
-    sup = [s for s in mu.support_elements()]
-    w = np.array([mu.pmf(s) for s in sup])
+    n, m = len(domain), len(domain.boundary)
+    steps, p = _steps(domain.spec, mu)
+    table = domain.step_table(steps)
+    if (table < 0).any():
+        raise ValueError("a step leaves S outside its recorded boundary")
+    if method == "solve":
+        gvals = killed_green_solve(domain, [a], mu, tol).row(a)
+        # row-major (element, step) order keeps each boundary sum in the
+        # order of a loop over elements
+        i, k = np.nonzero(table >= n)
+        vec = np.bincount(table[i, k] - n, weights=gvals[i] * p[k], minlength=m)
+        return ExitDistribution(domain, a, vec, "solve")
+    w = np.append(p, mu.pmf(identity(domain.spec)))
     w = w / w.sum()
-    for _ in range(trials):
-        g = a
-        while g in domain:
-            g = mul(spec, g, sup[int(rng.choice(len(sup), p=w))])
-        counts[g] = counts.get(g, 0) + 1
-    return ExitDistribution(domain, a,
-                            {z: c / trials for z, c in counts.items()}, "mc")
+    moves = np.column_stack([table, np.arange(n)])        # last column: stay
+    pos = np.full(trials, domain.lookup(a), dtype=np.int64)
+    alive = np.arange(trials)
+    while alive.size:
+        pos[alive] = moves[pos[alive], rng.choice(len(w), size=alive.size, p=w)]
+        alive = alive[pos[alive] < n]
+    return ExitDistribution(domain, a, np.bincount(pos - n, minlength=m) / trials,
+                            "mc")
 
 
 def verify_exit_decomposition(domain: Domain, a, x, mu: StepMeasure,
@@ -560,12 +565,7 @@ def boundary_green_matrix(domain: Domain, table: GreenTable) -> BoundaryGreenMat
     submatrix of the inverse of the SPD operator I - P).
     """
     bdry = domain.boundary
-    m = len(bdry)
-    mat = np.empty((m, m))
-    for j, z in enumerate(bdry):
-        row = table.row(z)
-        for i, x in enumerate(bdry):
-            mat[i, j] = row[table.omega.lookup(x)]
+    mat = np.ascontiguousarray(np.array([table.row_at(z, bdry) for z in bdry]).T)
     sym_defect = float(np.max(np.abs(mat - mat.T)))
     mat_sym = 0.5 * (mat + mat.T)
     try:
@@ -591,9 +591,8 @@ def vector_identity_residual(domain: Domain, a, mu: StepMeasure,
     if bgm is None:
         bgm = boundary_green_matrix(domain, table)
     exits = exit_distribution(domain, a, mu, "solve", tol=table.tol)
-    mu_vec = exits.vector()
-    g_vec = np.array([table.green(a, x) for x in domain.boundary])
-    return float(np.max(np.abs(bgm.matrix @ mu_vec - g_vec)))
+    g_vec = table.row_at(a, domain.boundary)
+    return float(np.max(np.abs(bgm.matrix @ exits.vector - g_vec)))
 
 
 # ---------------------------------------------------------------------------
@@ -619,42 +618,27 @@ class McGreenEstimate:
     bias_flag: bool
 
 
-def _tree_distance_hits(rank: int, start_dist: int, cap: int, walkers: int,
-                        rng: np.random.Generator) -> tuple:
-    """(hit mask, final distances of unhit walkers) for the distance-to-target
-    chain of tree SRW: from r >= 1 exactly one neighbor is closer, so the
-    distance is a birth-death chain (down w.p. 1/2k); exact in law by
-    vertex-isotropy of the tree."""
+def tree_distance_chain(rank: int, start_dist: int, walkers: int,
+                        rng: np.random.Generator, laziness: float = 0.0):
+    """Distances to a fixed vertex of ``walkers`` independent (lazy) SRWs on
+    the 2k-regular tree: yields the start distances, then the distances
+    after each step, drawing rng.random(walkers) once per step.
+
+    From r >= 1 exactly one neighbor is closer, so the distance is a
+    birth-death chain (down w.p. (1 - laziness)/2k); exact in law by
+    vertex-isotropy of the tree.
+    """
     two_k = 2 * rank
     d = np.full(walkers, start_dist, dtype=np.int64)
-    hit = d == 0
-    for _ in range(cap):
-        active = ~hit
-        if not active.any():
-            break
+    while True:
+        yield d
         u = rng.random(walkers)
-        down = u < 1.0 / two_k
-        d = np.where(active, np.where(down, d - 1, d + 1), d)
-        hit = hit | (d == 0)
-    return hit, d[~hit]
+        stay = u < laziness
+        down = (~stay) & (d > 0) & (u < laziness + (1 - laziness) / two_k)
+        d = d + np.where(stay, 0, np.where(down, -1, 1))
 
 
-def _tree_visit_counts(rank: int, cap: int, walkers: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Visit counts of the root within the cap, via the distance chain."""
-    two_k = 2 * rank
-    d = np.zeros(walkers, dtype=np.int64)
-    visits = np.ones(walkers, dtype=np.int64)
-    for _ in range(cap):
-        u = rng.random(walkers)
-        at0 = d == 0
-        down = (~at0) & (u < 1.0 / two_k)
-        d = np.where(at0, 1, np.where(down, d - 1, d + 1))
-        visits += (d == 0)
-    return visits
-
-
-def _lattice_step_table(spec: GroupSpec, mu: StepMeasure):
+def _lattice_step_law(spec: GroupSpec, mu: StepMeasure):
     sup = [s for s in mu.support_elements()]
     w = np.array([mu.pmf(s) for s in sup])
     return np.array(sup, dtype=np.int64), w / w.sum()
@@ -664,10 +648,12 @@ def mc_green_diagonal(spec: GroupSpec, mu: StepMeasure, trials: int,
                       path_cap: int, rng: np.random.Generator) -> tuple:
     """(estimate, ci95) for G(e,e) = mean visits to e from e within the cap."""
     if spec.variant == "free":
-        visits = _tree_visit_counts(spec.rank, path_cap, trials, rng)
+        visits = np.zeros(trials, dtype=np.int64)
+        for _, d in zip(range(path_cap + 1), tree_distance_chain(spec.rank, 0, trials, rng)):
+            visits += d == 0
     elif spec.variant == "lattice":
         check_transient(spec)
-        steps, w = _lattice_step_table(spec, mu)
+        steps, w = _lattice_step_law(spec, mu)
         pos = np.zeros((trials, spec.d), dtype=np.int64)
         visits = np.ones(trials, dtype=np.int64)
         for _ in range(path_cap):
@@ -698,13 +684,17 @@ def mc_hitting_green(spec: GroupSpec, mu: StepMeasure, a, x, trials: int,
     if dist0 == 0:
         return McGreenEstimate(gee, 1.0, 0.0, 0.0, trials, path_cap, False)
     if spec.variant == "free":
-        hit, dfin = _tree_distance_hits(spec.rank, dist0, path_cap, trials, rng)
+        hit = np.zeros(trials, dtype=bool)
+        for _, d in zip(range(path_cap + 1), tree_distance_chain(spec.rank, dist0, trials, rng)):
+            hit |= d == 0
+            if hit.all():
+                break
         q = 2 * spec.rank - 1
         # conditional hitting probability from distance d is exactly q^{-d}
-        bias = float(np.sum(np.power(float(q), -dfin.astype(np.float64)))) / trials
+        bias = float(np.sum(np.power(float(q), -d[~hit].astype(np.float64)))) / trials
     elif spec.variant == "lattice":
         check_transient(spec)
-        steps, w = _lattice_step_table(spec, mu)
+        steps, w = _lattice_step_law(spec, mu)
         pos = np.tile(np.asarray(a, dtype=np.int64), (trials, 1))
         target = np.asarray(x, dtype=np.int64)
         hit = (pos == target).all(axis=1)
@@ -733,8 +723,16 @@ def _word_distance(spec: GroupSpec, a, x) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Green providers (uniform interface consumed by the functionals layer)
+# Green providers (uniform interface consumed by the functionals layer):
+# value(a, x), bracket(a, x) -> (lower, upper), and
+# bracket_row(a, xs) -> (values, lowers, uppers) as arrays over xs
 # ---------------------------------------------------------------------------
+
+def _rows_by_point(provider, a, xs) -> tuple:
+    """bracket_row from one value/bracket query per point."""
+    rows = [(provider.value(a, x), *provider.bracket(a, x)) for x in xs]
+    return tuple(np.array(rows, dtype=np.float64).reshape(len(rows), 3).T)
+
 
 @dataclass
 class TreeGreenOracle:
@@ -765,6 +763,9 @@ class TreeGreenOracle:
         v = self.green(a, x)
         return (v, v)
 
+    def bracket_row(self, a, xs) -> tuple:
+        return _rows_by_point(self, a, xs)
+
     def hitting(self, a, x) -> float:
         return float(self.q) ** (-self.distance(a, x))
 
@@ -792,6 +793,14 @@ class TableGreenProvider:
     def bracket(self, a, x) -> tuple:
         a, x = self._resolve(a, x)
         return self.table.bracket(a, x)
+
+    def bracket_row(self, a, xs) -> tuple:
+        """(values, lowers, uppers) over xs for a tabulated source a."""
+        if a not in self.table.sources:
+            raise KeyError(f"{a!r} is not a tabulated source")
+        v = self.table.row_at(a, xs)
+        r = 10.0 * self.table.max_residual()
+        return v, np.maximum(v - r, 0.0), v + r
 
 
 class NestedBracketProvider:
@@ -833,6 +842,9 @@ class NestedBracketProvider:
     def bracket(self, a, x) -> tuple:
         b = self.bracket_full(a, x)
         return (b.lower, b.upper)
+
+    def bracket_row(self, a, xs) -> tuple:
+        return _rows_by_point(self, a, xs)
 
 
 # ---------------------------------------------------------------------------

@@ -354,18 +354,3 @@ def sphere(spec: GroupSpec, gens: GeneratorSet, r: int) -> list:
     table = BfsTable.build(spec, gens, r)
     return sorted(g for g, d in table.dist.items() if d == r)
 
-
-def lattice_ball(d: int, r: int) -> list:
-    """L1 ball of Z^d by direct enumeration (faster than generic BFS)."""
-    out = []
-
-    def rec(prefix, budget):
-        if len(prefix) == d - 1:
-            for a in range(-budget, budget + 1):
-                out.append(tuple(prefix) + (a,))
-            return
-        for a in range(-budget, budget + 1):
-            rec(prefix + [a], budget - abs(a))
-
-    rec([], r)
-    return sorted(out)

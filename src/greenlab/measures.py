@@ -23,6 +23,10 @@ MASS_TOL = 1e-12
 # certifies non-degeneracy without disturbing the r >= r0 shell bounds.
 UNIT_MASS = 0.1
 
+# Largest shell radius the sampler draws; the inverse-CDF table spans
+# [r0, SHELL_SAMPLE_RADIUS_MAX].
+SHELL_SAMPLE_RADIUS_MAX = 2 * 10 ** 6
+
 
 # ---------------------------------------------------------------------------
 # Integer pmfs with truncation bookkeeping
@@ -149,7 +153,7 @@ class StepMeasure:
     kind = "finite": explicit support dict {element: prob}.
     kind = "shell":  radial law p_r ~ 1/(r^2 log r) on axis powers, plus a
                      fixed unit-generator mass; exact pmf available for any
-                     element, explicit support listed up to r_cap.
+                     element, radii sampled up to SHELL_SAMPLE_RADIUS_MAX.
     kind = "stable_z": pmf C_alpha |k|^{-(1+alpha)} on the Z backend.
     """
 
@@ -160,7 +164,6 @@ class StepMeasure:
     laziness: float = 0.0
     probs: Optional[dict] = None          # finite kind
     r0: int = 0                           # shell kind
-    r_cap: int = 0
     shell_norm: float = 0.0               # 1/Z for the radius law
     axes: tuple = ()                      # shell direction set (axis, sign) roots
     alpha: float = 0.0                    # stable kind
@@ -199,7 +202,7 @@ class StepMeasure:
         return 0.0
 
     def support_elements(self) -> list:
-        """Explicit support (shell kind truncated at r_cap; stable at r_cap)."""
+        """Explicit support of a finite-kind measure."""
         if self.kind == "finite":
             sup = [g for g, p in self.probs.items() if p > 0]
             if self.laziness > 0:
@@ -281,7 +284,7 @@ class StepMeasure:
     def sample_shell_radii(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Radius draws: 1 marks a unit-generator step."""
         if self._radius_cdf is None:
-            rr = np.arange(self.r0, max(self.r_cap, 2 * 10 ** 6) + 1, dtype=np.float64)
+            rr = np.arange(self.r0, SHELL_SAMPLE_RADIUS_MAX + 1, dtype=np.float64)
             w = 1.0 / (rr * rr * np.log(rr))
             self._radius_cdf = np.cumsum(w) / w.sum()
         u = rng.random(size)
@@ -367,7 +370,7 @@ def shell_norm_constant(r0: int) -> float:
     return 1.0 / total
 
 
-def shell_measure(spec: GroupSpec, r0: int = 3, r_cap: int = 10 ** 6) -> StepMeasure:
+def shell_measure(spec: GroupSpec, r0: int = 3) -> StepMeasure:
     """Symmetric heavy-tailed law with two-sided shell bounds
     c1/(r^2 log r) <= p_r <= c2/(r^2 log r) for all r >= r0.
 
@@ -384,7 +387,7 @@ def shell_measure(spec: GroupSpec, r0: int = 3, r_cap: int = 10 ** 6) -> StepMea
     else:
         raise ValueError("shell measures need lattice or Heisenberg backends")
     mu = StepMeasure(spec, "shell", f"shell[{spec.label()},r0={r0}]",
-                     r0=r0, r_cap=r_cap, shell_norm=shell_norm_constant(r0),
+                     r0=r0, shell_norm=shell_norm_constant(r0),
                      axes=axes)
     certify_generates(mu)
     return mu
@@ -433,11 +436,6 @@ def certify_generates(mu: StepMeasure) -> None:
         frontier = nxt
     if not target <= visited:
         raise ValueError("support does not generate B(e,2); measure degenerate")
-
-
-def sample(mu: StepMeasure, rng: np.random.Generator, size: int = 1):
-    """Module-level draw helper (see StepMeasure.sample)."""
-    return mu.sample(rng, size)
 
 
 def first_moment_partial(mu: StepMeasure, radius: int) -> float:

@@ -20,6 +20,3 @@ def derive_stream(master_seed: int, kind: str, replica: int = 0) -> np.random.Ge
     root = np.random.SeedSequence([int(master_seed), _kind_id(kind), int(replica)])
     return np.random.default_rng(root)
 
-
-def derive_streams(master_seed: int, kind: str, count: int) -> list:
-    return [derive_stream(master_seed, kind, i) for i in range(count)]

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import green as green_mod
 from . import groups
-from .green import TreeGreenOracle, ball_domain, killed_green_solve, mc_hitting_green
+from .green import (TreeGreenOracle, ball_domain, killed_green_solve,
+                    mc_hitting_green, tree_distance_chain)
 from .groups import GroupSpec, identity, mul
 from .measures import (PmfOnZ, StepMeasure, UNIT_MASS,
                        self_convolution_powers, total_variation_shift)
@@ -183,34 +184,15 @@ def _lattice_batch_positions(spec: GroupSpec, mu: StepMeasure, n: int,
     return out
 
 
-def _tree_batch_lengths(rank: int, n: int, trials: int,
-                        rng: np.random.Generator, checkpoints,
-                        laziness: float = 0.0):
-    """|X_k| for SRW on the 2k-regular tree via the exact distance chain."""
-    checkpoints = sorted(set(checkpoints))
-    two_k = 2 * rank
-    d = np.zeros(trials, dtype=np.int64)
-    out = {}
-    if 0 in checkpoints:
-        out[0] = d.copy()
-    for k in range(1, n + 1):
-        u = rng.random(trials)
-        stay = u < laziness
-        down = (~stay) & (d > 0) & (u < laziness + (1 - laziness) / two_k)
-        up = ~stay & ~down
-        d = d + np.where(stay, 0, np.where(down, -1, 1))
-        if k in checkpoints:
-            out[k] = d.copy()
-    return out
-
-
 def batch_lengths(spec: GroupSpec, mu: StepMeasure, n: int, trials: int,
                   rng: np.random.Generator, checkpoints) -> dict:
     """Word-length (or quasi-norm) arrays at checkpoints; metric mode depends
     on the backend (exact on lattices/trees, quasi-norm on Heisenberg)."""
     if spec.variant == "free":
-        return _tree_batch_lengths(spec.rank, n, trials, rng, checkpoints,
-                                   mu.laziness)
+        # |X_k| for SRW on the 2k-regular tree via the exact distance chain
+        want = set(checkpoints)
+        chain = tree_distance_chain(spec.rank, 0, trials, rng, mu.laziness)
+        return {k: d for k, d in zip(range(n + 1), chain) if k in want}
     if spec.variant == "heisenberg":
         snaps = _heisenberg_batch(mu, n, trials, rng, checkpoints)
         return {k: _quasi_norm_arrays(*v) for k, v in snaps.items()}
@@ -337,8 +319,7 @@ def green_speed_estimate(spec: GroupSpec, mu: StepMeasure, n_list, trials: int,
     if spec.variant == "free":
         oracle = TreeGreenOracle(spec)
         logq = math.log(oracle.q)
-        lengths = _tree_batch_lengths(spec.rank, n_list[-1], trials, rng,
-                                      n_list, mu.laziness)
+        lengths = batch_lengths(spec, mu, n_list[-1], trials, rng, n_list)
         rows = []
         for n in n_list:
             dg = lengths[n].astype(np.float64) * logq / n
@@ -363,8 +344,7 @@ def green_speed_estimate(spec: GroupSpec, mu: StepMeasure, n_list, trials: int,
     rows = []
     for n in n_list:
         pts = snaps[n]
-        pos = omega.coord_positions(pts) if hasattr(omega, "coord_positions") \
-            else np.array([omega.lookup(tuple(int(c) for c in p)) or -1 for p in pts])
+        pos = omega.positions(pts)
         vals = np.empty(trials)
         fallback = 0
         for i in range(trials):

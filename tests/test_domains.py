@@ -1,0 +1,157 @@
+"""The domain index protocol: positions, step tables, canonical order, and
+the exit law built on them, for every domain kind."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from greenlab import groups
+from greenlab.green import (ball_domain, box_domain, exit_distribution,
+                            killed_green_solve)
+from greenlab.groups import identity, mul
+from greenlab.measures import uniform_on_generators
+from greenlab.rng import derive_stream
+
+Z3 = groups.integer_lattice(3)
+F2 = groups.free_group(2)
+HEIS = groups.heisenberg()
+
+
+def srw(spec):
+    return uniform_on_generators(groups.standard_generators(spec))
+
+
+def shortlex(word):
+    """Code order of the free-ball domain: length, then letter codes."""
+    return (len(word), [2 * (abs(l) - 1) + (l < 0) for l in word])
+
+
+def shifted(points, center):
+    return [tuple(a + c for a, c in zip(g, center)) for g in points]
+
+
+def gens_ball(spec, radius):
+    return groups.ball(spec, groups.standard_generators(spec), radius)
+
+
+# name -> (domain builder, canonical element order, far point, extra step)
+CASES = {
+    "free-ball": (lambda: ball_domain(F2, srw(F2), 3),
+                  lambda: sorted(gens_ball(F2, 3), key=shortlex),
+                  (1,) * 9, (1, 2)),
+    "free-ball-no-boundary": (
+        lambda: ball_domain(F2, srw(F2), 3, with_boundary=False),
+        lambda: sorted(gens_ball(F2, 3), key=shortlex), (1,) * 9, (1, 2)),
+    "lattice-ball": (lambda: ball_domain(Z3, srw(Z3), 3),
+                     lambda: sorted(gens_ball(Z3, 3)), (40, 0, 0), (2, 0, 0)),
+    "lattice-ball-centered": (
+        lambda: ball_domain(Z3, srw(Z3), 2, center=(1, -2, 0)),
+        lambda: shifted(sorted(gens_ball(Z3, 2)), (1, -2, 0)),
+        (0, 0, 0), (0, 2, 1)),
+    "lattice-ball-no-boundary": (
+        lambda: ball_domain(Z3, srw(Z3), 3, with_boundary=False),
+        lambda: sorted(gens_ball(Z3, 3)), (40, 0, 0), (2, 0, 0)),
+    "lattice-box": (lambda: box_domain(Z3, srw(Z3), 2),
+                    lambda: sorted(itertools.product(range(-2, 3), repeat=3)),
+                    (40, 0, 0), (2, 0, 0)),
+    "heis3-ball": (lambda: ball_domain(HEIS, srw(HEIS), 3),
+                   lambda: sorted(gens_ball(HEIS, 3)), (40, 0, 0), (1, 1, 0)),
+    "heis3-ball-no-boundary": (
+        lambda: ball_domain(HEIS, srw(HEIS), 3, with_boundary=False),
+        lambda: sorted(gens_ball(HEIS, 3)), (40, 0, 0), (1, 1, 0)),
+}
+
+
+BOUNDED = sorted(k for k in CASES if not k.endswith("no-boundary"))
+
+
+@pytest.fixture(params=sorted(CASES))
+def case(request):
+    build, order, far, extra = CASES[request.param]
+    return build(), order(), far, extra
+
+
+@pytest.fixture(params=BOUNDED)
+def bounded(request):
+    return CASES[request.param][0]()
+
+
+def test_positions_round_trip(case):
+    dom, _, far, _ = case
+    els = dom.elements
+    assert dom.positions(els).tolist() == list(range(len(els)))
+    assert dom.positions([els[0]]).tolist() == [0]
+    assert dom.lookup(els[0]) == 0 and els[0] in dom
+    outside = [far] + list(dom.boundary or [])
+    assert (dom.positions(outside) == -1).all()
+    assert dom.lookup(far) is None and far not in dom
+
+
+def test_step_table_matches_mul_and_lookup(case):
+    dom, _, _, extra = case
+    spec = dom.spec
+    steps = list(groups.standard_generators(spec)) + [identity(spec), extra]
+    table = dom.step_table(steps)
+    n = len(dom)
+    index = {g: i for i, g in enumerate(dom.elements)}
+    assert table.shape == (n, len(steps)) and table.dtype == np.int64
+    for i, g in enumerate(dom.elements):
+        for k, s in enumerate(steps):
+            h = mul(spec, g, s)
+            if h in index:
+                want = index[h]
+            elif dom.boundary is not None and h in dom.boundary:
+                want = n + dom.boundary.index(h)
+            else:
+                want = -1
+            assert table[i, k] == want, (g, s)
+
+
+def test_canonical_order(case):
+    dom, order, _, _ = case
+    assert dom.elements == order
+    if dom.boundary is not None:
+        steps = list(groups.standard_generators(dom.spec))
+        members = set(dom.elements)
+        outer = {mul(dom.spec, g, s) for g in dom.elements for s in steps} - members
+        assert dom.boundary == sorted(outer)
+
+
+@pytest.mark.parametrize("name", sorted(set(CASES) - set(BOUNDED)))
+def test_exit_law_needs_boundary(name):
+    dom = CASES[name][0]()
+    for method in ("solve", "mc"):
+        with pytest.raises(ValueError, match="no boundary"):
+            exit_distribution(dom, dom.elements[0], srw(dom.spec), method,
+                              trials=10, rng=derive_stream(7, "exit-protocol"))
+
+
+def test_exit_mass_sums_to_one(bounded):
+    dom = bounded
+    mu = srw(dom.spec)
+    start = dom.elements[len(dom) // 2]
+    exits = exit_distribution(dom, start, mu)
+    assert exits.vector.shape == (len(dom.boundary),)
+    assert exits.total() == pytest.approx(1.0, abs=1e-9)
+    assert (exits.vector >= 0).all()
+    mc = exit_distribution(dom, start, mu, "mc", trials=400,
+                           rng=derive_stream(7, "exit-protocol"))
+    assert mc.total() == pytest.approx(1.0, abs=1e-12)
+    assert set(mc.probs) <= set(dom.boundary)
+
+
+def test_exit_law_matches_element_loop(bounded):
+    # the table-driven exit law against the loop over elements and steps
+    dom = bounded
+    mu = srw(dom.spec)
+    start = dom.elements[0]
+    gvals = killed_green_solve(dom, [start], mu).row(start)
+    want = dict.fromkeys(dom.boundary, 0.0)
+    for g, gv in zip(dom.elements, gvals):
+        for s in mu.support_elements():
+            h = mul(dom.spec, g, s)
+            if h not in dom:
+                want[h] += gv * mu.pmf(s)
+    got = exit_distribution(dom, start, mu).vector
+    assert got.tolist() == list(want.values())

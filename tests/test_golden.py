@@ -1,0 +1,95 @@
+"""Golden report bodies: small CLI configs whose CSV bodies (everything after
+the ``# meta:`` line) must stay byte-identical across refactors.
+
+The expected bodies live in tests/data/golden_<name>.csv; the deterministic
+meta fields named in META_KEYS (the boundary-matrix certificate, which is
+not part of any body) are pinned in tests/data/golden_meta.json.  To
+re-record both after a deliberate, documented change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import os
+import sys
+
+import pytest
+
+from greenlab.cli import STATUS_OK, run
+from greenlab.reporting import read_report, report_body
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+CONFIGS = {
+    "eps_delta_z3": {"kind": "eps-delta", "backend": "Z^3",
+                     "measure": {"type": "srw"}, "scales": [4, 5, 6, 7, 8]},
+    "eps_delta_heis3": {"kind": "eps-delta", "backend": "Heis3",
+                        "measure": {"type": "srw"}, "scales": [2, 3]},
+    "delta_scan_f2": {"kind": "delta-scan", "backend": "F_2",
+                      "measure": {"type": "srw"}, "scales": [2, 3, 4, 5, 6]},
+    "delta_scan_f2_lazy": {"kind": "delta-scan", "backend": "F_2",
+                           "measure": {"type": "srw", "laziness": 0.5},
+                           "scales": [2, 3, 4]},
+    "green_table_heis3": {"kind": "green-table", "backend": "Heis3",
+                          "measure": {"type": "srw"}, "radius": 6,
+                          "sources": ["0,0,0", "1,0,0", "0,1,1"],
+                          "boundary_matrix": True},
+    "green_speed_f2": {"kind": "green-speed", "backend": "F_2",
+                       "measure": {"type": "srw"}, "n_list": [10, 100, 400],
+                       "trials": 2000},
+    "green_speed_z3": {"kind": "green-speed", "backend": "Z^3",
+                       "measure": {"type": "srw"}, "n_list": [10, 40],
+                       "trials": 300},
+}
+
+META_KEYS = {"green_table_heis3": ("spd_ok", "min_eigenvalue")}
+
+
+def run_report(name, workdir):
+    """(body, pinned meta fields) of one config's report."""
+    cfg = dict(CONFIGS[name], seed=3,
+               output=os.path.join(workdir, f"{name}.csv"))
+    path = os.path.join(workdir, f"{name}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(cfg, fh)
+    status = run(path, cache_dir=os.path.join(workdir, "cache"))
+    assert status == STATUS_OK
+    meta = read_report(cfg["output"])[0]
+    return (report_body(cfg["output"]),
+            {k: meta[k] for k in META_KEYS.get(name, ())})
+
+
+def golden_path(name):
+    return os.path.join(DATA, f"golden_{name}.csv")
+
+
+META_PATH = os.path.join(DATA, "golden_meta.json")
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_body_matches_golden(name, tmp_path):
+    with open(golden_path(name), encoding="utf-8", newline="") as fh:
+        want = fh.read()
+    with open(META_PATH, encoding="utf-8") as fh:
+        want_meta = json.load(fh).get(name, {})
+    body, meta = run_report(name, str(tmp_path))
+    assert body == want
+    assert meta == want_meta
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    os.makedirs(DATA, exist_ok=True)
+    metas = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for key in sorted(CONFIGS):
+            body, meta = run_report(key, tmp)
+            with open(golden_path(key), "w", encoding="utf-8", newline="") as fh:
+                fh.write(body)
+            if meta:
+                metas[key] = meta
+            print(f"recorded {golden_path(key)}", file=sys.stderr)
+    with open(META_PATH, "w", encoding="utf-8") as fh:
+        json.dump(metas, fh, indent=1, sort_keys=True)
+        fh.write("\n")

@@ -268,6 +268,19 @@ class TestBoundaryGreenMatrix:
         assert not spd_certificate_1x1(-0.2).spd_ok
 
 
+def reference_tree_distances(rank, start, walkers, steps, rng):
+    """Distance to the target of each tree SRW walker after 0..steps steps,
+    one walker at a time: from d >= 1 one of the 2k neighbours is closer."""
+    d = [start] * walkers
+    rows = [list(d)]
+    for _ in range(steps):
+        u = rng.random(walkers)
+        d = [x - 1 if x > 0 and u[i] < 1.0 / (2 * rank) else x + 1
+             for i, x in enumerate(d)]
+        rows.append(list(d))
+    return np.array(rows)
+
+
 class TestMonteCarlo:
     def test_hit_self_is_diagonal(self):
         rng = derive_stream(1, "mc")
@@ -312,6 +325,23 @@ class TestMonteCarlo:
         for x in picks:
             est = mc_hitting_green(F2, mu, (), x, 20000, rng, gee=oracle.gee())
             assert abs(est.value - oracle.green((), x)) < est.ci95 + est.bias_bound + 1e-3
+
+    def test_tree_chain_matches_walker_loop(self):
+        # the shared distance chain against a per-walker scalar loop fed the
+        # same uniforms: visit counts, hit mask and capped-walker bias agree
+        walkers, cap, q = 60, 40, 3
+        path = reference_tree_distances(2, 1, walkers, cap, derive_stream(5, "chain"))
+        gee, _ = mc_green_diagonal(F2, srw(F2), walkers, cap,
+                                   derive_stream(5, "chain"))
+        assert gee == (reference_tree_distances(2, 0, walkers, cap, derive_stream(
+            5, "chain")) == 0).sum(axis=0).mean()
+        est = mc_hitting_green(F2, srw(F2), (), (-2,), walkers,
+                               derive_stream(5, "chain"), path_cap=cap, gee=1.0)
+        hit = (path == 0).any(axis=0)
+        assert 0 < hit.sum() < walkers
+        assert est.hit_fraction == hit.mean()
+        assert est.bias_bound == float(np.sum(
+            np.power(float(q), -path[-1][~hit].astype(np.float64)))) / walkers
 
     def test_bias_flag_when_cap_too_small(self):
         rng = derive_stream(3, "mc-capped")
