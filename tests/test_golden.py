@@ -6,7 +6,10 @@ meta fields named in META_KEYS (the boundary-matrix certificate, which is
 not part of any body) are pinned in tests/data/golden_meta.json.  To
 re-record both after a deliberate, documented change:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [name ...]
+
+With names, only those configs (and their golden_meta.json entries) are
+re-recorded; with none, every config is.
 """
 
 import json
@@ -40,6 +43,10 @@ CONFIGS = {
     "green_speed_z3": {"kind": "green-speed", "backend": "Z^3",
                        "measure": {"type": "srw"}, "n_list": [10, 40],
                        "trials": 300},
+    "dispersion_stable": {"kind": "dispersion",
+                          "measure": {"type": "stable", "alpha": 1.0},
+                          "shift": 1, "n_list": [16, 64, 256], "cap": 20000,
+                          "product_shift": [1, 1], "product_cap": 20000},
 }
 
 META_KEYS = {"green_table_heis3": ("spd_ok", "min_eigenvalue")}
@@ -80,13 +87,21 @@ def test_body_matches_golden(name, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    names = sys.argv[1:] or sorted(CONFIGS)
+    unknown = sorted(set(names) - set(CONFIGS))
+    if unknown:
+        sys.exit(f"unknown golden config(s): {', '.join(unknown)}")
     os.makedirs(DATA, exist_ok=True)
     metas = {}
+    if sys.argv[1:] and os.path.exists(META_PATH):
+        with open(META_PATH, encoding="utf-8") as fh:
+            metas = json.load(fh)
     with tempfile.TemporaryDirectory() as tmp:
-        for key in sorted(CONFIGS):
+        for key in names:
             body, meta = run_report(key, tmp)
             with open(golden_path(key), "w", encoding="utf-8", newline="") as fh:
                 fh.write(body)
+            metas.pop(key, None)
             if meta:
                 metas[key] = meta
             print(f"recorded {golden_path(key)}", file=sys.stderr)
