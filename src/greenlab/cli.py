@@ -359,6 +359,8 @@ def _on_diagonal(cfg):
     meta["beta_hat"] = report.beta_hat
     meta["rate"] = report.rate
     meta["kesten_root"] = report.kesten_root
+    # The prefactor-separated root: the estimate of the spectral radius.
+    meta["fitted_root"] = float(np.exp(report.rate / 2.0))
     header = ["seed", "version", "backend", "measure_hash", "m", "p_2m"]
     pre = _prefix(cfg, cfg["backend"], mhash)
     rows = [pre + [int(m), float(p)] for m, p in zip(report.m_values, report.p2m)]

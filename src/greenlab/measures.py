@@ -34,7 +34,7 @@ SHELL_SAMPLE_RADIUS_MAX = 2 * 10 ** 6
 
 @dataclass
 class PmfOnZ:
-    """Pmf on Z as a dense array over [lo, lo+len)，with tracked clipped mass."""
+    """Pmf on Z as a dense array over [lo, lo+len), with tracked clipped mass."""
 
     vals: np.ndarray
     lo: int
@@ -86,17 +86,23 @@ def delta_pmf(k: int = 0) -> PmfOnZ:
 def convolve_z(p: PmfOnZ, q: PmfOnZ, cap: int) -> PmfOnZ:
     """Exact convolution of two integer pmfs restricted to |k| <= cap.
 
-    All clipped mass (and any mass already missing from the inputs) is
-    accumulated into delta_trunc of the result.
+    Long products (n > 4096) go through one real FFT of length
+    next_fast_len(n), the length scipy.signal.fftconvolve picks; when q is
+    p its spectrum is computed once and squared.  Round-off negatives are
+    clamped to 0.  All clipped mass (and any mass already missing from the
+    inputs) is accumulated into delta_trunc of the result.
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
     n = len(p.vals) + len(q.vals) - 1
     if n > 4096:
-        from scipy.signal import fftconvolve
+        from scipy import fft
 
-        raw = fftconvolve(p.vals, q.vals)
-        raw = np.maximum(raw, 0.0)
+        size = fft.next_fast_len(n, True)
+        fp = fft.rfft(p.vals, size)
+        fq = fp if q is p else fft.rfft(q.vals, size)
+        raw = fft.irfft(np.multiply(fp, fq, out=fp), size)[:n]
+        np.maximum(raw, 0.0, out=raw)
     else:
         raw = np.convolve(p.vals, q.vals)
     lo = p.lo + q.lo
@@ -104,27 +110,35 @@ def convolve_z(p: PmfOnZ, q: PmfOnZ, cap: int) -> PmfOnZ:
     hi_keep = min(lo + len(raw) - 1, cap)
     if hi_keep < lo_keep:
         raise ValueError("cap window misses the whole convolution support")
-    kept = raw[lo_keep - lo: hi_keep - lo + 1]
+    # A copy, so the full-length product is freed once the window is cut.
+    kept = raw[lo_keep - lo: hi_keep - lo + 1].copy()
     delta = 1.0 - float(kept.sum())
     return PmfOnZ(kept, lo_keep, max(delta, 0.0))
 
 
-def self_convolution_powers(p: PmfOnZ, exponents: list, cap: int) -> dict:
-    """p^(n) for n in a set of powers of two, by repeated squaring."""
+def self_convolution_powers(p: PmfOnZ, exponents, cap: int):
+    """Yield (n, p^(n)) for n in a set of powers of two, ascending.
+
+    The powers come from repeated squaring, one spectrum per squaring on
+    the FFT branch of convolve_z.  The chain holds only the current power;
+    a caller that consumes each checkpoint as it comes holds one at a time.
+    """
     want = sorted(set(exponents))
     for n in want:
         if n & (n - 1):
             raise ValueError("exponents must be powers of two")
-    out = {}
+    return _doubling_chain(p, want, cap)
+
+
+def _doubling_chain(p: PmfOnZ, want: list, cap: int):
     cur, n = p, 1
     if n in want:
-        out[n] = cur
+        yield n, cur
     while n < want[-1]:
         cur = convolve_z(cur, cur, cap)
         n *= 2
         if n in want:
-            out[n] = cur
-    return out
+            yield n, cur
 
 
 def total_variation_shift(p: PmfOnZ, k: int) -> float:

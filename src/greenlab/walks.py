@@ -384,31 +384,27 @@ class DispersionCurve:
 
 
 def _support_gcd(pmf: PmfOnZ) -> int:
+    """gcd of the gaps between support points (0 for a single point)."""
     sup = pmf.support()
     if len(sup) < 2:
         return 0
-    diffs = np.diff(sup)
-    g = 0
-    for d in diffs:
-        g = math.gcd(g, int(d))
-    return g
+    return int(np.gcd.reduce(np.diff(sup)))
 
 
 def tv_dispersion_z(pmf: PmfOnZ, shift: int, n_list, cap: int) -> DispersionCurve:
     """TV(n) = (1/2) sum_m |p^(n)(m) - p^(n)(m - shift)| by exact doubling
     convolutions on the window |m| <= cap; the reported TV error includes
-    the tracked truncation loss.  Periodic supports (gcd of support
-    differences > 1) are computed but flagged."""
+    the tracked truncation loss.  Each squaring costs one forward and one
+    inverse FFT, and the checkpoints are streamed: TV is taken from each
+    power as it is reached, so one power is held at a time.  Periodic
+    supports (gcd of support differences > 1) are computed but flagged."""
     n_list = sorted(set(int(n) for n in n_list))
     for n in n_list:
         if n & (n - 1):
             raise ValueError("checkpoints must be powers of two (doubling chain)")
     periodic = _support_gcd(pmf) > 1
-    powers = self_convolution_powers(pmf, n_list, cap)
-    rows = []
-    for n in n_list:
-        p = powers[n]
-        rows.append((n, total_variation_shift(p, shift), p.delta_trunc))
+    rows = [(n, total_variation_shift(p, shift), p.delta_trunc)
+            for n, p in self_convolution_powers(pmf, n_list, cap)]
     return DispersionCurve(shift, rows, periodic)
 
 
@@ -429,11 +425,9 @@ def product_dispersion_bound(h_pmf: PmfOnZ, z_pmf: PmfOnZ, shift: tuple,
     exactly on truncated supports."""
     zh, zz = shift
     n_list = sorted(set(int(n) for n in n_list))
-    pow_h = self_convolution_powers(h_pmf, n_list, cap_h)
-    pow_z = self_convolution_powers(z_pmf, n_list, cap_z)
     rows = []
-    for n in n_list:
-        a, b = pow_h[n], pow_z[n]
+    for (n, a), (_, b) in zip(self_convolution_powers(h_pmf, n_list, cap_h),
+                              self_convolution_powers(z_pmf, n_list, cap_z)):
         tv_h = total_variation_shift(a, zh)
         tv_z = total_variation_shift(b, zz)
         tv_prod = _tv_product_shift(a.vals, zh, b.vals, zz)

@@ -210,6 +210,19 @@ class TestOtherKinds:
         assert run(path) == STATUS_OK
         meta, _, _ = read_report(cfg["output"])
         assert "kesten_root" in meta
+        assert "fitted_root" in meta
+
+    def test_on_diagonal_fitted_root_near_kesten(self, tmp_path):
+        # exp(rate/2) of the three-parameter fit estimates rho = sqrt(3)/2 on
+        # F_2; the raw root kesten_root is still biased low at m = 12
+        cfg = {"kind": "on-diagonal", "backend": "F_2",
+               "measure": {"type": "srw"}, "m_max": 12,
+               "output": str(tmp_path / "od.csv")}
+        path = write_config(tmp_path / "cfg.json", cfg)
+        assert run(path) == STATUS_OK
+        meta, _, _ = read_report(cfg["output"])
+        assert abs(meta["fitted_root"] - np.sqrt(3.0) / 2.0) <= 0.02
+        assert meta["kesten_root"] < meta["fitted_root"]
 
     def test_increment_probe_kind(self, tmp_path):
         cfg = {"kind": "increment-probe", "backend": "Z^1",

@@ -7,7 +7,8 @@ from scipy import special
 from greenlab import groups, measures
 from greenlab.measures import (PmfOnZ, UNIT_MASS, certify_generates, convolve_z,
                                delta_pmf, first_moment_partial, lazy_transform,
-                               pmf_from_dict, shell_measure, shell_norm_constant,
+                               pmf_from_dict, self_convolution_powers,
+                               shell_measure, shell_norm_constant,
                                stable_z_measure, uniform_on_generators)
 
 Z3 = groups.integer_lattice(3)
@@ -235,6 +236,77 @@ class TestConvolveZ:
         q = convolve_z(p, p, cap=4)
         # mass at +-6 clipped
         assert q.delta_trunc == pytest.approx(0.5, abs=1e-15)
+
+
+    @staticmethod
+    def random_pmf(rng, length, lo):
+        w = rng.random(length)
+        return PmfOnZ(w / w.sum(), lo)
+
+    def test_fft_branch_shared_spectrum_bit_identical(self):
+        # n = 2 * 3000 - 1 > 4096: q is p squares one spectrum, a copy of p
+        # transforms it twice; the two must agree bit for bit
+        p = self.random_pmf(np.random.default_rng(5), 3000, -1500)
+        same = convolve_z(p, p, cap=2000)
+        copy = convolve_z(p, PmfOnZ(p.vals.copy(), p.lo, p.delta_trunc), cap=2000)
+        assert same.lo == copy.lo == -2000
+        assert np.array_equal(same.vals, copy.vals)
+        assert same.delta_trunc == copy.delta_trunc
+
+    def test_fft_branch_matches_direct_convolution(self):
+        rng = np.random.default_rng(6)
+        p = self.random_pmf(rng, 3000, -1500)
+        q = self.random_pmf(rng, 2500, -700)
+        for a, b in ((p, p), (p, q), (q, p)):
+            full = np.convolve(a.vals, b.vals)
+            lo = a.lo + b.lo
+            for cap in (10 ** 4, 1800):
+                c = convolve_z(a, b, cap)
+                want = full[c.lo - lo: c.hi - lo + 1]
+                assert np.max(np.abs(c.vals - want)) <= 1e-15
+
+    def test_fft_branch_clipped_mass_in_delta_trunc(self):
+        p = self.random_pmf(np.random.default_rng(7), 3000, -1500)
+        p = PmfOnZ(p.vals * (1.0 - 1e-3), p.lo, 1e-3)   # mass already missing
+        full = np.convolve(p.vals, p.vals)
+        c = convolve_z(p, p, cap=1000)
+        assert (c.lo, c.hi) == (-1000, 1000)
+        outside = full.sum() - full[3000 - 1000: 3000 + 1000 + 1].sum()
+        assert c.delta_trunc == pytest.approx(1.0 - full.sum() + outside,
+                                              abs=1e-13)
+        assert c.delta_trunc > 0.1
+        assert c.mass() + c.delta_trunc == pytest.approx(1.0, abs=1e-13)
+
+    def test_fft_branch_clamps_round_off(self):
+        # two atoms 4000 apart: the square is three atoms and zeros between,
+        # where the FFT's round-off (about -7e-17 here) must be clamped to 0
+        p = pmf_from_dict({-2000: 0.5, 2000: 0.5})
+        c = convolve_z(p, p, cap=5000)
+        assert c.vals.min() >= 0.0
+        assert c.at(0) == pytest.approx(0.5, abs=1e-15)
+        assert c.at(-4000) == pytest.approx(0.25, abs=1e-15)
+        assert np.max(c.vals[1:4000]) < 1e-15
+
+
+class TestSelfConvolutionPowers:
+    def test_yields_ascending_checkpoints(self):
+        p = pmf_from_dict({-1: 0.25, 0: 0.5, 1: 0.25})
+        got = list(self_convolution_powers(p, [8, 1, 4, 8], cap=50))
+        assert [n for n, _ in got] == [1, 4, 8]
+        assert got[0][1] is p
+        p2 = convolve_z(p, p, 50)
+        p4 = convolve_z(p2, p2, 50)
+        p8 = convolve_z(p4, p4, 50)
+        assert np.array_equal(got[1][1].vals, p4.vals)
+        assert np.array_equal(got[2][1].vals, p8.vals)
+        assert got[2][1].at(0) == pytest.approx(
+            special.comb(16, 8) / 4 ** 8, abs=1e-15)
+
+    def test_non_power_of_two_rejected(self):
+        p = pmf_from_dict({-1: 0.5, 1: 0.5})
+        for bad in ([3], [4, 6], [12, 16]):
+            with pytest.raises(ValueError):
+                self_convolution_powers(p, bad, cap=50)
 
 
 class TestFirstMoment:

@@ -1,15 +1,17 @@
 """Trajectory experiments: speed, increments, Green speed, dispersion,
 Mal'cev coordinates, quarter-plane ratios."""
 
+import math
+
 import numpy as np
 import pytest
 
 from greenlab import groups
-from greenlab.measures import (UNIT_MASS, lazy_transform, pmf_from_dict,
-                               shell_measure, stable_z_measure,
+from greenlab.measures import (PmfOnZ, UNIT_MASS, lazy_transform,
+                               pmf_from_dict, shell_measure, stable_z_measure,
                                uniform_on_generators)
 from greenlab.rng import derive_stream
-from greenlab.walks import (batch_lengths, cone_martin_experiment,
+from greenlab.walks import (_support_gcd, batch_lengths, cone_martin_experiment,
                             green_speed_estimate, increment_ratio_max,
                             malcev_coords, product_dispersion_bound,
                             sample_jump_lengths, simulate_walk,
@@ -210,6 +212,42 @@ class TestDispersion:
         pmf = pmf_from_dict({-1: 0.5, 1: 0.5})
         with pytest.raises(ValueError):
             tv_dispersion_z(pmf, 1, [10], 100)
+
+
+class TestSupportGcd:
+    @staticmethod
+    def pmf_on(support, lo):
+        vals = np.zeros(int(support.max()) + 1)
+        vals[support] = 1.0 / len(support)
+        return PmfOnZ(vals, lo)
+
+    @staticmethod
+    def reference_gcd(support):
+        g = 0
+        for d in np.diff(np.sort(support)):
+            g = math.gcd(g, int(d))
+        return g
+
+    def test_matches_math_gcd_on_random_supports(self):
+        rng = np.random.default_rng(11)
+        for step in (1, 1, 2, 3, 6, 7):
+            for _ in range(20):
+                size = int(rng.integers(2, 40))
+                sup = np.unique(rng.integers(0, 500, size) * step
+                                + int(rng.integers(0, step)))
+                lo = int(rng.integers(-300, 300))
+                got = _support_gcd(self.pmf_on(sup, lo))
+                assert got == self.reference_gcd(sup)
+                assert isinstance(got, int)
+
+    def test_periodic_supports(self):
+        assert _support_gcd(self.pmf_on(np.arange(0, 41, 2), -20)) == 2
+        assert _support_gcd(self.pmf_on(np.array([1, 4, 13, 31]), -5)) == 3
+        assert _support_gcd(pmf_from_dict({-1: 0.5, 1: 0.5})) == 2
+        assert _support_gcd(stable_z_measure(1.0).to_pmf_on_z(1000)) == 1
+
+    def test_single_point_gives_zero(self):
+        assert _support_gcd(pmf_from_dict({7: 1.0})) == 0
 
 
 class TestProductDispersion:
