@@ -9,7 +9,7 @@ measures on Z with pmf proportional to |k|^{-(1+alpha)}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 from scipy import special
@@ -116,7 +116,7 @@ def convolve_z(p: PmfOnZ, q: PmfOnZ, cap: int) -> PmfOnZ:
     return PmfOnZ(kept, lo_keep, max(delta, 0.0))
 
 
-def self_convolution_powers(p: PmfOnZ, exponents, cap: int):
+def self_convolution_powers(p: PmfOnZ, exponents, cap: int) -> Iterator:
     """Yield (n, p^(n)) for n in a set of powers of two, ascending.
 
     The powers come from repeated squaring, one spectrum per squaring on
@@ -125,7 +125,7 @@ def self_convolution_powers(p: PmfOnZ, exponents, cap: int):
     """
     want = sorted(set(exponents))
     for n in want:
-        if n & (n - 1):
+        if n < 1 or n & (n - 1):
             raise ValueError("exponents must be powers of two")
     return _doubling_chain(p, want, cap)
 

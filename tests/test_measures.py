@@ -304,7 +304,7 @@ class TestSelfConvolutionPowers:
 
     def test_non_power_of_two_rejected(self):
         p = pmf_from_dict({-1: 0.5, 1: 0.5})
-        for bad in ([3], [4, 6], [12, 16]):
+        for bad in ([3], [4, 6], [12, 16], [0, 16]):
             with pytest.raises(ValueError):
                 self_convolution_powers(p, bad, cap=50)
 

@@ -212,6 +212,8 @@ class TestDispersion:
         pmf = pmf_from_dict({-1: 0.5, 1: 0.5})
         with pytest.raises(ValueError):
             tv_dispersion_z(pmf, 1, [10], 100)
+        with pytest.raises(ValueError):
+            tv_dispersion_z(pmf, 1, [0, 16], 100)
 
 
 class TestSupportGcd:
