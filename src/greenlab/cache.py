@@ -59,6 +59,10 @@ def save_table(cache_dir: str, backend: str, mhash: str, table: GreenTable) -> s
         "laziness": table.laziness,
         "sources": [element_to_jsonable(s) for s in table.sources],
         "residuals": [float(r) for r in table.residuals],
+        "method": table.method,
+        "preconditioner": table.preconditioner,
+        "iterations": (None if table.iterations is None
+                       else [int(k) for k in table.iterations]),
         "n_values": int(table.values.shape[1]),
         "boundary_support": [element_to_jsonable(s) for s in table.omega.support],
     }
@@ -103,9 +107,14 @@ def load_table(cache_dir: str, backend: str, mhash: str, domain: Domain,
             warnings.warn(f"corrupt cache file {path}; recomputing")
             return None
         values = vals.reshape(len(sources), meta["n_values"]).copy()
+        # files written before the solver record was kept load with None
+        iterations = meta.get("iterations")
         return GreenTable(domain, sources, values,
                           np.array(meta["residuals"]), meta["laziness"],
-                          meta["measure_name"], tol)
+                          meta["measure_name"], tol, meta.get("method"),
+                          meta.get("preconditioner"),
+                          None if iterations is None
+                          else np.array(iterations, dtype=np.int64))
     except Exception:
         warnings.warn(f"unreadable cache file {path}; recomputing")
         return None

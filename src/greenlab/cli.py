@@ -206,6 +206,10 @@ def _green_table(cfg, cache_dir, force):
                      table.green(s, e), table.green(s, s),
                      float(table.residuals[table.sources.index(s)])))
     meta = _meta(cfg, cfg["backend"], mhash)
+    meta["solver"] = {
+        "method": table.method, "preconditioner": table.preconditioner,
+        "iterations": None if table.iterations is None else
+        [int(table.iterations[table.sources.index(s)]) for s in sources]}
     if cfg.get("boundary_matrix"):
         inner = green.ball_domain(spec, mu, radius)
         bgm_table = green.killed_green_solve(

@@ -146,14 +146,19 @@ def total_variation_shift(p: PmfOnZ, k: int) -> float:
     if k == 0:
         return 0.0
     a = p.vals
-    pad = np.zeros(abs(k))
-    if k > 0:
-        left = np.concatenate([a, pad])
-        right = np.concatenate([pad, a])
+    n, s = len(a), abs(k)
+    # |a(x) - a(x - s)| over the n + s points of either window: the sign of
+    # k flips every difference, which the absolute value undoes
+    out = np.zeros(n + s)
+    if s < n:
+        out[:s] = a[:s]
+        np.subtract(a[s:], a[:-s], out=out[s:n])
+        out[n:] = a[n - s:]
     else:
-        left = np.concatenate([pad, a])
-        right = np.concatenate([a, pad])
-    return 0.5 * float(np.abs(left - right).sum())
+        out[:n] = a
+        out[s:] = a
+    np.abs(out, out=out)
+    return 0.5 * float(out.sum())
 
 
 # ---------------------------------------------------------------------------

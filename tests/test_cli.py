@@ -162,9 +162,42 @@ class TestCache:
         loaded = cachemod.load_table(str(tmp_path), "Z^3", mhash, omega2, 1e-10)
         assert loaded is not None
         assert np.array_equal(loaded.values, table.values)
+        assert (loaded.method, loaded.preconditioner) == ("direct", None)
+        assert np.array_equal(loaded.iterations, table.iterations)
         monkeypatch.setattr(cachemod, "__version__", "stale")
         assert cachemod.load_table(str(tmp_path), "Z^3", mhash, omega2,
                                    1e-10) is None
+
+
+    def test_cache_without_solver_record_loads(self, tmp_path):
+        # a file written before the solver record was kept still loads
+        import json
+        import struct
+        from greenlab import cache as cachemod
+        from greenlab.green import ball_domain, killed_green_solve
+        from greenlab.measures import uniform_on_generators
+        Z3 = groups.integer_lattice(3)
+        mu = uniform_on_generators(groups.standard_generators(Z3))
+        omega = ball_domain(Z3, mu, 4, with_boundary=False)
+        table = killed_green_solve(omega, [(0, 0, 0)], mu, tol=1e-10, method="cg")
+        assert table.iterations[0] > 0
+        mhash = cachemod.measure_hash({"type": "srw"})
+        path = cachemod.save_table(str(tmp_path), "Z^3", mhash, table)
+        with open(path, "rb") as fh:
+            (mlen,) = struct.unpack("<Q", fh.read(8))
+            meta = json.loads(fh.read(mlen).decode("utf-8"))
+            payload = fh.read()
+        assert (meta["method"], meta["preconditioner"], meta["iterations"]) == \
+            ("cg", None, [int(table.iterations[0])])
+        for key in ("method", "preconditioner", "iterations"):
+            del meta[key]
+        blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+        with open(path, "wb") as fh:
+            fh.write(struct.pack("<Q", len(blob)) + blob + payload)
+        loaded = cachemod.load_table(str(tmp_path), "Z^3", mhash, omega, 1e-10)
+        assert np.array_equal(loaded.values, table.values)
+        assert (loaded.method, loaded.preconditioner, loaded.iterations) == \
+            (None, None, None)
 
 
 class TestOtherKinds:
@@ -238,9 +271,12 @@ class TestOtherKinds:
                "sources": ["0,0,0"], "boundary_matrix": True,
                "output": str(tmp_path / "gt.csv")}
         path = write_config(tmp_path / "cfg.json", cfg)
-        assert run(path, cache_dir=str(tmp_path / "c")) == STATUS_OK
-        meta, _, _ = read_report(cfg["output"])
-        assert meta["spd_ok"] is True
+        solver = {"method": "direct", "preconditioner": None, "iterations": [0]}
+        for _ in range(2):          # a cache miss, then a hit
+            assert run(path, cache_dir=str(tmp_path / "c")) == STATUS_OK
+            meta, _, _ = read_report(cfg["output"])
+            assert meta["spd_ok"] is True
+            assert meta["solver"] == solver
 
     def test_contradiction_status(self, tmp_path, monkeypatch):
         # doctor the dispersion curve to violate TV <= 1: plumbing must abort

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from greenlab import groups
+from greenlab import green, groups
 from greenlab.green import (NestedBracketProvider, TableGreenProvider,
                             TransienceError, TreeGreenOracle, ball_domain,
                             boundary_green_matrix, box_domain, check_transient,
@@ -13,11 +15,12 @@ from greenlab.green import (NestedBracketProvider, TableGreenProvider,
                             quadrant_killed_green, spd_certificate_1x1,
                             vector_identity_residual,
                             verify_exit_decomposition)
-from greenlab.measures import lazy_transform, uniform_on_generators
+from greenlab.measures import StepMeasure, lazy_transform, uniform_on_generators
 from greenlab.rng import derive_stream
 
 Z3 = groups.integer_lattice(3)
 F2 = groups.free_group(2)
+HEIS = groups.heisenberg()
 E3 = (0, 0, 0)
 
 # Watson's integral for the Z^3 SRW Green function at the origin; the
@@ -28,6 +31,12 @@ WATSON_G0E1 = WATSON_G00 - 1.0
 
 def srw(spec):
     return uniform_on_generators(groups.standard_generators(spec))
+
+
+def stretched_z3():
+    """Z^3 steps +-e1, +-2 e2, +-e3 with equal mass: a non-unit support."""
+    steps = [(1, 0, 0), (-1, 0, 0), (0, 2, 0), (0, -2, 0), (0, 0, 1), (0, 0, -1)]
+    return StepMeasure(Z3, "finite", "stretched", probs={s: 1 / 6 for s in steps})
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +151,101 @@ class TestKilledSolve:
         dom = ball_domain(Z3, srw(Z3), 2, with_boundary=False)
         with pytest.raises(ValueError):
             killed_green_solve(dom, [(5, 0, 0)], srw(Z3))
+
+    def test_solver_record(self, z3_table_b20):
+        _, direct = z3_table_b20
+        assert (direct.method, direct.preconditioner) == ("direct", None)
+        assert np.array_equal(direct.iterations, np.zeros(len(direct.sources)))
+        # below MULTIGRID_MIN a lattice CG solve stays unpreconditioned
+        om = ball_domain(Z3, srw(Z3), 10, with_boundary=False)
+        plain = killed_green_solve(om, [E3, (1, 0, 0)], srw(Z3), method="cg")
+        assert (plain.method, plain.preconditioner) == ("cg", None)
+        assert plain.iterations.shape == (2,) and np.all(plain.iterations > 0)
+
+
+def coo_operator(omega, mu):
+    """I - P on omega from one (row, column, value) triple per element and
+    in-domain step, found by group multiplication and lookup."""
+    e = groups.identity(omega.spec)
+    rows, cols, vals = [], [], []
+    for i, g in enumerate(omega.elements):
+        rows.append(i)
+        cols.append(i)
+        vals.append(1.0 - mu.pmf(e))
+        for s in mu.support_elements():
+            j = omega.lookup(groups.mul(omega.spec, g, s))
+            if s != e and j is not None:
+                rows.append(i)
+                cols.append(j)
+                vals.append(-mu.pmf(s))
+    n = len(omega)
+    ref = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    ref.sum_duplicates()
+    ref.sort_indices()
+    return ref
+
+
+OPERATOR_CASES = {
+    "lattice-ball-lazy": lambda: (ball_domain(Z3, srw(Z3), 4),
+                                  lazy_transform(srw(Z3), 0.3)),
+    "lattice-box-stretched": lambda: (box_domain(Z3, stretched_z3(), 3),
+                                      stretched_z3()),
+    "free-ball": lambda: (ball_domain(F2, srw(F2), 4), srw(F2)),
+    "heis3-ball-lazy": lambda: (ball_domain(HEIS, srw(HEIS), 3, with_boundary=False),
+                                lazy_transform(srw(HEIS), 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATOR_CASES))
+def test_operator_matches_coo_build(name):
+    omega, mu = OPERATOR_CASES[name]()
+    mat, ref = green._operator(omega, mu), coo_operator(omega, mu)
+    assert mat.has_sorted_indices
+    for field in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(mat, field), getattr(ref, field)), field
+
+
+# (domain, measure) pairs large enough for at least one coarse level
+VCYCLE_CASES = {
+    "ball-srw": lambda: (ball_domain(Z3, srw(Z3), 20, with_boundary=False), srw(Z3)),
+    "ball-lazy": lambda: (ball_domain(Z3, srw(Z3), 20, with_boundary=False),
+                          lazy_transform(srw(Z3), 0.5)),
+    "box-stretched": lambda: (box_domain(Z3, stretched_z3(), 12), stretched_z3()),
+}
+
+
+class TestMultigrid:
+    @pytest.mark.parametrize("name", sorted(VCYCLE_CASES))
+    def test_vcycle_symmetric_positive(self, name):
+        omega, mu = VCYCLE_CASES[name]()
+        mat = green._operator(omega, mu)
+        mg = green._AggregationMultigrid(mat, omega.coords)
+        assert mg.levels
+        op = mg.operator()
+        rng = np.random.default_rng(7)
+        for _ in range(4):
+            x, y = rng.standard_normal((2, len(omega)))
+            mx, my = op @ x, op @ y
+            xmx, ymy = float(x @ mx), float(y @ my)
+            assert xmx > 0 and ymy > 0
+            assert abs(float(mx @ y) - float(x @ my)) <= 1e-12 * np.sqrt(xmx * ymy)
+        nnz = sum(level[0].nnz for level in mg.levels) + mg.coarsest.nnz
+        assert nnz / mat.nnz <= 1.25
+
+    def test_preconditioned_solve_matches_plain_cg(self):
+        # B(0, 44) in Z^3 has 117,569 points, just above MULTIGRID_MIN
+        mu = srw(Z3)
+        omega = ball_domain(Z3, mu, 44, with_boundary=False)
+        assert len(omega) > green.MULTIGRID_MIN
+        table = killed_green_solve(omega, [E3], mu, tol=1e-10)
+        assert (table.method, table.preconditioner) == ("cg", "aggregation-vcycle")
+        assert 0 < table.iterations[0] <= 30
+        rhs = np.zeros(len(omega))
+        rhs[omega.lookup(E3)] = 1.0
+        plain, info = spla.cg(green._operator(omega, mu), rhs, rtol=0.0, atol=1e-10,
+                              maxiter=20 * len(omega))
+        assert info == 0
+        assert np.max(np.abs(table.row(E3) - plain)) <= 1e-9
 
 
 class TestBracket:

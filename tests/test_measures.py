@@ -9,7 +9,8 @@ from greenlab.measures import (PmfOnZ, UNIT_MASS, certify_generates, convolve_z,
                                delta_pmf, first_moment_partial, lazy_transform,
                                pmf_from_dict, self_convolution_powers,
                                shell_measure, shell_norm_constant,
-                               stable_z_measure, uniform_on_generators)
+                               stable_z_measure, total_variation_shift,
+                               uniform_on_generators)
 
 Z3 = groups.integer_lattice(3)
 F2 = groups.free_group(2)
@@ -307,6 +308,35 @@ class TestSelfConvolutionPowers:
         for bad in ([3], [4, 6], [12, 16], [0, 16]):
             with pytest.raises(ValueError):
                 self_convolution_powers(p, bad, cap=50)
+
+
+def tv_shift_padded(p, k):
+    """TV(p, p shifted by k) from two zero-padded copies of the window."""
+    if k == 0:
+        return 0.0
+    a = p.vals
+    pad = np.zeros(abs(k))
+    if k > 0:
+        left, right = np.concatenate([a, pad]), np.concatenate([pad, a])
+    else:
+        left, right = np.concatenate([pad, a]), np.concatenate([a, pad])
+    return 0.5 * float(np.abs(left - right).sum())
+
+
+class TestTotalVariationShift:
+    def test_matches_padded_copies_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 7, 300, 5000):
+            vals = rng.random(n)
+            p = PmfOnZ(vals / vals.sum(), -n // 2)
+            for k in {0, 1, -1, 3, -3, n - 1, -(n - 1), n, -n, n + 5, -(n + 5)}:
+                assert total_variation_shift(p, k) == tv_shift_padded(p, k), (n, k)
+
+    def test_disjoint_shift_is_one(self):
+        p = pmf_from_dict({-1: 0.25, 0: 0.5, 1: 0.25})
+        assert total_variation_shift(p, 3) == 1.0
+        assert total_variation_shift(p, -7) == 1.0
+        assert total_variation_shift(p, 1) == pytest.approx(0.5, abs=1e-15)
 
 
 class TestFirstMoment:
