@@ -47,6 +47,19 @@ CONFIGS = {
                           "measure": {"type": "stable", "alpha": 1.0},
                           "shift": 1, "n_list": [16, 64, 256], "cap": 20000,
                           "product_shift": [1, 1], "product_cap": 20000},
+    "speed_heis3_shell": {"kind": "speed", "backend": "Heis3",
+                          "measure": {"type": "shell", "r0": 3},
+                          "n_list": [10, 100, 400], "eps_list": [0.5],
+                          "trials": 500},
+    "speed_heis3_srw_lazy": {"kind": "speed", "backend": "Heis3",
+                             "measure": {"type": "srw", "laziness": 0.25},
+                             "n_list": [10, 100], "eps_list": [0.2],
+                             "trials": 500},
+    "speed_z1_stable_lazy": {"kind": "speed", "backend": "Z^1",
+                             "measure": {"type": "stable", "alpha": 1.0,
+                                         "laziness": 0.2},
+                             "n_list": [10, 100], "eps_list": [0.5],
+                             "trials": 500},
 }
 
 META_KEYS = {"green_table_heis3": ("spd_ok", "min_eigenvalue")}
