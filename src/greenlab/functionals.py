@@ -291,7 +291,7 @@ def telescoping_check(spec: GroupSpec, word: tuple, provider) -> TelescopingRepo
     x = e
     for t in word:
         x = mul(spec, x, t)
-    if _geodesic_length(spec, x) != len(word):
+    if groups.word_length(spec, x) != len(word):
         raise ValueError("word is not geodesic for its product")
     # suffixes z_i = t_i ... t_n and kernel factors G(e,z_i)/G(t_i,z_i)
     prod = 1.0
@@ -327,13 +327,6 @@ def _sum_phi(spec: GroupSpec, word: tuple, provider) -> float:
         acc += np.log(provider.value(e, z)) - np.log(provider.value(e, z_next))
         z = z_next
     return acc
-
-
-def _geodesic_length(spec: GroupSpec, x) -> int:
-    if spec.variant == "heisenberg":
-        table = groups.bfs_oracle(spec, groups.standard_generators(spec), 14)
-        return table.length(x)
-    return groups.exact_word_length(spec, x)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +371,7 @@ def ehe_probe(domains: list, a, b, alpha: float, provider,
     if a == b:
         return {"sup": 0.0, "per_scale": [], "skipped": len(domains)}
     spec = domains[0].spec
-    d_ab = _geodesic_length(spec, mul(spec, inv(spec, a), b))
+    d_ab = groups.word_length(spec, mul(spec, inv(spec, a), b))
     per_scale = []
     skipped = 0
     overall = 0.0
@@ -401,6 +394,6 @@ def _boundary_distance(spec: GroupSpec, dom: Domain, a, b) -> int:
     best = None
     for x in dom.boundary:
         for p in (a, b):
-            d = _geodesic_length(spec, mul(spec, inv(spec, p), x))
+            d = groups.word_length(spec, mul(spec, inv(spec, p), x))
             best = d if best is None else min(best, d)
     return best

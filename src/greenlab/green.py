@@ -82,12 +82,6 @@ class Domain:
         i = int(self.positions([g])[0])
         return None if i < 0 else i
 
-    def _table(self, steps, column) -> np.ndarray:
-        table = np.empty((len(self), len(steps)), dtype=np.int64)
-        for k, s in enumerate(steps):
-            table[:, k] = column(s)
-        return table
-
 
 def _sorted_positions(sorted_vals: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Index of each value in a sorted array, -1 when absent."""
@@ -205,25 +199,26 @@ class _FreeBallDomain(Domain):
 
     def step_table(self, steps) -> np.ndarray:
         n = len(self.codes)
-
-        def column(word):
+        table = np.empty((n, len(steps)), dtype=np.int64)
+        for j, word in enumerate(steps):
             c = self.codes
             for letter in word:
                 c = self._append(c, self._letter(letter))
             i = _sorted_positions(self.codes, c)
-            if self.boundary is None:
-                return i
-            k = _sorted_positions(self._bcodes, c)
-            return np.where(i >= 0, i, np.where(k >= 0, n + self._bslot[k], -1))
-
-        return self._table(steps, column)
+            if self.boundary is not None:
+                k = _sorted_positions(self._bcodes, c)
+                i = np.where(i >= 0, i, np.where(k >= 0, n + self._bslot[k], -1))
+            table[:, j] = i
+        return table
 
 
 class _LatticeDomain(Domain):
     """Finite subset of Z^d as a lexicographically sorted coordinate array,
     with a dense grid over the bounding window of S and its boundary for
     O(1) vector lookups: the grid holds i at elements[i], n + j at
-    boundary[j] and -1 elsewhere.  Elements are decoded to tuples lazily."""
+    boundary[j] and -1 elsewhere.  A step table pads the grid by the reach
+    of its steps, so each column is one flat-index gather.  Elements are
+    decoded to tuples lazily."""
 
     def __init__(self, spec: GroupSpec, label: str, coords: np.ndarray,
                  bcoords: Optional[np.ndarray], support: tuple):
@@ -257,8 +252,16 @@ class _LatticeDomain(Domain):
         return np.where(i < len(self), i, -1)
 
     def step_table(self, steps) -> np.ndarray:
-        return self._table(steps, lambda s: self._grid_at(
-            self.coords + np.asarray(s, dtype=np.int64)))
+        steps = np.asarray(steps, dtype=np.int64).reshape(-1, self.spec.d)
+        reach = np.abs(steps).max(axis=0, initial=0)
+        padded = np.pad(self.grid, [(r, r) for r in reach], constant_values=-1)
+        strides = np.array(padded.strides) // padded.itemsize
+        base = (self.coords - self.lo + reach) @ strides
+        flat = padded.ravel()
+        table = np.empty((len(self), len(steps)), dtype=np.int64)
+        for k, offset in enumerate(steps @ strides):
+            table[:, k] = flat[base + offset]
+        return table
 
 
 def _l1_ball_coords(d: int, radius: int, shell: bool) -> np.ndarray:
@@ -359,9 +362,15 @@ class GreenTable:
 
     def bracket(self, a, x) -> tuple:
         """Solver-error bracket of the killed value (not of the full G)."""
-        v = self.green(a, x)
-        r = 10.0 * float(self.residuals.max())
-        return (max(v - r, 0.0), v + r)
+        _, lo, hi = self.bracket_row(a, [x])
+        return (float(lo[0]), float(hi[0]))
+
+    def bracket_row(self, a, xs) -> tuple:
+        """(values, lowers, uppers) over xs: each killed value widened by
+        10 x the largest solver residual."""
+        v = self.row_at(a, xs)
+        r = 10.0 * self.max_residual()
+        return v, np.maximum(v - r, 0.0), v + r
 
     def max_residual(self) -> float:
         return float(self.residuals.max())
@@ -533,18 +542,11 @@ def green_bracket(spec: GroupSpec, mu: StepMeasure, a, x,
     non-geometric increment pattern (ratio >= 1) yields a conservative
     (lower, +inf) bracket.
     """
-    check_transient(spec)
-    if not (r1 < r2 - 1):
-        raise ValueError("need r1 < r2 - 1 for a middle radius")
-    rm = (r1 + r2) // 2
-    vals = []
-    for r in (r1, rm, r2):
-        omega = ball_domain(spec, mu, r, with_boundary=False)
-        if a not in omega or x not in omega:
-            raise ValueError("a, x must lie inside the smallest ball")
-        table = killed_green_solve(omega, [a], mu, tol)
-        vals.append(table.green(a, x))
-    return _bracket_from_triplet(vals, r1, r2)
+    provider = NestedBracketProvider(spec, mu, r1, r2, tol)
+    smallest = provider.domains[0]
+    if a not in smallest or x not in smallest:
+        raise ValueError("a, x must lie inside the smallest ball")
+    return provider.bracket_full(a, x)
 
 
 def _bracket_from_triplet(vals, r1: int, r2: int) -> GreenBracket:
@@ -604,7 +606,9 @@ def exit_distribution(domain: Domain, a, mu: StepMeasure,
         raise ValueError("Monte Carlo mode needs rng and trials")
     n, m = len(domain), len(domain.boundary)
     steps, p = _steps(domain.spec, mu)
-    table = domain.step_table(steps)
+    # Monte Carlo walks the whole support: the identity's column, when the
+    # law is lazy, is the stay move
+    table = domain.step_table(steps if method == "solve" else mu.support_elements())
     if (table < 0).any():
         raise ValueError("a step leaves S outside its recorded boundary")
     if method == "solve":
@@ -614,13 +618,10 @@ def exit_distribution(domain: Domain, a, mu: StepMeasure,
         i, k = np.nonzero(table >= n)
         vec = np.bincount(table[i, k] - n, weights=gvals[i] * p[k], minlength=m)
         return ExitDistribution(domain, a, vec, "solve")
-    w = np.append(p, mu.pmf(identity(domain.spec)))
-    w = w / w.sum()
-    moves = np.column_stack([table, np.arange(n)])        # last column: stay
     pos = np.full(trials, domain.lookup(a), dtype=np.int64)
     alive = np.arange(trials)
     while alive.size:
-        pos[alive] = moves[pos[alive], rng.choice(len(w), size=alive.size, p=w)]
+        pos[alive] = table[pos[alive], mu.sample_support_index(rng, alive.size)]
         alive = alive[pos[alive] < n]
     return ExitDistribution(domain, a, np.bincount(pos - n, minlength=m) / trials,
                             "mc")
@@ -738,12 +739,6 @@ def tree_distance_chain(rank: int, start_dist: int, walkers: int,
         d = d + np.where(stay, 0, np.where(down, -1, 1))
 
 
-def _lattice_step_law(spec: GroupSpec, mu: StepMeasure):
-    sup = [s for s in mu.support_elements()]
-    w = np.array([mu.pmf(s) for s in sup])
-    return np.array(sup, dtype=np.int64), w / w.sum()
-
-
 def mc_green_diagonal(spec: GroupSpec, mu: StepMeasure, trials: int,
                       path_cap: int, rng: np.random.Generator) -> tuple:
     """(estimate, ci95) for G(e,e) = mean visits to e from e within the cap."""
@@ -753,11 +748,10 @@ def mc_green_diagonal(spec: GroupSpec, mu: StepMeasure, trials: int,
             visits += d == 0
     elif spec.variant == "lattice":
         check_transient(spec)
-        steps, w = _lattice_step_law(spec, mu)
         pos = np.zeros((trials, spec.d), dtype=np.int64)
         visits = np.ones(trials, dtype=np.int64)
         for _ in range(path_cap):
-            pos += steps[rng.choice(len(steps), size=trials, p=w)]
+            pos += mu.sample_steps(rng, trials)
             visits += (pos == 0).all(axis=1)
     else:
         raise ValueError("diagonal MC implemented for trees and lattices")
@@ -776,7 +770,7 @@ def mc_hitting_green(spec: GroupSpec, mu: StepMeasure, a, x, trials: int,
     bias term bounds the conditional hitting probability of the capped,
     unhit walkers through their final distance profile.
     """
-    dist0 = _word_distance(spec, a, x)
+    dist0 = groups.word_length(spec, mul(spec, inv(spec, a), x))
     if path_cap is None:
         path_cap = default_path_cap(spec, dist0)
     if gee is None:
@@ -794,14 +788,13 @@ def mc_hitting_green(spec: GroupSpec, mu: StepMeasure, a, x, trials: int,
         bias = float(np.sum(np.power(float(q), -d[~hit].astype(np.float64)))) / trials
     elif spec.variant == "lattice":
         check_transient(spec)
-        steps, w = _lattice_step_law(spec, mu)
         pos = np.tile(np.asarray(a, dtype=np.int64), (trials, 1))
         target = np.asarray(x, dtype=np.int64)
         hit = (pos == target).all(axis=1)
         for _ in range(path_cap):
             if hit.all():
                 break
-            pos += steps[rng.choice(len(steps), size=trials, p=w)]
+            pos += mu.sample_steps(rng, trials)
             hit = hit | (pos == target).all(axis=1)
         # for Z^3 SRW: F(y, x) <= 0.63 / |y - x|_1 from the c_3/|.| bound
         d1 = np.abs(pos[~hit] - target).sum(axis=1)
@@ -812,14 +805,6 @@ def mc_hitting_green(spec: GroupSpec, mu: StepMeasure, a, x, trials: int,
     ci = 1.96 * np.sqrt(max(f_hat * (1 - f_hat), 1.0 / trials) / trials)
     return McGreenEstimate(f_hat * gee, f_hat, ci * gee, bias * gee,
                            trials, path_cap, bias > max(3 * ci, 1e-3))
-
-
-def _word_distance(spec: GroupSpec, a, x) -> int:
-    d = mul(spec, inv(spec, a), x)
-    if spec.variant == "heisenberg":
-        table = groups.bfs_oracle(spec, groups.standard_generators(spec), 14)
-        return table.length(d)
-    return groups.exact_word_length(spec, d)
 
 
 # ---------------------------------------------------------------------------
@@ -898,9 +883,7 @@ class TableGreenProvider:
         """(values, lowers, uppers) over xs for a tabulated source a."""
         if a not in self.table.sources:
             raise KeyError(f"{a!r} is not a tabulated source")
-        v = self.table.row_at(a, xs)
-        r = 10.0 * self.table.max_residual()
-        return v, np.maximum(v - r, 0.0), v + r
+        return self.table.bracket_row(a, xs)
 
 
 class NestedBracketProvider:

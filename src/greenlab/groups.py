@@ -15,6 +15,7 @@ payload equality is group-element equality:
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
@@ -327,8 +328,24 @@ def fit_bilipschitz(table: BfsTable) -> tuple:
     return best
 
 
-def word_length(spec: GroupSpec, g, oracle: WordMetricOracle):
-    return oracle.length(g)
+# Radius of the BFS table behind word_length on backends without a formula.
+WORD_TABLE_RADIUS = 14
+
+
+def word_length(spec: GroupSpec, g) -> int:
+    """Word length in the standard generators: the exact formula where one
+    exists, else one radius-WORD_TABLE_RADIUS BFS table per spec, built on
+    first use (OutOfRangeError beyond it)."""
+    if spec.variant == "heisenberg":
+        return _word_table(spec).length(g)
+    if spec.variant == "product_z":
+        return word_length(spec.inner, g[0]) + abs(g[1])
+    return exact_word_length(spec, g)
+
+
+@functools.lru_cache(maxsize=None)
+def _word_table(spec: GroupSpec) -> BfsTable:
+    return BfsTable.build(spec, standard_generators(spec), WORD_TABLE_RADIUS)
 
 
 # ---------------------------------------------------------------------------

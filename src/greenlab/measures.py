@@ -189,6 +189,10 @@ class StepMeasure:
     c_alpha: float = 0.0
     _radius_cdf: Optional[np.ndarray] = field(default=None, repr=False)
     _stable_cdf: Optional[np.ndarray] = field(default=None, repr=False)
+    # _finite_law() cache; not an init field, so replace() (as in
+    # lazy_transform) rebuilds it
+    _support_law: Optional[tuple] = field(default=None, init=False,
+                                          repr=False, compare=False)
 
     # -- generic interface ---------------------------------------------------
 
@@ -212,9 +216,9 @@ class StepMeasure:
         e = identity(self.spec)
         if g == e:
             return 0.0
-        unit = UNIT_MASS / len(self._unit_generators())
-        if g in self._unit_generators():
-            return unit
+        units = standard_support(self.spec)
+        if g in units:
+            return UNIT_MASS / len(units)
         r, ok = self._axis_radius(g)
         if ok and r >= self.r0:
             return (1.0 - UNIT_MASS) * self.shell_norm / (r * r * np.log(r)) / (2 * len(self.axes))
@@ -249,9 +253,6 @@ class StepMeasure:
 
     # -- shell helpers -------------------------------------------------------
 
-    def _unit_generators(self):
-        return standard_support(self.spec)
-
     def _axis_radius(self, g):
         """If g is an axis power t^{+-r}, return (r, True)."""
         if self.spec.variant == "lattice":
@@ -268,37 +269,57 @@ class StepMeasure:
 
     # -- sampling ------------------------------------------------------------
 
-    def sample(self, rng: np.random.Generator, size: int = 1) -> list:
-        """Draw elements; tail radii by inverse CDF, direction uniform."""
-        out = []
-        lazy_mask = rng.random(size) < self.laziness if self.laziness > 0 else np.zeros(size, bool)
-        e = identity(self.spec)
+    def _finite_law(self) -> tuple:
+        """(support_elements(), normalised pmf over it, the support as int64
+        coordinate rows or None off lattices and Heis3), built once."""
+        if self._support_law is None:
+            sup = self.support_elements()
+            w = np.array([self.pmf(s) for s in sup])
+            rows = (np.array(sup, dtype=np.int64)
+                    if self.spec.variant in ("lattice", "heisenberg") else None)
+            self._support_law = (sup, w / w.sum(), rows)
+        return self._support_law
+
+    def sample_support_index(self, rng: np.random.Generator,
+                             size: int) -> np.ndarray:
+        """Indices into support_elements() drawn with the normalised pmf
+        (the identity is in the support of a lazy finite law)."""
+        w = self._finite_law()[1]
+        return rng.choice(len(w), size=size, p=w)
+
+    def sample_steps(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Steps as int64 coordinate rows (lattice and Heisenberg backends).
+
+        Finite laws make one sample_support_index draw.  Shell and stable
+        laws draw the laziness mask (when lazy), then the radius or
+        magnitude, then the axis, then the sign; shell radius 1 is a unit
+        generator, i.e. an axis power of length 1.
+        """
+        if self.spec.variant not in ("lattice", "heisenberg"):
+            raise ValueError("coordinate steps need a lattice or Heisenberg backend")
+        dim = self.spec.d if self.spec.variant == "lattice" else 3
         if self.kind == "finite":
-            sup = sorted(self.probs)
-            w = np.array([self.probs[g] for g in sup])
-            w = w / w.sum()
-            idx = rng.choice(len(sup), size=size, p=w)
-            for i in range(size):
-                out.append(e if lazy_mask[i] else sup[idx[i]])
-            return out
+            return self._finite_law()[2][self.sample_support_index(rng, size)]
+        lazy = rng.random(size) < self.laziness if self.laziness > 0 else None
+        steps = np.zeros((size, dim), dtype=np.int64)
         if self.kind == "stable_z":
-            ks = self.sample_stable_ints(rng, size)
-            return [e if lazy_mask[i] else (int(ks[i]),) for i in range(size)]
-        # shell: unit generator w.p. UNIT_MASS, else radial law on axis powers
-        radii = self.sample_shell_radii(rng, size)
-        units = self._unit_generators()
-        unit_pick = rng.integers(0, len(units), size=size)
-        axis_pick = rng.integers(0, len(self.axes), size=size)
-        sign_pick = rng.integers(0, 2, size=size) * 2 - 1
-        for i in range(size):
-            if lazy_mask[i]:
-                out.append(e)
-            elif radii[i] == 1:
-                out.append(units[unit_pick[i]])
-            else:
-                out.append(axis_power(self.spec, self.axes[axis_pick[i]],
-                                      int(sign_pick[i]) * int(radii[i])))
-        return out
+            steps[:, 0] = self.sample_stable_ints(rng, size)
+        else:
+            radii = self.sample_shell_radii(rng, size)
+            axis = rng.integers(0, len(self.axes), size=size)
+            sign = rng.integers(0, 2, size=size) * 2 - 1
+            steps[np.arange(size), np.asarray(self.axes)[axis]] = sign * radii
+        if lazy is not None:
+            steps[lazy] = 0
+        return steps
+
+    def sample(self, rng: np.random.Generator, size: int = 1) -> list:
+        """Draw elements: through sample_support_index for finite laws,
+        through sample_steps otherwise."""
+        if self.kind == "finite":
+            sup = self._finite_law()[0]
+            return [sup[i] for i in self.sample_support_index(rng, size)]
+        return [tuple(r) for r in self.sample_steps(rng, size).tolist()]
 
     def sample_shell_radii(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Radius draws: 1 marks a unit-generator step."""
@@ -461,13 +482,9 @@ def first_moment_partial(mu: StepMeasure, radius: int) -> float:
     """sum_{|g| <= R} |g| mu(g) via the radius decomposition."""
     lazy = mu.laziness
     if mu.kind == "finite":
-        spec = mu.spec
-        if spec.variant == "heisenberg":
-            oracle = groups.bfs_oracle(spec, groups.standard_generators(spec), 8)
-        else:
-            oracle = groups.exact_oracle(spec)
+        lengths = {g: groups.word_length(mu.spec, g) for g in mu.probs}
         return (1.0 - lazy) * sum(
-            p * oracle.length(g) for g, p in mu.probs.items() if oracle.length(g) <= radius
+            p * lengths[g] for g, p in mu.probs.items() if lengths[g] <= radius
         )
     if mu.kind == "stable_z":
         # 2 C sum_{k<=R} k^{-alpha}

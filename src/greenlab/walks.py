@@ -85,99 +85,28 @@ def simulate_walk(spec: GroupSpec, mu: StepMeasure, n: int, checkpoints,
 # Batched walkers (exact in law, vectorised over trials)
 # ---------------------------------------------------------------------------
 
-def _heisenberg_batch(mu: StepMeasure, n: int, trials: int,
-                      rng: np.random.Generator, checkpoints,
-                      truncate_at: Optional[int] = None):
-    """Vectorised Heisenberg walk under a shell (or finite axis) law.
+def _batch_positions(spec: GroupSpec, mu: StepMeasure, n: int, trials: int,
+                     rng: np.random.Generator, checkpoints,
+                     truncate_at: Optional[int] = None) -> dict:
+    """Coordinate rows (trials, dim) of the right walk at each checkpoint on
+    a lattice or Heis3, one mu.sample_steps draw per step for all walkers.
 
-    Steps are identity / unit generators / axis powers; composing
-    (a,b,c)(da,db,0) = (a+da, b+db, c + a db).  Yields per-checkpoint
-    coordinate arrays (A, B, C).
+    Steps whose coordinates have L1 norm above truncate_at (the word length
+    of an axis power) become the identity.  On Heis3 a step acts by
+    (a, b, c)(a', b', c') = (a + a', b + b', c + c' + a b').
     """
-    if mu.kind not in ("shell", "finite"):
-        raise ValueError("batch walker supports shell and finite laws")
-    checkpoints = sorted(set(checkpoints))
-    A = np.zeros(trials, dtype=np.int64)
-    B = np.zeros(trials, dtype=np.int64)
-    C = np.zeros(trials, dtype=np.int64)
-    out = {}
-    if 0 in checkpoints:
-        out[0] = (A.copy(), B.copy(), C.copy())
+    if mu.spec != spec:
+        raise ValueError(f"{mu.name} is not a step law on {spec.label()}")
+    checkpoints = set(checkpoints)
+    heis = spec.variant == "heisenberg"
+    pos = np.zeros((trials, 3 if heis else spec.d), dtype=np.int64)
+    out = {0: pos.copy()} if 0 in checkpoints else {}
     for k in range(1, n + 1):
-        da, db = _sample_heis_increments(mu, trials, rng, truncate_at)
-        C += A * db
-        A += da
-        B += db
-        if k in checkpoints:
-            out[k] = (A.copy(), B.copy(), C.copy())
-    return out
-
-
-def _sample_heis_increments(mu: StepMeasure, trials: int,
-                            rng: np.random.Generator,
-                            truncate_at: Optional[int]):
-    """(da, db) arrays for one step of every walker."""
-    if mu.kind == "finite":
-        sup = mu.support_elements()
-        w = np.array([mu.pmf(s) for s in sup])
-        w = w / w.sum()
-        pick = rng.choice(len(sup), size=trials, p=w)
-        arr = np.array([(s[0], s[1]) for s in sup], dtype=np.int64)
-        out = arr[pick]
-        return out[:, 0], out[:, 1]
-    lazy_mask = rng.random(trials) < mu.laziness if mu.laziness > 0 else None
-    radii = mu.sample_shell_radii(rng, trials).astype(np.int64)
-    if truncate_at is not None:
-        radii = np.where(radii > truncate_at, 0, radii)   # drop to identity
-    axis = rng.integers(0, 2, size=trials)
-    sign = rng.integers(0, 2, size=trials) * 2 - 1
-    da = np.where(axis == 0, sign * radii, 0)
-    db = np.where(axis == 1, sign * radii, 0)
-    if lazy_mask is not None:
-        da = np.where(lazy_mask, 0, da)
-        db = np.where(lazy_mask, 0, db)
-    return da, db
-
-
-def _lattice_batch_positions(spec: GroupSpec, mu: StepMeasure, n: int,
-                             trials: int, rng: np.random.Generator,
-                             checkpoints):
-    checkpoints = sorted(set(checkpoints))
-    pos = np.zeros((trials, spec.d), dtype=np.int64)
-    out = {}
-    if 0 in checkpoints:
-        out[0] = pos.copy()
-    if mu.kind == "finite":
-        sup = mu.support_elements()
-        w = np.array([mu.pmf(s) for s in sup])
-        w = w / w.sum()
-        steps = np.array(sup, dtype=np.int64)
-        for k in range(1, n + 1):
-            pos += steps[rng.choice(len(sup), size=trials, p=w)]
-            if k in checkpoints:
-                out[k] = pos.copy()
-        return out
-    if mu.kind == "stable_z":
-        if spec.d != 1:
-            raise ValueError("stable law lives on Z")
-        for k in range(1, n + 1):
-            lazy = rng.random(trials) < mu.laziness if mu.laziness else None
-            ks = mu.sample_stable_ints(rng, trials)
-            if lazy is not None:
-                ks = np.where(lazy, 0, ks)
-            pos[:, 0] += ks
-            if k in checkpoints:
-                out[k] = pos.copy()
-        return out
-    # lattice shell law: axis powers
-    for k in range(1, n + 1):
-        radii = mu.sample_shell_radii(rng, trials).astype(np.int64)
-        axis = rng.integers(0, spec.d, size=trials)
-        sign = rng.integers(0, 2, size=trials) * 2 - 1
-        step = np.zeros((trials, spec.d), dtype=np.int64)
-        step[np.arange(trials), axis] = sign * radii
-        if mu.laziness:
-            step[rng.random(trials) < mu.laziness] = 0
+        step = mu.sample_steps(rng, trials)
+        if truncate_at is not None:
+            step[np.abs(step).sum(axis=1) > truncate_at] = 0
+        if heis:
+            pos[:, 2] += pos[:, 0] * step[:, 1]
         pos += step
         if k in checkpoints:
             out[k] = pos.copy()
@@ -193,17 +122,12 @@ def batch_lengths(spec: GroupSpec, mu: StepMeasure, n: int, trials: int,
         want = set(checkpoints)
         chain = tree_distance_chain(spec.rank, 0, trials, rng, mu.laziness)
         return {k: d for k, d in zip(range(n + 1), chain) if k in want}
+    snaps = _batch_positions(spec, mu, n, trials, rng, checkpoints)
     if spec.variant == "heisenberg":
-        snaps = _heisenberg_batch(mu, n, trials, rng, checkpoints)
-        return {k: _quasi_norm_arrays(*v) for k, v in snaps.items()}
-    if spec.variant == "lattice":
-        snaps = _lattice_batch_positions(spec, mu, n, trials, rng, checkpoints)
-        return {k: np.abs(v).sum(axis=1) for k, v in snaps.items()}
-    raise ValueError("batched lengths unsupported on this backend")
-
-
-def _quasi_norm_arrays(A, B, C):
-    return np.abs(A) + np.abs(B) + np.ceil(np.sqrt(np.abs(C))).astype(np.int64)
+        # homogeneous quasi-norm |a| + |b| + ceil(sqrt|c|)
+        return {k: np.abs(v[:, :2]).sum(axis=1) + np.ceil(np.sqrt(np.abs(v[:, 2]))).astype(np.int64)
+                for k, v in snaps.items()}
+    return {k: np.abs(v).sum(axis=1) for k, v in snaps.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -243,16 +167,9 @@ def sample_jump_lengths(mu: StepMeasure, rng: np.random.Generator,
                         size: int) -> np.ndarray:
     """Word lengths of i.i.d. jumps (axis powers have |g| = r exactly)."""
     if mu.kind == "finite":
-        sup = mu.support_elements()
-        spec = mu.spec
-        if spec.variant == "heisenberg":
-            oracle = groups.bfs_oracle(spec, groups.standard_generators(spec), 8)
-        else:
-            oracle = groups.exact_oracle(spec)
-        lens = np.array([oracle.length(s) for s in sup], dtype=np.float64)
-        w = np.array([mu.pmf(s) for s in sup])
-        w = w / w.sum()
-        out = lens[rng.choice(len(sup), size=size, p=w)]
+        lens = np.array([groups.word_length(mu.spec, s) for s in mu.support_elements()],
+                        dtype=np.float64)
+        out = lens[mu.sample_support_index(rng, size)]
     elif mu.kind == "shell":
         out = mu.sample_shell_radii(rng, size).astype(np.float64)
     else:
@@ -343,7 +260,7 @@ def green_speed_estimate(spec: GroupSpec, mu: StepMeasure, n_list, trials: int,
     table = killed_green_solve(omega, [identity(spec)], mu, tol, method="cg")
     origin_row = table.row(identity(spec))
     gee = table.green(identity(spec), identity(spec))
-    snaps = _lattice_batch_positions(spec, mu, n_max, trials, rng, n_list)
+    snaps = _batch_positions(spec, mu, n_max, trials, rng, n_list)
     rows = []
     for n in n_list:
         pts = snaps[n]
@@ -476,10 +393,10 @@ def truncated_coordinate_moments(mu: StepMeasure, n_list, trials: int,
         raise ValueError("coordinate moments target the Heisenberg shell law")
     rows = []
     for n in sorted(set(int(n) for n in n_list)):
-        snaps = _heisenberg_batch(mu, n, trials, rng, [n], truncate_at=n)
-        A, B, C = snaps[n]
-        w1 = 0.5 * float((A.astype(np.float64) ** 2 + B.astype(np.float64) ** 2).mean()) / n ** 2
-        w2 = float((C.astype(np.float64) ** 2).mean()) / float(n) ** 4
+        snaps = _batch_positions(mu.spec, mu, n, trials, rng, [n], truncate_at=n)
+        A, B, C = snaps[n].T.astype(np.float64)
+        w1 = 0.5 * float((A ** 2 + B ** 2).mean()) / n ** 2
+        w2 = float((C ** 2).mean()) / float(n) ** 4
         tail = _shell_tail_probability(mu, n)
         rows.append(TruncatedMomentRow(n, w1, w2, n * tail))
     return rows

@@ -118,6 +118,16 @@ def test_canonical_order(case):
         assert dom.boundary == sorted(outer)
 
 
+@pytest.mark.parametrize("center", [(0, 0, 0), (3, -1, 2)])
+def test_lattice_step_table_far_steps(center):
+    # steps that reach past the boundary, on both sides of every axis
+    dom = ball_domain(Z3, srw(Z3), 2, center=center)
+    steps = [(5, 0, 0), (-4, 3, 0), (0, 0, -2), (1, 1, 1), (0, -7, 0)]
+    index = {g: i for i, g in enumerate(dom.elements + dom.boundary)}
+    want = [[index.get(mul(Z3, g, s), -1) for s in steps] for g in dom.elements]
+    assert dom.step_table(steps).tolist() == want
+
+
 @pytest.mark.parametrize("name", sorted(set(CASES) - set(BOUNDED)))
 def test_exit_law_needs_boundary(name):
     dom = CASES[name][0]()

@@ -266,6 +266,24 @@ class TestBracket:
         br1 = green_bracket(Z3, srw(Z3), E3, (1, 0, 0), 20, 40)
         assert abs(br1.estimate - WATSON_G0E1) < 2e-3
 
+    def test_bracket_is_nested_provider(self):
+        mu = srw(Z3)
+        br = green_bracket(Z3, mu, E3, (1, 0, 0), 6, 12)
+        assert br == NestedBracketProvider(Z3, mu, 6, 12).bracket_full(E3, (1, 0, 0))
+        with pytest.raises(ValueError, match="inside the smallest ball"):
+            green_bracket(Z3, mu, E3, (7, 0, 0), 6, 12)
+
+    def test_table_bracket_row_matches_bracket(self):
+        table = killed_green_solve(ball_domain(Z3, srw(Z3), 4), [E3], srw(Z3),
+                                   tol=1e-6, method="cg")
+        xs = [E3, (1, 0, 0), (0, 4, 0)]
+        v, lo, hi = TableGreenProvider(table).bracket_row(E3, xs)
+        r = 10.0 * table.max_residual()
+        assert r > 0
+        assert v.tolist() == [table.green(E3, x) for x in xs]
+        assert list(zip(lo.tolist(), hi.tolist())) == [table.bracket(E3, x) for x in xs]
+        assert hi.tolist() == [table.green(E3, x) + r for x in xs]
+
     def test_f2_bracket_contains_full_green(self):
         br = green_bracket(F2, srw(F2), (), (1,), 6, 12)
         assert br.lower <= 0.5 <= br.upper
@@ -292,6 +310,17 @@ class TestExitDistribution:
         mc = exit_distribution(dom, (), mu, "mc", trials=20000, rng=rng)
         sigma = np.sqrt((1 / 12) * (11 / 12) / 20000)
         for z, p in mc.probs.items():
+            assert abs(p - 1 / 12) < 4 * sigma
+
+    def test_lazy_mc_stays_through_the_identity_column(self):
+        mu = lazy_transform(srw(F2), 0.5)
+        dom = ball_domain(F2, mu, 1)
+        mc = exit_distribution(dom, (), mu, "mc", trials=20000,
+                               rng=derive_stream(43, "exit-mc"))
+        assert mc.total() == pytest.approx(1.0, abs=1e-12)
+        sigma = np.sqrt((1 / 12) * (11 / 12) / 20000)
+        assert len(mc.probs) == 12
+        for p in mc.probs.values():
             assert abs(p - 1 / 12) < 4 * sigma
 
     def test_start_outside_rejected(self):

@@ -83,6 +83,24 @@ class TestWordLength:
         with pytest.raises(OutOfRangeError):
             oracle.length((3, 0, 0))
 
+    def test_word_length_matches_oracles(self):
+        gens = standard_generators(H)
+        table = bfs_oracle(H, gens, 6)
+        for g in ball(H, gens, 6):
+            assert groups.word_length(H, g) == table.length(g)
+        for spec in (Z3, F2):
+            for g in ball(spec, standard_generators(spec), 3):
+                assert groups.word_length(spec, g) == exact_oracle(spec).length(g)
+        p = groups.product_with_z(H)
+        assert groups.word_length(p, ((0, 0, 1), -2)) == 6
+        with pytest.raises(OutOfRangeError):
+            groups.word_length(H, (15, 0, 0))
+
+    def test_word_table_built_once_per_spec(self):
+        groups.word_length(H, (1, 1, 1))
+        assert groups._word_table(groups.heisenberg()) is groups._word_table(H)
+        assert groups._word_table(H).r_max == groups.WORD_TABLE_RADIUS
+
     def test_inverse_invariance_sampled(self):
         rng = np.random.default_rng(3)
         for spec in (Z3, F2, H):

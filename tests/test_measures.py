@@ -5,6 +5,7 @@ import pytest
 from scipy import special
 
 from greenlab import groups, measures
+from greenlab.groups import identity
 from greenlab.measures import (PmfOnZ, UNIT_MASS, certify_generates, convolve_z,
                                delta_pmf, first_moment_partial, lazy_transform,
                                pmf_from_dict, self_convolution_powers,
@@ -174,6 +175,54 @@ class TestSampling:
         draws = mu.sample(rng, n)
         freq = sum(1 for d in draws if d == (0, 0, 0)) / n
         assert abs(freq - 0.5) < 4 * np.sqrt(0.25 / n)
+
+    def test_support_index_is_one_choice(self):
+        mu = lazy_transform(srw(Z3), 0.25)
+        sup = mu.support_elements()
+        assert identity(Z3) in sup
+        w = np.array([mu.pmf(s) for s in sup])
+        got = mu.sample_support_index(np.random.default_rng(8), 500)
+        want = np.random.default_rng(8).choice(len(sup), size=500, p=w / w.sum())
+        assert (got == want).all()
+        rows = mu.sample_steps(np.random.default_rng(8), 500)
+        assert rows.dtype == np.int64
+        assert [tuple(r) for r in rows.tolist()] == [sup[i] for i in want]
+        assert mu.sample(np.random.default_rng(8), 500) == [sup[i] for i in want]
+
+    def test_lazy_transform_rebuilds_support_law(self):
+        mu = srw(Z3)
+        mu.sample_support_index(np.random.default_rng(0), 3)
+        lazy = lazy_transform(mu, 0.5)
+        draws = lazy.sample_steps(np.random.default_rng(1), 4000)
+        assert abs((draws == 0).all(axis=1).mean() - 0.5) < 0.05
+
+    @pytest.mark.parametrize("spec", [Z3, H])
+    def test_shell_steps_draw_order(self, spec):
+        # laziness mask, radius, axis, sign
+        mu = lazy_transform(shell_measure(spec, r0=3), 0.3)
+        got = mu.sample_steps(np.random.default_rng(12), 300)
+        rng = np.random.default_rng(12)
+        lazy = rng.random(300) < mu.laziness
+        radii = mu.sample_shell_radii(rng, 300)
+        axis = rng.integers(0, len(mu.axes), size=300)
+        sign = rng.integers(0, 2, size=300) * 2 - 1
+        want = [identity(spec) if lazy[i] else
+                measures.axis_power(spec, mu.axes[axis[i]], int(sign[i] * radii[i]))
+                for i in range(300)]
+        assert [tuple(r) for r in got.tolist()] == want
+        assert mu.sample(np.random.default_rng(12), 300) == want
+
+    def test_stable_steps_draw_order(self):
+        mu = lazy_transform(stable_z_measure(1.0), 0.2)
+        got = mu.sample_steps(np.random.default_rng(13), 300)
+        rng = np.random.default_rng(13)
+        lazy = rng.random(300) < mu.laziness
+        ks = np.where(lazy, 0, mu.sample_stable_ints(rng, 300))
+        assert got.shape == (300, 1) and (got[:, 0] == ks).all()
+
+    def test_coordinate_steps_need_coordinates(self):
+        with pytest.raises(ValueError, match="coordinate steps"):
+            srw(F2).sample_steps(np.random.default_rng(0), 3)
 
     def test_shell_radius_histogram_4sigma(self):
         mu = shell_measure(H, r0=3)

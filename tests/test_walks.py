@@ -1,17 +1,20 @@
 """Trajectory experiments: speed, increments, Green speed, dispersion,
 Mal'cev coordinates, quarter-plane ratios."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from greenlab import groups
-from greenlab.measures import (PmfOnZ, UNIT_MASS, lazy_transform,
+from greenlab.cli import STATUS_CONFIG, run
+from greenlab.measures import (PmfOnZ, StepMeasure, UNIT_MASS, lazy_transform,
                                pmf_from_dict, shell_measure, stable_z_measure,
                                uniform_on_generators)
 from greenlab.rng import derive_stream
-from greenlab.walks import (_support_gcd, batch_lengths, cone_martin_experiment,
+from greenlab.walks import (_batch_positions, _support_gcd, batch_lengths,
+                            cone_martin_experiment,
                             green_speed_estimate, increment_ratio_max,
                             malcev_coords, product_dispersion_bound,
                             sample_jump_lengths, simulate_walk,
@@ -61,6 +64,81 @@ class TestSimulateWalk:
         s = simulate_walk(H, srw(H), 50, [0, 50], rng)
         assert s.metric_mode == "quasi_norm"
         assert s.malcev is not None and s.malcev[0].norm == 0
+
+
+def heis_central_law():
+    """Finite Heis3 law on the unit generators and the central +-z steps."""
+    steps = list(groups.standard_generators(H)) + [(0, 0, 1), (0, 0, -1)]
+    return StepMeasure(H, "finite", "heis-central",
+                       probs={g: 1.0 / len(steps) for g in steps})
+
+
+BATCH_LAWS = {
+    "z3-srw": (Z3, lambda: srw(Z3)),
+    "z3-srw-lazy": (Z3, lambda: lazy_transform(srw(Z3), 0.3)),
+    "z3-shell": (Z3, lambda: shell_measure(Z3, r0=3)),
+    "z1-stable-lazy": (Z1, lambda: lazy_transform(stable_z_measure(1.0), 0.2)),
+    "heis3-srw": (H, lambda: srw(H)),
+    "heis3-shell": (H, lambda: shell_measure(H, r0=3)),
+    "heis3-central": (H, heis_central_law),
+}
+
+
+class TestBatchPositions:
+    @pytest.mark.parametrize("name", sorted(BATCH_LAWS))
+    def test_matches_per_walker_mul(self, name):
+        # the batch walker against a loop of groups.mul fed the same
+        # sample_steps rows (same seed, one draw per step)
+        spec, law = BATCH_LAWS[name]
+        mu = law()
+        n, trials, checkpoints = 30, 40, [0, 1, 7, 30]
+        got = _batch_positions(spec, mu, n, trials, derive_stream(31, name),
+                               checkpoints)
+        rng = derive_stream(31, name)
+        walkers = [groups.identity(spec)] * trials
+        want = {0: list(walkers)}
+        for k in range(1, n + 1):
+            rows = mu.sample_steps(rng, trials).tolist()
+            walkers = [groups.mul(spec, g, tuple(r)) for g, r in zip(walkers, rows)]
+            if k in checkpoints:
+                want[k] = list(walkers)
+        assert sorted(got) == checkpoints
+        for k in checkpoints:
+            assert got[k].dtype == np.int64
+            assert [tuple(r) for r in got[k].tolist()] == want[k], k
+
+    def test_central_steps_move_the_centre(self):
+        mu = heis_central_law()
+        pos = _batch_positions(H, mu, 200, 300, derive_stream(32, "c"), [200])[200]
+        assert np.abs(pos[:, 2]).max() > 0
+        assert set(np.unique(mu.sample_steps(derive_stream(33, "c"), 2000)[:, 2])) == {-1, 0, 1}
+
+    def test_truncation_drops_long_steps(self):
+        mu = shell_measure(H, r0=3)
+        rng = derive_stream(34, "t")
+        steps = mu.sample_steps(rng, 4000)
+        lengths = np.abs(steps).sum(axis=1)
+        assert lengths.max() > 5
+        trunc = _batch_positions(H, mu, 1, 4000, derive_stream(34, "t"), [1],
+                                 truncate_at=5)[1]
+        assert (trunc == np.where((lengths > 5)[:, None], 0, steps)).all()
+
+    def test_law_of_another_group_rejected(self):
+        rng = derive_stream(35, "spec")
+        for spec in (Z3, H):
+            with pytest.raises(ValueError, match="not a step law"):
+                _batch_positions(spec, stable_z_measure(1.0), 5, 10, rng, [5])
+
+    @pytest.mark.parametrize("backend", ["Z^3", "Heis3"])
+    def test_speed_with_stable_law_off_z_exits_2(self, backend, tmp_path):
+        cfg = {"kind": "speed", "backend": backend,
+               "measure": {"type": "stable", "alpha": 1.0},
+               "n_list": [10], "eps_list": [0.5], "trials": 20, "seed": 0,
+               "output": str(tmp_path / "speed.csv")}
+        path = tmp_path / "speed.json"
+        path.write_text(json.dumps(cfg))
+        assert run(str(path)) == STATUS_CONFIG
+        assert not (tmp_path / "speed.csv").exists()
 
 
 class TestSpeedInProbability:
