@@ -60,6 +60,15 @@ CONFIGS = {
                                          "laziness": 0.2},
                              "n_list": [10, 100], "eps_list": [0.5],
                              "trials": 500},
+    "increment_probe_heis3_shell": {"kind": "increment-probe",
+                                    "backend": "Heis3",
+                                    "measure": {"type": "shell", "r0": 3},
+                                    "n": 2000, "trials": 100,
+                                    "checkpoints": [10, 100, 2000]},
+    "increment_probe_z1_stable": {"kind": "increment-probe", "backend": "Z^1",
+                                  "measure": {"type": "stable", "alpha": 1.0},
+                                  "n": 2000, "trials": 100,
+                                  "checkpoints": [10, 100, 2000]},
 }
 
 META_KEYS = {"green_table_heis3": ("spd_ok", "min_eigenvalue")}
