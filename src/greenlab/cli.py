@@ -120,6 +120,13 @@ def _meta(cfg: dict, backend: str, mhash: str) -> dict:
             "kind": cfg["kind"]}
 
 
+def _record_sampler_tail(meta: dict, mu: measures.StepMeasure) -> None:
+    """Shell and stable samplers draw from a truncated table; record the
+    law's mass beyond it."""
+    if mu.kind != "finite":
+        meta["sampler_tail_mass"] = mu.sampler_tail_mass()
+
+
 def _prefix(cfg, backend, mhash):
     return [cfg.get("seed", 0), __version__, backend, mhash]
 
@@ -268,6 +275,7 @@ def _speed(cfg):
             for n, eps, p, ci in table.rows]
     meta = _meta(cfg, cfg["backend"], mhash)
     meta["trials"] = table.trials
+    _record_sampler_tail(meta, mu)
     reporting.emit_report(rows, cfg["output"], header, meta)
 
 
@@ -350,8 +358,9 @@ def _increment_probe(cfg):
               "checkpoint", "median_running_max"]
     pre = _prefix(cfg, cfg["backend"], mhash)
     rows = [pre + [c, m] for c, m in zip(report.checkpoints, report.medians)]
-    reporting.emit_report(rows, cfg["output"], header,
-                          _meta(cfg, cfg["backend"], mhash))
+    meta = _meta(cfg, cfg["backend"], mhash)
+    _record_sampler_tail(meta, mu)
+    reporting.emit_report(rows, cfg["output"], header, meta)
 
 
 def _on_diagonal(cfg):

@@ -23,9 +23,14 @@ MASS_TOL = 1e-12
 # certifies non-degeneracy without disturbing the r >= r0 shell bounds.
 UNIT_MASS = 0.1
 
-# Largest shell radius the sampler draws; the inverse-CDF table spans
-# [r0, SHELL_SAMPLE_RADIUS_MAX].
+# Largest shell radius the sampler draws.  Its guide-table CDF spans
+# [r0, SHELL_SAMPLE_RADIUS_MAX] and renormalises away the mass beyond it,
+# which StepMeasure.sampler_tail_mass bounds.
 SHELL_SAMPLE_RADIUS_MAX = 2 * 10 ** 6
+
+# Largest stable magnitude the sampler draws (the CDF spans 1..this); the
+# mass beyond it is StepMeasure.sampler_tail_mass, exact by Hurwitz zeta.
+STABLE_SAMPLE_MAGNITUDE_MAX = 10 ** 7 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +167,48 @@ def total_variation_shift(p: PmfOnZ, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Inverse-CDF sampling tables
+# ---------------------------------------------------------------------------
+
+class _GuidedCdf:
+    """A CDF over n entries with a guide table for inversion (Chen & Asau
+    1974; Devroye, Non-Uniform Random Variate Generation, 1986, III.2.4).
+
+    index(u) is exactly min(searchsorted(cdf, u), n - 1).  guide[b] is
+    searchsorted(cdf, b / K) for b = 0..K, so the index of a u in
+    [b/K, (b+1)/K) lies in [guide[b], guide[b+1]]; where that span holds at
+    most one entry it is guide[b] + (cdf[guide[b]] < u), elsewhere a binary
+    search finds it.  K is a power of two, so u*K and b/K are exact.  A +inf
+    sentinel after the last entry keeps cdf[guide[b]] defined at
+    guide[b] = n.
+    """
+
+    K = 2 ** 16
+
+    def __init__(self, table: np.ndarray):
+        """table: float64 weights in all but its last slot; it is turned
+        into the CDF (cumsum / sum, as numpy computes them) in place."""
+        self.n = n = len(table) - 1
+        w = table[:n]
+        total = w.sum()
+        np.cumsum(w, out=w)
+        w /= total
+        table[n] = np.inf
+        self.cdf = table
+        self.guide = np.searchsorted(table, np.arange(self.K + 1) / self.K)
+        self.wide = np.diff(self.guide) > 1
+
+    def index(self, u: np.ndarray) -> np.ndarray:
+        """min(searchsorted(cdf, u), n - 1) for u in [0, 1)."""
+        b = (u * self.K).astype(np.intp)
+        g = self.guide[b]
+        idx = g + (self.cdf[g] < u)
+        wide = np.flatnonzero(self.wide[b])
+        idx[wide] = np.searchsorted(self.cdf, u[wide])
+        return np.minimum(idx, self.n - 1, out=idx)
+
+
+# ---------------------------------------------------------------------------
 # Step measures on group backends
 # ---------------------------------------------------------------------------
 
@@ -173,7 +220,12 @@ class StepMeasure:
     kind = "shell":  radial law p_r ~ 1/(r^2 log r) on axis powers, plus a
                      fixed unit-generator mass; exact pmf available for any
                      element, radii sampled up to SHELL_SAMPLE_RADIUS_MAX.
-    kind = "stable_z": pmf C_alpha |k|^{-(1+alpha)} on the Z backend.
+    kind = "stable_z": pmf C_alpha |k|^{-(1+alpha)} on the Z backend,
+                     magnitudes sampled up to STABLE_SAMPLE_MAGNITUDE_MAX.
+
+    Shell radii and stable magnitudes are drawn by guide-table inversion of
+    the truncated, renormalised CDF (_GuidedCdf, the same index a binary
+    search returns); sampler_tail_mass is the mass that truncation moves.
     """
 
     spec: GroupSpec
@@ -187,8 +239,8 @@ class StepMeasure:
     axes: tuple = ()                      # shell direction set (axis, sign) roots
     alpha: float = 0.0                    # stable kind
     c_alpha: float = 0.0
-    _radius_cdf: Optional[np.ndarray] = field(default=None, repr=False)
-    _stable_cdf: Optional[np.ndarray] = field(default=None, repr=False)
+    _radius_cdf: Optional[_GuidedCdf] = field(default=None, repr=False)
+    _stable_cdf: Optional[_GuidedCdf] = field(default=None, repr=False)
     # _finite_law() cache; not an init field, so replace() (as in
     # lazy_transform) rebuilds it
     _support_law: Optional[tuple] = field(default=None, init=False,
@@ -251,6 +303,22 @@ class StepMeasure:
         c = (1.0 - self.laziness) * (1.0 - UNIT_MASS) * self.shell_norm
         return (c, c)
 
+    def sampler_tail_mass(self) -> float:
+        """Mass of the law beyond the sampler's table, which the sampler
+        renormalises away: 0 for finite laws; for stable laws the exact
+        (1 - lazy) zeta(1+alpha, M+1) / zeta(1+alpha) with
+        M = STABLE_SAMPLE_MAGNITUDE_MAX; for shell laws an upper bound, from
+        sum_{r>M} 1/(r^2 log r) <= 1/(M log M) with M = SHELL_SAMPLE_RADIUS_MAX.
+        """
+        if self.kind == "finite":
+            return 0.0
+        if self.kind == "stable_z":
+            s = 1.0 + self.alpha
+            tail = special.zeta(s, STABLE_SAMPLE_MAGNITUDE_MAX + 1) / special.zeta(s)
+            return float((1.0 - self.laziness) * tail)
+        m = SHELL_SAMPLE_RADIUS_MAX
+        return float(self.shell_constants()[1] / (m * np.log(m)))
+
     # -- shell helpers -------------------------------------------------------
 
     def _axis_radius(self, g):
@@ -301,16 +369,19 @@ class StepMeasure:
         if self.kind == "finite":
             return self._finite_law()[2][self.sample_support_index(rng, size)]
         lazy = rng.random(size) < self.laziness if self.laziness > 0 else None
-        steps = np.zeros((size, dim), dtype=np.int64)
         if self.kind == "stable_z":
-            steps[:, 0] = self.sample_stable_ints(rng, size)
+            r = self.sample_stable_ints(rng, size)
         else:
-            radii = self.sample_shell_radii(rng, size)
+            r = self.sample_shell_radii(rng, size)
             axis = rng.integers(0, len(self.axes), size=size)
-            sign = rng.integers(0, 2, size=size) * 2 - 1
-            steps[np.arange(size), np.asarray(self.axes)[axis]] = sign * radii
+            r *= rng.integers(0, 2, size=size) * 2 - 1
         if lazy is not None:
-            steps[lazy] = 0
+            r[lazy] = 0
+        if self.kind == "stable_z":
+            return r[:, None]
+        steps = np.zeros((size, dim), dtype=np.int64)
+        for j, ax in enumerate(self.axes):
+            np.multiply(r, axis == j, out=steps[:, ax])
         return steps
 
     def sample(self, rng: np.random.Generator, size: int = 1) -> list:
@@ -324,24 +395,31 @@ class StepMeasure:
     def sample_shell_radii(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Radius draws: 1 marks a unit-generator step."""
         if self._radius_cdf is None:
-            rr = np.arange(self.r0, SHELL_SAMPLE_RADIUS_MAX + 1, dtype=np.float64)
-            w = 1.0 / (rr * rr * np.log(rr))
-            self._radius_cdf = np.cumsum(w) / w.sum()
-        u = rng.random(size)
-        unit = u < UNIT_MASS
-        idx = np.searchsorted(self._radius_cdf, rng.random(size))
-        idx = np.clip(idx, 0, len(self._radius_cdf) - 1)
-        return np.where(unit, 1, idx + self.r0)
+            # 1 / (r^2 log r) for r0 <= r <= SHELL_SAMPLE_RADIUS_MAX, plus the
+            # spare slot _GuidedCdf takes for its sentinel
+            w = np.arange(self.r0, SHELL_SAMPLE_RADIUS_MAX + 2, dtype=np.float64)
+            log_r = np.log(w)
+            np.multiply(w, w, out=w)
+            np.multiply(w, log_r, out=w)
+            np.divide(1.0, w, out=w)
+            self._radius_cdf = _GuidedCdf(w)
+        unit = rng.random(size) < UNIT_MASS
+        r = self._radius_cdf.index(rng.random(size))
+        r += self.r0
+        r[unit] = 1
+        return r
 
     def sample_stable_ints(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self._stable_cdf is None:
-            kk = np.arange(1, 10 ** 7, dtype=np.float64)
-            w = kk ** -(1.0 + self.alpha)
-            self._stable_cdf = np.cumsum(w) / w.sum()
-        idx = np.searchsorted(self._stable_cdf, rng.random(size))
-        mag = np.clip(idx, 0, len(self._stable_cdf) - 1) + 1
-        sign = rng.integers(0, 2, size=size) * 2 - 1
-        return sign * mag
+            # k^-(1+alpha) for 1 <= k <= STABLE_SAMPLE_MAGNITUDE_MAX, plus the
+            # spare sentinel slot
+            w = np.arange(1, STABLE_SAMPLE_MAGNITUDE_MAX + 2, dtype=np.float64)
+            np.power(w, -(1.0 + self.alpha), out=w)
+            self._stable_cdf = _GuidedCdf(w)
+        mag = self._stable_cdf.index(rng.random(size))
+        mag += 1
+        mag *= rng.integers(0, 2, size=size) * 2 - 1
+        return mag
 
     def to_pmf_on_z(self, cap: int) -> PmfOnZ:
         """Exact truncated pmf for Z-backed measures."""

@@ -165,12 +165,16 @@ def speed_in_probability(spec: GroupSpec, mu: StepMeasure, n_list, eps_list,
 
 def sample_jump_lengths(mu: StepMeasure, rng: np.random.Generator,
                         size: int) -> np.ndarray:
-    """Word lengths of i.i.d. jumps (axis powers have |g| = r exactly)."""
+    """Word lengths of i.i.d. jumps (axis powers have |g| = r exactly).
+
+    A lazy finite law holds the identity in its support, so its one
+    support draw already stays put with the law's mass; shell and stable
+    draws are masked by the laziness afterwards."""
     if mu.kind == "finite":
         lens = np.array([groups.word_length(mu.spec, s) for s in mu.support_elements()],
                         dtype=np.float64)
-        out = lens[mu.sample_support_index(rng, size)]
-    elif mu.kind == "shell":
+        return lens[mu.sample_support_index(rng, size)]
+    if mu.kind == "shell":
         out = mu.sample_shell_radii(rng, size).astype(np.float64)
     else:
         out = np.abs(mu.sample_stable_ints(rng, size)).astype(np.float64)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from greenlab import groups
 from greenlab.green import ball_domain, killed_green_solve
@@ -7,6 +8,12 @@ from greenlab.measures import uniform_on_generators
 Z3 = groups.integer_lattice(3)
 E3 = (0, 0, 0)
 E1 = (1, 0, 0)
+
+# Property tests draw the same examples on every run (seeded from each
+# test's source) and have no per-example deadline, so a slow or busy
+# machine cannot make them flake.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -265,6 +265,28 @@ class TestOtherKinds:
         path = write_config(tmp_path / "cfg.json", cfg)
         assert run(path) == STATUS_OK
 
+    def test_sampler_tail_mass_in_meta(self, tmp_path):
+        # shell and stable samplers record the mass their table drops;
+        # finite laws sample exactly and record nothing
+        speed = {"kind": "speed", "n_list": [10], "eps_list": [0.5], "trials": 20}
+        probe = {"kind": "increment-probe", "n": 50, "trials": 5}
+        cases = [
+            (dict(speed, backend="Heis3", measure={"type": "shell", "r0": 3}), True),
+            (dict(probe, backend="Z^1",
+                  measure={"type": "stable", "alpha": 1.0, "laziness": 0.5}), True),
+            (dict(speed, backend="Z^3", measure={"type": "srw"}), False),
+            (dict(probe, backend="Z^1", measure={"type": "srw"}), False),
+        ]
+        for i, (cfg, truncated) in enumerate(cases):
+            cfg["output"] = str(tmp_path / f"r{i}.csv")
+            assert run(write_config(tmp_path / f"c{i}.json", cfg)) == STATUS_OK
+            meta = read_report(cfg["output"])[0]
+            if not truncated:
+                assert "sampler_tail_mass" not in meta
+                continue
+            mu = cli.build_measure(cli.parse_backend(cfg["backend"]), cfg["measure"])
+            assert meta["sampler_tail_mass"] == mu.sampler_tail_mass() > 0
+
     def test_green_table_kind_with_spd(self, tmp_path):
         cfg = {"kind": "green-table", "backend": "Z^3",
                "measure": {"type": "srw"}, "radius": 3,

@@ -1,13 +1,19 @@
 """Step laws: construction, exact pmfs, sampling, convolution."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from scipy import special
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate, special
 
 from greenlab import groups, measures
 from greenlab.groups import identity
-from greenlab.measures import (PmfOnZ, UNIT_MASS, certify_generates, convolve_z,
-                               delta_pmf, first_moment_partial, lazy_transform,
+from greenlab.measures import (PmfOnZ, SHELL_SAMPLE_RADIUS_MAX,
+                               STABLE_SAMPLE_MAGNITUDE_MAX, UNIT_MASS,
+                               certify_generates, convolve_z, delta_pmf,
+                               first_moment_partial, lazy_transform,
                                pmf_from_dict, self_convolution_powers,
                                shell_measure, shell_norm_constant,
                                stable_z_measure, total_variation_shift,
@@ -245,6 +251,121 @@ class TestSampling:
             p = 2 * mu.pmf((k,))          # both signs
             freq = (np.abs(ks) == k).mean()
             assert abs(freq - p) < 4 * np.sqrt(p * (1 - p) / n)
+
+
+def _sampler_table(kind, par):
+    """The guide table a shell (r0 = par) or stable (alpha = par) sampler
+    builds on its first draw."""
+    if kind == "shell":
+        mu = shell_measure(H, r0=par)
+        mu.sample_shell_radii(np.random.default_rng(0), 1)
+        return mu._radius_cdf
+    mu = stable_z_measure(par)
+    mu.sample_stable_ints(np.random.default_rng(0), 1)
+    return mu._stable_cdf
+
+
+@pytest.fixture(scope="module",
+                params=[("shell", 3), ("shell", 5), ("stable", 0.5),
+                        ("stable", 1.0), ("stable", 1.5)],
+                ids=lambda p: f"{p[0]}-{p[1]:g}")
+def guided(request):
+    return request.param + (_sampler_table(*request.param),)
+
+
+def _binary_search_index(cdf, u):
+    return np.minimum(np.searchsorted(cdf, u), len(cdf) - 1)
+
+
+class TestGuidedCdf:
+    """_GuidedCdf.index(u) returns exactly the clipped binary-search index."""
+
+    def test_cdf_is_cumsum_over_sum(self, guided):
+        kind, par, table = guided
+        if kind == "shell":
+            r = np.arange(par, SHELL_SAMPLE_RADIUS_MAX + 1, dtype=np.float64)
+            w = 1.0 / (r * r * np.log(r))
+        else:
+            k = np.arange(1, STABLE_SAMPLE_MAGNITUDE_MAX + 1, dtype=np.float64)
+            w = k ** -(1.0 + par)
+        assert table.cdf[-1] == np.inf
+        assert np.array_equal(table.cdf[:-1], np.cumsum(w) / w.sum())
+
+    def test_index_at_edges_and_cdf_entries(self, guided):
+        table = guided[2]
+        cdf = table.cdf[:-1]
+        assert table.wide.any()          # the binary-search branch is exercised
+        edges = np.arange(table.K) / table.K
+        assert np.array_equal(table.index(edges), _binary_search_index(cdf, edges))
+        for side in (None, -np.inf, np.inf):
+            u = cdf if side is None else np.nextafter(cdf, side)
+            u = u[u < 1.0]
+            assert np.array_equal(table.index(u), _binary_search_index(cdf, u))
+        # above the last entry the index clips to it
+        above = np.array([np.nextafter(cdf[-1], np.inf), np.nextafter(1.0, 0.0)])
+        assert (cdf[-1] < above).all()
+        assert (table.index(above) == len(cdf) - 1).all()
+
+    @settings(max_examples=4)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_index_on_random_draws(self, guided, seed):
+        table = guided[2]
+        u = np.random.default_rng(seed).random(250_000)
+        assert np.array_equal(table.index(u),
+                              _binary_search_index(table.cdf[:-1], u))
+
+    @given(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1,
+                    max_size=64))
+    def test_index_on_any_floats(self, guided, us):
+        table = guided[2]
+        u = np.array(us)
+        assert np.array_equal(table.index(u),
+                              _binary_search_index(table.cdf[:-1], u))
+
+    def test_stable_table_is_one_array(self):
+        # the 10^7-entry CDF is built in place: peak allocation is about
+        # the table itself (80 MB), not the four arrays of cumsum(w) / w.sum()
+        tracemalloc.start()
+        try:
+            table = _sampler_table("stable", 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.cdf.nbytes == 8 * (STABLE_SAMPLE_MAGNITUDE_MAX + 1)
+        assert peak < 1.1 * table.cdf.nbytes
+
+
+class TestSamplerTailMass:
+    @pytest.mark.parametrize("alpha, size", [(0.5, 2.42e-4), (1.0, 6.08e-8),
+                                             (1.5, 1.57e-11)])
+    def test_stable_is_the_hurwitz_tail(self, alpha, size):
+        s, n = 1.0 + alpha, STABLE_SAMPLE_MAGNITUDE_MAX + 1
+        mu = stable_z_measure(alpha)
+        want = special.zeta(s, n) / special.zeta(s)
+        assert mu.sampler_tail_mass() == pytest.approx(want, rel=1e-12)
+        assert want == pytest.approx(size, rel=1e-3)
+        # Euler-Maclaurin for sum_{k>=n} k^-s, good to O(n^(-s-3))
+        em = n ** (1 - s) / (s - 1) + n ** -s / 2 + s * n ** (-s - 1) / 12
+        assert mu.sampler_tail_mass() == pytest.approx(em / special.zeta(s),
+                                                       rel=1e-9)
+        lazy = lazy_transform(mu, 0.3)
+        assert lazy.sampler_tail_mass() == pytest.approx(0.7 * want, rel=1e-12)
+
+    def test_shell_bounds_the_tail_sum(self):
+        mu = lazy_transform(shell_measure(H, r0=3), 0.25)
+        m = SHELL_SAMPLE_RADIUS_MAX
+        c = 0.75 * (1.0 - UNIT_MASS) * mu.shell_norm
+
+        def integral_from(a):
+            # int_a^inf dr / (r^2 log r), with r = a / t
+            return integrate.quad(lambda t: 1.0 / np.log(a / t), 0.0, 1.0)[0] / a
+
+        # sum_{r>m} lies between the integrals from m + 1 and from m
+        assert mu.sampler_tail_mass() >= c * integral_from(m)
+        assert mu.sampler_tail_mass() <= 1.1 * c * integral_from(m + 1)
+
+    def test_finite_law_has_no_tail(self):
+        assert lazy_transform(srw(Z3), 0.5).sampler_tail_mass() == 0.0
 
 
 class TestConvolveZ:

@@ -202,6 +202,28 @@ class TestIncrementRatioMax:
         p3 = mu.shell_radius_mass(3)
         assert abs((lens == 3).mean() - p3) < 4 * np.sqrt(p3 / 10 ** 5)
 
+    def test_lazy_finite_jump_lengths_4sigma(self):
+        # the identity is in a lazy finite law's support: one draw, no
+        # second laziness mask (which gave P(0) = 0.751 here)
+        mu = lazy_transform(srw(Z3), 0.5)
+        n = 10 ** 5
+        lens = sample_jump_lengths(mu, derive_stream(14, "incr-lazy-srw"), n)
+        assert set(np.unique(lens)) == {0.0, 1.0}
+        p0 = mu.pmf((0, 0, 0))
+        assert p0 == 0.5
+        assert abs((lens == 0).mean() - p0) < 4 * np.sqrt(p0 * (1 - p0) / n)
+
+    def test_lazy_shell_jump_lengths_4sigma(self):
+        mu = lazy_transform(shell_measure(H, r0=3), 0.5)
+        n = 10 ** 5
+        lens = sample_jump_lengths(mu, derive_stream(15, "incr-lazy-shell"), n)
+        assert 2.0 not in lens
+        for length, p in [(0, mu.pmf((0, 0, 0))), (1, 0.5 * UNIT_MASS),
+                          (3, mu.shell_radius_mass(3)),
+                          (4, mu.shell_radius_mass(4))]:
+            freq = (lens == length).mean()
+            assert abs(freq - p) < 4 * np.sqrt(p * (1 - p) / n), length
+
     def test_running_max_oracle_at_one_step(self):
         # M_1 = R_1: the oracle at n = 1 is the radius law, summed directly
         shell, stable = shell_measure(H, r0=3), stable_z_measure(1.0)
