@@ -57,7 +57,12 @@ def check_transient(spec: GroupSpec) -> None:
 class Domain:
     """Finite element set S with optional outer boundary w.r.t. support T.
 
-    Every consumer reads a domain through one index protocol:
+    Three kinds exist: ``_LatticeDomain`` (int64 coordinate rows on Z^d or
+    Heis3, with a dense grid lookup), ``_FreeBallDomain`` (int-coded word
+    balls in F_k for the standard support about the identity) and
+    ``_BfsDomain`` (a dict over payloads, for product lifts and for free
+    balls with another support or centre).  Every consumer reads a domain
+    through one index protocol:
 
     * ``positions(payloads)``: the index of each payload in ``elements``,
       or -1 outside S (int64 array);
@@ -67,7 +72,7 @@ class Domain:
       the domain carries no boundary).
 
     ``elements`` and ``boundary`` keep a canonical order, because cached
-    tables are positional.
+    tables are positional; ``label`` names the domain in cache keys.
     """
 
     spec: GroupSpec
@@ -90,7 +95,8 @@ def _sorted_positions(sorted_vals: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 
 class _BfsDomain(Domain):
-    """Any finite payload set (the generic BFS ball), indexed by a dict; a
+    """Any finite payload set (the generic BFS ball of a product lift, or of
+    a free group off the standard support or centre), indexed by a dict; a
     step table is built once per step list by a Python loop."""
 
     def __init__(self, spec: GroupSpec, label: str, elements: list,
@@ -213,12 +219,14 @@ class _FreeBallDomain(Domain):
 
 
 class _LatticeDomain(Domain):
-    """Finite subset of Z^d as a lexicographically sorted coordinate array,
-    with a dense grid over the bounding window of S and its boundary for
-    O(1) vector lookups: the grid holds i at elements[i], n + j at
-    boundary[j] and -1 elsewhere.  A step table pads the grid by the reach
-    of its steps, so each column is one flat-index gather.  Elements are
-    decoded to tuples lazily."""
+    """Finite set of int64 coordinate rows, on Z^d or on Heis3 (rows
+    (a, b, c)), in lexicographic order, with a dense grid over the bounding
+    window of S and its boundary for O(1) vector lookups: the grid holds i
+    at elements[i], n + j at boundary[j] and -1 elsewhere.  A step table
+    pads the grid by the reach of its steps, so each column is one
+    flat-index gather; on Heis3 a step s moves c by c_s + a b_s, so its
+    column adds the per-row central offset a b_s stride_c and the c axis is
+    padded by that reach too.  Elements are decoded to tuples lazily."""
 
     def __init__(self, spec: GroupSpec, label: str, coords: np.ndarray,
                  bcoords: Optional[np.ndarray], support: tuple):
@@ -240,6 +248,9 @@ class _LatticeDomain(Domain):
     def __len__(self):
         return len(self.coords)
 
+    def _rows(self, payloads) -> np.ndarray:
+        return np.asarray(payloads, dtype=np.int64).reshape(-1, self.coords.shape[1])
+
     def _grid_at(self, pts: np.ndarray) -> np.ndarray:
         rel = pts - self.lo
         ok = np.all((rel >= 0) & (rel < self.grid.shape), axis=1)
@@ -248,19 +259,26 @@ class _LatticeDomain(Domain):
         return out
 
     def positions(self, payloads) -> np.ndarray:
-        i = self._grid_at(np.asarray(payloads, dtype=np.int64).reshape(-1, self.spec.d))
+        i = self._grid_at(self._rows(payloads))
         return np.where(i < len(self), i, -1)
 
     def step_table(self, steps) -> np.ndarray:
-        steps = np.asarray(steps, dtype=np.int64).reshape(-1, self.spec.d)
+        steps = self._rows(steps)
         reach = np.abs(steps).max(axis=0, initial=0)
+        heis = self.spec.variant == "heisenberg"
+        if heis:
+            reach[2] += np.abs(self.coords[:, 0]).max() * reach[1]
         padded = np.pad(self.grid, [(r, r) for r in reach], constant_values=-1)
         strides = np.array(padded.strides) // padded.itemsize
         base = (self.coords - self.lo + reach) @ strides
         flat = padded.ravel()
+        central = self.coords[:, 0] * strides[2] if heis else None
         table = np.empty((len(self), len(steps)), dtype=np.int64)
         for k, offset in enumerate(steps @ strides):
-            table[:, k] = flat[base + offset]
+            idx = base + offset
+            if heis and steps[k, 1]:
+                idx += steps[k, 1] * central
+            table[:, k] = flat[idx]
         return table
 
 
@@ -271,6 +289,33 @@ def _l1_ball_coords(d: int, radius: int, shell: bool) -> np.ndarray:
     l1 = functools.reduce(np.add.outer, [ax] * d)
     mask = (l1 == radius + 1) if shell else (l1 <= radius)
     return np.argwhere(mask) - (radius + 1)
+
+
+def _coordinate_ball(spec: GroupSpec, center, steps: list, radius: int,
+                     with_boundary: bool) -> tuple:
+    """Coordinate rows of B(center, radius) and, when asked, of its outer
+    boundary (the layer at distance radius + 1), each in lexicographic
+    order, by a layer BFS: a layer is one row product of the frontier with
+    every step.  Rows are deduplicated by int64 keys in the mixed radix of
+    the bounding box of the rows seen so far; such a key is monotone in
+    lexicographic order, so sorted keys decode to sorted rows."""
+    ball = frontier = np.array([center], dtype=np.int64)
+    lo = hi = ball[0]
+    steps = np.array(steps, dtype=np.int64).reshape(len(steps), len(lo))
+    for r in range(radius + int(with_boundary)):
+        nbrs = groups.mul_rows(spec, frontier[:, None], steps).reshape(-1, len(lo))
+        span = np.vstack([lo, hi, nbrs])
+        lo, hi = span.min(axis=0), span.max(axis=0)
+        shape = tuple(hi - lo + 1)
+        known = np.ravel_multi_index(tuple((ball - lo).T), shape)
+        keys = np.sort(np.ravel_multi_index(tuple((nbrs - lo).T), shape))
+        keys = keys[np.append(True, keys[1:] != keys[:-1])]
+        at = np.searchsorted(known, keys)
+        new = known[np.minimum(at, len(known) - 1)] != keys
+        frontier = np.stack(np.unravel_index(keys[new], shape), axis=1) + lo
+        if r < radius:
+            ball = np.insert(ball, at[new], frontier, axis=0)
+    return ball, (frontier if with_boundary else None)
 
 
 def ball_domain(spec: GroupSpec, mu: StepMeasure, radius: int, center=None,
@@ -285,12 +330,17 @@ def ball_domain(spec: GroupSpec, mu: StepMeasure, radius: int, center=None,
     if spec.variant == "free" and standard and center == e:
         return _FreeBallDomain(spec, radius, with_boundary)
     label = f"ball[{spec.label()},R={radius}]"
+    if center != e:
+        label = f"ball[{spec.label()},R={radius},center={center!r}]"
     if spec.variant == "lattice" and standard:
         c = np.asarray(center, dtype=np.int64)
         bcoords = _l1_ball_coords(spec.d, radius, True) + c if with_boundary else None
         return _LatticeDomain(spec, label, _l1_ball_coords(spec.d, radius, False) + c,
                               bcoords, support)
-    # generic BFS
+    if spec.variant in ("lattice", "heisenberg"):
+        coords, bcoords = _coordinate_ball(spec, center, steps, radius, with_boundary)
+        return _LatticeDomain(spec, label, coords, bcoords, support)
+    # generic BFS: product lifts, free balls off the standard support or centre
     dist = {center: 0}
     frontier = [center]
     d = 0
@@ -479,7 +529,7 @@ def killed_green_solve(omega: Domain, sources: list, mu: StepMeasure,
     method "auto" uses a direct factorization below DIRECT_SOLVE_MAX
     unknowns (or when many sources are requested and memory allows) and
     conjugate gradients otherwise; residuals are reported per source.  CG
-    on a lattice domain above MULTIGRID_MIN unknowns is preconditioned by
+    on Z^d above MULTIGRID_MIN unknowns is preconditioned by
     an aggregation V-cycle; the stopping rule and residual check are the
     same.
     """
@@ -498,7 +548,9 @@ def killed_green_solve(omega: Domain, sources: list, mu: StepMeasure,
     iterations = np.zeros(len(sources), dtype=np.int64)
     lu = spla.splu(mat.tocsc()) if method == "direct" else None
     mg = None
-    if method == "cg" and isinstance(omega, _LatticeDomain) and n > MULTIGRID_MIN:
+    # the aggregation by coords >> 1 fits lattice geometry only: on Heis3
+    # coordinates it needs more iterations than plain CG
+    if method == "cg" and omega.spec.variant == "lattice" and n > MULTIGRID_MIN:
         mg = _AggregationMultigrid(mat, omega.coords)
     precond = mg.operator() if mg else None
     for i, a in enumerate(sources):

@@ -22,6 +22,8 @@ from typing import Optional
 
 import math
 
+import numpy as np
+
 
 class BackendMismatchError(ValueError):
     """Operands belong to different group backends."""
@@ -120,6 +122,16 @@ def mul(spec: GroupSpec, g, h):
     gi, gz = g
     hi, hz = h
     return (mul(spec.inner, gi, hi), gz + hz)
+
+
+def mul_rows(spec: GroupSpec, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Row-wise products g[i] h[i] of int64 coordinate rows on a lattice or
+    on Heis3, where (a, b, c)(a', b', c') = (a + a', b + b', c + c' + a b');
+    g and h broadcast against each other as numpy arrays do."""
+    out = g + h
+    if spec.variant == "heisenberg":
+        out[..., 2] += g[..., 0] * h[..., 1]
+    return out
 
 
 def inv(spec: GroupSpec, g):

@@ -169,6 +169,31 @@ class TestCache:
                                    1e-10) is None
 
 
+    def test_cache_key_separates_ball_centres(self, tmp_path):
+        # a table for B(0, 3) is not a table for B((5, 0, 0), 3): same
+        # size, but positional values over other points
+        from greenlab import cache as cachemod
+        from greenlab.green import ball_domain, killed_green_solve
+        from greenlab.measures import uniform_on_generators
+        Z3 = groups.integer_lattice(3)
+        mu = uniform_on_generators(groups.standard_generators(Z3))
+        mhash = cachemod.measure_hash({"type": "srw"})
+        origin = ball_domain(Z3, mu, 3, with_boundary=False)
+        assert origin.label == "ball[Z^3,R=3]"
+        cachemod.save_table(str(tmp_path), "Z^3", mhash,
+                            killed_green_solve(origin, [(0, 0, 0)], mu))
+        shifted = ball_domain(Z3, mu, 3, center=(5, 0, 0), with_boundary=False)
+        assert len(shifted) == len(origin)
+        assert cachemod.load_table(str(tmp_path), "Z^3", mhash, shifted,
+                                   1e-10) is None
+        table = killed_green_solve(shifted, [(5, 0, 0)], mu)
+        cachemod.save_table(str(tmp_path), "Z^3", mhash, table)
+        loaded = cachemod.load_table(str(tmp_path), "Z^3", mhash, shifted, 1e-10)
+        assert loaded.sources == [(5, 0, 0)]
+        assert np.array_equal(loaded.values, table.values)
+        assert cachemod.load_table(str(tmp_path), "Z^3", mhash, origin,
+                                   1e-10).sources == [(0, 0, 0)]
+
     def test_cache_without_solver_record_loads(self, tmp_path):
         # a file written before the solver record was kept still loads
         import json

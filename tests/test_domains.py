@@ -10,7 +10,7 @@ from greenlab import groups
 from greenlab.green import (ball_domain, box_domain, exit_distribution,
                             killed_green_solve)
 from greenlab.groups import identity, mul
-from greenlab.measures import uniform_on_generators
+from greenlab.measures import StepMeasure, lazy_transform, uniform_on_generators
 from greenlab.rng import derive_stream
 
 Z3 = groups.integer_lattice(3)
@@ -33,6 +33,45 @@ def shifted(points, center):
 
 def gens_ball(spec, radius):
     return groups.ball(spec, groups.standard_generators(spec), radius)
+
+
+def uniform_law(spec, steps):
+    return StepMeasure(spec, "finite", "uniform", probs={s: 1 / len(steps) for s in steps})
+
+
+def law_on(dom):
+    """The uniform law on the domain's support (SRW for standard supports)."""
+    return uniform_law(dom.spec, dom.support)
+
+
+def reference_ball(spec, mu, radius, center):
+    """B(center, radius), sorted, by a pure-Python BFS over groups.mul and a
+    dict: the reference for the vectorised builders."""
+    steps = [s for s in mu.support_elements() if s != identity(spec)]
+    dist = {center: 0}
+    frontier = [center]
+    for d in range(radius):
+        nxt = []
+        for g in frontier:
+            for s in steps:
+                h = mul(spec, g, s)
+                if h not in dist:
+                    dist[h] = d + 1
+                    nxt.append(h)
+        frontier = nxt
+    return sorted(dist)
+
+
+HEIS_CENTRAL = uniform_law(HEIS, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                                  (0, 0, 1), (0, 0, -1)])
+Z3_STRETCHED = uniform_law(Z3, [(1, 0, 0), (-1, 0, 0), (0, 2, 0), (0, -2, 0),
+                                (0, 0, 1), (0, 0, -1)])
+
+
+def bfs_case(spec, mu, radius, center, far, extra):
+    """A CASES entry whose order is the reference BFS from ``center``."""
+    return (lambda: ball_domain(spec, mu, radius, center=center),
+            lambda: reference_ball(spec, mu, radius, center), far, extra)
 
 
 # name -> (domain builder, canonical element order, far point, extra step)
@@ -60,6 +99,14 @@ CASES = {
     "heis3-ball-no-boundary": (
         lambda: ball_domain(HEIS, srw(HEIS), 3, with_boundary=False),
         lambda: sorted(gens_ball(HEIS, 3)), (40, 0, 0), (1, 1, 0)),
+    "heis3-ball-centered": bfs_case(HEIS, srw(HEIS), 3, (2, -1, 5),
+                                    (0, 0, 0), (1, 1, 0)),
+    "heis3-ball-lazy": bfs_case(HEIS, lazy_transform(srw(HEIS), 0.5), 3,
+                                (0, 0, 0), (40, 0, 0), (1, 1, 0)),
+    "heis3-ball-central-steps": bfs_case(HEIS, HEIS_CENTRAL, 3, (0, 0, 0),
+                                         (40, 0, 0), (-2, 1, 3)),
+    "lattice-ball-stretched": bfs_case(Z3, Z3_STRETCHED, 3, (0, 0, 0),
+                                       (40, 0, 0), (0, 1, 0)),
 }
 
 
@@ -112,9 +159,8 @@ def test_canonical_order(case):
     dom, order, _, _ = case
     assert dom.elements == order
     if dom.boundary is not None:
-        steps = list(groups.standard_generators(dom.spec))
         members = set(dom.elements)
-        outer = {mul(dom.spec, g, s) for g in dom.elements for s in steps} - members
+        outer = {mul(dom.spec, g, s) for g in dom.elements for s in dom.support} - members
         assert dom.boundary == sorted(outer)
 
 
@@ -128,6 +174,20 @@ def test_lattice_step_table_far_steps(center):
     assert dom.step_table(steps).tolist() == want
 
 
+@pytest.mark.parametrize("center", [(0, 0, 0), (4, -3, 10)])
+@pytest.mark.parametrize("with_boundary", [True, False])
+def test_heis3_step_table_far_steps(center, with_boundary):
+    # a step s moves c by c_s + a b_s: far b-steps reach past the window,
+    # alone (the grid is padded by one step's reach) and together
+    dom = ball_domain(HEIS, srw(HEIS), 3, center=center, with_boundary=with_boundary)
+    steps = [(0, 7, 0), (0, -6, 2), (0, 3, 0), (3, 4, -1), (-5, 0, 0), (0, 0, -9)]
+    index = {g: i for i, g in enumerate(dom.elements + (dom.boundary or []))}
+    want = [[index.get(mul(HEIS, g, s), -1) for s in steps] for g in dom.elements]
+    assert dom.step_table(steps).tolist() == want
+    for k, s in enumerate(steps):
+        assert dom.step_table([s])[:, 0].tolist() == [row[k] for row in want], s
+
+
 @pytest.mark.parametrize("name", sorted(set(CASES) - set(BOUNDED)))
 def test_exit_law_needs_boundary(name):
     dom = CASES[name][0]()
@@ -139,7 +199,7 @@ def test_exit_law_needs_boundary(name):
 
 def test_exit_mass_sums_to_one(bounded):
     dom = bounded
-    mu = srw(dom.spec)
+    mu = law_on(dom)
     start = dom.elements[len(dom) // 2]
     exits = exit_distribution(dom, start, mu)
     assert exits.vector.shape == (len(dom.boundary),)
@@ -154,7 +214,7 @@ def test_exit_mass_sums_to_one(bounded):
 def test_exit_law_matches_element_loop(bounded):
     # the table-driven exit law against the loop over elements and steps
     dom = bounded
-    mu = srw(dom.spec)
+    mu = law_on(dom)
     start = dom.elements[0]
     gvals = killed_green_solve(dom, [start], mu).row(start)
     want = dict.fromkeys(dom.boundary, 0.0)

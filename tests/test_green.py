@@ -232,6 +232,17 @@ class TestMultigrid:
         nnz = sum(level[0].nnz for level in mg.levels) + mg.coarsest.nnz
         assert nnz / mat.nnz <= 1.25
 
+    def test_multigrid_is_lattice_only(self, monkeypatch):
+        # Heis3 balls share the coordinate-grid domain class with Z^3, but
+        # the aggregation by coords >> 1 serves lattices only
+        monkeypatch.setattr(green, "MULTIGRID_MIN", 100)
+        for spec, preconditioner in ((HEIS, None), (Z3, "aggregation-vcycle")):
+            omega = ball_domain(spec, srw(spec), 6, with_boundary=False)
+            assert len(omega) > green.MULTIGRID_MIN
+            table = killed_green_solve(omega, [groups.identity(spec)], srw(spec),
+                                       method="cg")
+            assert (table.method, table.preconditioner) == ("cg", preconditioner)
+
     def test_preconditioned_solve_matches_plain_cg(self):
         # B(0, 44) in Z^3 has 117,569 points, just above MULTIGRID_MIN
         mu = srw(Z3)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from greenlab import groups
 from greenlab.groups import (BfsTable, EnumerationCapError, OutOfRangeError,
@@ -43,6 +45,38 @@ class TestMul:
             for _ in range(50):
                 g, h, k = (els[rng.integers(len(els))] for _ in range(3))
                 assert mul(spec, mul(spec, g, h), k) == mul(spec, g, mul(spec, h, k))
+
+
+# a, b stay below 2^30 and c below 2^61, so c + c' + a b' fits in int64
+_AB = st.integers(-2 ** 30, 2 ** 30)
+_C = st.integers(-2 ** 61, 2 ** 61)
+
+
+class TestMulRows:
+    @given(st.lists(st.tuples(_AB, _AB, _C, _AB, _AB, _C), min_size=1, max_size=40))
+    def test_heisenberg_rows_match_mul(self, pairs):
+        rows = np.array(pairs, dtype=np.int64)
+        got = groups.mul_rows(H, rows[:, :3], rows[:, 3:])
+        assert got.dtype == np.int64
+        assert [tuple(r) for r in got.tolist()] == \
+            [mul(H, p[:3], p[3:]) for p in pairs]
+
+    @given(st.lists(st.tuples(*[st.integers(-2 ** 62, 2 ** 62)] * 6),
+                    min_size=1, max_size=40))
+    def test_lattice_rows_match_mul(self, pairs):
+        rows = np.array(pairs, dtype=np.int64)
+        got = groups.mul_rows(Z3, rows[:, :3], rows[:, 3:])
+        assert [tuple(r) for r in got.tolist()] == \
+            [mul(Z3, p[:3], p[3:]) for p in pairs]
+
+    def test_rows_broadcast(self):
+        # one product per (frontier row, step), as a BFS layer takes it
+        g = np.array([[2, -3, 7], [-1, 4, 0]], dtype=np.int64)
+        s = np.array([[0, 1, 0], [1, 0, 0], [0, -2, 5]], dtype=np.int64)
+        got = groups.mul_rows(H, g[:, None], s)
+        assert got.shape == (2, 3, 3)
+        assert [[tuple(r) for r in block] for block in got.tolist()] == \
+            [[mul(H, tuple(a), tuple(b)) for b in s.tolist()] for a in g.tolist()]
 
 
 class TestInv:
