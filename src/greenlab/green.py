@@ -94,6 +94,13 @@ def _sorted_positions(sorted_vals: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return np.where(sorted_vals[i] == vals, i, -1)
 
 
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """np.unique of int64 keys by a sort and an adjacent-difference mask,
+    which on NumPy 2.x is far faster than np.unique's hash path."""
+    keys = np.sort(keys)
+    return keys[np.append(True, keys[1:] != keys[:-1])]
+
+
 class _BfsDomain(Domain):
     """Any finite payload set (the generic BFS ball of a product lift, or of
     a free group off the standard support or centre), indexed by a dict; a
@@ -146,7 +153,7 @@ class _FreeBallDomain(Domain):
             stepped = np.concatenate([self._append(levels[-1], letter)
                                       for letter in range(self.two_k)])
             thresh = np.int64(1) << (self.shift * (r + 1))
-            levels.append(np.unique(stepped[stepped >= thresh]))
+            levels.append(_sorted_unique(stepped[stepped >= thresh]))
         self.codes = np.sort(np.concatenate(levels[:radius + 1]))
         self.boundary = None
         if with_boundary:
@@ -308,8 +315,7 @@ def _coordinate_ball(spec: GroupSpec, center, steps: list, radius: int,
         lo, hi = span.min(axis=0), span.max(axis=0)
         shape = tuple(hi - lo + 1)
         known = np.ravel_multi_index(tuple((ball - lo).T), shape)
-        keys = np.sort(np.ravel_multi_index(tuple((nbrs - lo).T), shape))
-        keys = keys[np.append(True, keys[1:] != keys[:-1])]
+        keys = _sorted_unique(np.ravel_multi_index(tuple((nbrs - lo).T), shape))
         at = np.searchsorted(known, keys)
         new = known[np.minimum(at, len(known) - 1)] != keys
         frontier = np.stack(np.unravel_index(keys[new], shape), axis=1) + lo

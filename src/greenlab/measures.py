@@ -8,6 +8,9 @@ measures on Z with pmf proportional to |k|^{-(1+alpha)}.
 
 from __future__ import annotations
 
+import functools
+import math
+import os
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
@@ -91,42 +94,111 @@ def delta_pmf(k: int = 0) -> PmfOnZ:
 def convolve_z(p: PmfOnZ, q: PmfOnZ, cap: int) -> PmfOnZ:
     """Exact convolution of two integer pmfs restricted to |k| <= cap.
 
-    Long products (n > 4096) go through one real FFT of length
-    next_fast_len(n), the length scipy.signal.fftconvolve picks; when q is
-    p its spectrum is computed once and squared.  Round-off negatives are
-    clamped to 0.  All clipped mass (and any mass already missing from the
-    inputs) is accumulated into delta_trunc of the result.
+    Long products (n = len(p) + len(q) - 1 > 4096) are cyclic convolutions
+    by a four-step FFT (_cyclic_convolution).  If [a, b] are the indices of
+    the linear product that fall in the window, a cyclic length of at least
+    need = max(b + 1, n - a) (and at least each input's length) wraps
+    nothing into [a, b]: an index k there could only receive index k + N,
+    which exceeds n - 1, or k - N, which is negative.  So the kept values
+    are the linear convolution's, up to round-off, from a transform about
+    3 cap long once the window is full, where the whole product needs
+    4 cap.  When q is p its spectrum is computed once and squared.
+    Round-off negatives are clamped to 0.  All clipped mass (and any mass
+    already missing from the inputs) is accumulated into delta_trunc of
+    the result.
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
     n = len(p.vals) + len(q.vals) - 1
-    if n > 4096:
-        from scipy import fft
-
-        size = fft.next_fast_len(n, True)
-        fp = fft.rfft(p.vals, size)
-        fq = fp if q is p else fft.rfft(q.vals, size)
-        raw = fft.irfft(np.multiply(fp, fq, out=fp), size)[:n]
-        np.maximum(raw, 0.0, out=raw)
-    else:
-        raw = np.convolve(p.vals, q.vals)
     lo = p.lo + q.lo
     lo_keep = max(lo, -cap)
-    hi_keep = min(lo + len(raw) - 1, cap)
+    hi_keep = min(lo + n - 1, cap)
     if hi_keep < lo_keep:
         raise ValueError("cap window misses the whole convolution support")
-    # A copy, so the full-length product is freed once the window is cut.
-    kept = raw[lo_keep - lo: hi_keep - lo + 1].copy()
+    a, b = lo_keep - lo, hi_keep - lo
+    if n > 4096:
+        need = max(b + 1, n - a, len(p.vals), len(q.vals))
+        raw = _cyclic_convolution(p.vals, None if q is p else q.vals, need)
+    else:
+        raw = np.convolve(p.vals, q.vals)
+    # A clamped copy, so the full-length product is freed once the window
+    # is cut.
+    kept = np.maximum(raw[a: b + 1], 0.0)
     delta = 1.0 - float(kept.sum())
     return PmfOnZ(kept, lo_keep, max(delta, 0.0))
+
+
+# Threads for the batched axis transforms: the CPUs this process may use.
+_FFT_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+
+
+def _cyclic_convolution(x: np.ndarray, y: Optional[np.ndarray],
+                        need: int) -> np.ndarray:
+    """Cyclic convolution of x and y (y None: x with itself), zero-padded to
+    a length N = n1 * n2 >= need, by the four-step FFT (Bailey, "FFTs in
+    external or hierarchical memory", J. Supercomputing 4, 1990).
+
+    The signal is viewed as an (n1, n2) array, j = j1 n2 + j2.  A real FFT
+    down axis 0, the twiddles exp(-2 pi i k1 j2 / N) and a complex FFT
+    along axis 1 give the spectrum at k = k1 + n1 k2 in slot [k1, k2] for
+    k1 <= n1 / 2, which determines the rest; the pointwise product does not
+    care about this transposed layout, and the inverse runs the three steps
+    backwards.  No transpose is materialised, and every transform is a
+    batch of short ones spread over _FFT_WORKERS threads.
+    """
+    from scipy import fft
+
+    n1 = fft.next_fast_len(math.isqrt(need) + 1, True)
+    n2 = fft.next_fast_len(-(-need // n1))
+    twiddles = _twiddles(n1, n2)
+    spectra = []
+    for v in (x,) if y is None else (x, y):
+        grid = np.zeros((n1, n2))
+        grid.reshape(-1)[:len(v)] = v
+        s = fft.rfft(grid, axis=0, workers=_FFT_WORKERS)
+        del grid    # not held while the inverse allocates its output
+        s *= twiddles
+        spectra.append(fft.fft(s, axis=1, overwrite_x=True,
+                               workers=_FFT_WORKERS))
+    s = spectra[0]
+    np.multiply(s, spectra[-1], out=s)
+    del spectra
+    s = fft.ifft(s, axis=1, overwrite_x=True, workers=_FFT_WORKERS)
+    # s * conj(twiddles) as conj(conj(s) * twiddles): the same value, with
+    # no conjugated copy of the table
+    np.conjugate(s, out=s)
+    s *= twiddles
+    np.conjugate(s, out=s)
+    return fft.irfft(s, n1, axis=0, workers=_FFT_WORKERS).reshape(-1)
+
+
+# Two shapes: a doubling chain on a full window reuses one, and
+# product_dispersion_bound alternates two chains.
+@functools.lru_cache(maxsize=2)
+def _twiddles(n1: int, n2: int) -> np.ndarray:
+    """exp(-2 pi i k1 j2 / N) for k1 <= n1 / 2 and j2 < n2, N = n1 n2;
+    read-only, since every call with this shape shares it."""
+    size = n1 * n2
+    k1 = np.arange(n1 // 2 + 1, dtype=np.int64)[:, None]
+    # the exponent mod N, so every angle lies in (-2 pi, 0]
+    angle = (k1 * np.arange(n2, dtype=np.int64) % size) * (-2.0 * np.pi / size)
+    w = np.empty(angle.shape, dtype=np.complex128)
+    np.cos(angle, out=w.real)
+    np.sin(angle, out=w.imag)
+    w.flags.writeable = False
+    return w
 
 
 def self_convolution_powers(p: PmfOnZ, exponents, cap: int) -> Iterator:
     """Yield (n, p^(n)) for n in a set of powers of two, ascending.
 
     The powers come from repeated squaring, one spectrum per squaring on
-    the FFT branch of convolve_z.  The chain holds only the current power;
-    a caller that consumes each checkpoint as it comes holds one at a time.
+    the FFT branch of convolve_z, at the cyclic length max(b + 1, n - a)
+    that wraps nothing into the kept window [a, b]: once the window |k| <=
+    cap is full that is 3 cap + 1 points, not the 4 cap + 1 of the whole
+    product.  The chain holds only the current power; a caller that
+    consumes each checkpoint as it comes holds one at a time.
     """
     want = sorted(set(exponents))
     for n in want:

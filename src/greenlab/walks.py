@@ -315,10 +315,13 @@ def _support_gcd(pmf: PmfOnZ) -> int:
 def tv_dispersion_z(pmf: PmfOnZ, shift: int, n_list, cap: int) -> DispersionCurve:
     """TV(n) = (1/2) sum_m |p^(n)(m) - p^(n)(m - shift)| by exact doubling
     convolutions on the window |m| <= cap; the reported TV error includes
-    the tracked truncation loss.  Each squaring costs one forward and one
-    inverse FFT, and the checkpoints are streamed: TV is taken from each
-    power as it is reached, so one power is held at a time.  Periodic
-    supports (gcd of support differences > 1) are computed but flagged."""
+    the tracked truncation loss.  Each squaring is one four-step FFT
+    squaring (measures.convolve_z) at the cyclic length max(b + 1, n - a),
+    3 cap + 1 on a full window, which wraps nothing into the kept indices
+    [a, b], so the window holds the linear convolution's values.  The
+    checkpoints are streamed: TV is taken from each power as it is
+    reached, so one power is held at a time.  Periodic supports (gcd of
+    support differences > 1) are computed but flagged."""
     n_list = sorted(set(int(n) for n in n_list))
     for n in n_list:
         if n & (n - 1):

@@ -164,6 +164,17 @@ def test_canonical_order(case):
         assert dom.boundary == sorted(outer)
 
 
+@pytest.mark.parametrize("radius", [4, 5, 8])
+def test_free_ball_codes_and_boundary_order(radius):
+    # each level is deduplicated by a sort: the codes must be the reduced
+    # words of length <= R in shortlex order, and the boundary those of
+    # length R + 1 in payload order
+    dom = ball_domain(F2, srw(F2), radius)
+    words = sorted(gens_ball(F2, radius + 1), key=shortlex)
+    assert dom.codes.tolist() == [dom.encode(w) for w in words if len(w) <= radius]
+    assert dom.boundary == sorted(w for w in words if len(w) == radius + 1)
+
+
 @pytest.mark.parametrize("center", [(0, 0, 0), (3, -1, 2)])
 def test_lattice_step_table_far_steps(center):
     # steps that reach past the boundary, on both sides of every axis

@@ -458,6 +458,87 @@ class TestConvolveZ:
         assert c.at(-4000) == pytest.approx(0.25, abs=1e-15)
         assert np.max(c.vals[1:4000]) < 1e-15
 
+    @staticmethod
+    def cap_range(cut, lo, hi):
+        """Caps whose window |k| <= cap cuts the product support [lo, hi] on
+        the named sides only."""
+        if cut == "none":
+            c = max(-lo, hi, 1)
+            return c, c + 100
+        if cut == "low":
+            return max(abs(hi), 1), -lo - 1
+        if cut == "high":
+            return max(abs(lo), 1), hi - 1
+        return 1, min(-lo, hi) - 1
+
+    @pytest.mark.parametrize("cut", ["none", "low", "high", "both"])
+    @settings(max_examples=40)
+    @given(data=st.data(), same=st.booleans(),
+           len_p=st.integers(2049, 6000), seed=st.integers(0, 2 ** 32 - 1))
+    def test_fft_branch_matches_np_convolve(self, cut, data, same, len_p, seed):
+        # the cyclic length max(b + 1, n - a) wraps nothing into the kept
+        # window, whichever sides the cap cuts
+        rng = np.random.default_rng(seed)
+        len_q = len_p if same else data.draw(st.integers(max(1, 4098 - len_p), 6000))
+        n = len_p + len_q - 1
+        lo = data.draw({"none": st.integers(-2 * n, 2 * n),
+                        "low": st.integers(-3 * n, -(n + 1) // 2 - 1),
+                        "high": st.integers(2 - (n - 1) // 2, 2 * n),
+                        "both": st.integers(4 - n, -2)}[cut])
+        if same:
+            lo -= lo % 2
+            lo_p = lo_q = lo // 2
+        else:
+            lo_p = data.draw(st.integers(-n, n))
+            lo_q = lo - lo_p
+        hi = lo + n - 1
+        cap = data.draw(st.integers(*self.cap_range(cut, lo, hi)))
+        assert (lo < -cap, hi > cap) == (cut in ("low", "both"), cut in ("high", "both"))
+        p = self.random_pmf(rng, len_p, lo_p)
+        q = p if same else self.random_pmf(rng, len_q, lo_q)
+        c = convolve_z(p, q, cap)
+        assert (c.lo, c.hi) == (max(lo, -cap), min(hi, cap))
+        want = np.convolve(p.vals, q.vals)[c.lo - lo: c.hi - lo + 1]
+        assert np.max(np.abs(c.vals - want)) <= 1e-15
+        assert c.delta_trunc == pytest.approx(1.0 - want.sum(), abs=1e-13)
+
+    @pytest.mark.parametrize("low", [False, True])
+    def test_fft_branch_does_not_alias(self, low):
+        # atoms at both ends of a 3241-point support: the square's support
+        # has n = 6481 points and the cap cuts one side only, so the cyclic
+        # length must be n.  6480 = 81 * 80 is itself a four-step length, so
+        # a length one shorter would wrap the far atom onto the near one
+        # (cut high) or drop the kept end (cut low)
+        p = pmf_from_dict({-3240 * low: 0.5, 3240 - 3240 * low: 0.5})
+        c = convolve_z(p, p, cap=5000)
+        near, mid, far = (0, -3240, -6480) if low else (0, 3240, 6480)
+        assert (c.lo, c.hi) == ((-5000, 0) if low else (0, 5000))
+        assert c.at(near) == pytest.approx(0.25, abs=1e-15)
+        assert c.at(mid) == pytest.approx(0.5, abs=1e-15)
+        assert c.at(far) == 0.0
+        rest = np.delete(c.vals, [near - c.lo, mid - c.lo])
+        assert np.max(rest) < 1e-15
+        assert c.delta_trunc == pytest.approx(0.25, abs=1e-14)
+
+    def test_twiddle_cache_interleaved_shapes_bit_identical(self):
+        # two shapes (three, to also evict), each called on a fresh cache,
+        # then interleaved on a shared one: every result the same bits
+        rng = np.random.default_rng(8)
+        calls = [(self.random_pmf(rng, 3000, -1500), 2000),
+                 (self.random_pmf(rng, 9000, -4000), 6000),
+                 (self.random_pmf(rng, 20000, -9000), 10 ** 5)]
+        fresh = []
+        for p, cap in calls:
+            measures._twiddles.cache_clear()
+            fresh.append(convolve_z(p, p, cap))
+        measures._twiddles.cache_clear()
+        for i in (0, 1, 0, 1, 2, 0, 2, 1):
+            p, cap = calls[i]
+            c = convolve_z(p, p, cap)
+            assert np.array_equal(c.vals, fresh[i].vals), i
+            assert (c.lo, c.delta_trunc) == (fresh[i].lo, fresh[i].delta_trunc)
+        assert measures._twiddles.cache_info().hits > 0
+
 
 class TestSelfConvolutionPowers:
     def test_yields_ascending_checkpoints(self):
