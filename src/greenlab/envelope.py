@@ -5,6 +5,9 @@ and Hoelder-constant probes.
 Scales are normalised as rho(n) = n^(1/gamma) with reference volume
 Vol(rho) = rho^(d*); the near-diagonal tail is A(m) = sum_{n>=m} n^(-d*/gamma)
 and the near-diagonal threshold n_-(r) is the first n with rho(n) >= r/kappa.
+
+``special`` is a lazy module attribute (``greenlab._LazyModule``), so
+importing greenlab loads no SciPy; it is imported at the first zeta tail.
 """
 
 from __future__ import annotations
@@ -13,11 +16,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
-from . import groups
+from . import _LazyModule, groups
 from .groups import GroupSpec, identity
 from .measures import PmfOnZ, StepMeasure
+
+special = _LazyModule("scipy.special")
 
 CHUNK = 10 ** 6
 

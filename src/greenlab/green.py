@@ -8,6 +8,13 @@ the expected visit counts before exiting Omega.  Killed values increase
 monotonically to the full Green function as Omega grows.  The outer
 boundary of a set S is always taken with respect to T = supp(mu), and that
 choice is recorded on the domain.
+
+SciPy's sparse modules are the lazy module attributes ``sp`` and ``spla``
+(``greenlab._LazyModule``), imported the first time a table is solved.
+Importing greenlab therefore loads no SciPy, which is most of the start-up
+time (the benchmark's ``setup_s``) of runs that never solve.  Every
+function here looks ``spla`` up at call time, so a caller that rebinds
+``green.spla`` (as the benchmark's tracer does) sees every solver call.
 """
 
 from __future__ import annotations
@@ -17,12 +24,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from . import groups
+from . import _LazyModule, groups
 from .groups import GroupSpec, identity, inv, mul
 from .measures import StepMeasure
+
+sp = _LazyModule("scipy.sparse")
+spla = _LazyModule("scipy.sparse.linalg")
 
 DIRECT_SOLVE_MAX = 4000       # direct factorization below this many unknowns
 DEFAULT_TOL = 1e-10
@@ -138,8 +146,8 @@ class _FreeBallDomain(Domain):
     Letter codes: generator i -> 2(i-1), its inverse -> 2(i-1)+1; appending
     letter l to code c is (c << s) | l unless it cancels the last letter
     (l == last ^ 1), in which case c >> s.  Elements are in code order
-    (shortlex); the boundary is in payload order.  Used only for the
-    standard one-letter support.
+    (shortlex); the boundary is in payload order, and both are decoded to
+    tuples on first read.  Used only for the standard one-letter support.
     """
 
     def __init__(self, spec: GroupSpec, radius: int, with_boundary: bool):
@@ -155,23 +163,36 @@ class _FreeBallDomain(Domain):
             thresh = np.int64(1) << (self.shift * (r + 1))
             levels.append(_sorted_unique(stepped[stepped >= thresh]))
         self.codes = np.sort(np.concatenate(levels[:radius + 1]))
-        self.boundary = None
+        self.radius = radius
+        self._bcodes = levels[radius + 1] if with_boundary else None
         if with_boundary:
-            self._bcodes = levels[radius + 1]
-            words = [self.decode(int(c)) for c in self._bcodes]
-            order = sorted(range(len(words)), key=words.__getitem__)
-            self.boundary = [words[i] for i in order]
-            self._bslot = np.empty(len(order), dtype=np.int64)
-            self._bslot[order] = np.arange(len(order))
+            # payload order is the letter-wise order -k < ... < -1 < 1 < ... < k
+            # on words of one length: the base-2k number of the letter ranks
+            k = spec.rank
+            rank = np.zeros(1 << self.shift, dtype=np.int64)
+            rank[0:2 * k:2] = np.arange(k, 2 * k)        # generator i: k + i - 1
+            rank[1:2 * k:2] = np.arange(k - 1, -1, -1)   # its inverse: k - i
+            key = np.zeros(len(self._bcodes), dtype=np.int64)
+            for l in self._letter_columns(self._bcodes):
+                key = key * self.two_k + rank[l]
+            self._bslot = np.empty(len(key), dtype=np.int64)
+            self._bslot[np.argsort(key)] = np.arange(len(key))
         self.spec = spec
         self.label = f"ball[F_{spec.rank},R={radius}]"
         self.support = tuple(groups.standard_generators(spec).elements)
         self._elements = None
+        self._boundary = None
 
     def _append(self, codes: np.ndarray, letter: int) -> np.ndarray:
         s = self.shift
         cancel = (codes != 1) & ((codes & ((1 << s) - 1)) == (letter ^ 1))
         return np.where(cancel, codes >> s, (codes << s) | letter)
+
+    def _letter_columns(self, codes: np.ndarray):
+        """The letter codes of words of length radius + 1, first letter first."""
+        s = self.shift
+        for j in range(self.radius, -1, -1):
+            yield (codes >> (s * j)) & ((1 << s) - 1)
 
     # -- payload conversions -------------------------------------------------
 
@@ -203,6 +224,17 @@ class _FreeBallDomain(Domain):
             self._elements = [self.decode(int(c)) for c in self.codes]
         return self._elements
 
+    @property
+    def boundary(self):
+        if self._boundary is None and self._bcodes is not None:
+            order = np.empty_like(self._bslot)
+            order[self._bslot] = np.arange(len(order))
+            words = np.empty((len(order), self.radius + 1), dtype=np.int8)
+            for j, l in enumerate(self._letter_columns(self._bcodes[order])):
+                words[:, j] = np.where(l & 1, -(l >> 1) - 1, (l >> 1) + 1)
+            self._boundary = [tuple(w) for w in words.tolist()]
+        return self._boundary
+
     def __len__(self):
         return len(self.codes)
 
@@ -218,7 +250,7 @@ class _FreeBallDomain(Domain):
             for letter in word:
                 c = self._append(c, self._letter(letter))
             i = _sorted_positions(self.codes, c)
-            if self.boundary is not None:
+            if self._bcodes is not None:
                 k = _sorted_positions(self._bcodes, c)
                 i = np.where(i >= 0, i, np.where(k >= 0, n + self._bslot[k], -1))
             table[:, j] = i

@@ -4,6 +4,12 @@ Three families are provided: finite-support measures (simple random walk
 and its lazifications), heavy-tailed shell measures whose per-radius mass
 is p_r = const / (r^2 log r) carried by axis powers, and power-tail
 measures on Z with pmf proportional to |k|^{-(1+alpha)}.
+
+``special`` and ``fft`` are lazy module attributes
+(``greenlab._LazyModule``): SciPy loads the first time a stable law needs
+zeta or digamma or a convolution needs an FFT, so importing greenlab, and
+runs that sample shell or finite laws, load none of it (the benchmark's
+``setup_s`` is that import).
 """
 
 from __future__ import annotations
@@ -15,10 +21,12 @@ from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
 import numpy as np
-from scipy import special
 
-from . import groups
+from . import _LazyModule, groups
 from .groups import GroupSpec, GeneratorSet, identity, mul
+
+fft = _LazyModule("scipy.fft")
+special = _LazyModule("scipy.special")
 
 MASS_TOL = 1e-12
 
@@ -147,8 +155,6 @@ def _cyclic_convolution(x: np.ndarray, y: Optional[np.ndarray],
     backwards.  No transpose is materialised, and every transform is a
     batch of short ones spread over _FFT_WORKERS threads.
     """
-    from scipy import fft
-
     n1 = fft.next_fast_len(math.isqrt(need) + 1, True)
     n2 = fft.next_fast_len(-(-need // n1))
     twiddles = _twiddles(n1, n2)

@@ -164,15 +164,20 @@ def test_canonical_order(case):
         assert dom.boundary == sorted(outer)
 
 
-@pytest.mark.parametrize("radius", [4, 5, 8])
+@pytest.mark.parametrize("radius", [4, 5, 8, 10])
 def test_free_ball_codes_and_boundary_order(radius):
-    # each level is deduplicated by a sort: the codes must be the reduced
-    # words of length <= R in shortlex order, and the boundary those of
-    # length R + 1 in payload order
+    # each level is deduplicated by a sort and the boundary is ordered by a
+    # vectorised key: the codes must be the reduced words of length <= R in
+    # shortlex order, and the boundary those of length R + 1 in payload order
     dom = ball_domain(F2, srw(F2), radius)
-    words = sorted(gens_ball(F2, radius + 1), key=shortlex)
-    assert dom.codes.tolist() == [dom.encode(w) for w in words if len(w) <= radius]
-    assert dom.boundary == sorted(w for w in words if len(w) == radius + 1)
+    if radius <= 8:     # the enumeration cap of groups.ball is R = 10
+        words = sorted(gens_ball(F2, radius + 1), key=shortlex)
+        assert dom.codes.tolist() == [dom.encode(w) for w in words if len(w) <= radius]
+        assert dom.boundary == sorted(w for w in words if len(w) == radius + 1)
+    # the decode-and-sort reference, and the payload slot of each boundary code
+    words = [dom.decode(c) for c in dom._bcodes.tolist()]
+    assert dom.boundary == sorted(words)
+    assert [dom.boundary[j] for j in dom._bslot.tolist()] == words
 
 
 @pytest.mark.parametrize("center", [(0, 0, 0), (3, -1, 2)])
