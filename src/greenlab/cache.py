@@ -63,6 +63,8 @@ def save_table(cache_dir: str, backend: str, mhash: str, table: GreenTable) -> s
         "preconditioner": table.preconditioner,
         "iterations": (None if table.iterations is None
                        else [int(k) for k in table.iterations]),
+        "symmetry_order": table.symmetry_order,
+        "unknowns": table.unknowns,
         "n_values": int(table.values.shape[1]),
         "boundary_support": [element_to_jsonable(s) for s in table.omega.support],
     }
@@ -107,14 +109,15 @@ def load_table(cache_dir: str, backend: str, mhash: str, domain: Domain,
             warnings.warn(f"corrupt cache file {path}; recomputing")
             return None
         values = vals.reshape(len(sources), meta["n_values"]).copy()
-        # files written before the solver record was kept load with None
+        # files written before a solver field was kept load it as None
         iterations = meta.get("iterations")
         return GreenTable(domain, sources, values,
                           np.array(meta["residuals"]), meta["laziness"],
                           meta["measure_name"], tol, meta.get("method"),
                           meta.get("preconditioner"),
                           None if iterations is None
-                          else np.array(iterations, dtype=np.int64))
+                          else np.array(iterations, dtype=np.int64),
+                          meta.get("symmetry_order"), meta.get("unknowns"))
     except Exception:
         warnings.warn(f"unreadable cache file {path}; recomputing")
         return None

@@ -216,7 +216,8 @@ def _green_table(cfg, cache_dir, force):
     meta["solver"] = {
         "method": table.method, "preconditioner": table.preconditioner,
         "iterations": None if table.iterations is None else
-        [int(table.iterations[table.sources.index(s)]) for s in sources]}
+        [int(table.iterations[table.sources.index(s)]) for s in sources],
+        "symmetry_order": table.symmetry_order, "unknowns": table.unknowns}
     if cfg.get("boundary_matrix"):
         inner = green.ball_domain(spec, mu, radius)
         bgm_table = green.killed_green_solve(

@@ -51,9 +51,6 @@ class DeltaRow:
     lower: float
     upper: float
 
-    def decayed_below(self, tau: float) -> bool:
-        return self.upper < tau
-
 
 def delta(domain: Domain, a, b, provider, scale: Optional[int] = None) -> DeltaRow:
     """max over boundary x of |G(a,x) - G(b,x)| / G(a,x).

@@ -9,6 +9,15 @@ monotonically to the full Green function as Omega grows.  The outer
 boundary of a set S is always taken with respect to T = supp(mu), and that
 choice is recorded on the domain.
 
+A large lattice table is solved on the orbit quotient of its symmetries.
+The signed permutations of the axes that fix every source, preserve mu and
+map Omega onto itself form a group H, and G_Omega(a, .) is constant on the
+H-orbits; on a ball about the origin with SRW and the origin as source,
+|H| = 48.  The solver assembles the Galerkin quotient Q^T (I - P) Q (Q the
+orbit indicator) on one representative per orbit, solves it, and lifts the
+solution back to Omega (Fassler & Stiefel, *Group Theoretical Methods and
+Their Applications*, 1992).
+
 SciPy's sparse modules are the lazy module attributes ``sp`` and ``spla``
 (``greenlab._LazyModule``), imported the first time a table is solved.
 Importing greenlab therefore loads no SciPy, which is most of the start-up
@@ -20,6 +29,7 @@ function here looks ``spla`` up at call time, so a caller that rebinds
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,9 +44,11 @@ spla = _LazyModule("scipy.sparse.linalg")
 
 DIRECT_SOLVE_MAX = 4000       # direct factorization below this many unknowns
 DEFAULT_TOL = 1e-10
-# Lattice CG solves above this many unknowns are multigrid-preconditioned.
-# Below it plain CG takes at most ~0.3 s, and smaller tables (and every
-# value recorded from them) stay bit-identical to plain CG's.
+# Lattice tables above this many points are solved on the orbit quotient
+# of their axis symmetries, and lattice CG solves above this many unknowns
+# are multigrid-preconditioned.  Below it plain CG takes at most ~0.3 s, and
+# smaller tables (and every value recorded from them) stay bit-identical to
+# plain CG's.
 MULTIGRID_MIN = 100_000
 _MG_COARSEST = 3000           # factorize the coarsest level at or below this size
 _MG_SWEEPS = 2                # damped Jacobi sweeps before and after (symmetric)
@@ -293,9 +305,8 @@ class _LatticeDomain(Domain):
     def _grid_at(self, pts: np.ndarray) -> np.ndarray:
         rel = pts - self.lo
         ok = np.all((rel >= 0) & (rel < self.grid.shape), axis=1)
-        out = np.full(len(pts), -1, dtype=np.int64)
-        out[ok] = self.grid[tuple(rel[ok].T)]
-        return out
+        flat = np.ravel_multi_index(tuple(rel.T), self.grid.shape, mode="clip")
+        return np.where(ok, self.grid.ravel()[flat], np.int64(-1))
 
     def positions(self, payloads) -> np.ndarray:
         i = self._grid_at(self._rows(payloads))
@@ -434,6 +445,11 @@ class GreenTable:
     method: Optional[str]
     preconditioner: Optional[str]
     iterations: Optional[np.ndarray]
+    # the order of the symmetry group H whose orbit quotient was solved (1
+    # when not reduced) and the number of unknowns solved for (its orbit
+    # count); None for a cached table written before they were recorded
+    symmetry_order: Optional[int]
+    unknowns: Optional[int]
 
     def green(self, a, x) -> float:
         return float(self.row_at(a, [x])[0])
@@ -471,23 +487,131 @@ def _steps(spec: GroupSpec, mu: StepMeasure) -> tuple:
     return steps, np.array([mu.pmf(s) for s in steps])
 
 
-def _operator(omega: Domain, mu: StepMeasure) -> sp.csr_matrix:
-    """I - P restricted to Omega (SPD for symmetric substochastic P)."""
+@dataclass
+class _Orbits:
+    """Orbits on a domain of a group H of its symmetries: the orbit of each
+    point, the index of each orbit's representative, and the orbit sizes,
+    with orbits numbered in the order of their representatives."""
+
+    order: int                    # |H|
+    label: np.ndarray
+    reps: np.ndarray
+    sizes: np.ndarray
+
+    @classmethod
+    def trivial(cls, n: int) -> "_Orbits":
+        return cls(1, np.arange(n), np.arange(n), np.ones(n))
+
+
+def _axis_symmetries(omega: Domain, mu: StepMeasure, sources: list) -> tuple:
+    """(flippable axes, blocks of interchangeable axes) of a lattice domain.
+
+    A move x -> sign * x[perm] is a single-axis sign flip or an axis
+    transposition; it is kept when it fixes every source, preserves mu on
+    its support, and maps Omega onto itself.  A move is an involution, so
+    the last holds when it maps the bounding box of Omega onto itself and
+    Omega's indicator over that box (a slice of the dense grid) onto
+    itself, by a transpose or a flip.  The kept moves generate the group H
+    of signed permutations that flip any flippable axis and permute each
+    block: a product of two kept moves is a symmetry too, so the flippable
+    axes are a union of blocks and every transposition inside a block is
+    kept.
+    """
+    d = omega.spec.d
+    src = np.array(sources, dtype=np.int64).reshape(-1, d)
+    probs = [(np.array(s), mu.pmf(s)) for s in mu.support_elements()]
+    lo, hi = omega.coords.min(axis=0), omega.coords.max(axis=0)
+    box = omega.grid[tuple(slice(a, b + 1) for a, b in zip(lo - omega.lo, hi - omega.lo))]
+    inside = (box >= 0) & (box < len(omega))
+
+    def symmetry(perm, sign) -> bool:
+        corners = np.sort([sign * lo[perm], sign * hi[perm]], axis=0)
+        return (np.array_equal(src[:, perm] * sign, src)
+                and all(mu.pmf(tuple(int(c) for c in s[perm] * sign)) == p
+                        for s, p in probs)
+                and np.array_equal(corners, [lo, hi])
+                and np.array_equal(np.flip(inside.transpose(perm),
+                                           axis=tuple(np.flatnonzero(sign < 0))),
+                                   inside))
+
+    axes = np.arange(d)
+    flips = [k for k in range(d) if symmetry(axes, np.where(axes == k, -1, 1))]
+    block = list(range(d))          # the smallest axis of each axis's block
+    for k in range(d):
+        for l in range(k + 1, d):
+            swap = np.where(axes == k, l, np.where(axes == l, k, axes))
+            if block[l] == l and symmetry(swap, np.ones(d, dtype=np.int64)):
+                block[l] = block[k]
+    blocks = [[l for l in range(d) if block[l] == k] for k in sorted(set(block))]
+    return flips, blocks
+
+
+def _symmetry_orbits(omega: Domain, mu: StepMeasure, sources: list) -> _Orbits:
+    """Orbits of the axis symmetries H (``_axis_symmetries``) on a lattice
+    domain above MULTIGRID_MIN points; the trivial orbits elsewhere.
+
+    The representative of an orbit is its canonical point: |x_k| on the
+    flippable axes, then the coordinates of each block in ascending order
+    (sorted by compare-exchange passes over the block's columns).
+    """
+    n = len(omega)
+    if omega.spec.variant != "lattice" or n <= MULTIGRID_MIN:
+        return _Orbits.trivial(n)
+    flips, blocks = _axis_symmetries(omega, mu, sources)
+    order = 2 ** len(flips) * math.prod(math.factorial(len(b)) for b in blocks)
+    if order == 1:
+        return _Orbits.trivial(n)
+    canon = omega.coords.T.copy()           # one contiguous row per axis
+    canon[flips] = np.abs(canon[flips])
+    for b in blocks:
+        for top in range(len(b) - 1, 0, -1):
+            for j in range(top):
+                x, y = canon[b[j]], canon[b[j + 1]]
+                canon[b[j]], canon[b[j + 1]] = np.minimum(x, y), np.maximum(x, y)
+    first = omega.positions(canon.T)
+    is_rep = np.zeros(n, dtype=bool)
+    is_rep[first] = True
+    label = (np.cumsum(is_rep) - 1)[first]
+    return _Orbits(order, label, np.flatnonzero(is_rep),
+                   np.bincount(label).astype(np.float64))
+
+
+def _operator(omega: Domain, mu: StepMeasure,
+              orbits: Optional[_Orbits] = None) -> sp.csr_matrix:
+    """I - P restricted to Omega (SPD for symmetric substochastic P).
+
+    Given the orbits of a symmetry group H of a lattice domain, it is the
+    Galerkin quotient M = Q^T (I - P) Q instead, Q the n x m orbit
+    indicator: M[i, j] = w_i (delta_ij (1 - mu(e)) - sum of mu(s) over the
+    steps s with x_i + s in orbit j), x_i the representative and w_i the
+    size of orbit i.  M is I - P restricted to H-invariant vectors, so it
+    is SPD too; it is assembled from m x |steps| lookups of x_i + s, so no
+    full-domain step table is built.
+    """
     if not mu.finite_range():
         raise ValueError("killed solver requires a finite-support measure")
-    n = len(omega)
     steps, p = _steps(omega.spec, mu)
-    # one column per step plus the diagonal; sorting each row's indices
-    # yields the canonical CSR of I - P
+    if orbits is None:
+        table = omega.step_table(steps)
+    else:
+        pts = omega.coords[orbits.reps, None, :] + np.array(steps, dtype=np.int64)
+        pos = omega.positions(pts.reshape(-1, omega.spec.d)).reshape(pts.shape[:2])
+        table = np.where(pos >= 0, orbits.label[pos], -1)
+    n = len(table)
+    # one column per step plus the diagonal; summing duplicates (steps into
+    # one orbit) and sorting each row's indices yields the canonical CSR
     cols = np.empty((n, len(steps) + 1), dtype=np.int32)
-    cols[:, :-1] = omega.step_table(steps)
+    cols[:, :-1] = table
     cols[:, -1] = np.arange(n)
     inside = (cols >= 0) & (cols < n)
     weights = np.append(-p, 1.0 - mu.pmf(identity(omega.spec)))
-    indptr = np.concatenate([[0], np.cumsum(inside.sum(axis=1))])
+    counts = inside.sum(axis=1)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
     mat = sp.csr_matrix((np.broadcast_to(weights, cols.shape)[inside], cols[inside],
                          indptr), shape=(n, n))
-    mat.sort_indices()
+    if orbits is not None:
+        mat.data *= np.repeat(orbits.sizes, counts)
+    mat.sum_duplicates()
     return mat
 
 
@@ -564,54 +688,64 @@ def killed_green_solve(omega: Domain, sources: list, mu: StepMeasure,
                        tol: float = DEFAULT_TOL, method: str = "auto") -> GreenTable:
     """Solve (I - P_Omega) v = delta_a per source by an SPD method.
 
+    A lattice table above MULTIGRID_MIN points is solved on the orbit
+    quotient of its axis symmetries H (``_symmetry_orbits``): v is constant
+    on H-orbits, so it lifts from the solution u of the Galerkin quotient
+    M u = e_{orbit(a)} (``_operator``) by v = u[orbit].  The residual of v
+    is H-invariant, so its max norm is max_i |(M u - rhs)_i| / w_i, and
+    the 2-norm of the quotient residual bounds the full one from above.
+    When H is trivial the quotient is the full system.
+
     method "auto" uses a direct factorization below DIRECT_SOLVE_MAX
     unknowns (or when many sources are requested and memory allows) and
     conjugate gradients otherwise; residuals are reported per source.  CG
-    on Z^d above MULTIGRID_MIN unknowns is preconditioned by
-    an aggregation V-cycle; the stopping rule and residual check are the
-    same.
+    on Z^d above MULTIGRID_MIN unknowns is preconditioned by an
+    aggregation V-cycle; the stopping rule and residual check are the same.
     """
     for a in sources:
         if a not in omega:
             raise ValueError(f"source {a!r} outside the domain")
-    mat = _operator(omega, mu)
-    n = len(omega)
+    orbits = _symmetry_orbits(omega, mu, sources)
+    mat = _operator(omega, mu, orbits if orbits.order > 1 else None)
+    m = len(orbits.reps)
     if method == "auto":
-        if n <= DIRECT_SOLVE_MAX or (len(sources) > 8 and n <= 120000):
+        if m <= DIRECT_SOLVE_MAX or (len(sources) > 8 and m <= 120000):
             method = "direct"
         else:
             method = "cg"
-    vals = np.zeros((len(sources), n))
+    vals = np.zeros((len(sources), len(omega)))
     residuals = np.zeros(len(sources))
     iterations = np.zeros(len(sources), dtype=np.int64)
     lu = spla.splu(mat.tocsc()) if method == "direct" else None
     mg = None
-    # the aggregation by coords >> 1 fits lattice geometry only: on Heis3
-    # coordinates it needs more iterations than plain CG
-    if method == "cg" and omega.spec.variant == "lattice" and n > MULTIGRID_MIN:
-        mg = _AggregationMultigrid(mat, omega.coords)
+    # the aggregation by coords >> 1 is built for lattice geometry.  On
+    # Heis3 balls it needs fewer CG iterations than plain CG (43 against 125
+    # at R = 28, 59 against 176 at R = 40), but at R = 40 it takes about
+    # twice the wall time (7.1 against 3.4 s), so Heis3 runs plain CG
+    if method == "cg" and omega.spec.variant == "lattice" and m > MULTIGRID_MIN:
+        mg = _AggregationMultigrid(mat, omega.coords[orbits.reps])
     precond = mg.operator() if mg else None
     for i, a in enumerate(sources):
-        rhs = np.zeros(n)
-        rhs[omega.lookup(a)] = 1.0
+        rhs = np.zeros(m)
+        rhs[orbits.label[omega.lookup(a)]] = 1.0
         if method == "direct":
-            v = lu.solve(rhs)
+            u = lu.solve(rhs)
         else:
             def count(_, i=i):
                 iterations[i] += 1
 
-            v, info = spla.cg(mat, rhs, rtol=0.0, atol=tol, maxiter=20 * n,
+            u, info = spla.cg(mat, rhs, rtol=0.0, atol=tol, maxiter=20 * m,
                               M=precond, callback=count)
             if info != 0:
                 raise SolverError(f"CG failed for source {a!r} (info={info})")
-        res = float(np.max(np.abs(mat @ v - rhs)))
+        res = float(np.max(np.abs(mat @ u - rhs) / orbits.sizes))
         if res > 100 * max(tol, 1e-14):
             raise SolverError(f"residual {res:g} above tolerance for source {a!r}")
-        vals[i] = v
+        vals[i] = u[orbits.label]
         residuals[i] = res
     return GreenTable(omega, list(sources), vals, residuals,
                       mu.laziness, mu.name, tol, method,
-                      mg.name if mg else None, iterations)
+                      mg.name if mg else None, iterations, orbits.order, m)
 
 
 @dataclass

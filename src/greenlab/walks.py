@@ -300,9 +300,6 @@ class DispersionCurve:
     rows: list                     # (n, tv, delta_trunc)
     periodic: bool
 
-    def final_tv(self) -> float:
-        return self.rows[-1][1]
-
 
 def _support_gcd(pmf: PmfOnZ) -> int:
     """gcd of the gaps between support points (0 for a single point)."""

@@ -148,14 +148,18 @@ class TestCache:
 
     def test_cache_roundtrip_values_identical(self, tmp_path, monkeypatch):
         # a cache hit reproduces every value of the saved table exactly;
-        # a stale code version is a miss
+        # a stale code version is a miss.  The lowered gate makes the
+        # 231-point table an orbit-quotient solve, so the record is not trivial
         from greenlab import cache as cachemod
+        from greenlab import green
         from greenlab.green import ball_domain, killed_green_solve
         from greenlab.measures import uniform_on_generators
+        monkeypatch.setattr(green, "MULTIGRID_MIN", 100)
         Z3 = groups.integer_lattice(3)
         mu = uniform_on_generators(groups.standard_generators(Z3))
         omega = ball_domain(Z3, mu, 5, with_boundary=False)
         table = killed_green_solve(omega, [(0, 0, 0)], mu, tol=1e-10)
+        assert table.symmetry_order == 48 and table.unknowns < len(omega)
         mhash = cachemod.measure_hash({"type": "srw"})
         cachemod.save_table(str(tmp_path), "Z^3", mhash, table)
         omega2 = ball_domain(Z3, mu, 5, with_boundary=False)
@@ -164,6 +168,8 @@ class TestCache:
         assert np.array_equal(loaded.values, table.values)
         assert (loaded.method, loaded.preconditioner) == ("direct", None)
         assert np.array_equal(loaded.iterations, table.iterations)
+        assert (loaded.symmetry_order, loaded.unknowns) == \
+            (table.symmetry_order, table.unknowns)
         monkeypatch.setattr(cachemod, "__version__", "stale")
         assert cachemod.load_table(str(tmp_path), "Z^3", mhash, omega2,
                                    1e-10) is None
@@ -214,15 +220,17 @@ class TestCache:
             payload = fh.read()
         assert (meta["method"], meta["preconditioner"], meta["iterations"]) == \
             ("cg", None, [int(table.iterations[0])])
-        for key in ("method", "preconditioner", "iterations"):
+        assert (meta["symmetry_order"], meta["unknowns"]) == (1, len(omega))
+        for key in ("method", "preconditioner", "iterations", "symmetry_order",
+                    "unknowns"):
             del meta[key]
         blob = json.dumps(meta, sort_keys=True).encode("utf-8")
         with open(path, "wb") as fh:
             fh.write(struct.pack("<Q", len(blob)) + blob + payload)
         loaded = cachemod.load_table(str(tmp_path), "Z^3", mhash, omega, 1e-10)
         assert np.array_equal(loaded.values, table.values)
-        assert (loaded.method, loaded.preconditioner, loaded.iterations) == \
-            (None, None, None)
+        assert (loaded.method, loaded.preconditioner, loaded.iterations,
+                loaded.symmetry_order, loaded.unknowns) == (None,) * 5
 
 
 class TestOtherKinds:
@@ -318,7 +326,9 @@ class TestOtherKinds:
                "sources": ["0,0,0"], "boundary_matrix": True,
                "output": str(tmp_path / "gt.csv")}
         path = write_config(tmp_path / "cfg.json", cfg)
-        solver = {"method": "direct", "preconditioner": None, "iterations": [0]}
+        # B(0, 3) in Z^3: 63 points, below the orbit-quotient gate
+        solver = {"method": "direct", "preconditioner": None, "iterations": [0],
+                  "symmetry_order": 1, "unknowns": 63}
         for _ in range(2):          # a cache miss, then a hit
             assert run(path, cache_dir=str(tmp_path / "c")) == STATUS_OK
             meta, _, _ = read_report(cfg["output"])

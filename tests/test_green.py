@@ -22,6 +22,8 @@ Z3 = groups.integer_lattice(3)
 F2 = groups.free_group(2)
 HEIS = groups.heisenberg()
 E3 = (0, 0, 0)
+# a point no axis flip or transposition fixes
+ASYMMETRIC = (1, 2, 3)
 
 # Watson's integral for the Z^3 SRW Green function at the origin; the
 # one-step identity G(0,0) = 1 + G(0,e_1) pins the neighbor value.
@@ -234,29 +236,123 @@ class TestMultigrid:
 
     def test_multigrid_is_lattice_only(self, monkeypatch):
         # Heis3 balls share the coordinate-grid domain class with Z^3, but
-        # the aggregation by coords >> 1 serves lattices only
+        # the aggregation by coords >> 1 serves lattices only; the Z^3
+        # source has a trivial stabiliser, so the full system is solved
         monkeypatch.setattr(green, "MULTIGRID_MIN", 100)
-        for spec, preconditioner in ((HEIS, None), (Z3, "aggregation-vcycle")):
+        for spec, source, preconditioner in ((HEIS, groups.identity(HEIS), None),
+                                             (Z3, ASYMMETRIC, "aggregation-vcycle")):
             omega = ball_domain(spec, srw(spec), 6, with_boundary=False)
             assert len(omega) > green.MULTIGRID_MIN
-            table = killed_green_solve(omega, [groups.identity(spec)], srw(spec),
-                                       method="cg")
+            table = killed_green_solve(omega, [source], srw(spec), method="cg")
             assert (table.method, table.preconditioner) == ("cg", preconditioner)
 
     def test_preconditioned_solve_matches_plain_cg(self):
-        # B(0, 44) in Z^3 has 117,569 points, just above MULTIGRID_MIN
+        # B(0, 44) in Z^3 has 117,569 points, just above MULTIGRID_MIN; no
+        # axis symmetry fixes the source, so the V-cycle runs on all of them
         mu = srw(Z3)
         omega = ball_domain(Z3, mu, 44, with_boundary=False)
         assert len(omega) > green.MULTIGRID_MIN
-        table = killed_green_solve(omega, [E3], mu, tol=1e-10)
+        table = killed_green_solve(omega, [ASYMMETRIC], mu, tol=1e-10)
         assert (table.method, table.preconditioner) == ("cg", "aggregation-vcycle")
         assert 0 < table.iterations[0] <= 30
         rhs = np.zeros(len(omega))
-        rhs[omega.lookup(E3)] = 1.0
+        rhs[omega.lookup(ASYMMETRIC)] = 1.0
         plain, info = spla.cg(green._operator(omega, mu), rhs, rtol=0.0, atol=1e-10,
                               maxiter=20 * len(omega))
         assert info == 0
-        assert np.max(np.abs(table.row(E3) - plain)) <= 1e-9
+        assert np.max(np.abs(table.row(ASYMMETRIC) - plain)) <= 1e-9
+
+
+def full_direct_row(omega, mu, a):
+    """G_Omega(a, .) by a direct factorization of the full operator."""
+    rhs = np.zeros(len(omega))
+    rhs[omega.lookup(a)] = 1.0
+    return spla.splu(green._operator(omega, mu).tocsc()).solve(rhs)
+
+
+class TestOrbitQuotient:
+    """Lattice tables above MULTIGRID_MIN points are solved on the orbit
+    quotient of their axis symmetries; MULTIGRID_MIN is lowered so that
+    small balls take that path."""
+
+    @pytest.fixture(autouse=True)
+    def low_gate(self, monkeypatch):
+        monkeypatch.setattr(green, "MULTIGRID_MIN", 100)
+
+    def test_origin_ball_matches_full_direct_solve(self):
+        mu = srw(Z3)
+        omega = ball_domain(Z3, mu, 12, with_boundary=False)
+        table = killed_green_solve(omega, [E3], mu)
+        # one orbit per point with 0 <= x_1 <= x_2 <= x_3
+        orbits = {tuple(sorted(map(abs, x))) for x in omega.elements}
+        assert (table.symmetry_order, table.unknowns) == (48, len(orbits))
+        assert table.method == "direct"
+        # the quotient operator is Q^T (I - P) Q, Q the orbit indicator
+        quotient = green._symmetry_orbits(omega, mu, [E3])
+        q = sp.csr_matrix((np.ones(len(omega)),
+                           (np.arange(len(omega)), quotient.label)))
+        ref = q.T @ green._operator(omega, mu) @ q
+        assert abs(green._operator(omega, mu, quotient) - ref).max() <= 1e-14
+        assert np.max(np.abs(table.row(E3) - full_direct_row(omega, mu, E3))) <= 1e-11
+
+    def test_lifted_residual_is_the_reported_one(self, monkeypatch):
+        # 2625 points and 102 orbits: plain CG on the quotient
+        monkeypatch.setattr(green, "MULTIGRID_MIN", 1000)
+        mu = srw(Z3)
+        omega = ball_domain(Z3, mu, 12, with_boundary=False)
+        table = killed_green_solve(omega, [E3], mu, tol=1e-10, method="cg")
+        assert table.symmetry_order == 48 and table.preconditioner is None
+        rhs = np.zeros(len(omega))
+        rhs[omega.lookup(E3)] = 1.0
+        full = np.max(np.abs(green._operator(omega, mu) @ table.row(E3) - rhs))
+        assert 1e-14 < table.residuals[0] <= 1e-10
+        assert full == pytest.approx(table.residuals[0], rel=1e-3, abs=0)
+
+    def test_two_sources_keep_their_common_stabiliser(self):
+        # flips of axes 2 and 3 and their transposition fix (1, 0, 0)
+        mu = srw(Z3)
+        omega = ball_domain(Z3, mu, 8, with_boundary=False)
+        sources = [E3, (1, 0, 0)]
+        table = killed_green_solve(omega, sources, mu)
+        assert table.symmetry_order == 8
+        for a in sources:
+            assert np.max(np.abs(table.row(a) - full_direct_row(omega, mu, a))) <= 1e-11
+
+    def test_lazy_law_is_reduced(self):
+        omega = ball_domain(Z3, srw(Z3), 8, with_boundary=False)
+        plain = killed_green_solve(omega, [E3], srw(Z3))
+        lazy = killed_green_solve(omega, [E3], lazy_transform(srw(Z3), 0.5))
+        assert plain.symmetry_order == lazy.symmetry_order == 48
+        assert np.max(np.abs(lazy.row(E3) - plain.row(E3) / 0.5)) <= 1e-11
+
+    def test_stretched_law_keeps_only_its_own_symmetries(self):
+        # the box is invariant under every signed permutation, the law only
+        # under the flips and the transposition of axes 1 and 3
+        mu = stretched_z3()
+        omega = box_domain(Z3, mu, 3)
+        assert green._axis_symmetries(omega, mu, [E3]) == ([0, 1, 2], [[0, 2], [1]])
+        table = killed_green_solve(omega, [E3], mu)
+        assert table.symmetry_order == 16
+        assert np.max(np.abs(table.row(E3) - full_direct_row(omega, mu, E3))) <= 1e-11
+
+    def test_domain_symmetry_is_checked_pointwise(self):
+        # a symmetric bounding box around an asymmetric point set: only the
+        # flip of axis 3 maps it onto itself
+        mu = srw(Z3)
+        coords = np.array([(-1, -1, 0), (-1, 0, 0), (0, 0, -1), (0, 0, 0), (0, 0, 1),
+                           (1, 1, 0)], dtype=np.int64)
+        omega = green._LatticeDomain(Z3, "test", coords, None, (E3,))
+        assert green._axis_symmetries(omega, mu, [E3]) == ([2], [[0], [1], [2]])
+
+    @pytest.mark.parametrize("center, source", [(None, ASYMMETRIC), (ASYMMETRIC, E3)])
+    def test_trivial_stabiliser_solves_the_full_system(self, center, source):
+        mu = srw(Z3)
+        omega = ball_domain(Z3, mu, 6, center=center, with_boundary=False)
+        table = killed_green_solve(omega, [source], mu, method="cg")
+        assert (table.symmetry_order, table.unknowns) == (1, len(omega))
+        assert table.preconditioner == "aggregation-vcycle"
+        assert np.max(np.abs(table.row(source)
+                             - full_direct_row(omega, mu, source))) <= 1e-9
 
 
 class TestBracket:
