@@ -18,7 +18,7 @@ import sys
 
 import pytest
 
-from greenlab.cli import STATUS_OK, run
+from greenlab.cli import KINDS, STATUS_OK, run
 from greenlab.reporting import read_report, report_body
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -69,9 +69,18 @@ CONFIGS = {
                                   "measure": {"type": "stable", "alpha": 1.0},
                                   "n": 2000, "trials": 100,
                                   "checkpoints": [10, 100, 2000]},
+    "cone_quadrant": {"kind": "cone", "box": 64, "probes": [[2, 3], [5, 9]],
+                      "base": [1, 1], "n_list": [8, 16, 32, 64]},
+    "envelope_polynomial": {"kind": "envelope", "d_star": 3, "gamma": 2,
+                            "alpha": 1,
+                            "phi": {"kind": "polynomial", "delta": 5.0},
+                            "r_decades": [0.5, 3.0], "points_per_decade": 3},
+    "on_diagonal_f2": {"kind": "on-diagonal", "backend": "F_2",
+                       "measure": {"type": "srw"}, "m_max": 8},
 }
 
-META_KEYS = {"green_table_heis3": ("spd_ok", "min_eigenvalue")}
+META_KEYS = {"green_table_heis3": ("spd_ok", "min_eigenvalue"),
+             "cone_quadrant": ("harmonicity_defect", "homogeneity_degree")}
 
 
 def run_report(name, workdir):
@@ -104,6 +113,10 @@ def test_body_matches_golden(name, tmp_path):
     body, meta = run_report(name, str(tmp_path))
     assert body == want
     assert meta == want_meta
+
+
+def test_every_kind_has_golden():
+    assert set(KINDS) <= {cfg["kind"] for cfg in CONFIGS.values()}
 
 
 if __name__ == "__main__":
