@@ -70,8 +70,6 @@ def parse_backend(name: str) -> groups.GroupSpec:
         return groups.free_group(int(name[2:]))
     if name == "Heis3":
         return groups.heisenberg()
-    if name.endswith("xZ") and name.startswith("(") :
-        return groups.product_with_z(parse_backend(name[1:-3]))
     raise ConfigError(f"unknown backend {name!r}")
 
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import _LazyModule, groups
 from .groups import GroupSpec, identity, inv, mul
-from .measures import StepMeasure
+from .measures import StepMeasure, uniform_on_generators
 
 sp = _LazyModule("scipy.sparse")
 spla = _LazyModule("scipy.sparse.linalg")
@@ -77,12 +77,10 @@ def check_transient(spec: GroupSpec) -> None:
 class Domain:
     """Finite element set S with optional outer boundary w.r.t. support T.
 
-    Three kinds exist: ``_LatticeDomain`` (int64 coordinate rows on Z^d or
-    Heis3, with a dense grid lookup), ``_FreeBallDomain`` (int-coded word
-    balls in F_k for the standard support about the identity) and
-    ``_BfsDomain`` (a dict over payloads, for product lifts and for free
-    balls with another support or centre).  Every consumer reads a domain
-    through one index protocol:
+    Two kinds exist: ``_LatticeDomain`` (int64 coordinate rows on Z^d or
+    Heis3, with a dense grid lookup) and ``_FreeBallDomain`` (int-coded
+    word balls in F_k for the standard support about the identity).  Every
+    consumer reads a domain through one index protocol:
 
     * ``positions(payloads)``: the index of each payload in ``elements``,
       or -1 outside S (int64 array);
@@ -119,37 +117,6 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     which on NumPy 2.x is far faster than np.unique's hash path."""
     keys = np.sort(keys)
     return keys[np.append(True, keys[1:] != keys[:-1])]
-
-
-class _BfsDomain(Domain):
-    """Any finite payload set (the generic BFS ball of a product lift, or of
-    a free group off the standard support or centre), indexed by a dict; a
-    step table is built once per step list by a Python loop."""
-
-    def __init__(self, spec: GroupSpec, label: str, elements: list,
-                 boundary: Optional[list], support: tuple):
-        self.spec, self.label, self.support = spec, label, support
-        self.elements, self.boundary = elements, boundary
-        self._index = {g: i for i, g in enumerate(elements)}
-        self._tables = {}
-
-    def __len__(self):
-        return len(self.elements)
-
-    def positions(self, payloads) -> np.ndarray:
-        return np.array([self._index.get(g, -1) for g in payloads], dtype=np.int64)
-
-    def step_table(self, steps) -> np.ndarray:
-        key = tuple(steps)
-        if key not in self._tables:
-            n = len(self.elements)
-            index = dict(self._index)
-            index.update((z, n + j) for j, z in enumerate(self.boundary or ()))
-            table = np.array([[index.get(mul(self.spec, g, s), -1) for s in steps]
-                              for g in self.elements], dtype=np.int64)
-            table.flags.writeable = False       # shared by every caller
-            self._tables[key] = table.reshape(n, len(steps))
-        return self._tables[key]
 
 
 class _FreeBallDomain(Domain):
@@ -369,14 +336,20 @@ def _coordinate_ball(spec: GroupSpec, center, steps: list, radius: int,
 
 def ball_domain(spec: GroupSpec, mu: StepMeasure, radius: int, center=None,
                 with_boundary: bool = True) -> Domain:
-    """Word-metric ball B(center, radius) in the Cayley graph of supp(mu)."""
+    """Word-metric ball B(center, radius) in the Cayley graph of supp(mu).
+
+    Free-group balls are built only for the standard support about the
+    identity; any other free ball raises ValueError."""
     support = tuple(sorted(mu.support_elements()))
     e = identity(spec)
     steps = [s for s in support if s != e]
     if center is None:
         center = e
     standard = set(steps) == set(groups.standard_generators(spec).elements)
-    if spec.variant == "free" and standard and center == e:
+    if spec.variant == "free":
+        if not (standard and center == e):
+            raise ValueError("free-group balls need the standard support "
+                             "and the identity as centre")
         return _FreeBallDomain(spec, radius, with_boundary)
     label = f"ball[{spec.label()},R={radius}]"
     if center != e:
@@ -386,28 +359,8 @@ def ball_domain(spec: GroupSpec, mu: StepMeasure, radius: int, center=None,
         bcoords = _l1_ball_coords(spec.d, radius, True) + c if with_boundary else None
         return _LatticeDomain(spec, label, _l1_ball_coords(spec.d, radius, False) + c,
                               bcoords, support)
-    if spec.variant in ("lattice", "heisenberg"):
-        coords, bcoords = _coordinate_ball(spec, center, steps, radius, with_boundary)
-        return _LatticeDomain(spec, label, coords, bcoords, support)
-    # generic BFS: product lifts, free balls off the standard support or centre
-    dist = {center: 0}
-    frontier = [center]
-    d = 0
-    while frontier and d < radius:
-        nxt = []
-        for g in frontier:
-            for s in steps:
-                h = mul(spec, g, s)
-                if h not in dist:
-                    dist[h] = d + 1
-                    nxt.append(h)
-        frontier = nxt
-        d += 1
-    boundary = None
-    if with_boundary:
-        boundary = sorted({h for g in frontier for s in steps
-                           if (h := mul(spec, g, s)) not in dist})
-    return _BfsDomain(spec, label, sorted(dist), boundary, support)
+    coords, bcoords = _coordinate_ball(spec, center, steps, radius, with_boundary)
+    return _LatticeDomain(spec, label, coords, bcoords, support)
 
 
 def box_domain(spec: GroupSpec, mu: StepMeasure, halfwidth: int) -> Domain:
@@ -1158,49 +1111,20 @@ class NestedBracketProvider:
 # Quarter-plane killed walk (Z^2 SRW killed on the axes and outside a box)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class QuadrantGreenTable:
-    box: int
-    sources: list
-    values: np.ndarray            # (n_sources, box, box); [i, x1-1, x2-1]
-    residuals: np.ndarray
-
-    def green(self, src, y) -> float:
-        i = self.sources.index(tuple(src))
-        return float(self.values[i, y[0] - 1, y[1] - 1])
-
-
-def quadrant_killed_green(box: int, sources: list,
-                          tol: float = DEFAULT_TOL) -> QuadrantGreenTable:
+def quadrant_killed_green(box: int, sources: list) -> GreenTable:
     """Killed Green table of SRW on Z^2 with Dirichlet kill on the
-    coordinate axes and outside the box [1, L]^2."""
-    L = box
-    n = L * L
-
-    def idx(x1, x2):
-        return (x1 - 1) * L + (x2 - 1)
-
-    rows, cols, vals = [], [], []
-    for x1 in range(1, L + 1):
-        for x2 in range(1, L + 1):
-            i = idx(x1, x2)
-            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                y1, y2 = x1 + dx, x2 + dy
-                if 1 <= y1 <= L and 1 <= y2 <= L:
-                    rows.append(i)
-                    cols.append(idx(y1, y2))
-                    vals.append(-0.25)
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n)) + sp.identity(n, format="csr")
-    lu = spla.splu(mat.tocsc())
-    out = np.zeros((len(sources), L, L))
-    res = np.zeros(len(sources))
-    for i, srcp in enumerate(sources):
-        rhs = np.zeros(n)
-        rhs[idx(*srcp)] = 1.0
-        v = lu.solve(rhs)
-        res[i] = float(np.max(np.abs(mat @ v - rhs)))
-        out[i] = v.reshape(L, L)
-    return QuadrantGreenTable(L, [tuple(s) for s in sources], out, res)
+    coordinate axes and outside the box [1, L]^2.  The solve is direct at
+    every box size: method "auto" would switch to CG above
+    DIRECT_SOLVE_MAX points (L >= 64) and move the cone ratios in their
+    12th digit."""
+    ax = np.arange(1, box + 1)
+    coords = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)
+    spec = groups.integer_lattice(2)
+    mu = uniform_on_generators(groups.standard_generators(spec))
+    omega = _LatticeDomain(spec, f"quadrant[L={box}]", coords, None,
+                           tuple(sorted(mu.support_elements())))
+    return killed_green_solve(omega, [tuple(s) for s in sources], mu,
+                              method="direct")
 
 
 def quadrant_harmonicity_defect(box: int) -> float:

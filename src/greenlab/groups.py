@@ -1,16 +1,17 @@
 """Exact arithmetic, word metrics, and ball/sphere enumeration for group backends.
 
-Supported backends: integer lattices Z^d, free groups F_k (k >= 2), the
-discrete Heisenberg group in polynomial normal form, and a single direct
-product lift G x Z.  Elements are canonical hashable payloads so that
-payload equality is group-element equality:
+Supported backends: integer lattices Z^d, free groups F_k (k >= 2) and
+the discrete Heisenberg group in polynomial normal form.  Elements are
+canonical hashable payloads, so that payload equality is group-element
+equality:
 
 * lattice: tuple of d ints
 * free group: reduced word as a tuple of nonzero ints in {+-1..+-k}
   (negative = inverse letter), no adjacent letter/inverse pair
 * Heisenberg: triple (a, b, c) with product law
   (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a*b')
-* product lift: (inner payload, int)
+
+``word_length`` is the one word metric in the standard generators.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import functools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
 
 import math
 
@@ -38,15 +38,14 @@ class EnumerationCapError(ValueError):
 
 
 # Sphere/ball enumeration caps (desk-scale memory bounds).
-SPHERE_CAPS = {"lattice": 40, "free": 10, "heisenberg": 12, "product_z": 12}
+SPHERE_CAPS = {"lattice": 40, "free": 10, "heisenberg": 12}
 
 
 @dataclass(frozen=True)
 class GroupSpec:
-    variant: str                      # lattice | free | heisenberg | product_z
+    variant: str                      # lattice | free | heisenberg
     d: int = 0                        # lattice dimension
     rank: int = 0                     # free rank
-    inner: Optional["GroupSpec"] = None
 
     def __post_init__(self):
         if self.variant == "lattice":
@@ -55,14 +54,7 @@ class GroupSpec:
         elif self.variant == "free":
             if self.rank < 2:
                 raise ValueError("free rank must be >= 2")
-        elif self.variant == "heisenberg":
-            pass
-        elif self.variant == "product_z":
-            if self.inner is None:
-                raise ValueError("product lift needs an inner group")
-            if self.inner.variant == "product_z":
-                raise ValueError("product lift nesting depth must be <= 1")
-        else:
+        elif self.variant != "heisenberg":
             raise ValueError(f"unknown backend {self.variant!r}")
 
     def label(self) -> str:
@@ -70,9 +62,7 @@ class GroupSpec:
             return f"Z^{self.d}"
         if self.variant == "free":
             return f"F_{self.rank}"
-        if self.variant == "heisenberg":
-            return "Heis3"
-        return f"({self.inner.label()})xZ"
+        return "Heis3"
 
 
 def integer_lattice(d: int) -> GroupSpec:
@@ -87,18 +77,12 @@ def heisenberg() -> GroupSpec:
     return GroupSpec("heisenberg")
 
 
-def product_with_z(inner: GroupSpec) -> GroupSpec:
-    return GroupSpec("product_z", inner=inner)
-
-
 def identity(spec: GroupSpec):
     if spec.variant == "lattice":
         return (0,) * spec.d
     if spec.variant == "free":
         return ()
-    if spec.variant == "heisenberg":
-        return (0, 0, 0)
-    return (identity(spec.inner), 0)
+    return (0, 0, 0)
 
 
 def mul(spec: GroupSpec, g, h):
@@ -115,13 +99,9 @@ def mul(spec: GroupSpec, g, h):
             else:
                 word.append(letter)
         return tuple(word)
-    if spec.variant == "heisenberg":
-        a, b, c = g
-        a2, b2, c2 = h
-        return (a + a2, b + b2, c + c2 + a * b2)
-    gi, gz = g
-    hi, hz = h
-    return (mul(spec.inner, gi, hi), gz + hz)
+    a, b, c = g
+    a2, b2, c2 = h
+    return (a + a2, b + b2, c + c2 + a * b2)
 
 
 def mul_rows(spec: GroupSpec, g: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -140,25 +120,19 @@ def inv(spec: GroupSpec, g):
         return tuple(-a for a in g)
     if spec.variant == "free":
         return tuple(-letter for letter in reversed(g))
-    if spec.variant == "heisenberg":
-        a, b, c = g
-        return (-a, -b, -c + a * b)
-    gi, gz = g
-    return (inv(spec.inner, gi), -gz)
+    a, b, c = g
+    return (-a, -b, -c + a * b)
 
 
 def _check_element(spec: GroupSpec, g):
-    ok = True
     if spec.variant == "lattice":
         ok = isinstance(g, tuple) and len(g) == spec.d
     elif spec.variant == "free":
         ok = isinstance(g, tuple) and all(
             isinstance(x, int) and x != 0 and abs(x) <= spec.rank for x in g
         )
-    elif spec.variant == "heisenberg":
-        ok = isinstance(g, tuple) and len(g) == 3
     else:
-        ok = isinstance(g, tuple) and len(g) == 2 and isinstance(g[1], int)
+        ok = isinstance(g, tuple) and len(g) == 3
     if not ok:
         raise BackendMismatchError(f"{g!r} is not a {spec.label()} element")
 
@@ -196,8 +170,7 @@ def standard_generators(spec: GroupSpec) -> GeneratorSet:
     """The default symmetric generating set for each backend.
 
     Lattice: unit vectors and inverses.  Free: letters and inverses.
-    Heisenberg: {x^{+-1}, y^{+-1}}.  Product: inner generators lifted,
-    plus the Z generators.
+    Heisenberg: {x^{+-1}, y^{+-1}}.
     """
     if spec.variant == "lattice":
         gens = []
@@ -214,12 +187,7 @@ def standard_generators(spec: GroupSpec) -> GeneratorSet:
         for i in range(1, spec.rank + 1):
             gens.extend([(i,), (-i,)])
         return GeneratorSet(spec, tuple(gens))
-    if spec.variant == "heisenberg":
-        return GeneratorSet(spec, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)))
-    inner_gens = standard_generators(spec.inner)
-    e_in = identity(spec.inner)
-    gens = tuple((g, 0) for g in inner_gens) + ((e_in, 1), (e_in, -1))
-    return GeneratorSet(spec, gens)
+    return GeneratorSet(spec, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)))
 
 
 def neighbors(spec: GroupSpec, g, gens: GeneratorSet):
@@ -230,19 +198,6 @@ def neighbors(spec: GroupSpec, g, gens: GeneratorSet):
 # ---------------------------------------------------------------------------
 # Word metrics
 # ---------------------------------------------------------------------------
-
-def exact_word_length(spec: GroupSpec, g) -> int:
-    """Exact word length where a formula exists (L1 on lattices, reduced
-    length on free groups, split length on product lifts)."""
-    _check_element(spec, g)
-    if spec.variant == "lattice":
-        return sum(abs(a) for a in g)
-    if spec.variant == "free":
-        return len(g)
-    if spec.variant == "product_z":
-        return exact_word_length(spec.inner, g[0]) + abs(g[1])
-    raise ValueError("no exact word-length formula for this backend")
-
 
 def homogeneous_quasi_norm(g) -> int:
     """Heisenberg quasi-norm N(g) = |a| + |b| + ceil(sqrt(|c|))."""
@@ -282,46 +237,6 @@ class BfsTable:
             raise OutOfRangeError(f"{g!r} beyond BFS radius {self.r_max}")
 
 
-@dataclass
-class WordMetricOracle:
-    """Word-length oracle: exact formula, BFS table, or quasi-norm.
-
-    Quasi-norm mode reports N(g) and carries fitted coarse bi-Lipschitz
-    constants (A, B) with A^{-1} N(g) - B <= |g| <= A N(g) + B on the
-    calibration ball.
-    """
-
-    mode: str                       # exact | bfs | quasi_norm
-    spec: GroupSpec
-    table: Optional[BfsTable] = None
-    bilip: Optional[tuple] = None   # (A, B) for quasi-norm mode
-
-    def length(self, g):
-        if self.mode == "exact":
-            return exact_word_length(self.spec, g)
-        if self.mode == "bfs":
-            return self.table.length(g)
-        return homogeneous_quasi_norm(g)
-
-
-def exact_oracle(spec: GroupSpec) -> WordMetricOracle:
-    return WordMetricOracle("exact", spec)
-
-
-def bfs_oracle(spec: GroupSpec, gens: GeneratorSet, r_max: int) -> WordMetricOracle:
-    return WordMetricOracle("bfs", spec, table=BfsTable.build(spec, gens, r_max))
-
-
-def quasi_norm_oracle(spec: GroupSpec, calibration: Optional[BfsTable] = None) -> WordMetricOracle:
-    """Heisenberg quasi-norm oracle; fits (A, B) against a BFS table when given."""
-    if spec.variant != "heisenberg":
-        raise ValueError("quasi-norm mode is Heisenberg-specific")
-    bilip = None
-    if calibration is not None:
-        bilip = fit_bilipschitz(calibration)
-    return WordMetricOracle("quasi_norm", spec, bilip=bilip)
-
-
 def fit_bilipschitz(table: BfsTable) -> tuple:
     """Smallest A on a half-integer grid (with its B) such that
     A^{-1} N(g) - B <= |g| <= A N(g) + B holds over the whole table."""
@@ -345,14 +260,16 @@ WORD_TABLE_RADIUS = 14
 
 
 def word_length(spec: GroupSpec, g) -> int:
-    """Word length in the standard generators: the exact formula where one
-    exists, else one radius-WORD_TABLE_RADIUS BFS table per spec, built on
-    first use (OutOfRangeError beyond it)."""
+    """Word length in the standard generators: the L1 norm on lattices and
+    the reduced length on free groups; on Heis3, which has no formula, one
+    radius-WORD_TABLE_RADIUS BFS table per spec, built on first use
+    (OutOfRangeError beyond it)."""
     if spec.variant == "heisenberg":
         return _word_table(spec).length(g)
-    if spec.variant == "product_z":
-        return word_length(spec.inner, g[0]) + abs(g[1])
-    return exact_word_length(spec, g)
+    _check_element(spec, g)
+    if spec.variant == "lattice":
+        return sum(abs(a) for a in g)
+    return len(g)
 
 
 @functools.lru_cache(maxsize=None)

@@ -612,8 +612,10 @@ def certify_generates(mu: StepMeasure) -> None:
         if mu.kind == "shell":
             steps += [axis_power(spec, a, s * mu.r0)
                       for a in mu.axes for s in (1, -1)]
-    oracle = groups.bfs_oracle(spec, gens, 6) if spec.variant == "heisenberg" \
-        else groups.exact_oracle(spec)
+    if spec.variant == "heisenberg":
+        length = groups.BfsTable.build(spec, gens, 6).length
+    else:
+        length = functools.partial(groups.word_length, spec)
     visited = {identity(spec)}
     frontier = [identity(spec)]
     while frontier:
@@ -622,7 +624,7 @@ def certify_generates(mu: StepMeasure) -> None:
             for s in steps:
                 h = mul(spec, g, s)
                 try:
-                    far = oracle.length(h) > 6
+                    far = length(h) > 6
                 except groups.OutOfRangeError:
                     far = True
                 if far or h in visited:

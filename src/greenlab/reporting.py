@@ -71,31 +71,25 @@ def report_body(path: str) -> str:
 def render_element(spec: GroupSpec, g) -> str:
     """Canonical word/coordinate notation: lattice and Heisenberg elements as
     comma-joined integers, free-group words as letters (inverse = uppercase,
-    identity = 'e'), product pairs as 'inner;k'."""
+    identity = 'e')."""
     if spec.variant in ("lattice", "heisenberg"):
         return ",".join(str(int(c)) for c in g)
-    if spec.variant == "free":
-        if not g:
-            return "e"
-        out = []
-        for letter in g:
-            ch = chr(ord("a") + abs(letter) - 1)
-            out.append(ch.upper() if letter < 0 else ch)
-        return "".join(out)
-    inner, k = g
-    return render_element(spec.inner, inner) + ";" + str(k)
+    if not g:
+        return "e"
+    out = []
+    for letter in g:
+        ch = chr(ord("a") + abs(letter) - 1)
+        out.append(ch.upper() if letter < 0 else ch)
+    return "".join(out)
 
 
 def parse_element(spec: GroupSpec, text: str):
     if spec.variant in ("lattice", "heisenberg"):
         return tuple(int(c) for c in text.split(","))
-    if spec.variant == "free":
-        if text == "e":
-            return ()
-        word = []
-        for ch in text:
-            i = ord(ch.lower()) - ord("a") + 1
-            word.append(-i if ch.isupper() else i)
-        return tuple(word)
-    inner_text, k = text.rsplit(";", 1)
-    return (parse_element(spec.inner, inner_text), int(k))
+    if text == "e":
+        return ()
+    word = []
+    for ch in text:
+        i = ord(ch.lower()) - ord("a") + 1
+        word.append(-i if ch.isupper() else i)
+    return tuple(word)

@@ -73,7 +73,7 @@ def simulate_walk(spec: GroupSpec, mu: StepMeasure, n: int, checkpoints,
                 lengths.append(groups.homogeneous_quasi_norm(g))
                 coords.append(malcev_coords(g))
             else:
-                lengths.append(groups.exact_word_length(spec, g))
+                lengths.append(groups.word_length(spec, g))
         if k < n:
             g = mul(spec, g, jumps[k])
     return WalkSummary(checkpoints, lengths, mode,
@@ -407,21 +407,23 @@ def truncated_coordinate_moments(mu: StepMeasure, n_list, trials: int,
 
 
 def _shell_tail_probability(mu: StepMeasure, x: int) -> float:
-    """P(|S_1| > x) from the radius law (unit steps have length 1)."""
+    """P(|S_1| > x) from the radius law: a lazy step has length 0, a unit
+    step length 1, and radius r >= r0 carries mass proportional to
+    f(r) = 1/(r^2 log r).  The shell part is shell_norm * sum_{r > x} f(r),
+    the sum taken as 1/shell_norm minus the terms r0..x; so its only error
+    is that of shell_norm_constant, whose tail term 1/(M log M) (M = 10^7)
+    bounds the absolute error by (1 - lazy) (1 - UNIT_MASS) shell_norm /
+    (M log M)."""
+    keep = 1.0 - mu.laziness
+    if x < 1:
+        return keep
     if x < mu.r0:
-        return 1.0 - UNIT_MASS * (1 if x >= 1 else 0)
-    acc = 0.0
-    lo = mu.r0
-    total = 0.0
-    hi = 10 ** 7
-    for start in range(lo, hi, 10 ** 6):
-        r = np.arange(start, min(start + 10 ** 6, hi), dtype=np.float64)
-        w = 1.0 / (r * r * np.log(r))
-        total += float(w.sum())
-        acc += float(w[r > x].sum())
-    acc += 1.0 / (hi * np.log(hi))      # integral tail (all beyond x)
-    total += 1.0 / (hi * np.log(hi))
-    return (1.0 - UNIT_MASS) * (1.0 - mu.laziness) * acc / total
+        return keep * (1.0 - UNIT_MASS)
+    head = 0.0
+    for start in range(mu.r0, x + 1, 10 ** 6):
+        r = np.arange(start, min(start + 10 ** 6, x + 1), dtype=np.float64)
+        head += float(np.sum(1.0 / (r * r * np.log(r))))
+    return keep * (1.0 - UNIT_MASS) * (1.0 - mu.shell_norm * head)
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +442,8 @@ def cone_martin_experiment(box: int, probes: list, base: tuple,
     of the quadrant-killed walk, compared to h(x)/h(x*) for the exact
     killed-harmonic function h(x) = x1 x2; also returns the homogeneity
     degree of h fitted on the diagonal (exactly 2)."""
-    sources = [tuple(p) for p in probes] + [tuple(base)]
-    table = green_mod.quadrant_killed_green(box, sources)
+    probes, base = [tuple(p) for p in probes], tuple(base)
+    table = green_mod.quadrant_killed_green(box, probes + [base])
     rows = []
     for n in sorted(set(int(n) for n in n_list)):
         if not (1 <= n <= box):

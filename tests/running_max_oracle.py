@@ -57,9 +57,8 @@ def radius_tail(mu):
                              _shell_sum_from(np.maximum(a, EM_START)))
             return keep * np.where(t < 1, 1.0, c * shell)
         return tail
-    oracle = groups.exact_oracle(mu.spec)
     sup = mu.support_elements()
-    lens = np.array([oracle.length(s) for s in sup], dtype=np.float64)
+    lens = np.array([groups.word_length(mu.spec, s) for s in sup], dtype=np.float64)
     w = np.array([mu.pmf(s) for s in sup])
     return lambda t: np.sum(w * (lens > t[..., None]), axis=-1)
 

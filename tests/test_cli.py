@@ -70,6 +70,13 @@ class TestRun:
         path = write_config(tmp_path / "cfg.json", cfg)
         assert run(path) == STATUS_CONFIG
 
+    def test_product_backend_unknown(self, tmp_path):
+        cfg = f2_delta_config(tmp_path)
+        cfg["backend"] = "(Z^3)xZ"
+        path = write_config(tmp_path / "cfg.json", cfg)
+        assert run(path) == STATUS_CONFIG
+        assert not os.path.exists(cfg["output"])
+
     def test_recurrent_backend_is_numeric_failure_free(self, tmp_path):
         cfg = f2_delta_config(tmp_path)
         cfg["backend"] = "Z^2"
@@ -375,9 +382,8 @@ class TestReporting:
         Z3 = groups.integer_lattice(3)
         F2 = groups.free_group(2)
         H = groups.heisenberg()
-        P = groups.product_with_z(Z3)
         cases = [(Z3, (1, -2, 0)), (H, (3, 2, 6)), (F2, (1, -2, 1)),
-                 (F2, ()), (P, ((1, 0, -1), -4))]
+                 (F2, ())]
         for spec, g in cases:
             assert parse_element(spec, render_element(spec, g)) == g
 

@@ -180,6 +180,13 @@ def test_free_ball_codes_and_boundary_order(radius):
     assert [dom.boundary[j] for j in dom._bslot.tolist()] == words
 
 
+def test_free_ball_needs_standard_support_and_identity():
+    with pytest.raises(ValueError):
+        ball_domain(F2, srw(F2), 2, center=(1,))
+    with pytest.raises(ValueError):
+        ball_domain(F2, uniform_law(F2, [(1,), (-1,), (2, 2), (-2, -2)]), 2)
+
+
 @pytest.mark.parametrize("center", [(0, 0, 0), (3, -1, 2)])
 def test_lattice_step_table_far_steps(center):
     # steps that reach past the boundary, on both sides of every axis

@@ -190,7 +190,7 @@ class TestKernelSequence:
         seq = normalized_kernel_sequence(probes, E3, targets, mu, prov, Z3)
         rho = 1 / 6
         for i, v in enumerate(probes):
-            bound = rho ** -groups.exact_word_length(Z3, v)
+            bound = rho ** -groups.word_length(Z3, v)
             assert np.all(seq.psi[:, i] <= bound + 1e-9)
 
     def test_f2_ray_limit_three(self, tree):

@@ -1,5 +1,7 @@
 """Group backends: arithmetic, word metrics, spheres and balls."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,10 +9,9 @@ from hypothesis import strategies as st
 
 from greenlab import groups
 from greenlab.groups import (BfsTable, EnumerationCapError, OutOfRangeError,
-                             ball, bfs_oracle, exact_oracle, free_group,
-                             heisenberg, identity, integer_lattice, inv, mul,
-                             neighbors, product_with_z, quasi_norm_oracle,
-                             sphere, standard_generators)
+                             ball, fit_bilipschitz, free_group, heisenberg,
+                             identity, integer_lattice, inv, mul, neighbors,
+                             sphere, standard_generators, word_length)
 
 Z3 = integer_lattice(3)
 F2 = free_group(2)
@@ -102,33 +103,31 @@ class TestInv:
 
 class TestWordLength:
     def test_lattice_l1(self):
-        assert exact_oracle(Z3).length((1, -2, 0)) == 3
+        assert word_length(Z3, (1, -2, 0)) == 3
 
     def test_free_reduced(self):
-        assert exact_oracle(F2).length((1, 2, -1, -2)) == 4
+        assert word_length(F2, (1, 2, -1, -2)) == 4
 
     def test_heisenberg_central_bfs(self):
         # breadth-first search from the identity with gens {x^+-1, y^+-1}
-        oracle = bfs_oracle(H, standard_generators(H), 6)
-        assert oracle.length((0, 0, 1)) == 4
+        table = BfsTable.build(H, standard_generators(H), 6)
+        assert table.length((0, 0, 1)) == 4
 
     def test_bfs_out_of_range(self):
-        oracle = bfs_oracle(Z3, standard_generators(Z3), 2)
+        table = BfsTable.build(Z3, standard_generators(Z3), 2)
         with pytest.raises(OutOfRangeError):
-            oracle.length((3, 0, 0))
+            table.length((3, 0, 0))
 
     def test_word_length_matches_oracles(self):
-        gens = standard_generators(H)
-        table = bfs_oracle(H, gens, 6)
-        for g in ball(H, gens, 6):
-            assert groups.word_length(H, g) == table.length(g)
-        for spec in (Z3, F2):
-            for g in ball(spec, standard_generators(spec), 3):
-                assert groups.word_length(spec, g) == exact_oracle(spec).length(g)
-        p = groups.product_with_z(H)
-        assert groups.word_length(p, ((0, 0, 1), -2)) == 6
+        # the formulas on Z^3 and F_2, and the radius-14 table on Heis3,
+        # agree with a breadth-first search over every point it reaches
+        for spec, radius in ((H, 6), (Z3, 3), (F2, 3)):
+            gens = standard_generators(spec)
+            table = BfsTable.build(spec, gens, radius)
+            for g in ball(spec, gens, radius):
+                assert word_length(spec, g) == table.length(g)
         with pytest.raises(OutOfRangeError):
-            groups.word_length(H, (15, 0, 0))
+            word_length(H, (15, 0, 0))
 
     def test_word_table_built_once_per_spec(self):
         groups.word_length(H, (1, 1, 1))
@@ -140,14 +139,14 @@ class TestWordLength:
         for spec in (Z3, F2, H):
             gens = standard_generators(spec)
             if spec.variant == "heisenberg":
-                oracle = bfs_oracle(spec, gens, 5)
+                length = BfsTable.build(spec, gens, 5).length
                 els = ball(spec, gens, 5)
             else:
-                oracle = exact_oracle(spec)
+                length = functools.partial(word_length, spec)
                 els = ball(spec, gens, 4)
             for _ in range(40):
                 g = els[rng.integers(len(els))]
-                assert oracle.length(g) == oracle.length(inv(spec, g))
+                assert length(g) == length(inv(spec, g))
 
 
 class TestSpheres:
@@ -208,8 +207,7 @@ class TestQuasiNorm:
         # A^-1 N(g) - B <= |g| <= A N(g) + B over every BFS-enumerated g,
         # with fitted A <= 4 (central elements force A = 4: |(0,0,k^2)| ~ 4k)
         table = BfsTable.build(H, standard_generators(H), 10)
-        oracle = quasi_norm_oracle(H, calibration=table)
-        a, b = oracle.bilip
+        a, b = fit_bilipschitz(table)
         assert a <= 4
         for g, length in table.dist.items():
             n = groups.homogeneous_quasi_norm(g)
@@ -224,21 +222,8 @@ class TestGroupSpec:
         with pytest.raises(ValueError):
             free_group(1)
 
-    def test_product_nesting_capped(self):
-        p = product_with_z(H)
-        with pytest.raises(ValueError):
-            product_with_z(p)
-
-    def test_product_ops(self):
-        p = product_with_z(integer_lattice(2))
-        g = ((1, 0), 2)
-        h = ((0, -1), -1)
-        assert mul(p, g, h) == ((1, -1), 1)
-        assert mul(p, g, inv(p, g)) == identity(p)
-        assert groups.exact_word_length(p, g) == 3
-
     def test_generator_sets_symmetric(self):
-        for spec in (Z3, F2, H, product_with_z(Z3)):
+        for spec in (Z3, F2, H):
             gens = standard_generators(spec)
             for g, j in zip(gens.elements, gens.inverse_index):
                 assert gens.elements[j] == inv(spec, g)

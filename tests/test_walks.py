@@ -13,7 +13,8 @@ from greenlab.measures import (PmfOnZ, StepMeasure, UNIT_MASS, lazy_transform,
                                pmf_from_dict, shell_measure, stable_z_measure,
                                uniform_on_generators)
 from greenlab.rng import derive_stream
-from greenlab.walks import (_batch_positions, _support_gcd, batch_lengths,
+from greenlab.walks import (_batch_positions, _shell_tail_probability,
+                            _support_gcd, batch_lengths,
                             cone_martin_experiment,
                             green_speed_estimate, increment_ratio_max,
                             malcev_coords, product_dispersion_bound,
@@ -428,6 +429,19 @@ class TestTruncatedMoments:
         rng = derive_stream(19, "mom2")
         with pytest.raises(ValueError):
             truncated_coordinate_moments(srw(Z3), [100], 10, rng)
+
+    @pytest.mark.parametrize("laziness", [0.0, 0.5])
+    def test_shell_tail_matches_radius_law(self, laziness):
+        mu = lazy_transform(shell_measure(H, r0=3), laziness)
+        tail = radius_tail(mu)
+        # shell_norm_constant stands 1/(M log M) in for sum_{r >= M} f(r)
+        m = 10 ** 7
+        tol = (1 - laziness) * (1 - UNIT_MASS) * mu.shell_norm / (m * np.log(m))
+        for x in (0, 1, 2, mu.r0, 10, 1000):
+            want = float(tail(np.array([x], dtype=np.float64))[0])
+            assert abs(_shell_tail_probability(mu, x) - want) <= tol, x
+        assert _shell_tail_probability(mu, 0) == 1 - laziness
+        assert _shell_tail_probability(mu, 2) == (1 - laziness) * (1 - UNIT_MASS)
 
 
 class TestCone:
