@@ -1,6 +1,7 @@
 """greenlab: Green functions, exit distributions, and random-walk
-asymptotics on concrete groups (lattices, free groups, Heisenberg, product
-lifts), with exact small-scale oracles and reproducible batch experiments."""
+asymptotics on concrete groups (lattices, free groups, the Heisenberg
+group, the quarter-plane cone), with exact small-scale oracles and
+reproducible batch experiments."""
 
 import importlib
 

@@ -2,7 +2,8 @@
 
 One file per (backend, measure hash, domain label, tolerance).  Layout:
 an 8-byte little-endian length prefix, a UTF-8 JSON metadata block, then
-the table values as little-endian float64.  Metadata (parameters and code
+the table values as little-endian float64.  Sources are stored as integer
+lists (elements are flat int tuples).  Metadata (parameters and code
 version) is validated on read; any mismatch or corruption is a miss.
 """
 
@@ -26,18 +27,6 @@ def measure_hash(descriptor: dict) -> str:
     return hashlib.md5(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def element_to_jsonable(g):
-    if isinstance(g, tuple):
-        return [element_to_jsonable(c) for c in g]
-    return g
-
-
-def element_from_jsonable(v):
-    if isinstance(v, list):
-        return tuple(element_from_jsonable(c) for c in v)
-    return v
-
-
 def cache_key(backend: str, mhash: str, domain_label: str, tol: float) -> str:
     safe = f"{backend}|{mhash}|{domain_label}|{tol:.3e}"
     return hashlib.md5(safe.encode("utf-8")).hexdigest()[:24] + ".green"
@@ -57,7 +46,7 @@ def save_table(cache_dir: str, backend: str, mhash: str, table: GreenTable) -> s
         "domain_label": table.omega.label,
         "tol": table.tol,
         "laziness": table.laziness,
-        "sources": [element_to_jsonable(s) for s in table.sources],
+        "sources": [list(s) for s in table.sources],
         "residuals": [float(r) for r in table.residuals],
         "method": table.method,
         "preconditioner": table.preconditioner,
@@ -66,7 +55,6 @@ def save_table(cache_dir: str, backend: str, mhash: str, table: GreenTable) -> s
         "symmetry_order": table.symmetry_order,
         "unknowns": table.unknowns,
         "n_values": int(table.values.shape[1]),
-        "boundary_support": [element_to_jsonable(s) for s in table.omega.support],
     }
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     payload = table.values.astype("<f8").tobytes()
@@ -102,7 +90,7 @@ def load_table(cache_dir: str, backend: str, mhash: str, domain: Domain,
             return None
         if meta["domain_label"] != domain.label or meta["tol"] != tol:
             return None
-        sources = [element_from_jsonable(s) for s in meta["sources"]]
+        sources = [tuple(s) for s in meta["sources"]]
         vals = np.frombuffer(payload, dtype="<f8")
         expect = len(sources) * meta["n_values"]
         if len(vals) != expect or meta["n_values"] != len(domain):

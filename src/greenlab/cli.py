@@ -2,18 +2,26 @@
 deterministic seeding, and CSV reporting.
 
 Configs are flat JSON with a "kind" discriminator (nesting only inside the
-measure descriptor); unknown keys are rejected.  Exit statuses: 0 success,
-2 config error, 3 numeric failure, 4 invariant violation (a result that
-would contradict a proven property, e.g. an SPD failure or TV > 1, with a
-pointer to the offending row).
+measure descriptor).  KINDS maps each kind to its runner and to the config
+keys it accepts besides kind, seed and output; any other key is rejected.
+A runner returns a Report of its own columns, rows and meta fields; `run`
+is the one place that prefixes the columns seed, version, backend,
+measure_hash, adds the base meta record and writes the CSV.  A killed table
+comes from the cache only if it holds every source the kind asks for.
+Exit statuses: 0 success, 2 config error, 3 numeric failure, 4 invariant
+violation (a result that would contradict a proven property, e.g. an SPD
+failure or TV > 1, with a pointer to the offending row).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,29 +42,15 @@ class ContradictionError(RuntimeError):
     """A computed value contradicts a proven invariant."""
 
 
-KINDS = ("delta-scan", "eps-delta", "green-table", "envelope", "speed",
-         "dispersion", "green-speed", "cone", "increment-probe", "on-diagonal")
-
-_ALLOWED_KEYS = {
-    "delta-scan": {"kind", "backend", "measure", "scales", "basepoint",
-                   "engine", "tol", "seed", "output"},
-    "eps-delta": {"kind", "backend", "measure", "scales", "basepoint",
-                  "tol", "seed", "output"},
-    "green-table": {"kind", "backend", "measure", "radius", "sources",
-                    "boundary_matrix", "tol", "seed", "output"},
-    "envelope": {"kind", "d_star", "gamma", "alpha", "phi", "r_decades",
-                 "points_per_decade", "seed", "output"},
-    "speed": {"kind", "backend", "measure", "n_list", "eps_list", "trials",
-              "seed", "output"},
-    "dispersion": {"kind", "measure", "shift", "n_list", "cap",
-                   "product_shift", "product_cap", "seed", "output"},
-    "green-speed": {"kind", "backend", "measure", "n_list", "trials",
-                    "seed", "output"},
-    "cone": {"kind", "box", "probes", "base", "n_list", "seed", "output"},
-    "increment-probe": {"kind", "backend", "measure", "n", "trials",
-                        "checkpoints", "seed", "output"},
-    "on-diagonal": {"kind", "backend", "measure", "m_max", "seed", "output"},
-}
+@dataclass
+class Report:
+    """A runner's result: the experiment's own columns and rows, and the
+    meta fields beyond the base record that `run` adds."""
+    backend: str
+    measure_hash: str
+    columns: list
+    rows: list
+    meta: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +98,7 @@ def load_config(path: str) -> dict:
     kind = cfg.get("kind")
     if kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
-    unknown = set(cfg) - _ALLOWED_KEYS[kind]
+    unknown = set(cfg) - KINDS[kind].keys - {"kind", "seed", "output"}
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
     if "output" not in cfg:
@@ -112,32 +106,51 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _meta(cfg: dict, backend: str, mhash: str) -> dict:
-    return {"seed": cfg.get("seed", 0), "version": __version__,
-            "backend": backend, "measure_hash": mhash,
-            "kind": cfg["kind"]}
+def _law(cfg: dict, transient: bool = False) -> tuple:
+    """(spec, mu, measure_hash) of the config's backend and measure; kinds
+    that need a Green function reject recurrent backends first."""
+    spec = parse_backend(cfg["backend"])
+    if transient:
+        green.check_transient(spec)
+    return (spec, build_measure(spec, cfg["measure"]),
+            cache.measure_hash(cfg["measure"]))
 
 
-def _record_sampler_tail(meta: dict, mu: measures.StepMeasure) -> None:
-    """Shell and stable samplers draw from a truncated table; record the
-    law's mass beyond it."""
-    if mu.kind != "finite":
-        meta["sampler_tail_mass"] = mu.sampler_tail_mass()
+def _table(cfg, mhash, omega, sources, mu, tol, cache_dir, force):
+    """The killed Green table on omega for `sources`: the cached one if it
+    holds every source, otherwise a fresh solve, which is then cached."""
+    table = None
+    if cache_dir and not force:
+        table = cache.load_table(cache_dir, cfg["backend"], mhash, omega, tol)
+    if table is None or any(s not in table.sources for s in sources):
+        table = green.killed_green_solve(omega, sources, mu, tol)
+        if cache_dir:
+            cache.save_table(cache_dir, cfg["backend"], mhash, table)
+    return table
 
 
-def _prefix(cfg, backend, mhash):
-    return [cfg.get("seed", 0), __version__, backend, mhash]
+def _solver_record(table: green.GreenTable, sources) -> dict:
+    """How the table was solved, with the iterations of each source."""
+    return {"method": table.method, "preconditioner": table.preconditioner,
+            "iterations": None if table.iterations is None else
+            [int(table.iterations[table.sources.index(s)]) for s in sources],
+            "symmetry_order": table.symmetry_order, "unknowns": table.unknowns}
+
+
+def _sampler_tail(mu: measures.StepMeasure) -> dict:
+    """Shell and stable samplers draw from a truncated table; the law's
+    mass beyond it, as a meta field."""
+    if mu.kind == "finite":
+        return {}
+    return {"sampler_tail_mass": mu.sampler_tail_mass()}
 
 
 # ---------------------------------------------------------------------------
 # Experiment implementations
 # ---------------------------------------------------------------------------
 
-def _delta_scan(cfg, cache_dir, force, with_band):
-    spec = parse_backend(cfg["backend"])
-    green.check_transient(spec)
-    mu = build_measure(spec, cfg["measure"])
-    mhash = cache.measure_hash(cfg["measure"])
+def _delta_scan(cfg, cache_dir, force, with_band=False):
+    spec, mu, mhash = _law(cfg, transient=True)
     tol = float(cfg.get("tol", 1e-10))
     e = groups.identity(spec)
     b = reporting.parse_element(spec, cfg["basepoint"]) if "basepoint" in cfg \
@@ -147,8 +160,8 @@ def _delta_scan(cfg, cache_dir, force, with_band):
                 and mu.kind == "finite" and mu.laziness == 0.0)
     if engine == "closed-form" and not use_tree:
         raise ConfigError("closed-form engine needs the free-group SRW")
+    d_ab = groups.word_length(spec, b)
     rows = []
-    d_ab = 1
     for r in cfg["scales"]:
         r = int(r)
         s_dom = green.ball_domain(spec, mu, r)
@@ -156,15 +169,8 @@ def _delta_scan(cfg, cache_dir, force, with_band):
             provider = green.TreeGreenOracle(spec)
         else:
             omega = green.ball_domain(spec, mu, 2 * r + 2, with_boundary=False)
-            table = None
-            if cache_dir and not force:
-                table = cache.load_table(cache_dir, cfg["backend"], mhash,
-                                         omega, tol)
-            if table is None:
-                table = green.killed_green_solve(omega, [e, b], mu, tol)
-                if cache_dir:
-                    cache.save_table(cache_dir, cfg["backend"], mhash, table)
-            provider = green.TableGreenProvider(table)
+            provider = green.TableGreenProvider(
+                _table(cfg, mhash, omega, [e, b], mu, tol, cache_dir, force))
         drow = functionals.delta(s_dom, e, b, provider, scale=r)
         if drow.value < -1e-15:
             raise ContradictionError(f"negative delta at R={r}")
@@ -176,46 +182,24 @@ def _delta_scan(cfg, cache_dir, force, with_band):
         rows.append((r, d_ab, drow.value, drow.err,
                      reporting.render_element(spec, drow.argmax),
                      eps_val, eta, band_ok))
-    header = ["seed", "version", "backend", "measure_hash",
-              "R", "d_ab", "delta", "delta_err", "argmax",
-              "epsilon", "eta_hat", "band_ok"]
-    pre = _prefix(cfg, cfg["backend"], mhash)
-    out_rows = [pre + list(r) for r in rows]
-    reporting.emit_report(out_rows, cfg["output"], header,
-                          _meta(cfg, cfg["backend"], mhash))
+    return Report(cfg["backend"], mhash,
+                  ["R", "d_ab", "delta", "delta_err", "argmax",
+                   "epsilon", "eta_hat", "band_ok"], rows)
 
 
 def _green_table(cfg, cache_dir, force):
-    spec = parse_backend(cfg["backend"])
-    green.check_transient(spec)
-    mu = build_measure(spec, cfg["measure"])
-    mhash = cache.measure_hash(cfg["measure"])
+    spec, mu, mhash = _law(cfg, transient=True)
     tol = float(cfg.get("tol", 1e-10))
     radius = int(cfg["radius"])
     omega = green.ball_domain(spec, mu, radius,
                               with_boundary=bool(cfg.get("boundary_matrix")))
     sources = [reporting.parse_element(spec, s) for s in cfg["sources"]]
-    table = None
-    if cache_dir and not force:
-        table = cache.load_table(cache_dir, cfg["backend"], mhash, omega, tol)
-        if table is not None and any(s not in table.sources for s in sources):
-            table = None
-    if table is None:
-        table = green.killed_green_solve(omega, sources, mu, tol)
-        if cache_dir:
-            cache.save_table(cache_dir, cfg["backend"], mhash, table)
+    table = _table(cfg, mhash, omega, sources, mu, tol, cache_dir, force)
     e = groups.identity(spec)
-    rows = []
-    for s in sources:
-        rows.append((reporting.render_element(spec, s),
-                     table.green(s, e), table.green(s, s),
-                     float(table.residuals[table.sources.index(s)])))
-    meta = _meta(cfg, cfg["backend"], mhash)
-    meta["solver"] = {
-        "method": table.method, "preconditioner": table.preconditioner,
-        "iterations": None if table.iterations is None else
-        [int(table.iterations[table.sources.index(s)]) for s in sources],
-        "symmetry_order": table.symmetry_order, "unknowns": table.unknowns}
+    rows = [(reporting.render_element(spec, s), table.green(s, e),
+             table.green(s, s), float(table.residuals[table.sources.index(s)]))
+            for s in sources]
+    meta = {"solver": _solver_record(table, sources)}
     if cfg.get("boundary_matrix"):
         inner = green.ball_domain(spec, mu, radius)
         bgm_table = green.killed_green_solve(
@@ -227,14 +211,12 @@ def _green_table(cfg, cache_dir, force):
         if not bgm.spd_ok:
             raise ContradictionError(
                 f"boundary Green matrix failed SPD (min eig {bgm.min_eigenvalue})")
-    header = ["seed", "version", "backend", "measure_hash",
-              "source", "green_to_identity", "green_diagonal", "residual"]
-    pre = _prefix(cfg, cfg["backend"], mhash)
-    reporting.emit_report([pre + list(r) for r in rows], cfg["output"],
-                          header, meta)
+    return Report(cfg["backend"], mhash,
+                  ["source", "green_to_identity", "green_diagonal", "residual"],
+                  rows, meta)
 
 
-def _envelope(cfg):
+def _envelope(cfg, *_):
     phi_desc = dict(cfg["phi"])
     kind = phi_desc.pop("kind")
     phi = envelope.Envelope(kind, **phi_desc)
@@ -243,23 +225,17 @@ def _envelope(cfg):
     lo, hi = cfg.get("r_decades", [0.5, 3.0])
     ppd = int(cfg.get("points_per_decade", 4))
     n_pts = max(2, int((hi - lo) * ppd) + 1)
-    grid = np.logspace(lo, hi, n_pts)
-    report = envelope.tr_alpha_ratio(spec, grid)
-    meta = _meta(cfg, "-", cache.measure_hash(cfg["phi"]))
-    meta["verdict"] = report.verdict
-    meta["decade_growth"] = report.decade_growth
-    header = ["seed", "version", "backend", "measure_hash",
-              "r", "lhs", "rhs", "ratio"]
-    pre = _prefix(cfg, "-", meta["measure_hash"])
-    rows = [pre + [float(r), float(l), float(h), float(q)]
+    report = envelope.tr_alpha_ratio(spec, np.logspace(lo, hi, n_pts))
+    rows = [[float(r), float(l), float(h), float(q)]
             for r, l, h, q in report.rows()]
-    reporting.emit_report(rows, cfg["output"], header, meta)
+    return Report("-", cache.measure_hash(cfg["phi"]),
+                  ["r", "lhs", "rhs", "ratio"], rows,
+                  {"verdict": report.verdict,
+                   "decade_growth": report.decade_growth})
 
 
-def _speed(cfg):
-    spec = parse_backend(cfg["backend"])
-    mu = build_measure(spec, cfg["measure"])
-    mhash = cache.measure_hash(cfg["measure"])
+def _speed(cfg, *_):
+    spec, mu, mhash = _law(cfg)
     stream = rngmod.derive_stream(int(cfg.get("seed", 0)), "speed")
     table = walks.speed_in_probability(spec, mu, cfg["n_list"],
                                        cfg["eps_list"], int(cfg["trials"]),
@@ -267,34 +243,24 @@ def _speed(cfg):
     for n, eps, p, ci in table.rows:
         if not (0.0 <= p <= 1.0):
             raise ContradictionError(f"probability {p} outside [0,1] at n={n}")
-    header = ["seed", "version", "backend", "measure_hash",
-              "n", "eps", "prob", "ci95", "metric_mode"]
-    pre = _prefix(cfg, cfg["backend"], mhash)
-    rows = [pre + [n, eps, p, ci, table.metric_mode]
-            for n, eps, p, ci in table.rows]
-    meta = _meta(cfg, cfg["backend"], mhash)
-    meta["trials"] = table.trials
-    _record_sampler_tail(meta, mu)
-    reporting.emit_report(rows, cfg["output"], header, meta)
+    rows = [[n, eps, p, ci, table.metric_mode] for n, eps, p, ci in table.rows]
+    return Report(cfg["backend"], mhash,
+                  ["n", "eps", "prob", "ci95", "metric_mode"], rows,
+                  {"trials": table.trials, **_sampler_tail(mu)})
 
 
-def _dispersion(cfg):
+def _dispersion(cfg, *_):
     desc = cfg["measure"]
     z_spec = groups.integer_lattice(1)
     mu = build_measure(z_spec, desc)
-    mhash = cache.measure_hash(desc)
     cap = int(cfg.get("cap", 2 * 10 ** 5))
     pmf = mu.to_pmf_on_z(cap)
     curve = walks.tv_dispersion_z(pmf, int(cfg["shift"]), cfg["n_list"], cap)
     for n, tv, dt in curve.rows:
         if tv > 1.0 + 2 * dt + 1e-12:
             raise ContradictionError(f"TV {tv} exceeds 1 at n={n}")
-    meta = _meta(cfg, "Z^1", mhash)
-    meta["periodic"] = curve.periodic
-    header = ["seed", "version", "backend", "measure_hash",
-              "n", "tv", "delta_trunc"]
-    pre = _prefix(cfg, "Z^1", mhash)
-    rows = [pre + [n, tv, dt] for n, tv, dt in curve.rows]
+    columns = ["n", "tv", "delta_trunc"]
+    rows = [[n, tv, dt] for n, tv, dt in curve.rows]
     if "product_shift" in cfg:
         h_pmf = measures.lazy_transform(
             measures.uniform_on_generators(groups.standard_generators(z_spec)),
@@ -304,79 +270,87 @@ def _dispersion(cfg):
                                               tuple(cfg["product_shift"]),
                                               cfg["n_list"], max(cfg["n_list"]) + 1,
                                               pcap)
-        header += ["tv_h", "tv_z", "tv_product", "slack"]
+        columns += ["tv_h", "tv_z", "tv_product", "slack"]
         for i, row in enumerate(prod):
             if row.slack < -(row.error_budget * 2 + 1e-12):
                 raise ContradictionError(
                     f"product TV bound violated at n={row.n}")
             rows[i] += [row.tv_h, row.tv_z, row.tv_product, row.slack]
-    reporting.emit_report(rows, cfg["output"], header, meta)
+    return Report("Z^1", cache.measure_hash(desc), columns, rows,
+                  {"periodic": curve.periodic})
 
 
-def _green_speed(cfg):
-    spec = parse_backend(cfg["backend"])
-    green.check_transient(spec)
-    mu = build_measure(spec, cfg["measure"])
-    mhash = cache.measure_hash(cfg["measure"])
+def _green_speed(cfg, *_):
+    spec, mu, mhash = _law(cfg, transient=True)
     stream = rngmod.derive_stream(int(cfg.get("seed", 0)), "green-speed")
     rows = walks.green_speed_estimate(spec, mu, cfg["n_list"],
                                       int(cfg["trials"]), stream)
-    header = ["seed", "version", "backend", "measure_hash",
-              "n", "mean_green_speed", "ci95", "mc_fallback_points"]
-    pre = _prefix(cfg, cfg["backend"], mhash)
-    out = [pre + [r.n, r.mean, r.ci95, r.mc_fallback_points] for r in rows]
-    reporting.emit_report(out, cfg["output"], header,
-                          _meta(cfg, cfg["backend"], mhash))
+    return Report(cfg["backend"], mhash,
+                  ["n", "mean_green_speed", "ci95", "mc_fallback_points"],
+                  [[r.n, r.mean, r.ci95, r.mc_fallback_points] for r in rows])
 
 
-def _cone(cfg):
-    box = int(cfg["box"])
+def _cone(cfg, *_):
     probes = [tuple(p) for p in cfg["probes"]]
-    base = tuple(cfg["base"])
-    result = walks.cone_martin_experiment(box, probes, base, cfg["n_list"])
-    meta = _meta(cfg, "Z^2-quadrant", "-")
-    meta["limits"] = result["limits"]
-    meta["homogeneity_degree"] = result["homogeneity_degree"]
-    meta["harmonicity_defect"] = result["harmonicity_defect"]
-    header = ["seed", "version", "backend", "measure_hash", "n"] + \
-        [f"ratio_{p[0]}_{p[1]}" for p in probes]
-    pre = _prefix(cfg, "Z^2-quadrant", "-")
-    rows = [pre + [row.n] + row.ratios for row in result["rows"]]
-    reporting.emit_report(rows, cfg["output"], header, meta)
+    result = walks.cone_martin_experiment(int(cfg["box"]), probes,
+                                          tuple(cfg["base"]), cfg["n_list"])
+    table = result["table"]
+    return Report("Z^2-quadrant", "-",
+                  ["n"] + [f"ratio_{p[0]}_{p[1]}" for p in probes],
+                  [[row.n] + row.ratios for row in result["rows"]],
+                  {"limits": result["limits"],
+                   "harmonicity_defect": result["harmonicity_defect"],
+                   "solver": _solver_record(table, table.sources),
+                   "residual": result["residual"]})
 
 
-def _increment_probe(cfg):
-    spec = parse_backend(cfg["backend"])
-    mu = build_measure(spec, cfg["measure"])
-    mhash = cache.measure_hash(cfg["measure"])
+def _increment_probe(cfg, *_):
+    spec, mu, mhash = _law(cfg)
     stream = rngmod.derive_stream(int(cfg.get("seed", 0)), "increment-probe")
     checkpoints = cfg.get("checkpoints", [int(cfg["n"])])
     report = walks.increment_ratio_max(mu, int(cfg["n"]), int(cfg["trials"]),
                                        stream, checkpoints)
-    header = ["seed", "version", "backend", "measure_hash",
-              "checkpoint", "median_running_max"]
-    pre = _prefix(cfg, cfg["backend"], mhash)
-    rows = [pre + [c, m] for c, m in zip(report.checkpoints, report.medians)]
-    meta = _meta(cfg, cfg["backend"], mhash)
-    _record_sampler_tail(meta, mu)
-    reporting.emit_report(rows, cfg["output"], header, meta)
+    return Report(cfg["backend"], mhash, ["checkpoint", "median_running_max"],
+                  [[c, m] for c, m in zip(report.checkpoints, report.medians)],
+                  _sampler_tail(mu))
 
 
-def _on_diagonal(cfg):
-    spec = parse_backend(cfg["backend"])
-    mu = build_measure(spec, cfg["measure"])
-    mhash = cache.measure_hash(cfg["measure"])
+def _on_diagonal(cfg, *_):
+    spec, mu, mhash = _law(cfg)
     report = envelope.on_diagonal_probe(spec, mu, int(cfg["m_max"]))
-    meta = _meta(cfg, cfg["backend"], mhash)
-    meta["beta_hat"] = report.beta_hat
-    meta["rate"] = report.rate
-    meta["kesten_root"] = report.kesten_root
-    # The prefactor-separated root: the estimate of the spectral radius.
-    meta["fitted_root"] = float(np.exp(report.rate / 2.0))
-    header = ["seed", "version", "backend", "measure_hash", "m", "p_2m"]
-    pre = _prefix(cfg, cfg["backend"], mhash)
-    rows = [pre + [int(m), float(p)] for m, p in zip(report.m_values, report.p2m)]
-    reporting.emit_report(rows, cfg["output"], header, meta)
+    return Report(cfg["backend"], mhash, ["m", "p_2m"],
+                  [[int(m), float(p)] for m, p in zip(report.m_values, report.p2m)],
+                  {"beta_hat": report.beta_hat, "rate": report.rate,
+                   "kesten_root": report.kesten_root,
+                   # the prefactor-separated root: the spectral-radius estimate
+                   "fitted_root": float(np.exp(report.rate / 2.0))})
+
+
+class _Kind(NamedTuple):
+    run: Callable              # (cfg, cache_dir, force) -> Report
+    keys: set                  # accepted keys besides kind, seed, output
+
+
+_LAW = {"backend", "measure"}
+
+KINDS = {
+    "delta-scan": _Kind(_delta_scan,
+                        _LAW | {"scales", "basepoint", "engine", "tol"}),
+    "eps-delta": _Kind(functools.partial(_delta_scan, with_band=True),
+                       _LAW | {"scales", "basepoint", "tol"}),
+    "green-table": _Kind(_green_table, _LAW | {"radius", "sources",
+                                               "boundary_matrix", "tol"}),
+    "envelope": _Kind(_envelope, {"d_star", "gamma", "alpha", "phi",
+                                  "r_decades", "points_per_decade"}),
+    "speed": _Kind(_speed, _LAW | {"n_list", "eps_list", "trials"}),
+    "dispersion": _Kind(_dispersion, {"measure", "shift", "n_list", "cap",
+                                      "product_shift", "product_cap"}),
+    "green-speed": _Kind(_green_speed, _LAW | {"n_list", "trials"}),
+    "cone": _Kind(_cone, {"box", "probes", "base", "n_list"}),
+    "increment-probe": _Kind(_increment_probe,
+                             _LAW | {"n", "trials", "checkpoints"}),
+    "on-diagonal": _Kind(_on_diagonal, _LAW | {"m_max"}),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -394,28 +368,14 @@ def run(config_path: str, cache_dir=None, seed=None,
         return STATUS_CONFIG
     if cache_dir is None:
         cache_dir = cache.default_cache_dir()
-    kind = cfg["kind"]
     try:
-        if kind == "delta-scan":
-            _delta_scan(cfg, cache_dir, force_recompute, with_band=False)
-        elif kind == "eps-delta":
-            _delta_scan(cfg, cache_dir, force_recompute, with_band=True)
-        elif kind == "green-table":
-            _green_table(cfg, cache_dir, force_recompute)
-        elif kind == "envelope":
-            _envelope(cfg)
-        elif kind == "speed":
-            _speed(cfg)
-        elif kind == "dispersion":
-            _dispersion(cfg)
-        elif kind == "green-speed":
-            _green_speed(cfg)
-        elif kind == "cone":
-            _cone(cfg)
-        elif kind == "increment-probe":
-            _increment_probe(cfg)
-        elif kind == "on-diagonal":
-            _on_diagonal(cfg)
+        rep = KINDS[cfg["kind"]].run(cfg, cache_dir, force_recompute)
+        base = {"seed": cfg.get("seed", 0), "version": __version__,
+                "backend": rep.backend, "measure_hash": rep.measure_hash}
+        reporting.emit_report(
+            [list(base.values()) + list(row) for row in rep.rows],
+            cfg["output"], list(base) + rep.columns,
+            {**base, "kind": cfg["kind"], **rep.meta})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return STATUS_CONFIG

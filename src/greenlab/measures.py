@@ -44,6 +44,16 @@ SHELL_SAMPLE_RADIUS_MAX = 2 * 10 ** 6
 STABLE_SAMPLE_MAGNITUDE_MAX = 10 ** 7 - 1
 
 
+def _range_sum(f, lo: int, hi: int) -> float:
+    """sum_{lo <= n < hi} f(n) for a vectorised f, over float64 blocks of
+    10^6 terms starting at lo (bounded memory; the blocks fix the rounding)."""
+    total = 0.0
+    for start in range(lo, hi, 10 ** 6):
+        n = np.arange(start, min(start + 10 ** 6, hi), dtype=np.float64)
+        total += float(np.sum(f(n)))
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Integer pmfs with truncation bookkeeping
 # ---------------------------------------------------------------------------
@@ -557,11 +567,8 @@ def lazy_transform(mu: StepMeasure, eps: float) -> StepMeasure:
 def shell_norm_constant(r0: int) -> float:
     """1/Z with Z = sum_{r>=r0} 1/(r^2 log r), summed directly to 1e7 with an
     integral tail bound (tail < 1e-8 there)."""
-    total = 0.0
     hi = 10 ** 7
-    for lo in range(r0, hi, 10 ** 6):
-        r = np.arange(lo, min(lo + 10 ** 6, hi), dtype=np.float64)
-        total += float(np.sum(1.0 / (r * r * np.log(r))))
+    total = _range_sum(lambda r: 1.0 / (r * r * np.log(r)), r0, hi)
     total += 1.0 / (hi * np.log(hi))  # integral bound for the remainder
     return 1.0 / total
 
@@ -649,16 +656,10 @@ def first_moment_partial(mu: StepMeasure, radius: int) -> float:
         if abs(mu.alpha - 1.0) < 1e-12:
             h = float(special.digamma(radius + 1)) + np.euler_gamma
         else:
-            h = 0.0
-            for lo in range(1, radius + 1, 10 ** 6):
-                k = np.arange(lo, min(lo + 10 ** 6, radius + 1), dtype=np.float64)
-                h += float(np.sum(k ** -mu.alpha))
+            h = _range_sum(lambda k: k ** -mu.alpha, 1, radius + 1)
         return (1.0 - lazy) * 2.0 * mu.c_alpha * h
     # shell: unit part + sum_{r0<=r<=R} r p_r
     total = UNIT_MASS * 1.0
-    acc = 0.0
-    for lo in range(mu.r0, radius + 1, 10 ** 6):
-        r = np.arange(lo, min(lo + 10 ** 6, radius + 1), dtype=np.float64)
-        acc += float(np.sum(1.0 / (r * np.log(r))))
+    acc = _range_sum(lambda r: 1.0 / (r * np.log(r)), mu.r0, radius + 1)
     total += (1.0 - UNIT_MASS) * mu.shell_norm * acc
     return (1.0 - lazy) * total

@@ -21,7 +21,7 @@ from . import groups
 from .green import (TreeGreenOracle, ball_domain, killed_green_solve,
                     mc_hitting_green, tree_distance_chain)
 from .groups import GroupSpec, identity, mul
-from .measures import (PmfOnZ, StepMeasure, UNIT_MASS,
+from .measures import (PmfOnZ, StepMeasure, UNIT_MASS, _range_sum,
                        self_convolution_powers, total_variation_shift)
 
 
@@ -419,10 +419,7 @@ def _shell_tail_probability(mu: StepMeasure, x: int) -> float:
         return keep
     if x < mu.r0:
         return keep * (1.0 - UNIT_MASS)
-    head = 0.0
-    for start in range(mu.r0, x + 1, 10 ** 6):
-        r = np.arange(start, min(start + 10 ** 6, x + 1), dtype=np.float64)
-        head += float(np.sum(1.0 / (r * r * np.log(r))))
+    head = _range_sum(lambda r: 1.0 / (r * r * np.log(r)), mu.r0, x + 1)
     return keep * (1.0 - UNIT_MASS) * (1.0 - mu.shell_norm * head)
 
 
@@ -440,8 +437,8 @@ def cone_martin_experiment(box: int, probes: list, base: tuple,
                            n_list) -> dict:
     """Ratios G_K(x, y_n) / G_K(x*, y_n) along the diagonal ray y_n = (n, n)
     of the quadrant-killed walk, compared to h(x)/h(x*) for the exact
-    killed-harmonic function h(x) = x1 x2; also returns the homogeneity
-    degree of h fitted on the diagonal (exactly 2)."""
+    killed-harmonic function h(x) = x1 x2; also returns the solved table
+    and its largest residual."""
     probes, base = [tuple(p) for p in probes], tuple(base)
     table = green_mod.quadrant_killed_green(box, probes + [base])
     rows = []
@@ -452,8 +449,6 @@ def cone_martin_experiment(box: int, probes: list, base: tuple,
         denom = table.green(base, y)
         rows.append(ConeRatioRow(n, [table.green(p, y) / denom for p in probes]))
     limits = [p[0] * p[1] / (base[0] * base[1]) for p in probes]
-    ks = np.arange(1, box + 1, dtype=np.float64)
-    degree = float(np.polyfit(np.log(ks), np.log(ks * ks), 1)[0])
-    return {"rows": rows, "limits": limits, "homogeneity_degree": degree,
+    return {"rows": rows, "limits": limits, "table": table,
             "harmonicity_defect": green_mod.quadrant_harmonicity_defect(box),
             "residual": float(table.residuals.max())}

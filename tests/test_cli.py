@@ -77,6 +77,18 @@ class TestRun:
         assert run(path) == STATUS_CONFIG
         assert not os.path.exists(cfg["output"])
 
+    def test_basepoint_sets_d_ab(self, tmp_path):
+        # on the 4-regular tree Delta(B(R); e, b) = q^|b| - 1 with q = 3
+        # (tree closed form), and d_ab is the word length of b
+        cfg = f2_delta_config(tmp_path)
+        cfg.update(basepoint="ab", scales=[3, 4])
+        path = write_config(tmp_path / "cfg.json", cfg)
+        assert run(path, cache_dir=str(tmp_path / "cache")) == STATUS_OK
+        _, header, rows = read_report(cfg["output"])
+        assert [row[header.index("d_ab")] for row in rows] == ["2", "2"]
+        for row in rows:
+            assert abs(float(row[header.index("delta")]) - 8.0) < 1e-9
+
     def test_recurrent_backend_is_numeric_failure_free(self, tmp_path):
         cfg = f2_delta_config(tmp_path)
         cfg["backend"] = "Z^2"
@@ -115,6 +127,23 @@ class TestCache:
         assert run(path, cache_dir=cache_dir) == STATUS_OK
         assert report_body(cfg["output"]) == first
         monkeypatch.setattr(climod.green, "killed_green_solve", real_solve)
+
+    def test_cached_table_without_the_sources_is_a_miss(self, tmp_path):
+        # a green-table run caches B(10) with source (1,1,1) only; the
+        # delta-scan at R = 4 kills on the same B(10) but needs (0,0,0)
+        # and e1, so it solves afresh and reports the fresh-cache body
+        cache_dir = str(tmp_path / "cache")
+        table_cfg = {"kind": "green-table", "backend": "Z^3",
+                     "measure": {"type": "srw"}, "radius": 10,
+                     "sources": ["1,1,1"], "output": str(tmp_path / "gt.csv")}
+        assert run(write_config(tmp_path / "gt.json", table_cfg),
+                   cache_dir=cache_dir) == STATUS_OK
+        cfg = self.z3_config(tmp_path)
+        path = write_config(tmp_path / "cfg.json", cfg)
+        assert run(path, cache_dir=cache_dir) == STATUS_OK
+        shared = report_body(cfg["output"])
+        assert run(path, cache_dir=str(tmp_path / "fresh")) == STATUS_OK
+        assert shared == report_body(cfg["output"])
 
     def test_tol_invalidates_key(self, tmp_path):
         cfg = self.z3_config(tmp_path)
@@ -274,6 +303,12 @@ class TestOtherKinds:
                "n_list": [10, 15], "output": str(tmp_path / "cone.csv")}
         path = write_config(tmp_path / "cfg.json", cfg)
         assert run(path) == STATUS_OK
+        meta, _, _ = read_report(cfg["output"])
+        solver = meta["solver"]
+        assert solver["method"] == "direct"
+        assert (solver["symmetry_order"], solver["unknowns"]) == (1, 30 ** 2)
+        assert 0.0 <= meta["residual"] < 1e-8
+        assert "homogeneity_degree" not in meta
 
     def test_on_diagonal_kind(self, tmp_path):
         cfg = {"kind": "on-diagonal", "backend": "F_2",

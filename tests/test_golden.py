@@ -80,7 +80,7 @@ CONFIGS = {
 }
 
 META_KEYS = {"green_table_heis3": ("spd_ok", "min_eigenvalue"),
-             "cone_quadrant": ("harmonicity_defect", "homogeneity_degree")}
+             "cone_quadrant": ("harmonicity_defect",)}
 
 
 def run_report(name, workdir):

@@ -450,10 +450,9 @@ class TestCone:
         for row in res["rows"]:
             assert row.ratios[0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_ratio_limit_and_homogeneity(self):
+    def test_ratio_limit_and_harmonicity(self):
         res = cone_martin_experiment(60, [(2, 3)], (1, 1), [30])
         assert abs(res["rows"][0].ratios[0] - 6.0) / 6.0 < 0.05
-        assert res["homogeneity_degree"] == pytest.approx(2.0, abs=1e-12)
         assert res["harmonicity_defect"] == 0.0
 
     def test_ray_outside_box_rejected(self):
