@@ -4,8 +4,14 @@ group, the quarter-plane cone), with exact small-scale oracles and
 reproducible batch experiments."""
 
 import importlib
+import os
 
 __version__ = "0.1.0"
+
+# The CPUs this process may use: the thread count of the batched FFTs and
+# of the concurrent per-source killed solves.
+CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count() or 1)
 
 
 class _LazyModule:

@@ -146,8 +146,9 @@ def eps_delta_band_check(domain: Domain, a, b, mu: StepMeasure, provider,
     """
     spec = domain.spec
     o = identity(spec) if origin is None else origin
-    exits = {p: exit_distribution(domain, p, mu, "solve", tol=tol)
-             for p in {a, b, o}}
+    # one killed solve on S serves every start point
+    starts = list(dict.fromkeys((a, b, o)))
+    exits = dict(zip(starts, exit_distribution(domain, starts, mu, "solve", tol=tol)))
     bdry = domain.boundary
     go = provider.bracket_row(o, bdry)[0]
     eta = 0.0

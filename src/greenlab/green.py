@@ -21,9 +21,14 @@ Their Applications*, 1992).
 SciPy's sparse modules are the lazy module attributes ``sp`` and ``spla``
 (``greenlab._LazyModule``), imported the first time a table is solved.
 Importing greenlab therefore loads no SciPy, which is most of the start-up
-time (the benchmark's ``setup_s``) of runs that never solve.  Every
-function here looks ``spla`` up at call time, so a caller that rebinds
-``green.spla`` (as the benchmark's tracer does) sees every solver call.
+time (the benchmark's ``setup_s``) of runs that never solve.  ``spla``
+supplies only the direct factorization ``splu``; conjugate gradients are
+this module's own loop, ``cg``, whose reductions never enter BLAS, so a
+table's bytes do not depend on the BLAS thread count.  The sources of a
+table are solved concurrently, in up to ``greenlab.CPUS`` threads, each
+with the same arithmetic as alone.  Every function here looks ``spla``
+and ``cg`` up at call time, so a caller that rebinds ``green.spla`` and
+``green.cg`` (as the benchmark's tracer does) sees every solver call.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import _LazyModule, groups
+from . import CPUS, _LazyModule, groups
 from .groups import GroupSpec, identity, inv, mul
 from .measures import StepMeasure, uniform_on_generators
 
@@ -633,8 +638,47 @@ class _AggregationMultigrid:
             x += weights * (b - mat @ x)
         return x
 
-    def operator(self) -> spla.LinearOperator:
-        return spla.LinearOperator(self.shape, matvec=self.apply, dtype=np.float64)
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x . y by NumPy's own sum-of-products loop, never BLAS: the sum does
+    not depend on the BLAS thread count."""
+    return float(np.einsum("i,i->", x, y))
+
+
+def cg(mat, rhs: np.ndarray, tol: float, maxiter: int, precond=None) -> tuple:
+    """Conjugate gradients (Hestenes & Stiefel, J. Res. NBS 49, 1952) for
+    an SPD matrix from x = 0; returns (x, iterations) once
+    ||rhs - mat x||_2 < tol, and raises SolverError after maxiter.
+
+    The updates follow scipy.sparse.linalg.cg in order; ``precond`` (a
+    callable approximating mat^{-1}, SPD) is applied to the residual.  The
+    reductions are ``_dot``, so x is the same for every BLAS thread count;
+    the sparse product and the in-place updates release the GIL, so
+    several right-hand sides can run in threads.
+    """
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    step = np.empty_like(rhs)           # alpha p, then alpha q
+    p, rho_prev = None, 0.0
+    for iteration in range(maxiter):
+        rr = _dot(r, r)
+        if math.sqrt(rr) < tol:
+            return x, iteration
+        z = r if precond is None else precond(r)
+        rho = rr if precond is None else _dot(r, z)
+        if p is None:
+            p = z.copy()
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = mat @ p
+        alpha = rho / _dot(p, q)
+        np.multiply(alpha, p, out=step)
+        x += step
+        np.multiply(alpha, q, out=step)
+        r -= step
+        rho_prev = rho
+    raise SolverError(f"CG did not reach the tolerance {tol:g} in {maxiter} iterations")
 
 
 def killed_green_solve(omega: Domain, sources: list, mu: StepMeasure,
@@ -651,9 +695,10 @@ def killed_green_solve(omega: Domain, sources: list, mu: StepMeasure,
 
     method "auto" uses a direct factorization below DIRECT_SOLVE_MAX
     unknowns (or when many sources are requested and memory allows) and
-    conjugate gradients otherwise; residuals are reported per source.  CG
-    on Z^d above MULTIGRID_MIN unknowns is preconditioned by an
+    conjugate gradients (``cg``) otherwise; residuals are reported per
+    source.  CG on Z^d above MULTIGRID_MIN unknowns is preconditioned by an
     aggregation V-cycle; the stopping rule and residual check are the same.
+    The sources are solved in a pool of up to CPUS threads.
     """
     for a in sources:
         if a not in omega:
@@ -666,36 +711,46 @@ def killed_green_solve(omega: Domain, sources: list, mu: StepMeasure,
             method = "direct"
         else:
             method = "cg"
-    vals = np.zeros((len(sources), len(omega)))
-    residuals = np.zeros(len(sources))
-    iterations = np.zeros(len(sources), dtype=np.int64)
     lu = spla.splu(mat.tocsc()) if method == "direct" else None
     mg = None
     # the aggregation by coords >> 1 is built for lattice geometry.  On
-    # Heis3 balls it needs fewer CG iterations than plain CG (43 against 125
-    # at R = 28, 59 against 176 at R = 40), but at R = 40 it takes about
-    # twice the wall time (7.1 against 3.4 s), so Heis3 runs plain CG
+    # Heis3 balls, sources e and (1,0,0), it cuts the CG iterations (43
+    # against 125 and 153 at R = 28, 59 against 176 and 214 at R = 40) but
+    # not the wall time, setup included: 1.1 against 0.5 s at R = 28 and
+    # 7.9 against 5.1 s at R = 40 (two threads); so Heis3 runs plain CG
     if method == "cg" and omega.spec.variant == "lattice" and m > MULTIGRID_MIN:
         mg = _AggregationMultigrid(mat, omega.coords[orbits.reps])
-    precond = mg.operator() if mg else None
-    for i, a in enumerate(sources):
+    vals = np.zeros((len(sources), len(omega)))
+    residuals = np.zeros(len(sources))
+    iterations = np.zeros(len(sources), dtype=np.int64)
+
+    def solve(i: int) -> None:
+        a = sources[i]
         rhs = np.zeros(m)
         rhs[orbits.label[omega.lookup(a)]] = 1.0
-        if method == "direct":
+        if lu is not None:
             u = lu.solve(rhs)
         else:
-            def count(_, i=i):
-                iterations[i] += 1
-
-            u, info = spla.cg(mat, rhs, rtol=0.0, atol=tol, maxiter=20 * m,
-                              M=precond, callback=count)
-            if info != 0:
-                raise SolverError(f"CG failed for source {a!r} (info={info})")
+            u, iterations[i] = cg(mat, rhs, tol, 20 * m, mg.apply if mg else None)
         res = float(np.max(np.abs(mat @ u - rhs) / orbits.sizes))
         if res > 100 * max(tol, 1e-14):
             raise SolverError(f"residual {res:g} above tolerance for source {a!r}")
         vals[i] = u[orbits.label]
         residuals[i] = res
+
+    # each source's arithmetic is the same in any thread, so the table does
+    # not depend on the worker count
+    workers = min(CPUS, len(sources))
+    if workers > 1:
+        # imported here: at module level it lengthens the start-up of every
+        # run, including those that never solve
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(solve, range(len(sources))))
+    else:
+        for i in range(len(sources)):
+            solve(i)
     return GreenTable(omega, list(sources), vals, residuals,
                       mu.laziness, mu.name, tol, method,
                       mg.name if mg else None, iterations, orbits.order, m)
@@ -764,18 +819,21 @@ class ExitDistribution:
 def exit_distribution(domain: Domain, a, mu: StepMeasure,
                       method: str = "solve", trials: int = 0,
                       rng: Optional[np.random.Generator] = None,
-                      tol: float = DEFAULT_TOL) -> ExitDistribution:
+                      tol: float = DEFAULT_TOL) -> ExitDistribution | list:
     """Law of the first position outside S started from a in S, as a vector
-    over ``domain.boundary``.
+    over ``domain.boundary``; for a list of start points, the list of their
+    laws.
 
     "solve": mu_S(a, z) = sum_{y in S} G_S(a, y) mu(y^{-1} z) from the
-    absorbing-chain linear system on S.  "mc": empirical exit frequencies
-    of ``trials`` walkers moved together through the domain's step table.
+    absorbing-chain linear system on S, one killed solve for every start.
+    "mc": empirical exit frequencies of ``trials`` walkers moved together
+    through the domain's step table, one start after another.
     Raises ValueError when the domain carries no boundary.
     """
+    starts = a if isinstance(a, list) else [a]
     if domain.boundary is None:
         raise ValueError("domain carries no boundary")
-    if a not in domain:
+    if any(s not in domain for s in starts):
         raise ValueError("start point must lie in S")
     if method not in ("solve", "mc"):
         raise ValueError("method must be 'solve' or 'mc'")
@@ -788,20 +846,25 @@ def exit_distribution(domain: Domain, a, mu: StepMeasure,
     table = domain.step_table(steps if method == "solve" else mu.support_elements())
     if (table < 0).any():
         raise ValueError("a step leaves S outside its recorded boundary")
+    laws = []
     if method == "solve":
-        gvals = killed_green_solve(domain, [a], mu, tol).row(a)
+        gvals = killed_green_solve(domain, starts, mu, tol).values
         # row-major (element, step) order keeps each boundary sum in the
         # order of a loop over elements
         i, k = np.nonzero(table >= n)
-        vec = np.bincount(table[i, k] - n, weights=gvals[i] * p[k], minlength=m)
-        return ExitDistribution(domain, a, vec, "solve")
-    pos = np.full(trials, domain.lookup(a), dtype=np.int64)
-    alive = np.arange(trials)
-    while alive.size:
-        pos[alive] = table[pos[alive], mu.sample_support_index(rng, alive.size)]
-        alive = alive[pos[alive] < n]
-    return ExitDistribution(domain, a, np.bincount(pos - n, minlength=m) / trials,
-                            "mc")
+        for s, g in zip(starts, gvals):
+            vec = np.bincount(table[i, k] - n, weights=g[i] * p[k], minlength=m)
+            laws.append(ExitDistribution(domain, s, vec, "solve"))
+    else:
+        for s in starts:
+            pos = np.full(trials, domain.lookup(s), dtype=np.int64)
+            alive = np.arange(trials)
+            while alive.size:
+                pos[alive] = table[pos[alive], mu.sample_support_index(rng, alive.size)]
+                alive = alive[pos[alive] < n]
+            laws.append(ExitDistribution(
+                domain, s, np.bincount(pos - n, minlength=m) / trials, "mc"))
+    return laws if isinstance(a, list) else laws[0]
 
 
 def verify_exit_decomposition(domain: Domain, a, x, mu: StepMeasure,

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
 import numpy as np
 
-from . import _LazyModule, groups
+from . import CPUS, _LazyModule, groups
 from .groups import GroupSpec, GeneratorSet, identity, mul
 
 fft = _LazyModule("scipy.fft")
@@ -146,11 +145,6 @@ def convolve_z(p: PmfOnZ, q: PmfOnZ, cap: int) -> PmfOnZ:
     return PmfOnZ(kept, lo_keep, max(delta, 0.0))
 
 
-# Threads for the batched axis transforms: the CPUs this process may use.
-_FFT_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-
-
 def _cyclic_convolution(x: np.ndarray, y: Optional[np.ndarray],
                         need: int) -> np.ndarray:
     """Cyclic convolution of x and y (y None: x with itself), zero-padded to
@@ -163,7 +157,8 @@ def _cyclic_convolution(x: np.ndarray, y: Optional[np.ndarray],
     k1 <= n1 / 2, which determines the rest; the pointwise product does not
     care about this transposed layout, and the inverse runs the three steps
     backwards.  No transpose is materialised, and every transform is a
-    batch of short ones spread over _FFT_WORKERS threads.
+    batch of short ones spread over ``CPUS`` threads (the CPUs this
+    process may use).
     """
     n1 = fft.next_fast_len(math.isqrt(need) + 1, True)
     n2 = fft.next_fast_len(-(-need // n1))
@@ -172,21 +167,20 @@ def _cyclic_convolution(x: np.ndarray, y: Optional[np.ndarray],
     for v in (x,) if y is None else (x, y):
         grid = np.zeros((n1, n2))
         grid.reshape(-1)[:len(v)] = v
-        s = fft.rfft(grid, axis=0, workers=_FFT_WORKERS)
+        s = fft.rfft(grid, axis=0, workers=CPUS)
         del grid    # not held while the inverse allocates its output
         s *= twiddles
-        spectra.append(fft.fft(s, axis=1, overwrite_x=True,
-                               workers=_FFT_WORKERS))
+        spectra.append(fft.fft(s, axis=1, overwrite_x=True, workers=CPUS))
     s = spectra[0]
     np.multiply(s, spectra[-1], out=s)
     del spectra
-    s = fft.ifft(s, axis=1, overwrite_x=True, workers=_FFT_WORKERS)
+    s = fft.ifft(s, axis=1, overwrite_x=True, workers=CPUS)
     # s * conj(twiddles) as conj(conj(s) * twiddles): the same value, with
     # no conjugated copy of the table
     np.conjugate(s, out=s)
     s *= twiddles
     np.conjugate(s, out=s)
-    return fft.irfft(s, n1, axis=0, workers=_FFT_WORKERS).reshape(-1)
+    return fft.irfft(s, n1, axis=0, workers=CPUS).reshape(-1)
 
 
 # Two shapes: a doubling chain on a full window reuses one, and

@@ -1,5 +1,9 @@
 """Killed Green solves, exit laws, boundary matrices, brackets, MC hitting."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -223,11 +227,10 @@ class TestMultigrid:
         mat = green._operator(omega, mu)
         mg = green._AggregationMultigrid(mat, omega.coords)
         assert mg.levels
-        op = mg.operator()
         rng = np.random.default_rng(7)
         for _ in range(4):
             x, y = rng.standard_normal((2, len(omega)))
-            mx, my = op @ x, op @ y
+            mx, my = mg.apply(x), mg.apply(y)
             xmx, ymy = float(x @ mx), float(y @ my)
             assert xmx > 0 and ymy > 0
             assert abs(float(mx @ y) - float(x @ my)) <= 1e-12 * np.sqrt(xmx * ymy)
@@ -261,6 +264,118 @@ class TestMultigrid:
                               maxiter=20 * len(omega))
         assert info == 0
         assert np.max(np.abs(table.row(ASYMMETRIC) - plain)) <= 1e-9
+
+
+def scipy_cg(mat, rhs, tol, precond=None):
+    """(x, iterations) of scipy.sparse.linalg.cg under green.cg's stopping
+    rule and iteration cap, the reference for green.cg."""
+    count = [0]
+    op = None if precond is None else spla.LinearOperator(
+        mat.shape, matvec=precond, dtype=np.float64)
+    x, info = spla.cg(mat, rhs, rtol=0.0, atol=tol, maxiter=20 * len(rhs), M=op,
+                      callback=lambda _: count.__setitem__(0, count[0] + 1))
+    assert info == 0
+    return x, count[0]
+
+
+def unit_rhs(omega, a):
+    rhs = np.zeros(len(omega))
+    rhs[omega.lookup(a)] = 1.0
+    return rhs
+
+
+# domains whose V-cycle has at least one coarse level (source ASYMMETRIC)
+CG_CASES = {
+    "Z3": lambda: ball_domain(Z3, srw(Z3), 20, with_boundary=False),
+    "Heis3": lambda: ball_domain(HEIS, srw(HEIS), 12, with_boundary=False),
+}
+
+# Solves Z^3 B(22) (15,225 unknowns, above OpenBLAS's 10,000-entry threading
+# cut) from two sources by CG and prints a digest of the table.
+BLAS_CHILD = """
+import hashlib
+from greenlab import green, groups
+from greenlab.measures import uniform_on_generators
+
+z3 = groups.integer_lattice(3)
+mu = uniform_on_generators(groups.standard_generators(z3))
+omega = green.ball_domain(z3, mu, 22, with_boundary=False)
+table = green.killed_green_solve(omega, [(0, 0, 0), (1, 0, 0)], mu)
+assert table.method == "cg" and table.unknowns > 10_000
+print(hashlib.sha256(table.values.tobytes() + table.residuals.tobytes()
+                     + table.iterations.tobytes()).hexdigest())
+"""
+
+
+class TestCG:
+    @pytest.mark.parametrize("vcycle", [False, True], ids=["plain", "vcycle"])
+    @pytest.mark.parametrize("name", sorted(CG_CASES))
+    def test_matches_scipy_cg(self, name, vcycle):
+        omega = CG_CASES[name]()
+        mat = green._operator(omega, srw(omega.spec))
+        precond = green._AggregationMultigrid(mat, omega.coords).apply if vcycle else None
+        rhs = unit_rhs(omega, ASYMMETRIC)
+        x, iterations = green.cg(mat, rhs, 1e-10, 20 * len(rhs), precond)
+        ref, ref_iterations = scipy_cg(mat, rhs, 1e-10, precond)
+        assert iterations == ref_iterations > 1
+        assert np.max(np.abs(x - ref)) <= 1e-13
+
+    def test_table_matches_scipy_cg_through_the_vcycle(self, monkeypatch):
+        # no axis symmetry fixes the source, so the V-cycle runs on all of B(20)
+        monkeypatch.setattr(green, "MULTIGRID_MIN", 100)
+        mu = srw(Z3)
+        omega = CG_CASES["Z3"]()
+        table = killed_green_solve(omega, [ASYMMETRIC], mu, tol=1e-10, method="cg")
+        assert (table.unknowns, table.preconditioner) == (len(omega), "aggregation-vcycle")
+        mat = green._operator(omega, mu)
+        ref, ref_iterations = scipy_cg(mat, unit_rhs(omega, ASYMMETRIC), 1e-10,
+                                       green._AggregationMultigrid(mat, omega.coords).apply)
+        assert table.iterations[0] == ref_iterations
+        assert np.max(np.abs(table.row(ASYMMETRIC) - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("name, preconditioner",
+                             [("Z3", "aggregation-vcycle"), ("Heis3", None)])
+    def test_worker_count_does_not_change_the_table(self, name, preconditioner,
+                                                    monkeypatch):
+        # more workers than CPUs and a short switch interval, so the threads
+        # interleave often; every row must still be the serial one
+        monkeypatch.setattr(green, "MULTIGRID_MIN", 100)
+        omega = CG_CASES[name]()
+        mu = srw(omega.spec)
+        sources = [ASYMMETRIC, (1, 0, 0), (0, 1, 1), (2, 0, 1), (0, 0, 2)]
+        tables = []
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            for workers in (1, 4):
+                monkeypatch.setattr(green, "CPUS", workers)
+                tables.append(killed_green_solve(omega, sources, mu, method="cg"))
+        finally:
+            sys.setswitchinterval(interval)
+        one, two = tables
+        assert np.array_equal(one.values, two.values)
+        assert np.array_equal(one.residuals, two.residuals)
+        assert np.array_equal(one.iterations, two.iterations)
+        assert one.preconditioner == preconditioner and (one.iterations > 1).all()
+
+    def test_tiny_maxiter_raises(self):
+        omega = CG_CASES["Heis3"]()
+        mat = green._operator(omega, srw(HEIS))
+        with pytest.raises(green.SolverError):
+            green.cg(mat, unit_rhs(omega, ASYMMETRIC), 1e-10, 3)
+
+    def test_table_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # OpenBLAS splits a dot product above 10,000 entries across its
+        # threads, which changes its rounding; CG's reductions avoid BLAS
+        src = os.path.dirname(os.path.dirname(os.path.abspath(green.__file__)))
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            out = subprocess.run([sys.executable, "-c", BLAS_CHILD], cwd=tmp_path,
+                                 env=env, capture_output=True, text=True, timeout=300)
+            assert out.returncode == 0, out.stderr
+            digests.add(out.stdout.split()[-1])
+        assert len(digests) == 1
 
 
 def full_direct_row(omega, mu, a):
@@ -429,6 +544,16 @@ class TestExitDistribution:
         assert len(mc.probs) == 12
         for p in mc.probs.values():
             assert abs(p - 1 / 12) < 4 * sigma
+
+    @pytest.mark.parametrize("radius", [3, 14])          # direct, then CG
+    def test_start_list_matches_single_starts(self, radius):
+        mu = srw(Z3)
+        dom = ball_domain(Z3, mu, radius)
+        starts = [(1, 0, 0), E3, (0, 1, 1)]
+        laws = exit_distribution(dom, starts, mu)
+        assert [law.start for law in laws] == starts
+        for law in laws:
+            assert np.array_equal(law.vector, exit_distribution(dom, law.start, mu).vector)
 
     def test_start_outside_rejected(self):
         dom = ball_domain(Z3, srw(Z3), 2)

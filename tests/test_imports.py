@@ -66,8 +66,10 @@ def test_green_table_loads_sparse_solvers(tmp_path):
 
 
 def test_replaced_solver_module_sees_every_solve(tmp_path):
-    # A caller may replace green.spla before SciPy has loaded (a tracer does)
-    # and must then see every solver call: green looks spla up at call time.
+    # A caller may replace green.spla before SciPy has loaded, and green.cg
+    # (a tracer does both), and must then see every solver call: green looks
+    # both up at call time.  CG is green's own loop, so the factorization is
+    # the only solve that goes through spla.
     code = """
         from greenlab import green, groups
         from greenlab.measures import uniform_on_generators
@@ -82,12 +84,20 @@ def test_replaced_solver_module_sees_every_solve(tmp_path):
                 self.names.append(name)
                 return getattr(self.inner, name)
 
+        cg_sizes = []
+
+        def recording_cg(mat, rhs, *args, **kwargs):
+            cg_sizes.append(len(rhs))
+            return plain_cg(mat, rhs, *args, **kwargs)
+
+        plain_cg, green.cg = green.cg, recording_cg
         green.spla = Recording(green.spla)
         z3 = groups.integer_lattice(3)
         mu = uniform_on_generators(groups.standard_generators(z3))
         omega = green.ball_domain(z3, mu, 4, with_boundary=False)
         for method in ("cg", "direct"):
             green.killed_green_solve(omega, [(0, 0, 0)], mu, method=method)
-        assert {"cg", "splu"} <= set(green.spla.names), green.spla.names
+        assert cg_sizes == [len(omega)], cg_sizes
+        assert "splu" in green.spla.names, green.spla.names
     """
     assert "scipy.sparse.linalg" in scipy_modules_after(code, tmp_path)
