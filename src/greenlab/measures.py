@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
@@ -28,6 +29,10 @@ fft = _LazyModule("scipy.fft")
 special = _LazyModule("scipy.special")
 
 MASS_TOL = 1e-12
+# Guards the lazy build of a measure's sampling tables: the batched walker's
+# replica threads sample one measure concurrently, and two builds of the
+# 10^7-entry stable CDF at once would double its memory.
+_TABLE_LOCK = threading.Lock()
 
 # Fraction of shell-measure mass pinned uniformly on the unit generators;
 # certifies non-degeneracy without disturbing the r >= r0 shell bounds.
@@ -476,15 +481,16 @@ class StepMeasure:
 
     def sample_shell_radii(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Radius draws: 1 marks a unit-generator step."""
-        if self._radius_cdf is None:
-            # 1 / (r^2 log r) for r0 <= r <= SHELL_SAMPLE_RADIUS_MAX, plus the
-            # spare slot _GuidedCdf takes for its sentinel
-            w = np.arange(self.r0, SHELL_SAMPLE_RADIUS_MAX + 2, dtype=np.float64)
-            log_r = np.log(w)
-            np.multiply(w, w, out=w)
-            np.multiply(w, log_r, out=w)
-            np.divide(1.0, w, out=w)
-            self._radius_cdf = _GuidedCdf(w)
+        with _TABLE_LOCK:
+            if self._radius_cdf is None:
+                # 1 / (r^2 log r) for r0 <= r <= SHELL_SAMPLE_RADIUS_MAX, plus
+                # the spare slot _GuidedCdf takes for its sentinel
+                w = np.arange(self.r0, SHELL_SAMPLE_RADIUS_MAX + 2, dtype=np.float64)
+                log_r = np.log(w)
+                np.multiply(w, w, out=w)
+                np.multiply(w, log_r, out=w)
+                np.divide(1.0, w, out=w)
+                self._radius_cdf = _GuidedCdf(w)
         unit = rng.random(size) < UNIT_MASS
         r = self._radius_cdf.index(rng.random(size))
         r += self.r0
@@ -492,12 +498,13 @@ class StepMeasure:
         return r
 
     def sample_stable_ints(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self._stable_cdf is None:
-            # k^-(1+alpha) for 1 <= k <= STABLE_SAMPLE_MAGNITUDE_MAX, plus the
-            # spare sentinel slot
-            w = np.arange(1, STABLE_SAMPLE_MAGNITUDE_MAX + 2, dtype=np.float64)
-            np.power(w, -(1.0 + self.alpha), out=w)
-            self._stable_cdf = _GuidedCdf(w)
+        with _TABLE_LOCK:
+            if self._stable_cdf is None:
+                # k^-(1+alpha) for 1 <= k <= STABLE_SAMPLE_MAGNITUDE_MAX, plus
+                # the spare sentinel slot
+                w = np.arange(1, STABLE_SAMPLE_MAGNITUDE_MAX + 2, dtype=np.float64)
+                np.power(w, -(1.0 + self.alpha), out=w)
+                self._stable_cdf = _GuidedCdf(w)
         mag = self._stable_cdf.index(rng.random(size))
         mag += 1
         mag *= rng.integers(0, 2, size=size) * 2 - 1

@@ -5,6 +5,12 @@ Martin-ratio experiment.
 
 All Monte Carlo runs are vectorised over trials and draw from generators
 derived deterministically from a master seed (see rng.derive_stream).
+The batched lattice and Heis3 walker splits its trials into replicas of at
+most REPLICA_WALKERS walkers, each on its own spawned stream, and runs
+them in up to greenlab.CPUS threads; a replica draws about BLOCK_STEPS
+walker-steps per sample_steps call.  Its positions depend only on the
+seed, n and the trial count: not on CPUS, nor on the checkpoints asked
+for.
 """
 
 from __future__ import annotations
@@ -16,13 +22,21 @@ import math
 
 import numpy as np
 
+from . import CPUS, groups
 from . import green as green_mod
-from . import groups
 from .green import (TreeGreenOracle, ball_domain, killed_green_solve,
                     mc_hitting_green, tree_distance_chain)
 from .groups import GroupSpec, identity, mul
 from .measures import (PmfOnZ, StepMeasure, UNIT_MASS, _range_sum,
                        self_convolution_powers, total_variation_shift)
+
+# The batched walker's replicas hold at most this many walkers each, and a
+# replica draws about this many walker-steps per sample_steps call.  On the
+# Heis3 shell speed run (8000 trials, n = 10^4, 2-vCPU machine), on one CPU
+# blocks of 2^15 to 2^17 ran within 3% of each other and 5-8% faster than
+# one draw per step; on two CPUs 2^15 was about 10% slower than 2^16.
+REPLICA_WALKERS = 4096
+BLOCK_STEPS = 2 ** 16
 
 
 # ---------------------------------------------------------------------------
@@ -85,31 +99,86 @@ def simulate_walk(spec: GroupSpec, mu: StepMeasure, n: int, checkpoints,
 # Batched walkers (exact in law, vectorised over trials)
 # ---------------------------------------------------------------------------
 
+def _sizes(key: str, values, least: int = 1) -> list:
+    """The sorted distinct integers of `values`, each at least `least`;
+    otherwise a ValueError naming the config key they come from."""
+    vals = sorted(set(int(v) for v in values))
+    if not vals or vals[0] < least:
+        raise ValueError(f"{key} must be integers >= {least}, got {vals}")
+    return vals
+
+
 def _batch_positions(spec: GroupSpec, mu: StepMeasure, n: int, trials: int,
                      rng: np.random.Generator, checkpoints,
                      truncate_at: Optional[int] = None) -> dict:
-    """Coordinate rows (trials, dim) of the right walk at each checkpoint on
-    a lattice or Heis3, one mu.sample_steps draw per step for all walkers.
+    """Coordinate rows (trials, dim) of the right walk at each checkpoint in
+    [0, n] on a lattice or Heis3.
+
+    The trials are split evenly into ceil(trials / REPLICA_WALKERS)
+    replicas; replica i walks trials [lo_i, hi_i) on rng.spawn's i-th
+    child stream, in up to CPUS threads.  A replica of b walkers draws
+    t = max(1, BLOCK_STEPS // b) steps for all of them in one
+    mu.sample_steps(stream, b t) call (step-major), for steps k0 + 1 ..
+    k0 + t with k0 a multiple of t; a checkpoint inside a block is read from
+    the prefix sum of its steps.  The split depends only on trials, and a
+    replica's blocks only on its size and n, so the positions depend
+    neither on CPUS nor on the checkpoint set.
 
     Steps whose coordinates have L1 norm above truncate_at (the word length
     of an axis power) become the identity.  On Heis3 a step acts by
-    (a, b, c)(a', b', c') = (a + a', b + b', c + c' + a b').
+    (a, b, c)(a', b', c') = (a + a', b + b', c + c' + a b'), so over a block
+    the centre moves by sum_k (c'_k + a_{k-1} b'_k), a_{k-1} the first
+    coordinate before step k; every sum is exact in int64.
     """
     if mu.spec != spec:
         raise ValueError(f"{mu.name} is not a step law on {spec.label()}")
-    checkpoints = set(checkpoints)
+    checkpoints = sorted(set(int(c) for c in checkpoints))
+    if checkpoints and (checkpoints[0] < 0 or checkpoints[-1] > n):
+        raise ValueError(f"checkpoints must lie in [0, n = {n}]")
     heis = spec.variant == "heisenberg"
-    pos = np.zeros((trials, 3 if heis else spec.d), dtype=np.int64)
-    out = {0: pos.copy()} if 0 in checkpoints else {}
-    for k in range(1, n + 1):
-        step = mu.sample_steps(rng, trials)
-        if truncate_at is not None:
-            step[np.abs(step).sum(axis=1) > truncate_at] = 0
-        if heis:
-            pos[:, 2] += pos[:, 0] * step[:, 1]
-        pos += step
-        if k in checkpoints:
-            out[k] = pos.copy()
+    dim = 3 if heis else spec.d
+    out = {k: np.zeros((trials, dim), dtype=np.int64) for k in checkpoints}
+    replicas = -(-trials // REPLICA_WALKERS)
+    edges = [trials * i // replicas for i in range(replicas + 1)]
+    streams = rng.spawn(replicas)
+
+    def walk(i: int) -> None:
+        lo, hi = edges[i], edges[i + 1]
+        b = hi - lo
+        block = max(1, BLOCK_STEPS // b)
+        pos = np.zeros((b, dim), dtype=np.int64)
+        for k0 in range(0, n, block):
+            t = min(block, n - k0)
+            steps = mu.sample_steps(streams[i], b * t).reshape(t, b, dim)
+            if truncate_at is not None:
+                steps[np.abs(steps).sum(axis=2) > truncate_at] = 0
+            if heis:
+                # a_{k-1} b'_k joins the central increment of step k; this
+                # loop over the block's steps took 0.26 ms per 2^16
+                # walker-steps, np.cumsum along axis 0 alone 0.44 ms
+                a = pos[:, 0].copy()
+                for step in steps:
+                    step[:, 2] += a * step[:, 1]
+                    a += step[:, 0]
+            for k in checkpoints:
+                if k0 < k < k0 + t:
+                    out[k][lo:hi] = pos + steps[:k - k0].sum(axis=0)
+            pos += steps.sum(axis=0)
+            if k0 + t in out:
+                out[k0 + t][lo:hi] = pos
+
+    # each replica's arithmetic is the same in any thread
+    workers = min(CPUS, replicas)
+    if workers > 1:
+        # imported here, as in green.killed_green_solve, to keep it out of
+        # the start-up of every run
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(walk, range(replicas)))
+    else:
+        for i in range(replicas):
+            walk(i)
     return out
 
 
@@ -146,7 +215,8 @@ def speed_in_probability(spec: GroupSpec, mu: StepMeasure, n_list, eps_list,
     """Monte Carlo estimates of P(|X_n|/n > eps) with binomial 95% bands;
     the same samples serve every eps (rows are monotone in eps by
     construction)."""
-    n_list = sorted(set(int(n) for n in n_list))
+    n_list = _sizes("n_list", n_list)
+    _sizes("trials", [trials])
     lengths = batch_lengths(spec, mu, n_list[-1], trials, rng, n_list)
     mode = "quasi_norm" if spec.variant == "heisenberg" else "exact"
     rows = []
@@ -202,9 +272,11 @@ def increment_ratio_max(mu: StepMeasure, n: int, trials: int,
     for the stable law with alpha = 1.  Bounded-step laws stay pinned at
     the maximal generator length.
     """
-    if checkpoints is None:
-        checkpoints = [n]
-    checkpoints = sorted(set(int(c) for c in checkpoints))
+    _sizes("n", [n])
+    _sizes("trials", [trials])
+    checkpoints = _sizes("checkpoints", [n] if checkpoints is None else checkpoints)
+    if checkpoints[-1] > n:
+        raise ValueError(f"checkpoints must lie in [1, n = {n}], got {checkpoints}")
     per_trial = np.zeros((trials, len(checkpoints)))
     k = np.arange(1, n + 1, dtype=np.float64)
     for t in range(trials):
@@ -239,7 +311,9 @@ def green_speed_estimate(spec: GroupSpec, mu: StepMeasure, n_list, trials: int,
     ball large enough for essentially all endpoints; endpoints beyond the
     solver reach fall back to Monte Carlo hitting estimates.
     """
-    n_list = sorted(set(int(n) for n in n_list))
+    n_list = _sizes("n_list", n_list)
+    # the ci95 column needs a sample standard deviation
+    _sizes("trials", [trials], least=2)
     if spec.variant == "free":
         oracle = TreeGreenOracle(spec)
         logq = math.log(oracle.q)
@@ -395,8 +469,9 @@ def truncated_coordinate_moments(mu: StepMeasure, n_list, trials: int,
     radius law."""
     if mu.spec.variant != "heisenberg" or mu.kind != "shell":
         raise ValueError("coordinate moments target the Heisenberg shell law")
+    _sizes("trials", [trials])
     rows = []
-    for n in sorted(set(int(n) for n in n_list)):
+    for n in _sizes("n_list", n_list):
         snaps = _batch_positions(mu.spec, mu, n, trials, rng, [n], truncate_at=n)
         A, B, C = snaps[n].T.astype(np.float64)
         w1 = 0.5 * float((A ** 2 + B ** 2).mean()) / n ** 2

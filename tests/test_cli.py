@@ -408,6 +408,35 @@ class TestOtherKinds:
         assert meta["seed"] == 99
 
 
+SPEED_CFG = {"kind": "speed", "backend": "Heis3", "measure": {"type": "srw"},
+             "n_list": [10], "eps_list": [0.5], "trials": 20}
+PROBE_CFG = {"kind": "increment-probe", "backend": "Heis3",
+             "measure": {"type": "srw"}, "n": 10, "trials": 5}
+
+
+class TestInvalidMonteCarloSizes:
+    # each of these raised a traceback (status 1), printed a bare message or
+    # wrote a wrong row before the sizes were checked
+    @pytest.mark.parametrize("cfg, key", [
+        (dict(PROBE_CFG, checkpoints=[20]), "checkpoints"),
+        (dict(PROBE_CFG, checkpoints=[0, 10]), "checkpoints"),
+        (dict(PROBE_CFG, n=-5), "n"),
+        (dict(SPEED_CFG, trials=0), "trials"),
+        (dict(SPEED_CFG, n_list=[0, 10]), "n_list"),
+        (dict(SPEED_CFG, n_list=[-5]), "n_list"),
+        ({"kind": "green-speed", "backend": "F_2", "measure": {"type": "srw"},
+          "n_list": [5], "trials": 1}, "trials"),
+    ], ids=["checkpoint-above-n", "checkpoint-zero", "negative-n",
+            "zero-trials", "zero-in-n-list", "negative-n-list",
+            "green-speed-one-trial"])
+    def test_exits_2_without_output(self, cfg, key, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        path = write_config(tmp_path / "cfg.json", dict(cfg, output=str(out)))
+        assert run(path, cache_dir=str(tmp_path / "cache")) == STATUS_CONFIG
+        assert not out.exists()
+        assert f"config error: {key} must" in capsys.readouterr().err
+
+
 class TestReporting:
     def test_float_rendering_roundtrip(self):
         for v in (1 / 3, 1.5163860591, 2e-10, 123456.789012):

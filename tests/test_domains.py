@@ -1,6 +1,7 @@
 """The domain index protocol: positions, step tables, canonical order, and
 the exit law built on them, for every domain kind."""
 
+import gc
 import itertools
 
 import numpy as np
@@ -178,6 +179,25 @@ def test_free_ball_codes_and_boundary_order(radius):
     words = [dom.decode(c) for c in dom._bcodes.tolist()]
     assert dom.boundary == sorted(words)
     assert [dom.boundary[j] for j in dom._bslot.tolist()] == words
+
+
+@pytest.mark.parametrize("rank, radius", [(2, 4), (3, 3)])
+@pytest.mark.parametrize("collector_on", [True, False])
+def test_free_ball_words_decode_their_codes(rank, radius, collector_on):
+    # elements and boundary are built column-wise with the collector paused;
+    # they equal the per-code decode, and the collector's state is restored
+    spec = groups.free_group(rank)
+    dom = ball_domain(spec, srw(spec), radius)
+    was = gc.isenabled()
+    (gc.enable if collector_on else gc.disable)()
+    try:
+        elements, boundary = dom.elements, dom.boundary
+        assert gc.isenabled() == collector_on
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert elements == [dom.decode(c) for c in dom.codes.tolist()]
+    assert elements[0] == () and all(type(w) is tuple for w in elements)
+    assert boundary == sorted(dom.decode(c) for c in dom._bcodes.tolist())
 
 
 def test_free_ball_needs_standard_support_and_identity():

@@ -1,8 +1,10 @@
-"""Import guards: SciPy loads only when a layer first touches it.
+"""Import guards: SciPy loads only when a layer first touches it, and the
+thread pool of the solver and the batched walker only when one runs.
 
 Each check runs in a fresh interpreter, since this test process has loaded
 SciPy itself.  The child prints, as its last stdout line, the JSON list of
-loaded `scipy*` modules after the code under test has run.
+loaded `scipy*` modules (or of the modules under another prefix) after the
+code under test has run.
 """
 
 import json
@@ -16,13 +18,14 @@ import pytest
 import greenlab
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(greenlab.__file__)))
-LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))"
 
 
-def scipy_modules_after(code, tmp_path):
+def modules_after(code, tmp_path, prefix="scipy"):
     env = dict(os.environ, PYTHONPATH=SRC)
     env.pop("GREENLAB_CACHE", None)
-    script = "import json, sys\n" + textwrap.dedent(code) + "\n" + LOADED
+    loaded = ("print(json.dumps(sorted(m for m in sys.modules "
+              f"if m.startswith({prefix!r}))))")
+    script = "import json, sys\n" + textwrap.dedent(code) + "\n" + loaded
     out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
@@ -41,7 +44,13 @@ def cli_run(cfg, tmp_path):
 
 
 def test_import_cli_loads_no_scipy(tmp_path):
-    assert scipy_modules_after("import greenlab.cli", tmp_path) == []
+    assert modules_after("import greenlab.cli", tmp_path) == []
+
+
+def test_import_cli_loads_no_thread_pool(tmp_path):
+    # killed_green_solve and the batched walker import their pool on use
+    assert modules_after("import greenlab.cli", tmp_path,
+                         prefix="concurrent") == []
 
 
 SHELL = {"type": "shell", "r0": 3}
@@ -56,13 +65,13 @@ SHELL = {"type": "shell", "r0": 3}
      "n_list": [10], "trials": 20},
 ], ids=["speed-heis3-shell", "increment-probe-heis3-shell", "green-speed-f2"])
 def test_sampling_kinds_load_no_scipy(cfg, tmp_path):
-    assert scipy_modules_after(cli_run(cfg, tmp_path), tmp_path) == []
+    assert modules_after(cli_run(cfg, tmp_path), tmp_path) == []
 
 
 def test_green_table_loads_sparse_solvers(tmp_path):
     cfg = {"kind": "green-table", "backend": "Z^3", "measure": {"type": "srw"},
            "radius": 3, "sources": ["0,0,0"]}
-    assert "scipy.sparse.linalg" in scipy_modules_after(cli_run(cfg, tmp_path), tmp_path)
+    assert "scipy.sparse.linalg" in modules_after(cli_run(cfg, tmp_path), tmp_path)
 
 
 def test_replaced_solver_module_sees_every_solve(tmp_path):
@@ -100,4 +109,4 @@ def test_replaced_solver_module_sees_every_solve(tmp_path):
         assert cg_sizes == [len(omega)], cg_sizes
         assert "splu" in green.spla.names, green.spla.names
     """
-    assert "scipy.sparse.linalg" in scipy_modules_after(code, tmp_path)
+    assert "scipy.sparse.linalg" in modules_after(code, tmp_path)

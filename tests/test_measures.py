@@ -1,6 +1,9 @@
 """Step laws: construction, exact pmfs, sampling, convolution."""
 
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -225,6 +228,34 @@ class TestSampling:
         lazy = rng.random(300) < mu.laziness
         ks = np.where(lazy, 0, mu.sample_stable_ints(rng, 300))
         assert got.shape == (300, 1) and (got[:, 0] == ks).all()
+
+    def test_concurrent_first_draws_build_one_table(self, monkeypatch):
+        # replica threads of the batched walker share a measure: its lazy
+        # sampling table is built once however many threads draw first
+        builds = []
+
+        class Counting(measures._GuidedCdf):
+            def __init__(self, table):
+                builds.append(len(table))
+                super().__init__(table)
+
+        monkeypatch.setattr(measures, "_GuidedCdf", Counting)
+        mu = shell_measure(H, r0=3)
+        barrier = threading.Barrier(4)
+
+        def draw(seed):
+            barrier.wait(timeout=30)
+            return mu.sample_steps(np.random.default_rng(seed), 1000)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                draws = list(pool.map(draw, range(4), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(builds) == 1
+        assert all(d.shape == (1000, 3) for d in draws)
 
     def test_coordinate_steps_need_coordinates(self):
         with pytest.raises(ValueError, match="coordinate steps"):

@@ -3,11 +3,12 @@ Mal'cev coordinates, quarter-plane ratios."""
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from greenlab import groups
+from greenlab import groups, walks
 from greenlab.cli import STATUS_CONFIG, run
 from greenlab.measures import (PmfOnZ, StepMeasure, UNIT_MASS, lazy_transform,
                                pmf_from_dict, shell_measure, stable_z_measure,
@@ -85,28 +86,57 @@ BATCH_LAWS = {
 }
 
 
+def replay_positions(spec, mu, n, trials, rng, checkpoints, truncate_at=None):
+    """walks._batch_positions replayed walker by walker through groups.mul:
+    the same replica split, spawned streams and step-major sample_steps
+    blocks, with each step applied by the group law."""
+    replicas = -(-trials // walks.REPLICA_WALKERS)
+    edges = [trials * i // replicas for i in range(replicas + 1)]
+    want = {k: [] for k in checkpoints}
+    for stream, lo, hi in zip(rng.spawn(replicas), edges, edges[1:]):
+        b = hi - lo
+        block = max(1, walks.BLOCK_STEPS // b)
+        walkers = [groups.identity(spec)] * b
+        if 0 in want:
+            want[0] += walkers
+        for k0 in range(0, n, block):
+            t = min(block, n - k0)
+            rows = mu.sample_steps(stream, b * t).tolist()
+            for j in range(t):
+                for w, row in enumerate(rows[j * b:(j + 1) * b]):
+                    if truncate_at is not None and sum(map(abs, row)) > truncate_at:
+                        row = groups.identity(spec)
+                    walkers[w] = groups.mul(spec, walkers[w], tuple(row))
+                if k0 + j + 1 in want:
+                    want[k0 + j + 1] += walkers
+    return want
+
+
+# (REPLICA_WALKERS, BLOCK_STEPS): the defaults, under which 40 walkers are
+# one replica walking 30 steps in one block, and small sizes that split
+# them into three replicas of four-step blocks
+SIZES = [(walks.REPLICA_WALKERS, walks.BLOCK_STEPS), (16, 64)]
+
+
 class TestBatchPositions:
     @pytest.mark.parametrize("name", sorted(BATCH_LAWS))
-    def test_matches_per_walker_mul(self, name):
+    def test_matches_per_walker_mul(self, name, monkeypatch):
         # the batch walker against a loop of groups.mul fed the same
-        # sample_steps rows (same seed, one draw per step)
+        # sample_steps rows in the same replica and block order
         spec, law = BATCH_LAWS[name]
         mu = law()
-        n, trials, checkpoints = 30, 40, [0, 1, 7, 30]
-        got = _batch_positions(spec, mu, n, trials, derive_stream(31, name),
-                               checkpoints)
-        rng = derive_stream(31, name)
-        walkers = [groups.identity(spec)] * trials
-        want = {0: list(walkers)}
-        for k in range(1, n + 1):
-            rows = mu.sample_steps(rng, trials).tolist()
-            walkers = [groups.mul(spec, g, tuple(r)) for g, r in zip(walkers, rows)]
-            if k in checkpoints:
-                want[k] = list(walkers)
-        assert sorted(got) == checkpoints
-        for k in checkpoints:
-            assert got[k].dtype == np.int64
-            assert [tuple(r) for r in got[k].tolist()] == want[k], k
+        n, trials, checkpoints = 30, 40, [0, 1, 7, 8, 30]
+        for sizes in SIZES:
+            monkeypatch.setattr(walks, "REPLICA_WALKERS", sizes[0])
+            monkeypatch.setattr(walks, "BLOCK_STEPS", sizes[1])
+            got = _batch_positions(spec, mu, n, trials, derive_stream(31, name),
+                                   checkpoints)
+            want = replay_positions(spec, mu, n, trials,
+                                    derive_stream(31, name), checkpoints)
+            assert sorted(got) == checkpoints
+            for k in checkpoints:
+                assert got[k].dtype == np.int64
+                assert [tuple(r) for r in got[k].tolist()] == want[k], (sizes, k)
 
     def test_central_steps_move_the_centre(self):
         mu = heis_central_law()
@@ -114,15 +144,65 @@ class TestBatchPositions:
         assert np.abs(pos[:, 2]).max() > 0
         assert set(np.unique(mu.sample_steps(derive_stream(33, "c"), 2000)[:, 2])) == {-1, 0, 1}
 
-    def test_truncation_drops_long_steps(self):
+    def test_truncation_drops_long_steps(self, monkeypatch):
         mu = shell_measure(H, r0=3)
-        rng = derive_stream(34, "t")
-        steps = mu.sample_steps(rng, 4000)
+        # 4000 walkers are one replica, whose first block holds step 1 of
+        # every walker: n = 1 replays as one sample_steps draw
+        assert 4000 <= walks.REPLICA_WALKERS
+        steps = mu.sample_steps(derive_stream(34, "t").spawn(1)[0], 4000)
         lengths = np.abs(steps).sum(axis=1)
         assert lengths.max() > 5
         trunc = _batch_positions(H, mu, 1, 4000, derive_stream(34, "t"), [1],
                                  truncate_at=5)[1]
         assert (trunc == np.where((lengths > 5)[:, None], 0, steps)).all()
+        # and over several replicas and blocks, against the group law
+        monkeypatch.setattr(walks, "REPLICA_WALKERS", 16)
+        monkeypatch.setattr(walks, "BLOCK_STEPS", 64)
+        got = _batch_positions(H, mu, 12, 40, derive_stream(36, "t"), [5, 12],
+                               truncate_at=5)
+        want = replay_positions(H, mu, 12, 40, derive_stream(36, "t"), [5, 12],
+                                truncate_at=5)
+        for k in (5, 12):
+            assert [tuple(r) for r in got[k].tolist()] == want[k], k
+
+    @pytest.mark.parametrize("name", ["heis3-shell", "z1-stable-lazy"])
+    def test_positions_do_not_depend_on_cpus(self, name, monkeypatch):
+        # seven replicas on 1, 2 and 4 threads, switching threads often
+        monkeypatch.setattr(walks, "REPLICA_WALKERS", 16)
+        monkeypatch.setattr(walks, "BLOCK_STEPS", 256)
+        spec, law = BATCH_LAWS[name]
+        mu = law()
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for cpus in (1, 2, 4):
+                monkeypatch.setattr(walks, "CPUS", cpus)
+                runs.append(_batch_positions(spec, mu, 200, 100,
+                                             derive_stream(37, name), [50, 200]))
+        finally:
+            sys.setswitchinterval(interval)
+        for got in runs[1:]:
+            for k in (50, 200):
+                assert np.array_equal(got[k], runs[0][k]), k
+
+    @pytest.mark.parametrize("n", [7, 60, 75])
+    def test_positions_do_not_depend_on_checkpoints(self, n, monkeypatch):
+        # two replicas of 50 walkers in blocks of 20 steps: n = 60 ends on a
+        # block boundary, 7 and 75 inside a block
+        monkeypatch.setattr(walks, "REPLICA_WALKERS", 50)
+        monkeypatch.setattr(walks, "BLOCK_STEPS", 1000)
+        mu = shell_measure(H, r0=3)
+        alone = _batch_positions(H, mu, n, 100, derive_stream(38, "c"), [n])[n]
+        among = _batch_positions(H, mu, n, 100, derive_stream(38, "c"),
+                                 [1, 7, n])[n]
+        assert np.array_equal(alone, among)
+
+    def test_checkpoints_outside_the_walk_rejected(self):
+        for checkpoints in ([-1, 5], [6]):
+            with pytest.raises(ValueError, match="checkpoints"):
+                _batch_positions(Z3, srw(Z3), 5, 10, derive_stream(39, "c"),
+                                 checkpoints)
 
     def test_law_of_another_group_rejected(self):
         rng = derive_stream(35, "spec")
