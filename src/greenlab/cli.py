@@ -7,7 +7,8 @@ keys it accepts besides kind, seed and output; any other key is rejected.
 A runner returns a Report of its own columns, rows and meta fields; `run`
 is the one place that prefixes the columns seed, version, backend,
 measure_hash, adds the base meta record and writes the CSV.  A killed table
-comes from the cache only if it holds every source the kind asks for.
+comes from the cache only if it holds every source the kind asks for; one
+that lacks some is re-solved with its own sources and the new ones.
 Exit statuses: 0 success, 2 config error, 3 numeric failure, 4 invariant
 violation (a result that would contradict a proven property, e.g. an SPD
 failure or TV > 1, with a pointer to the offending row).
@@ -117,16 +118,24 @@ def _law(cfg: dict, transient: bool = False) -> tuple:
 
 
 def _table(cfg, mhash, omega, sources, mu, tol, cache_dir, force):
-    """The killed Green table on omega for `sources`: the cached one if it
-    holds every source, otherwise a fresh solve, which is then cached."""
-    table = None
+    """The killed Green table on omega restricted to `sources`: from the
+    cached one if it holds every source, otherwise from a fresh solve,
+    which is then cached.  A cached table that lacks some of them is solved
+    again with its sources and the new ones together, so kinds that share
+    a domain keep each other's sources instead of evicting them."""
+    cached = None
     if cache_dir and not force:
-        table = cache.load_table(cache_dir, cfg["backend"], mhash, omega, tol)
-    if table is None or any(s not in table.sources for s in sources):
-        table = green.killed_green_solve(omega, sources, mu, tol)
-        if cache_dir:
-            cache.save_table(cache_dir, cfg["backend"], mhash, table)
-    return table
+        cached = cache.load_table(cache_dir, cfg["backend"], mhash, omega, tol)
+    solve = sources
+    if cached is not None:
+        missing = [s for s in sources if s not in cached.sources]
+        if not missing:
+            return cached.restricted(sources)
+        solve = cached.sources + missing
+    table = green.killed_green_solve(omega, solve, mu, tol)
+    if cache_dir:
+        cache.save_table(cache_dir, cfg["backend"], mhash, table)
+    return table.restricted(sources)
 
 
 def _solver_record(table: green.GreenTable, sources) -> dict:

@@ -37,7 +37,7 @@ import contextlib
 import functools
 import gc
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -467,6 +467,17 @@ class GreenTable:
 
     def max_residual(self) -> float:
         return float(self.residuals.max())
+
+    def restricted(self, sources) -> GreenTable:
+        """The rows of `sources` alone (the table itself when they are all
+        of its sources), so the error brackets see only their residuals."""
+        if set(sources) == set(self.sources):
+            return self
+        idx = [self.sources.index(s) for s in sources]
+        return replace(self, sources=list(sources), values=self.values[idx],
+                       residuals=self.residuals[idx],
+                       iterations=None if self.iterations is None
+                       else self.iterations[idx])
 
 
 def _steps(spec: GroupSpec, mu: StepMeasure) -> tuple:
@@ -948,12 +959,6 @@ def boundary_green_matrix(domain: Domain, table: GreenTable) -> BoundaryGreenMat
     min_eig = float(np.linalg.eigvalsh(mat_sym)[0])
     return BoundaryGreenMatrix(domain, mat, chol_ok and min_eig > 0,
                                min_eig, sym_defect)
-
-
-def spd_certificate_1x1(value: float) -> BoundaryGreenMatrix:
-    """Degenerate |boundary| = 1 case: M = [G(z,z)] must be positive."""
-    mat = np.array([[value]])
-    return BoundaryGreenMatrix(None, mat, value > 0, value, 0.0)
 
 
 def vector_identity_residual(domain: Domain, a, mu: StepMeasure,

@@ -30,32 +30,47 @@ special = _LazyModule("scipy.special")
 
 MASS_TOL = 1e-12
 # Guards the lazy build of a measure's sampling tables: the batched walker's
-# replica threads sample one measure concurrently, and two builds of the
-# 10^7-entry stable CDF at once would double its memory.
+# replica threads sample one measure concurrently, and one build is enough.
 _TABLE_LOCK = threading.Lock()
 
 # Fraction of shell-measure mass pinned uniformly on the unit generators;
 # certifies non-degeneracy without disturbing the r >= r0 shell bounds.
 UNIT_MASS = 0.1
 
-# Largest shell radius the sampler draws.  Its guide-table CDF spans
-# [r0, SHELL_SAMPLE_RADIUS_MAX] and renormalises away the mass beyond it,
-# which StepMeasure.sampler_tail_mass bounds.
+# Largest shell radius the sampler draws: the law on [r0, this] is
+# renormalised, and StepMeasure.sampler_tail_mass bounds the mass beyond.
+# The guide table holds SAMPLE_HEAD radii from r0 and one atom for the rest
+# of [r0, this], redrawn by rejection (_HeadTailCdf), so the cap costs no
+# memory.
 SHELL_SAMPLE_RADIUS_MAX = 2 * 10 ** 6
 
-# Largest stable magnitude the sampler draws (the CDF spans 1..this); the
-# mass beyond it is StepMeasure.sampler_tail_mass, exact by Hurwitz zeta.
+# Largest stable magnitude the sampler draws (the law on 1..this is
+# renormalised; the mass beyond is StepMeasure.sampler_tail_mass, exact by
+# Hurwitz zeta).  As for shells, the table holds magnitudes 1..SAMPLE_HEAD
+# and one atom for the rest, redrawn by rejection.
 STABLE_SAMPLE_MAGNITUDE_MAX = 10 ** 7 - 1
 
+# Head atoms of a shell or stable sampling table (see _HeadTailCdf).
+SAMPLE_HEAD = 2 ** 16
 
-def _range_sum(f, lo: int, hi: int) -> float:
+
+def _range_sum(f, lo: int, hi: int, block: int = 10 ** 6) -> float:
     """sum_{lo <= n < hi} f(n) for a vectorised f, over float64 blocks of
-    10^6 terms starting at lo (bounded memory; the blocks fix the rounding)."""
+    `block` terms starting at lo (bounded memory; the blocks fix the
+    rounding)."""
     total = 0.0
-    for start in range(lo, hi, 10 ** 6):
-        n = np.arange(start, min(start + 10 ** 6, hi), dtype=np.float64)
+    for start in range(lo, hi, block):
+        n = np.arange(start, min(start + block, hi), dtype=np.float64)
         total += float(np.sum(f(n)))
     return total
+
+
+def _shell_f(r: np.ndarray) -> np.ndarray:
+    """1 / (r^2 log r), the shell radius weight, computed in place."""
+    log_r = np.log(r)
+    np.multiply(r, r, out=r)
+    np.multiply(r, log_r, out=r)
+    return np.divide(1.0, r, out=r)
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +122,6 @@ def pmf_from_dict(d: dict, delta_trunc: float = 0.0) -> PmfOnZ:
     for k, p in d.items():
         vals[k - lo] = p
     return PmfOnZ(vals, lo, delta_trunc)
-
-
-def delta_pmf(k: int = 0) -> PmfOnZ:
-    return PmfOnZ(np.array([1.0]), k)
 
 
 def convolve_z(p: PmfOnZ, q: PmfOnZ, cap: int) -> PmfOnZ:
@@ -295,6 +306,80 @@ class _GuidedCdf:
         return np.minimum(idx, self.n - 1, out=idx)
 
 
+class _HeadTailCdf(_GuidedCdf):
+    """Lengths start, start + 1, ..., L of a shell or stable law, drawn by
+    guide-table inversion; the last atom holds the law's whole mass on the
+    tail [L, M], and a draw that lands on it is redrawn exactly from that
+    tail by rejection.
+
+    The proposal is floor(X) with X Pareto(alpha) truncated to [L, M + 1)
+    (Devroye 1986, X.6), so P(floor(X) = k) is proportional to
+    k^-alpha - (k+1)^-alpha; `accept(k)` is the target weight over that,
+    scaled to at most 1 on [L, M].  A proposal outside [L, M] (possible
+    only by rounding) is rejected too.  Atoms of zero weight (shell radii
+    between 1 and r0) are never drawn: start carries positive weight, and
+    a zero atom's CDF entry equals the one before it.
+    """
+
+    def __init__(self, table: np.ndarray, start: int, tail_lo: int,
+                 tail_hi: int, alpha: float, accept):
+        super().__init__(table)
+        self.start, self.tail_lo, self.tail_hi = start, tail_lo, tail_hi
+        self.alpha, self.accept = alpha, accept
+
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """int64 lengths: one uniform each, plus the tail's redraws."""
+        k = self.index(rng.random(size))
+        tail = np.flatnonzero(k == self.n - 1)
+        k += self.start
+        if len(tail):
+            k[tail] = self.tail_draws(rng, len(tail))
+        return k
+
+    def tail_draws(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        """m draws of the law conditioned on [L, M]: each round draws a
+        (proposal, acceptance) pair of uniforms per length still missing."""
+        a, lo, hi = self.alpha, self.tail_lo, self.tail_hi
+        top = lo ** -a
+        span = top - (hi + 1.0) ** -a
+        out = np.empty(m, dtype=np.int64)
+        done = 0
+        while done < m:
+            u, v = rng.random((2, m - done))
+            k = np.floor((top - u * span) ** (-1.0 / a))
+            inside = (k >= lo) & (k <= hi)
+            k, v = k[inside], v[inside]
+            k = k[v < self.accept(k)]
+            out[done:done + len(k)] = k
+            done += len(k)
+        return out
+
+
+def _stable_acceptance(alpha: float, lo: int):
+    """k -> alpha k^-(1+alpha) / ((k^-alpha - (k+1)^-alpha) (1 + 1/L)^(1+alpha)),
+    with the difference as -k^-alpha expm1(-alpha log1p(1/k)).  The mean
+    value theorem puts the difference above alpha (k+1)^-(1+alpha), so
+    this is at most ((1 + 1/k) / (1 + 1/L))^(1+alpha) <= 1 for k >= L."""
+    bound = (1.0 + 1.0 / lo) ** (1.0 + alpha)
+
+    def accept(k):
+        return alpha / (-k * np.expm1(-alpha * np.log1p(1.0 / k)) * bound)
+    return accept
+
+
+def _shell_acceptance(lo: int):
+    """k -> g(k) / g(L) with g(k) = (k + 1) / (k log k), the shell weight
+    1 / (k^2 log k) over the proposal's 1 / (k (k + 1)).  g decreases, so
+    this is at most 1 for k >= L, and exactly 1 at L."""
+    def g(k):
+        return (k + 1.0) / (k * np.log(k))
+    top = g(np.float64(lo))
+
+    def accept(k):
+        return g(k) / top
+    return accept
+
+
 # ---------------------------------------------------------------------------
 # Step measures on group backends
 # ---------------------------------------------------------------------------
@@ -310,9 +395,12 @@ class StepMeasure:
     kind = "stable_z": pmf C_alpha |k|^{-(1+alpha)} on the Z backend,
                      magnitudes sampled up to STABLE_SAMPLE_MAGNITUDE_MAX.
 
-    Shell radii and stable magnitudes are drawn by guide-table inversion of
-    the truncated, renormalised CDF (_GuidedCdf, the same index a binary
-    search returns); sampler_tail_mass is the mass that truncation moves.
+    Shell and stable laws draw a step's length, laziness included, from
+    one _HeadTailCdf: lengths 0 (lazy) and 1 (shell unit steps), a head of
+    SAMPLE_HEAD radii or magnitudes, and one atom for the rest of the law
+    up to the cap, which is redrawn by exact rejection.  The law sampled is
+    the truncated, renormalised one; sampler_tail_mass is the mass that
+    truncation moves.
     """
 
     spec: GroupSpec
@@ -326,10 +414,12 @@ class StepMeasure:
     axes: tuple = ()                      # shell direction set (axis, sign) roots
     alpha: float = 0.0                    # stable kind
     c_alpha: float = 0.0
-    _radius_cdf: Optional[_GuidedCdf] = field(default=None, repr=False)
-    _stable_cdf: Optional[_GuidedCdf] = field(default=None, repr=False)
-    # _finite_law() cache; not an init field, so replace() (as in
-    # lazy_transform) rebuilds it
+    # sampling caches; not init fields, so replace() (as in lazy_transform)
+    # rebuilds them
+    _radius_cdf: Optional[_HeadTailCdf] = field(default=None, init=False,
+                                                repr=False, compare=False)
+    _stable_cdf: Optional[_HeadTailCdf] = field(default=None, init=False,
+                                                repr=False, compare=False)
     _support_law: Optional[tuple] = field(default=None, init=False,
                                           repr=False, compare=False)
 
@@ -445,9 +535,10 @@ class StepMeasure:
     def sample_steps(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Steps as int64 coordinate rows (lattice and Heisenberg backends).
 
-        Finite laws make one sample_support_index draw.  Shell and stable
-        laws draw the laziness mask (when lazy), then the radius or
-        magnitude, then the axis, then the sign; shell radius 1 is a unit
+        Finite laws make one sample_support_index draw.  Stable laws draw
+        sample_stable_ints; shell laws draw sample_shell_radii, then one
+        integers(0, 2 len(axes)) direction d per step: axis d // 2, sign
+        + for even d.  Length 0 is the identity and shell length 1 a unit
         generator, i.e. an axis power of length 1.
         """
         if self.spec.variant not in ("lattice", "heisenberg"):
@@ -455,20 +546,15 @@ class StepMeasure:
         dim = self.spec.d if self.spec.variant == "lattice" else 3
         if self.kind == "finite":
             return self._finite_law()[2][self.sample_support_index(rng, size)]
-        lazy = rng.random(size) < self.laziness if self.laziness > 0 else None
         if self.kind == "stable_z":
-            r = self.sample_stable_ints(rng, size)
-        else:
-            r = self.sample_shell_radii(rng, size)
-            axis = rng.integers(0, len(self.axes), size=size)
-            r *= rng.integers(0, 2, size=size) * 2 - 1
-        if lazy is not None:
-            r[lazy] = 0
-        if self.kind == "stable_z":
-            return r[:, None]
+            return self.sample_stable_ints(rng, size)[:, None]
+        r = self.sample_shell_radii(rng, size)
+        d = rng.integers(0, 2 * len(self.axes), size=size)
+        r *= 1 - 2 * (d & 1)
+        d >>= 1
         steps = np.zeros((size, dim), dtype=np.int64)
         for j, ax in enumerate(self.axes):
-            np.multiply(r, axis == j, out=steps[:, ax])
+            np.multiply(r, d == j, out=steps[:, ax])
         return steps
 
     def sample(self, rng: np.random.Generator, size: int = 1) -> list:
@@ -480,35 +566,56 @@ class StepMeasure:
         return [tuple(r) for r in self.sample_steps(rng, size).tolist()]
 
     def sample_shell_radii(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Radius draws: 1 marks a unit-generator step."""
+        """Step lengths of a shell law: 0 marks a lazy step, 1 a unit
+        generator, r >= r0 an axis power."""
         with _TABLE_LOCK:
             if self._radius_cdf is None:
-                # 1 / (r^2 log r) for r0 <= r <= SHELL_SAMPLE_RADIUS_MAX, plus
-                # the spare slot _GuidedCdf takes for its sentinel
-                w = np.arange(self.r0, SHELL_SAMPLE_RADIUS_MAX + 2, dtype=np.float64)
-                log_r = np.log(w)
-                np.multiply(w, w, out=w)
-                np.multiply(w, log_r, out=w)
-                np.divide(1.0, w, out=w)
-                self._radius_cdf = _GuidedCdf(w)
-        unit = rng.random(size) < UNIT_MASS
-        r = self._radius_cdf.index(rng.random(size))
-        r += self.r0
-        r[unit] = 1
-        return r
+                self._radius_cdf = self._length_table(
+                    self.r0, self.r0 + SAMPLE_HEAD, SHELL_SAMPLE_RADIUS_MAX)
+        return self._radius_cdf.draw(rng, size)
 
     def sample_stable_ints(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Signed steps of a stable law, 0 for a lazy step: the magnitude's
+        uniform (and any tail redraws), then one integers(0, 2) sign."""
         with _TABLE_LOCK:
             if self._stable_cdf is None:
-                # k^-(1+alpha) for 1 <= k <= STABLE_SAMPLE_MAGNITUDE_MAX, plus
-                # the spare sentinel slot
-                w = np.arange(1, STABLE_SAMPLE_MAGNITUDE_MAX + 2, dtype=np.float64)
-                np.power(w, -(1.0 + self.alpha), out=w)
-                self._stable_cdf = _GuidedCdf(w)
-        mag = self._stable_cdf.index(rng.random(size))
-        mag += 1
+                self._stable_cdf = self._length_table(
+                    1, SAMPLE_HEAD + 1, STABLE_SAMPLE_MAGNITUDE_MAX)
+        mag = self._stable_cdf.draw(rng, size)
         mag *= rng.integers(0, 2, size=size) * 2 - 1
         return mag
+
+    def _length_table(self, lo: int, tail_lo: int, tail_hi: int) -> _HeadTailCdf:
+        """The _HeadTailCdf of step lengths: weight lazy at 0, (1 - lazy)
+        UNIT_MASS at 1 for shells, and the rest spread over lo..tail_hi in
+        proportion to the law's weights, the head lo..tail_lo - 1 one atom
+        each and the tail [tail_lo, tail_hi] on the atom tail_lo (its exact
+        sum: a Hurwitz zeta difference for stable laws, a direct sum for
+        shells)."""
+        lazy = self.laziness
+        start = 0 if lazy > 0 else 1
+        # one slot per length start..tail_lo, plus _GuidedCdf's sentinel
+        w = np.zeros(tail_lo - start + 2)
+        head = w[lo - start:tail_lo - start]
+        head[:] = np.arange(lo, tail_lo, dtype=np.float64)
+        if self.kind == "stable_z":
+            s = 1.0 + self.alpha
+            np.power(head, -s, out=head)
+            tail = float(special.zeta(s, tail_lo) - special.zeta(s, tail_hi + 1))
+            accept = _stable_acceptance(self.alpha, tail_lo)
+            alpha, body = self.alpha, 1.0 - lazy
+        else:
+            _shell_f(head)
+            tail = _range_sum(_shell_f, tail_lo, tail_hi + 1, SAMPLE_HEAD)
+            accept = _shell_acceptance(tail_lo)
+            alpha, body = 1.0, (1.0 - lazy) * (1.0 - UNIT_MASS)
+            w[1 - start] = (1.0 - lazy) * UNIT_MASS
+        w[tail_lo - start] = tail
+        law = w[lo - start:tail_lo - start + 1]
+        law *= body / (float(head.sum()) + tail)
+        if lazy > 0:
+            w[0] = lazy
+        return _HeadTailCdf(w, start, tail_lo, tail_hi, alpha, accept)
 
     def to_pmf_on_z(self, cap: int) -> PmfOnZ:
         """Exact truncated pmf for Z-backed measures."""
@@ -569,7 +676,7 @@ def shell_norm_constant(r0: int) -> float:
     """1/Z with Z = sum_{r>=r0} 1/(r^2 log r), summed directly to 1e7 with an
     integral tail bound (tail < 1e-8 there)."""
     hi = 10 ** 7
-    total = _range_sum(lambda r: 1.0 / (r * r * np.log(r)), r0, hi)
+    total = _range_sum(_shell_f, r0, hi)
     total += 1.0 / (hi * np.log(hi))  # integral bound for the remainder
     return 1.0 / total
 

@@ -1,7 +1,7 @@
 """Trajectory simulation and asymptotics experiments: speed in probability,
 increment-ratio diagnostics, Green-speed estimates, total-variation
-dispersion along the centre, Mal'cev coordinates, and the quarter-plane
-Martin-ratio experiment.
+dispersion along the centre, truncated coordinate moments, and the
+quarter-plane Martin-ratio experiment.
 
 All Monte Carlo runs are vectorised over trials and draw from generators
 derived deterministically from a master seed (see rng.derive_stream).
@@ -26,8 +26,8 @@ from . import CPUS, groups
 from . import green as green_mod
 from .green import (TreeGreenOracle, ball_domain, killed_green_solve,
                     mc_hitting_green, tree_distance_chain)
-from .groups import GroupSpec, identity, mul
-from .measures import (PmfOnZ, StepMeasure, UNIT_MASS, _range_sum,
+from .groups import GroupSpec, identity
+from .measures import (PmfOnZ, StepMeasure, UNIT_MASS, _range_sum, _shell_f,
                        self_convolution_powers, total_variation_shift)
 
 # The batched walker's replicas hold at most this many walkers each, and a
@@ -37,62 +37,6 @@ from .measures import (PmfOnZ, StepMeasure, UNIT_MASS, _range_sum,
 # one draw per step; on two CPUs 2^15 was about 10% slower than 2^16.
 REPLICA_WALKERS = 4096
 BLOCK_STEPS = 2 ** 16
-
-
-# ---------------------------------------------------------------------------
-# Single-trajectory simulation
-# ---------------------------------------------------------------------------
-
-@dataclass
-class WalkSummary:
-    checkpoints: list
-    lengths: list
-    metric_mode: str               # exact | quasi_norm
-    malcev: Optional[list] = None  # MalcevCoords at checkpoints (Heisenberg)
-    seed_info: str = ""
-
-
-@dataclass
-class MalcevCoords:
-    x1: tuple                      # weight-1 block (a, b)
-    x2: int                        # weight-2 central block
-    norm: int                      # homogeneous quasi-norm
-
-    def __iter__(self):
-        return iter((self.x1, self.x2, self.norm))
-
-
-def malcev_coords(g) -> MalcevCoords:
-    """Weighted coordinates of a Heisenberg element with homogeneous norm
-    N = |a| + |b| + ceil(sqrt(|c|))."""
-    a, b, c = g
-    return MalcevCoords((a, b), c, groups.homogeneous_quasi_norm(g))
-
-
-def simulate_walk(spec: GroupSpec, mu: StepMeasure, n: int, checkpoints,
-                  rng: np.random.Generator, seed_info: str = "") -> WalkSummary:
-    """One trajectory of the right walk X_k = S_1 ... S_k with summaries at
-    the given checkpoints (checkpoint 0 reports the identity)."""
-    checkpoints = sorted(set(int(c) for c in checkpoints))
-    if checkpoints and (checkpoints[0] < 0 or checkpoints[-1] > n):
-        raise ValueError("checkpoints must lie in [0, n]")
-    want = set(checkpoints)
-    jumps = mu.sample(rng, n)
-    mode = "quasi_norm" if spec.variant == "heisenberg" else "exact"
-    lengths, coords = [], []
-    g = identity(spec)
-    for k in range(n + 1):
-        if k in want:
-            if spec.variant == "heisenberg":
-                lengths.append(groups.homogeneous_quasi_norm(g))
-                coords.append(malcev_coords(g))
-            else:
-                lengths.append(groups.word_length(spec, g))
-        if k < n:
-            g = mul(spec, g, jumps[k])
-    return WalkSummary(checkpoints, lengths, mode,
-                       coords if spec.variant == "heisenberg" else None,
-                       seed_info)
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +181,16 @@ def sample_jump_lengths(mu: StepMeasure, rng: np.random.Generator,
                         size: int) -> np.ndarray:
     """Word lengths of i.i.d. jumps (axis powers have |g| = r exactly).
 
-    A lazy finite law holds the identity in its support, so its one
-    support draw already stays put with the law's mass; shell and stable
-    draws are masked by the laziness afterwards."""
+    Each law stays put with its laziness in one draw: a lazy finite law
+    holds the identity in its support, and the shell and stable length
+    tables hold length 0."""
     if mu.kind == "finite":
         lens = np.array([groups.word_length(mu.spec, s) for s in mu.support_elements()],
                         dtype=np.float64)
         return lens[mu.sample_support_index(rng, size)]
     if mu.kind == "shell":
-        out = mu.sample_shell_radii(rng, size).astype(np.float64)
-    else:
-        out = np.abs(mu.sample_stable_ints(rng, size)).astype(np.float64)
-    if mu.laziness:
-        out = np.where(rng.random(size) < mu.laziness, 0.0, out)
-    return out
+        return mu.sample_shell_radii(rng, size).astype(np.float64)
+    return np.abs(mu.sample_stable_ints(rng, size)).astype(np.float64)
 
 
 @dataclass
@@ -494,7 +434,7 @@ def _shell_tail_probability(mu: StepMeasure, x: int) -> float:
         return keep
     if x < mu.r0:
         return keep * (1.0 - UNIT_MASS)
-    head = _range_sum(lambda r: 1.0 / (r * r * np.log(r)), mu.r0, x + 1)
+    head = _range_sum(_shell_f, mu.r0, x + 1)
     return keep * (1.0 - UNIT_MASS) * (1.0 - mu.shell_norm * head)
 
 

@@ -131,7 +131,8 @@ class TestCache:
     def test_cached_table_without_the_sources_is_a_miss(self, tmp_path):
         # a green-table run caches B(10) with source (1,1,1) only; the
         # delta-scan at R = 4 kills on the same B(10) but needs (0,0,0)
-        # and e1, so it solves afresh and reports the fresh-cache body
+        # and e1, so it solves B(10) again for all three sources and
+        # reports the fresh-cache body
         cache_dir = str(tmp_path / "cache")
         table_cfg = {"kind": "green-table", "backend": "Z^3",
                      "measure": {"type": "srw"}, "radius": 10,
@@ -144,6 +145,33 @@ class TestCache:
         shared = report_body(cfg["output"])
         assert run(path, cache_dir=str(tmp_path / "fresh")) == STATUS_OK
         assert shared == report_body(cfg["output"])
+
+    def test_alternating_kinds_share_one_table(self, tmp_path, monkeypatch):
+        # green-table and delta-scan alternate on the shared B(10): the
+        # second run merges the sources, and later runs only read the cache
+        import greenlab.cli as climod
+        real_solve = climod.green.killed_green_solve
+        solved = []
+
+        def counting(omega, sources, *args, **kwargs):
+            solved.append((omega.label, len(sources)))
+            return real_solve(omega, sources, *args, **kwargs)
+
+        monkeypatch.setattr(climod.green, "killed_green_solve", counting)
+        cache_dir = str(tmp_path / "cache")
+        table_cfg = {"kind": "green-table", "backend": "Z^3",
+                     "measure": {"type": "srw"}, "radius": 10,
+                     "sources": ["1,1,1"], "output": str(tmp_path / "gt.csv")}
+        paths = [write_config(tmp_path / "gt.json", table_cfg),
+                 write_config(tmp_path / "ds.json", self.z3_config(tmp_path))]
+        bodies = []
+        for path in paths + paths:
+            assert run(path, cache_dir=cache_dir) == STATUS_OK
+            out = table_cfg["output"] if path == paths[0] else str(tmp_path / "z3.csv")
+            bodies.append(report_body(out))
+        b10 = [n for label, n in solved if label == solved[0][0]]
+        assert b10 == [1, 3]
+        assert bodies[2:] == bodies[:2]
 
     def test_tol_invalidates_key(self, tmp_path):
         cfg = self.z3_config(tmp_path)

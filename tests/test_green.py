@@ -16,8 +16,7 @@ from greenlab.green import (NestedBracketProvider, TableGreenProvider,
                             exit_distribution, green_bracket,
                             killed_green_solve, mc_green_diagonal,
                             mc_hitting_green, quadrant_harmonicity_defect,
-                            quadrant_killed_green, spd_certificate_1x1,
-                            vector_identity_residual,
+                            quadrant_killed_green, vector_identity_residual,
                             verify_exit_decomposition)
 from greenlab.measures import StepMeasure, lazy_transform, uniform_on_generators
 from greenlab.rng import derive_stream
@@ -627,10 +626,6 @@ class TestBoundaryGreenMatrix:
         table = killed_green_solve(omega, [E3] + dom.boundary, mu, tol=1e-12)
         res = vector_identity_residual(dom, E3, mu, table)
         assert res < 1e-8
-
-    def test_1x1_certificate(self):
-        assert spd_certificate_1x1(1.5).spd_ok
-        assert not spd_certificate_1x1(-0.2).spd_ok
 
 
 def reference_tree_distances(rank, start, walkers, steps, rng):

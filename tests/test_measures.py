@@ -13,9 +13,9 @@ from scipy import integrate, special
 
 from greenlab import groups, measures
 from greenlab.groups import identity
-from greenlab.measures import (PmfOnZ, SHELL_SAMPLE_RADIUS_MAX,
+from greenlab.measures import (PmfOnZ, SAMPLE_HEAD, SHELL_SAMPLE_RADIUS_MAX,
                                STABLE_SAMPLE_MAGNITUDE_MAX, UNIT_MASS,
-                               certify_generates, convolve_z, delta_pmf,
+                               certify_generates, convolve_z,
                                first_moment_partial, lazy_transform,
                                pmf_from_dict, self_convolution_powers,
                                shell_measure, shell_norm_constant,
@@ -207,17 +207,16 @@ class TestSampling:
 
     @pytest.mark.parametrize("spec", [Z3, H])
     def test_shell_steps_draw_order(self, spec):
-        # laziness mask, radius, axis, sign
+        # one length (laziness and unit steps included), then one direction
         mu = lazy_transform(shell_measure(spec, r0=3), 0.3)
         got = mu.sample_steps(np.random.default_rng(12), 300)
         rng = np.random.default_rng(12)
-        lazy = rng.random(300) < mu.laziness
         radii = mu.sample_shell_radii(rng, 300)
-        axis = rng.integers(0, len(mu.axes), size=300)
-        sign = rng.integers(0, 2, size=300) * 2 - 1
-        want = [identity(spec) if lazy[i] else
-                measures.axis_power(spec, mu.axes[axis[i]], int(sign[i] * radii[i]))
-                for i in range(300)]
+        direction = rng.integers(0, 2 * len(mu.axes), size=300)
+        assert set(np.unique(radii[radii < 3])) == {0, 1}
+        want = [measures.axis_power(spec, mu.axes[d // 2],
+                                    int(radii[i]) * (1 if d % 2 == 0 else -1))
+                for i, d in enumerate(direction)]
         assert [tuple(r) for r in got.tolist()] == want
         assert mu.sample(np.random.default_rng(12), 300) == want
 
@@ -225,21 +224,43 @@ class TestSampling:
         mu = lazy_transform(stable_z_measure(1.0), 0.2)
         got = mu.sample_steps(np.random.default_rng(13), 300)
         rng = np.random.default_rng(13)
-        lazy = rng.random(300) < mu.laziness
-        ks = np.where(lazy, 0, mu.sample_stable_ints(rng, 300))
+        u = rng.random(300)
+        signs = rng.integers(0, 2, size=300) * 2 - 1
+        # no tail redraw in these 300: the signs follow the one uniform each
+        table = mu._stable_cdf
+        mags = table.index(u)
+        assert mags.max() < table.n - 1
+        mags += table.start
+        ks = mu.sample_stable_ints(np.random.default_rng(13), 300)
+        assert (ks == mags * signs).all()
         assert got.shape == (300, 1) and (got[:, 0] == ks).all()
+        assert (ks == 0).any()
+
+    def test_lazy_transform_rebuilds_length_tables(self):
+        # the laziness is an atom of the length table, so a table built
+        # before lazy_transform must not be carried over by replace()
+        for mu in (shell_measure(H, r0=3), stable_z_measure(1.0)):
+            draws = mu.sample_steps(np.random.default_rng(0), 10)
+            assert (np.abs(draws).sum(axis=1) > 0).all()
+            built = mu._radius_cdf or mu._stable_cdf
+            lazy = lazy_transform(mu, 0.5)
+            assert lazy._radius_cdf is None and lazy._stable_cdf is None
+            draws = lazy.sample_steps(np.random.default_rng(1), 4000)
+            assert (lazy._radius_cdf or lazy._stable_cdf) is not built
+            assert abs((draws == 0).all(axis=1).mean() - 0.5) < 0.05
 
     def test_concurrent_first_draws_build_one_table(self, monkeypatch):
         # replica threads of the batched walker share a measure: its lazy
         # sampling table is built once however many threads draw first
         builds = []
 
-        class Counting(measures._GuidedCdf):
-            def __init__(self, table):
-                builds.append(len(table))
-                super().__init__(table)
+        build = measures._GuidedCdf.__init__
 
-        monkeypatch.setattr(measures, "_GuidedCdf", Counting)
+        def counting(self, table):
+            builds.append(len(table))
+            build(self, table)
+
+        monkeypatch.setattr(measures._GuidedCdf, "__init__", counting)
         mu = shell_measure(H, r0=3)
         barrier = threading.Barrier(4)
 
@@ -285,7 +306,7 @@ class TestSampling:
 
 
 def _sampler_table(kind, par):
-    """The guide table a shell (r0 = par) or stable (alpha = par) sampler
+    """The length table a shell (r0 = par) or stable (alpha = par) sampler
     builds on its first draw."""
     if kind == "shell":
         mu = shell_measure(H, r0=par)
@@ -296,9 +317,28 @@ def _sampler_table(kind, par):
     return mu._stable_cdf
 
 
-@pytest.fixture(scope="module",
-                params=[("shell", 3), ("shell", 5), ("stable", 0.5),
-                        ("stable", 1.0), ("stable", 1.5)],
+def _law_weights(kind, par, lo, hi):
+    """The unnormalised weights of lengths lo..hi - 1 (shell radius
+    r0 = par, stable magnitude alpha = par)."""
+    k = np.arange(lo, hi, dtype=np.float64)
+    if kind == "shell":
+        return 1.0 / (k * k * np.log(k))
+    return k ** -(1.0 + par)
+
+
+def _tail_sum(kind, par, m):
+    """Exact sum of the law's weights over [m, M], M the sampler cap."""
+    if kind == "shell":
+        return float(np.sum(_law_weights(kind, par, m, SHELL_SAMPLE_RADIUS_MAX + 1)))
+    s = 1.0 + par
+    return float(special.zeta(s, m) - special.zeta(s, STABLE_SAMPLE_MAGNITUDE_MAX + 1))
+
+
+GUIDED_LAWS = [("shell", 3), ("shell", 5), ("stable", 0.5), ("stable", 1.0),
+               ("stable", 1.5)]
+
+
+@pytest.fixture(scope="module", params=GUIDED_LAWS,
                 ids=lambda p: f"{p[0]}-{p[1]:g}")
 def guided(request):
     return request.param + (_sampler_table(*request.param),)
@@ -309,18 +349,31 @@ def _binary_search_index(cdf, u):
 
 
 class TestGuidedCdf:
-    """_GuidedCdf.index(u) returns exactly the clipped binary-search index."""
+    """_GuidedCdf.index(u) returns exactly the clipped binary-search index,
+    on the head tables the shell and stable samplers build."""
 
     def test_cdf_is_cumsum_over_sum(self, guided):
+        # lengths 1..L: the unit mass (shells), the head, and the tail atom
+        # at L holding the exact weight of [L, M]
         kind, par, table = guided
+        lo = par if kind == "shell" else 1
+        big_l = lo + SAMPLE_HEAD
+        assert (table.start, table.tail_lo) == (1, big_l)
+        assert table.tail_hi == (SHELL_SAMPLE_RADIUS_MAX if kind == "shell"
+                                 else STABLE_SAMPLE_MAGNITUDE_MAX)
+        head = _law_weights(kind, par, lo, big_l)
+        tail = _tail_sum(kind, par, big_l)
+        body = 1.0 - UNIT_MASS if kind == "shell" else 1.0
+        w = np.zeros(big_l)
+        w[lo - 1:big_l - 1] = head
+        w[big_l - 1] = tail
+        w *= body / (head.sum() + tail)
         if kind == "shell":
-            r = np.arange(par, SHELL_SAMPLE_RADIUS_MAX + 1, dtype=np.float64)
-            w = 1.0 / (r * r * np.log(r))
-        else:
-            k = np.arange(1, STABLE_SAMPLE_MAGNITUDE_MAX + 1, dtype=np.float64)
-            w = k ** -(1.0 + par)
-        assert table.cdf[-1] == np.inf
-        assert np.array_equal(table.cdf[:-1], np.cumsum(w) / w.sum())
+            w[0] = UNIT_MASS
+        assert table.n == len(w) and table.cdf[-1] == np.inf
+        cdf = table.cdf[:-1]
+        assert np.allclose(cdf, np.cumsum(w), rtol=0.0, atol=1e-13)
+        assert 1.0 - cdf[-2] == pytest.approx(w[-1], rel=1e-6, abs=1e-15)
 
     def test_index_at_edges_and_cdf_entries(self, guided):
         table = guided[2]
@@ -332,9 +385,10 @@ class TestGuidedCdf:
             u = cdf if side is None else np.nextafter(cdf, side)
             u = u[u < 1.0]
             assert np.array_equal(table.index(u), _binary_search_index(cdf, u))
-        # above the last entry the index clips to it
+        # above the last entry the index clips to it (cumsum / sum can
+        # round the last entry to either side of 1)
         above = np.array([np.nextafter(cdf[-1], np.inf), np.nextafter(1.0, 0.0)])
-        assert (cdf[-1] < above).all()
+        above = above[(cdf[-1] < above) & (above < 1.0)]
         assert (table.index(above) == len(cdf) - 1).all()
 
     @settings(max_examples=4)
@@ -353,17 +407,49 @@ class TestGuidedCdf:
         assert np.array_equal(table.index(u),
                               _binary_search_index(table.cdf[:-1], u))
 
-    def test_stable_table_is_one_array(self):
-        # the 10^7-entry CDF is built in place: peak allocation is about
-        # the table itself (80 MB), not the four arrays of cumsum(w) / w.sum()
-        tracemalloc.start()
-        try:
-            table = _sampler_table("stable", 1.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert table.cdf.nbytes == 8 * (STABLE_SAMPLE_MAGNITUDE_MAX + 1)
-        assert peak < 1.1 * table.cdf.nbytes
+    def test_first_draw_peak_allocation(self):
+        # the first draw builds the head table and sums the tail exactly,
+        # in bounded memory, whatever the cap
+        for kind, par in GUIDED_LAWS:
+            mu = shell_measure(H, r0=par) if kind == "shell" else stable_z_measure(par)
+            tracemalloc.start()
+            try:
+                mu.sample_steps(np.random.default_rng(0), 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2 ** 20, (kind, par, peak)
+
+
+class TestHeadTailCdf:
+    """The tail atom's exact rejection redraw."""
+
+    def test_tail_draws_follow_the_law_4sigma(self, guided):
+        # P(K >= m | K >= L) = T(m) / T(L), T(m) the law's weight on [m, M]
+        kind, par, table = guided
+        big_l, big_m = table.tail_lo, table.tail_hi
+        rng = np.random.default_rng(2027)
+        n = 4 * 10 ** 6
+        k = np.concatenate([table.tail_draws(rng, 10 ** 6) for _ in range(4)])
+        assert k.dtype == np.int64 and len(k) == n
+        assert k.min() >= big_l and k.max() <= big_m
+        whole = _tail_sum(kind, par, big_l)
+        for m in (big_l - 1, big_l, big_l + 1, 10 ** 5, big_m):
+            p = min(1.0, _tail_sum(kind, par, max(m, big_l)) / whole)
+            freq = (k >= m).mean()
+            assert abs(freq - p) <= 4 * np.sqrt(p * (1 - p) / n), (m, freq, p)
+
+    def test_acceptance_at_most_one(self, guided):
+        kind, par, table = guided
+        big_l, big_m = table.tail_lo, table.tail_hi
+        for lo in range(big_l, big_m + 1, 10 ** 6):
+            k = np.arange(lo, min(lo + 10 ** 6, big_m + 1), dtype=np.float64)
+            acc = table.accept(k)
+            assert (acc <= 1.0).all() and (acc > 0.0).all(), lo
+        assert table.accept(np.array([float(big_l), float(big_m)])).max() <= 1.0
+        if kind == "shell":
+            # g(k) / g(L): exactly 1 at L
+            assert table.accept(np.array([float(big_l)]))[0] == 1.0
 
 
 class TestSamplerTailMass:
@@ -402,7 +488,7 @@ class TestSamplerTailMass:
 class TestConvolveZ:
     def test_delta_is_identity(self):
         p = pmf_from_dict({-1: 0.5, 1: 0.5})
-        q = convolve_z(delta_pmf(0), p, cap=4)
+        q = convolve_z(pmf_from_dict({0: 1.0}), p, cap=4)
         assert q.at(-1) == 0.5 and q.at(1) == 0.5 and q.delta_trunc == 0.0
 
     def test_srw_two_and_four_steps(self):

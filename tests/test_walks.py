@@ -1,5 +1,5 @@
 """Trajectory experiments: speed, increments, Green speed, dispersion,
-Mal'cev coordinates, quarter-plane ratios."""
+the Heis3 centre's growth, quarter-plane ratios."""
 
 import json
 import math
@@ -18,8 +18,7 @@ from greenlab.walks import (_batch_positions, _shell_tail_probability,
                             _support_gcd, batch_lengths,
                             cone_martin_experiment,
                             green_speed_estimate, increment_ratio_max,
-                            malcev_coords, product_dispersion_bound,
-                            sample_jump_lengths, simulate_walk,
+                            product_dispersion_bound, sample_jump_lengths,
                             speed_in_probability, truncated_coordinate_moments,
                             tv_dispersion_z)
 from running_max_oracle import radius_tail, running_max_cdf
@@ -35,10 +34,7 @@ def srw(spec):
 
 
 class TestSimulateWalk:
-    def test_zero_steps(self):
-        rng = derive_stream(0, "walk")
-        s = simulate_walk(Z3, srw(Z3), 0, [0], rng)
-        assert s.lengths == [0]
+    """Whole trajectories through batch_lengths."""
 
     def test_z3_diffusive_scaling(self):
         # E|X_n|_1 = sqrt(6 n / pi) ~ 1.382 sqrt(n): mean/sqrt(n) in [1.3, 1.8]
@@ -54,18 +50,6 @@ class TestSimulateWalk:
         n = 10 ** 4
         lengths = batch_lengths(F2, srw(F2), n, 500, rng, [n])[n]
         assert abs(lengths.mean() / n - 0.5) < 0.02
-
-    def test_bounded_steps_bound_trajectory(self):
-        rng = derive_stream(3, "walk-bound")
-        s = simulate_walk(Z3, srw(Z3), 200, [50, 100, 200], rng)
-        for k, length in zip(s.checkpoints, s.lengths):
-            assert length <= k
-
-    def test_heisenberg_reports_quasi_norm_and_coords(self):
-        rng = derive_stream(4, "walk-h")
-        s = simulate_walk(H, srw(H), 50, [0, 50], rng)
-        assert s.metric_mode == "quasi_norm"
-        assert s.malcev is not None and s.malcev[0].norm == 0
 
 
 def heis_central_law():
@@ -465,22 +449,6 @@ class TestProductDispersion:
 
 
 class TestMalcev:
-    def test_identity(self):
-        mc = malcev_coords((0, 0, 0))
-        assert mc.x1 == (0, 0) and mc.x2 == 0 and mc.norm == 0
-
-    def test_commutator(self):
-        mc = malcev_coords((0, 0, 1))
-        assert mc.x1 == (0, 0) and mc.x2 == 1 and mc.norm == 1
-        # BFS length of the central element is 4: |x2| = 1 <= 1 * 4^2
-        assert abs(mc.x2) <= 4 ** 2
-
-    def test_x3y2(self):
-        g = groups.mul(H, (3, 0, 0), (0, 2, 0))
-        assert g == (3, 2, 6)
-        mc = malcev_coords(g)
-        assert mc.x1 == (3, 2) and mc.norm >= 5
-
     def test_growth_bound_on_bfs_ball(self):
         # |x2(g)| <= |g|^2/4 + |g| over the BFS-enumerated ball (sharp along
         # x^m y^m words); the max ratio |x2|/|g|^2 stays finite
