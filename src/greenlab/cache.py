@@ -49,7 +49,6 @@ def save_table(cache_dir: str, backend: str, mhash: str, table: GreenTable) -> s
         "sources": [list(s) for s in table.sources],
         "residuals": [float(r) for r in table.residuals],
         "method": table.method,
-        "preconditioner": table.preconditioner,
         "iterations": (None if table.iterations is None
                        else [int(k) for k in table.iterations]),
         "symmetry_order": table.symmetry_order,
@@ -102,7 +101,6 @@ def load_table(cache_dir: str, backend: str, mhash: str, domain: Domain,
         return GreenTable(domain, sources, values,
                           np.array(meta["residuals"]), meta["laziness"],
                           meta["measure_name"], tol, meta.get("method"),
-                          meta.get("preconditioner"),
                           None if iterations is None
                           else np.array(iterations, dtype=np.int64),
                           meta.get("symmetry_order"), meta.get("unknowns"))

@@ -140,7 +140,7 @@ def _table(cfg, mhash, omega, sources, mu, tol, cache_dir, force):
 
 def _solver_record(table: green.GreenTable, sources) -> dict:
     """How the table was solved, with the iterations of each source."""
-    return {"method": table.method, "preconditioner": table.preconditioner,
+    return {"method": table.method,
             "iterations": None if table.iterations is None else
             [int(table.iterations[table.sources.index(s)]) for s in sources],
             "symmetry_order": table.symmetry_order, "unknowns": table.unknowns}
@@ -164,11 +164,8 @@ def _delta_scan(cfg, cache_dir, force, with_band=False):
     e = groups.identity(spec)
     b = reporting.parse_element(spec, cfg["basepoint"]) if "basepoint" in cfg \
         else groups.standard_generators(spec).elements[0]
-    engine = cfg.get("engine", "auto")
-    use_tree = (engine in ("auto", "closed-form") and spec.variant == "free"
-                and mu.kind == "finite" and mu.laziness == 0.0)
-    if engine == "closed-form" and not use_tree:
-        raise ConfigError("closed-form engine needs the free-group SRW")
+    use_tree = (spec.variant == "free" and mu.kind == "finite"
+                and mu.laziness == 0.0)
     d_ab = groups.word_length(spec, b)
     rows = []
     for r in cfg["scales"]:
@@ -344,7 +341,7 @@ _LAW = {"backend", "measure"}
 
 KINDS = {
     "delta-scan": _Kind(_delta_scan,
-                        _LAW | {"scales", "basepoint", "engine", "tol"}),
+                        _LAW | {"scales", "basepoint", "tol"}),
     "eps-delta": _Kind(functools.partial(_delta_scan, with_band=True),
                        _LAW | {"scales", "basepoint", "tol"}),
     "green-table": _Kind(_green_table, _LAW | {"radius", "sources",

@@ -1,6 +1,6 @@
 """Heat-kernel envelope checks: near-diagonal tails, the off-diagonal
 Tauberian comparability test, on-diagonal return series, the parity bridge,
-and Hoelder-constant probes.
+and the exponential-growth sum probe.
 
 Scales are normalised as rho(n) = n^(1/gamma) with reference volume
 Vol(rho) = rho^(d*); the near-diagonal tail is A(m) = sum_{n>=m} n^(-d*/gamma)
@@ -222,7 +222,6 @@ class _LatticeConvolver:
         shape = (2 * halfwidth + 1,) * spec.d
         self.arr = np.zeros(shape)
         self.arr[(halfwidth,) * spec.d] = 1.0
-        self.n = 0
         self.delta_trunc = 0.0
 
     def step(self):
@@ -232,19 +231,10 @@ class _LatticeConvolver:
         lost = float(self.arr.sum() - new.sum() + self.delta_trunc)
         self.arr = new
         self.delta_trunc = max(lost, 0.0)
-        self.n += 1
-
-    def advance_to(self, n: int):
-        while self.n < n:
-            self.step()
 
     def at(self, x) -> float:
         idx = tuple(c + self.half for c in x)
         return float(self.arr[idx])
-
-    def max_shift_difference(self, shift_vec) -> float:
-        """max over x of |p_n(x) - p_n(x - shift)|."""
-        return float(np.max(np.abs(self.arr - _shift(self.arr, shift_vec))))
 
 
 def _shift(arr: np.ndarray, vec) -> np.ndarray:
@@ -360,39 +350,6 @@ def parity_bridge_check(series_or_pmf, k_max: int = 20) -> float:
 def _convolve_full(p: PmfOnZ, q: PmfOnZ) -> PmfOnZ:
     vals = np.convolve(p.vals, q.vals)
     return PmfOnZ(vals, p.lo + q.lo, max(0.0, 1.0 - float(vals.sum())))
-
-
-# ---------------------------------------------------------------------------
-# Hoelder-constant probe on lattices
-# ---------------------------------------------------------------------------
-
-@dataclass
-class HolderProbe:
-    n_values: np.ndarray
-    per_n: np.ndarray
-    overall: float
-    delta_trunc: float
-
-
-def holder_constant_probe(spec: GroupSpec, mu: StepMeasure, n_list, a, b,
-                          alpha: float = 1.0) -> HolderProbe:
-    """Empirical uniform-Hoelder constant from exact n-step pmfs:
-    max over x and n of |p_n(a,x) - p_n(b,x)| Vol(rho(n)) (rho(n)/d(a,b))^alpha
-    with rho(n) = sqrt(n) and Vol(rho) = rho^d."""
-    if a == b:
-        return HolderProbe(np.asarray(n_list), np.zeros(len(n_list)), 0.0, 0.0)
-    n_list = sorted(n_list)
-    shift_vec = tuple(bi - ai for ai, bi in zip(a, b))
-    d_ab = sum(abs(c) for c in shift_vec)
-    conv = _LatticeConvolver(spec, mu, n_list[-1])
-    per_n = []
-    for n in n_list:
-        conv.advance_to(n)
-        diff = conv.max_shift_difference(shift_vec)
-        rho = np.sqrt(n)
-        per_n.append(diff * rho ** spec.d * (rho / d_ab) ** alpha)
-    return HolderProbe(np.asarray(n_list), np.asarray(per_n),
-                       float(np.max(per_n)), conv.delta_trunc)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Certificate functionals over Green tables: the Green-variation functional,
 the exit-measure variation functional, their comparison band, Martin kernels,
-the Green metric, telescoping identities, and decay-rate fits.
+the Green metric, and decay-rate fits.
 
 All Green access goes through a provider exposing ``value(a, x)``,
 ``bracket(a, x)`` and, for whole boundaries at once,
@@ -273,58 +273,6 @@ def green_distance(spec: GroupSpec, x, y, provider) -> GreenDistance:
     return GreenDistance(float(np.log(gee) - np.log(gxy)),
                          float(np.log(lo_e) - np.log(hi_xy)),
                          float(np.log(hi_e) - np.log(lo_xy)))
-
-
-@dataclass
-class TelescopingReport:
-    kernel_residual: float
-    metric_residual: float
-    error_budget: float
-
-
-def telescoping_check(spec: GroupSpec, word: tuple, provider) -> TelescopingReport:
-    """Check G(e,x)/G(e,e) = prod_i K_{t_i}(e, t_i...t_n) and the matching
-    additive identity for d_G along a geodesic word for x."""
-    e = identity(spec)
-    x = e
-    for t in word:
-        x = mul(spec, x, t)
-    if groups.word_length(spec, x) != len(word):
-        raise ValueError("word is not geodesic for its product")
-    # suffixes z_i = t_i ... t_n and kernel factors G(e,z_i)/G(t_i,z_i)
-    prod = 1.0
-    budget = 0.0
-    suffix = e
-    factors = []
-    for t in reversed(word):
-        suffix = mul(spec, t, suffix)
-        factors.append((t, suffix))
-    for t, z in factors:
-        num, den = provider.value(e, z), provider.value(t, z)
-        prod *= num / den
-        lo_n, hi_n = provider.bracket(e, z)
-        lo_d, hi_d = provider.bracket(t, z)
-        if lo_n <= 0 or lo_d <= 0:
-            raise DegenerateBracketError("bracket touches zero in telescoping")
-        budget += np.log(hi_n / lo_n) + np.log(hi_d / lo_d)
-    gee = provider.value(e, e)
-    gex = provider.value(e, x)
-    kernel_res = abs(gex / gee - prod)
-    dg = np.log(gee) - np.log(gex)
-    metric_res = abs(dg - _sum_phi(spec, word, provider))
-    return TelescopingReport(kernel_res, metric_res, budget + 1e-12)
-
-
-def _sum_phi(spec: GroupSpec, word: tuple, provider) -> float:
-    """sum_k log(G(e, z_k) / G(e, z_{k+1})) over prefixes z_k = t_1...t_k."""
-    e = identity(spec)
-    acc = 0.0
-    z = e
-    for t in word:
-        z_next = mul(spec, z, t)
-        acc += np.log(provider.value(e, z)) - np.log(provider.value(e, z_next))
-        z = z_next
-    return acc
 
 
 # ---------------------------------------------------------------------------

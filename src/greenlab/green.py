@@ -9,16 +9,18 @@ monotonically to the full Green function as Omega grows.  The outer
 boundary of a set S is always taken with respect to T = supp(mu), and that
 choice is recorded on the domain.
 
-A large lattice table is solved on the orbit quotient of its symmetries.
-The signed permutations of the axes that fix every source, preserve mu and
-map Omega onto itself form a group H, and G_Omega(a, .) is constant on the
-H-orbits; on a ball about the origin with SRW and the origin as source,
-|H| = 48.  The solver assembles the Galerkin quotient Q^T (I - P) Q (Q the
-orbit indicator) on one representative per orbit, solves it, and lifts the
-solution back to Omega (Fassler & Stiefel, *Group Theoretical Methods and
-Their Applications*, 1992).
+A lattice table above QUOTIENT_MIN points is solved on the orbit quotient
+of its symmetries.  The signed permutations of the axes that fix every
+source, preserve mu and map Omega onto itself form a group H, and
+G_Omega(a, .) is constant on the H-orbits; on a ball about the origin with
+SRW and the origin as source, |H| = 48.  The solver assembles the Galerkin
+quotient Q^T (I - P) Q (Q the orbit indicator) on one representative per
+orbit, solves it, and lifts the solution back to Omega (Fassler &
+Stiefel, *Group Theoretical Methods and Their Applications*, 1992).
 
-SciPy's sparse modules are the lazy module attributes ``sp`` and ``spla``
+Every killed system, full or quotient, is solved by one of two methods: a
+direct factorization, or plain conjugate gradients.  SciPy's sparse
+modules are the lazy module attributes ``sp`` and ``spla``
 (``greenlab._LazyModule``), imported the first time a table is solved.
 Importing greenlab therefore loads no SciPy, which is most of the start-up
 time (the benchmark's ``setup_s``) of runs that never solve.  ``spla``
@@ -52,14 +54,10 @@ spla = _LazyModule("scipy.sparse.linalg")
 DIRECT_SOLVE_MAX = 4000       # direct factorization below this many unknowns
 DEFAULT_TOL = 1e-10
 # Lattice tables above this many points are solved on the orbit quotient
-# of their axis symmetries, and lattice CG solves above this many unknowns
-# are multigrid-preconditioned.  Below it plain CG takes at most ~0.3 s, and
-# smaller tables (and every value recorded from them) stay bit-identical to
-# plain CG's.
-MULTIGRID_MIN = 100_000
-_MG_COARSEST = 3000           # factorize the coarsest level at or below this size
-_MG_SWEEPS = 2                # damped Jacobi sweeps before and after (symmetric)
-_MG_OVERCORRECT = 1.8         # scale of the plain-aggregation coarse correction
+# of their axis symmetries.  Smaller tables are solved on the full system,
+# where plain CG takes at most ~0.3 s, so they (and every value recorded
+# from them) do not depend on the quotient's arithmetic.
+QUOTIENT_MIN = 100_000
 
 
 class TransienceError(ValueError):
@@ -428,11 +426,10 @@ class GreenTable:
     laziness: float
     measure_name: str
     tol: float
-    # how the table was solved: "direct" or "cg", the CG preconditioner
-    # (None when plain), and CG iterations per source (0 for direct); all
-    # None for a cached table written before they were recorded
+    # how the table was solved: "direct" or "cg", and CG iterations per
+    # source (0 for direct); both None for a cached table written before
+    # they were recorded
     method: Optional[str]
-    preconditioner: Optional[str]
     iterations: Optional[np.ndarray]
     # the order of the symmetry group H whose orbit quotient was solved (1
     # when not reduced) and the number of unknowns solved for (its orbit
@@ -548,14 +545,14 @@ def _axis_symmetries(omega: Domain, mu: StepMeasure, sources: list) -> tuple:
 
 def _symmetry_orbits(omega: Domain, mu: StepMeasure, sources: list) -> _Orbits:
     """Orbits of the axis symmetries H (``_axis_symmetries``) on a lattice
-    domain above MULTIGRID_MIN points; the trivial orbits elsewhere.
+    domain above QUOTIENT_MIN points; the trivial orbits elsewhere.
 
     The representative of an orbit is its canonical point: |x_k| on the
     flippable axes, then the coordinates of each block in ascending order
     (sorted by compare-exchange passes over the block's columns).
     """
     n = len(omega)
-    if omega.spec.variant != "lattice" or n <= MULTIGRID_MIN:
+    if omega.spec.variant != "lattice" or n <= QUOTIENT_MIN:
         return _Orbits.trivial(n)
     flips, blocks = _axis_symmetries(omega, mu, sources)
     order = 2 ** len(flips) * math.prod(math.factorial(len(b)) for b in blocks)
@@ -615,111 +612,42 @@ def _operator(omega: Domain, mu: StepMeasure,
     return mat
 
 
-class _AggregationMultigrid:
-    """Symmetric V-cycle for I - P on a lattice domain (Briggs, Henson &
-    McCormick, *A Multigrid Tutorial*, 2000), used as a CG preconditioner.
-
-    Each level merges the points with equal ``coords >> 1`` (up to 2^d fine
-    points) into one aggregate; the prolongation P is piecewise constant,
-    one unit entry per row, and the coarse operator is P^T A P.  The
-    coarse correction is over-scaled by _MG_OVERCORRECT to offset the
-    energy of piecewise-constant interpolation (Braess, Computing 55,
-    1995).  Smoothing is Jacobi damped by 4/(3 rho), rho the Gershgorin
-    bound of D^{-1} A, with _MG_SWEEPS sweeps before and after the
-    correction, so the cycle is a symmetric operator.  The coarsest level
-    (at most _MG_COARSEST unknowns) is factorized.
-    """
-
-    name = "aggregation-vcycle"
-
-    def __init__(self, mat: sp.csr_matrix, coords: np.ndarray):
-        self.shape = mat.shape
-        # per level: (operator, damping / diagonal, aggregate of each unknown)
-        self.levels = []
-        while mat.shape[0] > _MG_COARSEST:
-            agg, coords = self._aggregate(coords)
-            n, nc = mat.shape[0], len(coords)
-            prolong = sp.csr_matrix((np.ones(n), agg, np.arange(n + 1)), shape=(n, nc))
-            self.levels.append((mat, self._jacobi_weights(mat), agg))
-            # P^T in CSR, so the product does not convert A P to CSC
-            mat = prolong.T.tocsr() @ (mat @ prolong)
-        self.coarsest = mat
-        self.lu = spla.splu(mat.tocsc())
-
-    @staticmethod
-    def _aggregate(coords: np.ndarray) -> tuple:
-        """(aggregate index per point, aggregate coordinates): aggregates are
-        numbered in lexicographic order by a cumsum over a dense grid."""
-        c = coords >> 1
-        c -= c.min(axis=0)
-        shape = tuple(c.max(axis=0) + 1)
-        keys = np.ravel_multi_index(tuple(c.T), shape)
-        occupied = np.zeros(int(np.prod(shape)), dtype=bool)
-        occupied[keys] = True
-        rank = np.cumsum(occupied) - 1
-        return rank[keys], np.argwhere(occupied.reshape(shape))
-
-    @staticmethod
-    def _jacobi_weights(mat: sp.csr_matrix) -> np.ndarray:
-        diag = mat.diagonal()
-        abs_rows = sp.csr_matrix((np.abs(mat.data), mat.indices, mat.indptr),
-                                 shape=mat.shape) @ np.ones(mat.shape[0])
-        return 4.0 / (3.0 * np.max(abs_rows / diag)) / diag
-
-    def apply(self, b: np.ndarray, level: int = 0) -> np.ndarray:
-        """One V-cycle from a zero guess for A x = b on ``level``."""
-        if level == len(self.levels):
-            return self.lu.solve(b)
-        mat, weights, agg = self.levels[level]
-        x = weights * b
-        for _ in range(_MG_SWEEPS - 1):
-            x += weights * (b - mat @ x)
-        coarse = self.apply(np.bincount(agg, weights=b - mat @ x), level + 1)
-        x += _MG_OVERCORRECT * coarse[agg]
-        for _ in range(_MG_SWEEPS):
-            x += weights * (b - mat @ x)
-        return x
-
-
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
     """x . y by NumPy's own sum-of-products loop, never BLAS: the sum does
     not depend on the BLAS thread count."""
     return float(np.einsum("i,i->", x, y))
 
 
-def cg(mat, rhs: np.ndarray, tol: float, maxiter: int, precond=None) -> tuple:
+def cg(mat, rhs: np.ndarray, tol: float, maxiter: int) -> tuple:
     """Conjugate gradients (Hestenes & Stiefel, J. Res. NBS 49, 1952) for
     an SPD matrix from x = 0; returns (x, iterations) once
     ||rhs - mat x||_2 < tol, and raises SolverError after maxiter.
 
-    The updates follow scipy.sparse.linalg.cg in order; ``precond`` (a
-    callable approximating mat^{-1}, SPD) is applied to the residual.  The
-    reductions are ``_dot``, so x is the same for every BLAS thread count;
-    the sparse product and the in-place updates release the GIL, so
-    several right-hand sides can run in threads.
+    The updates follow scipy.sparse.linalg.cg in order.  The reductions
+    are ``_dot``, so x is the same for every BLAS thread count; the sparse
+    product and the in-place updates release the GIL, so several
+    right-hand sides can run in threads.
     """
     x = np.zeros_like(rhs)
     r = rhs.copy()
     step = np.empty_like(rhs)           # alpha p, then alpha q
-    p, rho_prev = None, 0.0
+    p, rr_prev = None, 0.0
     for iteration in range(maxiter):
         rr = _dot(r, r)
         if math.sqrt(rr) < tol:
             return x, iteration
-        z = r if precond is None else precond(r)
-        rho = rr if precond is None else _dot(r, z)
         if p is None:
-            p = z.copy()
+            p = r.copy()
         else:
-            p *= rho / rho_prev
-            p += z
+            p *= rr / rr_prev
+            p += r
         q = mat @ p
-        alpha = rho / _dot(p, q)
+        alpha = rr / _dot(p, q)
         np.multiply(alpha, p, out=step)
         x += step
         np.multiply(alpha, q, out=step)
         r -= step
-        rho_prev = rho
+        rr_prev = rr
     raise SolverError(f"CG did not reach the tolerance {tol:g} in {maxiter} iterations")
 
 
@@ -727,7 +655,7 @@ def killed_green_solve(omega: Domain, sources: list, mu: StepMeasure,
                        tol: float = DEFAULT_TOL, method: str = "auto") -> GreenTable:
     """Solve (I - P_Omega) v = delta_a per source by an SPD method.
 
-    A lattice table above MULTIGRID_MIN points is solved on the orbit
+    A lattice table above QUOTIENT_MIN points is solved on the orbit
     quotient of its axis symmetries H (``_symmetry_orbits``): v is constant
     on H-orbits, so it lifts from the solution u of the Galerkin quotient
     M u = e_{orbit(a)} (``_operator``) by v = u[orbit].  The residual of v
@@ -735,13 +663,14 @@ def killed_green_solve(omega: Domain, sources: list, mu: StepMeasure,
     the 2-norm of the quotient residual bounds the full one from above.
     When H is trivial the quotient is the full system.
 
-    method "auto" uses a direct factorization below DIRECT_SOLVE_MAX
-    unknowns (or when many sources are requested and memory allows) and
-    conjugate gradients (``cg``) otherwise; residuals are reported per
-    source.  CG on Z^d above MULTIGRID_MIN unknowns is preconditioned by an
-    aggregation V-cycle; the stopping rule and residual check are the same.
-    The sources are solved in a pool of up to CPUS threads.
+    method "direct" factorizes the system once (``splu``), "cg" runs plain
+    conjugate gradients (``cg``) per source, and "auto" factorizes below
+    DIRECT_SOLVE_MAX unknowns (or when many sources are requested and
+    memory allows) and runs CG otherwise; residuals are reported per
+    source.  The sources are solved in a pool of up to CPUS threads.
     """
+    if method not in ("auto", "direct", "cg"):
+        raise ValueError(f"unknown method {method!r}; use 'auto', 'direct' or 'cg'")
     for a in sources:
         if a not in omega:
             raise ValueError(f"source {a!r} outside the domain")
@@ -754,14 +683,6 @@ def killed_green_solve(omega: Domain, sources: list, mu: StepMeasure,
         else:
             method = "cg"
     lu = spla.splu(mat.tocsc()) if method == "direct" else None
-    mg = None
-    # the aggregation by coords >> 1 is built for lattice geometry.  On
-    # Heis3 balls, sources e and (1,0,0), it cuts the CG iterations (43
-    # against 125 and 153 at R = 28, 59 against 176 and 214 at R = 40) but
-    # not the wall time, setup included: 1.1 against 0.5 s at R = 28 and
-    # 7.9 against 5.1 s at R = 40 (two threads); so Heis3 runs plain CG
-    if method == "cg" and omega.spec.variant == "lattice" and m > MULTIGRID_MIN:
-        mg = _AggregationMultigrid(mat, omega.coords[orbits.reps])
     vals = np.zeros((len(sources), len(omega)))
     residuals = np.zeros(len(sources))
     iterations = np.zeros(len(sources), dtype=np.int64)
@@ -773,7 +694,7 @@ def killed_green_solve(omega: Domain, sources: list, mu: StepMeasure,
         if lu is not None:
             u = lu.solve(rhs)
         else:
-            u, iterations[i] = cg(mat, rhs, tol, 20 * m, mg.apply if mg else None)
+            u, iterations[i] = cg(mat, rhs, tol, 20 * m)
         res = float(np.max(np.abs(mat @ u - rhs) / orbits.sizes))
         if res > 100 * max(tol, 1e-14):
             raise SolverError(f"residual {res:g} above tolerance for source {a!r}")
@@ -794,8 +715,8 @@ def killed_green_solve(omega: Domain, sources: list, mu: StepMeasure,
         for i in range(len(sources)):
             solve(i)
     return GreenTable(omega, list(sources), vals, residuals,
-                      mu.laziness, mu.name, tol, method,
-                      mg.name if mg else None, iterations, orbits.order, m)
+                      mu.laziness, mu.name, tol, method, iterations,
+                      orbits.order, m)
 
 
 @dataclass

@@ -64,6 +64,15 @@ class TestRun:
         p2 = write_config(tmp_path / "k2.json", cfg)
         assert run(p2) == STATUS_CONFIG
 
+    def test_engine_key_rejected(self, tmp_path, capsys):
+        # the tree oracle is chosen from the law alone; a config that still
+        # names an engine is refused before anything is written
+        cfg = dict(f2_delta_config(tmp_path), engine="closed-form")
+        path = write_config(tmp_path / "cfg.json", cfg)
+        assert run(path, cache_dir=str(tmp_path / "cache")) == STATUS_CONFIG
+        assert not os.path.exists(cfg["output"])
+        assert "unknown config keys ['engine']" in capsys.readouterr().err
+
     def test_missing_output_rejected(self, tmp_path):
         cfg = f2_delta_config(tmp_path)
         del cfg["output"]
@@ -218,7 +227,7 @@ class TestCache:
         from greenlab import green
         from greenlab.green import ball_domain, killed_green_solve
         from greenlab.measures import uniform_on_generators
-        monkeypatch.setattr(green, "MULTIGRID_MIN", 100)
+        monkeypatch.setattr(green, "QUOTIENT_MIN", 100)
         Z3 = groups.integer_lattice(3)
         mu = uniform_on_generators(groups.standard_generators(Z3))
         omega = ball_domain(Z3, mu, 5, with_boundary=False)
@@ -230,7 +239,7 @@ class TestCache:
         loaded = cachemod.load_table(str(tmp_path), "Z^3", mhash, omega2, 1e-10)
         assert loaded is not None
         assert np.array_equal(loaded.values, table.values)
-        assert (loaded.method, loaded.preconditioner) == ("direct", None)
+        assert loaded.method == "direct"
         assert np.array_equal(loaded.iterations, table.iterations)
         assert (loaded.symmetry_order, loaded.unknowns) == \
             (table.symmetry_order, table.unknowns)
@@ -282,19 +291,17 @@ class TestCache:
             (mlen,) = struct.unpack("<Q", fh.read(8))
             meta = json.loads(fh.read(mlen).decode("utf-8"))
             payload = fh.read()
-        assert (meta["method"], meta["preconditioner"], meta["iterations"]) == \
-            ("cg", None, [int(table.iterations[0])])
+        assert (meta["method"], meta["iterations"]) == ("cg", [int(table.iterations[0])])
         assert (meta["symmetry_order"], meta["unknowns"]) == (1, len(omega))
-        for key in ("method", "preconditioner", "iterations", "symmetry_order",
-                    "unknowns"):
+        for key in ("method", "iterations", "symmetry_order", "unknowns"):
             del meta[key]
         blob = json.dumps(meta, sort_keys=True).encode("utf-8")
         with open(path, "wb") as fh:
             fh.write(struct.pack("<Q", len(blob)) + blob + payload)
         loaded = cachemod.load_table(str(tmp_path), "Z^3", mhash, omega, 1e-10)
         assert np.array_equal(loaded.values, table.values)
-        assert (loaded.method, loaded.preconditioner, loaded.iterations,
-                loaded.symmetry_order, loaded.unknowns) == (None,) * 5
+        assert (loaded.method, loaded.iterations, loaded.symmetry_order,
+                loaded.unknowns) == (None,) * 4
 
 
 class TestOtherKinds:
@@ -397,8 +404,8 @@ class TestOtherKinds:
                "output": str(tmp_path / "gt.csv")}
         path = write_config(tmp_path / "cfg.json", cfg)
         # B(0, 3) in Z^3: 63 points, below the orbit-quotient gate
-        solver = {"method": "direct", "preconditioner": None, "iterations": [0],
-                  "symmetry_order": 1, "unknowns": 63}
+        solver = {"method": "direct", "iterations": [0], "symmetry_order": 1,
+                  "unknowns": 63}
         for _ in range(2):          # a cache miss, then a hit
             assert run(path, cache_dir=str(tmp_path / "c")) == STATUS_OK
             meta, _, _ = read_report(cfg["output"])

@@ -5,8 +5,7 @@ import pytest
 from scipy import special
 
 from greenlab import groups
-from greenlab.envelope import (Envelope, EnvelopeSpec,
-                               exp_growth_sum_probe, holder_constant_probe,
+from greenlab.envelope import (Envelope, EnvelopeSpec, exp_growth_sum_probe,
                                near_diag_tail, near_diag_tail_exact,
                                on_diagonal_probe, parity_bridge_check,
                                return_series, return_series_tree,
@@ -202,32 +201,6 @@ class TestParityBridge:
         pmf = pmf_from_dict({-1: 0.2, 0: 0.5, 1: 0.3})
         with pytest.raises(ValueError):
             parity_bridge_check(pmf, k_max=4)
-
-
-class TestHolderProbe:
-    def test_equal_points_zero(self):
-        probe = holder_constant_probe(Z3, srw(Z3), [4, 16], (0, 0, 0), (0, 0, 0))
-        assert probe.overall == 0.0
-
-    def test_lazy_probe_stabilizes(self):
-        # lazy kernel: the normalized probe settles (max over the last three
-        # n within 30% of the overall max)
-        mu = lazy_transform(srw(Z3), 0.5)
-        probe = holder_constant_probe(Z3, mu, [16, 36, 64, 100], (0, 0, 0),
-                                      (1, 0, 0))
-        assert np.max(probe.per_n[-3:]) >= 0.7 * probe.overall
-        assert probe.delta_trunc < 1e-12
-
-    def test_plain_srw_parity_growth(self):
-        # without laziness the two n-step pmfs have disjoint parities, so the
-        # max difference is ~ max p_n ~ C n^{-3/2} and the normalized probe
-        # grows like sqrt(n) (the framework's laziness assumption matters);
-        # the last-three-vs-overall rule is then satisfied trivially
-        probe = holder_constant_probe(Z3, srw(Z3), [16, 36, 64, 100],
-                                      (0, 0, 0), (1, 0, 0))
-        assert probe.per_n[-1] > 1.5 * probe.per_n[0]
-        assert np.isfinite(probe.overall)
-        assert np.max(probe.per_n[-3:]) >= 0.7 * probe.overall
 
 
 class TestGrowthSumProbe:

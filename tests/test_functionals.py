@@ -10,7 +10,7 @@ from greenlab.functionals import (DeltaScan, DegenerateBracketError,
                                   delta, delta_rate_fit, ehe_probe, epsilon,
                                   eps_delta_band_check, green_distance,
                                   martin_kernel, normalized_kernel_sequence,
-                                  telescoping_check, tree_martin_kernel)
+                                  tree_martin_kernel)
 from greenlab.green import (NestedBracketProvider, TableGreenProvider,
                             TreeGreenOracle, ball_domain, killed_green_solve)
 from greenlab.measures import lazy_transform, uniform_on_generators
@@ -222,29 +222,6 @@ class TestGreenDistance:
         d16 = green_distance(Z3, E3, (16, 0, 0), prov)
         gap = d16.value - d8.value
         assert abs(gap - np.log(2.0)) < 0.2 * np.log(2.0)
-
-
-class TestTelescoping:
-    def test_single_letter_identity(self, tree):
-        rep = telescoping_check(F2, ((1,),), tree)
-        assert rep.kernel_residual < 1e-14
-        assert rep.metric_residual < 1e-14
-
-    def test_f2_length_five(self, tree):
-        word = ((1,), (2,), (1,), (2,), (1,))
-        rep = telescoping_check(F2, word, tree)
-        assert rep.kernel_residual < 1e-9
-        assert rep.metric_residual < 1e-9
-
-    def test_z3_within_budget(self):
-        prov = NestedBracketProvider(Z3, srw(Z3), 14, 26)
-        word = tuple([(1, 0, 0)] * 3 + [(0, 1, 0)] * 3)
-        rep = telescoping_check(Z3, word, prov)
-        assert rep.metric_residual < rep.error_budget
-
-    def test_non_geodesic_rejected(self, tree):
-        with pytest.raises(ValueError):
-            telescoping_check(F2, ((1,), (-1,)), tree)
 
 
 class TestRateFit:

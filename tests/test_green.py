@@ -159,13 +159,19 @@ class TestKilledSolve:
 
     def test_solver_record(self, z3_table_b20):
         _, direct = z3_table_b20
-        assert (direct.method, direct.preconditioner) == ("direct", None)
+        assert direct.method == "direct"
         assert np.array_equal(direct.iterations, np.zeros(len(direct.sources)))
-        # below MULTIGRID_MIN a lattice CG solve stays unpreconditioned
         om = ball_domain(Z3, srw(Z3), 10, with_boundary=False)
         plain = killed_green_solve(om, [E3, (1, 0, 0)], srw(Z3), method="cg")
-        assert (plain.method, plain.preconditioner) == ("cg", None)
+        assert plain.method == "cg"
         assert plain.iterations.shape == (2,) and np.all(plain.iterations > 0)
+
+    def test_unknown_method_rejected(self):
+        # any method but the three named ones once ran CG silently and was
+        # recorded as the table's method
+        om = ball_domain(Z3, srw(Z3), 2, with_boundary=False)
+        with pytest.raises(ValueError, match="'auto', 'direct' or 'cg'"):
+            killed_green_solve(om, [E3], srw(Z3), method="foo")
 
 
 def coo_operator(omega, mu):
@@ -210,68 +216,11 @@ def test_operator_matches_coo_build(name):
         assert np.array_equal(getattr(mat, field), getattr(ref, field)), field
 
 
-# (domain, measure) pairs large enough for at least one coarse level
-VCYCLE_CASES = {
-    "ball-srw": lambda: (ball_domain(Z3, srw(Z3), 20, with_boundary=False), srw(Z3)),
-    "ball-lazy": lambda: (ball_domain(Z3, srw(Z3), 20, with_boundary=False),
-                          lazy_transform(srw(Z3), 0.5)),
-    "box-stretched": lambda: (box_domain(Z3, stretched_z3(), 12), stretched_z3()),
-}
-
-
-class TestMultigrid:
-    @pytest.mark.parametrize("name", sorted(VCYCLE_CASES))
-    def test_vcycle_symmetric_positive(self, name):
-        omega, mu = VCYCLE_CASES[name]()
-        mat = green._operator(omega, mu)
-        mg = green._AggregationMultigrid(mat, omega.coords)
-        assert mg.levels
-        rng = np.random.default_rng(7)
-        for _ in range(4):
-            x, y = rng.standard_normal((2, len(omega)))
-            mx, my = mg.apply(x), mg.apply(y)
-            xmx, ymy = float(x @ mx), float(y @ my)
-            assert xmx > 0 and ymy > 0
-            assert abs(float(mx @ y) - float(x @ my)) <= 1e-12 * np.sqrt(xmx * ymy)
-        nnz = sum(level[0].nnz for level in mg.levels) + mg.coarsest.nnz
-        assert nnz / mat.nnz <= 1.25
-
-    def test_multigrid_is_lattice_only(self, monkeypatch):
-        # Heis3 balls share the coordinate-grid domain class with Z^3, but
-        # the aggregation by coords >> 1 serves lattices only; the Z^3
-        # source has a trivial stabiliser, so the full system is solved
-        monkeypatch.setattr(green, "MULTIGRID_MIN", 100)
-        for spec, source, preconditioner in ((HEIS, groups.identity(HEIS), None),
-                                             (Z3, ASYMMETRIC, "aggregation-vcycle")):
-            omega = ball_domain(spec, srw(spec), 6, with_boundary=False)
-            assert len(omega) > green.MULTIGRID_MIN
-            table = killed_green_solve(omega, [source], srw(spec), method="cg")
-            assert (table.method, table.preconditioner) == ("cg", preconditioner)
-
-    def test_preconditioned_solve_matches_plain_cg(self):
-        # B(0, 44) in Z^3 has 117,569 points, just above MULTIGRID_MIN; no
-        # axis symmetry fixes the source, so the V-cycle runs on all of them
-        mu = srw(Z3)
-        omega = ball_domain(Z3, mu, 44, with_boundary=False)
-        assert len(omega) > green.MULTIGRID_MIN
-        table = killed_green_solve(omega, [ASYMMETRIC], mu, tol=1e-10)
-        assert (table.method, table.preconditioner) == ("cg", "aggregation-vcycle")
-        assert 0 < table.iterations[0] <= 30
-        rhs = np.zeros(len(omega))
-        rhs[omega.lookup(ASYMMETRIC)] = 1.0
-        plain, info = spla.cg(green._operator(omega, mu), rhs, rtol=0.0, atol=1e-10,
-                              maxiter=20 * len(omega))
-        assert info == 0
-        assert np.max(np.abs(table.row(ASYMMETRIC) - plain)) <= 1e-9
-
-
-def scipy_cg(mat, rhs, tol, precond=None):
+def scipy_cg(mat, rhs, tol):
     """(x, iterations) of scipy.sparse.linalg.cg under green.cg's stopping
     rule and iteration cap, the reference for green.cg."""
     count = [0]
-    op = None if precond is None else spla.LinearOperator(
-        mat.shape, matvec=precond, dtype=np.float64)
-    x, info = spla.cg(mat, rhs, rtol=0.0, atol=tol, maxiter=20 * len(rhs), M=op,
+    x, info = spla.cg(mat, rhs, rtol=0.0, atol=tol, maxiter=20 * len(rhs),
                       callback=lambda _: count.__setitem__(0, count[0] + 1))
     assert info == 0
     return x, count[0]
@@ -283,7 +232,7 @@ def unit_rhs(omega, a):
     return rhs
 
 
-# domains whose V-cycle has at least one coarse level (source ASYMMETRIC)
+# domains for CG checks from the source ASYMMETRIC
 CG_CASES = {
     "Z3": lambda: ball_domain(Z3, srw(Z3), 20, with_boundary=False),
     "Heis3": lambda: ball_domain(HEIS, srw(HEIS), 12, with_boundary=False),
@@ -307,38 +256,33 @@ print(hashlib.sha256(table.values.tobytes() + table.residuals.tobytes()
 
 
 class TestCG:
-    @pytest.mark.parametrize("vcycle", [False, True], ids=["plain", "vcycle"])
     @pytest.mark.parametrize("name", sorted(CG_CASES))
-    def test_matches_scipy_cg(self, name, vcycle):
+    def test_matches_scipy_cg(self, name):
         omega = CG_CASES[name]()
         mat = green._operator(omega, srw(omega.spec))
-        precond = green._AggregationMultigrid(mat, omega.coords).apply if vcycle else None
         rhs = unit_rhs(omega, ASYMMETRIC)
-        x, iterations = green.cg(mat, rhs, 1e-10, 20 * len(rhs), precond)
-        ref, ref_iterations = scipy_cg(mat, rhs, 1e-10, precond)
+        x, iterations = green.cg(mat, rhs, 1e-10, 20 * len(rhs))
+        ref, ref_iterations = scipy_cg(mat, rhs, 1e-10)
         assert iterations == ref_iterations > 1
         assert np.max(np.abs(x - ref)) <= 1e-13
 
-    def test_table_matches_scipy_cg_through_the_vcycle(self, monkeypatch):
-        # no axis symmetry fixes the source, so the V-cycle runs on all of B(20)
-        monkeypatch.setattr(green, "MULTIGRID_MIN", 100)
+    def test_full_system_above_the_gate_matches_scipy_cg(self):
+        # B(0, 44) in Z^3 has 117,569 points, just above QUOTIENT_MIN; no
+        # axis symmetry fixes the source, so plain CG runs on all of them
         mu = srw(Z3)
-        omega = CG_CASES["Z3"]()
-        table = killed_green_solve(omega, [ASYMMETRIC], mu, tol=1e-10, method="cg")
-        assert (table.unknowns, table.preconditioner) == (len(omega), "aggregation-vcycle")
-        mat = green._operator(omega, mu)
-        ref, ref_iterations = scipy_cg(mat, unit_rhs(omega, ASYMMETRIC), 1e-10,
-                                       green._AggregationMultigrid(mat, omega.coords).apply)
+        omega = ball_domain(Z3, mu, 44, with_boundary=False)
+        assert len(omega) > green.QUOTIENT_MIN
+        table = killed_green_solve(omega, [ASYMMETRIC], mu, tol=1e-10)
+        assert (table.method, table.unknowns) == ("cg", len(omega))
+        ref, ref_iterations = scipy_cg(green._operator(omega, mu),
+                                       unit_rhs(omega, ASYMMETRIC), 1e-10)
         assert table.iterations[0] == ref_iterations
         assert np.max(np.abs(table.row(ASYMMETRIC) - ref)) <= 1e-13
 
-    @pytest.mark.parametrize("name, preconditioner",
-                             [("Z3", "aggregation-vcycle"), ("Heis3", None)])
-    def test_worker_count_does_not_change_the_table(self, name, preconditioner,
-                                                    monkeypatch):
+    @pytest.mark.parametrize("name", sorted(CG_CASES))
+    def test_worker_count_does_not_change_the_table(self, name, monkeypatch):
         # more workers than CPUs and a short switch interval, so the threads
         # interleave often; every row must still be the serial one
-        monkeypatch.setattr(green, "MULTIGRID_MIN", 100)
         omega = CG_CASES[name]()
         mu = srw(omega.spec)
         sources = [ASYMMETRIC, (1, 0, 0), (0, 1, 1), (2, 0, 1), (0, 0, 2)]
@@ -355,7 +299,7 @@ class TestCG:
         assert np.array_equal(one.values, two.values)
         assert np.array_equal(one.residuals, two.residuals)
         assert np.array_equal(one.iterations, two.iterations)
-        assert one.preconditioner == preconditioner and (one.iterations > 1).all()
+        assert (one.iterations > 1).all()
 
     def test_tiny_maxiter_raises(self):
         omega = CG_CASES["Heis3"]()
@@ -385,13 +329,13 @@ def full_direct_row(omega, mu, a):
 
 
 class TestOrbitQuotient:
-    """Lattice tables above MULTIGRID_MIN points are solved on the orbit
-    quotient of their axis symmetries; MULTIGRID_MIN is lowered so that
+    """Lattice tables above QUOTIENT_MIN points are solved on the orbit
+    quotient of their axis symmetries; QUOTIENT_MIN is lowered so that
     small balls take that path."""
 
     @pytest.fixture(autouse=True)
     def low_gate(self, monkeypatch):
-        monkeypatch.setattr(green, "MULTIGRID_MIN", 100)
+        monkeypatch.setattr(green, "QUOTIENT_MIN", 100)
 
     def test_origin_ball_matches_full_direct_solve(self):
         mu = srw(Z3)
@@ -411,11 +355,11 @@ class TestOrbitQuotient:
 
     def test_lifted_residual_is_the_reported_one(self, monkeypatch):
         # 2625 points and 102 orbits: plain CG on the quotient
-        monkeypatch.setattr(green, "MULTIGRID_MIN", 1000)
+        monkeypatch.setattr(green, "QUOTIENT_MIN", 1000)
         mu = srw(Z3)
         omega = ball_domain(Z3, mu, 12, with_boundary=False)
         table = killed_green_solve(omega, [E3], mu, tol=1e-10, method="cg")
-        assert table.symmetry_order == 48 and table.preconditioner is None
+        assert table.symmetry_order == 48
         rhs = np.zeros(len(omega))
         rhs[omega.lookup(E3)] = 1.0
         full = np.max(np.abs(green._operator(omega, mu) @ table.row(E3) - rhs))
@@ -464,7 +408,6 @@ class TestOrbitQuotient:
         omega = ball_domain(Z3, mu, 6, center=center, with_boundary=False)
         table = killed_green_solve(omega, [source], mu, method="cg")
         assert (table.symmetry_order, table.unknowns) == (1, len(omega))
-        assert table.preconditioner == "aggregation-vcycle"
         assert np.max(np.abs(table.row(source)
                              - full_direct_row(omega, mu, source))) <= 1e-9
 
