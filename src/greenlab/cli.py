@@ -175,8 +175,7 @@ def _delta_scan(cfg, cache_dir, force, with_band=False):
             provider = green.TreeGreenOracle(spec)
         else:
             omega = green.ball_domain(spec, mu, 2 * r + 2, with_boundary=False)
-            provider = green.TableGreenProvider(
-                _table(cfg, mhash, omega, [e, b], mu, tol, cache_dir, force))
+            provider = _table(cfg, mhash, omega, [e, b], mu, tol, cache_dir, force)
         drow = functionals.delta(s_dom, e, b, provider, scale=r)
         if drow.value < -1e-15:
             raise ContradictionError(f"negative delta at R={r}")

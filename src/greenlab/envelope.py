@@ -13,7 +13,6 @@ importing greenlab loads no SciPy; it is imported at the first zeta tail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -200,75 +199,39 @@ def return_series_tree(rank: int, n_max: int, laziness: float = 0.0) -> np.ndarr
     return np.array(out)
 
 
-class _LatticeConvolver:
-    """Exact n-step pmfs of a finite-range lattice walk on a fixed window.
-
-    Mass shifted off the window edge is dropped and tracked in delta_trunc
-    (window 6 sqrt(n_max) + range covers all but ~1e-16 of the mass).
-    """
-
-    def __init__(self, spec: GroupSpec, mu: StepMeasure, n_max: int,
-                 halfwidth: Optional[int] = None):
-        if spec.variant != "lattice":
-            raise ValueError("lattice convolver needs a lattice backend")
-        self.spec = spec
-        e = identity(spec)
-        self.steps = [(s, mu.pmf(s)) for s in mu.support_elements() if s != e]
-        self.diag = mu.pmf(e)
-        reach = max(max(abs(c) for c in s) for s, _ in self.steps)
-        if halfwidth is None:
-            halfwidth = int(6.0 * np.sqrt(n_max)) + reach + 4
-        self.half = halfwidth
-        shape = (2 * halfwidth + 1,) * spec.d
-        self.arr = np.zeros(shape)
-        self.arr[(halfwidth,) * spec.d] = 1.0
-        self.delta_trunc = 0.0
-
-    def step(self):
-        new = self.diag * self.arr if self.diag else np.zeros_like(self.arr)
-        for s, p in self.steps:
-            new += p * _shift(self.arr, s)
-        lost = float(self.arr.sum() - new.sum() + self.delta_trunc)
-        self.arr = new
-        self.delta_trunc = max(lost, 0.0)
-
-    def at(self, x) -> float:
-        idx = tuple(c + self.half for c in x)
-        return float(self.arr[idx])
-
-
-def _shift(arr: np.ndarray, vec) -> np.ndarray:
-    """Zero-fill shift of arr by an integer vector (mass may fall off)."""
-    out = arr
-    for axis, k in enumerate(vec):
-        if k == 0:
-            continue
-        shifted = np.zeros_like(out)
-        src = [slice(None)] * out.ndim
-        dst = [slice(None)] * out.ndim
-        if k > 0:
-            dst[axis] = slice(k, None)
-            src[axis] = slice(None, -k)
-        else:
-            dst[axis] = slice(None, k)
-            src[axis] = slice(-k, None)
-        shifted[tuple(dst)] = out[tuple(src)]
-        out = shifted
-    return out
-
-
 def return_series(spec: GroupSpec, mu: StepMeasure, n_max: int) -> np.ndarray:
-    """p_n(e,e) for n = 0..n_max, exact per backend."""
+    """p_n(e,e) for n = 0..n_max, exact per backend.
+
+    On a lattice the n-step pmf is convolved one step at a time on the
+    window |x_i| <= reach * ceil(n_max / 2), reach the largest step
+    coordinate.  A path that is back at 0 at time n <= n_max lies within
+    reach * min(k, n - k) of 0 at every time k, so it never leaves the
+    window: the mass that does leave it is dropped, and the series is
+    exact with no truncation term."""
     if spec.variant == "free" and _is_srw(spec, mu):
         return return_series_tree(spec.rank, n_max, mu.laziness)
-    if spec.variant == "lattice":
-        conv = _LatticeConvolver(spec, mu, n_max)
-        out = [1.0]
-        for _ in range(n_max):
-            conv.step()
-            out.append(conv.at((0,) * spec.d))
-        return np.array(out)
-    raise ValueError("exact return series implemented for trees and lattices")
+    if spec.variant != "lattice":
+        raise ValueError("exact return series implemented for trees and lattices")
+    e = identity(spec)
+    steps = [(s, mu.pmf(s)) for s in mu.support_elements() if s != e]
+    diag = mu.pmf(e)
+    half = max(abs(c) for s, _ in steps for c in s) * -(-n_max // 2)
+    arr = np.zeros((2 * half + 1,) * spec.d)
+    centre = (half,) * spec.d
+    arr[centre] = 1.0
+    # each step moves arr[src] onto new[dst]; what falls off is dropped
+    moves = [(p, tuple(slice(k, None) if k > 0 else slice(None, k or None)
+                       for k in s),
+              tuple(slice(None, -k) if k > 0 else slice(-k, None)
+                    for k in s)) for s, p in steps]
+    out = [1.0]
+    for _ in range(n_max):
+        new = diag * arr if diag else np.zeros_like(arr)
+        for p, dst, src in moves:
+            new[dst] += p * arr[src]
+        arr = new
+        out.append(float(arr[centre]))
+    return np.array(out)
 
 
 def _is_srw(spec: GroupSpec, mu: StepMeasure) -> bool:

@@ -2,11 +2,13 @@
 the exit-measure variation functional, their comparison band, Martin kernels,
 the Green metric, and decay-rate fits.
 
-All Green access goes through a provider exposing ``value(a, x)``,
-``bracket(a, x)`` and, for whole boundaries at once,
-``bracket_row(a, xs) -> (values, lowers, uppers)``; interval arithmetic
-over brackets yields one-sided safe error bars (a row is only called
-"decayed below tau" when its upper endpoint is).
+All Green access goes through a provider with one method,
+``bracket_row(a, xs) -> (values, lowers, uppers)``: G(a, x) for every x in
+xs, with a bracket around each value.  A killed ``GreenTable`` is its own
+provider, and ``green.TreeGreenOracle`` and ``green.NestedBracketProvider``
+are the others.  Interval arithmetic over brackets yields one-sided safe
+error bars (a row is only called "decayed below tau" when its upper
+endpoint is).
 """
 
 from __future__ import annotations
@@ -185,13 +187,15 @@ class MartinSample:
     err: float
 
 
+def _point(provider, a, x) -> tuple:
+    """(G(a, x), lower, upper) as floats, from a one-point row."""
+    return tuple(float(r[0]) for r in provider.bracket_row(a, [x]))
+
+
 def martin_kernel(spec: GroupSpec, a, x, provider) -> MartinSample:
     """K(a, x) = G(a, x) / G(e, x); error from interval division."""
-    e = identity(spec)
-    num = provider.value(a, x)
-    den = provider.value(e, x)
-    lo_n, hi_n = provider.bracket(a, x)
-    lo_d, hi_d = provider.bracket(e, x)
+    num, lo_n, hi_n = _point(provider, a, x)
+    den, lo_d, hi_d = _point(provider, identity(spec), x)
     if lo_d <= 0.0:
         raise DegenerateBracketError("denominator bracket touches zero")
     v = num / den
@@ -212,7 +216,10 @@ def normalized_kernel_sequence(probes: list, a, targets: list, mu: StepMeasure,
                                provider, spec: GroupSpec) -> KernelSequence:
     """psi_k(v) = G(v, x_k) / G(a, x_k) with the one-step mean defect
     |psi_k(v) - sum_s mu(s) psi_k(v s)| (zero away from x_k by the
-    one-step Green identity)."""
+    one-step Green identity).
+
+    G(v, x_k) is read from the row of x_k as G(x_k, v), one provider call
+    per target, so the law must be symmetric."""
     if len(set(targets)) != len(targets):
         raise ValueError("targets must be pairwise distinct")
     psi = np.zeros((len(targets), len(probes)))
@@ -220,15 +227,17 @@ def normalized_kernel_sequence(probes: list, a, targets: list, mu: StepMeasure,
     e = identity(spec)
     steps = [(s, mu.pmf(s)) for s in mu.support_elements() if s != e]
     diag = mu.pmf(e)
+    # one row per target: a, the probes, then each probe's neighbours
+    points = [a, *probes, *(mul(spec, v, s) for v in probes for s, _ in steps)]
+    m = len(probes)
     for k, xk in enumerate(targets):
-        ga = provider.value(a, xk)
-        for i, v in enumerate(probes):
-            psi[k, i] = provider.value(v, xk) / ga
-        for i, v in enumerate(probes):
-            acc = diag * psi[k, i]
-            for s, p in steps:
-                acc += p * provider.value(mul(spec, v, s), xk) / ga
-            defects[k, i] = abs(psi[k, i] - acc)
+        g = provider.bracket_row(xk, points)[0]
+        psi[k] = g[1:m + 1] / g[0]
+        nbrs = g[m + 1:].reshape(m, len(steps))
+        acc = diag * psi[k]
+        for j, (_, p) in enumerate(steps):
+            acc = acc + p * nbrs[:, j] / g[0]
+        defects[k] = np.abs(psi[k] - acc)
     return KernelSequence(a, probes, targets, psi, defects)
 
 
@@ -264,10 +273,8 @@ class GreenDistance:
 def green_distance(spec: GroupSpec, x, y, provider) -> GreenDistance:
     """d_G(x, y) = log G(e,e) - log G(x, y), with interval propagation."""
     e = identity(spec)
-    gee = provider.value(e, e)
-    gxy = provider.value(x, y)
-    lo_e, hi_e = provider.bracket(e, e)
-    lo_xy, hi_xy = provider.bracket(x, y)
+    gee, lo_e, hi_e = _point(provider, e, e)
+    gxy, lo_xy, hi_xy = _point(provider, x, y)
     if lo_xy <= 0.0 or lo_e <= 0.0:
         raise DegenerateBracketError("bracket touches zero")
     return GreenDistance(float(np.log(gee) - np.log(gxy)),

@@ -441,6 +441,8 @@ class GreenTable:
         return float(self.row_at(a, [x])[0])
 
     def row(self, a) -> np.ndarray:
+        if a not in self.sources:
+            raise KeyError(f"{a!r} is not a tabulated source")
         return self.values[self.sources.index(a)]
 
     def row_at(self, a, xs) -> np.ndarray:
@@ -450,14 +452,11 @@ class GreenTable:
             raise KeyError(f"{xs[int(np.argmin(pos))]!r} outside the computation domain")
         return self.row(a)[pos]
 
-    def bracket(self, a, x) -> tuple:
-        """Solver-error bracket of the killed value (not of the full G)."""
-        _, lo, hi = self.bracket_row(a, [x])
-        return (float(lo[0]), float(hi[0]))
-
     def bracket_row(self, a, xs) -> tuple:
-        """(values, lowers, uppers) over xs: each killed value widened by
-        10 x the largest solver residual."""
+        """The provider method: (values, lowers, uppers) over xs, each
+        killed value widened by 10 x the largest solver residual.  The
+        bracket is of G_Omega, not of the full G; the domain label says
+        which Omega."""
         v = self.row_at(a, xs)
         r = 10.0 * self.max_residual()
         return v, np.maximum(v - r, 0.0), v + r
@@ -841,9 +840,8 @@ def verify_exit_decomposition(domain: Domain, a, x, mu: StepMeasure,
     if x in domain:
         raise ValueError("x must lie outside S")
     exits = exit_distribution(domain, a, mu, "solve", tol=table.tol)
-    prov = TableGreenProvider(table)
-    lhs = prov.value(a, x)
-    rhs = sum(p * prov.value(z, x) for z, p in exits.probs.items())
+    lhs = table.green(a, x)
+    rhs = sum(p * table.green(z, x) for z, p in exits.probs.items())
     return abs(lhs - rhs)
 
 
@@ -1005,16 +1003,11 @@ def mc_hitting_green(spec: GroupSpec, mu: StepMeasure, a, x, trials: int,
 
 
 # ---------------------------------------------------------------------------
-# Green providers (uniform interface consumed by the functionals layer):
-# value(a, x), bracket(a, x) -> (lower, upper), and
-# bracket_row(a, xs) -> (values, lowers, uppers) as arrays over xs
+# Green providers.  The functionals layer reads G through one method,
+# bracket_row(a, xs) -> (values, lowers, uppers), arrays over xs for the
+# row of a.  GreenTable is its own provider; the two below give the exact
+# tree values and nested-solve brackets of the full G.
 # ---------------------------------------------------------------------------
-
-def _rows_by_point(provider, a, xs) -> tuple:
-    """bracket_row from one value/bracket query per point."""
-    rows = [(provider.value(a, x), *provider.bracket(a, x)) for x in xs]
-    return tuple(np.array(rows, dtype=np.float64).reshape(len(rows), 3).T)
-
 
 @dataclass
 class TreeGreenOracle:
@@ -1038,55 +1031,19 @@ class TreeGreenOracle:
     def green(self, a, x) -> float:
         return self.gee() * self.q ** (-self.distance(a, x))
 
-    def value(self, a, x) -> float:
-        return self.green(a, x)
-
-    def bracket(self, a, x) -> tuple:
-        v = self.green(a, x)
-        return (v, v)
-
     def bracket_row(self, a, xs) -> tuple:
-        return _rows_by_point(self, a, xs)
+        """Exact values, so each bracket is the value itself."""
+        v = np.array([self.green(a, x) for x in xs], dtype=np.float64)
+        return v, v, v
 
     def hitting(self, a, x) -> float:
         return float(self.q) ** (-self.distance(a, x))
 
 
-@dataclass
-class TableGreenProvider:
-    """Provider backed by a killed table; brackets carry solver error only
-    (values are killed-domain values, flagged by the domain label).  Either
-    argument may be the tabulated source: symmetric kernels give
-    G(a, x) = G(x, a)."""
-
-    table: GreenTable
-
-    def _resolve(self, a, x):
-        if a in self.table.sources and self.table.omega.lookup(x) is not None:
-            return a, x
-        if x in self.table.sources and self.table.omega.lookup(a) is not None:
-            return x, a
-        raise KeyError(f"neither {a!r} nor {x!r} is a tabulated source")
-
-    def value(self, a, x) -> float:
-        a, x = self._resolve(a, x)
-        return self.table.green(a, x)
-
-    def bracket(self, a, x) -> tuple:
-        a, x = self._resolve(a, x)
-        return self.table.bracket(a, x)
-
-    def bracket_row(self, a, xs) -> tuple:
-        """(values, lowers, uppers) over xs for a tabulated source a."""
-        if a not in self.table.sources:
-            raise KeyError(f"{a!r} is not a tabulated source")
-        return self.table.bracket_row(a, xs)
-
-
 class NestedBracketProvider:
     """Full-Green brackets from three nested killed solves per source.
 
-    value() is the Richardson point estimate; bracket() is
+    The value is the Richardson point estimate and the bracket is
     [G_{B(r1)}, geometric-inflation upper].  Rows are solved lazily per
     source and shared across queries.
     """
@@ -1102,29 +1059,20 @@ class NestedBracketProvider:
                         for r in self.radii]
         self._tables = {}
 
-    def _rows(self, a):
+    def _brackets(self, a, xs) -> list:
         if a not in self._tables:
             self._tables[a] = [killed_green_solve(om, [a], self.mu, self.tol)
                                for om in self.domains]
-        return self._tables[a]
-
-    def _triplet(self, a, x):
-        tables = self._rows(a)
-        return [t.green(a, x) for t in tables]
+        rows = [t.row_at(a, xs).tolist() for t in self._tables[a]]
+        return [_bracket_from_triplet(vals, self.radii[0], self.radii[2])
+                for vals in zip(*rows)]
 
     def bracket_full(self, a, x) -> GreenBracket:
-        return _bracket_from_triplet(self._triplet(a, x),
-                                     self.radii[0], self.radii[2])
-
-    def value(self, a, x) -> float:
-        return self.bracket_full(a, x).estimate
-
-    def bracket(self, a, x) -> tuple:
-        b = self.bracket_full(a, x)
-        return (b.lower, b.upper)
+        return self._brackets(a, [x])[0]
 
     def bracket_row(self, a, xs) -> tuple:
-        return _rows_by_point(self, a, xs)
+        rows = [(b.estimate, b.lower, b.upper) for b in self._brackets(a, xs)]
+        return tuple(np.array(rows, dtype=np.float64).reshape(len(rows), 3).T)
 
 
 # ---------------------------------------------------------------------------

@@ -323,6 +323,15 @@ def _support_gcd(pmf: PmfOnZ) -> int:
     return int(np.gcd.reduce(np.diff(sup)))
 
 
+def _doubling_sizes(n_list) -> list:
+    """The sorted distinct checkpoints of a doubling chain: powers of two,
+    else a ValueError naming the config key n_list."""
+    n_list = _sizes("n_list", n_list)
+    if any(n & (n - 1) for n in n_list):
+        raise ValueError(f"n_list must be powers of two, got {n_list}")
+    return n_list
+
+
 def tv_dispersion_z(pmf: PmfOnZ, shift: int, n_list, cap: int) -> DispersionCurve:
     """TV(n) = (1/2) sum_m |p^(n)(m) - p^(n)(m - shift)| by exact doubling
     convolutions on the window |m| <= cap; the reported TV error includes
@@ -333,10 +342,7 @@ def tv_dispersion_z(pmf: PmfOnZ, shift: int, n_list, cap: int) -> DispersionCurv
     checkpoints are streamed: TV is taken from each power as it is
     reached, so one power is held at a time.  Periodic supports (gcd of
     support differences > 1) are computed but flagged."""
-    n_list = sorted(set(int(n) for n in n_list))
-    for n in n_list:
-        if n & (n - 1):
-            raise ValueError("checkpoints must be powers of two (doubling chain)")
+    n_list = _doubling_sizes(n_list)
     periodic = _support_gcd(pmf) > 1
     rows = [(n, total_variation_shift(p, shift), p.delta_trunc)
             for n, p in self_convolution_powers(pmf, n_list, cap)]
@@ -359,7 +365,7 @@ def product_dispersion_bound(h_pmf: PmfOnZ, z_pmf: PmfOnZ, shift: tuple,
     by a central element (z_h, z_z); all three total variations computed
     exactly on truncated supports."""
     zh, zz = shift
-    n_list = sorted(set(int(n) for n in n_list))
+    n_list = _doubling_sizes(n_list)
     rows = []
     for (n, a), (_, b) in zip(self_convolution_powers(h_pmf, n_list, cap_h),
                               self_convolution_powers(z_pmf, n_list, cap_z)):

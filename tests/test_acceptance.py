@@ -24,7 +24,7 @@ from greenlab.envelope import (Envelope, EnvelopeSpec, exp_growth_sum_probe,
                                return_series, tr_alpha_ratio)
 from greenlab.functionals import (DeltaScan, delta, delta_rate_fit,
                                   eps_delta_band_check, tree_martin_kernel)
-from greenlab.green import (TableGreenProvider, TreeGreenOracle, ball_domain,
+from greenlab.green import (TreeGreenOracle, ball_domain,
                             boundary_green_matrix, killed_green_solve,
                             mc_green_diagonal, mc_hitting_green,
                             quadrant_harmonicity_defect,
@@ -123,8 +123,7 @@ def test_criterion_03_delta_decay_z3(z3_srw, z3_enclosing_tables):
     rows = []
     for r in scales:
         dom = ball_domain(Z3, z3_srw, r)
-        prov = TableGreenProvider(z3_enclosing_tables[r])
-        rows.append(delta(dom, E3, E1, prov, scale=r))
+        rows.append(delta(dom, E3, E1, z3_enclosing_tables[r], scale=r))
     vals = [r.value for r in rows]
     check(failures, all(a > b for a, b in zip(vals, vals[1:])),
           f"Delta not strictly decreasing: {np.round(vals, 5)}")
@@ -164,8 +163,8 @@ def test_criterion_05_eps_delta_band(z3_srw, z3_enclosing_tables):
     etas = []
     for r in (6, 10, 14):
         dom = ball_domain(Z3, z3_srw, r)
-        prov = TableGreenProvider(z3_enclosing_tables[r])
-        chk = eps_delta_band_check(dom, E3, E1, z3_srw, prov, tol=1e-12)
+        chk = eps_delta_band_check(dom, E3, E1, z3_srw, z3_enclosing_tables[r],
+                                   tol=1e-12)
         check(failures, not chk.void, f"band void at R={r}")
         check(failures, chk.band_ok, f"band violated at R={r}")
         etas.append(chk.eta_hat)
@@ -182,21 +181,21 @@ def test_criterion_06_lazification_invariance(z3_srw):
     failures = []
     dom3 = ball_domain(Z3, z3_srw, 4)
     om3 = ball_domain(Z3, z3_srw, 10, with_boundary=False)
-    base3 = delta(dom3, E3, E1, TableGreenProvider(
-        killed_green_solve(om3, [E3, E1], z3_srw, method="direct"))).value
-    lazy3 = delta(dom3, E3, E1, TableGreenProvider(
-        killed_green_solve(om3, [E3, E1], lazy_transform(z3_srw, 0.5),
-                           method="direct"))).value
+    base3 = delta(dom3, E3, E1,
+                  killed_green_solve(om3, [E3, E1], z3_srw, method="direct")).value
+    lazy3 = delta(dom3, E3, E1,
+                  killed_green_solve(om3, [E3, E1], lazy_transform(z3_srw, 0.5),
+                                     method="direct")).value
     check(failures, abs(lazy3 - base3) < 1e-9,
           f"Z^3 lazy Delta differs by {abs(lazy3 - base3):.2e}")
     mu2 = srw(F2)
     dom2 = ball_domain(F2, mu2, 3)
     om2 = ball_domain(F2, mu2, 8, with_boundary=False)
-    base2 = delta(dom2, (), (1,), TableGreenProvider(
-        killed_green_solve(om2, [(), (1,)], mu2, method="direct"))).value
-    lazy2 = delta(dom2, (), (1,), TableGreenProvider(
-        killed_green_solve(om2, [(), (1,)], lazy_transform(mu2, 0.5),
-                           method="direct"))).value
+    base2 = delta(dom2, (), (1,),
+                  killed_green_solve(om2, [(), (1,)], mu2, method="direct")).value
+    lazy2 = delta(dom2, (), (1,),
+                  killed_green_solve(om2, [(), (1,)], lazy_transform(mu2, 0.5),
+                                     method="direct")).value
     check(failures, abs(lazy2 - base2) < 1e-9,
           f"F_2 lazy Delta differs by {abs(lazy2 - base2):.2e}")
     report(6, "lazification invariance of Delta (Z^3 and F_2, within 1e-9)",

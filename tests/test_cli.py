@@ -447,6 +447,8 @@ SPEED_CFG = {"kind": "speed", "backend": "Heis3", "measure": {"type": "srw"},
              "n_list": [10], "eps_list": [0.5], "trials": 20}
 PROBE_CFG = {"kind": "increment-probe", "backend": "Heis3",
              "measure": {"type": "srw"}, "n": 10, "trials": 5}
+DISPERSION_CFG = {"kind": "dispersion", "measure": {"type": "stable", "alpha": 1.0},
+                  "shift": 1, "n_list": [16], "cap": 4000}
 
 
 class TestInvalidMonteCarloSizes:
@@ -461,9 +463,12 @@ class TestInvalidMonteCarloSizes:
         (dict(SPEED_CFG, n_list=[-5]), "n_list"),
         ({"kind": "green-speed", "backend": "F_2", "measure": {"type": "srw"},
           "n_list": [5], "trials": 1}, "trials"),
+        (dict(DISPERSION_CFG, n_list=[0, 16]), "n_list"),
+        (dict(DISPERSION_CFG, n_list=[-4, 4]), "n_list"),
     ], ids=["checkpoint-above-n", "checkpoint-zero", "negative-n",
             "zero-trials", "zero-in-n-list", "negative-n-list",
-            "green-speed-one-trial"])
+            "green-speed-one-trial", "dispersion-zero-in-n-list",
+            "dispersion-negative-n-list"])
     def test_exits_2_without_output(self, cfg, key, tmp_path, capsys):
         out = tmp_path / "out.csv"
         path = write_config(tmp_path / "cfg.json", dict(cfg, output=str(out)))

@@ -1,5 +1,8 @@
 """Envelope package: tails, Tauberian verdicts, return series, parity bridge."""
 
+from fractions import Fraction
+from math import comb, factorial
+
 import numpy as np
 import pytest
 from scipy import special
@@ -123,6 +126,25 @@ class TestReturnSeries:
         series = return_series(Z3, srw(Z3), 2)
         assert series[0] == 1.0 and series[1] == 0.0
         assert series[2] == pytest.approx(1 / 6, abs=1e-15)
+
+    def test_z1_series_is_the_central_binomial(self):
+        z1 = groups.integer_lattice(1)
+        series = return_series(z1, srw(z1), 40)
+        want = [comb(2 * n, n) / 4 ** n for n in range(21)]
+        assert series[::2].tolist() == pytest.approx(want, rel=1e-13, abs=0)
+        assert not series[1::2].any()
+
+    def test_z3_series_is_the_trinomial_sum(self):
+        # p_2n = 6^{-2n} sum_{i+j+k=n} (2n)! / (i! j! k!)^2, in exact Fractions
+        series = return_series(Z3, srw(Z3), 40)
+        want = [float(Fraction(sum(factorial(2 * n)
+                                   // (factorial(i) * factorial(j)
+                                       * factorial(n - i - j)) ** 2
+                                   for i in range(n + 1)
+                                   for j in range(n + 1 - i)), 36 ** n))
+                for n in range(21)]
+        assert series[::2].tolist() == pytest.approx(want, rel=1e-13, abs=0)
+        assert not series[1::2].any()
 
     def test_tree_series_against_word_convolution(self):
         # brute-force word-level convolution oracle for small m

@@ -11,8 +11,8 @@ from greenlab.functionals import (DeltaScan, DegenerateBracketError,
                                   eps_delta_band_check, green_distance,
                                   martin_kernel, normalized_kernel_sequence,
                                   tree_martin_kernel)
-from greenlab.green import (NestedBracketProvider, TableGreenProvider,
-                            TreeGreenOracle, ball_domain, killed_green_solve)
+from greenlab.green import (NestedBracketProvider, TreeGreenOracle,
+                            ball_domain, killed_green_solve)
 from greenlab.measures import lazy_transform, uniform_on_generators
 
 Z3 = groups.integer_lattice(3)
@@ -23,12 +23,6 @@ E1 = (1, 0, 0)
 
 def srw(spec):
     return uniform_on_generators(groups.standard_generators(spec))
-
-
-def z3_provider(radius, sources, tol=1e-12):
-    mu = srw(Z3)
-    om = ball_domain(Z3, mu, radius, with_boundary=False)
-    return TableGreenProvider(killed_green_solve(om, sources, mu, tol=tol))
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +37,7 @@ def z3_scan_tables():
     out = {}
     for r in (4, 6, 8, 10):
         om = ball_domain(Z3, mu, 2 * r + 2, with_boundary=False)
-        out[r] = TableGreenProvider(killed_green_solve(om, [E3, E1], mu, tol=1e-12))
+        out[r] = killed_green_solve(om, [E3, E1], mu, tol=1e-12)
     return out
 
 
@@ -74,12 +68,12 @@ class TestDelta:
         mu = srw(Z3)
         dom = ball_domain(Z3, mu, 4)
         om = ball_domain(Z3, mu, 10, with_boundary=False)
-        base = delta(dom, E3, E1, TableGreenProvider(
-            killed_green_solve(om, [E3, E1], mu, method="direct"))).value
+        base = delta(dom, E3, E1,
+                     killed_green_solve(om, [E3, E1], mu, method="direct")).value
         for eps in (0.25, 0.5):
             lz = lazy_transform(mu, eps)
-            v = delta(dom, E3, E1, TableGreenProvider(
-                killed_green_solve(om, [E3, E1], lz, method="direct"))).value
+            v = delta(dom, E3, E1,
+                      killed_green_solve(om, [E3, E1], lz, method="direct")).value
             assert abs(v - base) < 1e-10
 
     def test_argmax_deterministic(self, z3_scan_tables):
@@ -149,18 +143,16 @@ class TestMartinKernel:
     def test_z3_kernel_tends_to_one(self):
         mu = srw(Z3)
         om = ball_domain(Z3, mu, 34, with_boundary=False)
-        prov = TableGreenProvider(killed_green_solve(om, [E3, E1], mu, tol=1e-11))
+        prov = killed_green_solve(om, [E3, E1], mu, tol=1e-11)
         k8 = martin_kernel(Z3, E1, (8, 0, 0), prov).value
         k16 = martin_kernel(Z3, E1, (16, 0, 0), prov).value
         assert abs(k16 - 1) < abs(k8 - 1)
 
     def test_degenerate_bracket_rejected(self, z3_scan_tables):
         class ZeroBracket:
-            def value(self, a, x):
-                return 0.0
-
-            def bracket(self, a, x):
-                return (0.0, 0.0)
+            def bracket_row(self, a, xs):
+                zero = np.zeros(len(xs))
+                return zero, zero, zero
 
         with pytest.raises(DegenerateBracketError):
             martin_kernel(Z3, E1, (2, 0, 0), ZeroBracket())
@@ -171,8 +163,7 @@ class TestKernelSequence:
         mu = srw(Z3)
         om = ball_domain(Z3, mu, 16, with_boundary=False)
         targets = [(6, 0, 0), (0, 8, 0), (10, 0, 0)]
-        table = killed_green_solve(om, targets, mu, tol=1e-12)
-        prov = TableGreenProvider(table)
+        prov = killed_green_solve(om, targets, mu, tol=1e-12)
         probes = [E3, E1, (1, 1, 0), (0, 0, 2)]
         seq = normalized_kernel_sequence(probes, E3, targets, mu, prov, Z3)
         assert np.allclose(seq.psi[:, 0], 1.0, atol=1e-12)
@@ -184,8 +175,7 @@ class TestKernelSequence:
         mu = srw(Z3)
         om = ball_domain(Z3, mu, 16, with_boundary=False)
         targets = [(6, 0, 0), (0, 8, 0)]
-        table = killed_green_solve(om, targets, mu, tol=1e-12)
-        prov = TableGreenProvider(table)
+        prov = killed_green_solve(om, targets, mu, tol=1e-12)
         probes = [E1, (1, 1, 0), (2, 0, 0)]
         seq = normalized_kernel_sequence(probes, E3, targets, mu, prov, Z3)
         rho = 1 / 6
@@ -222,6 +212,52 @@ class TestGreenDistance:
         d16 = green_distance(Z3, E3, (16, 0, 0), prov)
         gap = d16.value - d8.value
         assert abs(gap - np.log(2.0)) < 0.2 * np.log(2.0)
+
+
+class RowOnlyTree:
+    """A provider with bracket_row alone, from the F_2 closed form
+    G(a, x) = (3/2) 3^{-|a^{-1} x|}."""
+
+    def bracket_row(self, a, xs):
+        v = np.array([1.5 * 3.0 ** -len(groups.mul(F2, groups.inv(F2, a), x))
+                      for x in xs])
+        return v, v, v
+
+
+class TestOneMethodProtocol:
+    """Every Green consumer runs on a provider that defines bracket_row
+    and nothing else."""
+
+    def test_delta(self, tree):
+        dom = ball_domain(F2, srw(F2), 3)
+        row = delta(dom, (), (1,), RowOnlyTree())
+        assert row.value == pytest.approx(2.0, abs=1e-12) and row.err == 0.0
+        assert row.argmax == delta(dom, (), (1,), tree).argmax
+
+    def test_martin_kernel(self):
+        s = martin_kernel(F2, (1,), (1, 2, -1, 2), RowOnlyTree())
+        assert s.value == pytest.approx(3.0, abs=1e-12) and s.err == 0.0
+
+    def test_green_distance(self):
+        d = green_distance(F2, (), (1, 2), RowOnlyTree())
+        assert d.value == pytest.approx(2 * np.log(3.0), abs=1e-12)
+        assert d.lower == d.value == d.upper
+
+    def test_normalized_kernel_sequence(self, tree):
+        targets = [(1, 2) * k for k in (2, 3, 4)]
+        probes = [(1,), (2,), (1, 2)]
+        seq = normalized_kernel_sequence(probes, (), targets, srw(F2),
+                                         RowOnlyTree(), F2)
+        assert np.allclose(seq.psi, [[3.0, 1 / 3, 9.0]] * 3, rtol=1e-14)
+        assert seq.defects.max() < 1e-14
+        ref = normalized_kernel_sequence(probes, (), targets, srw(F2), tree, F2)
+        assert np.array_equal(seq.psi, ref.psi)
+
+    def test_ehe_probe(self, tree):
+        domains = [ball_domain(F2, srw(F2), r) for r in (3, 6)]
+        out = ehe_probe(domains, (), (1,), 1.0, RowOnlyTree())
+        assert out == ehe_probe(domains, (), (1,), 1.0, tree)
+        assert out["per_scale"][1][1] >= 1.9 * out["per_scale"][0][1]
 
 
 class TestRateFit:

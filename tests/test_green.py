@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given
+from hypothesis import strategies as st
 
 from greenlab import green, groups
-from greenlab.green import (NestedBracketProvider, TableGreenProvider,
-                            TransienceError, TreeGreenOracle, ball_domain,
+from greenlab.green import (NestedBracketProvider, TransienceError,
+                            TreeGreenOracle, ball_domain,
                             boundary_green_matrix, box_domain, check_transient,
                             exit_distribution, green_bracket,
                             killed_green_solve, mc_green_diagonal,
@@ -441,11 +443,11 @@ class TestBracket:
         table = killed_green_solve(ball_domain(Z3, srw(Z3), 4), [E3], srw(Z3),
                                    tol=1e-6, method="cg")
         xs = [E3, (1, 0, 0), (0, 4, 0)]
-        v, lo, hi = TableGreenProvider(table).bracket_row(E3, xs)
+        v, lo, hi = table.bracket_row(E3, xs)
         r = 10.0 * table.max_residual()
         assert r > 0
         assert v.tolist() == [table.green(E3, x) for x in xs]
-        assert list(zip(lo.tolist(), hi.tolist())) == [table.bracket(E3, x) for x in xs]
+        assert lo.tolist() == [max(table.green(E3, x) - r, 0.0) for x in xs]
         assert hi.tolist() == [table.green(E3, x) + r for x in xs]
 
     def test_f2_bracket_contains_full_green(self):
@@ -524,10 +526,13 @@ class TestExitDecomposition:
         assert res < 1e-8
 
     def test_single_point_reduces_to_resolvent(self, z3_table_b20):
-        _, table = z3_table_b20
+        # S = {0}: G(0,x) = sum_s mu(s) G(s,x), read from the rows of 0 and
+        # of its six neighbours
+        _, b20 = z3_table_b20
         mu = srw(Z3)
         dom = ball_domain(Z3, mu, 0)
-        x = (5, 0, 0)                # a tabulated source on the sphere
+        table = killed_green_solve(b20.omega, [E3] + dom.boundary, mu, tol=b20.tol)
+        x = (5, 0, 0)
         res = verify_exit_decomposition(dom, E3, x, mu, table)
         assert res < 1e-10
 
@@ -611,7 +616,7 @@ class TestMonteCarlo:
         els = [g for g in ball_domain(Z3, mu, 3).elements if g != E3]
         picks = [els[int(i)] for i in rng2.integers(0, len(els), size=20)]
         prov = NestedBracketProvider(Z3, mu, 10, 20)
-        gee_est = prov.value(E3, E3)
+        gee_est = prov.bracket_full(E3, E3).estimate
         for x in picks:
             br = prov.bracket_full(E3, x)
             est = mc_hitting_green(Z3, mu, E3, x, 20000, rng, gee=gee_est)
@@ -652,19 +657,55 @@ class TestMonteCarlo:
         assert est.bias_bound > 0
 
 
+# reduced words of F_2 of length at most 6
+F2_WORDS = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=6).map(
+    lambda letters: groups.mul(F2, (), tuple(letters)))
+
+
+def tree_distance(a: tuple, x: tuple) -> int:
+    """|a^{-1} x| for reduced words: both lengths less twice the common
+    prefix."""
+    c = 0
+    while c < min(len(a), len(x)) and a[c] == x[c]:
+        c += 1
+    return len(a) + len(x) - 2 * c
+
+
 class TestProviders:
-    def test_table_provider_symmetric_resolution(self, z3_table_b20):
+    @given(a=F2_WORDS, xs=st.lists(F2_WORDS, min_size=1, max_size=5))
+    def test_tree_oracle_row_is_the_closed_form(self, a, xs):
+        v, lo, hi = TreeGreenOracle(F2).bracket_row(a, xs)
+        want = [1.5 * 3.0 ** -tree_distance(a, x) for x in xs]
+        assert v.tolist() == pytest.approx(want, rel=1e-15, abs=0)
+        assert lo.tolist() == v.tolist() == hi.tolist()
+
+    @given(a=F2_WORDS, x=F2_WORDS)
+    def test_tree_oracle_one_step_identity(self, a, x):
+        # G(a,x) = 1{a=x} + (1/4) sum_s G(a s, x)
+        oracle = TreeGreenOracle(F2)
+        g = oracle.bracket_row(a, [x])[0][0]
+        mean = sum(oracle.bracket_row(groups.mul(F2, a, s), [x])[0][0]
+                   for s in groups.standard_generators(F2).elements) / 4
+        assert g == pytest.approx((a == x) + mean, rel=1e-15, abs=0)
+
+    def test_table_row_names_a_missing_source(self, z3_table_b20):
+        # a table reads only its own rows: no argument swap "by symmetry"
         _, table = z3_table_b20
-        prov = TableGreenProvider(table)
-        assert prov.value((2, 2, 0), E3) == prov.value(E3, (2, 2, 0))
-        with pytest.raises(KeyError):
-            prov.value((2, 2, 0), (0, 2, 2))    # neither is a source
+        assert (2, 2, 0) not in table.sources
+        with pytest.raises(KeyError, match=r"\(2, 2, 0\) is not a tabulated source"):
+            table.bracket_row((2, 2, 0), [E3])
+        with pytest.raises(KeyError, match="not a tabulated source"):
+            table.green((2, 2, 0), E3)
 
     def test_nested_provider_brackets(self):
         prov = NestedBracketProvider(Z3, srw(Z3), 10, 20)
-        lo, hi = prov.bracket(E3, (1, 0, 0))
-        assert lo <= prov.value(E3, (1, 0, 0)) <= hi
-        assert lo <= WATSON_G0E1 <= hi + 5e-3
+        xs = [(1, 0, 0), (0, 2, 0)]
+        v, lo, hi = prov.bracket_row(E3, xs)
+        br = [prov.bracket_full(E3, x) for x in xs]
+        assert v.tolist() == [b.estimate for b in br]
+        assert list(zip(lo, hi)) == [(b.lower, b.upper) for b in br]
+        assert np.all((lo <= v) & (v <= hi))
+        assert lo[0] <= WATSON_G0E1 <= hi[0] + 5e-3
 
 
 class TestQuadrant:
