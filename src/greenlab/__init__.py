@@ -14,6 +14,21 @@ CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
         else os.cpu_count() or 1)
 
 
+def thread_map(fn, n: int) -> list:
+    """[fn(0), ..., fn(n - 1)], run in a pool of up to CPUS threads.
+
+    Each call's arithmetic must not depend on the thread that runs it, so
+    the results do not depend on CPUS.  The pool is imported on first use:
+    at module level it lengthens the start-up of every run."""
+    workers = min(CPUS, n)
+    if workers <= 1:
+        return [fn(i) for i in range(n)]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, range(n)))
+
+
 class _LazyModule:
     """Stand-in for the module `name`, imported on first attribute access.
 

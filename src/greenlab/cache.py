@@ -49,8 +49,7 @@ def save_table(cache_dir: str, backend: str, mhash: str, table: GreenTable) -> s
         "sources": [list(s) for s in table.sources],
         "residuals": [float(r) for r in table.residuals],
         "method": table.method,
-        "iterations": (None if table.iterations is None
-                       else [int(k) for k in table.iterations]),
+        "iterations": [int(k) for k in table.iterations],
         "symmetry_order": table.symmetry_order,
         "unknowns": table.unknowns,
         "n_values": int(table.values.shape[1]),
@@ -89,6 +88,11 @@ def load_table(cache_dir: str, backend: str, mhash: str, domain: Domain,
             return None
         if meta["domain_label"] != domain.label or meta["tol"] != tol:
             return None
+        # a file written before the solver record was kept, like one of an
+        # older version
+        if any(meta.get(k) is None for k in
+               ("method", "iterations", "symmetry_order", "unknowns")):
+            return None
         sources = [tuple(s) for s in meta["sources"]]
         vals = np.frombuffer(payload, dtype="<f8")
         expect = len(sources) * meta["n_values"]
@@ -96,14 +100,11 @@ def load_table(cache_dir: str, backend: str, mhash: str, domain: Domain,
             warnings.warn(f"corrupt cache file {path}; recomputing")
             return None
         values = vals.reshape(len(sources), meta["n_values"]).copy()
-        # files written before a solver field was kept load it as None
-        iterations = meta.get("iterations")
         return GreenTable(domain, sources, values,
                           np.array(meta["residuals"]), meta["laziness"],
-                          meta["measure_name"], tol, meta.get("method"),
-                          None if iterations is None
-                          else np.array(iterations, dtype=np.int64),
-                          meta.get("symmetry_order"), meta.get("unknowns"))
+                          meta["measure_name"], tol, meta["method"],
+                          np.array(meta["iterations"], dtype=np.int64),
+                          meta["symmetry_order"], meta["unknowns"])
     except Exception:
         warnings.warn(f"unreadable cache file {path}; recomputing")
         return None

@@ -141,8 +141,8 @@ def _table(cfg, mhash, omega, sources, mu, tol, cache_dir, force):
 def _solver_record(table: green.GreenTable, sources) -> dict:
     """How the table was solved, with the iterations of each source."""
     return {"method": table.method,
-            "iterations": None if table.iterations is None else
-            [int(table.iterations[table.sources.index(s)]) for s in sources],
+            "iterations": [int(table.iterations[table.sources.index(s)])
+                           for s in sources],
             "symmetry_order": table.symmetry_order, "unknowns": table.unknowns}
 
 

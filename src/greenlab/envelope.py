@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _LazyModule, groups
 from .groups import GroupSpec, identity
-from .measures import PmfOnZ, StepMeasure, _range_sum
+from .measures import PmfOnZ, StepMeasure, _range_sum, convolve_z
 
 special = _LazyModule("scipy.special")
 
@@ -294,8 +294,11 @@ def parity_bridge_check(series_or_pmf, k_max: int = 20) -> float:
         series = [1.0]
         cur = None
         full = 2 * ((k_max + 1) // 2) + 1
+        # the window covers the support of every power up to `full`, so
+        # nothing is clipped (a one-point pmf at 0 still needs cap >= 1)
+        cap = max(1, full * max(abs(pmf.lo), abs(pmf.hi)))
         for _ in range(full):
-            cur = pmf if cur is None else _convolve_full(cur, pmf)
+            cur = pmf if cur is None else convolve_z(cur, pmf, cap)
             series.append(cur.at(0))
         series = np.array(series)
     else:
@@ -308,11 +311,6 @@ def parity_bridge_check(series_or_pmf, k_max: int = 20) -> float:
         bound = np.sqrt(series[2 * (k // 2)] * series[2 * ((k + 1) // 2)])
         worst = min(worst, float(bound - series[k]))
     return worst
-
-
-def _convolve_full(p: PmfOnZ, q: PmfOnZ) -> PmfOnZ:
-    vals = np.convolve(p.vals, q.vals)
-    return PmfOnZ(vals, p.lo + q.lo, max(0.0, 1.0 - float(vals.sum())))
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,11 @@ the Green metric, and decay-rate fits.
 
 All Green access goes through a provider with one method,
 ``bracket_row(a, xs) -> (values, lowers, uppers)``: G(a, x) for every x in
-xs, with a bracket around each value.  A killed ``GreenTable`` is its own
-provider, and ``green.TreeGreenOracle`` and ``green.NestedBracketProvider``
-are the others.  Interval arithmetic over brackets yields one-sided safe
-error bars (a row is only called "decayed below tau" when its upper
-endpoint is).
+xs, with a bracket around each value.  There are two providers: a killed
+``GreenTable`` is its own, of G_Omega, and ``green.TreeGreenOracle`` gives
+the exact full G on the free group.  Interval arithmetic over brackets
+yields one-sided safe error bars (a row is only called "decayed below tau"
+when its upper endpoint is).
 """
 
 from __future__ import annotations
@@ -112,9 +112,9 @@ def epsilon(domain: Domain, a, b, mu: StepMeasure,
     """max over boundary x of |mu_S(a,x) - mu_S(b,x)| / mu_S(a,x); boundary
     points carrying no exit mass from a are excluded and counted."""
     if exits_a is None:
-        exits_a = exit_distribution(domain, a, mu, "solve", tol=tol)
+        exits_a = exit_distribution(domain, a, mu, tol=tol)
     if exits_b is None:
-        exits_b = exit_distribution(domain, b, mu, "solve", tol=tol)
+        exits_b = exit_distribution(domain, b, mu, tol=tol)
     pa, pb = exits_a.vector, exits_b.vector
     keep = pa > 0.0
     ratio = np.full(len(pa), -np.inf)
@@ -150,7 +150,7 @@ def eps_delta_band_check(domain: Domain, a, b, mu: StepMeasure, provider,
     o = identity(spec) if origin is None else origin
     # one killed solve on S serves every start point
     starts = list(dict.fromkeys((a, b, o)))
-    exits = dict(zip(starts, exit_distribution(domain, starts, mu, "solve", tol=tol)))
+    exits = dict(zip(starts, exit_distribution(domain, starts, mu, tol=tol)))
     bdry = domain.boundary
     go = provider.bracket_row(o, bdry)[0]
     eta = 0.0

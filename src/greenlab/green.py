@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import CPUS, _LazyModule, groups
+from . import _LazyModule, groups, thread_map
 from .groups import GroupSpec, identity, inv, mul
 from .measures import StepMeasure, uniform_on_generators
 
@@ -427,15 +427,14 @@ class GreenTable:
     measure_name: str
     tol: float
     # how the table was solved: "direct" or "cg", and CG iterations per
-    # source (0 for direct); both None for a cached table written before
-    # they were recorded
-    method: Optional[str]
-    iterations: Optional[np.ndarray]
+    # source (0 for direct)
+    method: str
+    iterations: np.ndarray
     # the order of the symmetry group H whose orbit quotient was solved (1
     # when not reduced) and the number of unknowns solved for (its orbit
-    # count); None for a cached table written before they were recorded
-    symmetry_order: Optional[int]
-    unknowns: Optional[int]
+    # count)
+    symmetry_order: int
+    unknowns: int
 
     def green(self, a, x) -> float:
         return float(self.row_at(a, [x])[0])
@@ -472,8 +471,7 @@ class GreenTable:
         idx = [self.sources.index(s) for s in sources]
         return replace(self, sources=list(sources), values=self.values[idx],
                        residuals=self.residuals[idx],
-                       iterations=None if self.iterations is None
-                       else self.iterations[idx])
+                       iterations=self.iterations[idx])
 
 
 def _steps(spec: GroupSpec, mu: StepMeasure) -> tuple:
@@ -666,7 +664,8 @@ def killed_green_solve(omega: Domain, sources: list, mu: StepMeasure,
     conjugate gradients (``cg``) per source, and "auto" factorizes below
     DIRECT_SOLVE_MAX unknowns (or when many sources are requested and
     memory allows) and runs CG otherwise; residuals are reported per
-    source.  The sources are solved in a pool of up to CPUS threads.
+    source.  The sources are solved by ``greenlab.thread_map``, in up to
+    CPUS threads, each with the same arithmetic as alone.
     """
     if method not in ("auto", "direct", "cg"):
         raise ValueError(f"unknown method {method!r}; use 'auto', 'direct' or 'cg'")
@@ -700,61 +699,10 @@ def killed_green_solve(omega: Domain, sources: list, mu: StepMeasure,
         vals[i] = u[orbits.label]
         residuals[i] = res
 
-    # each source's arithmetic is the same in any thread, so the table does
-    # not depend on the worker count
-    workers = min(CPUS, len(sources))
-    if workers > 1:
-        # imported here: at module level it lengthens the start-up of every
-        # run, including those that never solve
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(solve, range(len(sources))))
-    else:
-        for i in range(len(sources)):
-            solve(i)
+    thread_map(solve, len(sources))
     return GreenTable(omega, list(sources), vals, residuals,
                       mu.laziness, mu.name, tol, method, iterations,
                       orbits.order, m)
-
-
-@dataclass
-class GreenBracket:
-    lower: float
-    upper: float
-    estimate: float
-    extrapolated: bool
-    geometric_ratio: float
-
-
-def green_bracket(spec: GroupSpec, mu: StepMeasure, a, x,
-                  r1: int, r2: int, tol: float = DEFAULT_TOL) -> GreenBracket:
-    """Bracket the full Green value G(a, x) from nested killed solves.
-
-    Killed values increase with the domain; increments across three nested
-    radii (r1, mid, r2) are inflated geometrically to cover the tail.  A
-    non-geometric increment pattern (ratio >= 1) yields a conservative
-    (lower, +inf) bracket.
-    """
-    provider = NestedBracketProvider(spec, mu, r1, r2, tol)
-    smallest = provider.domains[0]
-    if a not in smallest or x not in smallest:
-        raise ValueError("a, x must lie inside the smallest ball")
-    return provider.bracket_full(a, x)
-
-
-def _bracket_from_triplet(vals, r1: int, r2: int) -> GreenBracket:
-    v1, vm, v2 = vals
-    i1, i2 = vm - v1, v2 - vm
-    ratio = (i2 / i1) if i1 > 0 else 0.0
-    if ratio >= 1.0:
-        return GreenBracket(v1, np.inf, v2, False, ratio)
-    upper = v1 + (v2 - v1) / (1.0 - ratio)
-    # point estimate: Richardson for a c/R truncation error (harmonic decay);
-    # for geometric decay the increments are tiny and this collapses to ~v2
-    estimate = (r2 * v2 - r1 * v1) / (r2 - r1)
-    estimate = min(max(estimate, v2), upper) if np.isfinite(upper) else max(estimate, v2)
-    return GreenBracket(v1, upper, estimate, True, ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +714,6 @@ class ExitDistribution:
     domain: Domain
     start: object
     vector: np.ndarray            # exit probability per point of domain.boundary
-    method: str
 
     @property
     def probs(self) -> dict:
@@ -779,17 +726,13 @@ class ExitDistribution:
 
 
 def exit_distribution(domain: Domain, a, mu: StepMeasure,
-                      method: str = "solve", trials: int = 0,
-                      rng: Optional[np.random.Generator] = None,
                       tol: float = DEFAULT_TOL) -> ExitDistribution | list:
     """Law of the first position outside S started from a in S, as a vector
     over ``domain.boundary``; for a list of start points, the list of their
     laws.
 
-    "solve": mu_S(a, z) = sum_{y in S} G_S(a, y) mu(y^{-1} z) from the
+    mu_S(a, z) = sum_{y in S} G_S(a, y) mu(y^{-1} z) from the
     absorbing-chain linear system on S, one killed solve for every start.
-    "mc": empirical exit frequencies of ``trials`` walkers moved together
-    through the domain's step table, one start after another.
     Raises ValueError when the domain carries no boundary.
     """
     starts = a if isinstance(a, list) else [a]
@@ -797,35 +740,18 @@ def exit_distribution(domain: Domain, a, mu: StepMeasure,
         raise ValueError("domain carries no boundary")
     if any(s not in domain for s in starts):
         raise ValueError("start point must lie in S")
-    if method not in ("solve", "mc"):
-        raise ValueError("method must be 'solve' or 'mc'")
-    if method == "mc" and (rng is None or trials <= 0):
-        raise ValueError("Monte Carlo mode needs rng and trials")
     n, m = len(domain), len(domain.boundary)
     steps, p = _steps(domain.spec, mu)
-    # Monte Carlo walks the whole support: the identity's column, when the
-    # law is lazy, is the stay move
-    table = domain.step_table(steps if method == "solve" else mu.support_elements())
+    table = domain.step_table(steps)
     if (table < 0).any():
         raise ValueError("a step leaves S outside its recorded boundary")
-    laws = []
-    if method == "solve":
-        gvals = killed_green_solve(domain, starts, mu, tol).values
-        # row-major (element, step) order keeps each boundary sum in the
-        # order of a loop over elements
-        i, k = np.nonzero(table >= n)
-        for s, g in zip(starts, gvals):
-            vec = np.bincount(table[i, k] - n, weights=g[i] * p[k], minlength=m)
-            laws.append(ExitDistribution(domain, s, vec, "solve"))
-    else:
-        for s in starts:
-            pos = np.full(trials, domain.lookup(s), dtype=np.int64)
-            alive = np.arange(trials)
-            while alive.size:
-                pos[alive] = table[pos[alive], mu.sample_support_index(rng, alive.size)]
-                alive = alive[pos[alive] < n]
-            laws.append(ExitDistribution(
-                domain, s, np.bincount(pos - n, minlength=m) / trials, "mc"))
+    gvals = killed_green_solve(domain, starts, mu, tol).values
+    # row-major (element, step) order keeps each boundary sum in the order
+    # of a loop over elements
+    i, k = np.nonzero(table >= n)
+    laws = [ExitDistribution(domain, s, np.bincount(
+                table[i, k] - n, weights=g[i] * p[k], minlength=m))
+            for s, g in zip(starts, gvals)]
     return laws if isinstance(a, list) else laws[0]
 
 
@@ -839,7 +765,7 @@ def verify_exit_decomposition(domain: Domain, a, x, mu: StepMeasure,
     """
     if x in domain:
         raise ValueError("x must lie outside S")
-    exits = exit_distribution(domain, a, mu, "solve", tol=table.tol)
+    exits = exit_distribution(domain, a, mu, tol=table.tol)
     lhs = table.green(a, x)
     rhs = sum(p * table.green(z, x) for z, p in exits.probs.items())
     return abs(lhs - rhs)
@@ -886,7 +812,7 @@ def vector_identity_residual(domain: Domain, a, mu: StepMeasure,
     """max-norm of M_S mu_S(a) - g_S(a) (the vector exit identity)."""
     if bgm is None:
         bgm = boundary_green_matrix(domain, table)
-    exits = exit_distribution(domain, a, mu, "solve", tol=table.tol)
+    exits = exit_distribution(domain, a, mu, tol=table.tol)
     g_vec = table.row_at(a, domain.boundary)
     return float(np.max(np.abs(bgm.matrix @ exits.vector - g_vec)))
 
@@ -1005,8 +931,8 @@ def mc_hitting_green(spec: GroupSpec, mu: StepMeasure, a, x, trials: int,
 # ---------------------------------------------------------------------------
 # Green providers.  The functionals layer reads G through one method,
 # bracket_row(a, xs) -> (values, lowers, uppers), arrays over xs for the
-# row of a.  GreenTable is its own provider; the two below give the exact
-# tree values and nested-solve brackets of the full G.
+# row of a.  There are two: a GreenTable is its own provider, of the killed
+# G_Omega, and TreeGreenOracle below gives the exact full G on the tree.
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -1038,41 +964,6 @@ class TreeGreenOracle:
 
     def hitting(self, a, x) -> float:
         return float(self.q) ** (-self.distance(a, x))
-
-
-class NestedBracketProvider:
-    """Full-Green brackets from three nested killed solves per source.
-
-    The value is the Richardson point estimate and the bracket is
-    [G_{B(r1)}, geometric-inflation upper].  Rows are solved lazily per
-    source and shared across queries.
-    """
-
-    def __init__(self, spec: GroupSpec, mu: StepMeasure, r1: int, r2: int,
-                 tol: float = DEFAULT_TOL):
-        check_transient(spec)
-        if not (r1 < r2 - 1):
-            raise ValueError("need r1 < r2 - 1")
-        self.spec, self.mu, self.tol = spec, mu, tol
-        self.radii = (r1, (r1 + r2) // 2, r2)
-        self.domains = [ball_domain(spec, mu, r, with_boundary=False)
-                        for r in self.radii]
-        self._tables = {}
-
-    def _brackets(self, a, xs) -> list:
-        if a not in self._tables:
-            self._tables[a] = [killed_green_solve(om, [a], self.mu, self.tol)
-                               for om in self.domains]
-        rows = [t.row_at(a, xs).tolist() for t in self._tables[a]]
-        return [_bracket_from_triplet(vals, self.radii[0], self.radii[2])
-                for vals in zip(*rows)]
-
-    def bracket_full(self, a, x) -> GreenBracket:
-        return self._brackets(a, [x])[0]
-
-    def bracket_row(self, a, xs) -> tuple:
-        rows = [(b.estimate, b.lower, b.upper) for b in self._brackets(a, xs)]
-        return tuple(np.array(rows, dtype=np.float64).reshape(len(rows), 3).T)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from . import CPUS, groups
+from . import groups, thread_map
 from . import green as green_mod
 from .green import (TreeGreenOracle, ball_domain, killed_green_solve,
                     mc_hitting_green, tree_distance_chain)
@@ -111,18 +111,7 @@ def _batch_positions(spec: GroupSpec, mu: StepMeasure, n: int, trials: int,
             if k0 + t in out:
                 out[k0 + t][lo:hi] = pos
 
-    # each replica's arithmetic is the same in any thread
-    workers = min(CPUS, replicas)
-    if workers > 1:
-        # imported here, as in green.killed_green_solve, to keep it out of
-        # the start-up of every run
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(walk, range(replicas)))
-    else:
-        for i in range(replicas):
-            walk(i)
+    thread_map(walk, replicas)
     return out
 
 

@@ -273,35 +273,46 @@ class TestCache:
         assert cachemod.load_table(str(tmp_path), "Z^3", mhash, origin,
                                    1e-10).sources == [(0, 0, 0)]
 
-    def test_cache_without_solver_record_loads(self, tmp_path):
-        # a file written before the solver record was kept still loads
+    def test_cache_without_solver_record_is_a_miss(self, tmp_path, monkeypatch):
+        # a file written before the solver record was kept is not loaded,
+        # like one of an older version: no warning, and the run solves its
+        # table again, to the same body
         import json
         import struct
-        from greenlab import cache as cachemod
-        from greenlab.green import ball_domain, killed_green_solve
-        from greenlab.measures import uniform_on_generators
-        Z3 = groups.integer_lattice(3)
-        mu = uniform_on_generators(groups.standard_generators(Z3))
-        omega = ball_domain(Z3, mu, 4, with_boundary=False)
-        table = killed_green_solve(omega, [(0, 0, 0)], mu, tol=1e-10, method="cg")
-        assert table.iterations[0] > 0
-        mhash = cachemod.measure_hash({"type": "srw"})
-        path = cachemod.save_table(str(tmp_path), "Z^3", mhash, table)
-        with open(path, "rb") as fh:
-            (mlen,) = struct.unpack("<Q", fh.read(8))
-            meta = json.loads(fh.read(mlen).decode("utf-8"))
-            payload = fh.read()
-        assert (meta["method"], meta["iterations"]) == ("cg", [int(table.iterations[0])])
-        assert (meta["symmetry_order"], meta["unknowns"]) == (1, len(omega))
-        for key in ("method", "iterations", "symmetry_order", "unknowns"):
-            del meta[key]
-        blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<Q", len(blob)) + blob + payload)
-        loaded = cachemod.load_table(str(tmp_path), "Z^3", mhash, omega, 1e-10)
-        assert np.array_equal(loaded.values, table.values)
-        assert (loaded.method, loaded.iterations, loaded.symmetry_order,
-                loaded.unknowns) == (None,) * 4
+        import warnings
+        import greenlab.cli as climod
+        cfg = self.z3_config(tmp_path)
+        path = write_config(tmp_path / "cfg.json", cfg)
+        cache_dir = str(tmp_path / "cache")
+        assert run(path, cache_dir=cache_dir) == STATUS_OK
+        first = report_body(cfg["output"])
+        stripped = []
+        for f in os.listdir(cache_dir):
+            full = os.path.join(cache_dir, f)
+            with open(full, "rb") as fh:
+                (mlen,) = struct.unpack("<Q", fh.read(8))
+                meta = json.loads(fh.read(mlen).decode("utf-8"))
+                payload = fh.read()
+            for key in ("method", "iterations", "symmetry_order", "unknowns"):
+                del meta[key]
+            stripped.append(meta["domain_label"])
+            blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+            with open(full, "wb") as fh:
+                fh.write(struct.pack("<Q", len(blob)) + blob + payload)
+        real_solve = climod.green.killed_green_solve
+        solved = []
+
+        def counting(omega, sources, *args, **kwargs):
+            solved.append(omega.label)
+            return real_solve(omega, sources, *args, **kwargs)
+
+        monkeypatch.setattr(climod.green, "killed_green_solve", counting)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(path, cache_dir=cache_dir) == STATUS_OK
+        assert not [w for w in caught if "cache file" in str(w.message)]
+        assert stripped and sorted(solved) == sorted(stripped)
+        assert report_body(cfg["output"]) == first
 
 
 class TestOtherKinds:

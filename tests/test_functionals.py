@@ -11,9 +11,9 @@ from greenlab.functionals import (DeltaScan, DegenerateBracketError,
                                   eps_delta_band_check, green_distance,
                                   martin_kernel, normalized_kernel_sequence,
                                   tree_martin_kernel)
-from greenlab.green import (NestedBracketProvider, TreeGreenOracle,
-                            ball_domain, killed_green_solve)
+from greenlab.green import TreeGreenOracle, ball_domain, killed_green_solve
 from greenlab.measures import lazy_transform, uniform_on_generators
+from lattice_green_oracle import Z3GreenOracle
 
 Z3 = groups.integer_lattice(3)
 F2 = groups.free_group(2)
@@ -205,11 +205,12 @@ class TestGreenDistance:
         assert d.value == pytest.approx(2.1972, abs=1e-4)
 
     def test_z3_log_growth(self):
-        # d_G(0, x) at |x|=16 minus |x|=8 is about log 2 (within 20%);
-        # radii keep both points in the deep interior (|x| <= R1/2)
-        prov = NestedBracketProvider(Z3, srw(Z3), 32, 64)
+        # d_G(0, x) at |x|=16 minus |x|=8 is about log 2 (within 20%); the
+        # exact gap is log(G(8 e1) / G(16 e1)) = 0.6963
+        prov = Z3GreenOracle()
         d8 = green_distance(Z3, E3, (8, 0, 0), prov)
         d16 = green_distance(Z3, E3, (16, 0, 0), prov)
+        assert d8.lower == d8.value == d8.upper
         gap = d16.value - d8.value
         assert abs(gap - np.log(2.0)) < 0.2 * np.log(2.0)
 

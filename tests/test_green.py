@@ -1,4 +1,5 @@
-"""Killed Green solves, exit laws, boundary matrices, brackets, MC hitting."""
+"""Killed Green solves, exit laws, boundary matrices, brackets, MC hitting,
+and the exact Z^3 reference."""
 
 import os
 import subprocess
@@ -11,17 +12,18 @@ import scipy.sparse.linalg as spla
 from hypothesis import given
 from hypothesis import strategies as st
 
+import greenlab
 from greenlab import green, groups
-from greenlab.green import (NestedBracketProvider, TransienceError,
-                            TreeGreenOracle, ball_domain,
+from greenlab.green import (TransienceError, TreeGreenOracle, ball_domain,
                             boundary_green_matrix, box_domain, check_transient,
-                            exit_distribution, green_bracket,
-                            killed_green_solve, mc_green_diagonal,
-                            mc_hitting_green, quadrant_harmonicity_defect,
+                            exit_distribution, killed_green_solve,
+                            mc_green_diagonal, mc_hitting_green,
+                            quadrant_harmonicity_defect,
                             quadrant_killed_green, vector_identity_residual,
                             verify_exit_decomposition)
 from greenlab.measures import StepMeasure, lazy_transform, uniform_on_generators
 from greenlab.rng import derive_stream
+from lattice_green_oracle import WATSON_G00, z3_green
 
 Z3 = groups.integer_lattice(3)
 F2 = groups.free_group(2)
@@ -29,11 +31,6 @@ HEIS = groups.heisenberg()
 E3 = (0, 0, 0)
 # a point no axis flip or transposition fixes
 ASYMMETRIC = (1, 2, 3)
-
-# Watson's integral for the Z^3 SRW Green function at the origin; the
-# one-step identity G(0,0) = 1 + G(0,e_1) pins the neighbor value.
-WATSON_G00 = 1.5163860591
-WATSON_G0E1 = WATSON_G00 - 1.0
 
 
 def srw(spec):
@@ -129,6 +126,18 @@ class TestKilledSolve:
             vals.append([t.green(E3, x) for x in [E3, (1, 0, 0), (2, 2, 0)]])
         arr = np.array(vals)
         assert np.all(np.diff(arr, axis=0) >= -1e-12)
+
+    @pytest.mark.parametrize("radius", [10, 20, 40])
+    def test_killed_values_increase_to_full_green(self, radius):
+        # G - G_B(R) = sum_z H_B(R)(0, z) G(z, x) ~ c / R at fixed x; R times
+        # the gap read 0.673, 0.707, 0.725 at R = 10, 20, 40
+        mu = srw(Z3)
+        xs = [E3, (1, 0, 0), (1, 1, 1), (3, 0, 0)]
+        table = killed_green_solve(ball_domain(Z3, mu, radius, with_boundary=False),
+                                   [E3], mu)
+        gap = np.array([z3_green(x) for x in xs]) - table.row_at(E3, xs)
+        assert (gap > 0).all()
+        assert ((0.6 <= radius * gap) & (radius * gap <= 0.8)).all()
 
     def test_green_comparison_inequality(self, z3_table_b20):
         # G(z,x) <= rho^{-|a^-1 z|} G(a,x) with rho = min generator mass
@@ -293,7 +302,7 @@ class TestCG:
         try:
             sys.setswitchinterval(1e-5)
             for workers in (1, 4):
-                monkeypatch.setattr(green, "CPUS", workers)
+                monkeypatch.setattr(greenlab, "CPUS", workers)
                 tables.append(killed_green_solve(omega, sources, mu, method="cg"))
         finally:
             sys.setswitchinterval(interval)
@@ -415,30 +424,6 @@ class TestOrbitQuotient:
 
 
 class TestBracket:
-    def test_diagonal_lower_bound(self):
-        br = green_bracket(Z3, srw(Z3), E3, E3, 6, 12)
-        assert br.lower >= 1.0
-
-    def test_z3_bracket_and_richardson(self):
-        br = green_bracket(Z3, srw(Z3), E3, E3, 20, 40)
-        # guarantees: contains the R2-killed value; Richardson estimate lands
-        # near the Watson oracle (empirically within 2e-3 on L1 balls); for
-        # the ~c/R killed-ball error the geometric inflation cancels to first
-        # order, so the upper endpoint itself brackets the full value tightly
-        assert br.lower <= br.estimate <= br.upper
-        assert abs(br.estimate - WATSON_G00) < 2e-3
-        assert br.lower <= WATSON_G00 <= br.upper + 2e-3
-        assert 1.5160 <= br.upper <= 1.5168
-        br1 = green_bracket(Z3, srw(Z3), E3, (1, 0, 0), 20, 40)
-        assert abs(br1.estimate - WATSON_G0E1) < 2e-3
-
-    def test_bracket_is_nested_provider(self):
-        mu = srw(Z3)
-        br = green_bracket(Z3, mu, E3, (1, 0, 0), 6, 12)
-        assert br == NestedBracketProvider(Z3, mu, 6, 12).bracket_full(E3, (1, 0, 0))
-        with pytest.raises(ValueError, match="inside the smallest ball"):
-            green_bracket(Z3, mu, E3, (7, 0, 0), 6, 12)
-
     def test_table_bracket_row_matches_bracket(self):
         table = killed_green_solve(ball_domain(Z3, srw(Z3), 4), [E3], srw(Z3),
                                    tol=1e-6, method="cg")
@@ -450,12 +435,21 @@ class TestBracket:
         assert lo.tolist() == [max(table.green(E3, x) - r, 0.0) for x in xs]
         assert hi.tolist() == [table.green(E3, x) + r for x in xs]
 
-    def test_f2_bracket_contains_full_green(self):
-        br = green_bracket(F2, srw(F2), (), (1,), 6, 12)
-        assert br.lower <= 0.5 <= br.upper
-        # width is set by the R1-killed gap ~ (3/2) q^{-2 R1 + 1}
-        assert br.upper - br.lower < 1e-3
-        assert abs(br.estimate - 0.5) < 1e-4
+
+class TestWatsonReference:
+    """The exact Z^3 Green function of tests/lattice_green_oracle.py."""
+
+    def test_origin_is_watson_value(self):
+        assert abs(z3_green(E3) - 1.516386059151978) <= 1e-15
+
+    def test_one_step_identity(self):
+        # G(x) - (1/6) sum_{+-e_i} G(x +- e_i) = delta_{x,0}, one point per
+        # orbit of |x|_1 <= 3 and one with mixed signs
+        steps = groups.standard_generators(Z3).elements
+        for x in [E3, (1, 0, 0), (2, 0, 0), (1, 1, 0), (3, 0, 0), (2, 1, 0),
+                  (1, 1, 1), (0, -2, 1)]:
+            mean = sum(z3_green(np.add(x, s)) for s in steps) / 6
+            assert abs(z3_green(x) - mean - (x == E3)) <= 1e-13, x
 
 
 class TestExitDistribution:
@@ -465,29 +459,13 @@ class TestExitDistribution:
         assert ex.total() == pytest.approx(1.0, abs=1e-10)
         assert all(p == pytest.approx(1 / 6, abs=1e-12) for p in ex.probs.values())
 
-    def test_f2_ball1_uniform_and_mc_agreement(self):
+    def test_f2_ball1_uniform(self):
         mu = srw(F2)
         dom = ball_domain(F2, mu, 1)
         ex = exit_distribution(dom, (), mu)
         assert len(ex.probs) == 12
         for p in ex.probs.values():
             assert p == pytest.approx(1 / 12, abs=1e-12)
-        rng = derive_stream(42, "exit-mc")
-        mc = exit_distribution(dom, (), mu, "mc", trials=20000, rng=rng)
-        sigma = np.sqrt((1 / 12) * (11 / 12) / 20000)
-        for z, p in mc.probs.items():
-            assert abs(p - 1 / 12) < 4 * sigma
-
-    def test_lazy_mc_stays_through_the_identity_column(self):
-        mu = lazy_transform(srw(F2), 0.5)
-        dom = ball_domain(F2, mu, 1)
-        mc = exit_distribution(dom, (), mu, "mc", trials=20000,
-                               rng=derive_stream(43, "exit-mc"))
-        assert mc.total() == pytest.approx(1.0, abs=1e-12)
-        sigma = np.sqrt((1 / 12) * (11 / 12) / 20000)
-        assert len(mc.probs) == 12
-        for p in mc.probs.values():
-            assert abs(p - 1 / 12) < 4 * sigma
 
     @pytest.mark.parametrize("radius", [3, 14])          # direct, then CG
     def test_start_list_matches_single_starts(self, radius):
@@ -606,22 +584,17 @@ class TestMonteCarlo:
         gee, ci = mc_green_diagonal(F2, srw(F2), 10 ** 4, 400, rng)
         assert abs(gee - 1.5) < 3 * ci / 1.96 + 1e-3
 
-    def test_cross_method_z3_twenty_pairs(self, z3_table_b20):
-        # MC hitting consistent with nested solve brackets within combined
-        # error on 20 random targets
-        _, table = z3_table_b20
+    def test_cross_method_z3_twenty_pairs(self):
+        # MC hitting against Watson's exact G within the MC error on 20
+        # random targets
         mu = srw(Z3)
         rng = derive_stream(11, "mc-z3")
         rng2 = derive_stream(12, "mc-z3-pairs")
         els = [g for g in ball_domain(Z3, mu, 3).elements if g != E3]
         picks = [els[int(i)] for i in rng2.integers(0, len(els), size=20)]
-        prov = NestedBracketProvider(Z3, mu, 10, 20)
-        gee_est = prov.bracket_full(E3, E3).estimate
         for x in picks:
-            br = prov.bracket_full(E3, x)
-            est = mc_hitting_green(Z3, mu, E3, x, 20000, rng, gee=gee_est)
-            combined = est.ci95 + est.bias_bound + (br.upper - br.lower)
-            assert abs(est.value - br.estimate) < combined + 0.005
+            est = mc_hitting_green(Z3, mu, E3, x, 20000, rng, gee=WATSON_G00)
+            assert abs(est.value - z3_green(x)) < est.ci95 + est.bias_bound + 0.005
 
     def test_cross_method_f2_twenty_pairs(self):
         # closed-form tree values against MC hitting on 20 random targets
@@ -696,16 +669,6 @@ class TestProviders:
             table.bracket_row((2, 2, 0), [E3])
         with pytest.raises(KeyError, match="not a tabulated source"):
             table.green((2, 2, 0), E3)
-
-    def test_nested_provider_brackets(self):
-        prov = NestedBracketProvider(Z3, srw(Z3), 10, 20)
-        xs = [(1, 0, 0), (0, 2, 0)]
-        v, lo, hi = prov.bracket_row(E3, xs)
-        br = [prov.bracket_full(E3, x) for x in xs]
-        assert v.tolist() == [b.estimate for b in br]
-        assert list(zip(lo, hi)) == [(b.lower, b.upper) for b in br]
-        assert np.all((lo <= v) & (v <= hi))
-        assert lo[0] <= WATSON_G0E1 <= hi[0] + 5e-3
 
 
 class TestQuadrant:

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import greenlab
 from greenlab import groups, walks
 from greenlab.cli import STATUS_CONFIG, run
 from greenlab.measures import (PmfOnZ, StepMeasure, UNIT_MASS, lazy_transform,
@@ -161,7 +162,7 @@ class TestBatchPositions:
         sys.setswitchinterval(1e-5)
         try:
             for cpus in (1, 2, 4):
-                monkeypatch.setattr(walks, "CPUS", cpus)
+                monkeypatch.setattr(greenlab, "CPUS", cpus)
                 runs.append(_batch_positions(spec, mu, 200, 100,
                                              derive_stream(37, name), [50, 200]))
         finally:
