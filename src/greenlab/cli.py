@@ -168,8 +168,8 @@ def _delta_scan(cfg, cache_dir, force, with_band=False):
                 and mu.laziness == 0.0)
     d_ab = groups.word_length(spec, b)
     rows = []
-    for r in cfg["scales"]:
-        r = int(r)
+    # rows follow the scales in config order
+    for r in walks._integers("scales", cfg["scales"]):
         s_dom = green.ball_domain(spec, mu, r)
         if use_tree:
             provider = green.TreeGreenOracle(spec)
@@ -195,7 +195,7 @@ def _delta_scan(cfg, cache_dir, force, with_band=False):
 def _green_table(cfg, cache_dir, force):
     spec, mu, mhash = _law(cfg, transient=True)
     tol = float(cfg.get("tol", 1e-10))
-    radius = int(cfg["radius"])
+    (radius,) = walks._integers("radius", [cfg["radius"]], least=0)
     omega = green.ball_domain(spec, mu, radius,
                               with_boundary=bool(cfg.get("boundary_matrix")))
     sources = [reporting.parse_element(spec, s) for s in cfg["sources"]]
@@ -243,8 +243,7 @@ def _speed(cfg, *_):
     spec, mu, mhash = _law(cfg)
     stream = rngmod.derive_stream(int(cfg.get("seed", 0)), "speed")
     table = walks.speed_in_probability(spec, mu, cfg["n_list"],
-                                       cfg["eps_list"], int(cfg["trials"]),
-                                       stream)
+                                       cfg["eps_list"], cfg["trials"], stream)
     for n, eps, p, ci in table.rows:
         if not (0.0 <= p <= 1.0):
             raise ContradictionError(f"probability {p} outside [0,1] at n={n}")
@@ -288,11 +287,18 @@ def _dispersion(cfg, *_):
 def _green_speed(cfg, *_):
     spec, mu, mhash = _law(cfg, transient=True)
     stream = rngmod.derive_stream(int(cfg.get("seed", 0)), "green-speed")
-    rows = walks.green_speed_estimate(spec, mu, cfg["n_list"],
-                                      int(cfg["trials"]), stream)
+    report = walks.green_speed_estimate(spec, mu, cfg["n_list"],
+                                        cfg["trials"], stream)
+    meta = {}
+    if report.table is not None:
+        # the killed ball grows with the sample, so the run records it
+        meta = {"radius": report.radius,
+                "solver": _solver_record(report.table, report.table.sources)}
+    # mc_fallback_points is always 0, since every endpoint is read from the
+    # ball; the column stays while perfbench's green-speed check reads it
     return Report(cfg["backend"], mhash,
                   ["n", "mean_green_speed", "ci95", "mc_fallback_points"],
-                  [[r.n, r.mean, r.ci95, r.mc_fallback_points] for r in rows])
+                  [[r.n, r.mean, r.ci95, 0] for r in report.rows], meta)
 
 
 def _cone(cfg, *_):
@@ -312,9 +318,9 @@ def _cone(cfg, *_):
 def _increment_probe(cfg, *_):
     spec, mu, mhash = _law(cfg)
     stream = rngmod.derive_stream(int(cfg.get("seed", 0)), "increment-probe")
-    checkpoints = cfg.get("checkpoints", [int(cfg["n"])])
-    report = walks.increment_ratio_max(mu, int(cfg["n"]), int(cfg["trials"]),
-                                       stream, checkpoints)
+    checkpoints = cfg.get("checkpoints", [cfg["n"]])
+    report = walks.increment_ratio_max(mu, cfg["n"], cfg["trials"], stream,
+                                       checkpoints)
     return Report(cfg["backend"], mhash, ["checkpoint", "median_running_max"],
                   [[c, m] for c, m in zip(report.checkpoints, report.medians)],
                   _sampler_tail(mu))

@@ -1,5 +1,5 @@
 """Killed-domain Green solves, exit distributions, boundary Green matrices,
-Monte Carlo hitting estimators, and the quarter-plane killed walk.
+Monte Carlo hitting estimators on trees, and the quarter-plane killed walk.
 
 Conventions.  For a finite domain Omega and a finite-range symmetric step
 law mu, the killed Green table solves (I - P_Omega) v = delta_a where
@@ -818,16 +818,8 @@ def vector_identity_residual(domain: Domain, a, mu: StepMeasure,
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo hitting estimators
+# Monte Carlo hitting estimators on trees
 # ---------------------------------------------------------------------------
-
-def default_path_cap(spec: GroupSpec, radius: int) -> int:
-    """50 R^2 steps on diffusive backends, 20 R on trees."""
-    r = max(radius, 3)
-    if spec.variant == "free":
-        return max(100, 20 * r)
-    return 50 * r * r
-
 
 @dataclass
 class McGreenEstimate:
@@ -860,22 +852,21 @@ def tree_distance_chain(rank: int, start_dist: int, walkers: int,
         d = d + np.where(stay, 0, np.where(down, -1, 1))
 
 
+def _tree_only(spec: GroupSpec) -> None:
+    if spec.variant != "free":
+        raise ValueError("Monte Carlo Green estimates run on trees only; "
+                         "lattices read G from a killed solve")
+
+
 def mc_green_diagonal(spec: GroupSpec, mu: StepMeasure, trials: int,
                       path_cap: int, rng: np.random.Generator) -> tuple:
-    """(estimate, ci95) for G(e,e) = mean visits to e from e within the cap."""
-    if spec.variant == "free":
-        visits = np.zeros(trials, dtype=np.int64)
-        for _, d in zip(range(path_cap + 1), tree_distance_chain(spec.rank, 0, trials, rng)):
-            visits += d == 0
-    elif spec.variant == "lattice":
-        check_transient(spec)
-        pos = np.zeros((trials, spec.d), dtype=np.int64)
-        visits = np.ones(trials, dtype=np.int64)
-        for _ in range(path_cap):
-            pos += mu.sample_steps(rng, trials)
-            visits += (pos == 0).all(axis=1)
-    else:
-        raise ValueError("diagonal MC implemented for trees and lattices")
+    """(estimate, ci95) for G(e,e) = mean visits to e from e within the cap,
+    for (lazy) SRW on a tree."""
+    _tree_only(spec)
+    visits = np.zeros(trials, dtype=np.int64)
+    for _, d in zip(range(path_cap + 1), tree_distance_chain(
+            spec.rank, 0, trials, rng, mu.laziness)):
+        visits += d == 0
     est = float(visits.mean())
     ci = 1.96 * float(visits.std(ddof=1)) / np.sqrt(trials)
     return est, ci
@@ -884,44 +875,31 @@ def mc_green_diagonal(spec: GroupSpec, mu: StepMeasure, trials: int,
 def mc_hitting_green(spec: GroupSpec, mu: StepMeasure, a, x, trials: int,
                      rng: np.random.Generator, path_cap: Optional[int] = None,
                      gee: Optional[float] = None) -> McGreenEstimate:
-    """Estimate G(a, x) = F(a, x) G(e, e) from empirical hitting frequencies.
+    """Estimate G(a, x) = F(a, x) G(e, e) from empirical hitting frequencies
+    of (lazy) SRW on a tree; the default cap is 20 steps per unit of
+    distance, at least 100.
 
-    Valid on vertex-transitive backends (all supported ones).  The
-    confidence band is a binomial 95% interval; the additive truncation
+    The confidence band is a binomial 95% interval; the additive truncation
     bias term bounds the conditional hitting probability of the capped,
     unhit walkers through their final distance profile.
     """
+    _tree_only(spec)
     dist0 = groups.word_length(spec, mul(spec, inv(spec, a), x))
     if path_cap is None:
-        path_cap = default_path_cap(spec, dist0)
+        path_cap = max(100, 20 * max(dist0, 3))
     if gee is None:
         gee, _ = mc_green_diagonal(spec, mu, trials, min(path_cap, 2000), rng)
     if dist0 == 0:
         return McGreenEstimate(gee, 1.0, 0.0, 0.0, trials, path_cap, False)
-    if spec.variant == "free":
-        hit = np.zeros(trials, dtype=bool)
-        for _, d in zip(range(path_cap + 1), tree_distance_chain(spec.rank, dist0, trials, rng)):
-            hit |= d == 0
-            if hit.all():
-                break
-        q = 2 * spec.rank - 1
-        # conditional hitting probability from distance d is exactly q^{-d}
-        bias = float(np.sum(np.power(float(q), -d[~hit].astype(np.float64)))) / trials
-    elif spec.variant == "lattice":
-        check_transient(spec)
-        pos = np.tile(np.asarray(a, dtype=np.int64), (trials, 1))
-        target = np.asarray(x, dtype=np.int64)
-        hit = (pos == target).all(axis=1)
-        for _ in range(path_cap):
-            if hit.all():
-                break
-            pos += mu.sample_steps(rng, trials)
-            hit = hit | (pos == target).all(axis=1)
-        # for Z^3 SRW: F(y, x) <= 0.63 / |y - x|_1 from the c_3/|.| bound
-        d1 = np.abs(pos[~hit] - target).sum(axis=1)
-        bias = float(np.sum(np.minimum(1.0, 0.63 / np.maximum(d1, 1)))) / trials
-    else:
-        raise ValueError("MC hitting implemented for trees and lattices")
+    hit = np.zeros(trials, dtype=bool)
+    for _, d in zip(range(path_cap + 1), tree_distance_chain(
+            spec.rank, dist0, trials, rng, mu.laziness)):
+        hit |= d == 0
+        if hit.all():
+            break
+    q = 2 * spec.rank - 1
+    # conditional hitting probability from distance d is exactly q^{-d}
+    bias = float(np.sum(np.power(float(q), -d[~hit].astype(np.float64)))) / trials
     f_hat = float(hit.mean())
     ci = 1.96 * np.sqrt(max(f_hat * (1 - f_hat), 1.0 / trials) / trials)
     return McGreenEstimate(f_hat * gee, f_hat, ci * gee, bias * gee,

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import groups, thread_map
 from . import green as green_mod
-from .green import (TreeGreenOracle, ball_domain, killed_green_solve,
-                    mc_hitting_green, tree_distance_chain)
+from .green import (GreenTable, TreeGreenOracle, ball_domain,
+                    killed_green_solve, tree_distance_chain)
 from .groups import GroupSpec, identity
 from .measures import (PmfOnZ, StepMeasure, UNIT_MASS, _range_sum, _shell_f,
                        self_convolution_powers, total_variation_shift)
@@ -43,13 +43,23 @@ BLOCK_STEPS = 2 ** 16
 # Batched walkers (exact in law, vectorised over trials)
 # ---------------------------------------------------------------------------
 
-def _sizes(key: str, values, least: int = 1) -> list:
-    """The sorted distinct integers of `values`, each at least `least`;
-    otherwise a ValueError naming the config key they come from."""
-    vals = sorted(set(int(v) for v in values))
-    if not vals or vals[0] < least:
+def _integers(key: str, values, least: int = 1) -> list:
+    """`values` as ints, in their order, if there is one and each is an
+    integer at least `least`; otherwise a ValueError naming the config key
+    they come from.  An integral float such as 10.0 passes; 10.5 does not."""
+    vals = list(values)
+    try:
+        ok = bool(vals) and all(int(v) == v >= least for v in vals)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
         raise ValueError(f"{key} must be integers >= {least}, got {vals}")
-    return vals
+    return [int(v) for v in vals]
+
+
+def _sizes(key: str, values, least: int = 1) -> list:
+    """The sorted distinct values of _integers(key, values, least)."""
+    return sorted(set(_integers(key, values, least)))
 
 
 def _batch_positions(spec: GroupSpec, mu: StepMeasure, n: int, trials: int,
@@ -149,7 +159,7 @@ def speed_in_probability(spec: GroupSpec, mu: StepMeasure, n_list, eps_list,
     the same samples serve every eps (rows are monotone in eps by
     construction)."""
     n_list = _sizes("n_list", n_list)
-    _sizes("trials", [trials])
+    (trials,) = _integers("trials", [trials])
     lengths = batch_lengths(spec, mu, n_list[-1], trials, rng, n_list)
     mode = "quasi_norm" if spec.variant == "heisenberg" else "exact"
     rows = []
@@ -201,8 +211,8 @@ def increment_ratio_max(mu: StepMeasure, n: int, trials: int,
     for the stable law with alpha = 1.  Bounded-step laws stay pinned at
     the maximal generator length.
     """
-    _sizes("n", [n])
-    _sizes("trials", [trials])
+    (n,) = _integers("n", [n])
+    (trials,) = _integers("trials", [trials])
     checkpoints = _sizes("checkpoints", [n] if checkpoints is None else checkpoints)
     if checkpoints[-1] > n:
         raise ValueError(f"checkpoints must lie in [1, n = {n}], got {checkpoints}")
@@ -225,72 +235,60 @@ class GreenSpeedRow:
     n: int
     mean: float
     ci95: float
-    mc_fallback_points: int
+
+
+@dataclass
+class GreenSpeedReport:
+    rows: list                      # a GreenSpeedRow per n
+    # on Z^d: the killed ball B(radius) and its table from the origin
+    radius: Optional[int] = None
+    table: Optional[GreenTable] = None
 
 
 def green_speed_estimate(spec: GroupSpec, mu: StepMeasure, n_list, trials: int,
-                         rng: np.random.Generator,
-                         reach: Optional[int] = None,
-                         tol: float = 1e-10) -> list:
+                         rng: np.random.Generator) -> GreenSpeedReport:
     """Rows (n, mean d_G(e, X_n)/n, ci) for the Green metric
     d_G(e, x) = log G(e,e) - log G(e,x).
 
     Trees use the closed form d_G = |x| log q with the exact distance
-    chain.  Transient lattices use one killed solve from the origin on a
-    ball large enough for essentially all endpoints; endpoints beyond the
-    solver reach fall back to Monte Carlo hitting estimates.
+    chain.  Transient lattices draw the endpoints first, then make one CG
+    solve from the origin on the killed ball B(radius), with radius the
+    larger of a default reach and the largest sampled |X_n|_1, and read
+    every endpoint from that row, so G there is the killed G_Omega.  The
+    solve draws nothing, so the radius moves no draw.
     """
     n_list = _sizes("n_list", n_list)
     # the ci95 column needs a sample standard deviation
-    _sizes("trials", [trials], least=2)
+    (trials,) = _integers("trials", [trials], least=2)
+
+    def row(n: int, dg: np.ndarray) -> GreenSpeedRow:
+        return GreenSpeedRow(n, float(dg.mean()),
+                             1.96 * float(dg.std(ddof=1)) / math.sqrt(trials))
+
     if spec.variant == "free":
-        oracle = TreeGreenOracle(spec)
-        logq = math.log(oracle.q)
+        logq = math.log(TreeGreenOracle(spec).q)
         lengths = batch_lengths(spec, mu, n_list[-1], trials, rng, n_list)
-        rows = []
-        for n in n_list:
-            dg = lengths[n].astype(np.float64) * logq / n
-            rows.append(GreenSpeedRow(n, float(dg.mean()),
-                                      1.96 * float(dg.std(ddof=1)) / math.sqrt(trials), 0))
-        return rows
+        return GreenSpeedReport([row(n, lengths[n].astype(np.float64) * logq / n)
+                                 for n in n_list])
     if spec.variant != "lattice" or spec.d < 3:
         raise ValueError("Green-speed estimates need a transient backend "
                          "with a Green oracle")
     n_max = n_list[-1]
-    if reach is None:
-        # |X_n|_1 has mean sqrt(6n/pi) and variance n (1 - 2/pi); reach at
-        # +4.5 sd keeps the MC fallback probability ~1e-5 per endpoint
-        mean_l1 = math.sqrt(6.0 * n_max / math.pi)
-        sd_l1 = math.sqrt(n_max * (1.0 - 2.0 / math.pi))
-        reach = int(mean_l1 + 4.5 * sd_l1) + 2
-    omega = ball_domain(spec, mu, reach, with_boundary=False)
-    table = killed_green_solve(omega, [identity(spec)], mu, tol, method="cg")
-    origin_row = table.row(identity(spec))
-    gee = table.green(identity(spec), identity(spec))
     snaps = _batch_positions(spec, mu, n_max, trials, rng, n_list)
-    rows = []
-    for n in n_list:
-        pts = snaps[n]
-        pos = omega.positions(pts)
-        vals = np.empty(trials)
-        fallback = 0
-        for i in range(trials):
-            j = pos[i]
-            if j >= 0 and origin_row[j] > 0:
-                g = origin_row[j]
-            else:
-                fallback += 1
-                x = tuple(int(c) for c in pts[i])
-                est = mc_hitting_green(spec, mu, identity(spec), x,
-                                       trials=400, rng=rng, gee=gee,
-                                       path_cap=min(green_mod.default_path_cap(spec, reach),
-                                                    200_000))
-                g = max(est.value, 1e-300)
-            vals[i] = (math.log(gee) - math.log(g)) / n
-        rows.append(GreenSpeedRow(n, float(vals.mean()),
-                                  1.96 * float(vals.std(ddof=1)) / math.sqrt(trials),
-                                  fallback))
-    return rows
+    # |X_n|_1 has mean sqrt(6n/pi) and variance n (1 - 2/pi).  The default
+    # reach, 4.5 sd above the mean, holds most samples, and the values read
+    # from a ball depend on its radius, so every such sample sees one ball
+    mean_l1 = math.sqrt(6.0 * n_max / math.pi)
+    sd_l1 = math.sqrt(n_max * (1.0 - 2.0 / math.pi))
+    radius = max(int(mean_l1 + 4.5 * sd_l1) + 2,
+                 *(int(np.abs(p).sum(axis=1).max()) for p in snaps.values()))
+    e = identity(spec)
+    table = killed_green_solve(ball_domain(spec, mu, radius, with_boundary=False),
+                               [e], mu, method="cg")
+    log_gee = math.log(table.green(e, e))
+    rows = [row(n, (log_gee - np.log(table.row_at(e, snaps[n]))) / n)
+            for n in n_list]
+    return GreenSpeedReport(rows, radius, table)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +402,7 @@ def truncated_coordinate_moments(mu: StepMeasure, n_list, trials: int,
     radius law."""
     if mu.spec.variant != "heisenberg" or mu.kind != "shell":
         raise ValueError("coordinate moments target the Heisenberg shell law")
-    _sizes("trials", [trials])
+    (trials,) = _integers("trials", [trials])
     rows = []
     for n in _sizes("n_list", n_list):
         snaps = _batch_positions(mu.spec, mu, n, trials, rng, [n], truncate_at=n)

@@ -399,13 +399,13 @@ def test_criterion_13_green_speed(z3_srw):
     t0 = time.time()
     failures = []
     rng = derive_stream(1313, "accept-green-speed")
-    rows = walks.green_speed_estimate(Z3, z3_srw, [100, 1000], 2000, rng)
+    rows = walks.green_speed_estimate(Z3, z3_srw, [100, 1000], 2000, rng).rows
     v100, v1000 = rows[0].mean, rows[1].mean
     check(failures, v1000 < 0.05, f"Z^3 mean at n=1e3 is {v1000:.4f} >= 0.05")
     check(failures, v1000 < v100,
           f"Z^3 mean not decreasing: {v100:.4f} -> {v1000:.4f}")
     rng2 = derive_stream(1314, "accept-green-speed-f2")
-    f2_rows = walks.green_speed_estimate(F2, srw(F2), [2000], 2000, rng2)
+    f2_rows = walks.green_speed_estimate(F2, srw(F2), [2000], 2000, rng2).rows
     target = np.log(3.0) / 2
     check(failures, abs(f2_rows[0].mean - target) < 0.05,
           f"F_2 value {f2_rows[0].mean:.4f} not within 0.05 of {target:.4f}")

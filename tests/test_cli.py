@@ -460,11 +460,16 @@ PROBE_CFG = {"kind": "increment-probe", "backend": "Heis3",
              "measure": {"type": "srw"}, "n": 10, "trials": 5}
 DISPERSION_CFG = {"kind": "dispersion", "measure": {"type": "stable", "alpha": 1.0},
                   "shift": 1, "n_list": [16], "cap": 4000}
+TABLE_CFG = {"kind": "green-table", "backend": "Z^3", "measure": {"type": "srw"},
+             "radius": 2, "sources": ["0,0,0"]}
+SCAN_CFG = {"kind": "delta-scan", "backend": "Z^3", "measure": {"type": "srw"},
+            "scales": [2]}
 
 
 class TestInvalidMonteCarloSizes:
-    # each of these raised a traceback (status 1), printed a bare message or
-    # wrote a wrong row before the sizes were checked
+    # each of these raised a traceback (status 1), printed a bare message,
+    # named no key or wrote a wrong row (a non-integer size was truncated)
+    # before the sizes were checked
     @pytest.mark.parametrize("cfg, key", [
         (dict(PROBE_CFG, checkpoints=[20]), "checkpoints"),
         (dict(PROBE_CFG, checkpoints=[0, 10]), "checkpoints"),
@@ -476,10 +481,18 @@ class TestInvalidMonteCarloSizes:
           "n_list": [5], "trials": 1}, "trials"),
         (dict(DISPERSION_CFG, n_list=[0, 16]), "n_list"),
         (dict(DISPERSION_CFG, n_list=[-4, 4]), "n_list"),
+        (dict(SPEED_CFG, n_list=[10.5]), "n_list"),
+        (dict(SPEED_CFG, trials=20.5), "trials"),
+        (dict(TABLE_CFG, radius=2.5), "radius"),
+        (dict(TABLE_CFG, radius=-1), "radius"),
+        (dict(SCAN_CFG, scales=[2, 0]), "scales"),
+        (dict(SCAN_CFG, scales=[-1]), "scales"),
     ], ids=["checkpoint-above-n", "checkpoint-zero", "negative-n",
             "zero-trials", "zero-in-n-list", "negative-n-list",
             "green-speed-one-trial", "dispersion-zero-in-n-list",
-            "dispersion-negative-n-list"])
+            "dispersion-negative-n-list", "non-integer-n-list",
+            "non-integer-trials", "non-integer-radius", "negative-radius",
+            "zero-scale", "negative-scale"])
     def test_exits_2_without_output(self, cfg, key, tmp_path, capsys):
         out = tmp_path / "out.csv"
         path = write_config(tmp_path / "cfg.json", dict(cfg, output=str(out)))

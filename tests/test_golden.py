@@ -43,6 +43,10 @@ CONFIGS = {
     "green_speed_z3": {"kind": "green-speed", "backend": "Z^3",
                        "measure": {"type": "srw"}, "n_list": [10, 40],
                        "trials": 300},
+    # its sample reaches |x|_1 = 30, past the default ball B(27)
+    "green_speed_z3_wide": {"kind": "green-speed", "backend": "Z^3",
+                            "measure": {"type": "srw"}, "n_list": [10, 40],
+                            "trials": 1000},
     "dispersion_stable": {"kind": "dispersion",
                           "measure": {"type": "stable", "alpha": 1.0},
                           "shift": 1, "n_list": [16, 64, 256], "cap": 20000,
@@ -113,6 +117,18 @@ def test_body_matches_golden(name, tmp_path):
     body, meta = run_report(name, str(tmp_path))
     assert body == want
     assert meta == want_meta
+
+
+@pytest.mark.parametrize("name, radius", [("green_speed_z3", 27),
+                                          ("green_speed_z3_wide", 30)])
+def test_green_speed_meta_records_the_ball(name, radius, tmp_path):
+    # the killed ball is the larger of the default B(27) and the sample's
+    # reach; the meta line records it with the solver
+    run_report(name, str(tmp_path))
+    meta = read_report(os.path.join(str(tmp_path), f"{name}.csv"))[0]
+    assert meta["radius"] == radius
+    assert meta["solver"]["method"] == "cg"
+    assert meta["solver"]["iterations"][0] > 0
 
 
 def test_every_kind_has_golden():

@@ -584,17 +584,18 @@ class TestMonteCarlo:
         gee, ci = mc_green_diagonal(F2, srw(F2), 10 ** 4, 400, rng)
         assert abs(gee - 1.5) < 3 * ci / 1.96 + 1e-3
 
-    def test_cross_method_z3_twenty_pairs(self):
-        # MC hitting against Watson's exact G within the MC error on 20
-        # random targets
-        mu = srw(Z3)
-        rng = derive_stream(11, "mc-z3")
-        rng2 = derive_stream(12, "mc-z3-pairs")
-        els = [g for g in ball_domain(Z3, mu, 3).elements if g != E3]
-        picks = [els[int(i)] for i in rng2.integers(0, len(els), size=20)]
-        for x in picks:
-            est = mc_hitting_green(Z3, mu, E3, x, 20000, rng, gee=WATSON_G00)
-            assert abs(est.value - z3_green(x)) < est.ci95 + est.bias_bound + 0.005
+    def test_lazy_tree_estimates(self):
+        # a lazy walk stays put with probability 1/2, so it visits each
+        # vertex twice as often: G = gee / (1 - 1/2), while F is unchanged
+        mu = lazy_transform(srw(F2), 0.5)
+        gee = TreeGreenOracle(F2).gee() / (1 - 0.5)
+        est, ci = mc_green_diagonal(F2, mu, 10 ** 4, 400, derive_stream(9, "mc-lazy"))
+        assert abs(est - gee) < 3 * ci / 1.96 + 1e-3
+        # G(e, a) = gee / 3 = 1, within about 3 standard errors of an
+        # estimate that multiplies two estimates
+        hit = mc_hitting_green(F2, mu, (), (1,), 10 ** 4,
+                               derive_stream(10, "mc-lazy"))
+        assert abs(hit.value - gee / 3) < 0.05
 
     def test_cross_method_f2_twenty_pairs(self):
         # closed-form tree values against MC hitting on 20 random targets
@@ -625,9 +626,20 @@ class TestMonteCarlo:
             np.power(float(q), -path[-1][~hit].astype(np.float64)))) / walkers
 
     def test_bias_flag_when_cap_too_small(self):
+        # two steps cannot reach a vertex at distance 3
         rng = derive_stream(3, "mc-capped")
-        est = mc_hitting_green(Z3, srw(Z3), E3, (2, 0, 0), 4000, rng, path_cap=4)
-        assert est.bias_bound > 0
+        est = mc_hitting_green(F2, srw(F2), (), (1, 2, 1), 4000, rng, path_cap=2)
+        assert est.hit_fraction == 0.0
+        assert est.bias_bound > 0 and est.bias_flag
+
+    @pytest.mark.parametrize("spec", [Z3, HEIS], ids=["Z3", "Heis3"])
+    def test_off_trees_raise(self, spec):
+        rng = derive_stream(3, "mc-off-tree")
+        e = groups.identity(spec)
+        with pytest.raises(ValueError, match="trees only"):
+            mc_green_diagonal(spec, srw(spec), 10, 10, rng)
+        with pytest.raises(ValueError, match="trees only"):
+            mc_hitting_green(spec, srw(spec), e, (1, 0, 0), 10, rng, gee=1.0)
 
 
 # reduced words of F_2 of length at most 6

@@ -322,27 +322,20 @@ class TestGreenSpeed:
     def test_f2_single_step_sanity(self):
         # at n = 1 the mean equals E d_G(e, S_1) = log 3 exactly on the tree
         rng = derive_stream(14, "gs-f2")
-        rows = green_speed_estimate(F2, srw(F2), [1], 500, rng)
+        rows = green_speed_estimate(F2, srw(F2), [1], 500, rng).rows
         assert rows[0].mean == pytest.approx(np.log(3.0), abs=1e-12)
 
     def test_f2_limit(self):
         rng = derive_stream(15, "gs-f2-limit")
-        rows = green_speed_estimate(F2, srw(F2), [2000], 500, rng)
+        rows = green_speed_estimate(F2, srw(F2), [2000], 500, rng).rows
         assert abs(rows[0].mean - np.log(3.0) / 2) < 0.05
 
     def test_z3_small_scale(self):
         # quick version (acceptance runs n up to 1e3): decreasing and small
         rng = derive_stream(16, "gs-z3")
-        rows = green_speed_estimate(Z3, srw(Z3), [50, 200], 300, rng, reach=60)
+        rows = green_speed_estimate(Z3, srw(Z3), [50, 200], 300, rng).rows
         assert rows[1].mean < rows[0].mean
         assert rows[1].mean < 0.15
-
-    def test_mc_fallback_path(self):
-        # tiny reach forces the Monte Carlo fallback for far endpoints
-        rng = derive_stream(17, "gs-fallback")
-        rows = green_speed_estimate(Z3, srw(Z3), [60], 40, rng, reach=12)
-        assert rows[0].mc_fallback_points > 0
-        assert np.isfinite(rows[0].mean)
 
 
 class TestDispersion:
