@@ -257,23 +257,31 @@ def _dispersion(cfg, *_):
     desc = cfg["measure"]
     z_spec = groups.integer_lattice(1)
     mu = build_measure(z_spec, desc)
-    cap = int(cfg.get("cap", 2 * 10 ** 5))
-    pmf = mu.to_pmf_on_z(cap)
-    curve = walks.tv_dispersion_z(pmf, int(cfg["shift"]), cfg["n_list"], cap)
+    (cap,) = walks._integers("cap", [cfg.get("cap", 2 * 10 ** 5)])
+    (shift,) = walks._integers("shift", [cfg["shift"]], least=None)
+    product = "product_shift" in cfg
+    if product:
+        (pcap,) = walks._integers("product_cap",
+                                  [cfg.get("product_cap", 10 ** 5)])
+        pshift = tuple(walks._integers("product_shift", cfg["product_shift"],
+                                       least=None))
+        if len(pshift) != 2:
+            raise ConfigError(
+                f"product_shift must be two integers, got {list(pshift)}")
+    # the pmf is passed, not kept, so the chain holds one power at a time
+    curve = walks.tv_dispersion_z(mu.to_pmf_on_z(cap), shift, cfg["n_list"], cap)
     for n, tv, dt in curve.rows:
         if tv > 1.0 + 2 * dt + 1e-12:
             raise ContradictionError(f"TV {tv} exceeds 1 at n={n}")
     columns = ["n", "tv", "delta_trunc"]
     rows = [[n, tv, dt] for n, tv, dt in curve.rows]
-    if "product_shift" in cfg:
-        h_pmf = measures.lazy_transform(
-            measures.uniform_on_generators(groups.standard_generators(z_spec)),
-            0.5).to_pmf_on_z(max(cfg["n_list"]) + 1)
-        pcap = int(cfg.get("product_cap", 10 ** 5))
-        prod = walks.product_dispersion_bound(h_pmf, mu.to_pmf_on_z(pcap),
-                                              tuple(cfg["product_shift"]),
-                                              cfg["n_list"], max(cfg["n_list"]) + 1,
-                                              pcap)
+    if product:
+        cap_h = curve.rows[-1][0] + 1
+        h_mu = measures.lazy_transform(
+            measures.uniform_on_generators(groups.standard_generators(z_spec)), 0.5)
+        prod = walks.product_dispersion_bound(h_mu.to_pmf_on_z(cap_h),
+                                              mu.to_pmf_on_z(pcap), pshift,
+                                              cfg["n_list"], cap_h, pcap)
         columns += ["tv_h", "tv_z", "tv_product", "slack"]
         for i, row in enumerate(prod):
             if row.slack < -(row.error_budget * 2 + 1e-12):

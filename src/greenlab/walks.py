@@ -43,17 +43,20 @@ BLOCK_STEPS = 2 ** 16
 # Batched walkers (exact in law, vectorised over trials)
 # ---------------------------------------------------------------------------
 
-def _integers(key: str, values, least: int = 1) -> list:
+def _integers(key: str, values, least: Optional[int] = 1) -> list:
     """`values` as ints, in their order, if there is one and each is an
-    integer at least `least`; otherwise a ValueError naming the config key
-    they come from.  An integral float such as 10.0 passes; 10.5 does not."""
+    integer at least `least` (any integer if least is None); otherwise a
+    ValueError naming the config key they come from.  An integral float
+    such as 10.0 passes; 10.5 does not."""
     vals = list(values)
+    floor = -math.inf if least is None else least
     try:
-        ok = bool(vals) and all(int(v) == v >= least for v in vals)
+        ok = bool(vals) and all(int(v) == v >= floor for v in vals)
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
-        raise ValueError(f"{key} must be integers >= {least}, got {vals}")
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{key} must be integers{bound}, got {vals}")
     return [int(v) for v in vals]
 
 
@@ -327,12 +330,19 @@ def tv_dispersion_z(pmf: PmfOnZ, shift: int, n_list, cap: int) -> DispersionCurv
     3 cap + 1 on a full window, which wraps nothing into the kept indices
     [a, b], so the window holds the linear convolution's values.  The
     checkpoints are streamed: TV is taken from each power as it is
-    reached, so one power is held at a time.  Periodic supports (gcd of
-    support differences > 1) are computed but flagged."""
+    reached, and neither pmf nor a checkpoint is kept while the chain
+    squares, so one power is live at a time (self_convolution_powers)
+    if the caller passes pmf without keeping it (a temporary argument,
+    which CPython 3.11 and later hand to the callee).  Periodic supports
+    (gcd of support differences > 1) are computed but flagged."""
     n_list = _doubling_sizes(n_list)
     periodic = _support_gcd(pmf) > 1
-    rows = [(n, total_variation_shift(p, shift), p.delta_trunc)
-            for n, p in self_convolution_powers(pmf, n_list, cap)]
+    powers = self_convolution_powers(pmf, n_list, cap)
+    del pmf
+    rows = []
+    for n, p in powers:
+        rows.append((n, total_variation_shift(p, shift), p.delta_trunc))
+        del p
     return DispersionCurve(shift, rows, periodic)
 
 
@@ -350,18 +360,25 @@ def product_dispersion_bound(h_pmf: PmfOnZ, z_pmf: PmfOnZ, shift: tuple,
                              n_list, cap_h: int, cap_z: int) -> list:
     """Check TV_{HxZ}(n) <= TV_H(n) + TV_Z(n) for the product walk shifted
     by a central element (z_h, z_z); all three total variations computed
-    exactly on truncated supports."""
+    exactly on truncated supports.  As in tv_dispersion_z, neither input
+    nor a checkpoint is kept while the chains square."""
     zh, zz = shift
     n_list = _doubling_sizes(n_list)
+    h_powers = self_convolution_powers(h_pmf, n_list, cap_h)
+    z_powers = self_convolution_powers(z_pmf, n_list, cap_z)
+    del h_pmf, z_pmf
     rows = []
-    for (n, a), (_, b) in zip(self_convolution_powers(h_pmf, n_list, cap_h),
-                              self_convolution_powers(z_pmf, n_list, cap_z)):
+    # not zip, whose reused result tuple would hold the last pair while
+    # the next is squared
+    for n, a in h_powers:
+        _, b = next(z_powers)
         tv_h = total_variation_shift(a, zh)
         tv_z = total_variation_shift(b, zz)
         tv_prod = _tv_product_shift(a.vals, zh, b.vals, zz)
         budget = a.delta_trunc + b.delta_trunc
         rows.append(ProductDispersionRow(n, tv_prod, tv_h, tv_z,
                                          tv_h + tv_z - tv_prod, budget))
+        del a, b
     return rows
 
 

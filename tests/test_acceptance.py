@@ -368,8 +368,9 @@ def test_criterion_12_dispersion():
     failures = []
     mu = stable_z_measure(1.0)
     cap = 4_200_000
-    pmf = mu.to_pmf_on_z(cap)
-    curve = walks.tv_dispersion_z(pmf, 1, [2 ** k for k in range(4, 13)], cap)
+    # the pmf is passed, not kept, so the chain holds one power at a time
+    curve = walks.tv_dispersion_z(mu.to_pmf_on_z(cap), 1,
+                                  [2 ** k for k in range(4, 13)], cap)
     tvs = [tv for _, tv, _ in curve.rows]
     check(failures, all(a > b for a, b in zip(tvs, tvs[1:])),
           "TV not strictly decreasing over n = 2^4..2^12")

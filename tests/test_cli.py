@@ -344,6 +344,18 @@ class TestOtherKinds:
         _, header, rows = read_report(cfg["output"])
         assert "tv_product" in header
 
+    def test_dispersion_shift_may_be_any_integer(self, tmp_path):
+        # shifts of either sign (and an integral float) run; the TV of a
+        # symmetric law is the same at -1 as at 1
+        bodies = []
+        for shift in (1, -1, -1.0):
+            out = str(tmp_path / f"tv{shift}.csv")
+            path = write_config(tmp_path / "cfg.json",
+                                dict(DISPERSION_CFG, shift=shift, output=out))
+            assert run(path) == STATUS_OK
+            bodies.append([row[4:] for row in read_report(out)[2]])
+        assert bodies[0] == bodies[1] == bodies[2]
+
     def test_cone_kind(self, tmp_path):
         cfg = {"kind": "cone", "box": 30, "probes": [[2, 3]], "base": [1, 1],
                "n_list": [10, 15], "output": str(tmp_path / "cone.csv")}
@@ -487,12 +499,24 @@ class TestInvalidMonteCarloSizes:
         (dict(TABLE_CFG, radius=-1), "radius"),
         (dict(SCAN_CFG, scales=[2, 0]), "scales"),
         (dict(SCAN_CFG, scales=[-1]), "scales"),
+        (dict(DISPERSION_CFG, cap=16.9), "cap"),
+        (dict(DISPERSION_CFG, cap=0), "cap"),
+        (dict(DISPERSION_CFG, shift=1.5), "shift"),
+        (dict(DISPERSION_CFG, product_shift=[1, 1], product_cap=2.5),
+         "product_cap"),
+        (dict(DISPERSION_CFG, product_shift=[1, 1], product_cap=0),
+         "product_cap"),
+        (dict(DISPERSION_CFG, product_shift=[1, 0.5]), "product_shift"),
+        (dict(DISPERSION_CFG, product_shift=[1]), "product_shift"),
     ], ids=["checkpoint-above-n", "checkpoint-zero", "negative-n",
             "zero-trials", "zero-in-n-list", "negative-n-list",
             "green-speed-one-trial", "dispersion-zero-in-n-list",
             "dispersion-negative-n-list", "non-integer-n-list",
             "non-integer-trials", "non-integer-radius", "negative-radius",
-            "zero-scale", "negative-scale"])
+            "zero-scale", "negative-scale", "non-integer-cap", "zero-cap",
+            "non-integer-shift", "non-integer-product-cap",
+            "zero-product-cap", "non-integer-product-shift",
+            "one-product-shift"])
     def test_exits_2_without_output(self, cfg, key, tmp_path, capsys):
         out = tmp_path / "out.csv"
         path = write_config(tmp_path / "cfg.json", dict(cfg, output=str(out)))

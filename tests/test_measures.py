@@ -22,6 +22,7 @@ from greenlab.measures import (PmfOnZ, SAMPLE_HEAD, SHELL_SAMPLE_RADIUS_MAX,
                                stable_z_measure, total_variation_shift,
                                uniform_on_generators)
 
+Z1 = groups.integer_lattice(1)
 Z3 = groups.integer_lattice(3)
 F2 = groups.free_group(2)
 H = groups.heisenberg()
@@ -637,24 +638,20 @@ class TestConvolveZ:
         assert np.max(rest) < 1e-15
         assert c.delta_trunc == pytest.approx(0.25, abs=1e-14)
 
-    def test_twiddle_cache_interleaved_shapes_bit_identical(self):
-        # two shapes (three, to also evict), each called on a fresh cache,
-        # then interleaved on a shared one: every result the same bits
-        rng = np.random.default_rng(8)
-        calls = [(self.random_pmf(rng, 3000, -1500), 2000),
-                 (self.random_pmf(rng, 9000, -4000), 6000),
-                 (self.random_pmf(rng, 20000, -9000), 10 ** 5)]
-        fresh = []
-        for p, cap in calls:
-            measures._twiddles.cache_clear()
-            fresh.append(convolve_z(p, p, cap))
-        measures._twiddles.cache_clear()
-        for i in (0, 1, 0, 1, 2, 0, 2, 1):
-            p, cap = calls[i]
-            c = convolve_z(p, p, cap)
-            assert np.array_equal(c.vals, fresh[i].vals), i
-            assert (c.lo, c.delta_trunc) == (fresh[i].lo, fresh[i].delta_trunc)
-        assert measures._twiddles.cache_info().hits > 0
+    @pytest.mark.parametrize("n1, n2", [(3600, 3520), (75, 81)])
+    def test_factored_twiddles_within_4_ulp(self, n1, n2):
+        # the two small tables' product against the whole table
+        # exp(-2 pi i (k1 j2 mod N) / N) over the whole grid, in row blocks
+        tw = measures._Twiddles(n1, n2)
+        size = n1 * n2
+        worst = 0.0
+        for lo in range(0, n1 // 2 + 1, 64):
+            hi = min(lo + 64, n1 // 2 + 1)
+            k1 = np.arange(lo, hi, dtype=np.int64)[:, None]
+            angle = (k1 * np.arange(n2, dtype=np.int64) % size) * (-2.0 * np.pi / size)
+            whole = np.cos(angle) + 1j * np.sin(angle)
+            worst = max(worst, float(np.abs(tw.rows(lo, hi) - whole).max()))
+        assert worst <= 4 * np.finfo(np.float64).eps, worst
 
 
 class TestSelfConvolutionPowers:
@@ -730,6 +727,32 @@ class TestFirstMoment:
 
 
 class TestPmfOnZ:
+    @pytest.mark.parametrize("lazy", [0.0, 0.5])
+    def test_finite_window_matches_per_point_pmf(self, lazy):
+        # the support scattered into a zero window, against one pmf call
+        # per window point
+        mu = lazy_transform(srw(Z1), lazy)
+        for cap in (1, 2, 7):
+            got = mu.to_pmf_on_z(cap)
+            want = np.array([mu.pmf((k,)) for k in range(-cap, cap + 1)])
+            assert got.vals.tobytes() == want.tobytes()
+            assert (got.lo, got.delta_trunc) == (-cap, max(0.0, 1.0 - float(want.sum())))
+
+    @pytest.mark.parametrize("alpha, lazy", [(0.5, 0.0), (1.0, 0.0),
+                                             (1.0, 0.2), (1.7, 0.0)])
+    def test_stable_window_matches_power_expression(self, alpha, lazy):
+        # the in-place window, against c |k|^-(1+alpha) as a scalar product
+        # of a power of a converted copy
+        mu = lazy_transform(stable_z_measure(alpha), lazy)
+        cap = 1000
+        mag = np.abs(np.arange(-cap, cap + 1)).astype(np.float64)
+        with np.errstate(divide="ignore"):
+            want = mu.c_alpha * mag ** -(1.0 + alpha)
+        want[cap] = 0.0
+        want *= 1.0 - lazy
+        want[cap] += lazy
+        assert mu.to_pmf_on_z(cap).vals.tobytes() == want.tobytes()
+
     def test_mass_validation(self):
         with pytest.raises(ValueError):
             PmfOnZ(np.array([0.5, 0.4]), 0)    # mass 0.9, no delta

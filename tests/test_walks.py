@@ -4,12 +4,13 @@ the Heis3 centre's growth, quarter-plane ratios."""
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import greenlab
-from greenlab import groups, walks
+from greenlab import groups, measures, walks
 from greenlab.cli import STATUS_CONFIG, run
 from greenlab.measures import (PmfOnZ, StepMeasure, UNIT_MASS, lazy_transform,
                                pmf_from_dict, shell_measure, stable_z_measure,
@@ -366,6 +367,25 @@ class TestDispersion:
         c2 = tv_dispersion_z(pmf, -3, [16, 64], 5000)
         for (_, a, _), (_, b, _) in zip(c1.rows, c2.rows):
             assert a == pytest.approx(b, abs=1e-14)
+
+    def test_chain_peak_allocation(self):
+        # one live power: the pmf is passed without being kept, no
+        # checkpoint is held while the chain squares past it, and the
+        # twiddles are two small tables; so the peak is two arrays of the
+        # n1 x n2 grid and one window (the input of the squaring)
+        cap = 2 * 10 ** 5
+        mu = stable_z_measure(1.0)
+        # a full window squares at cyclic length 3 cap + 1 (this also loads
+        # scipy.fft before tracing starts)
+        n1, n2 = measures._four_step_shape(3 * cap + 1)
+        tracemalloc.start()
+        try:
+            tv_dispersion_z(mu.to_pmf_on_z(cap), 1, [16, 256, 4096], cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grid = 8 * n1 * n2
+        assert peak <= 8 * (2 * n1 * n2 + 2 * cap + 1) + 2 ** 20, peak / grid
 
     def test_non_power_checkpoint_rejected(self):
         pmf = pmf_from_dict({-1: 0.5, 1: 0.5})
