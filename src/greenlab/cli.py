@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -78,7 +77,9 @@ def build_measure(spec, desc: dict) -> measures.StepMeasure:
     if mtype == "srw":
         mu = measures.uniform_on_generators(groups.standard_generators(spec))
     elif mtype == "shell":
-        mu = measures.shell_measure(spec, int(desc.get("r0", 3)))
+        # an integer first; shell_measure then enforces r0 >= 3
+        (r0,) = walks._integers("r0", [desc.get("r0", 3)], least=None)
+        mu = measures.shell_measure(spec, r0)
     elif mtype == "stable":
         mu = measures.stable_z_measure(float(desc["alpha"]))
     else:
@@ -228,7 +229,8 @@ def _envelope(cfg, *_):
     spec = envelope.EnvelopeSpec(float(cfg["d_star"]), float(cfg["gamma"]),
                                  phi, alpha=float(cfg.get("alpha", 1.0)))
     lo, hi = cfg.get("r_decades", [0.5, 3.0])
-    ppd = int(cfg.get("points_per_decade", 4))
+    (ppd,) = walks._integers("points_per_decade",
+                             [cfg.get("points_per_decade", 4)])
     n_pts = max(2, int((hi - lo) * ppd) + 1)
     report = envelope.tr_alpha_ratio(spec, np.logspace(lo, hi, n_pts))
     rows = [[float(r), float(l), float(h), float(q)]
@@ -241,7 +243,7 @@ def _envelope(cfg, *_):
 
 def _speed(cfg, *_):
     spec, mu, mhash = _law(cfg)
-    stream = rngmod.derive_stream(int(cfg.get("seed", 0)), "speed")
+    stream = rngmod.derive_stream(cfg["seed"], "speed")
     table = walks.speed_in_probability(spec, mu, cfg["n_list"],
                                        cfg["eps_list"], cfg["trials"], stream)
     for n, eps, p, ci in table.rows:
@@ -294,7 +296,7 @@ def _dispersion(cfg, *_):
 
 def _green_speed(cfg, *_):
     spec, mu, mhash = _law(cfg, transient=True)
-    stream = rngmod.derive_stream(int(cfg.get("seed", 0)), "green-speed")
+    stream = rngmod.derive_stream(cfg["seed"], "green-speed")
     report = walks.green_speed_estimate(spec, mu, cfg["n_list"],
                                         cfg["trials"], stream)
     meta = {}
@@ -310,22 +312,32 @@ def _green_speed(cfg, *_):
 
 
 def _cone(cfg, *_):
-    probes = [tuple(p) for p in cfg["probes"]]
-    result = walks.cone_martin_experiment(int(cfg["box"]), probes,
-                                          tuple(cfg["base"]), cfg["n_list"])
-    table = result["table"]
+    """Ratios G_K(x, y_n) / G_K(x*, y_n) along the diagonal ray y_n = (n, n)
+    of the quadrant-killed walk, with their limits h(x)/h(x*) for the exact
+    killed-harmonic function h(x) = x1 x2."""
+    (box,) = walks._integers("box", [cfg["box"]])
+    n_list = walks._sizes("n_list", cfg["n_list"])
+    if n_list[-1] > box:
+        raise ConfigError(f"n_list must lie in [1, box = {box}], got {n_list}")
+    # the solve would read a coordinate 2.5 as 2 and label it 2.5
+    probes = [tuple(walks._integers("probes", p)) for p in cfg["probes"]]
+    base = tuple(walks._integers("base", cfg["base"]))
+    table = green.quadrant_killed_green(box, probes + [base])
+    rows = []
+    for n in n_list:
+        denom = table.green(base, (n, n))
+        rows.append([n] + [table.green(p, (n, n)) / denom for p in probes])
     return Report("Z^2-quadrant", "-",
-                  ["n"] + [f"ratio_{p[0]}_{p[1]}" for p in probes],
-                  [[row.n] + row.ratios for row in result["rows"]],
-                  {"limits": result["limits"],
-                   "harmonicity_defect": result["harmonicity_defect"],
+                  ["n"] + [f"ratio_{p[0]}_{p[1]}" for p in probes], rows,
+                  {"limits": [p[0] * p[1] / (base[0] * base[1]) for p in probes],
+                   "harmonicity_defect": green.quadrant_harmonicity_defect(box),
                    "solver": _solver_record(table, table.sources),
-                   "residual": result["residual"]})
+                   "residual": float(table.residuals.max())})
 
 
 def _increment_probe(cfg, *_):
     spec, mu, mhash = _law(cfg)
-    stream = rngmod.derive_stream(int(cfg.get("seed", 0)), "increment-probe")
+    stream = rngmod.derive_stream(cfg["seed"], "increment-probe")
     checkpoints = cfg.get("checkpoints", [cfg["n"]])
     report = walks.increment_ratio_max(mu, cfg["n"], cfg["trials"], stream,
                                        checkpoints)
@@ -336,7 +348,8 @@ def _increment_probe(cfg, *_):
 
 def _on_diagonal(cfg, *_):
     spec, mu, mhash = _law(cfg)
-    report = envelope.on_diagonal_probe(spec, mu, int(cfg["m_max"]))
+    (m_max,) = walks._integers("m_max", [cfg["m_max"]])
+    report = envelope.on_diagonal_probe(spec, mu, m_max)
     return Report(cfg["backend"], mhash, ["m", "p_2m"],
                   [[int(m), float(p)] for m, p in zip(report.m_values, report.p2m)],
                   {"beta_hat": report.beta_hat, "rate": report.rate,
@@ -377,19 +390,22 @@ KINDS = {
 # ---------------------------------------------------------------------------
 
 def run(config_path: str, cache_dir=None, seed=None,
-        force_recompute: bool = False, emit_plot_script: bool = False) -> int:
+        force_recompute: bool = False) -> int:
     try:
         cfg = load_config(config_path)
         if seed is not None:
-            cfg["seed"] = int(seed)
-    except ConfigError as exc:
+            cfg["seed"] = seed
+        # one check for the config's and the override's seed: the base
+        # column and every derive_stream call read this int
+        (cfg["seed"],) = walks._integers("seed", [cfg.get("seed", 0)], least=0)
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return STATUS_CONFIG
     if cache_dir is None:
         cache_dir = cache.default_cache_dir()
     try:
         rep = KINDS[cfg["kind"]].run(cfg, cache_dir, force_recompute)
-        base = {"seed": cfg.get("seed", 0), "version": __version__,
+        base = {"seed": cfg["seed"], "version": __version__,
                 "backend": rep.backend, "measure_hash": rep.measure_hash}
         reporting.emit_report(
             [list(base.values()) + list(row) for row in rep.rows],
@@ -407,35 +423,7 @@ def run(config_path: str, cache_dir=None, seed=None,
     except (KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return STATUS_CONFIG
-    if emit_plot_script:
-        _write_plot_script(cfg["output"])
     return STATUS_OK
-
-
-def _write_plot_script(csv_path: str) -> None:
-    script = csv_path + ".plot.py"
-    with open(script, "w", encoding="utf-8") as fh:
-        fh.write(f'''"""Quick-look plot for {os.path.basename(csv_path)}."""
-import csv
-import matplotlib.pyplot as plt
-
-with open({csv_path!r}) as fh:
-    lines = [l for l in fh if not l.startswith("#")]
-reader = csv.reader(lines)
-header = next(reader)
-rows = list(reader)
-xcol = 4                       # first experiment-specific column
-fig, ax = plt.subplots()
-for col in range(xcol + 1, len(header)):
-    try:
-        ys = [float(r[col]) for r in rows]
-    except ValueError:
-        continue
-    ax.plot([float(r[xcol]) for r in rows], ys, marker="o", label=header[col])
-ax.set_xlabel(header[xcol])
-ax.legend()
-fig.savefig({csv_path!r} + ".png", dpi=150)
-''')
 
 
 def main(argv=None) -> int:
@@ -447,12 +435,10 @@ def main(argv=None) -> int:
     runp.add_argument("--cache-dir", default=None)
     runp.add_argument("--seed", type=int, default=None)
     runp.add_argument("--force-recompute", action="store_true")
-    runp.add_argument("--emit-plot-script", action="store_true")
     args = parser.parse_args(argv)
     if args.command == "run":
         return run(args.config, cache_dir=args.cache_dir, seed=args.seed,
-                   force_recompute=args.force_recompute,
-                   emit_plot_script=args.emit_plot_script)
+                   force_recompute=args.force_recompute)
     return STATUS_CONFIG
 
 

@@ -80,22 +80,8 @@ class EnvelopeSpec:
 # Near-diagonal tail
 # ---------------------------------------------------------------------------
 
-def near_diag_tail(spec: EnvelopeSpec, m: int, horizon: int) -> tuple:
-    """A(m) = sum_{n >= m} n^{-d*/gamma}: partial sum to the horizon plus an
-    integral remainder bound; (value, tail_bound) brackets the true sum
-    inside [value, value + tail_bound]."""
-    s = spec.d_star / spec.gamma
-    if s <= 1:
-        raise ValueError("non-transient exponents")
-    if horizon < m:
-        raise ValueError("horizon must be at least m")
-    value = _range_sum(lambda n: n ** -s, m, horizon + 1)
-    tail_bound = horizon ** (1.0 - s) / (s - 1.0)
-    return value, tail_bound
-
-
 def near_diag_tail_exact(spec: EnvelopeSpec, m: int) -> float:
-    """Hurwitz-zeta evaluation of A(m) (cross-check oracle)."""
+    """A(m) as the Hurwitz zeta value zeta(d*/gamma, m)."""
     return float(special.zeta(spec.d_star / spec.gamma, m))
 
 

@@ -1,6 +1,6 @@
 """Certificate functionals over Green tables: the Green-variation functional,
 the exit-measure variation functional, their comparison band, Martin kernels,
-the Green metric, and decay-rate fits.
+and decay-rate fits.
 
 All Green access goes through a provider with one method,
 ``bracket_row(a, xs) -> (values, lowers, uppers)``: G(a, x) for every x in
@@ -19,9 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import groups
 from .green import Domain, exit_distribution
-from .groups import GroupSpec, identity, inv, mul
+from .groups import GroupSpec, identity, mul
 from .measures import StepMeasure
 
 
@@ -260,30 +259,7 @@ def tree_martin_kernel(spec: GroupSpec, ray_prefix: tuple, x: tuple) -> Fraction
 
 
 # ---------------------------------------------------------------------------
-# Green metric
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GreenDistance:
-    value: float
-    lower: float
-    upper: float
-
-
-def green_distance(spec: GroupSpec, x, y, provider) -> GreenDistance:
-    """d_G(x, y) = log G(e,e) - log G(x, y), with interval propagation."""
-    e = identity(spec)
-    gee, lo_e, hi_e = _point(provider, e, e)
-    gxy, lo_xy, hi_xy = _point(provider, x, y)
-    if lo_xy <= 0.0 or lo_e <= 0.0:
-        raise DegenerateBracketError("bracket touches zero")
-    return GreenDistance(float(np.log(gee) - np.log(gxy)),
-                         float(np.log(lo_e) - np.log(hi_xy)),
-                         float(np.log(hi_e) - np.log(lo_xy)))
-
-
-# ---------------------------------------------------------------------------
-# Rate fits and the elliptic exhaustion probe
+# Rate fits
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -310,43 +286,3 @@ def delta_rate_fit(scan: DeltaScan, d_ab: float) -> RateFit:
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 0.0
     return RateFit(float(slope), float(np.exp(intercept)), r2, False)
-
-
-def ehe_probe(domains: list, a, b, alpha: float, provider,
-              theta: float = 0.5) -> dict:
-    """Empirical uniform interior Hoelder constant for the Green family:
-    sup over admissible scales k and boundary x of
-    |G(a,x) - G(b,x)| / ((d(a,b)/R_k)^alpha min(G(a,x), G(b,x))).
-
-    Scales with d(a,b) > theta R_k are skipped (deep-interior regime).
-    Returns per-scale sups and their running overall sup.
-    """
-    if a == b:
-        return {"sup": 0.0, "per_scale": [], "skipped": len(domains)}
-    spec = domains[0].spec
-    d_ab = groups.word_length(spec, mul(spec, inv(spec, a), b))
-    per_scale = []
-    skipped = 0
-    overall = 0.0
-    for dom in domains:
-        rk = _boundary_distance(spec, dom, a, b)
-        if d_ab > theta * rk:
-            skipped += 1
-            continue
-        ga = provider.bracket_row(a, dom.boundary)[0]
-        gb = provider.bracket_row(b, dom.boundary)[0]
-        ratio = np.abs(ga - gb) / ((d_ab / rk) ** alpha * np.minimum(ga, gb))
-        worst = float(ratio.max(initial=0.0))
-        per_scale.append((rk, worst))
-        overall = max(overall, worst)
-    return {"sup": overall, "per_scale": per_scale, "skipped": skipped}
-
-
-def _boundary_distance(spec: GroupSpec, dom: Domain, a, b) -> int:
-    """R(S; a, b) = dist({a,b}, boundary S) in the word metric."""
-    best = None
-    for x in dom.boundary:
-        for p in (a, b):
-            d = groups.word_length(spec, mul(spec, inv(spec, p), x))
-            best = d if best is None else min(best, d)
-    return best

@@ -237,24 +237,6 @@ class BfsTable:
             raise OutOfRangeError(f"{g!r} beyond BFS radius {self.r_max}")
 
 
-def fit_bilipschitz(table: BfsTable) -> tuple:
-    """Smallest A on a half-integer grid (with its B) such that
-    A^{-1} N(g) - B <= |g| <= A N(g) + B holds over the whole table."""
-    pairs = [(homogeneous_quasi_norm(g), L) for g, L in table.dist.items()]
-    best = None
-    a = 1.0
-    while a <= 8.0:
-        b = 0.0
-        for n, L in pairs:
-            b = max(b, n / a - L, L - a * n)
-        if best is None or (b < best[1] - 1e-9):
-            best = (a, b)
-        if b == 0:
-            break
-        a += 0.5
-    return best
-
-
 # Radius of the BFS table behind word_length on backends without a formula.
 WORD_TABLE_RADIUS = 14
 

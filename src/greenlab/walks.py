@@ -1,7 +1,6 @@
 """Trajectory simulation and asymptotics experiments: speed in probability,
 increment-ratio diagnostics, Green-speed estimates, total-variation
-dispersion along the centre, truncated coordinate moments, and the
-quarter-plane Martin-ratio experiment.
+dispersion along the centre, and truncated coordinate moments.
 
 All Monte Carlo runs are vectorised over trials and draw from generators
 derived deterministically from a master seed (see rng.derive_stream).
@@ -23,7 +22,6 @@ import math
 import numpy as np
 
 from . import groups, thread_map
-from . import green as green_mod
 from .green import (GreenTable, TreeGreenOracle, ball_domain,
                     killed_green_solve, tree_distance_chain)
 from .groups import GroupSpec, identity
@@ -163,6 +161,13 @@ def speed_in_probability(spec: GroupSpec, mu: StepMeasure, n_list, eps_list,
     construction)."""
     n_list = _sizes("n_list", n_list)
     (trials,) = _integers("trials", [trials])
+    eps_list = list(eps_list)
+    try:
+        ok = bool(eps_list) and all(math.isfinite(e) and e >= 0 for e in eps_list)
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"eps_list must be finite numbers >= 0, got {eps_list}")
     lengths = batch_lengths(spec, mu, n_list[-1], trials, rng, n_list)
     mode = "quasi_norm" if spec.variant == "heisenberg" else "exact"
     rows = []
@@ -446,34 +451,3 @@ def _shell_tail_probability(mu: StepMeasure, x: int) -> float:
         return keep * (1.0 - UNIT_MASS)
     head = _range_sum(_shell_f, mu.r0, x + 1)
     return keep * (1.0 - UNIT_MASS) * (1.0 - mu.shell_norm * head)
-
-
-# ---------------------------------------------------------------------------
-# Quarter-plane Martin ratios
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ConeRatioRow:
-    n: int
-    ratios: list                   # G_K(x, (n,n)) / G_K(x*, (n,n)) per probe
-
-
-def cone_martin_experiment(box: int, probes: list, base: tuple,
-                           n_list) -> dict:
-    """Ratios G_K(x, y_n) / G_K(x*, y_n) along the diagonal ray y_n = (n, n)
-    of the quadrant-killed walk, compared to h(x)/h(x*) for the exact
-    killed-harmonic function h(x) = x1 x2; also returns the solved table
-    and its largest residual."""
-    probes, base = [tuple(p) for p in probes], tuple(base)
-    table = green_mod.quadrant_killed_green(box, probes + [base])
-    rows = []
-    for n in sorted(set(int(n) for n in n_list)):
-        if not (1 <= n <= box):
-            raise ValueError("ray point outside the box")
-        y = (n, n)
-        denom = table.green(base, y)
-        rows.append(ConeRatioRow(n, [table.green(p, y) / denom for p in probes]))
-    limits = [p[0] * p[1] / (base[0] * base[1]) for p in probes]
-    return {"rows": rows, "limits": limits, "table": table,
-            "harmonicity_defect": green_mod.quadrant_harmonicity_defect(box),
-            "residual": float(table.residuals.max())}

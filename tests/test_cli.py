@@ -368,6 +368,14 @@ class TestOtherKinds:
         assert 0.0 <= meta["residual"] < 1e-8
         assert "homogeneity_degree" not in meta
 
+    def test_cone_probe_equal_to_base_has_ratio_one(self, tmp_path):
+        cfg = {"kind": "cone", "box": 30, "probes": [[1, 1]], "base": [1, 1],
+               "n_list": [5, 10], "output": str(tmp_path / "cone.csv")}
+        assert run(write_config(tmp_path / "cfg.json", cfg)) == STATUS_OK
+        meta, header, rows = read_report(cfg["output"])
+        assert header[-1] == "ratio_1_1" and meta["limits"] == [1.0]
+        assert [float(r[-1]) for r in rows] == pytest.approx([1.0, 1.0], abs=1e-12)
+
     def test_on_diagonal_kind(self, tmp_path):
         cfg = {"kind": "on-diagonal", "backend": "F_2",
                "measure": {"type": "srw"}, "m_max": 8,
@@ -449,13 +457,6 @@ class TestOtherKinds:
         monkeypatch.setattr(cli.walks, "tv_dispersion_z", bogus)
         assert run(path) == STATUS_CONTRADICTION
 
-    def test_emit_plot_script(self, tmp_path):
-        cfg = f2_delta_config(tmp_path)
-        path = write_config(tmp_path / "cfg.json", cfg)
-        assert run(path, cache_dir=str(tmp_path / "c"),
-                   emit_plot_script=True) == STATUS_OK
-        assert os.path.exists(cfg["output"] + ".plot.py")
-
     def test_seed_override(self, tmp_path):
         cfg = {"kind": "speed", "backend": "Z^3", "measure": {"type": "srw"},
                "n_list": [50], "eps_list": [0.5], "trials": 100, "seed": 3,
@@ -476,12 +477,18 @@ TABLE_CFG = {"kind": "green-table", "backend": "Z^3", "measure": {"type": "srw"}
              "radius": 2, "sources": ["0,0,0"]}
 SCAN_CFG = {"kind": "delta-scan", "backend": "Z^3", "measure": {"type": "srw"},
             "scales": [2]}
+CONE_CFG = {"kind": "cone", "box": 20, "probes": [[2, 3]], "base": [1, 1],
+            "n_list": [10]}
+DIAGONAL_CFG = {"kind": "on-diagonal", "backend": "F_2",
+                "measure": {"type": "srw"}, "m_max": 6}
+ENVELOPE_CFG = {"kind": "envelope", "d_star": 3, "gamma": 2,
+                "phi": {"kind": "polynomial", "delta": 5.0}}
 
 
 class TestInvalidMonteCarloSizes:
     # each of these raised a traceback (status 1), printed a bare message,
-    # named no key or wrote a wrong row (a non-integer size was truncated)
-    # before the sizes were checked
+    # named no key or the wrong fault, or wrote a wrong row (a non-integer
+    # size was truncated) before the sizes were checked
     @pytest.mark.parametrize("cfg, key", [
         (dict(PROBE_CFG, checkpoints=[20]), "checkpoints"),
         (dict(PROBE_CFG, checkpoints=[0, 10]), "checkpoints"),
@@ -508,6 +515,19 @@ class TestInvalidMonteCarloSizes:
          "product_cap"),
         (dict(DISPERSION_CFG, product_shift=[1, 0.5]), "product_shift"),
         (dict(DISPERSION_CFG, product_shift=[1]), "product_shift"),
+        (dict(CONE_CFG, box=16.9), "box"),
+        (dict(CONE_CFG, n_list=[8, 10.5]), "n_list"),
+        (dict(CONE_CFG, n_list=[25]), "n_list"),
+        (dict(CONE_CFG, probes=[[2.5, 3]]), "probes"),
+        (dict(CONE_CFG, base=[1, 0]), "base"),
+        (dict(DIAGONAL_CFG, m_max=6.7), "m_max"),
+        (dict(ENVELOPE_CFG, points_per_decade=2.5), "points_per_decade"),
+        (dict(SPEED_CFG, seed=3.7), "seed"),
+        (dict(SPEED_CFG, seed=-1), "seed"),
+        (dict(SPEED_CFG, measure={"type": "shell", "r0": 2.5}), "r0"),
+        (dict(SPEED_CFG, eps_list=[]), "eps_list"),
+        (dict(SPEED_CFG, eps_list=[0.5, float("nan")]), "eps_list"),
+        (dict(SPEED_CFG, eps_list=[-1]), "eps_list"),
     ], ids=["checkpoint-above-n", "checkpoint-zero", "negative-n",
             "zero-trials", "zero-in-n-list", "negative-n-list",
             "green-speed-one-trial", "dispersion-zero-in-n-list",
@@ -516,13 +536,20 @@ class TestInvalidMonteCarloSizes:
             "zero-scale", "negative-scale", "non-integer-cap", "zero-cap",
             "non-integer-shift", "non-integer-product-cap",
             "zero-product-cap", "non-integer-product-shift",
-            "one-product-shift"])
+            "one-product-shift", "cone-non-integer-box",
+            "cone-non-integer-n-list", "cone-ray-outside-box",
+            "cone-non-integer-probe", "cone-base-on-axis",
+            "non-integer-m-max", "non-integer-points-per-decade",
+            "non-integer-seed", "negative-seed", "non-integer-r0",
+            "empty-eps-list", "nan-in-eps-list", "negative-eps"])
     def test_exits_2_without_output(self, cfg, key, tmp_path, capsys):
         out = tmp_path / "out.csv"
         path = write_config(tmp_path / "cfg.json", dict(cfg, output=str(out)))
         assert run(path, cache_dir=str(tmp_path / "cache")) == STATUS_CONFIG
         assert not out.exists()
-        assert f"config error: {key} must" in capsys.readouterr().err
+        # the message names the key and quotes the rejected input
+        err = capsys.readouterr().err
+        assert f"config error: {key} must" in err and ", got " in err
 
 
 class TestReporting:

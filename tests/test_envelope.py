@@ -1,15 +1,16 @@
 """Envelope package: tails, Tauberian verdicts, return series, parity bridge."""
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, fsum
 
 import numpy as np
 import pytest
-from scipy import special
+from hypothesis import given
+from hypothesis import strategies as st
 
 from greenlab import groups
 from greenlab.envelope import (Envelope, EnvelopeSpec, exp_growth_sum_probe,
-                               near_diag_tail, near_diag_tail_exact,
+                               near_diag_tail_exact,
                                on_diagonal_probe, parity_bridge_check,
                                return_series, return_series_tree,
                                tr_alpha_ratio)
@@ -48,41 +49,29 @@ class TestEnvelopeSpec:
 
 
 class TestNearDiagTail:
-    def test_zeta_three_halves_at_large_horizon(self):
-        s = spec32(STRETCHED)
-        value, tail = near_diag_tail(s, 1, 10 ** 8)
-        z = float(special.zeta(1.5))         # 2.612375...
-        assert value <= z <= value + tail
-        assert abs(value + tail / 2 - z) < 1e-4
-        assert z == pytest.approx(2.612, abs=1e-3)
+    @given(s=st.floats(1.05, 4.0), gamma=st.floats(0.5, 2.0),
+           m=st.integers(1, 10 ** 4), extra=st.integers(0, 10 ** 4))
+    def test_zeta_within_partial_sum_bracket(self, s, gamma, m, extra):
+        # zeta(s, m) = sum_{n >= m} n^{-s} lies in [S_H, S_H + H^{1-s}/(s-1)],
+        # S_H the sum over m <= n <= H (the tail is below its integral);
+        # 1e-13 covers the rounding of the sum and of scipy's zeta
+        spec = EnvelopeSpec(s * gamma, gamma, STRETCHED)
+        s = spec.d_star / spec.gamma
+        horizon = m + extra
+        partial = fsum(np.arange(m, horizon + 1, dtype=np.float64) ** -s)
+        tail = horizon ** (1.0 - s) / (s - 1.0)
+        value = near_diag_tail_exact(spec, m)
+        assert partial * (1 - 1e-13) <= value <= (partial + tail) * (1 + 1e-13)
+
+    def test_zeta_three_halves(self):
+        assert near_diag_tail_exact(spec32(STRETCHED), 1) == pytest.approx(
+            2.6123753486854883, abs=1e-14)
 
     def test_limit_ratio(self):
         # A(m) m^{d*/gamma - 1} -> gamma/(d* - gamma) = 2 for (3, 2)
         s = spec32(STRETCHED)
         m = 10 ** 6
         assert near_diag_tail_exact(s, m) * m ** 0.5 == pytest.approx(2.0, abs=1e-5)
-
-    def test_degenerate_split_still_brackets(self):
-        s = spec32(STRETCHED)
-        value, tail = near_diag_tail(s, 5, 5)
-        assert value == pytest.approx(5.0 ** -1.5, abs=1e-15)
-        assert value <= near_diag_tail_exact(s, 5) <= value + tail
-
-    def test_bracket_nesting_in_horizon(self):
-        s = spec32(STRETCHED)
-        prev = None
-        for horizon in (10 ** 3, 10 ** 4, 10 ** 5):
-            value, tail = near_diag_tail(s, 2, horizon)
-            if prev is not None:
-                assert value >= prev[0] - 1e-15
-                assert value + tail <= prev[0] + prev[1] + 1e-15
-            prev = (value, tail)
-
-    def test_non_transient_rejected(self):
-        s = spec32(STRETCHED)
-        object.__setattr__(s, "d_star", 1.5)
-        with pytest.raises(ValueError):
-            near_diag_tail(s, 1, 100)
 
 
 GRID = np.logspace(0.5, 5.0, 19)      # 4 points per decade

@@ -1,4 +1,4 @@
-"""Certificate functionals: variation functionals, bands, kernels, metric."""
+"""Certificate functionals: variation functionals, bands, kernels, rate fits."""
 
 from fractions import Fraction
 
@@ -7,13 +7,12 @@ import pytest
 
 from greenlab import functionals, groups
 from greenlab.functionals import (DeltaScan, DegenerateBracketError,
-                                  delta, delta_rate_fit, ehe_probe, epsilon,
-                                  eps_delta_band_check, green_distance,
-                                  martin_kernel, normalized_kernel_sequence,
+                                  delta, delta_rate_fit, epsilon,
+                                  eps_delta_band_check, martin_kernel,
+                                  normalized_kernel_sequence,
                                   tree_martin_kernel)
 from greenlab.green import TreeGreenOracle, ball_domain, killed_green_solve
 from greenlab.measures import lazy_transform, uniform_on_generators
-from lattice_green_oracle import Z3GreenOracle
 
 Z3 = groups.integer_lattice(3)
 F2 = groups.free_group(2)
@@ -194,27 +193,6 @@ class TestKernelSequence:
             normalized_kernel_sequence([()], (), [(1,), (1,)], srw(F2), tree, F2)
 
 
-class TestGreenDistance:
-    def test_zero_at_identity(self, tree):
-        d = green_distance(F2, (), (), tree)
-        assert d.value == 0.0
-
-    def test_f2_exact_log3(self, tree):
-        d = green_distance(F2, (), (1, 2), tree)
-        assert d.value == pytest.approx(2 * np.log(3.0), abs=1e-12)
-        assert d.value == pytest.approx(2.1972, abs=1e-4)
-
-    def test_z3_log_growth(self):
-        # d_G(0, x) at |x|=16 minus |x|=8 is about log 2 (within 20%); the
-        # exact gap is log(G(8 e1) / G(16 e1)) = 0.6963
-        prov = Z3GreenOracle()
-        d8 = green_distance(Z3, E3, (8, 0, 0), prov)
-        d16 = green_distance(Z3, E3, (16, 0, 0), prov)
-        assert d8.lower == d8.value == d8.upper
-        gap = d16.value - d8.value
-        assert abs(gap - np.log(2.0)) < 0.2 * np.log(2.0)
-
-
 class RowOnlyTree:
     """A provider with bracket_row alone, from the F_2 closed form
     G(a, x) = (3/2) 3^{-|a^{-1} x|}."""
@@ -239,11 +217,6 @@ class TestOneMethodProtocol:
         s = martin_kernel(F2, (1,), (1, 2, -1, 2), RowOnlyTree())
         assert s.value == pytest.approx(3.0, abs=1e-12) and s.err == 0.0
 
-    def test_green_distance(self):
-        d = green_distance(F2, (), (1, 2), RowOnlyTree())
-        assert d.value == pytest.approx(2 * np.log(3.0), abs=1e-12)
-        assert d.lower == d.value == d.upper
-
     def test_normalized_kernel_sequence(self, tree):
         targets = [(1, 2) * k for k in (2, 3, 4)]
         probes = [(1,), (2,), (1, 2)]
@@ -253,12 +226,6 @@ class TestOneMethodProtocol:
         assert seq.defects.max() < 1e-14
         ref = normalized_kernel_sequence(probes, (), targets, srw(F2), tree, F2)
         assert np.array_equal(seq.psi, ref.psi)
-
-    def test_ehe_probe(self, tree):
-        domains = [ball_domain(F2, srw(F2), r) for r in (3, 6)]
-        out = ehe_probe(domains, (), (1,), 1.0, RowOnlyTree())
-        assert out == ehe_probe(domains, (), (1,), 1.0, tree)
-        assert out["per_scale"][1][1] >= 1.9 * out["per_scale"][0][1]
 
 
 class TestRateFit:
@@ -279,29 +246,6 @@ class TestRateFit:
         rows = [functionals.DeltaRow(r, 1.0 / r, None, 0.0, 0, 0) for r in (2, 4, 8)]
         with pytest.raises(ValueError):
             delta_rate_fit(DeltaScan(E3, E1, rows), d_ab=1.0)
-
-
-class TestEheProbe:
-    def test_equal_basepoints(self, tree):
-        out = ehe_probe([ball_domain(F2, srw(F2), 3)], (1,), (1,), 1.0, tree)
-        assert out["sup"] == 0.0
-
-    def test_z3_stabilizes(self, z3_scan_tables):
-        mu = srw(Z3)
-        sups = []
-        for r in (8, 10):
-            dom = ball_domain(Z3, mu, r)
-            out = ehe_probe([dom], E3, E1, 1.0, z3_scan_tables[r])
-            sups.append(out["per_scale"][0][1])
-        assert abs(sups[1] - sups[0]) / max(sups) < 0.5
-
-    def test_f2_blows_up(self, tree):
-        mu = srw(F2)
-        sups = []
-        for r in (3, 6):
-            out = ehe_probe([ball_domain(F2, mu, r)], (), (1,), 1.0, tree)
-            sups.append(out["per_scale"][0][1])
-        assert sups[1] >= 1.9 * sups[0]    # sup = 2 R_k under constant variation
 
 
 class TestTreeMartinKernel:

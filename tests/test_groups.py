@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from greenlab import groups
 from greenlab.groups import (BfsTable, EnumerationCapError, OutOfRangeError,
-                             ball, fit_bilipschitz, free_group, heisenberg,
+                             ball, free_group, heisenberg,
                              identity, integer_lattice, inv, mul, neighbors,
                              sphere, standard_generators, word_length)
 
@@ -204,15 +204,12 @@ class TestQuasiNorm:
         assert groups.homogeneous_quasi_norm((3, 2, 6)) == 3 + 2 + 3
 
     def test_bilipschitz_fit_on_bfs_ball(self):
-        # A^-1 N(g) - B <= |g| <= A N(g) + B over every BFS-enumerated g,
-        # with fitted A <= 4 (central elements force A = 4: |(0,0,k^2)| ~ 4k)
+        # N(g)/4 <= |g| <= 4 N(g) over every BFS-enumerated g (central
+        # elements need the factor 4: |(0,0,k^2)| ~ 4k)
         table = BfsTable.build(H, standard_generators(H), 10)
-        a, b = fit_bilipschitz(table)
-        assert a <= 4
         for g, length in table.dist.items():
             n = groups.homogeneous_quasi_norm(g)
-            assert n / a - b <= length + 1e-9
-            assert length <= a * n + b + 1e-9
+            assert n <= 4 * length and length <= 4 * n
 
 
 class TestGroupSpec:

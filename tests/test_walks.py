@@ -1,5 +1,5 @@
 """Trajectory experiments: speed, increments, Green speed, dispersion,
-the Heis3 centre's growth, quarter-plane ratios."""
+the Heis3 centre's growth."""
 
 import json
 import math
@@ -17,12 +17,10 @@ from greenlab.measures import (PmfOnZ, StepMeasure, UNIT_MASS, lazy_transform,
                                uniform_on_generators)
 from greenlab.rng import derive_stream
 from greenlab.walks import (_batch_positions, _shell_tail_probability,
-                            _support_gcd, batch_lengths,
-                            cone_martin_experiment,
-                            green_speed_estimate, increment_ratio_max,
-                            product_dispersion_bound, sample_jump_lengths,
-                            speed_in_probability, truncated_coordinate_moments,
-                            tv_dispersion_z)
+                            _support_gcd, batch_lengths, green_speed_estimate,
+                            increment_ratio_max, product_dispersion_bound,
+                            sample_jump_lengths, speed_in_probability,
+                            truncated_coordinate_moments, tv_dispersion_z)
 from running_max_oracle import radius_tail, running_max_cdf
 
 Z1 = groups.integer_lattice(1)
@@ -504,19 +502,3 @@ class TestTruncatedMoments:
             assert abs(_shell_tail_probability(mu, x) - want) <= tol, x
         assert _shell_tail_probability(mu, 0) == 1 - laziness
         assert _shell_tail_probability(mu, 2) == (1 - laziness) * (1 - UNIT_MASS)
-
-
-class TestCone:
-    def test_base_probe_ratio_one(self):
-        res = cone_martin_experiment(30, [(1, 1)], (1, 1), [5, 10])
-        for row in res["rows"]:
-            assert row.ratios[0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_ratio_limit_and_harmonicity(self):
-        res = cone_martin_experiment(60, [(2, 3)], (1, 1), [30])
-        assert abs(res["rows"][0].ratios[0] - 6.0) / 6.0 < 0.05
-        assert res["harmonicity_defect"] == 0.0
-
-    def test_ray_outside_box_rejected(self):
-        with pytest.raises(ValueError):
-            cone_martin_experiment(20, [(2, 3)], (1, 1), [25])
