@@ -42,10 +42,8 @@ def save_table(cache_dir: str, backend: str, mhash: str, table: GreenTable) -> s
         "version": __version__,
         "backend": backend,
         "measure_hash": mhash,
-        "measure_name": table.measure_name,
         "domain_label": table.omega.label,
         "tol": table.tol,
-        "laziness": table.laziness,
         "sources": [list(s) for s in table.sources],
         "residuals": [float(r) for r in table.residuals],
         "method": table.method,
@@ -101,8 +99,7 @@ def load_table(cache_dir: str, backend: str, mhash: str, domain: Domain,
             return None
         values = vals.reshape(len(sources), meta["n_values"]).copy()
         return GreenTable(domain, sources, values,
-                          np.array(meta["residuals"]), meta["laziness"],
-                          meta["measure_name"], tol, meta["method"],
+                          np.array(meta["residuals"]), tol, meta["method"],
                           np.array(meta["iterations"], dtype=np.int64),
                           meta["symmetry_order"], meta["unknowns"])
     except Exception:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -139,6 +140,16 @@ def _table(cfg, mhash, omega, sources, mu, tol, cache_dir, force):
     return table.restricted(sources)
 
 
+def _tol(cfg: dict) -> float:
+    """The killed solves' tolerance: the config's `tol`, a finite number
+    > 0 (it also enters the cache key)."""
+    tol = cfg.get("tol", 1e-10)
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) \
+            or not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"tol must be a finite number > 0, got {tol!r}")
+    return float(tol)
+
+
 def _solver_record(table: green.GreenTable, sources) -> dict:
     """How the table was solved, with the iterations of each source."""
     return {"method": table.method,
@@ -161,7 +172,7 @@ def _sampler_tail(mu: measures.StepMeasure) -> dict:
 
 def _delta_scan(cfg, cache_dir, force, with_band=False):
     spec, mu, mhash = _law(cfg, transient=True)
-    tol = float(cfg.get("tol", 1e-10))
+    tol = _tol(cfg)
     e = groups.identity(spec)
     b = reporting.parse_element(spec, cfg["basepoint"]) if "basepoint" in cfg \
         else groups.standard_generators(spec).elements[0]
@@ -177,14 +188,17 @@ def _delta_scan(cfg, cache_dir, force, with_band=False):
         else:
             omega = green.ball_domain(spec, mu, 2 * r + 2, with_boundary=False)
             provider = _table(cfg, mhash, omega, [e, b], mu, tol, cache_dir, force)
-        drow = functionals.delta(s_dom, e, b, provider, scale=r)
-        if drow.value < -1e-15:
-            raise ContradictionError(f"negative delta at R={r}")
         eps_val = eta = band_ok = None
         if with_band:
+            # the band check computes delta on the same domain and provider
             check = functionals.eps_delta_band_check(s_dom, e, b, mu, provider,
                                                      tol=tol)
+            drow = check.delta_row
             eps_val, eta, band_ok = check.epsilon_value, check.eta_hat, check.band_ok
+        else:
+            drow = functionals.delta(s_dom, e, b, provider, scale=r)
+        if drow.value < -1e-15:
+            raise ContradictionError(f"negative delta at R={r}")
         rows.append((r, d_ab, drow.value, drow.err,
                      reporting.render_element(spec, drow.argmax),
                      eps_val, eta, band_ok))
@@ -195,7 +209,7 @@ def _delta_scan(cfg, cache_dir, force, with_band=False):
 
 def _green_table(cfg, cache_dir, force):
     spec, mu, mhash = _law(cfg, transient=True)
-    tol = float(cfg.get("tol", 1e-10))
+    tol = _tol(cfg)
     (radius,) = walks._integers("radius", [cfg["radius"]], least=0)
     omega = green.ball_domain(spec, mu, radius,
                               with_boundary=bool(cfg.get("boundary_matrix")))
@@ -207,11 +221,10 @@ def _green_table(cfg, cache_dir, force):
             for s in sources]
     meta = {"solver": _solver_record(table, sources)}
     if cfg.get("boundary_matrix"):
-        inner = green.ball_domain(spec, mu, radius)
         bgm_table = green.killed_green_solve(
             green.ball_domain(spec, mu, 2 * radius + 2, with_boundary=False),
-            inner.boundary, mu, tol)
-        bgm = green.boundary_green_matrix(inner, bgm_table)
+            omega.boundary, mu, tol)
+        bgm = green.boundary_green_matrix(omega, bgm_table)
         meta["spd_ok"] = bool(bgm.spd_ok)
         meta["min_eigenvalue"] = bgm.min_eigenvalue
         if not bgm.spd_ok:

@@ -50,14 +50,10 @@ class EnvelopeSpec:
     phi: Envelope
     alpha: float = 1.0
     kappa: float = 1.0
-    theta: float = 0.25
-    beta: float = 1.0
 
     def __post_init__(self):
         if self.d_star / self.gamma <= 1.0:
             raise ValueError("transience needs d*/gamma > 1 (A(1) finite)")
-        if not (0 < self.theta <= self.kappa / 4):
-            raise ValueError("theta must lie in (0, kappa/4]")
         if not (0 < self.alpha <= 1):
             raise ValueError("alpha must lie in (0, 1]")
 

@@ -127,7 +127,7 @@ def epsilon(domain: Domain, a, b, mu: StepMeasure,
 @dataclass
 class BandCheck:
     eta_hat: float
-    delta_value: float
+    delta_row: DeltaRow
     epsilon_value: float
     band_lo: float
     band_hi: float
@@ -166,12 +166,12 @@ def eps_delta_band_check(domain: Domain, a, b, mu: StepMeasure, provider,
     drow = delta(domain, a, b, provider)
     eres = epsilon(domain, a, b, mu, exits.get(a), exits.get(b), tol=tol)
     if eta >= 1.0:
-        return BandCheck(eta, drow.value, eres.value, np.nan, np.nan, False, True)
+        return BandCheck(eta, drow, eres.value, np.nan, np.nan, False, True)
     lo = max(0.0, ((1 - eta) * drow.value - 2 * eta) / (1 + eta))
     hi = ((1 + eta) * drow.value + 2 * eta) / (1 - eta)
     slack = 1e-9 + 10 * tol
     ok = (lo - slack) <= eres.value <= (hi + slack)
-    return BandCheck(eta, drow.value, eres.value, lo, hi, ok, False)
+    return BandCheck(eta, drow, eres.value, lo, hi, ok, False)
 
 
 # ---------------------------------------------------------------------------

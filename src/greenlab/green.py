@@ -117,13 +117,6 @@ def _sorted_positions(sorted_vals: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return np.where(sorted_vals[i] == vals, i, -1)
 
 
-def _sorted_unique(keys: np.ndarray) -> np.ndarray:
-    """np.unique of int64 keys by a sort and an adjacent-difference mask,
-    which on NumPy 2.x is far faster than np.unique's hash path."""
-    keys = np.sort(keys)
-    return keys[np.append(True, keys[1:] != keys[:-1])]
-
-
 @contextlib.contextmanager
 def _gc_paused():
     """Run the body with the cyclic garbage collector off, then restore it."""
@@ -157,7 +150,7 @@ class _FreeBallDomain(Domain):
             stepped = np.concatenate([self._append(levels[-1], letter)
                                       for letter in range(self.two_k)])
             thresh = np.int64(1) << (self.shift * (r + 1))
-            levels.append(_sorted_unique(stepped[stepped >= thresh]))
+            levels.append(groups.sorted_unique(stepped[stepped >= thresh]))
         self.codes = np.sort(np.concatenate(levels[:radius + 1]))
         self.radius = radius
         self._bcodes = levels[radius + 1] if with_boundary else None
@@ -342,32 +335,6 @@ def _l1_ball_coords(d: int, radius: int, shell: bool) -> np.ndarray:
     return np.argwhere(mask) - (radius + 1)
 
 
-def _coordinate_ball(spec: GroupSpec, center, steps: list, radius: int,
-                     with_boundary: bool) -> tuple:
-    """Coordinate rows of B(center, radius) and, when asked, of its outer
-    boundary (the layer at distance radius + 1), each in lexicographic
-    order, by a layer BFS: a layer is one row product of the frontier with
-    every step.  Rows are deduplicated by int64 keys in the mixed radix of
-    the bounding box of the rows seen so far; such a key is monotone in
-    lexicographic order, so sorted keys decode to sorted rows."""
-    ball = frontier = np.array([center], dtype=np.int64)
-    lo = hi = ball[0]
-    steps = np.array(steps, dtype=np.int64).reshape(len(steps), len(lo))
-    for r in range(radius + int(with_boundary)):
-        nbrs = groups.mul_rows(spec, frontier[:, None], steps).reshape(-1, len(lo))
-        span = np.vstack([lo, hi, nbrs])
-        lo, hi = span.min(axis=0), span.max(axis=0)
-        shape = tuple(hi - lo + 1)
-        known = np.ravel_multi_index(tuple((ball - lo).T), shape)
-        keys = _sorted_unique(np.ravel_multi_index(tuple((nbrs - lo).T), shape))
-        at = np.searchsorted(known, keys)
-        new = known[np.minimum(at, len(known) - 1)] != keys
-        frontier = np.stack(np.unravel_index(keys[new], shape), axis=1) + lo
-        if r < radius:
-            ball = np.insert(ball, at[new], frontier, axis=0)
-    return ball, (frontier if with_boundary else None)
-
-
 def ball_domain(spec: GroupSpec, mu: StepMeasure, radius: int, center=None,
                 with_boundary: bool = True) -> Domain:
     """Word-metric ball B(center, radius) in the Cayley graph of supp(mu).
@@ -393,7 +360,8 @@ def ball_domain(spec: GroupSpec, mu: StepMeasure, radius: int, center=None,
         bcoords = _l1_ball_coords(spec.d, radius, True) + c if with_boundary else None
         return _LatticeDomain(spec, label, _l1_ball_coords(spec.d, radius, False) + c,
                               bcoords, support)
-    coords, bcoords = _coordinate_ball(spec, center, steps, radius, with_boundary)
+    coords, _, bcoords = groups.layer_ball(spec, center, steps, radius,
+                                           with_boundary)
     return _LatticeDomain(spec, label, coords, bcoords, support)
 
 
@@ -423,8 +391,6 @@ class GreenTable:
     sources: list
     values: np.ndarray            # shape (n_sources, |Omega|)
     residuals: np.ndarray
-    laziness: float
-    measure_name: str
     tol: float
     # how the table was solved: "direct" or "cg", and CG iterations per
     # source (0 for direct)
@@ -700,9 +666,8 @@ def killed_green_solve(omega: Domain, sources: list, mu: StepMeasure,
         residuals[i] = res
 
     thread_map(solve, len(sources))
-    return GreenTable(omega, list(sources), vals, residuals,
-                      mu.laziness, mu.name, tol, method, iterations,
-                      orbits.order, m)
+    return GreenTable(omega, list(sources), vals, residuals, tol, method,
+                      iterations, orbits.order, m)
 
 
 # ---------------------------------------------------------------------------

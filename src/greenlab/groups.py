@@ -1,4 +1,4 @@
-"""Exact arithmetic, word metrics, and ball/sphere enumeration for group backends.
+"""Exact arithmetic, word metrics and the word-ball layer BFS for group backends.
 
 Supported backends: integer lattices Z^d, free groups F_k (k >= 2) and
 the discrete Heisenberg group in polynomial normal form.  Elements are
@@ -11,13 +11,13 @@ equality:
 * Heisenberg: triple (a, b, c) with product law
   (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a*b')
 
-``word_length`` is the one word metric in the standard generators.
+``word_length`` is the one word metric in the standard generators, and
+``layer_ball`` the one enumerator of word balls.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass, field
 
 import math
@@ -30,15 +30,7 @@ class BackendMismatchError(ValueError):
 
 
 class OutOfRangeError(ValueError):
-    """Requested element is outside a cached BFS table."""
-
-
-class EnumerationCapError(ValueError):
-    """Requested radius exceeds the backend enumeration cap."""
-
-
-# Sphere/ball enumeration caps (desk-scale memory bounds).
-SPHERE_CAPS = {"lattice": 40, "free": 10, "heisenberg": 12}
+    """Requested element is outside a cached word-length table."""
 
 
 @dataclass(frozen=True)
@@ -190,9 +182,47 @@ def standard_generators(spec: GroupSpec) -> GeneratorSet:
     return GeneratorSet(spec, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)))
 
 
-def neighbors(spec: GroupSpec, g, gens: GeneratorSet):
-    """Right neighbors {g*t : t in gens}; length equals |gens|."""
-    return [mul(spec, g, t) for t in gens]
+# ---------------------------------------------------------------------------
+# Word balls
+# ---------------------------------------------------------------------------
+
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """np.unique of int64 keys by a sort and an adjacent-difference mask,
+    which on NumPy 2.x is far faster than np.unique's hash path."""
+    keys = np.sort(keys)
+    return keys[np.append(True, keys[1:] != keys[:-1])]
+
+
+def layer_ball(spec: GroupSpec, center, steps, radius: int,
+               with_boundary: bool = False) -> tuple:
+    """(rows, layers, boundary): the int64 coordinate rows of B(center,
+    radius) in the Cayley graph of `steps` on a lattice or on Heis3, in
+    lexicographic order, the layer (distance from center) of each row, and,
+    when asked, the rows of the outer boundary (the layer at distance
+    radius + 1), also in lexicographic order; otherwise None.
+
+    A layer is one row product of the frontier with every step.  Rows are
+    deduplicated by int64 keys in the mixed radix of the bounding box of
+    the rows seen so far; such a key is monotone in lexicographic order, so
+    sorted keys decode to sorted rows."""
+    ball = frontier = np.array([center], dtype=np.int64)
+    layers = np.zeros(1, dtype=np.int32)
+    lo = hi = ball[0]
+    steps = np.array(steps, dtype=np.int64).reshape(len(steps), len(lo))
+    for r in range(radius + int(with_boundary)):
+        nbrs = mul_rows(spec, frontier[:, None], steps).reshape(-1, len(lo))
+        span = np.vstack([lo, hi, nbrs])
+        lo, hi = span.min(axis=0), span.max(axis=0)
+        shape = tuple(hi - lo + 1)
+        known = np.ravel_multi_index(tuple((ball - lo).T), shape)
+        keys = sorted_unique(np.ravel_multi_index(tuple((nbrs - lo).T), shape))
+        at = np.searchsorted(known, keys)
+        new = known[np.minimum(at, len(known) - 1)] != keys
+        frontier = np.stack(np.unravel_index(keys[new], shape), axis=1) + lo
+        if r < radius:
+            ball = np.insert(ball, at[new], frontier, axis=0)
+            layers = np.insert(layers, at[new], r + 1)
+    return ball, layers, (frontier if with_boundary else None)
 
 
 # ---------------------------------------------------------------------------
@@ -205,49 +235,21 @@ def homogeneous_quasi_norm(g) -> int:
     return abs(a) + abs(b) + math.isqrt(abs(c)) + (0 if math.isqrt(abs(c)) ** 2 == abs(c) else 1)
 
 
-@dataclass
-class BfsTable:
-    """Word lengths within radius R_max, computed by breadth-first search."""
-
-    spec: GroupSpec
-    gens: GeneratorSet
-    r_max: int
-    dist: dict = field(default_factory=dict)
-
-    @classmethod
-    def build(cls, spec: GroupSpec, gens: GeneratorSet, r_max: int) -> "BfsTable":
-        e = identity(spec)
-        dist = {e: 0}
-        frontier = deque([e])
-        while frontier:
-            g = frontier.popleft()
-            d = dist[g]
-            if d == r_max:
-                continue
-            for h in neighbors(spec, g, gens):
-                if h not in dist:
-                    dist[h] = d + 1
-                    frontier.append(h)
-        return cls(spec, gens, r_max, dist)
-
-    def length(self, g) -> int:
-        try:
-            return self.dist[g]
-        except KeyError:
-            raise OutOfRangeError(f"{g!r} beyond BFS radius {self.r_max}")
-
-
-# Radius of the BFS table behind word_length on backends without a formula.
+# Radius of the word-length table behind word_length on Heis3.
 WORD_TABLE_RADIUS = 14
 
 
 def word_length(spec: GroupSpec, g) -> int:
     """Word length in the standard generators: the L1 norm on lattices and
     the reduced length on free groups; on Heis3, which has no formula, one
-    radius-WORD_TABLE_RADIUS BFS table per spec, built on first use
-    (OutOfRangeError beyond it)."""
+    table of the layers of the radius-WORD_TABLE_RADIUS layer_ball per
+    spec, built on first use (OutOfRangeError beyond it)."""
     if spec.variant == "heisenberg":
-        return _word_table(spec).length(g)
+        try:
+            return _word_table(spec)[g]
+        except KeyError:
+            raise OutOfRangeError(
+                f"{g!r} beyond word-table radius {WORD_TABLE_RADIUS}") from None
     _check_element(spec, g)
     if spec.variant == "lattice":
         return sum(abs(a) for a in g)
@@ -255,30 +257,9 @@ def word_length(spec: GroupSpec, g) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _word_table(spec: GroupSpec) -> BfsTable:
-    return BfsTable.build(spec, standard_generators(spec), WORD_TABLE_RADIUS)
-
-
-# ---------------------------------------------------------------------------
-# Spheres and balls
-# ---------------------------------------------------------------------------
-
-def ball(spec: GroupSpec, gens: GeneratorSet, r: int) -> list:
-    """Elements of word length <= r, BFS-enumerated, sorted canonically."""
-    if r > SPHERE_CAPS[spec.variant]:
-        raise EnumerationCapError(
-            f"radius {r} exceeds {spec.label()} cap {SPHERE_CAPS[spec.variant]}"
-        )
-    table = BfsTable.build(spec, gens, r)
-    return sorted(table.dist.keys())
-
-
-def sphere(spec: GroupSpec, gens: GeneratorSet, r: int) -> list:
-    """Elements of word length exactly r (deduplicated canonical forms)."""
-    if r > SPHERE_CAPS[spec.variant]:
-        raise EnumerationCapError(
-            f"radius {r} exceeds {spec.label()} cap {SPHERE_CAPS[spec.variant]}"
-        )
-    table = BfsTable.build(spec, gens, r)
-    return sorted(g for g, d in table.dist.items() if d == r)
-
+def _word_table(spec: GroupSpec) -> dict:
+    """{element: word length} over B(e, WORD_TABLE_RADIUS)."""
+    rows, layers, _ = layer_ball(spec, identity(spec),
+                                 standard_generators(spec).elements,
+                                 WORD_TABLE_RADIUS)
+    return dict(zip(map(tuple, rows.tolist()), layers.tolist()))

@@ -14,7 +14,6 @@ runs that sample shell or finite laws, load none of it (the benchmark's
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from dataclasses import dataclass, field, replace
@@ -23,7 +22,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import CPUS, _LazyModule, groups
-from .groups import GroupSpec, GeneratorSet, identity, mul
+from .groups import GroupSpec, GeneratorSet, identity
 
 fft = _LazyModule("scipy.fft")
 special = _LazyModule("scipy.special")
@@ -462,7 +461,6 @@ class StepMeasure:
     spec: GroupSpec
     kind: str
     name: str
-    symmetric: bool = True
     laziness: float = 0.0
     probs: Optional[dict] = None          # finite kind
     r0: int = 0                           # shell kind
@@ -702,17 +700,6 @@ def standard_support(spec: GroupSpec) -> tuple:
     return tuple(groups.standard_generators(spec).elements)
 
 
-def axis_power(spec: GroupSpec, axis: int, k: int):
-    """k-th power of the designated axis generator (word length |k| exactly)."""
-    if spec.variant == "lattice":
-        v = [0] * spec.d
-        v[axis] = k
-        return tuple(v)
-    if spec.variant == "heisenberg":
-        return (k, 0, 0) if axis == 0 else (0, k, 0)
-    raise ValueError("axis powers defined for lattice and Heisenberg backends")
-
-
 # ---------------------------------------------------------------------------
 # Constructors
 # ---------------------------------------------------------------------------
@@ -751,7 +738,8 @@ def shell_measure(spec: GroupSpec, r0: int = 3) -> StepMeasure:
 
     Mass at radius r sits on the powers {x^{+-r}, y^{+-r}} of designated
     axis generators (each has word length exactly r); a further 10% of the
-    mass is uniform on the unit generators, certifying non-degeneracy.
+    mass is uniform on the unit generators, certifying non-degeneracy: the
+    unit generators reach B(e, 2) in two steps.
     """
     if r0 < 3:
         raise ValueError("r0 must be at least 3")
@@ -761,11 +749,8 @@ def shell_measure(spec: GroupSpec, r0: int = 3) -> StepMeasure:
         axes = (0, 1)
     else:
         raise ValueError("shell measures need lattice or Heisenberg backends")
-    mu = StepMeasure(spec, "shell", f"shell[{spec.label()},r0={r0}]",
-                     r0=r0, shell_norm=shell_norm_constant(r0),
-                     axes=axes)
-    certify_generates(mu)
-    return mu
+    return StepMeasure(spec, "shell", f"shell[{spec.label()},r0={r0}]",
+                       r0=r0, shell_norm=shell_norm_constant(r0), axes=axes)
 
 
 def stable_z_measure(alpha: float) -> StepMeasure:
@@ -777,42 +762,6 @@ def stable_z_measure(alpha: float) -> StepMeasure:
     c = 1.0 / (2.0 * special.zeta(1.0 + alpha))
     return StepMeasure(groups.integer_lattice(1), "stable_z",
                        f"stable[alpha={alpha:g}]", alpha=alpha, c_alpha=c)
-
-
-def certify_generates(mu: StepMeasure) -> None:
-    """Check supp(mu) reaches all of B(e,2) by bounded closure (non-degeneracy)."""
-    spec = mu.spec
-    gens = groups.standard_generators(spec)
-    target = set(groups.ball(spec, gens, 2))
-    if mu.kind == "finite":
-        steps = mu.support_elements()
-    else:
-        steps = list(standard_support(spec))
-        if mu.kind == "shell":
-            steps += [axis_power(spec, a, s * mu.r0)
-                      for a in mu.axes for s in (1, -1)]
-    if spec.variant == "heisenberg":
-        length = groups.BfsTable.build(spec, gens, 6).length
-    else:
-        length = functools.partial(groups.word_length, spec)
-    visited = {identity(spec)}
-    frontier = [identity(spec)]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in steps:
-                h = mul(spec, g, s)
-                try:
-                    far = length(h) > 6
-                except groups.OutOfRangeError:
-                    far = True
-                if far or h in visited:
-                    continue
-                visited.add(h)
-                nxt.append(h)
-        frontier = nxt
-    if not target <= visited:
-        raise ValueError("support does not generate B(e,2); measure degenerate")
 
 
 def first_moment_partial(mu: StepMeasure, radius: int) -> float:

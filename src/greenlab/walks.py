@@ -45,11 +45,13 @@ def _integers(key: str, values, least: Optional[int] = 1) -> list:
     """`values` as ints, in their order, if there is one and each is an
     integer at least `least` (any integer if least is None); otherwise a
     ValueError naming the config key they come from.  An integral float
-    such as 10.0 passes; 10.5 does not."""
+    such as 10.0 passes; 10.5 and a boolean do not."""
     vals = list(values)
     floor = -math.inf if least is None else least
     try:
-        ok = bool(vals) and all(int(v) == v >= floor for v in vals)
+        # int() and float() would read a boolean as 1 or 0
+        ok = bool(vals) and all(not isinstance(v, (bool, np.bool_))
+                                and int(v) == v >= floor for v in vals)
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
@@ -163,7 +165,9 @@ def speed_in_probability(spec: GroupSpec, mu: StepMeasure, n_list, eps_list,
     (trials,) = _integers("trials", [trials])
     eps_list = list(eps_list)
     try:
-        ok = bool(eps_list) and all(math.isfinite(e) and e >= 0 for e in eps_list)
+        ok = bool(eps_list) and all(not isinstance(e, (bool, np.bool_))
+                                    and math.isfinite(e) and e >= 0
+                                    for e in eps_list)
     except TypeError:
         ok = False
     if not ok:

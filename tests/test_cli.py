@@ -488,7 +488,8 @@ ENVELOPE_CFG = {"kind": "envelope", "d_star": 3, "gamma": 2,
 class TestInvalidMonteCarloSizes:
     # each of these raised a traceback (status 1), printed a bare message,
     # named no key or the wrong fault, or wrote a wrong row (a non-integer
-    # size was truncated) before the sizes were checked
+    # size was truncated, a boolean read as 1, a tolerance <= 0 accepted)
+    # before the sizes were checked
     @pytest.mark.parametrize("cfg, key", [
         (dict(PROBE_CFG, checkpoints=[20]), "checkpoints"),
         (dict(PROBE_CFG, checkpoints=[0, 10]), "checkpoints"),
@@ -528,6 +529,12 @@ class TestInvalidMonteCarloSizes:
         (dict(SPEED_CFG, eps_list=[]), "eps_list"),
         (dict(SPEED_CFG, eps_list=[0.5, float("nan")]), "eps_list"),
         (dict(SPEED_CFG, eps_list=[-1]), "eps_list"),
+        (dict(SCAN_CFG, tol=-1), "tol"),
+        (dict(SCAN_CFG, backend="F_2", tol=0), "tol"),
+        (dict(TABLE_CFG, tol=True), "tol"),
+        (dict(SPEED_CFG, trials=True), "trials"),
+        (dict(SPEED_CFG, seed=True), "seed"),
+        (dict(SPEED_CFG, eps_list=[True]), "eps_list"),
     ], ids=["checkpoint-above-n", "checkpoint-zero", "negative-n",
             "zero-trials", "zero-in-n-list", "negative-n-list",
             "green-speed-one-trial", "dispersion-zero-in-n-list",
@@ -541,7 +548,9 @@ class TestInvalidMonteCarloSizes:
             "cone-non-integer-probe", "cone-base-on-axis",
             "non-integer-m-max", "non-integer-points-per-decade",
             "non-integer-seed", "negative-seed", "non-integer-r0",
-            "empty-eps-list", "nan-in-eps-list", "negative-eps"])
+            "empty-eps-list", "nan-in-eps-list", "negative-eps",
+            "negative-tol", "zero-tol-f2", "bool-tol", "bool-trials",
+            "bool-seed", "bool-in-eps-list"])
     def test_exits_2_without_output(self, cfg, key, tmp_path, capsys):
         out = tmp_path / "out.csv"
         path = write_config(tmp_path / "cfg.json", dict(cfg, output=str(out)))

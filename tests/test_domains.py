@@ -12,6 +12,7 @@ from greenlab.green import (ball_domain, box_domain, exit_distribution,
                             killed_green_solve)
 from greenlab.groups import identity, mul
 from greenlab.measures import StepMeasure, lazy_transform, uniform_on_generators
+from word_ball_oracle import reference_ball
 
 Z3 = groups.integer_lattice(3)
 F2 = groups.free_group(2)
@@ -32,7 +33,7 @@ def shifted(points, center):
 
 
 def gens_ball(spec, radius):
-    return groups.ball(spec, groups.standard_generators(spec), radius)
+    return sorted(reference_ball(spec, radius))
 
 
 def uniform_law(spec, steps):
@@ -44,24 +45,6 @@ def law_on(dom):
     return uniform_law(dom.spec, dom.support)
 
 
-def reference_ball(spec, mu, radius, center):
-    """B(center, radius), sorted, by a pure-Python BFS over groups.mul and a
-    dict: the reference for the vectorised builders."""
-    steps = [s for s in mu.support_elements() if s != identity(spec)]
-    dist = {center: 0}
-    frontier = [center]
-    for d in range(radius):
-        nxt = []
-        for g in frontier:
-            for s in steps:
-                h = mul(spec, g, s)
-                if h not in dist:
-                    dist[h] = d + 1
-                    nxt.append(h)
-        frontier = nxt
-    return sorted(dist)
-
-
 HEIS_CENTRAL = uniform_law(HEIS, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
                                   (0, 0, 1), (0, 0, -1)])
 Z3_STRETCHED = uniform_law(Z3, [(1, 0, 0), (-1, 0, 0), (0, 2, 0), (0, -2, 0),
@@ -71,7 +54,9 @@ Z3_STRETCHED = uniform_law(Z3, [(1, 0, 0), (-1, 0, 0), (0, 2, 0), (0, -2, 0),
 def bfs_case(spec, mu, radius, center, far, extra):
     """A CASES entry whose order is the reference BFS from ``center``."""
     return (lambda: ball_domain(spec, mu, radius, center=center),
-            lambda: reference_ball(spec, mu, radius, center), far, extra)
+            lambda: sorted(reference_ball(spec, radius, mu.support_elements(),
+                                          center)),
+            far, extra)
 
 
 # name -> (domain builder, canonical element order, far point, extra step)
@@ -170,7 +155,7 @@ def test_free_ball_codes_and_boundary_order(radius):
     # vectorised key: the codes must be the reduced words of length <= R in
     # shortlex order, and the boundary those of length R + 1 in payload order
     dom = ball_domain(F2, srw(F2), radius)
-    if radius <= 8:     # the enumeration cap of groups.ball is R = 10
+    if radius <= 8:     # keeps the pure-Python reference BFS to R + 1 <= 9
         words = sorted(gens_ball(F2, radius + 1), key=shortlex)
         assert dom.codes.tolist() == [dom.encode(w) for w in words if len(w) <= radius]
         assert dom.boundary == sorted(w for w in words if len(w) == radius + 1)

@@ -37,10 +37,6 @@ class TestEnvelopeSpec:
         with pytest.raises(ValueError):
             EnvelopeSpec(2.0, 2.0, STRETCHED)
 
-    def test_theta_constraint(self):
-        with pytest.raises(ValueError):
-            EnvelopeSpec(3.0, 2.0, STRETCHED, theta=0.3)
-
     def test_n_minus_threshold(self):
         s = spec32(STRETCHED)
         assert s.n_minus(1.0) == 1

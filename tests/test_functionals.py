@@ -13,6 +13,7 @@ from greenlab.functionals import (DeltaScan, DegenerateBracketError,
                                   tree_martin_kernel)
 from greenlab.green import TreeGreenOracle, ball_domain, killed_green_solve
 from greenlab.measures import lazy_transform, uniform_on_generators
+from word_ball_oracle import reference_ball
 
 Z3 = groups.integer_lattice(3)
 F2 = groups.free_group(2)
@@ -112,6 +113,8 @@ class TestEpsilon:
         for r in (6, 10):
             dom = ball_domain(Z3, mu, r)
             chk = eps_delta_band_check(dom, E3, E1, mu, z3_scan_tables[r])
+            # the row the eps-delta runner reports
+            assert chk.delta_row == delta(dom, E3, E1, z3_scan_tables[r])
             assert not chk.void
             assert chk.band_ok
             etas.append(chk.eta_hat)
@@ -124,7 +127,7 @@ class TestEpsilon:
         dom = ball_domain(Z3, mu, 4)
         chk = eps_delta_band_check(dom, E3, E3, mu, z3_scan_tables[4])
         assert chk.eta_hat == 0.0
-        assert chk.delta_value == 0.0 and chk.epsilon_value == 0.0
+        assert chk.delta_row.value == 0.0 and chk.epsilon_value == 0.0
         assert chk.band_ok
 
 
@@ -271,7 +274,7 @@ class TestTreeMartinKernel:
             rays.append(tuple(word))
         gens = groups.standard_generators(F2)
         for ray in rays:
-            for x in groups.ball(F2, gens, 6):
+            for x in sorted(reference_ball(F2, 6)):
                 k = tree_martin_kernel(F2, ray, x)
                 avg = sum(tree_martin_kernel(F2, ray, groups.mul(F2, x, t))
                           for t in gens) / 4
@@ -279,7 +282,6 @@ class TestTreeMartinKernel:
 
     def test_exponential_band_is_exact_power(self):
         rng = np.random.default_rng(77)
-        gens = groups.standard_generators(F2)
         c_lo, c_hi = np.log(3) - 0.01, np.log(3) + 0.01
         for _ in range(10):
             word = [int([1, -1, 2, -2][rng.integers(4)])]
@@ -290,15 +292,14 @@ class TestTreeMartinKernel:
             ray = tuple(word)
             for r in (2, 4, 6):
                 sup = max(tree_martin_kernel(F2, ray, x)
-                          for x in groups.ball(F2, gens, r))
+                          for x in reference_ball(F2, r))
                 assert sup == Fraction(3) ** r
                 assert np.exp(c_lo * r) <= float(sup) <= np.exp(c_hi * r)
 
     def test_distinct_rays_non_proportional(self):
-        gens = groups.standard_generators(F2)
         ray1, ray2 = (1, 2, 1, 2, 1, 2), (2, 1, 2, 1, 2, 1)
         ratios = {tree_martin_kernel(F2, ray1, x) / tree_martin_kernel(F2, ray2, x)
-                  for x in groups.ball(F2, gens, 3)}
+                  for x in reference_ball(F2, 3)}
         assert len(ratios) > 1
 
     def test_decay_away_from_pole(self):

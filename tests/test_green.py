@@ -24,6 +24,7 @@ from greenlab.green import (TransienceError, TreeGreenOracle, ball_domain,
 from greenlab.measures import StepMeasure, lazy_transform, uniform_on_generators
 from greenlab.rng import derive_stream
 from lattice_green_oracle import WATSON_G00, z3_green
+from word_ball_oracle import reference_sphere
 
 Z3 = groups.integer_lattice(3)
 F2 = groups.free_group(2)
@@ -60,7 +61,7 @@ class TestDomains:
 
     def test_lattice_ball_boundary_is_sphere(self):
         dom = ball_domain(Z3, srw(Z3), 3)
-        assert len(dom.boundary) == len(groups.sphere(Z3, groups.standard_generators(Z3), 4))
+        assert dom.boundary == reference_sphere(Z3, 4)
 
     def test_free_ball_sizes(self):
         dom = ball_domain(F2, srw(F2), 5)

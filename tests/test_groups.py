@@ -8,14 +8,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from greenlab import groups
-from greenlab.groups import (BfsTable, EnumerationCapError, OutOfRangeError,
-                             ball, free_group, heisenberg,
-                             identity, integer_lattice, inv, mul, neighbors,
-                             sphere, standard_generators, word_length)
+from greenlab.green import ball_domain
+from greenlab.groups import (OutOfRangeError, free_group, heisenberg,
+                             identity, integer_lattice, inv, mul,
+                             standard_generators, word_length)
+from greenlab.measures import uniform_on_generators
+from word_ball_oracle import reference_ball, reference_sphere
 
 Z3 = integer_lattice(3)
 F2 = free_group(2)
 H = heisenberg()
+
+
+def ball(spec, r):
+    """B(e, r), sorted, from the reference BFS."""
+    return sorted(reference_ball(spec, r))
+
+
+def srw(spec):
+    return uniform_on_generators(standard_generators(spec))
 
 
 class TestMul:
@@ -41,8 +52,7 @@ class TestMul:
     def test_associativity_sampled(self):
         rng = np.random.default_rng(7)
         for spec in (Z3, F2, H):
-            gens = standard_generators(spec)
-            els = ball(spec, gens, 3)
+            els = ball(spec, 3)
             for _ in range(50):
                 g, h, k = (els[rng.integers(len(els))] for _ in range(3))
                 assert mul(spec, mul(spec, g, h), k) == mul(spec, g, mul(spec, h, k))
@@ -95,7 +105,7 @@ class TestInv:
     def test_right_inverse_sampled(self):
         rng = np.random.default_rng(11)
         for spec in (Z3, F2, H):
-            els = ball(spec, standard_generators(spec), 3)
+            els = ball(spec, 3)
             for _ in range(30):
                 g = els[rng.integers(len(els))]
                 assert mul(spec, g, inv(spec, g)) == identity(spec)
@@ -110,73 +120,63 @@ class TestWordLength:
 
     def test_heisenberg_central_bfs(self):
         # breadth-first search from the identity with gens {x^+-1, y^+-1}
-        table = BfsTable.build(H, standard_generators(H), 6)
-        assert table.length((0, 0, 1)) == 4
-
-    def test_bfs_out_of_range(self):
-        table = BfsTable.build(Z3, standard_generators(Z3), 2)
-        with pytest.raises(OutOfRangeError):
-            table.length((3, 0, 0))
+        assert reference_ball(H, 6)[(0, 0, 1)] == 4
+        assert word_length(H, (0, 0, 1)) == 4
 
     def test_word_length_matches_oracles(self):
         # the formulas on Z^3 and F_2, and the radius-14 table on Heis3,
         # agree with a breadth-first search over every point it reaches
-        for spec, radius in ((H, 6), (Z3, 3), (F2, 3)):
-            gens = standard_generators(spec)
-            table = BfsTable.build(spec, gens, radius)
-            for g in ball(spec, gens, radius):
-                assert word_length(spec, g) == table.length(g)
+        heis = reference_ball(H, groups.WORD_TABLE_RADIUS)
+        assert len(heis) == 16381
+        for spec, dist in ((H, heis), (Z3, reference_ball(Z3, 3)),
+                           (F2, reference_ball(F2, 3))):
+            for g, d in dist.items():
+                assert word_length(spec, g) == d
         with pytest.raises(OutOfRangeError):
             word_length(H, (15, 0, 0))
 
     def test_word_table_built_once_per_spec(self):
         groups.word_length(H, (1, 1, 1))
         assert groups._word_table(groups.heisenberg()) is groups._word_table(H)
-        assert groups._word_table(H).r_max == groups.WORD_TABLE_RADIUS
+        assert max(groups._word_table(H).values()) == groups.WORD_TABLE_RADIUS
 
     def test_inverse_invariance_sampled(self):
         rng = np.random.default_rng(3)
         for spec in (Z3, F2, H):
-            gens = standard_generators(spec)
-            if spec.variant == "heisenberg":
-                length = BfsTable.build(spec, gens, 5).length
-                els = ball(spec, gens, 5)
-            else:
-                length = functools.partial(word_length, spec)
-                els = ball(spec, gens, 4)
+            length = functools.partial(word_length, spec)
+            els = ball(spec, 5 if spec.variant == "heisenberg" else 4)
             for _ in range(40):
                 g = els[rng.integers(len(els))]
                 assert length(g) == length(inv(spec, g))
 
 
 class TestSpheres:
+    # the outer boundary of B(e, r - 1) is the sphere of radius r
+    @pytest.mark.parametrize("spec", [Z3, F2, H], ids=["Z3", "F2", "Heis3"])
+    def test_ball_boundary_is_reference_sphere(self, spec):
+        for r in range(1, 6):
+            dom = ball_domain(spec, srw(spec), r - 1)
+            assert dom.boundary == reference_sphere(spec, r)
+
     def test_z3_sphere_sizes(self):
-        gens = standard_generators(Z3)
-        assert len(sphere(Z3, gens, 1)) == 6
-        assert len(sphere(Z3, gens, 2)) == 18
+        for r in range(1, 9):
+            assert len(ball_domain(Z3, srw(Z3), r - 1).boundary) == 4 * r * r + 2
 
     def test_f2_sphere_growth_exact(self):
         # 2k (2k-1)^(r-1) for the free group, r <= 8
-        gens = standard_generators(F2)
         for r in range(1, 9):
-            assert len(sphere(F2, gens, r)) == 4 * 3 ** (r - 1)
+            assert len(ball_domain(F2, srw(F2), r - 1).boundary) == 4 * 3 ** (r - 1)
 
     def test_ball_equals_sphere_sums(self):
         for spec, rmax in ((Z3, 5), (F2, 5), (H, 5)):
-            gens = standard_generators(spec)
-            total = sum(len(sphere(spec, gens, r)) for r in range(rmax + 1))
-            assert len(ball(spec, gens, rmax)) == total
-
-    def test_cap_enforced(self):
-        with pytest.raises(EnumerationCapError):
-            sphere(F2, standard_generators(F2), 11)
+            total = sum(len(reference_sphere(spec, r)) for r in range(rmax + 1))
+            dom = ball_domain(spec, srw(spec), rmax, with_boundary=False)
+            assert len(dom) == total == len(reference_ball(spec, rmax))
 
     def test_heisenberg_quartic_growth(self):
         # |B(e,r)| ~ r^4: log-log slope over r in [4, 12] within [3.5, 4.5]
-        gens = standard_generators(H)
-        table = BfsTable.build(H, gens, 12)
         counts = np.zeros(13, dtype=int)
-        for _, d in table.dist.items():
+        for d in reference_ball(H, 12).values():
             counts[d] += 1
         sizes = np.cumsum(counts)
         rs = np.arange(4, 13)
@@ -184,17 +184,25 @@ class TestSpheres:
         assert 3.5 <= slope <= 4.5
 
 
-class TestNeighbors:
-    def test_z1(self):
-        Z1 = integer_lattice(1)
-        assert sorted(neighbors(Z1, (0,), standard_generators(Z1))) == [(-1,), (1,)]
+class TestLayerBall:
+    @pytest.mark.parametrize("spec, radius", [(Z3, 4), (H, 6)], ids=["Z3", "Heis3"])
+    def test_rows_and_layers_match_reference(self, spec, radius):
+        gens = standard_generators(spec).elements
+        rows, layers, bdry = groups.layer_ball(spec, identity(spec), gens,
+                                               radius, with_boundary=True)
+        dist = reference_ball(spec, radius + 1)
+        got = [tuple(g) for g in rows.tolist()]
+        assert got == sorted(g for g, d in dist.items() if d <= radius)
+        assert layers.tolist() == [dist[g] for g in got]
+        assert [tuple(g) for g in bdry.tolist()] == reference_sphere(spec, radius + 1)
 
-    def test_f2_identity(self):
-        assert len(neighbors(F2, (), standard_generators(F2))) == 4
-
-    def test_heisenberg_from_x(self):
-        got = set(neighbors(H, (1, 0, 0), standard_generators(H)))
-        assert got == {(2, 0, 0), (1, 1, 1), (0, 0, 0), (1, -1, -1)}
+    def test_centered_layers_are_distances_from_center(self):
+        center = (2, -1, 3)
+        rows, layers, bdry = groups.layer_ball(
+            H, center, standard_generators(H).elements, 4)
+        dist = reference_ball(H, 4, center=center)
+        assert bdry is None
+        assert dict(zip(map(tuple, rows.tolist()), layers.tolist())) == dist
 
 
 class TestQuasiNorm:
@@ -206,8 +214,7 @@ class TestQuasiNorm:
     def test_bilipschitz_fit_on_bfs_ball(self):
         # N(g)/4 <= |g| <= 4 N(g) over every BFS-enumerated g (central
         # elements need the factor 4: |(0,0,k^2)| ~ 4k)
-        table = BfsTable.build(H, standard_generators(H), 10)
-        for g, length in table.dist.items():
+        for g, length in reference_ball(H, 10).items():
             n = groups.homogeneous_quasi_norm(g)
             assert n <= 4 * length and length <= 4 * n
 

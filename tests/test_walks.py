@@ -22,6 +22,7 @@ from greenlab.walks import (_batch_positions, _shell_tail_probability,
                             sample_jump_lengths, speed_in_probability,
                             truncated_coordinate_moments, tv_dispersion_z)
 from running_max_oracle import radius_tail, running_max_cdf
+from word_ball_oracle import reference_ball
 
 Z1 = groups.integer_lattice(1)
 Z3 = groups.integer_lattice(3)
@@ -464,10 +465,8 @@ class TestMalcev:
     def test_growth_bound_on_bfs_ball(self):
         # |x2(g)| <= |g|^2/4 + |g| over the BFS-enumerated ball (sharp along
         # x^m y^m words); the max ratio |x2|/|g|^2 stays finite
-        gens = groups.standard_generators(H)
-        table = groups.BfsTable.build(H, gens, 12)
         worst = 0.0
-        for g, length in table.dist.items():
+        for g, length in reference_ball(H, 12).items():
             if length == 0:
                 continue
             c = abs(g[2])
