@@ -74,7 +74,7 @@ def build_measure(spec, desc: dict) -> measures.StepMeasure:
     if unknown:
         raise ConfigError(f"unknown measure keys {sorted(unknown)}")
     mtype = desc.get("type")
-    lazy = float(desc.get("laziness", 0.0))
+    lazy = _number("laziness", desc.get("laziness", 0.0))
     if mtype == "srw":
         mu = measures.uniform_on_generators(groups.standard_generators(spec))
     elif mtype == "shell":
@@ -82,7 +82,7 @@ def build_measure(spec, desc: dict) -> measures.StepMeasure:
         (r0,) = walks._integers("r0", [desc.get("r0", 3)], least=None)
         mu = measures.shell_measure(spec, r0)
     elif mtype == "stable":
-        mu = measures.stable_z_measure(float(desc["alpha"]))
+        mu = measures.stable_z_measure(_number("alpha", desc["alpha"]))
     else:
         raise ConfigError(f"unknown measure type {mtype!r}")
     if lazy:
@@ -140,14 +140,20 @@ def _table(cfg, mhash, omega, sources, mu, tol, cache_dir, force):
     return table.restricted(sources)
 
 
+def _number(key: str, value, positive: bool = False) -> float:
+    """`value` as a float if it is a finite number, > 0 if `positive`, and
+    not a boolean (float() reads true as 1); else a ConfigError naming key."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value) or (positive and not value > 0):
+        bound = " > 0" if positive else ""
+        raise ConfigError(f"{key} must be a finite number{bound}, got {value!r}")
+    return float(value)
+
+
 def _tol(cfg: dict) -> float:
-    """The killed solves' tolerance: the config's `tol`, a finite number
-    > 0 (it also enters the cache key)."""
-    tol = cfg.get("tol", 1e-10)
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) \
-            or not (math.isfinite(tol) and tol > 0):
-        raise ConfigError(f"tol must be a finite number > 0, got {tol!r}")
-    return float(tol)
+    """The killed solves' tolerance: the config's `tol` (it also enters the
+    cache key)."""
+    return _number("tol", cfg.get("tol", 1e-10), positive=True)
 
 
 def _solver_record(table: green.GreenTable, sources) -> dict:
@@ -176,16 +182,15 @@ def _delta_scan(cfg, cache_dir, force, with_band=False):
     e = groups.identity(spec)
     b = reporting.parse_element(spec, cfg["basepoint"]) if "basepoint" in cfg \
         else groups.standard_generators(spec).elements[0]
-    use_tree = (spec.variant == "free" and mu.kind == "finite"
-                and mu.laziness == 0.0)
+    # every law on F_k is (lazy) SRW, whose G the tree oracle has exactly
+    oracle = green.TreeGreenOracle(mu) if spec.variant == "free" else None
     d_ab = groups.word_length(spec, b)
     rows = []
     # rows follow the scales in config order
     for r in walks._integers("scales", cfg["scales"]):
         s_dom = green.ball_domain(spec, mu, r)
-        if use_tree:
-            provider = green.TreeGreenOracle(spec)
-        else:
+        provider = oracle
+        if provider is None:
             omega = green.ball_domain(spec, mu, 2 * r + 2, with_boundary=False)
             provider = _table(cfg, mhash, omega, [e, b], mu, tol, cache_dir, force)
         eps_val = eta = band_ok = None
@@ -211,8 +216,10 @@ def _green_table(cfg, cache_dir, force):
     spec, mu, mhash = _law(cfg, transient=True)
     tol = _tol(cfg)
     (radius,) = walks._integers("radius", [cfg["radius"]], least=0)
-    omega = green.ball_domain(spec, mu, radius,
-                              with_boundary=bool(cfg.get("boundary_matrix")))
+    flag = cfg.get("boundary_matrix", False)
+    if not isinstance(flag, bool):
+        raise ConfigError(f"boundary_matrix must be true or false, got {flag!r}")
+    omega = green.ball_domain(spec, mu, radius, with_boundary=flag)
     sources = [reporting.parse_element(spec, s) for s in cfg["sources"]]
     table = _table(cfg, mhash, omega, sources, mu, tol, cache_dir, force)
     e = groups.identity(spec)
@@ -220,7 +227,7 @@ def _green_table(cfg, cache_dir, force):
              table.green(s, s), float(table.residuals[table.sources.index(s)]))
             for s in sources]
     meta = {"solver": _solver_record(table, sources)}
-    if cfg.get("boundary_matrix"):
+    if flag:
         bgm_table = green.killed_green_solve(
             green.ball_domain(spec, mu, 2 * radius + 2, with_boundary=False),
             omega.boundary, mu, tol)
@@ -238,10 +245,12 @@ def _green_table(cfg, cache_dir, force):
 def _envelope(cfg, *_):
     phi_desc = dict(cfg["phi"])
     kind = phi_desc.pop("kind")
-    phi = envelope.Envelope(kind, **phi_desc)
-    spec = envelope.EnvelopeSpec(float(cfg["d_star"]), float(cfg["gamma"]),
-                                 phi, alpha=float(cfg.get("alpha", 1.0)))
-    lo, hi = cfg.get("r_decades", [0.5, 3.0])
+    phi = envelope.Envelope(kind, **{k: _number(f"phi.{k}", v)
+                                     for k, v in phi_desc.items()})
+    spec = envelope.EnvelopeSpec(_number("d_star", cfg["d_star"]),
+                                 _number("gamma", cfg["gamma"]), phi,
+                                 alpha=_number("alpha", cfg.get("alpha", 1.0)))
+    lo, hi = (_number("r_decades", v) for v in cfg.get("r_decades", [0.5, 3.0]))
     (ppd,) = walks._integers("points_per_decade",
                              [cfg.get("points_per_decade", 4)])
     n_pts = max(2, int((hi - lo) * ppd) + 1)

@@ -4,7 +4,7 @@ and the exponential-growth sum probe.
 
 Scales are normalised as rho(n) = n^(1/gamma) with reference volume
 Vol(rho) = rho^(d*); the near-diagonal tail is A(m) = sum_{n>=m} n^(-d*/gamma)
-and the near-diagonal threshold n_-(r) is the first n with rho(n) >= r/kappa.
+and the near-diagonal threshold n_-(r) is the first n with rho(n) >= r.
 
 ``special`` is a lazy module attribute (``greenlab._LazyModule``), so
 importing greenlab loads no SciPy; it is imported at the first zeta tail.
@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _LazyModule, groups
+from . import _LazyModule
 from .groups import GroupSpec, identity
-from .measures import PmfOnZ, StepMeasure, _range_sum, convolve_z
+from .measures import PmfOnZ, StepMeasure, _is_srw, _range_sum, convolve_z
 
 special = _LazyModule("scipy.special")
 
@@ -49,7 +49,6 @@ class EnvelopeSpec:
     gamma: float
     phi: Envelope
     alpha: float = 1.0
-    kappa: float = 1.0
 
     def __post_init__(self):
         if self.d_star / self.gamma <= 1.0:
@@ -61,15 +60,12 @@ class EnvelopeSpec:
         return np.asarray(n, dtype=np.float64) ** (1.0 / self.gamma)
 
     def n_minus(self, r: float) -> int:
-        """First n with rho(n) >= r / kappa."""
-        raw = (r / self.kappa) ** self.gamma
-        n = int(np.ceil(raw))
-        if n < 1:
-            return 1
+        """First n with rho(n) >= r."""
+        n = max(1, int(np.ceil(r ** self.gamma)))
         # guard against float round-off at integer thresholds
-        while (n - 1) >= 1 and (n - 1) ** (1.0 / self.gamma) >= r / self.kappa - 1e-12:
+        while n > 1 and (n - 1) ** (1.0 / self.gamma) >= r - 1e-12:
             n -= 1
-        return max(n, 1)
+        return n
 
 
 # ---------------------------------------------------------------------------
@@ -214,16 +210,6 @@ def return_series(spec: GroupSpec, mu: StepMeasure, n_max: int) -> np.ndarray:
         arr = new
         out.append(float(arr[centre]))
     return np.array(out)
-
-
-def _is_srw(spec: GroupSpec, mu: StepMeasure) -> bool:
-    gens = groups.standard_generators(spec)
-    if mu.kind != "finite":
-        return False
-    base = {g: mu.pmf(g) for g in mu.support_elements() if g != identity(spec)}
-    want = (1.0 - mu.laziness) / len(gens)
-    return set(base) == set(gens.elements) and all(
-        abs(p - want) < 1e-12 for p in base.values())
 
 
 @dataclass

@@ -6,9 +6,9 @@ All Green access goes through a provider with one method,
 ``bracket_row(a, xs) -> (values, lowers, uppers)``: G(a, x) for every x in
 xs, with a bracket around each value.  There are two providers: a killed
 ``GreenTable`` is its own, of G_Omega, and ``green.TreeGreenOracle`` gives
-the exact full G on the free group.  Interval arithmetic over brackets
-yields one-sided safe error bars (a row is only called "decayed below tau"
-when its upper endpoint is).
+the exact full G of (lazy) SRW on the free group.  Interval arithmetic
+over brackets yields one-sided safe error bars (a row is only called
+"decayed below tau" when its upper endpoint is).
 """
 
 from __future__ import annotations
@@ -136,17 +136,16 @@ class BandCheck:
 
 
 def eps_delta_band_check(domain: Domain, a, b, mu: StepMeasure, provider,
-                         origin=None, tol: float = 1e-10) -> BandCheck:
+                         tol: float = 1e-10) -> BandCheck:
     """Measure the factorization defect eta and check the two-sided band
     relating the exit-measure and Green-variation functionals.
 
     theta_p(z) = mu_S(p,z) G(o,z) / (mu_S(o,z) G(p,z)) - 1 for basepoints
-    p in {a, b}; eta_hat = sup |theta|.  With eta < 1 the band is
-    [( (1-eta)D - 2 eta)/(1+eta), ((1+eta)D + 2 eta)/(1-eta)] around the
-    Green variation D.
+    p in {a, b} and o the identity; eta_hat = sup |theta|.  With eta < 1
+    the band is [( (1-eta)D - 2 eta)/(1+eta), ((1+eta)D + 2 eta)/(1-eta)]
+    around the Green variation D.
     """
-    spec = domain.spec
-    o = identity(spec) if origin is None else origin
+    o = identity(domain.spec)
     # one killed solve on S serves every start point
     starts = list(dict.fromkeys((a, b, o)))
     exits = dict(zip(starts, exit_distribution(domain, starts, mu, tol=tol)))

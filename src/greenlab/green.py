@@ -1,5 +1,7 @@
 """Killed-domain Green solves, exit distributions, boundary Green matrices,
-Monte Carlo hitting estimators on trees, and the quarter-plane killed walk.
+the closed-form Green function of (lazy) SRW on trees, and the
+quarter-plane killed walk.  Every value here is a solve or a closed form;
+nothing is sampled.
 
 Conventions.  For a finite domain Omega and a finite-range symmetric step
 law mu, the killed Green table solves (I - P_Omega) v = delta_a where
@@ -46,7 +48,7 @@ import numpy as np
 
 from . import _LazyModule, groups, thread_map
 from .groups import GroupSpec, identity, inv, mul
-from .measures import StepMeasure, uniform_on_generators
+from .measures import StepMeasure, _is_srw, uniform_on_generators
 
 sp = _LazyModule("scipy.sparse")
 spla = _LazyModule("scipy.sparse.linalg")
@@ -783,95 +785,6 @@ def vector_identity_residual(domain: Domain, a, mu: StepMeasure,
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo hitting estimators on trees
-# ---------------------------------------------------------------------------
-
-@dataclass
-class McGreenEstimate:
-    value: float
-    hit_fraction: float
-    ci95: float
-    bias_bound: float
-    trials: int
-    path_cap: int
-    bias_flag: bool
-
-
-def tree_distance_chain(rank: int, start_dist: int, walkers: int,
-                        rng: np.random.Generator, laziness: float = 0.0):
-    """Distances to a fixed vertex of ``walkers`` independent (lazy) SRWs on
-    the 2k-regular tree: yields the start distances, then the distances
-    after each step, drawing rng.random(walkers) once per step.
-
-    From r >= 1 exactly one neighbor is closer, so the distance is a
-    birth-death chain (down w.p. (1 - laziness)/2k); exact in law by
-    vertex-isotropy of the tree.
-    """
-    two_k = 2 * rank
-    d = np.full(walkers, start_dist, dtype=np.int64)
-    while True:
-        yield d
-        u = rng.random(walkers)
-        stay = u < laziness
-        down = (~stay) & (d > 0) & (u < laziness + (1 - laziness) / two_k)
-        d = d + np.where(stay, 0, np.where(down, -1, 1))
-
-
-def _tree_only(spec: GroupSpec) -> None:
-    if spec.variant != "free":
-        raise ValueError("Monte Carlo Green estimates run on trees only; "
-                         "lattices read G from a killed solve")
-
-
-def mc_green_diagonal(spec: GroupSpec, mu: StepMeasure, trials: int,
-                      path_cap: int, rng: np.random.Generator) -> tuple:
-    """(estimate, ci95) for G(e,e) = mean visits to e from e within the cap,
-    for (lazy) SRW on a tree."""
-    _tree_only(spec)
-    visits = np.zeros(trials, dtype=np.int64)
-    for _, d in zip(range(path_cap + 1), tree_distance_chain(
-            spec.rank, 0, trials, rng, mu.laziness)):
-        visits += d == 0
-    est = float(visits.mean())
-    ci = 1.96 * float(visits.std(ddof=1)) / np.sqrt(trials)
-    return est, ci
-
-
-def mc_hitting_green(spec: GroupSpec, mu: StepMeasure, a, x, trials: int,
-                     rng: np.random.Generator, path_cap: Optional[int] = None,
-                     gee: Optional[float] = None) -> McGreenEstimate:
-    """Estimate G(a, x) = F(a, x) G(e, e) from empirical hitting frequencies
-    of (lazy) SRW on a tree; the default cap is 20 steps per unit of
-    distance, at least 100.
-
-    The confidence band is a binomial 95% interval; the additive truncation
-    bias term bounds the conditional hitting probability of the capped,
-    unhit walkers through their final distance profile.
-    """
-    _tree_only(spec)
-    dist0 = groups.word_length(spec, mul(spec, inv(spec, a), x))
-    if path_cap is None:
-        path_cap = max(100, 20 * max(dist0, 3))
-    if gee is None:
-        gee, _ = mc_green_diagonal(spec, mu, trials, min(path_cap, 2000), rng)
-    if dist0 == 0:
-        return McGreenEstimate(gee, 1.0, 0.0, 0.0, trials, path_cap, False)
-    hit = np.zeros(trials, dtype=bool)
-    for _, d in zip(range(path_cap + 1), tree_distance_chain(
-            spec.rank, dist0, trials, rng, mu.laziness)):
-        hit |= d == 0
-        if hit.all():
-            break
-    q = 2 * spec.rank - 1
-    # conditional hitting probability from distance d is exactly q^{-d}
-    bias = float(np.sum(np.power(float(q), -d[~hit].astype(np.float64)))) / trials
-    f_hat = float(hit.mean())
-    ci = 1.96 * np.sqrt(max(f_hat * (1 - f_hat), 1.0 / trials) / trials)
-    return McGreenEstimate(f_hat * gee, f_hat, ci * gee, bias * gee,
-                           trials, path_cap, bias > max(3 * ci, 1e-3))
-
-
-# ---------------------------------------------------------------------------
 # Green providers.  The functionals layer reads G through one method,
 # bracket_row(a, xs) -> (values, lowers, uppers), arrays over xs for the
 # row of a.  There are two: a GreenTable is its own provider, of the killed
@@ -880,19 +793,23 @@ def mc_hitting_green(spec: GroupSpec, mu: StepMeasure, a, x, trials: int,
 
 @dataclass
 class TreeGreenOracle:
-    """Exact Green values for SRW on the free group F_k (2k-regular tree):
-    F(e,x) = q^{-|x|}, G(e,e) = q/(q-1), G(x,y) = (q/(q-1)) q^{-d(x,y)},
-    with q = 2k - 1."""
+    """Exact Green values for (lazy) SRW on the free group F_k (2k-regular
+    tree): F(e,x) = q^{-|x|}, G(e,e) = q/(q-1), G(x,y) = (q/(q-1)) q^{-d(x,y)},
+    with q = 2k - 1.  The lazy kernel lambda I + (1 - lambda) P visits each
+    vertex 1/(1 - lambda) times as often and hits the same ones, so G is
+    divided by 1 - lambda and F is unchanged."""
 
-    spec: GroupSpec
+    mu: StepMeasure
 
     def __post_init__(self):
-        if self.spec.variant != "free":
-            raise ValueError("tree oracle needs a free-group backend")
+        self.spec = self.mu.spec
+        if self.spec.variant != "free" or not _is_srw(self.spec, self.mu):
+            raise ValueError("tree oracle needs SRW on a free group up to "
+                             f"laziness, got {self.mu.name}")
         self.q = 2 * self.spec.rank - 1
 
     def gee(self) -> float:
-        return self.q / (self.q - 1.0)
+        return self.q / (self.q - 1.0) / (1.0 - self.mu.laziness)
 
     def distance(self, a, x) -> int:
         return len(mul(self.spec, inv(self.spec, a), x))

@@ -590,9 +590,9 @@ class StepMeasure:
         """Steps as int64 coordinate rows (lattice and Heisenberg backends).
 
         Finite laws make one sample_support_index draw.  Stable laws draw
-        sample_stable_ints; shell laws draw sample_shell_radii, then one
-        integers(0, 2 len(axes)) direction d per step: axis d // 2, sign
-        + for even d.  Length 0 is the identity and shell length 1 a unit
+        sample_stable_ints, then one integers(0, 2) sign per step; shell
+        laws draw sample_shell_radii, then one integers(0, 2 len(axes))
+        direction d per step: axis d // 2, sign + for even d.  Length 0 is the identity and shell length 1 a unit
         generator, i.e. an axis power of length 1.
         """
         if self.spec.variant not in ("lattice", "heisenberg"):
@@ -601,7 +601,8 @@ class StepMeasure:
         if self.kind == "finite":
             return self._finite_law()[2][self.sample_support_index(rng, size)]
         if self.kind == "stable_z":
-            return self.sample_stable_ints(rng, size)[:, None]
+            mag = self.sample_stable_ints(rng, size)
+            return (mag * (rng.integers(0, 2, size=size) * 2 - 1))[:, None]
         r = self.sample_shell_radii(rng, size)
         d = rng.integers(0, 2 * len(self.axes), size=size)
         r *= 1 - 2 * (d & 1)
@@ -629,15 +630,13 @@ class StepMeasure:
         return self._radius_cdf.draw(rng, size)
 
     def sample_stable_ints(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Signed steps of a stable law, 0 for a lazy step: the magnitude's
-        uniform (and any tail redraws), then one integers(0, 2) sign."""
+        """Step magnitudes of a stable law, 0 for a lazy step: one uniform
+        each, and any tail redraws.  sample_steps draws the signs."""
         with _TABLE_LOCK:
             if self._stable_cdf is None:
                 self._stable_cdf = self._length_table(
                     1, SAMPLE_HEAD + 1, STABLE_SAMPLE_MAGNITUDE_MAX)
-        mag = self._stable_cdf.draw(rng, size)
-        mag *= rng.integers(0, 2, size=size) * 2 - 1
-        return mag
+        return self._stable_cdf.draw(rng, size)
 
     def _length_table(self, lo: int, tail_lo: int, tail_hi: int) -> _HeadTailCdf:
         """The _HeadTailCdf of step lengths: weight lazy at 0, (1 - lazy)
@@ -721,6 +720,16 @@ def lazy_transform(mu: StepMeasure, eps: float) -> StepMeasure:
     # compose lazinesses: eps' = eps + (1-eps)*lazy_old
     new_lazy = eps + (1.0 - eps) * mu.laziness
     return replace(mu, laziness=new_lazy, name=f"lazy({mu.name},{eps:g})")
+
+
+def _is_srw(spec: GroupSpec, mu: StepMeasure) -> bool:
+    """Whether mu is SRW on spec's standard generators up to laziness."""
+    if mu.kind != "finite":
+        return False
+    gens = groups.standard_generators(spec).elements
+    want = (1.0 - mu.laziness) / len(gens)
+    return set(mu.support_elements()) - {identity(spec)} == set(gens) and all(
+        abs(mu.pmf(g) - want) < 1e-12 for g in gens)
 
 
 def shell_norm_constant(r0: int) -> float:

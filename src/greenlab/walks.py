@@ -9,7 +9,9 @@ most REPLICA_WALKERS walkers, each on its own spawned stream, and runs
 them in up to greenlab.CPUS threads; a replica draws about BLOCK_STEPS
 walker-steps per sample_steps call.  Its positions depend only on the
 seed, n and the trial count: not on CPUS, nor on the checkpoints asked
-for.
+for.  The tree walker follows only the word length of (lazy) SRW on F_k,
+an exact birth-death chain (_tree_distance_chain) with one
+rng.random(trials) draw per step.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ import math
 import numpy as np
 
 from . import groups, thread_map
-from .green import (GreenTable, TreeGreenOracle, ball_domain,
-                    killed_green_solve, tree_distance_chain)
+from .green import GreenTable, TreeGreenOracle, ball_domain, killed_green_solve
 from .groups import GroupSpec, identity
 from .measures import (PmfOnZ, StepMeasure, UNIT_MASS, _range_sum, _shell_f,
                        self_convolution_powers, total_variation_shift)
@@ -128,14 +129,29 @@ def _batch_positions(spec: GroupSpec, mu: StepMeasure, n: int, trials: int,
     return out
 
 
+def _tree_distance_chain(rank: int, walkers: int, rng: np.random.Generator,
+                         laziness: float = 0.0):
+    """Word lengths |X_k|, k = 0, 1, ..., of ``walkers`` independent (lazy)
+    SRWs from e on the 2k-regular tree, one rng.random(walkers) draw per
+    step.  From |x| >= 1 exactly one of the 2k neighbours is closer, so
+    |X_k| is a birth-death chain, exact in law by vertex-isotropy."""
+    two_k = 2 * rank
+    d = np.zeros(walkers, dtype=np.int64)
+    while True:
+        yield d
+        u = rng.random(walkers)
+        stay = u < laziness
+        down = (~stay) & (d > 0) & (u < laziness + (1 - laziness) / two_k)
+        d = d + np.where(stay, 0, np.where(down, -1, 1))
+
+
 def batch_lengths(spec: GroupSpec, mu: StepMeasure, n: int, trials: int,
                   rng: np.random.Generator, checkpoints) -> dict:
     """Word-length (or quasi-norm) arrays at checkpoints; metric mode depends
     on the backend (exact on lattices/trees, quasi-norm on Heisenberg)."""
     if spec.variant == "free":
-        # |X_k| for SRW on the 2k-regular tree via the exact distance chain
         want = set(checkpoints)
-        chain = tree_distance_chain(spec.rank, 0, trials, rng, mu.laziness)
+        chain = _tree_distance_chain(spec.rank, trials, rng, mu.laziness)
         return {k: d for k, d in zip(range(n + 1), chain) if k in want}
     snaps = _batch_positions(spec, mu, n, trials, rng, checkpoints)
     if spec.variant == "heisenberg":
@@ -201,7 +217,7 @@ def sample_jump_lengths(mu: StepMeasure, rng: np.random.Generator,
         return lens[mu.sample_support_index(rng, size)]
     if mu.kind == "shell":
         return mu.sample_shell_radii(rng, size).astype(np.float64)
-    return np.abs(mu.sample_stable_ints(rng, size)).astype(np.float64)
+    return mu.sample_stable_ints(rng, size).astype(np.float64)
 
 
 @dataclass
@@ -278,7 +294,7 @@ def green_speed_estimate(spec: GroupSpec, mu: StepMeasure, n_list, trials: int,
                              1.96 * float(dg.std(ddof=1)) / math.sqrt(trials))
 
     if spec.variant == "free":
-        logq = math.log(TreeGreenOracle(spec).q)
+        logq = math.log(TreeGreenOracle(mu).q)
         lengths = batch_lengths(spec, mu, n_list[-1], trials, rng, n_list)
         return GreenSpeedReport([row(n, lengths[n].astype(np.float64) * logq / n)
                                  for n in n_list])

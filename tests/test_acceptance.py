@@ -26,7 +26,6 @@ from greenlab.functionals import (DeltaScan, delta, delta_rate_fit,
                                   eps_delta_band_check, tree_martin_kernel)
 from greenlab.green import (TreeGreenOracle, ball_domain,
                             boundary_green_matrix, killed_green_solve,
-                            mc_green_diagonal, mc_hitting_green,
                             quadrant_harmonicity_defect,
                             quadrant_killed_green, vector_identity_residual,
                             verify_exit_decomposition)
@@ -67,7 +66,7 @@ def test_criterion_01_tree_oracle_suite():
     t0 = time.time()
     failures = []
     mu = srw(F2)
-    oracle = TreeGreenOracle(F2)
+    oracle = TreeGreenOracle(mu)
     check(failures, oracle.gee() == pytest.approx(1.5, abs=1e-15),
           "G(e,e) != 3/2")
     words = {0: (), 1: (1,), 2: (1, 2), 3: (1, 2, -1), 4: (2, 1, 2, 1),
@@ -83,18 +82,31 @@ def test_criterion_01_tree_oracle_suite():
                 for x in words.values())
     check(failures, worst < 1e-6,
           f"killed B(e,12) deviates {worst:.2e} > 1e-6 for |x| <= 6")
-    rng = derive_stream(101, "accept-tree-mc")
-    gee_hat, gee_ci = mc_green_diagonal(F2, mu, 10 ** 5, 400, rng)
-    check(failures, abs(gee_hat - 1.5) < 3 * gee_ci / 1.96 + 2e-3,
-          f"MC G(e,e) {gee_hat:.4f} off 1.5")
-    for x, f_true in [((1,), 1 / 3), ((1, 2), 1 / 9), ((1, 2, 1), 1 / 27)]:
-        est = mc_hitting_green(F2, mu, (), x, 10 ** 5, rng, gee=gee_hat)
-        sigma = np.sqrt(f_true * (1 - f_true) / 10 ** 5)
-        check(failures, abs(est.hit_fraction - f_true) < 3 * sigma + est.bias_bound / gee_hat,
-              f"MC F(e,{x}) {est.hit_fraction:.5f} outside 3 sigma of {f_true:.5f}")
+    # Monte Carlo: the tree walker's mean visits to S(e, d) within the cap,
+    # against |S(e, d)| G(e, x) for |x| = d (3/2 at d = 0, 2 for d >= 1).
+    # The cap drops the visits after it.  From e the walker reaches level
+    # j surely, so by isotropy `want` is also the mean number of visits to
+    # level j after arriving there; from level D > j it arrives w.p.
+    # 3^-(D-j), which bounds the dropped mean by `trunc`
+    walkers, cap, levels = 10 ** 5, 400, 4
+    visits = np.zeros((levels, walkers))
+    chain = walks._tree_distance_chain(2, walkers,
+                                       derive_stream(101, "accept-tree-mc"))
+    for _, dist in zip(range(cap + 1), chain):
+        for j in range(levels):
+            visits[j] += dist == j
+    for j in range(levels):
+        sphere = 1 if j == 0 else 4 * 3 ** (j - 1)
+        want = sphere * oracle.green((), words[j])
+        mean = float(visits[j].mean())
+        se = float(visits[j].std(ddof=1)) / np.sqrt(walkers)
+        trunc = want * float(np.mean(3.0 ** -np.maximum(dist - j, 0)))
+        check(failures, abs(mean - want) < 3 * se + trunc,
+              f"MC visits to S(e,{j}) {mean:.4f} outside 3 se ({se:.4f}) "
+              f"+ {trunc:.1e} of {want:.4f}")
     elapsed = time.time() - t0
     check(failures, elapsed < 60, f"runtime {elapsed:.0f}s >= 1 min")
-    report(1, "tree oracle suite (closed forms, killed solve, MC hitting)",
+    report(1, "tree oracle suite (closed forms, killed solve, MC visits)",
            failures, elapsed)
 
 
@@ -102,7 +114,7 @@ def test_criterion_02_nondecay_exponential_growth():
     t0 = time.time()
     failures = []
     mu = srw(F2)
-    oracle = TreeGreenOracle(F2)
+    oracle = TreeGreenOracle(srw(F2))
     for n in range(1, 9):
         dom = ball_domain(F2, mu, n)
         row = delta(dom, (), (1,), oracle, scale=n)

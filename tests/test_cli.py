@@ -39,6 +39,27 @@ class TestRun:
         for row in rows:
             assert abs(float(row[d_idx]) - 2.0) < 1e-9
 
+    def test_lazy_f2_scan_is_the_srw_scan(self, tmp_path, monkeypatch):
+        # lazy SRW has G / (1 - lambda), and delta is a ratio of G values,
+        # so the rows are the SRW rows; both come from the tree oracle,
+        # with no killed solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("killed solve on F_2")
+
+        monkeypatch.setattr(cli.green, "killed_green_solve", no_solve)
+        got = {}
+        for lazy in (0.0, 0.5):
+            cfg = dict(f2_delta_config(tmp_path, f"scan-{lazy}.csv"),
+                       measure={"type": "srw", "laziness": lazy},
+                       scales=[2, 3, 4, 5, 6])
+            path = write_config(tmp_path / "cfg.json", cfg)
+            assert run(path, cache_dir=str(tmp_path / "cache")) == STATUS_OK
+            _, header, rows = read_report(cfg["output"])
+            cols = [header.index(c) for c in ("delta", "delta_err", "argmax")]
+            got[lazy] = [[row[i] for i in cols] for row in rows]
+        assert got[0.5] == got[0.0]
+        assert got[0.0][0] == ["2", "0", "aBB"]
+
     def test_byte_identical_bodies(self, tmp_path):
         cfg = f2_delta_config(tmp_path)
         path = write_config(tmp_path / "cfg.json", cfg)
@@ -488,8 +509,8 @@ ENVELOPE_CFG = {"kind": "envelope", "d_star": 3, "gamma": 2,
 class TestInvalidMonteCarloSizes:
     # each of these raised a traceback (status 1), printed a bare message,
     # named no key or the wrong fault, or wrote a wrong row (a non-integer
-    # size was truncated, a boolean read as 1, a tolerance <= 0 accepted)
-    # before the sizes were checked
+    # size was truncated, a boolean read as 1, a tolerance <= 0 accepted,
+    # the string "no" read as a true flag) before the keys were checked
     @pytest.mark.parametrize("cfg, key", [
         (dict(PROBE_CFG, checkpoints=[20]), "checkpoints"),
         (dict(PROBE_CFG, checkpoints=[0, 10]), "checkpoints"),
@@ -535,6 +556,17 @@ class TestInvalidMonteCarloSizes:
         (dict(SPEED_CFG, trials=True), "trials"),
         (dict(SPEED_CFG, seed=True), "seed"),
         (dict(SPEED_CFG, eps_list=[True]), "eps_list"),
+        (dict(DISPERSION_CFG, measure={"type": "stable", "alpha": True}), "alpha"),
+        (dict(DISPERSION_CFG, measure={"type": "stable", "alpha": float("nan")}),
+         "alpha"),
+        (dict(SPEED_CFG, measure={"type": "srw", "laziness": True}), "laziness"),
+        (dict(ENVELOPE_CFG, gamma=True), "gamma"),
+        (dict(ENVELOPE_CFG, d_star=True), "d_star"),
+        (dict(ENVELOPE_CFG, alpha=True), "alpha"),
+        (dict(ENVELOPE_CFG, r_decades=[True, 3.0]), "r_decades"),
+        (dict(ENVELOPE_CFG, phi={"kind": "polynomial", "delta": True}),
+         "phi.delta"),
+        (dict(TABLE_CFG, boundary_matrix="no"), "boundary_matrix"),
     ], ids=["checkpoint-above-n", "checkpoint-zero", "negative-n",
             "zero-trials", "zero-in-n-list", "negative-n-list",
             "green-speed-one-trial", "dispersion-zero-in-n-list",
@@ -550,7 +582,9 @@ class TestInvalidMonteCarloSizes:
             "non-integer-seed", "negative-seed", "non-integer-r0",
             "empty-eps-list", "nan-in-eps-list", "negative-eps",
             "negative-tol", "zero-tol-f2", "bool-tol", "bool-trials",
-            "bool-seed", "bool-in-eps-list"])
+            "bool-seed", "bool-in-eps-list", "bool-alpha", "nan-alpha",
+            "bool-laziness", "bool-gamma", "bool-d-star", "bool-envelope-alpha",
+            "bool-in-r-decades", "bool-phi-delta", "string-boundary-matrix"])
     def test_exits_2_without_output(self, cfg, key, tmp_path, capsys):
         out = tmp_path / "out.csv"
         path = write_config(tmp_path / "cfg.json", dict(cfg, output=str(out)))

@@ -27,7 +27,7 @@ def srw(spec):
 
 @pytest.fixture(scope="module")
 def tree():
-    return TreeGreenOracle(F2)
+    return TreeGreenOracle(srw(F2))
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,9 @@
-"""Killed Green solves, exit laws, boundary matrices, brackets, MC hitting,
-and the exact Z^3 reference."""
+"""Killed Green solves, exit laws, boundary matrices, brackets, the tree
+oracle against the tree walker, and the exact Z^3 reference."""
 
+import inspect
 import os
+import re
 import subprocess
 import sys
 
@@ -13,11 +15,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import greenlab
-from greenlab import green, groups
+from greenlab import green, groups, walks
 from greenlab.green import (TransienceError, TreeGreenOracle, ball_domain,
                             boundary_green_matrix, box_domain, check_transient,
                             exit_distribution, killed_green_solve,
-                            mc_green_diagonal, mc_hitting_green,
                             quadrant_harmonicity_defect,
                             quadrant_killed_green, vector_identity_residual,
                             verify_exit_decomposition)
@@ -96,7 +97,7 @@ class TestKilledSolve:
         mu = srw(F2)
         om = ball_domain(F2, mu, 10, with_boundary=False)
         t = killed_green_solve(om, [()], mu, method="cg")
-        oracle = TreeGreenOracle(F2)
+        oracle = TreeGreenOracle(srw(F2))
         # truncation error at B(10) for |x| <= 4 is below 1e-5
         for x in [(), (1,), (1, 2), (1, 2, -1), (2, -1, 2, -1)]:
             assert t.green((), x) == pytest.approx(oracle.green((), x), abs=1e-5)
@@ -517,7 +518,7 @@ class TestExitDecomposition:
 
     def test_f2_closed_form_both_sides(self):
         mu = srw(F2)
-        oracle = TreeGreenOracle(F2)
+        oracle = TreeGreenOracle(srw(F2))
         dom = ball_domain(F2, mu, 2)
         x = (1, 2, 1, -2)            # |x| = 4, outside B(e,2)
         exits = exit_distribution(dom, (), mu)
@@ -555,92 +556,71 @@ class TestBoundaryGreenMatrix:
         assert res < 1e-8
 
 
-def reference_tree_distances(rank, start, walkers, steps, rng):
-    """Distance to the target of each tree SRW walker after 0..steps steps,
-    one walker at a time: from d >= 1 one of the 2k neighbours is closer."""
-    d = [start] * walkers
+def reference_tree_distances(rank, walkers, steps, rng, laziness=0.0):
+    """Word length of each (lazy) tree SRW walker from e after 0..steps
+    steps, one walker at a time: it stays w.p. laziness, and from d >= 1
+    one of the 2k neighbours is closer."""
+    d = [0] * walkers
     rows = [list(d)]
     for _ in range(steps):
         u = rng.random(walkers)
-        d = [x - 1 if x > 0 and u[i] < 1.0 / (2 * rank) else x + 1
-             for i, x in enumerate(d)]
+        d = [x if u[i] < laziness
+             else x - 1 if x > 0 and u[i] < laziness + (1 - laziness) / (2 * rank)
+             else x + 1 for i, x in enumerate(d)]
         rows.append(list(d))
     return np.array(rows)
 
 
-class TestMonteCarlo:
-    def test_hit_self_is_diagonal(self):
-        rng = derive_stream(1, "mc")
-        est = mc_hitting_green(F2, srw(F2), (1,), (1,), 2000, rng, path_cap=400)
-        assert est.hit_fraction == 1.0
+def sphere_visits(laziness, walkers, steps, seed, levels=2):
+    """Mean visits of the tree walker to the spheres S(e, 0..levels-1)
+    within `steps` steps, and their standard errors."""
+    visits = np.zeros((levels, walkers))
+    chain = walks._tree_distance_chain(2, walkers, derive_stream(seed, "tree-mc"),
+                                       laziness)
+    for _, d in zip(range(steps + 1), chain):
+        for j in range(levels):
+            visits[j] += d == j
+    return visits.mean(axis=1), visits.std(axis=1, ddof=1) / np.sqrt(walkers)
 
-    def test_f2_hitting_probability(self):
-        rng = derive_stream(7, "mc-f2")
-        est = mc_hitting_green(F2, srw(F2), (), (1, 2), 10 ** 5, rng)
-        sigma = np.sqrt((1 / 9) * (8 / 9) / 10 ** 5)
-        assert abs(est.hit_fraction - 1 / 9) < 3 * sigma + est.bias_bound
+
+class TestMonteCarlo:
+    """The tree walker of `walks` against the closed forms of the oracle;
+    `green` itself draws nothing."""
 
     def test_diagonal_estimate_tree(self):
-        rng = derive_stream(9, "mc-diag")
-        gee, ci = mc_green_diagonal(F2, srw(F2), 10 ** 4, 400, rng)
-        assert abs(gee - 1.5) < 3 * ci / 1.96 + 1e-3
+        # visits to e estimate G(e,e) = 3/2; a walker at level D after the
+        # cap returns w.p. 3^-D, under 1e-20 at every final level here
+        (gee, _), (se, _) = sphere_visits(0.0, 10 ** 4, 400, 9)
+        assert abs(gee - TreeGreenOracle(srw(F2)).gee()) < 3 * se
 
     def test_lazy_tree_estimates(self):
         # a lazy walk stays put with probability 1/2, so it visits each
-        # vertex twice as often: G = gee / (1 - 1/2), while F is unchanged
-        mu = lazy_transform(srw(F2), 0.5)
-        gee = TreeGreenOracle(F2).gee() / (1 - 0.5)
-        est, ci = mc_green_diagonal(F2, mu, 10 ** 4, 400, derive_stream(9, "mc-lazy"))
-        assert abs(est - gee) < 3 * ci / 1.96 + 1e-3
-        # G(e, a) = gee / 3 = 1, within about 3 standard errors of an
-        # estimate that multiplies two estimates
-        hit = mc_hitting_green(F2, mu, (), (1,), 10 ** 4,
-                               derive_stream(10, "mc-lazy"))
-        assert abs(hit.value - gee / 3) < 0.05
-
-    def test_cross_method_f2_twenty_pairs(self):
-        # closed-form tree values against MC hitting on 20 random targets
-        mu = srw(F2)
-        oracle = TreeGreenOracle(F2)
-        rng = derive_stream(13, "mc-f2-pairs")
-        els = [g for g in ball_domain(F2, mu, 4).elements if g != ()]
-        picks = [els[int(i)] for i in rng.integers(0, len(els), size=20)]
-        for x in picks:
-            est = mc_hitting_green(F2, mu, (), x, 20000, rng, gee=oracle.gee())
-            assert abs(est.value - oracle.green((), x)) < est.ci95 + est.bias_bound + 1e-3
+        # vertex twice as often: G = (3/2) / (1 - 1/2), and the sphere
+        # S(e, 1) gets 4 G(e, a) = 4 visits
+        oracle = TreeGreenOracle(lazy_transform(srw(F2), 0.5))
+        mean, se = sphere_visits(0.5, 10 ** 4, 400, 10)
+        assert abs(mean[0] - oracle.gee()) < 3 * se[0]
+        assert abs(mean[1] - 4 * oracle.green((), (1,))) < 3 * se[1]
 
     def test_tree_chain_matches_walker_loop(self):
-        # the shared distance chain against a per-walker scalar loop fed the
-        # same uniforms: visit counts, hit mask and capped-walker bias agree
-        walkers, cap, q = 60, 40, 3
-        path = reference_tree_distances(2, 1, walkers, cap, derive_stream(5, "chain"))
-        gee, _ = mc_green_diagonal(F2, srw(F2), walkers, cap,
-                                   derive_stream(5, "chain"))
-        assert gee == (reference_tree_distances(2, 0, walkers, cap, derive_stream(
-            5, "chain")) == 0).sum(axis=0).mean()
-        est = mc_hitting_green(F2, srw(F2), (), (-2,), walkers,
-                               derive_stream(5, "chain"), path_cap=cap, gee=1.0)
-        hit = (path == 0).any(axis=0)
-        assert 0 < hit.sum() < walkers
-        assert est.hit_fraction == hit.mean()
-        assert est.bias_bound == float(np.sum(
-            np.power(float(q), -path[-1][~hit].astype(np.float64)))) / walkers
-
-    def test_bias_flag_when_cap_too_small(self):
-        # two steps cannot reach a vertex at distance 3
-        rng = derive_stream(3, "mc-capped")
-        est = mc_hitting_green(F2, srw(F2), (), (1, 2, 1), 4000, rng, path_cap=2)
-        assert est.hit_fraction == 0.0
-        assert est.bias_bound > 0 and est.bias_flag
+        # the vectorised chain against a per-walker scalar loop fed the
+        # same uniforms, with and without laziness
+        walkers, cap = 60, 40
+        for laziness in (0.0, 0.5):
+            want = reference_tree_distances(2, walkers, cap,
+                                            derive_stream(5, "chain"), laziness)
+            chain = walks._tree_distance_chain(2, walkers,
+                                               derive_stream(5, "chain"), laziness)
+            got = np.array([d for _, d in zip(range(cap + 1), chain)])
+            assert (got == want).all()
+            moves = np.diff(got, axis=0)
+            assert (moves == -1).any() and (moves == 1).any()
+            assert (moves == 0).any() == (laziness > 0)
 
     @pytest.mark.parametrize("spec", [Z3, HEIS], ids=["Z3", "Heis3"])
     def test_off_trees_raise(self, spec):
-        rng = derive_stream(3, "mc-off-tree")
-        e = groups.identity(spec)
-        with pytest.raises(ValueError, match="trees only"):
-            mc_green_diagonal(spec, srw(spec), 10, 10, rng)
-        with pytest.raises(ValueError, match="trees only"):
-            mc_hitting_green(spec, srw(spec), e, (1, 0, 0), 10, rng, gee=1.0)
+        with pytest.raises(ValueError, match="tree oracle needs SRW on a free group"):
+            TreeGreenOracle(srw(spec))
 
 
 # reduced words of F_2 of length at most 6
@@ -660,7 +640,7 @@ def tree_distance(a: tuple, x: tuple) -> int:
 class TestProviders:
     @given(a=F2_WORDS, xs=st.lists(F2_WORDS, min_size=1, max_size=5))
     def test_tree_oracle_row_is_the_closed_form(self, a, xs):
-        v, lo, hi = TreeGreenOracle(F2).bracket_row(a, xs)
+        v, lo, hi = TreeGreenOracle(srw(F2)).bracket_row(a, xs)
         want = [1.5 * 3.0 ** -tree_distance(a, x) for x in xs]
         assert v.tolist() == pytest.approx(want, rel=1e-15, abs=0)
         assert lo.tolist() == v.tolist() == hi.tolist()
@@ -668,11 +648,41 @@ class TestProviders:
     @given(a=F2_WORDS, x=F2_WORDS)
     def test_tree_oracle_one_step_identity(self, a, x):
         # G(a,x) = 1{a=x} + (1/4) sum_s G(a s, x)
-        oracle = TreeGreenOracle(F2)
+        oracle = TreeGreenOracle(srw(F2))
         g = oracle.bracket_row(a, [x])[0][0]
         mean = sum(oracle.bracket_row(groups.mul(F2, a, s), [x])[0][0]
                    for s in groups.standard_generators(F2).elements) / 4
         assert g == pytest.approx((a == x) + mean, rel=1e-15, abs=0)
+
+    def test_lazy_tree_oracle_diagonal(self):
+        # a walk that stays put half the time visits e twice as often
+        assert TreeGreenOracle(lazy_transform(srw(F2), 0.5)).gee() == 3.0
+
+    @given(a=F2_WORDS, xs=st.lists(F2_WORDS, min_size=1, max_size=5),
+           laziness=st.sampled_from([0.1, 0.25, 0.5, 0.9]))
+    def test_lazy_tree_oracle_row(self, a, xs, laziness):
+        # G_lambda = G / (1 - lambda); F does not depend on lambda
+        oracle = TreeGreenOracle(lazy_transform(srw(F2), laziness))
+        v, lo, hi = oracle.bracket_row(a, xs)
+        want = [1.5 * 3.0 ** -tree_distance(a, x) / (1 - laziness) for x in xs]
+        assert v.tolist() == pytest.approx(want, rel=1e-15, abs=0)
+        assert lo.tolist() == v.tolist() == hi.tolist()
+        assert [oracle.hitting(a, x) for x in xs] == \
+            [3.0 ** -tree_distance(a, x) for x in xs]
+
+    def test_tree_oracle_rejects_other_finite_laws(self):
+        # a finite law on F_2 that is not SRW up to laziness has another G
+        biased = StepMeasure(F2, "finite", "biased",
+                             probs={(1,): 0.4, (-1,): 0.4, (2,): 0.1, (-2,): 0.1})
+        with pytest.raises(ValueError, match="tree oracle needs SRW"):
+            TreeGreenOracle(biased)
+
+    def test_green_draws_nothing(self):
+        # closed forms and solves only: no generator parameter, no draw
+        assert not re.search(r"rng|Generator|random", inspect.getsource(green))
+        for name, fn in vars(green).items():
+            if inspect.isfunction(fn) and fn.__module__ == green.__name__:
+                assert "rng" not in inspect.signature(fn).parameters, name
 
     def test_table_row_names_a_missing_source(self, z3_table_b20):
         # a table reads only its own rows: no argument swap "by symmetry"

@@ -268,6 +268,15 @@ class TestIncrementRatioMax:
         p3 = mu.shell_radius_mass(3)
         assert abs((lens == 3).mean() - p3) < 4 * np.sqrt(p3 / 10 ** 5)
 
+    def test_stable_jump_lengths_draw_no_sign(self):
+        # a length is the magnitude alone: one uniform per jump, any tail
+        # redraws, and no sign draw
+        mu = stable_z_measure(1.0)
+        a, b = (derive_stream(16, "incr-stable-len") for _ in range(2))
+        lens = sample_jump_lengths(mu, a, 1000)
+        assert (lens == mu.sample_stable_ints(b, 1000)).all() and lens.min() >= 1
+        assert a.random() == b.random()
+
     def test_lazy_finite_jump_lengths_4sigma(self):
         # the identity is in a lazy finite law's support: one draw, no
         # second laziness mask (which gave P(0) = 0.751 here)
