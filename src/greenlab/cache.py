@@ -53,7 +53,8 @@ def save_table(cache_dir: str, backend: str, mhash: str, table: GreenTable) -> s
         "n_values": int(table.values.shape[1]),
     }
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    payload = table.values.astype("<f8").tobytes()
+    # the values' own buffer (a copy only if they are not C-ordered "<f8")
+    payload = np.ascontiguousarray(table.values, dtype="<f8")
     path = os.path.join(cache_dir,
                         cache_key(backend, mhash, table.omega.label, table.tol))
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
@@ -61,7 +62,7 @@ def save_table(cache_dir: str, backend: str, mhash: str, table: GreenTable) -> s
         with os.fdopen(fd, "wb") as fh:
             fh.write(struct.pack("<Q", len(blob)))
             fh.write(blob)
-            fh.write(payload)
+            fh.write(memoryview(payload).cast("B"))
         os.replace(tmp, path)       # atomic publish
     finally:
         if os.path.exists(tmp):

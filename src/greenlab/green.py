@@ -60,6 +60,9 @@ DEFAULT_TOL = 1e-10
 # where plain CG takes at most ~0.3 s, so they (and every value recorded
 # from them) do not depend on the quotient's arithmetic.
 QUOTIENT_MIN = 100_000
+# Lattice domains are built, and their orbits labelled, this many rows at a
+# time, so the temporaries of those passes stay a few MB at any domain size.
+_CHUNK_ROWS = 2 ** 16
 
 
 class TransienceError(ValueError):
@@ -117,6 +120,11 @@ def _sorted_positions(sorted_vals: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Index of each value in a sorted array, -1 when absent."""
     i = np.clip(np.searchsorted(sorted_vals, vals), 0, len(sorted_vals) - 1)
     return np.where(sorted_vals[i] == vals, i, -1)
+
+
+def _chunks(n: int):
+    """Consecutive slices of at most _CHUNK_ROWS rows covering [0, n)."""
+    return (slice(s, min(s + _CHUNK_ROWS, n)) for s in range(0, n, _CHUNK_ROWS))
 
 
 @contextlib.contextmanager
@@ -273,16 +281,26 @@ class _LatticeDomain(Domain):
     pads the grid by the reach of its steps, so each column is one
     flat-index gather; on Heis3 a step s moves c by c_s + a b_s, so its
     column adds the per-row central offset a b_s stride_c and the c axis is
-    padded by that reach too.  Elements are decoded to tuples lazily."""
+    padded by that reach too.  Elements are decoded to tuples lazily.  The
+    grid is filled in chunks of rows (``_chunks``), so building it holds no
+    whole-domain temporary."""
 
     def __init__(self, spec: GroupSpec, label: str, coords: np.ndarray,
                  bcoords: Optional[np.ndarray], support: tuple):
         self.spec, self.label, self.support = spec, label, support
         self.coords = coords
-        pts = coords if bcoords is None else np.concatenate([coords, bcoords])
-        self.lo = pts.min(axis=0)
-        self.grid = np.full(tuple(pts.max(axis=0) - self.lo + 1), -1, dtype=np.int32)
-        self.grid[tuple((pts - self.lo).T)] = np.arange(len(pts), dtype=np.int32)
+        parts = [p for p in (coords, bcoords) if p is not None]
+        self.lo = np.min([p.min(axis=0) for p in parts if len(p)], axis=0)
+        hi = np.max([p.max(axis=0) for p in parts if len(p)], axis=0)
+        self.grid = np.full(tuple(hi - self.lo + 1), -1, dtype=np.int32)
+        flat = self.grid.reshape(-1)
+        start = 0
+        for p in parts:
+            for s in _chunks(len(p)):
+                rel = p[s] - self.lo
+                flat[np.ravel_multi_index(tuple(rel.T), self.grid.shape)] = \
+                    np.arange(start + s.start, start + s.stop, dtype=np.int32)
+            start += len(p)
         self.boundary = None if bcoords is None else [tuple(r) for r in bcoords.tolist()]
         self._elements = None
 
@@ -330,11 +348,37 @@ class _LatticeDomain(Domain):
 
 def _l1_ball_coords(d: int, radius: int, shell: bool) -> np.ndarray:
     """Points of Z^d with |x|_1 <= radius (or == radius + 1 when shell), in
-    lexicographic order."""
-    ax = np.abs(np.arange(-radius - 1, radius + 2, dtype=np.int32))
-    l1 = functools.reduce(np.add.outer, [ax] * d)
-    mask = (l1 == radius + 1) if shell else (l1 <= radius)
-    return np.argwhere(mask) - (radius + 1)
+    lexicographic order.
+
+    The rows fill one preallocated array, a run of slabs x_1 = const at a
+    time.  The slab at x_1 holds the points of the other d - 1 axes at L1
+    norm at most (or exactly) top - |x_1|, top the largest norm kept; it is
+    counted from the norm histogram of the cube [-top, top]^(d-1) and read
+    off one mask over the part of that cube the run can reach.  A run holds
+    at most _CHUNK_ROWS rows, or one slab, so the temporaries stay small
+    however large the ball.  The array is column-major, so the per-axis
+    passes over it (bounds, canonical points) read contiguous columns."""
+    top = radius + 1 if shell else radius
+    ax = np.abs(np.arange(-top, top + 1, dtype=np.int32))
+    rest = functools.reduce(np.add.outer, [ax] * (d - 1), np.int32(0))
+    hist = np.bincount(np.ravel(rest), minlength=top + 1)[:top + 1]
+    counts = (hist if shell else np.cumsum(hist))[top - ax]
+    ends = np.cumsum(counts)
+    out = np.empty((int(ends[-1]), d), dtype=np.int64, order="F")
+    offset = np.full(d, top, dtype=np.int64)
+    i = 0
+    while i < len(ax):
+        start = ends[i] - counts[i]
+        j = max(i + 1, int(np.searchsorted(ends, start + _CHUNK_ROWS, side="right")))
+        # the cross-section window [-b, b]^(d-1) holds every slab of the run
+        b = top - ax[i:j].min()
+        window = rest[(slice(top - b, top + b + 1),) * (d - 1)]
+        norm = ax[i:j].reshape((-1,) + (1,) * (d - 1)) + window
+        offset[0], offset[1:] = top - i, b
+        np.subtract(np.argwhere(norm == top if shell else norm <= top), offset,
+                    out=out[start:ends[j - 1]])
+        i = j
+    return out
 
 
 def ball_domain(spec: GroupSpec, mu: StepMeasure, radius: int, center=None,
@@ -359,9 +403,12 @@ def ball_domain(spec: GroupSpec, mu: StepMeasure, radius: int, center=None,
         label = f"ball[{spec.label()},R={radius},center={center!r}]"
     if spec.variant == "lattice" and standard:
         c = np.asarray(center, dtype=np.int64)
-        bcoords = _l1_ball_coords(spec.d, radius, True) + c if with_boundary else None
-        return _LatticeDomain(spec, label, _l1_ball_coords(spec.d, radius, False) + c,
-                              bcoords, support)
+        coords, bcoords = _l1_ball_coords(spec.d, radius, False), None
+        coords += c
+        if with_boundary:
+            bcoords = _l1_ball_coords(spec.d, radius, True)
+            bcoords += c
+        return _LatticeDomain(spec, label, coords, bcoords, support)
     coords, _, bcoords = groups.layer_ball(spec, center, steps, radius,
                                            with_boundary)
     return _LatticeDomain(spec, label, coords, bcoords, support)
@@ -514,7 +561,10 @@ def _symmetry_orbits(omega: Domain, mu: StepMeasure, sources: list) -> _Orbits:
 
     The representative of an orbit is its canonical point: |x_k| on the
     flippable axes, then the coordinates of each block in ascending order
-    (sorted by compare-exchange passes over the block's columns).
+    (sorted by compare-exchange passes over the block's columns).  Points
+    are canonicalised and located _CHUNK_ROWS at a time, and the orbit
+    numbers overwrite the located indices in place, so beyond the domain
+    the pass holds two n-length int64 arrays and one boolean one.
     """
     n = len(omega)
     if omega.spec.variant != "lattice" or n <= QUOTIENT_MIN:
@@ -523,19 +573,27 @@ def _symmetry_orbits(omega: Domain, mu: StepMeasure, sources: list) -> _Orbits:
     order = 2 ** len(flips) * math.prod(math.factorial(len(b)) for b in blocks)
     if order == 1:
         return _Orbits.trivial(n)
-    canon = omega.coords.T.copy()           # one contiguous row per axis
-    canon[flips] = np.abs(canon[flips])
-    for b in blocks:
-        for top in range(len(b) - 1, 0, -1):
-            for j in range(top):
-                x, y = canon[b[j]], canon[b[j + 1]]
-                canon[b[j]], canon[b[j + 1]] = np.minimum(x, y), np.maximum(x, y)
-    first = omega.positions(canon.T)
+    # the canonical point of each row, located chunk by chunk; then each
+    # entry of `first` is relabelled in place by its orbit's number
+    first = np.empty(n, dtype=np.int64)
+    for s in _chunks(n):
+        canon = omega.coords[s].T.copy()    # one contiguous row per axis
+        canon[flips] = np.abs(canon[flips])
+        for b in blocks:
+            for top in range(len(b) - 1, 0, -1):
+                for j in range(top):
+                    x, y = canon[b[j]], canon[b[j + 1]]
+                    canon[b[j]], canon[b[j + 1]] = np.minimum(x, y), np.maximum(x, y)
+        first[s] = omega.positions(canon.T)
     is_rep = np.zeros(n, dtype=bool)
     is_rep[first] = True
-    label = (np.cumsum(is_rep) - 1)[first]
-    return _Orbits(order, label, np.flatnonzero(is_rep),
-                   np.bincount(label).astype(np.float64))
+    number = is_rep.astype(np.int64)
+    np.cumsum(number, out=number)
+    number -= 1
+    for s in _chunks(n):
+        first[s] = number[first[s]]
+    return _Orbits(order, first, np.flatnonzero(is_rep),
+                   np.bincount(first).astype(np.float64))
 
 
 def _operator(omega: Domain, mu: StepMeasure,
@@ -664,7 +722,8 @@ def killed_green_solve(omega: Domain, sources: list, mu: StepMeasure,
         res = float(np.max(np.abs(mat @ u - rhs) / orbits.sizes))
         if res > 100 * max(tol, 1e-14):
             raise SolverError(f"residual {res:g} above tolerance for source {a!r}")
-        vals[i] = u[orbits.label]
+        # every label lies in [0, m); mode "raise" would buffer the whole row
+        np.take(u, orbits.label, out=vals[i], mode="clip")
         residuals[i] = res
 
     thread_map(solve, len(sources))

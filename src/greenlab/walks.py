@@ -26,8 +26,8 @@ import numpy as np
 from . import groups, thread_map
 from .green import GreenTable, TreeGreenOracle, ball_domain, killed_green_solve
 from .groups import GroupSpec, identity
-from .measures import (PmfOnZ, StepMeasure, UNIT_MASS, _range_sum, _shell_f,
-                       self_convolution_powers, total_variation_shift)
+from .measures import (PmfOnZ, StepMeasure, UNIT_MASS, _is_srw, _range_sum,
+                       _shell_f, self_convolution_powers, total_variation_shift)
 
 # The batched walker's replicas hold at most this many walkers each, and a
 # replica draws about this many walker-steps per sample_steps call.  On the
@@ -148,8 +148,13 @@ def _tree_distance_chain(rank: int, walkers: int, rng: np.random.Generator,
 def batch_lengths(spec: GroupSpec, mu: StepMeasure, n: int, trials: int,
                   rng: np.random.Generator, checkpoints) -> dict:
     """Word-length (or quasi-norm) arrays at checkpoints; metric mode depends
-    on the backend (exact on lattices/trees, quasi-norm on Heisenberg)."""
+    on the backend (exact on lattices/trees, quasi-norm on Heisenberg).  On
+    F_k only (lazy) SRW is walked, and any other law raises ValueError."""
     if spec.variant == "free":
+        # the tree walker reads nothing of the law but its laziness
+        if mu.spec != spec or not _is_srw(spec, mu):
+            raise ValueError(f"measure must be SRW on {spec.label()} up to "
+                             f"laziness for the tree walker, got {mu.name}")
         want = set(checkpoints)
         chain = _tree_distance_chain(spec.rank, trials, rng, mu.laziness)
         return {k: d for k, d in zip(range(n + 1), chain) if k in want}

@@ -268,6 +268,32 @@ class TestCache:
         assert cachemod.load_table(str(tmp_path), "Z^3", mhash, omega2,
                                    1e-10) is None
 
+    @pytest.mark.parametrize("layout", ["c", "fortran", "big-endian"])
+    def test_cache_file_holds_little_endian_values(self, layout, tmp_path):
+        # the payload is written from the values' own buffer (converted only
+        # when they are not C-ordered "<f8"): the bytes of the "<f8" encoding
+        import dataclasses
+        import struct
+        from greenlab import cache as cachemod
+        from greenlab.green import ball_domain, killed_green_solve
+        from greenlab.measures import uniform_on_generators
+        Z3 = groups.integer_lattice(3)
+        mu = uniform_on_generators(groups.standard_generators(Z3))
+        omega = ball_domain(Z3, mu, 4, with_boundary=False)
+        table = killed_green_solve(omega, [(0, 0, 0), (1, 0, 0)], mu)
+        values = {"c": table.values, "fortran": np.asfortranarray(table.values),
+                  "big-endian": table.values.astype(">f8")}[layout]
+        mhash = cachemod.measure_hash({"type": "srw"})
+        path = cachemod.save_table(str(tmp_path), "Z^3", mhash,
+                                   dataclasses.replace(table, values=values))
+        with open(path, "rb") as fh:
+            data = fh.read()
+        (mlen,) = struct.unpack("<Q", data[:8])
+        assert data[8 + mlen:] == table.values.astype("<f8").tobytes()
+        loaded = cachemod.load_table(str(tmp_path), "Z^3", mhash, omega, 1e-10)
+        assert loaded.sources == table.sources
+        assert np.array_equal(loaded.values, table.values)
+
 
     def test_cache_key_separates_ball_centres(self, tmp_path):
         # a table for B(0, 3) is not a table for B((5, 0, 0), 3): same
@@ -510,7 +536,8 @@ class TestInvalidMonteCarloSizes:
     # each of these raised a traceback (status 1), printed a bare message,
     # named no key or the wrong fault, or wrote a wrong row (a non-integer
     # size was truncated, a boolean read as 1, a tolerance <= 0 accepted,
-    # the string "no" read as a true flag) before the keys were checked
+    # the string "no" read as a true flag, a stable law walked as SRW on
+    # F_2) before the keys were checked
     @pytest.mark.parametrize("cfg, key", [
         (dict(PROBE_CFG, checkpoints=[20]), "checkpoints"),
         (dict(PROBE_CFG, checkpoints=[0, 10]), "checkpoints"),
@@ -567,6 +594,8 @@ class TestInvalidMonteCarloSizes:
         (dict(ENVELOPE_CFG, phi={"kind": "polynomial", "delta": True}),
          "phi.delta"),
         (dict(TABLE_CFG, boundary_matrix="no"), "boundary_matrix"),
+        (dict(SPEED_CFG, backend="F_2", measure={"type": "stable", "alpha": 1.0}),
+         "measure"),
     ], ids=["checkpoint-above-n", "checkpoint-zero", "negative-n",
             "zero-trials", "zero-in-n-list", "negative-n-list",
             "green-speed-one-trial", "dispersion-zero-in-n-list",
@@ -584,7 +613,8 @@ class TestInvalidMonteCarloSizes:
             "negative-tol", "zero-tol-f2", "bool-tol", "bool-trials",
             "bool-seed", "bool-in-eps-list", "bool-alpha", "nan-alpha",
             "bool-laziness", "bool-gamma", "bool-d-star", "bool-envelope-alpha",
-            "bool-in-r-decades", "bool-phi-delta", "string-boundary-matrix"])
+            "bool-in-r-decades", "bool-phi-delta", "string-boundary-matrix",
+            "f2-speed-stable-law"])
     def test_exits_2_without_output(self, cfg, key, tmp_path, capsys):
         out = tmp_path / "out.csv"
         path = write_config(tmp_path / "cfg.json", dict(cfg, output=str(out)))

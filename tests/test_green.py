@@ -1,11 +1,13 @@
 """Killed Green solves, exit laws, boundary matrices, brackets, the tree
 oracle against the tree walker, and the exact Z^3 reference."""
 
+import functools
 import inspect
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +87,88 @@ class TestDomains:
         for d in (1, 2):
             with pytest.raises(TransienceError):
                 check_transient(groups.integer_lattice(d))
+
+
+def whole_ball_coords(d, radius, shell):
+    """The L1 ball (or shell) from one norm cube, one mask and one argwhere."""
+    ax = np.abs(np.arange(-radius - 1, radius + 2, dtype=np.int32))
+    l1 = functools.reduce(np.add.outer, [ax] * d)
+    mask = (l1 == radius + 1) if shell else (l1 <= radius)
+    return np.argwhere(mask) - (radius + 1)
+
+
+def whole_grid(omega):
+    """(lo, grid) of a lattice domain from one fill over all its points."""
+    pts = omega.coords
+    if omega.boundary is not None:
+        pts = np.concatenate([pts, np.array(omega.boundary, dtype=np.int64)])
+    lo = pts.min(axis=0)
+    grid = np.full(tuple(pts.max(axis=0) - lo + 1), -1, dtype=np.int32)
+    grid[tuple((pts - lo).T)] = np.arange(len(pts), dtype=np.int32)
+    return lo, grid
+
+
+def whole_orbits(omega, mu, sources):
+    """(label, reps, sizes) of the axis-symmetry orbits from the canonical
+    points of all rows at once: |x| on the flippable axes, each block's
+    coordinates sorted by np.sort."""
+    flips, blocks = green._axis_symmetries(omega, mu, sources)
+    canon = omega.coords.copy()
+    canon[:, flips] = np.abs(canon[:, flips])
+    for b in blocks:
+        canon[:, b] = np.sort(canon[:, b], axis=1)
+    first = omega.positions(canon)
+    is_rep = np.zeros(len(omega), dtype=bool)
+    is_rep[first] = True
+    label = (np.cumsum(is_rep) - 1)[first]
+    return label, np.flatnonzero(is_rep), np.bincount(label).astype(np.float64)
+
+
+class TestChunkedBuilders:
+    """The lattice builders and the orbit labelling work in chunks of rows;
+    a small odd chunk makes every run short and the last one ragged, and
+    each result must equal the whole-array construction."""
+
+    @pytest.fixture(autouse=True, params=[7, 61])
+    def small_chunks(self, request, monkeypatch):
+        monkeypatch.setattr(green, "_CHUNK_ROWS", request.param)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("radius", [0, 1, 2, 5, 9])
+    @pytest.mark.parametrize("shell", [False, True])
+    def test_l1_ball_coords(self, d, radius, shell):
+        coords = green._l1_ball_coords(d, radius, shell)
+        want = whole_ball_coords(d, radius, shell)
+        assert coords.dtype == np.int64 and coords.shape == want.shape
+        assert np.array_equal(coords, want)
+
+    @pytest.mark.parametrize("build", [
+        lambda mu: ball_domain(Z3, mu, 9),
+        lambda mu: box_domain(Z3, mu, 4),
+        lambda mu: ball_domain(Z3, mu, 6, center=(2, -1, 3)),
+    ], ids=["ball", "box", "off-centre-ball"])
+    def test_grid(self, build):
+        omega = build(srw(Z3))
+        lo, grid = whole_grid(omega)
+        assert np.array_equal(omega.lo, lo)
+        assert omega.grid.dtype == grid.dtype and np.array_equal(omega.grid, grid)
+
+    @pytest.mark.parametrize("build, source, order", [
+        (lambda mu: ball_domain(Z3, mu, 9, with_boundary=False), E3, 48),
+        (lambda mu: ball_domain(Z3, mu, 7, center=(2, 0, 0), with_boundary=False),
+         (2, 0, 0), 8),
+        (lambda mu: box_domain(Z3, mu, 4), E3, 16),
+    ], ids=["ball", "off-centre-ball", "stretched-box"])
+    def test_symmetry_orbits(self, build, source, order, monkeypatch):
+        monkeypatch.setattr(green, "QUOTIENT_MIN", 100)
+        mu = stretched_z3() if order == 16 else srw(Z3)
+        omega = build(mu)
+        orbits = green._symmetry_orbits(omega, mu, [source])
+        label, reps, sizes = whole_orbits(omega, mu, [source])
+        assert orbits.order == order
+        assert orbits.label.dtype == label.dtype and np.array_equal(orbits.label, label)
+        assert np.array_equal(orbits.reps, reps)
+        assert np.array_equal(orbits.sizes, sizes)
 
 
 class TestKilledSolve:
@@ -278,6 +362,26 @@ class TestCG:
         ref, ref_iterations = scipy_cg(mat, rhs, 1e-10)
         assert iterations == ref_iterations > 1
         assert np.max(np.abs(x - ref)) <= 1e-13
+
+    def test_quotient_solve_peak_allocation(self):
+        # the domain is built and its orbits labelled in chunks of rows, and
+        # each source is lifted straight into its table row; so beyond the
+        # domain's own arrays the peak is a few n-length arrays (orbit
+        # labels, the cumulative rep count, the table row).  On B(0, 60),
+        # 295,361 points, (peak - own) / 8n is 3.7; it was 9.0 when the ball
+        # and the orbit labels were built from whole-ball temporaries
+        mu = srw(Z3)
+        tracemalloc.start()
+        try:
+            omega = ball_domain(Z3, mu, 60, with_boundary=False)
+            table = killed_green_solve(omega, [E3], mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = len(omega)
+        assert n > green.QUOTIENT_MIN and table.symmetry_order == 48
+        own = omega.coords.nbytes + omega.grid.nbytes
+        assert peak <= own + 5 * 8 * n + 2 ** 20, (peak - own) / (8 * n)
 
     def test_full_system_above_the_gate_matches_scipy_cg(self):
         # B(0, 44) in Z^3 has 117,569 points, just above QUOTIENT_MIN; no

@@ -3,6 +3,7 @@ the Heis3 centre's growth."""
 
 import json
 import math
+import re
 import sys
 import tracemalloc
 
@@ -194,6 +195,19 @@ class TestBatchPositions:
         for spec in (Z3, H):
             with pytest.raises(ValueError, match="not a step law"):
                 _batch_positions(spec, stable_z_measure(1.0), 5, 10, rng, [5])
+
+    def test_tree_walker_rejects_other_laws(self):
+        # the tree walker reads nothing of the law but its laziness, so any
+        # law but (lazy) SRW on the backend would be walked as SRW
+        rng = derive_stream(36, "tree-law")
+        biased = StepMeasure(F2, "finite", "biased",
+                             probs={(1,): 0.4, (-1,): 0.4, (2,): 0.1, (-2,): 0.1})
+        for mu in (stable_z_measure(1.0), biased, srw(groups.free_group(3))):
+            with pytest.raises(ValueError, match=r"measure must be SRW on F_2 "
+                               r".* got " + re.escape(mu.name)):
+                batch_lengths(F2, mu, 5, 10, rng, [5])
+        lazy = lazy_transform(srw(F2), 0.5)
+        assert batch_lengths(F2, lazy, 5, 10, rng, [5])[5].shape == (10,)
 
     @pytest.mark.parametrize("backend", ["Z^3", "Heis3"])
     def test_speed_with_stable_law_off_z_exits_2(self, backend, tmp_path):
