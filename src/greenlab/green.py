@@ -18,7 +18,8 @@ G_Omega(a, .) is constant on the H-orbits; on a ball about the origin with
 SRW and the origin as source, |H| = 48.  The solver assembles the Galerkin
 quotient Q^T (I - P) Q (Q the orbit indicator) on one representative per
 orbit, solves it, and lifts the solution back to Omega (Fassler &
-Stiefel, *Group Theoretical Methods and Their Applications*, 1992).
+Stiefel, *Group Theoretical Methods and Their Applications*, 1992).  Any
+other table is the quotient by the trivial orbits: there is one assembly.
 
 Every killed system, full or quotient, is solved by one of two methods: a
 direct factorization, or plain conjugate gradients.  SciPy's sparse
@@ -60,8 +61,8 @@ DEFAULT_TOL = 1e-10
 # where plain CG takes at most ~0.3 s, so they (and every value recorded
 # from them) do not depend on the quotient's arithmetic.
 QUOTIENT_MIN = 100_000
-# Lattice domains are built, and their orbits labelled, this many rows at a
-# time, so the temporaries of those passes stay a few MB at any domain size.
+# Lattice domains are built, orbits labelled and killed systems assembled
+# this many rows at a time, so their temporaries stay a few MB at any size.
 _CHUNK_ROWS = 2 ** 16
 
 
@@ -94,10 +95,10 @@ class Domain:
 
     * ``positions(payloads)``: the index of each payload in ``elements``,
       or -1 outside S (int64 array);
-    * ``step_table(steps)``: int64 table [n, m] whose entry (i, k) locates
-      elements[i] * steps[k]: values in [0, n) lie in S, n + j is
-      ``boundary[j]``, and -1 is any other point (every point outside S when
-      the domain carries no boundary).
+    * ``step_table(steps, rows=all)``: int64 table whose entry (i, k)
+      locates elements[rows[i]] * steps[k]: values in [0, n) lie in S,
+      n + j is ``boundary[j]``, and -1 is any other point (every point
+      outside S when the domain carries no boundary).
 
     ``elements`` and ``boundary`` keep a canonical order, because cached
     tables are positional; ``label`` names the domain in cache keys.
@@ -258,11 +259,12 @@ class _FreeBallDomain(Domain):
         codes = np.array([self.encode(w) for w in payloads], dtype=np.int64)
         return _sorted_positions(self.codes, codes)
 
-    def step_table(self, steps) -> np.ndarray:
+    def step_table(self, steps, rows=slice(None)) -> np.ndarray:
         n = len(self.codes)
-        table = np.empty((n, len(steps)), dtype=np.int64)
+        codes = self.codes[rows]
+        table = np.empty((len(codes), len(steps)), dtype=np.int64)
         for j, word in enumerate(steps):
-            c = self.codes
+            c = codes
             for letter in word:
                 c = self._append(c, self._letter(letter))
             i = _sorted_positions(self.codes, c)
@@ -278,12 +280,10 @@ class _LatticeDomain(Domain):
     (a, b, c)), in lexicographic order, with a dense grid over the bounding
     window of S and its boundary for O(1) vector lookups: the grid holds i
     at elements[i], n + j at boundary[j] and -1 elsewhere.  A step table
-    pads the grid by the reach of its steps, so each column is one
-    flat-index gather; on Heis3 a step s moves c by c_s + a b_s, so its
-    column adds the per-row central offset a b_s stride_c and the c axis is
-    padded by that reach too.  Elements are decoded to tuples lazily.  The
-    grid is filled in chunks of rows (``_chunks``), so building it holds no
-    whole-domain temporary."""
+    looks each row's product with a step (``groups.mul_rows``, the one
+    place the group law lives) up in the grid, -1 outside its window.
+    Elements are decoded to tuples lazily.  The grid is filled in chunks of
+    rows (``_chunks``), so building it holds no whole-domain temporary."""
 
     def __init__(self, spec: GroupSpec, label: str, coords: np.ndarray,
                  bcoords: Optional[np.ndarray], support: tuple):
@@ -318,7 +318,9 @@ class _LatticeDomain(Domain):
 
     def _grid_at(self, pts: np.ndarray) -> np.ndarray:
         rel = pts - self.lo
-        ok = np.all((rel >= 0) & (rel < self.grid.shape), axis=1)
+        # column by column: np.all over the short axis 1 is several times slower
+        ok = np.logical_and.reduce([(c >= 0) & (c < size)
+                                    for c, size in zip(rel.T, self.grid.shape)])
         flat = np.ravel_multi_index(tuple(rel.T), self.grid.shape, mode="clip")
         return np.where(ok, self.grid.ravel()[flat], np.int64(-1))
 
@@ -326,23 +328,12 @@ class _LatticeDomain(Domain):
         i = self._grid_at(self._rows(payloads))
         return np.where(i < len(self), i, -1)
 
-    def step_table(self, steps) -> np.ndarray:
+    def step_table(self, steps, rows=slice(None)) -> np.ndarray:
+        g = self.coords[rows]
         steps = self._rows(steps)
-        reach = np.abs(steps).max(axis=0, initial=0)
-        heis = self.spec.variant == "heisenberg"
-        if heis:
-            reach[2] += np.abs(self.coords[:, 0]).max() * reach[1]
-        padded = np.pad(self.grid, [(r, r) for r in reach], constant_values=-1)
-        strides = np.array(padded.strides) // padded.itemsize
-        base = (self.coords - self.lo + reach) @ strides
-        flat = padded.ravel()
-        central = self.coords[:, 0] * strides[2] if heis else None
-        table = np.empty((len(self), len(steps)), dtype=np.int64)
-        for k, offset in enumerate(steps @ strides):
-            idx = base + offset
-            if heis and steps[k, 1]:
-                idx += steps[k, 1] * central
-            table[:, k] = flat[idx]
+        table = np.empty((len(g), len(steps)), dtype=np.int64)
+        for k, s in enumerate(steps):
+            table[:, k] = self._grid_at(groups.mul_rows(self.spec, g, s))
         return table
 
 
@@ -598,41 +589,49 @@ def _symmetry_orbits(omega: Domain, mu: StepMeasure, sources: list) -> _Orbits:
 
 def _operator(omega: Domain, mu: StepMeasure,
               orbits: Optional[_Orbits] = None) -> sp.csr_matrix:
-    """I - P restricted to Omega (SPD for symmetric substochastic P).
-
-    Given the orbits of a symmetry group H of a lattice domain, it is the
-    Galerkin quotient M = Q^T (I - P) Q instead, Q the n x m orbit
-    indicator: M[i, j] = w_i (delta_ij (1 - mu(e)) - sum of mu(s) over the
-    steps s with x_i + s in orbit j), x_i the representative and w_i the
+    """The Galerkin quotient M = Q^T (I - P) Q of I - P restricted to
+    Omega, Q the n x m indicator of the orbits of a symmetry group H of the
+    domain and the law (the trivial orbits by default, where M is I - P
+    itself): M[i, j] = w_i (delta_ij (1 - mu(e)) - sum of mu(s) over the
+    steps s with x_i s in orbit j), x_i the representative and w_i the
     size of orbit i.  M is I - P restricted to H-invariant vectors, so it
-    is SPD too; it is assembled from m x |steps| lookups of x_i + s, so no
-    full-domain step table is built.
+    is SPD when mu(s) = mu(s^-1); any other law is rejected.  The rows are
+    built _CHUNK_ROWS representatives at a time from the domain's step
+    table, and copied into preallocated CSR arrays.
     """
     if not mu.finite_range():
         raise ValueError("killed solver requires a finite-support measure")
-    steps, p = _steps(omega.spec, mu)
+    if any(mu.pmf(s) != mu.pmf(inv(omega.spec, s)) for s in mu.support_elements()):
+        raise ValueError(f"killed solver requires a symmetric law, not {mu.name}")
     if orbits is None:
-        table = omega.step_table(steps)
-    else:
-        pts = omega.coords[orbits.reps, None, :] + np.array(steps, dtype=np.int64)
-        pos = omega.positions(pts.reshape(-1, omega.spec.d)).reshape(pts.shape[:2])
-        table = np.where(pos >= 0, orbits.label[pos], -1)
-    n = len(table)
-    # one column per step plus the diagonal; summing duplicates (steps into
-    # one orbit) and sorting each row's indices yields the canonical CSR
-    cols = np.empty((n, len(steps) + 1), dtype=np.int32)
-    cols[:, :-1] = table
-    cols[:, -1] = np.arange(n)
-    inside = (cols >= 0) & (cols < n)
+        orbits = _Orbits.trivial(len(omega))
+    steps, p = _steps(omega.spec, mu)
+    n, m = len(omega), len(orbits.reps)
     weights = np.append(-p, 1.0 - mu.pmf(identity(omega.spec)))
-    counts = inside.sum(axis=1)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    mat = sp.csr_matrix((np.broadcast_to(weights, cols.shape)[inside], cols[inside],
-                         indptr), shape=(n, n))
-    if orbits is not None:
-        mat.data *= np.repeat(orbits.sizes, counts)
-    mat.sum_duplicates()
-    return mat
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    indices = np.empty(m * len(weights), dtype=np.int32)
+    data = np.empty(m * len(weights))
+    for rows in _chunks(m):
+        # one column per step plus the diagonal: the orbit of each neighbour
+        # in S, and -1 for every other point.  Summing duplicates (steps into
+        # one orbit) and sorting each row's indices yields the canonical rows
+        table = omega.step_table(steps, orbits.reps[rows])
+        cols = np.empty((len(table), len(weights)), dtype=np.int32)
+        cols[:, :-1] = orbits.label.take(table, mode="clip")
+        cols[:, :-1][(table < 0) | (table >= n)] = -1
+        del table
+        cols[:, -1] = np.arange(rows.start, rows.stop)
+        inside = cols >= 0
+        chunk = sp.csr_matrix(((weights * orbits.sizes[rows, None])[inside], cols[inside],
+                               np.append(0, np.cumsum(inside.sum(axis=1)))),
+                              shape=(len(cols), m))
+        chunk.sum_duplicates()
+        start, end = indptr[rows.start], indptr[rows.start] + chunk.nnz
+        indices[start:end], data[start:end] = chunk.indices, chunk.data
+        indptr[rows.start + 1:rows.stop + 1] = start + chunk.indptr[1:]
+        del cols, inside, chunk     # before the next chunk's temporaries
+    return sp.csr_matrix((data[:indptr[-1]], indices[:indptr[-1]], indptr),
+                         shape=(m, m))
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
@@ -699,7 +698,7 @@ def killed_green_solve(omega: Domain, sources: list, mu: StepMeasure,
         if a not in omega:
             raise ValueError(f"source {a!r} outside the domain")
     orbits = _symmetry_orbits(omega, mu, sources)
-    mat = _operator(omega, mu, orbits if orbits.order > 1 else None)
+    mat = _operator(omega, mu, orbits)
     m = len(orbits.reps)
     if method == "auto":
         if m <= DIRECT_SOLVE_MAX or (len(sources) > 8 and m <= 120000):

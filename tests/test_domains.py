@@ -138,6 +138,8 @@ def test_step_table_matches_mul_and_lookup(case):
             else:
                 want = -1
             assert table[i, k] == want, (g, s)
+    rows = np.arange(n)[::-3]
+    assert np.array_equal(dom.step_table(steps, rows), table[rows])
 
 
 def test_canonical_order(case):
@@ -204,8 +206,8 @@ def test_lattice_step_table_far_steps(center):
 @pytest.mark.parametrize("center", [(0, 0, 0), (4, -3, 10)])
 @pytest.mark.parametrize("with_boundary", [True, False])
 def test_heis3_step_table_far_steps(center, with_boundary):
-    # a step s moves c by c_s + a b_s: far b-steps reach past the window,
-    # alone (the grid is padded by one step's reach) and together
+    # a step s moves c by c_s + a b_s: far b-steps reach past the grid's
+    # window, alone and together, and such products are located as -1
     dom = ball_domain(HEIS, srw(HEIS), 3, center=center, with_boundary=with_boundary)
     steps = [(0, 7, 0), (0, -6, 2), (0, 3, 0), (3, 4, -1), (-5, 0, 0), (0, 0, -9)]
     index = {g: i for i, g in enumerate(dom.elements + (dom.boundary or []))}

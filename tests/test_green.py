@@ -313,6 +313,13 @@ def test_operator_matches_coo_build(name):
         assert np.array_equal(getattr(mat, field), getattr(ref, field)), field
 
 
+@pytest.mark.parametrize("name", sorted(OPERATOR_CASES))
+def test_chunked_operator_matches_coo_build(name, monkeypatch):
+    # a small odd chunk makes every chunk of rows short and the last one ragged
+    monkeypatch.setattr(green, "_CHUNK_ROWS", 7)
+    test_operator_matches_coo_build(name)
+
+
 def scipy_cg(mat, rhs, tol):
     """(x, iterations) of scipy.sparse.linalg.cg under green.cg's stopping
     rule and iteration cap, the reference for green.cg."""
@@ -383,6 +390,25 @@ class TestCG:
         own = omega.coords.nbytes + omega.grid.nbytes
         assert peak <= own + 5 * 8 * n + 2 ** 20, (peak - own) / (8 * n)
 
+    def test_full_system_assembly_peak_allocation(self):
+        # no axis symmetry fixes the source, so B(0, 60), 295,361 points, is
+        # assembled whole; its rows are built _CHUNK_ROWS at a time into the
+        # preallocated CSR arrays.  The scratch above the returned matrix is
+        # 11.2 MiB; it was 27.9 MiB when the whole step table was built at
+        # once
+        mu = srw(Z3)
+        omega = ball_domain(Z3, mu, 60, with_boundary=False)
+        orbits = green._symmetry_orbits(omega, mu, [ASYMMETRIC])
+        assert len(orbits.reps) == len(omega) > green.QUOTIENT_MIN
+        tracemalloc.start()
+        try:
+            mat = green._operator(omega, mu, orbits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+        assert peak - held <= 16 * 2 ** 20, (peak - held) / 2 ** 20
+
     def test_full_system_above_the_gate_matches_scipy_cg(self):
         # B(0, 44) in Z^3 has 117,569 points, just above QUOTIENT_MIN; no
         # axis symmetry fixes the source, so plain CG runs on all of them
@@ -443,6 +469,18 @@ def full_direct_row(omega, mu, a):
     rhs = np.zeros(len(omega))
     rhs[omega.lookup(a)] = 1.0
     return spla.splu(green._operator(omega, mu).tocsc()).solve(rhs)
+
+
+def heis3_flip_orbits(omega):
+    """Orbits of the automorphism (a, b, c) -> (a, -b, -c) of Heis3 on a
+    domain it maps onto itself, each represented by its first point."""
+    n = len(omega)
+    image = omega.positions(omega.coords * [1, -1, -1])
+    assert (image >= 0).all()
+    first = np.minimum(np.arange(n), image)
+    reps = np.flatnonzero(first == np.arange(n))
+    label = np.searchsorted(reps, first)
+    return green._Orbits(2, label, reps, np.bincount(label).astype(np.float64))
 
 
 class TestOrbitQuotient:
@@ -519,6 +557,28 @@ class TestOrbitQuotient:
         omega = green._LatticeDomain(Z3, "test", coords, None, (E3,))
         assert green._axis_symmetries(omega, mu, [E3]) == ([2], [[0], [1], [2]])
 
+    @pytest.mark.parametrize("chunk_rows", [61, 2 ** 16])
+    def test_heis3_quotient_finds_neighbours_by_the_group_law(self, chunk_rows,
+                                                               monkeypatch):
+        # (a, b, c) -> (a, -b, -c) fixes e and (1, 0, 0) and preserves SRW
+        # and B(6); x s is not x + s on Heis3, so the quotient must multiply.
+        # The quotient's rows are assembled chunk_rows at a time
+        monkeypatch.setattr(green, "_CHUNK_ROWS", chunk_rows)
+        mu = srw(HEIS)
+        omega = ball_domain(HEIS, mu, 6, with_boundary=False)
+        orbits = heis3_flip_orbits(omega)
+        n, m = len(omega), len(orbits.reps)
+        assert m < n
+        q = sp.csr_matrix((np.ones(n), (np.arange(n), orbits.label)))
+        mat = green._operator(omega, mu, orbits)
+        assert abs(mat - q.T @ green._operator(omega, mu) @ q).max() <= 1e-14
+        lu = spla.splu(mat.tocsc())
+        for a in [(0, 0, 0), (1, 0, 0)]:
+            rhs = np.zeros(m)
+            rhs[orbits.label[omega.lookup(a)]] = 1.0
+            lifted = lu.solve(rhs)[orbits.label]
+            assert np.max(np.abs(lifted - full_direct_row(omega, mu, a))) <= 1e-11
+
     @pytest.mark.parametrize("center, source", [(None, ASYMMETRIC), (ASYMMETRIC, E3)])
     def test_trivial_stabiliser_solves_the_full_system(self, center, source):
         mu = srw(Z3)
@@ -527,6 +587,25 @@ class TestOrbitQuotient:
         assert (table.symmetry_order, table.unknowns) == (1, len(omega))
         assert np.max(np.abs(table.row(source)
                              - full_direct_row(omega, mu, source))) <= 1e-9
+
+
+class TestNonSymmetricLaw:
+    """A killed solve needs mu(s) = mu(s^-1): on any other law a direct
+    solve returned the transposed rows and CG ran to its iteration cap."""
+
+    LAW = StepMeasure(F2, "finite", "skew-F2",
+                      probs={(1,): 0.40, (-1,): 0.20, (2,): 0.25, (-2,): 0.15})
+
+    @pytest.mark.parametrize("method", ["direct", "cg", "auto"])
+    def test_killed_solve_rejects_it(self, method):
+        omega = ball_domain(F2, self.LAW, 6, with_boundary=False)
+        with pytest.raises(ValueError, match="symmetric law, not skew-F2"):
+            killed_green_solve(omega, [()], self.LAW, method=method)
+
+    def test_exit_distribution_rejects_it(self):
+        omega = ball_domain(F2, self.LAW, 6)
+        with pytest.raises(ValueError, match="symmetric law, not skew-F2"):
+            exit_distribution(omega, (), self.LAW)
 
 
 class TestBracket:
