@@ -1,6 +1,6 @@
 """Heat-kernel envelope checks: near-diagonal tails, the off-diagonal
-Tauberian comparability test, on-diagonal return series, the parity bridge,
-and the exponential-growth sum probe.
+Tauberian comparability test, and exact on-diagonal return series with
+their decay fits.
 
 Scales are normalised as rho(n) = n^(1/gamma) with reference volume
 Vol(rho) = rho^(d*); the near-diagonal tail is A(m) = sum_{n>=m} n^(-d*/gamma)
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _LazyModule
 from .groups import GroupSpec, identity
-from .measures import PmfOnZ, StepMeasure, _is_srw, _range_sum, convolve_z
+from .measures import StepMeasure, _is_srw, _range_sum
 
 special = _LazyModule("scipy.special")
 
@@ -242,73 +242,3 @@ def on_diagonal_probe(spec: GroupSpec, mu: StepMeasure, m_max: int) -> OnDiagona
     kesten_root = float(p2m[-1] ** (1.0 / (2.0 * m_max)))
     return OnDiagonalReport(m, p2m, beta_hat, float(coef[0]), float(coef[1]),
                             kesten_root)
-
-
-# ---------------------------------------------------------------------------
-# Parity bridge
-# ---------------------------------------------------------------------------
-
-def parity_bridge_check(series_or_pmf, k_max: int = 20) -> float:
-    """Worst slack of nu^(k)(e) <= sqrt(nu^(2 floor(k/2))(e) nu^(2 ceil(k/2))(e)).
-
-    Accepts a precomputed return series p_n(e,e) (n = 0..2*ceil(k_max/2))
-    or a symmetric PmfOnZ, which is convolved exactly.  Returns
-    min_k [sqrt(...) - nu^(k)(e)]; nonnegative iff no violation.
-    """
-    if isinstance(series_or_pmf, PmfOnZ):
-        pmf = series_or_pmf
-        if not pmf.is_symmetric(1e-12):
-            raise ValueError("parity bridge requires a symmetric pmf")
-        series = [1.0]
-        cur = None
-        full = 2 * ((k_max + 1) // 2) + 1
-        # the window covers the support of every power up to `full`, so
-        # nothing is clipped (a one-point pmf at 0 still needs cap >= 1)
-        cap = max(1, full * max(abs(pmf.lo), abs(pmf.hi)))
-        for _ in range(full):
-            cur = pmf if cur is None else convolve_z(cur, pmf, cap)
-            series.append(cur.at(0))
-        series = np.array(series)
-    else:
-        series = np.asarray(series_or_pmf, dtype=np.float64)
-        need = 2 * ((k_max + 1) // 2)
-        if len(series) < need + 1:
-            raise ValueError("series too short for k_max")
-    worst = np.inf
-    for k in range(1, k_max + 1):
-        bound = np.sqrt(series[2 * (k // 2)] * series[2 * ((k + 1) // 2)])
-        worst = min(worst, float(bound - series[k]))
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# Exponential-growth sum probe (tree closed form)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GrowthSumProbe:
-    n_values: np.ndarray
-    sums: np.ndarray
-    crossing_n: int
-
-
-def exp_growth_sum_probe(spec: GroupSpec, n_list, lower_rate_delta: float = 0.1,
-                         amplitude: float = 1.0) -> GrowthSumProbe:
-    """sum_{y in S(e,n)} G(e,y) on the free-group tree, exactly
-    |S(e,n)| (q/(q-1)) q^{-n} (constant in n), against the exponential
-    lower-bound profile amplitude * exp((log q + log(1-delta)) n) whose
-    crossing of the sum reproduces the ball-obstruction contradiction."""
-    if spec.variant != "free":
-        raise ValueError("growth-sum probe is a tree computation")
-    q = 2 * spec.rank - 1
-    sums = []
-    for n in n_list:
-        sphere = 2 * spec.rank * q ** (n - 1)
-        sums.append(sphere * (q / (q - 1.0)) * float(q) ** (-n))
-    rate = np.log(q) + np.log(1.0 - lower_rate_delta)
-    crossing = 1
-    while amplitude * np.exp(rate * crossing) <= max(sums):
-        crossing += 1
-        if crossing > 10 ** 6:
-            raise RuntimeError("no crossing found; rate must be positive")
-    return GrowthSumProbe(np.asarray(n_list), np.asarray(sums), crossing)

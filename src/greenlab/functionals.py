@@ -1,6 +1,6 @@
-"""Certificate functionals over Green tables: the Green-variation functional,
-the exit-measure variation functional, their comparison band, Martin kernels,
-and decay-rate fits.
+"""Certificate functionals over Green tables: the Green-variation functional
+Delta, the exit-measure variation functional epsilon, their comparison band,
+and Martin kernels.
 
 All Green access goes through a provider with one method,
 ``bracket_row(a, xs) -> (values, lowers, uppers)``: G(a, x) for every x in
@@ -8,7 +8,8 @@ xs, with a bracket around each value.  There are two providers: a killed
 ``GreenTable`` is its own, of G_Omega, and ``green.TreeGreenOracle`` gives
 the exact full G of (lazy) SRW on the free group.  Interval arithmetic
 over brackets yields one-sided safe error bars (a row is only called
-"decayed below tau" when its upper endpoint is).
+"decayed below tau" when its upper endpoint is).  epsilon reads no Green
+values, only two rows of ``green.exit_distribution``.
 """
 
 from __future__ import annotations
@@ -80,21 +81,6 @@ def delta(domain: Domain, a, b, provider, scale: Optional[int] = None) -> DeltaR
                     None if i is None else bdry[i], err, lo_max, hi_max)
 
 
-@dataclass
-class DeltaScan:
-    """Rows of (scale, delta, argmax, err) for fixed basepoints (a, b)."""
-
-    a: object
-    b: object
-    rows: list
-
-    def values(self) -> np.ndarray:
-        return np.array([r.value for r in self.rows])
-
-    def scales(self) -> np.ndarray:
-        return np.array([r.scale for r in self.rows])
-
-
 # ---------------------------------------------------------------------------
 # Exit-measure variation and the comparison band
 # ---------------------------------------------------------------------------
@@ -106,15 +92,10 @@ class EpsilonResult:
     excluded: int
 
 
-def epsilon(domain: Domain, a, b, mu: StepMeasure,
-            exits_a=None, exits_b=None, tol: float = 1e-10) -> EpsilonResult:
-    """max over boundary x of |mu_S(a,x) - mu_S(b,x)| / mu_S(a,x); boundary
-    points carrying no exit mass from a are excluded and counted."""
-    if exits_a is None:
-        exits_a = exit_distribution(domain, a, mu, tol=tol)
-    if exits_b is None:
-        exits_b = exit_distribution(domain, b, mu, tol=tol)
-    pa, pb = exits_a.vector, exits_b.vector
+def epsilon(domain: Domain, pa: np.ndarray, pb: np.ndarray) -> EpsilonResult:
+    """max over boundary x of |mu_S(a,x) - mu_S(b,x)| / mu_S(a,x), from the
+    exit laws pa and pb of a and b over ``domain.boundary``; boundary points
+    carrying no exit mass from a are excluded and counted."""
     keep = pa > 0.0
     ratio = np.full(len(pa), -np.inf)
     ratio[keep] = np.abs(pa[keep] - pb[keep]) / pa[keep]
@@ -155,7 +136,7 @@ def eps_delta_band_check(domain: Domain, a, b, mu: StepMeasure, provider,
     for p in (a, b):
         if p == o:
             continue            # theta vanishes identically at the origin
-        cz, pz = exits[o].vector, exits[p].vector
+        cz, pz = exits[o], exits[p]
         ok = (cz > 0.0) & (pz > 0.0)
         gp = provider.bracket_row(p, bdry)[0]
         theta = pz[ok] * go[ok] / (cz[ok] * gp[ok]) - 1.0
@@ -163,7 +144,7 @@ def eps_delta_band_check(domain: Domain, a, b, mu: StepMeasure, provider,
         # "True"/"False" (a Python bool would print "true"/"false")
         eta = max(eta, np.abs(theta).max(initial=0.0))
     drow = delta(domain, a, b, provider)
-    eres = epsilon(domain, a, b, mu, exits.get(a), exits.get(b), tol=tol)
+    eres = epsilon(domain, exits[a], exits[b])
     if eta >= 1.0:
         return BandCheck(eta, drow, eres.value, np.nan, np.nan, False, True)
     lo = max(0.0, ((1 - eta) * drow.value - 2 * eta) / (1 + eta))
@@ -255,33 +236,3 @@ def tree_martin_kernel(spec: GroupSpec, ray_prefix: tuple, x: tuple) -> Fraction
         c += 1
     b = len(x) - 2 * c
     return Fraction(q) ** (-b)
-
-
-# ---------------------------------------------------------------------------
-# Rate fits
-# ---------------------------------------------------------------------------
-
-@dataclass
-class RateFit:
-    alpha: float
-    constant: float
-    r_squared: float
-    rejected: bool
-    reason: str = ""
-
-
-def delta_rate_fit(scan: DeltaScan, d_ab: float) -> RateFit:
-    """Least squares of log Delta against log(d_ab / R); flags non-decay."""
-    pts = [(r.scale, r.value) for r in scan.rows if r.value > 0]
-    if len(pts) < 4:
-        raise ValueError("need at least 4 positive rows to fit")
-    vals = np.array([v for _, v in pts])
-    if vals.max() / vals.min() < 1.05:
-        return RateFit(0.0, float(vals.mean()), 0.0, True, "non-decay: flat scan")
-    x = np.log(d_ab / np.array([float(s) for s, _ in pts]))
-    y = np.log(vals)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 0.0
-    return RateFit(float(slope), float(np.exp(intercept)), r2, False)

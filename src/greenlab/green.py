@@ -9,7 +9,8 @@ P_Omega[x, y] = mu(x^{-1} y) for x, y in Omega; v equals G_Omega(a, .),
 the expected visit counts before exiting Omega.  Killed values increase
 monotonically to the full Green function as Omega grows.  The outer
 boundary of a set S is always taken with respect to T = supp(mu), and that
-choice is recorded on the domain.
+choice is recorded on the domain.  Exit laws are arrays over that
+boundary, one row per start point, from one killed solve.
 
 A lattice table above QUOTIENT_MIN points is solved on the orbit quotient
 of its symmetries.  The signed permutations of the axes that fix every
@@ -500,7 +501,10 @@ class _Orbits:
 
     @classmethod
     def trivial(cls, n: int) -> "_Orbits":
-        return cls(1, np.arange(n), np.arange(n), np.ones(n))
+        """Each point its own orbit: one index array is both the labels and
+        the representatives."""
+        index = np.arange(n)
+        return cls(1, index, index, np.ones(n))
 
 
 def _axis_symmetries(omega: Domain, mu: StepMeasure, sources: list) -> tuple:
@@ -734,33 +738,16 @@ def killed_green_solve(omega: Domain, sources: list, mu: StepMeasure,
 # Exit distributions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ExitDistribution:
-    domain: Domain
-    start: object
-    vector: np.ndarray            # exit probability per point of domain.boundary
-
-    @property
-    def probs(self) -> dict:
-        """Boundary point -> probability, over the points carrying mass."""
-        return {z: v for z, v in zip(self.domain.boundary, self.vector.tolist())
-                if v != 0.0}
-
-    def total(self) -> float:
-        return float(self.vector.sum())
-
-
-def exit_distribution(domain: Domain, a, mu: StepMeasure,
-                      tol: float = DEFAULT_TOL) -> ExitDistribution | list:
-    """Law of the first position outside S started from a in S, as a vector
-    over ``domain.boundary``; for a list of start points, the list of their
-    laws.
+def exit_distribution(domain: Domain, starts: list, mu: StepMeasure,
+                      tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Law of the first position outside S for each start point in S: an
+    array of shape (len(starts), |boundary|), row i the law from starts[i]
+    over ``domain.boundary``.
 
     mu_S(a, z) = sum_{y in S} G_S(a, y) mu(y^{-1} z) from the
     absorbing-chain linear system on S, one killed solve for every start.
     Raises ValueError when the domain carries no boundary.
     """
-    starts = a if isinstance(a, list) else [a]
     if domain.boundary is None:
         raise ValueError("domain carries no boundary")
     if any(s not in domain for s in starts):
@@ -774,26 +761,8 @@ def exit_distribution(domain: Domain, a, mu: StepMeasure,
     # row-major (element, step) order keeps each boundary sum in the order
     # of a loop over elements
     i, k = np.nonzero(table >= n)
-    laws = [ExitDistribution(domain, s, np.bincount(
-                table[i, k] - n, weights=g[i] * p[k], minlength=m))
-            for s, g in zip(starts, gvals)]
-    return laws if isinstance(a, list) else laws[0]
-
-
-def verify_exit_decomposition(domain: Domain, a, x, mu: StepMeasure,
-                              table: GreenTable) -> float:
-    """|G(a,x) - sum_z mu_S(a,z) G(z,x)| on the table's computation domain.
-
-    The identity holds exactly for killed Green values once S and its
-    boundary lie inside the computation domain, so the residual is
-    solver-level.
-    """
-    if x in domain:
-        raise ValueError("x must lie outside S")
-    exits = exit_distribution(domain, a, mu, tol=table.tol)
-    lhs = table.green(a, x)
-    rhs = sum(p * table.green(z, x) for z, p in exits.probs.items())
-    return abs(lhs - rhs)
+    return np.array([np.bincount(table[i, k] - n, weights=g[i] * p[k],
+                                 minlength=m) for g in gvals])
 
 
 # ---------------------------------------------------------------------------
@@ -829,17 +798,6 @@ def boundary_green_matrix(domain: Domain, table: GreenTable) -> BoundaryGreenMat
     min_eig = float(np.linalg.eigvalsh(mat_sym)[0])
     return BoundaryGreenMatrix(domain, mat, chol_ok and min_eig > 0,
                                min_eig, sym_defect)
-
-
-def vector_identity_residual(domain: Domain, a, mu: StepMeasure,
-                             table: GreenTable,
-                             bgm: Optional[BoundaryGreenMatrix] = None) -> float:
-    """max-norm of M_S mu_S(a) - g_S(a) (the vector exit identity)."""
-    if bgm is None:
-        bgm = boundary_green_matrix(domain, table)
-    exits = exit_distribution(domain, a, mu, tol=table.tol)
-    g_vec = table.row_at(a, domain.boundary)
-    return float(np.max(np.abs(bgm.matrix @ exits.vector - g_vec)))
 
 
 # ---------------------------------------------------------------------------

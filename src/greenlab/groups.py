@@ -20,8 +20,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-import math
-
 import numpy as np
 
 
@@ -229,10 +227,17 @@ def layer_ball(spec: GroupSpec, center, steps, radius: int,
 # Word metrics
 # ---------------------------------------------------------------------------
 
-def homogeneous_quasi_norm(g) -> int:
-    """Heisenberg quasi-norm N(g) = |a| + |b| + ceil(sqrt(|c|))."""
-    a, b, c = g
-    return abs(a) + abs(b) + math.isqrt(abs(c)) + (0 if math.isqrt(abs(c)) ** 2 == abs(c) else 1)
+def homogeneous_quasi_norm(rows) -> np.ndarray:
+    """Heisenberg quasi-norm N(g) = |a| + |b| + ceil(sqrt(|c|)) of each
+    int64 row g = (a, b, c).  Exact wherever (isqrt|c| + 1)^2 fits in int64:
+    above 2^52 the float square root of |c| can be off by one, and integer
+    arithmetic corrects it to isqrt|c|."""
+    rows = np.asarray(rows, dtype=np.int64)
+    c = np.abs(rows[..., 2])
+    r = np.sqrt(c).astype(np.int64)
+    r -= r * r > c
+    r += (r + 1) * (r + 1) <= c
+    return np.abs(rows[..., :2]).sum(axis=-1) + r + (r * r < c)
 
 
 # Radius of the word-length table behind word_length on Heis3.

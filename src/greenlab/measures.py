@@ -27,7 +27,6 @@ from .groups import GroupSpec, GeneratorSet, identity
 fft = _LazyModule("scipy.fft")
 special = _LazyModule("scipy.special")
 
-MASS_TOL = 1e-12
 # Guards the lazy build of a measure's sampling tables: the batched walker's
 # replica threads sample one measure concurrently, and one build is enough.
 _TABLE_LOCK = threading.Lock()
@@ -106,13 +105,6 @@ class PmfOnZ:
 
     def support(self) -> np.ndarray:
         return np.nonzero(self.vals)[0] + self.lo
-
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
-        ks = np.arange(self.lo, self.hi + 1)
-        lo2, hi2 = min(self.lo, -self.hi), max(self.hi, -self.lo)
-        full = np.zeros(hi2 - lo2 + 1)
-        full[ks - lo2] = self.vals
-        return bool(np.max(np.abs(full - full[::-1])) <= tol)
 
 
 def pmf_from_dict(d: dict, delta_trunc: float = 0.0) -> PmfOnZ:

@@ -160,9 +160,7 @@ def batch_lengths(spec: GroupSpec, mu: StepMeasure, n: int, trials: int,
         return {k: d for k, d in zip(range(n + 1), chain) if k in want}
     snaps = _batch_positions(spec, mu, n, trials, rng, checkpoints)
     if spec.variant == "heisenberg":
-        # homogeneous quasi-norm |a| + |b| + ceil(sqrt|c|)
-        return {k: np.abs(v[:, :2]).sum(axis=1) + np.ceil(np.sqrt(np.abs(v[:, 2]))).astype(np.int64)
-                for k, v in snaps.items()}
+        return {k: groups.homogeneous_quasi_norm(v) for k, v in snaps.items()}
     return {k: np.abs(v).sum(axis=1) for k, v in snaps.items()}
 
 

@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import settings
 
 from greenlab import groups
 from greenlab.green import ball_domain, killed_green_solve
-from greenlab.measures import uniform_on_generators
+from greenlab.measures import StepMeasure, uniform_on_generators
 
 Z3 = groups.integer_lattice(3)
 E3 = (0, 0, 0)
@@ -29,3 +30,19 @@ def z3_enclosing_tables(z3_srw):
         omega = ball_domain(Z3, z3_srw, 2 * r + 2, with_boundary=False)
         out[r] = killed_green_solve(omega, [E3, E1], z3_srw, tol=1e-12)
     return out
+
+
+@pytest.fixture(scope="session")
+def symmetric_z_laws():
+    """Criterion 8's 100 random symmetric finite laws on Z: support -h..h
+    for h in 1..5, weights drawn from seed 808."""
+    z1 = groups.integer_lattice(1)
+    rng = np.random.default_rng(808)
+    laws = []
+    for _ in range(100):
+        half = rng.random(int(rng.integers(1, 6)))
+        vals = np.concatenate([half[::-1], [rng.random()], half])
+        vals /= vals.sum()
+        laws.append(StepMeasure(z1, "finite", "symmetric-z", probs={
+            (i - len(half),): v for i, v in enumerate(vals)}))
+    return laws

@@ -19,16 +19,13 @@ import numpy as np
 import pytest
 
 from greenlab import groups, walks
-from greenlab.envelope import (Envelope, EnvelopeSpec, exp_growth_sum_probe,
-                               on_diagonal_probe, parity_bridge_check,
+from greenlab.envelope import (Envelope, EnvelopeSpec, on_diagonal_probe,
                                return_series, tr_alpha_ratio)
-from greenlab.functionals import (DeltaScan, delta, delta_rate_fit,
-                                  eps_delta_band_check, tree_martin_kernel)
+from greenlab.functionals import delta, eps_delta_band_check, tree_martin_kernel
 from greenlab.green import (TreeGreenOracle, ball_domain,
-                            boundary_green_matrix, killed_green_solve,
-                            quadrant_harmonicity_defect,
-                            quadrant_killed_green, vector_identity_residual,
-                            verify_exit_decomposition)
+                            boundary_green_matrix, exit_distribution,
+                            killed_green_solve, quadrant_harmonicity_defect,
+                            quadrant_killed_green)
 from greenlab.measures import (first_moment_partial, lazy_transform,
                                pmf_from_dict, shell_measure, stable_z_measure,
                                uniform_on_generators)
@@ -115,13 +112,15 @@ def test_criterion_02_nondecay_exponential_growth():
     failures = []
     mu = srw(F2)
     oracle = TreeGreenOracle(srw(F2))
+    sums = []
     for n in range(1, 9):
         dom = ball_domain(F2, mu, n)
         row = delta(dom, (), (1,), oracle, scale=n)
         check(failures, abs(row.value - 2.0) <= 1e-9,
               f"Delta(B(e,{n});e,t) = {row.value} != 2 +- 1e-9")
-    probe = exp_growth_sum_probe(F2, list(range(1, 9)))
-    check(failures, np.allclose(probe.sums, 2.0, atol=1e-12),
+        # G(e, .) is constant on the sphere S(e, n+1), the boundary of B(e, n)
+        sums.append(len(dom.boundary) * oracle.green((), dom.boundary[0]))
+    check(failures, np.allclose(sums, 2.0, atol=1e-12),
           "sphere Green sums differ from the constant 2")
     elapsed = time.time() - t0
     check(failures, elapsed < 60, f"runtime {elapsed:.0f}s >= 1 min")
@@ -137,16 +136,19 @@ def test_criterion_03_delta_decay_z3(z3_srw, z3_enclosing_tables):
     for r in scales:
         dom = ball_domain(Z3, z3_srw, r)
         rows.append(delta(dom, E3, E1, z3_enclosing_tables[r], scale=r))
-    vals = [r.value for r in rows]
+    vals = np.array([r.value for r in rows])
     check(failures, all(a > b for a, b in zip(vals, vals[1:])),
           f"Delta not strictly decreasing: {np.round(vals, 5)}")
-    fit = delta_rate_fit(DeltaScan(E3, E1, rows), d_ab=1.0)
-    check(failures, not fit.rejected, "rate fit rejected")
-    check(failures, 0.7 <= fit.alpha <= 1.3,
-          f"alpha-hat {fit.alpha:.3f} outside [0.7, 1.3]")
+    check(failures, vals.max() / vals.min() >= 1.05,
+          "rate fit rejected (non-decay: flat scan)")
+    # least-squares slope of log Delta against log(d_ab / R), d_ab = 1
+    alpha = float(np.polyfit(np.log(1.0 / np.array(scales, dtype=float)),
+                             np.log(vals), 1)[0])
+    check(failures, 0.7 <= alpha <= 1.3,
+          f"alpha-hat {alpha:.3f} outside [0.7, 1.3]")
     elapsed = time.time() - t0
     check(failures, elapsed < 600, f"runtime {elapsed:.0f}s >= 10 min")
-    report(3, f"Z^3 Delta decay (strict over R=4..16, alpha={fit.alpha:.3f})",
+    report(3, f"Z^3 Delta decay (strict over R=4..16, alpha={alpha:.3f})",
            failures, elapsed)
 
 
@@ -157,12 +159,18 @@ def test_criterion_04_exit_calculus(z3_srw):
     s4 = ball_domain(Z3, mu, 4)
     omega = ball_domain(Z3, mu, 20, with_boundary=False)
     table = killed_green_solve(omega, [E3] + s4.boundary, mu, tol=1e-12)
-    res = verify_exit_decomposition(s4, E3, (6, 0, 0), mu, table)
+    (exits,) = exit_distribution(s4, [E3], mu, tol=table.tol)
+    # G(a, x) = sum_z mu_S(a, z) G(z, x) for x outside S
+    x = (6, 0, 0)
+    res = abs(table.green(E3, x) - sum(
+        p * table.green(z, x) for z, p in zip(s4.boundary, exits.tolist())))
     check(failures, res < 1e-8, f"exit decomposition residual {res:.2e} >= 1e-8")
     bgm = boundary_green_matrix(s4, table)
     check(failures, bgm.spd_ok,
           f"SPD certificate failed (min eig {bgm.min_eigenvalue:.3e})")
-    vres = vector_identity_residual(s4, E3, mu, table, bgm)
+    # the same identity for every x on the boundary: M_S mu_S(a) = G(a, .)
+    vres = float(np.max(np.abs(bgm.matrix @ exits
+                               - table.row_at(E3, s4.boundary))))
     check(failures, vres < 1e-8, f"vector identity residual {vres:.2e} >= 1e-8")
     elapsed = time.time() - t0
     check(failures, elapsed < 120, f"runtime {elapsed:.0f}s >= 2 min")
@@ -241,27 +249,28 @@ def test_criterion_07_tauberian_checker():
            failures, elapsed)
 
 
-def test_criterion_08_parity_bridge():
+def parity_slack(series, k_max: int = 20) -> float:
+    """min over 1 <= k <= k_max of sqrt(p_2floor(k/2) p_2ceil(k/2)) - p_k,
+    nonnegative iff the parity bridge holds for the return series p."""
+    k = np.arange(1, k_max + 1)
+    return float(np.min(np.sqrt(series[2 * (k // 2)] * series[2 * ((k + 1) // 2)])
+                        - series[k]))
+
+
+def test_criterion_08_parity_bridge(symmetric_z_laws):
     t0 = time.time()
     failures = []
-    check(failures,
-          parity_bridge_check(return_series(groups.integer_lattice(1),
-                                            srw(groups.integer_lattice(1)), 22), 20) >= -1e-12,
+    Z1 = groups.integer_lattice(1)
+    check(failures, parity_slack(return_series(Z1, srw(Z1), 22)) >= -1e-12,
           "violation for SRW on Z")
     check(failures,
-          parity_bridge_check(return_series(Z3, lazy_transform(srw(Z3), 0.5), 22), 20) >= -1e-12,
+          parity_slack(return_series(Z3, lazy_transform(srw(Z3), 0.5), 22)) >= -1e-12,
           "violation for lazy SRW on Z^3")
-    check(failures,
-          parity_bridge_check(return_series(F2, srw(F2), 22), 20) >= -1e-12,
+    check(failures, parity_slack(return_series(F2, srw(F2), 22)) >= -1e-12,
           "violation for SRW on F_2")
-    rng = np.random.default_rng(808)
     bad = 0
-    for _ in range(100):
-        half = rng.random(int(rng.integers(1, 6)))
-        vals = np.concatenate([half[::-1], [rng.random()], half])
-        vals /= vals.sum()
-        pmf = pmf_from_dict({i - len(half): v for i, v in enumerate(vals)})
-        if parity_bridge_check(pmf, k_max=20) < -1e-11:
+    for mu in symmetric_z_laws:
+        if parity_slack(return_series(Z1, mu, 20)) < -1e-11:
             bad += 1
     check(failures, bad == 0, f"{bad}/100 random symmetric pmfs violated")
     report(8, "parity bridge (zero violations, k <= 20, exact convolutions)",

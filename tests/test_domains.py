@@ -221,17 +221,17 @@ def test_heis3_step_table_far_steps(center, with_boundary):
 def test_exit_law_needs_boundary(name):
     dom = CASES[name][0]()
     with pytest.raises(ValueError, match="no boundary"):
-        exit_distribution(dom, dom.elements[0], srw(dom.spec))
+        exit_distribution(dom, [dom.elements[0]], srw(dom.spec))
 
 
 def test_exit_mass_sums_to_one(bounded):
     dom = bounded
     mu = law_on(dom)
     start = dom.elements[len(dom) // 2]
-    exits = exit_distribution(dom, start, mu)
-    assert exits.vector.shape == (len(dom.boundary),)
-    assert exits.total() == pytest.approx(1.0, abs=1e-9)
-    assert (exits.vector >= 0).all()
+    exits = exit_distribution(dom, [start], mu)
+    assert exits.shape == (1, len(dom.boundary))
+    assert exits.sum() == pytest.approx(1.0, abs=1e-9)
+    assert (exits >= 0).all()
 
 
 def test_exit_law_matches_element_loop(bounded):
@@ -246,5 +246,5 @@ def test_exit_law_matches_element_loop(bounded):
             h = mul(dom.spec, g, s)
             if h not in dom:
                 want[h] += gv * mu.pmf(s)
-    got = exit_distribution(dom, start, mu).vector
+    got = exit_distribution(dom, [start], mu)[0]
     assert got.tolist() == list(want.values())

@@ -9,14 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from greenlab import groups
-from greenlab.envelope import (Envelope, EnvelopeSpec, exp_growth_sum_probe,
-                               near_diag_tail_exact,
-                               on_diagonal_probe, parity_bridge_check,
-                               return_series, return_series_tree,
-                               tr_alpha_ratio)
-from greenlab.measures import (lazy_transform, pmf_from_dict,
-                               uniform_on_generators)
+from greenlab.envelope import (Envelope, EnvelopeSpec, near_diag_tail_exact,
+                               on_diagonal_probe, return_series,
+                               return_series_tree, tr_alpha_ratio)
+from greenlab.green import TreeGreenOracle, ball_domain
+from greenlab.measures import (StepMeasure, convolve_z, lazy_transform,
+                               pmf_from_dict, uniform_on_generators)
 
+Z1 = groups.integer_lattice(1)
 Z3 = groups.integer_lattice(3)
 F2 = groups.free_group(2)
 
@@ -27,6 +27,13 @@ def srw(spec):
 
 def spec32(phi, alpha=1.0):
     return EnvelopeSpec(3.0, 2.0, phi, alpha=alpha)
+
+
+def parity_slack(series, k_max: int) -> float:
+    """min over 1 <= k <= k_max of sqrt(p_2floor(k/2) p_2ceil(k/2)) - p_k."""
+    k = np.arange(1, k_max + 1)
+    return float(np.min(np.sqrt(series[2 * (k // 2)] * series[2 * ((k + 1) // 2)])
+                        - series[k]))
 
 
 STRETCHED = Envelope("stretched", eta=1.0, c=1.0)
@@ -178,7 +185,7 @@ class TestParityBridge:
         k = 3
         bound = np.sqrt(series[2 * (k // 2)] * series[2 * ((k + 1) // 2)])
         assert bound == pytest.approx(0.43301, abs=1e-5)
-        worst = parity_bridge_check(np.array(series + [0.0, 0.3125]), k_max=3)
+        worst = parity_slack(np.array(series + [0.0, 0.3125]), k_max=3)
         assert worst >= -1e-15
 
     def test_even_k_equality(self):
@@ -189,9 +196,9 @@ class TestParityBridge:
 
     def test_lazy_z3_and_f2_no_violations(self):
         lazy3 = lazy_transform(srw(Z3), 0.5)
-        assert parity_bridge_check(return_series(Z3, lazy3, 20), 20) >= -1e-12
-        assert parity_bridge_check(return_series(F2, srw(F2), 20), 20) >= -1e-12
-        assert parity_bridge_check(return_series(Z3, srw(Z3), 20), 20) >= -1e-12
+        assert parity_slack(return_series(Z3, lazy3, 20), 20) >= -1e-12
+        assert parity_slack(return_series(F2, srw(F2), 20), 20) >= -1e-12
+        assert parity_slack(return_series(Z3, srw(Z3), 20), 20) >= -1e-12
 
     def test_hundred_random_symmetric_pmfs(self):
         rng = np.random.default_rng(404)
@@ -201,21 +208,45 @@ class TestParityBridge:
             vals = np.concatenate([half[::-1], [mid], half])
             vals /= vals.sum()
             lo = -len(half)
-            pmf = pmf_from_dict({lo + i: v for i, v in enumerate(vals)})
-            assert parity_bridge_check(pmf, k_max=20) >= -1e-11
+            mu = StepMeasure(Z1, "finite", "symmetric-z",
+                             probs={(lo + i,): v for i, v in enumerate(vals)})
+            assert parity_slack(return_series(Z1, mu, 20), 20) >= -1e-11
 
-    def test_asymmetric_rejected(self):
-        pmf = pmf_from_dict({-1: 0.2, 0: 0.5, 1: 0.3})
-        with pytest.raises(ValueError):
-            parity_bridge_check(pmf, k_max=4)
+
+class TestReturnSeriesAgainstConvolution:
+    """The stencil recursion of return_series against the mass at 0 of the
+    n-fold convolution power, the two exact mechanisms on Z."""
+
+    @staticmethod
+    def convolution_series(mu, n_max: int) -> list:
+        pmf = pmf_from_dict({k: p for (k,), p in mu.probs.items()})
+        cap = n_max * max(abs(pmf.lo), abs(pmf.hi))
+        out, power = [1.0], pmf
+        for _ in range(n_max):
+            out.append(power.at(0))
+            power = convolve_z(power, pmf, cap)
+        return out
+
+    def test_random_symmetric_laws(self, symmetric_z_laws):
+        for mu in symmetric_z_laws:
+            want = self.convolution_series(mu, 22)
+            assert np.max(np.abs(return_series(Z1, mu, 22) - want)) <= 1e-15
+
+    def test_law_with_asymmetric_support(self):
+        mu = StepMeasure(Z1, "finite", "skew-z",
+                         probs={(-1,): 0.2, (0,): 0.5, (2,): 0.3})
+        got = return_series(Z1, mu, 22)
+        assert got[3] > 0.0
+        assert np.max(np.abs(got - self.convolution_series(mu, 22))) <= 1e-15
 
 
 class TestGrowthSumProbe:
     def test_constant_two_series(self):
-        probe = exp_growth_sum_probe(F2, [1, 2, 3, 4, 5])
-        assert np.allclose(probe.sums, 2.0, atol=1e-12)
-
-    def test_contradiction_crossing(self):
-        # exp((log 3 + log 0.9)n) exceeds the constant-2 sum by n = 30
-        probe = exp_growth_sum_probe(F2, [1, 5, 30], lower_rate_delta=0.1)
-        assert probe.crossing_n <= 30
+        # sum of G(e, y) over the sphere S(e, n+1), the boundary of B(e, n):
+        # |S| (q/(q-1)) q^{-(n+1)} = 2 on F_2 for every n
+        oracle = TreeGreenOracle(srw(F2))
+        sums = []
+        for n in range(5):
+            bdry = ball_domain(F2, srw(F2), n).boundary
+            sums.append(len(bdry) * oracle.green((), bdry[0]))
+        assert np.allclose(sums, 2.0, atol=1e-12)

@@ -1,17 +1,17 @@
-"""Certificate functionals: variation functionals, bands, kernels, rate fits."""
+"""Certificate functionals: variation functionals, bands, kernels."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from greenlab import functionals, groups
-from greenlab.functionals import (DeltaScan, DegenerateBracketError,
-                                  delta, delta_rate_fit, epsilon,
+from greenlab import groups
+from greenlab.functionals import (DegenerateBracketError, delta, epsilon,
                                   eps_delta_band_check, martin_kernel,
                                   normalized_kernel_sequence,
                                   tree_martin_kernel)
-from greenlab.green import TreeGreenOracle, ball_domain, killed_green_solve
+from greenlab.green import (TreeGreenOracle, ball_domain, exit_distribution,
+                            killed_green_solve)
 from greenlab.measures import lazy_transform, uniform_on_generators
 from word_ball_oracle import reference_ball
 
@@ -92,7 +92,8 @@ class TestEpsilon:
     def test_equal_basepoints(self):
         mu = srw(Z3)
         dom = ball_domain(Z3, mu, 3)
-        res = epsilon(dom, E3, E3, mu)
+        (pa,) = exit_distribution(dom, [E3], mu)
+        res = epsilon(dom, pa, pa)
         assert res.value == 0.0
 
     def test_factorisation_gives_pointwise_equality(self):
@@ -229,26 +230,6 @@ class TestOneMethodProtocol:
         assert seq.defects.max() < 1e-14
         ref = normalized_kernel_sequence(probes, (), targets, srw(F2), tree, F2)
         assert np.array_equal(seq.psi, ref.psi)
-
-
-class TestRateFit:
-    def test_synthetic_recovery(self):
-        rows = [functionals.DeltaRow(r, 1.0 / r, None, 0.0, 0, 0)
-                for r in (4, 8, 12, 16, 20)]
-        fit = delta_rate_fit(DeltaScan(E3, E1, rows), d_ab=1.0)
-        assert not fit.rejected
-        assert fit.alpha == pytest.approx(1.0, abs=1e-9)
-        assert fit.constant == pytest.approx(1.0, abs=1e-9)
-
-    def test_flat_scan_rejected(self):
-        rows = [functionals.DeltaRow(r, 2.0, None, 0.0, 2, 2) for r in (1, 2, 3, 4, 5)]
-        fit = delta_rate_fit(DeltaScan((), (1,), rows), d_ab=1.0)
-        assert fit.rejected and "non-decay" in fit.reason
-
-    def test_too_few_points(self):
-        rows = [functionals.DeltaRow(r, 1.0 / r, None, 0.0, 0, 0) for r in (2, 4, 8)]
-        with pytest.raises(ValueError):
-            delta_rate_fit(DeltaScan(E3, E1, rows), d_ab=1.0)
 
 
 class TestTreeMartinKernel:

@@ -22,8 +22,7 @@ from greenlab.green import (TransienceError, TreeGreenOracle, ball_domain,
                             boundary_green_matrix, box_domain, check_transient,
                             exit_distribution, killed_green_solve,
                             quadrant_harmonicity_defect,
-                            quadrant_killed_green, vector_identity_residual,
-                            verify_exit_decomposition)
+                            quadrant_killed_green)
 from greenlab.measures import StepMeasure, lazy_transform, uniform_on_generators
 from greenlab.rng import derive_stream
 from lattice_green_oracle import WATSON_G00, z3_green
@@ -585,6 +584,8 @@ class TestOrbitQuotient:
         omega = ball_domain(Z3, mu, 6, center=center, with_boundary=False)
         table = killed_green_solve(omega, [source], mu, method="cg")
         assert (table.symmetry_order, table.unknowns) == (1, len(omega))
+        orbits = green._symmetry_orbits(omega, mu, [source])
+        assert np.shares_memory(orbits.label, orbits.reps)
         assert np.max(np.abs(table.row(source)
                              - full_direct_row(omega, mu, source))) <= 1e-9
 
@@ -605,7 +606,7 @@ class TestNonSymmetricLaw:
     def test_exit_distribution_rejects_it(self):
         omega = ball_domain(F2, self.LAW, 6)
         with pytest.raises(ValueError, match="symmetric law, not skew-F2"):
-            exit_distribution(omega, (), self.LAW)
+            exit_distribution(omega, [()], self.LAW)
 
 
 class TestBracket:
@@ -637,19 +638,27 @@ class TestWatsonReference:
             assert abs(z3_green(x) - mean - (x == E3)) <= 1e-13, x
 
 
+def decomposition_residual(dom, a, x, mu, table) -> float:
+    """|G(a,x) - sum_z mu_S(a,z) G(z,x)| for x outside S, from the exit law
+    of a and the table's rows of the boundary points z."""
+    (exits,) = exit_distribution(dom, [a], mu, tol=table.tol)
+    rhs = sum(p * table.green(z, x) for z, p in zip(dom.boundary, exits.tolist()))
+    return abs(table.green(a, x) - rhs)
+
+
 class TestExitDistribution:
     def test_forced_single_step(self):
         dom = ball_domain(Z3, srw(Z3), 0)
-        ex = exit_distribution(dom, E3, srw(Z3))
-        assert ex.total() == pytest.approx(1.0, abs=1e-10)
-        assert all(p == pytest.approx(1 / 6, abs=1e-12) for p in ex.probs.values())
+        (ex,) = exit_distribution(dom, [E3], srw(Z3))
+        assert ex.sum() == pytest.approx(1.0, abs=1e-10)
+        assert all(p == pytest.approx(1 / 6, abs=1e-12) for p in ex)
 
     def test_f2_ball1_uniform(self):
         mu = srw(F2)
         dom = ball_domain(F2, mu, 1)
-        ex = exit_distribution(dom, (), mu)
-        assert len(ex.probs) == 12
-        for p in ex.probs.values():
+        (ex,) = exit_distribution(dom, [()], mu)
+        assert np.count_nonzero(ex) == 12
+        for p in ex[ex != 0]:
             assert p == pytest.approx(1 / 12, abs=1e-12)
 
     @pytest.mark.parametrize("radius", [3, 14])          # direct, then CG
@@ -658,14 +667,14 @@ class TestExitDistribution:
         dom = ball_domain(Z3, mu, radius)
         starts = [(1, 0, 0), E3, (0, 1, 1)]
         laws = exit_distribution(dom, starts, mu)
-        assert [law.start for law in laws] == starts
-        for law in laws:
-            assert np.array_equal(law.vector, exit_distribution(dom, law.start, mu).vector)
+        assert laws.shape == (len(starts), len(dom.boundary))
+        for start, law in zip(starts, laws):
+            assert np.array_equal(law, exit_distribution(dom, [start], mu)[0])
 
     def test_start_outside_rejected(self):
         dom = ball_domain(Z3, srw(Z3), 2)
         with pytest.raises(ValueError):
-            exit_distribution(dom, (5, 0, 0), srw(Z3))
+            exit_distribution(dom, [(5, 0, 0)], srw(Z3))
 
     def test_exit_lipschitz_trend_boxes(self):
         # max_z |mu_S(a,z) - mu_S(a',z)| across box sizes fits R^p, p in
@@ -674,10 +683,8 @@ class TestExitDistribution:
         diffs, sizes = [], [6, 8, 10, 12]
         for L in sizes:
             dom = box_domain(Z3, mu, L)
-            ea = exit_distribution(dom, E3, mu).probs
-            eb = exit_distribution(dom, (1, 0, 0), mu).probs
-            keys = set(ea) | set(eb)
-            diffs.append(max(abs(ea.get(z, 0) - eb.get(z, 0)) for z in keys))
+            ea, eb = exit_distribution(dom, [E3, (1, 0, 0)], mu)
+            diffs.append(float(np.max(np.abs(ea - eb))))
         slope = np.polyfit(np.log(sizes), np.log(diffs), 1)[0]
         assert -3.5 <= slope <= -2.5
 
@@ -685,7 +692,7 @@ class TestExitDistribution:
 class TestExitDecomposition:
     def test_residual_solver_exact(self, z3_table_b20):
         s4, table = z3_table_b20
-        res = verify_exit_decomposition(s4, E3, (6, 0, 0), srw(Z3), table)
+        res = decomposition_residual(s4, E3, (6, 0, 0), srw(Z3), table)
         assert res < 1e-8
 
     def test_single_point_reduces_to_resolvent(self, z3_table_b20):
@@ -696,7 +703,7 @@ class TestExitDecomposition:
         dom = ball_domain(Z3, mu, 0)
         table = killed_green_solve(b20.omega, [E3] + dom.boundary, mu, tol=b20.tol)
         x = (5, 0, 0)
-        res = verify_exit_decomposition(dom, E3, x, mu, table)
+        res = decomposition_residual(dom, E3, x, mu, table)
         assert res < 1e-10
 
     def test_f2_closed_form_both_sides(self):
@@ -704,15 +711,10 @@ class TestExitDecomposition:
         oracle = TreeGreenOracle(srw(F2))
         dom = ball_domain(F2, mu, 2)
         x = (1, 2, 1, -2)            # |x| = 4, outside B(e,2)
-        exits = exit_distribution(dom, (), mu)
-        rhs = sum(p * oracle.green(z, x) for z, p in exits.probs.items())
+        (exits,) = exit_distribution(dom, [()], mu)
+        rhs = sum(p * oracle.green(z, x) for z, p in zip(dom.boundary, exits))
         assert rhs == pytest.approx(oracle.green((), x), abs=1e-10)
         assert oracle.green((), x) == pytest.approx(1.5 * 3.0 ** -4, abs=1e-15)
-
-    def test_x_inside_rejected(self, z3_table_b20):
-        s4, table = z3_table_b20
-        with pytest.raises(ValueError):
-            verify_exit_decomposition(s4, E3, (1, 0, 0), srw(Z3), table)
 
 
 class TestBoundaryGreenMatrix:
@@ -735,7 +737,10 @@ class TestBoundaryGreenMatrix:
         dom = ball_domain(Z3, mu, 3)
         omega = ball_domain(Z3, mu, 20, with_boundary=False)
         table = killed_green_solve(omega, [E3] + dom.boundary, mu, tol=1e-12)
-        res = vector_identity_residual(dom, E3, mu, table)
+        # M_S mu_S(a) = G(a, .) on the boundary
+        bgm = boundary_green_matrix(dom, table)
+        (exits,) = exit_distribution(dom, [E3], mu, tol=table.tol)
+        res = np.max(np.abs(bgm.matrix @ exits - table.row_at(E3, dom.boundary)))
         assert res < 1e-8
 
 

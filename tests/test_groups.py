@@ -1,6 +1,7 @@
 """Group backends: arithmetic, word metrics, spheres and balls."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -210,6 +211,18 @@ class TestQuasiNorm:
         assert groups.homogeneous_quasi_norm((0, 0, 0)) == 0
         assert groups.homogeneous_quasi_norm((0, 0, 1)) == 1
         assert groups.homogeneous_quasi_norm((3, 2, 6)) == 3 + 2 + 3
+
+    @pytest.mark.parametrize("k0", [94_906_266, 95_000_000, 3_000_000_000])
+    def test_exact_above_two_to_the_53(self, k0):
+        # at c = 94906266^2 + 1 the float ceil(sqrt c) is 94906266, one short
+        k = np.arange(k0 - 500, k0 + 500, dtype=np.int64)
+        c = np.concatenate([k * k - 1, k * k, k * k + 1])
+        rows = np.stack([np.full_like(c, 2), np.full_like(c, -3), c], axis=1)
+        want = [5 + math.isqrt(int(x)) + (math.isqrt(int(x)) ** 2 != int(x))
+                for x in c]
+        assert groups.homogeneous_quasi_norm(rows).tolist() == want
+        rows[:, 2] *= -1
+        assert groups.homogeneous_quasi_norm(rows).tolist() == want
 
     def test_bilipschitz_fit_on_bfs_ball(self):
         # N(g)/4 <= |g| <= 4 N(g) over every BFS-enumerated g (central

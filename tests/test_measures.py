@@ -746,7 +746,3 @@ class TestPmfOnZ:
     def test_mass_validation(self):
         with pytest.raises(ValueError):
             PmfOnZ(np.array([0.5, 0.4]), 0)    # mass 0.9, no delta
-
-    def test_symmetry_check(self):
-        assert pmf_from_dict({-2: 0.25, 0: 0.5, 2: 0.25}).is_symmetric()
-        assert not pmf_from_dict({-1: 0.2, 0: 0.5, 1: 0.3}).is_symmetric()
