@@ -334,9 +334,10 @@ def _green_speed(cfg, *_):
 
 
 def _cone(cfg, *_):
-    """Ratios G_K(x, y_n) / G_K(x*, y_n) along the diagonal ray y_n = (n, n)
-    of the quadrant-killed walk, with their limits h(x)/h(x*) for the exact
-    killed-harmonic function h(x) = x1 x2."""
+    """Martin kernel ratios G_K(x, y_n) / G_K(x*, y_n) along the diagonal ray
+    y_n = (n, n) of the quadrant-killed walk, with their limits h(x)/h(x*)
+    for the exact killed-harmonic function h(x) = x1 x2, and the largest
+    bracket error of the ratios as kernel_err."""
     (box,) = walks._integers("box", [cfg["box"]])
     n_list = walks._sizes("n_list", cfg["n_list"])
     if n_list[-1] > box:
@@ -345,16 +346,16 @@ def _cone(cfg, *_):
     probes = [tuple(walks._integers("probes", p)) for p in cfg["probes"]]
     base = tuple(walks._integers("base", cfg["base"]))
     table = green.quadrant_killed_green(box, probes + [base])
-    rows = []
-    for n in n_list:
-        denom = table.green(base, (n, n))
-        rows.append([n] + [table.green(p, (n, n)) / denom for p in probes])
+    ratios, errors = functionals.martin_kernel(probes, base,
+                                               [(n, n) for n in n_list], table)
     return Report("Z^2-quadrant", "-",
-                  ["n"] + [f"ratio_{p[0]}_{p[1]}" for p in probes], rows,
+                  ["n"] + [f"ratio_{p[0]}_{p[1]}" for p in probes],
+                  [[n, *col] for n, col in zip(n_list, ratios.T.tolist())],
                   {"limits": [p[0] * p[1] / (base[0] * base[1]) for p in probes],
                    "harmonicity_defect": green.quadrant_harmonicity_defect(box),
                    "solver": _solver_record(table, table.sources),
-                   "residual": float(table.residuals.max())})
+                   "residual": float(table.residuals.max()),
+                   "kernel_err": float(errors.max(initial=0.0))})
 
 
 def _increment_probe(cfg, *_):

@@ -193,7 +193,9 @@ def return_series(spec: GroupSpec, mu: StepMeasure, n_max: int) -> np.ndarray:
     e = identity(spec)
     steps = [(s, mu.pmf(s)) for s in mu.support_elements() if s != e]
     diag = mu.pmf(e)
-    half = max(abs(c) for s, _ in steps for c in s) * -(-n_max // 2)
+    # reach 0 (a law on the identity alone) makes the window one point
+    reach = max((abs(c) for s, _ in steps for c in s), default=0)
+    half = reach * -(-n_max // 2)
     arr = np.zeros((2 * half + 1,) * spec.d)
     centre = (half,) * spec.d
     arr[centre] = 1.0

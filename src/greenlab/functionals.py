@@ -1,15 +1,18 @@
 """Certificate functionals over Green tables: the Green-variation functional
 Delta, the exit-measure variation functional epsilon, their comparison band,
-and Martin kernels.
+and Martin kernels (from a provider, and in closed form on the tree).
 
 All Green access goes through a provider with one method,
 ``bracket_row(a, xs) -> (values, lowers, uppers)``: G(a, x) for every x in
 xs, with a bracket around each value.  There are two providers: a killed
 ``GreenTable`` is its own, of G_Omega, and ``green.TreeGreenOracle`` gives
-the exact full G of (lazy) SRW on the free group.  Interval arithmetic
-over brackets yields one-sided safe error bars (a row is only called
-"decayed below tau" when its upper endpoint is).  epsilon reads no Green
-values, only two rows of ``green.exit_distribution``.
+the exact full G of (lazy) SRW on the free group.  Every read is the row of
+the first argument: delta reads the rows of its basepoints and
+martin_kernel those of its probes and base, never a row of a boundary
+point or a target.  Interval arithmetic over brackets yields one-sided
+safe error bars (a row is only called "decayed below tau" when its upper
+endpoint is).  epsilon reads no Green values, only two rows of
+``green.exit_distribution``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .green import Domain, exit_distribution
-from .groups import GroupSpec, identity, mul
+from .groups import GroupSpec, identity
 from .measures import StepMeasure
 
 
@@ -155,69 +158,25 @@ def eps_delta_band_check(domain: Domain, a, b, mu: StepMeasure, provider,
 
 
 # ---------------------------------------------------------------------------
-# Martin kernels and normalised Green sequences
+# Martin kernels
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MartinSample:
-    x: object
-    target: object
-    value: float
-    err: float
-
-
-def _point(provider, a, x) -> tuple:
-    """(G(a, x), lower, upper) as floats, from a one-point row."""
-    return tuple(float(r[0]) for r in provider.bracket_row(a, [x]))
-
-
-def martin_kernel(spec: GroupSpec, a, x, provider) -> MartinSample:
-    """K(a, x) = G(a, x) / G(e, x); error from interval division."""
-    num, lo_n, hi_n = _point(provider, a, x)
-    den, lo_d, hi_d = _point(provider, identity(spec), x)
-    if lo_d <= 0.0:
-        raise DegenerateBracketError("denominator bracket touches zero")
-    v = num / den
-    lo, hi = lo_n / hi_d, hi_n / lo_d
-    return MartinSample(a, x, v, max(v - lo, hi - v))
-
-
-@dataclass
-class KernelSequence:
-    basepoint: object
-    probes: list               # v where psi is tabulated
-    targets: list              # escaping x_k
-    psi: np.ndarray            # shape (k, len(probes))
-    defects: np.ndarray        # harmonicity defect per (v, k), same shape
-
-
-def normalized_kernel_sequence(probes: list, a, targets: list, mu: StepMeasure,
-                               provider, spec: GroupSpec) -> KernelSequence:
-    """psi_k(v) = G(v, x_k) / G(a, x_k) with the one-step mean defect
-    |psi_k(v) - sum_s mu(s) psi_k(v s)| (zero away from x_k by the
-    one-step Green identity).
-
-    G(v, x_k) is read from the row of x_k as G(x_k, v), one provider call
-    per target, so the law must be symmetric."""
-    if len(set(targets)) != len(targets):
-        raise ValueError("targets must be pairwise distinct")
-    psi = np.zeros((len(targets), len(probes)))
-    defects = np.zeros_like(psi)
-    e = identity(spec)
-    steps = [(s, mu.pmf(s)) for s in mu.support_elements() if s != e]
-    diag = mu.pmf(e)
-    # one row per target: a, the probes, then each probe's neighbours
-    points = [a, *probes, *(mul(spec, v, s) for v in probes for s, _ in steps)]
-    m = len(probes)
-    for k, xk in enumerate(targets):
-        g = provider.bracket_row(xk, points)[0]
-        psi[k] = g[1:m + 1] / g[0]
-        nbrs = g[m + 1:].reshape(m, len(steps))
-        acc = diag * psi[k]
-        for j, (_, p) in enumerate(steps):
-            acc = acc + p * nbrs[:, j] / g[0]
-        defects[k] = np.abs(psi[k] - acc)
-    return KernelSequence(a, probes, targets, psi, defects)
+def martin_kernel(probes: list, base, targets: list, provider) -> tuple:
+    """(values, errors), each of shape (len(probes), len(targets)): the
+    Martin kernel K(v, x) = G(v, x) / G(base, x) for each probe v and
+    target x, read from the rows of the probes and of base, with the error
+    of the interval quotient of the two brackets."""
+    den, lo_d, hi_d = provider.bracket_row(base, targets)
+    if (lo_d <= 0.0).any():
+        x = targets[int(np.argmax(lo_d <= 0.0))]
+        raise DegenerateBracketError(f"G(base,{x!r}) bracket touches zero")
+    values = np.empty((len(probes), len(targets)))
+    errors = np.empty_like(values)
+    for i, v in enumerate(probes):
+        num, lo_n, hi_n = provider.bracket_row(v, targets)
+        values[i] = num / den
+        errors[i] = np.maximum(values[i] - lo_n / hi_d, hi_n / lo_d - values[i])
+    return values, errors
 
 
 def tree_martin_kernel(spec: GroupSpec, ray_prefix: tuple, x: tuple) -> Fraction:

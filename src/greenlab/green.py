@@ -838,9 +838,6 @@ class TreeGreenOracle:
         v = np.array([self.green(a, x) for x in xs], dtype=np.float64)
         return v, v, v
 
-    def hitting(self, a, x) -> float:
-        return float(self.q) ** (-self.distance(a, x))
-
 
 # ---------------------------------------------------------------------------
 # Quarter-plane killed walk (Z^2 SRW killed on the axes and outside a box)

@@ -100,9 +100,6 @@ class PmfOnZ:
             return float(self.vals[k - self.lo])
         return 0.0
 
-    def mass(self) -> float:
-        return float(self.vals.sum())
-
     def support(self) -> np.ndarray:
         return np.nonzero(self.vals)[0] + self.lo
 
@@ -513,14 +510,6 @@ class StepMeasure:
     def finite_range(self) -> bool:
         return self.kind == "finite"
 
-    def shell_radius_mass(self, r: int) -> float:
-        """Total mass p_r at word radius r (shell kind)."""
-        if self.kind != "shell":
-            raise ValueError("radius law defined only for shell measures")
-        if r < self.r0:
-            return 0.0
-        return (1.0 - self.laziness) * (1.0 - UNIT_MASS) * self.shell_norm / (r * r * np.log(r))
-
     def shell_constants(self) -> tuple:
         """(c1, c2) with c1/(r^2 log r) <= p_r <= c2/(r^2 log r) for r >= r0."""
         c = (1.0 - self.laziness) * (1.0 - UNIT_MASS) * self.shell_norm
@@ -603,14 +592,6 @@ class StepMeasure:
         for j, ax in enumerate(self.axes):
             np.multiply(r, d == j, out=steps[:, ax])
         return steps
-
-    def sample(self, rng: np.random.Generator, size: int = 1) -> list:
-        """Draw elements: through sample_support_index for finite laws,
-        through sample_steps otherwise."""
-        if self.kind == "finite":
-            sup = self._finite_law()[0]
-            return [sup[i] for i in self.sample_support_index(rng, size)]
-        return [tuple(r) for r in self.sample_steps(rng, size).tolist()]
 
     def sample_shell_radii(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Step lengths of a shell law: 0 marks a lazy step, 1 a unit

@@ -37,6 +37,15 @@ def _shell_sum_from(a):
     return special.exp1(lg) + _shell_f(a) / 2 + (2 * lg + 1) / (12 * a ** 3 * lg ** 2)
 
 
+def radius_mass(mu, r):
+    """P(R = r) for r >= r0 under a shell law: mu.pmf summed over the
+    2 len(mu.axes) axis powers of length r (0 below r0)."""
+    if r < mu.r0:
+        return 0.0
+    dim = len(groups.identity(mu.spec))
+    return 2 * len(mu.axes) * mu.pmf((r,) + (0,) * (dim - 1))
+
+
 def radius_tail(mu):
     """t -> P(R > t) for the jump length R of mu, t a float array of integers."""
     keep = 1.0 - mu.laziness

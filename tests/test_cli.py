@@ -8,6 +8,8 @@ import pytest
 
 from greenlab import cli, groups, reporting, walks
 from greenlab.cli import STATUS_CONFIG, STATUS_CONTRADICTION, STATUS_OK, run
+from greenlab.functionals import martin_kernel
+from greenlab.green import quadrant_killed_green
 from greenlab.reporting import parse_element, read_report, render_element, report_body
 
 
@@ -414,6 +416,11 @@ class TestOtherKinds:
         assert (solver["symmetry_order"], solver["unknowns"]) == (1, 30 ** 2)
         assert 0.0 <= meta["residual"] < 1e-8
         assert "homogeneity_degree" not in meta
+        # the largest bracket error of the ratios martin_kernel returns
+        table = quadrant_killed_green(30, [(2, 3), (1, 1)])
+        errors = martin_kernel([(2, 3)], (1, 1), [(10, 10), (15, 15)], table)[1]
+        assert meta["kernel_err"] >= 0.0
+        assert meta["kernel_err"] == float(errors.max())
 
     def test_cone_probe_equal_to_base_has_ratio_one(self, tmp_path):
         cfg = {"kind": "cone", "box": 30, "probes": [[1, 1]], "base": [1, 1],

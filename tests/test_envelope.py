@@ -138,6 +138,13 @@ class TestReturnSeries:
         assert series[::2].tolist() == pytest.approx(want, rel=1e-13, abs=0)
         assert not series[1::2].any()
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_identity_only_law_stays_home(self, d):
+        # no step leaves e: the window is the one point e and p_n = 1
+        spec = groups.integer_lattice(d)
+        mu = StepMeasure(spec, "finite", "stay", probs={(0,) * d: 1.0})
+        assert return_series(spec, mu, 7).tolist() == [1.0] * 8
+
     def test_tree_series_against_word_convolution(self):
         # brute-force word-level convolution oracle for small m
         mu = srw(F2)

@@ -8,7 +8,6 @@ import pytest
 from greenlab import groups
 from greenlab.functionals import (DegenerateBracketError, delta, epsilon,
                                   eps_delta_band_check, martin_kernel,
-                                  normalized_kernel_sequence,
                                   tree_martin_kernel)
 from greenlab.green import (TreeGreenOracle, ball_domain, exit_distribution,
                             killed_green_solve)
@@ -132,23 +131,52 @@ class TestEpsilon:
         assert chk.band_ok
 
 
+class SourcesOnly:
+    """A provider serving the rows of `sources` alone, as a GreenTable does:
+    reading any other row raises KeyError, so a kernel that reads the row
+    of a target fails."""
+
+    def __init__(self, provider, sources):
+        self.provider, self.sources = provider, list(sources)
+
+    def bracket_row(self, a, xs):
+        if a not in self.sources:
+            raise KeyError(f"{a!r} is not a tabulated source")
+        return self.provider.bracket_row(a, xs)
+
+
+class DriftedZ:
+    """The full G of the nearest-neighbour walk on Z with p(+1) = p >
+    q = p(-1): G(a, x) = (q/p)^max(a - x, 0) / (p - q), so G(a, x) differs
+    from G(x, a) whenever a != x."""
+
+    p, q = 0.7, 0.3
+
+    def bracket_row(self, a, xs):
+        v = np.array([(self.q / self.p) ** max(a[0] - x[0], 0) / (self.p - self.q)
+                      for x in xs])
+        return v, v, v
+
+
 class TestMartinKernel:
     def test_identity_base(self, z3_scan_tables):
-        s = martin_kernel(Z3, E3, (5, 5, 0), z3_scan_tables[6])
-        assert s.value == pytest.approx(1.0, abs=1e-12)
+        values, errors = martin_kernel([E3], E3, [(5, 5, 0)], z3_scan_tables[6])
+        assert values.shape == errors.shape == (1, 1)
+        assert values[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert 0.0 <= errors[0, 0] < 1e-8
 
     def test_tree_value_three(self, tree):
         # x = t, y starting with t at distance 4: K = q = 3
-        y = (1, 2, -1, 2)
-        s_num = tree.green((1,), y) / tree.green((), y)
-        assert s_num == pytest.approx(3.0, abs=1e-12)
+        values, errors = martin_kernel([(1,)], (), [(1, 2, -1, 2)],
+                                       SourcesOnly(tree, [(1,), ()]))
+        assert values[0, 0] == pytest.approx(3.0, abs=1e-12)
+        assert errors[0, 0] == 0.0
 
     def test_z3_kernel_tends_to_one(self):
         mu = srw(Z3)
         om = ball_domain(Z3, mu, 34, with_boundary=False)
         prov = killed_green_solve(om, [E3, E1], mu, tol=1e-11)
-        k8 = martin_kernel(Z3, E1, (8, 0, 0), prov).value
-        k16 = martin_kernel(Z3, E1, (16, 0, 0), prov).value
+        k8, k16 = martin_kernel([E1], E3, [(8, 0, 0), (16, 0, 0)], prov)[0][0]
         assert abs(k16 - 1) < abs(k8 - 1)
 
     def test_degenerate_bracket_rejected(self, z3_scan_tables):
@@ -158,43 +186,67 @@ class TestMartinKernel:
                 return zero, zero, zero
 
         with pytest.raises(DegenerateBracketError):
-            martin_kernel(Z3, E1, (2, 0, 0), ZeroBracket())
+            martin_kernel([E1], E3, [(2, 0, 0)], ZeroBracket())
+
+    def test_reads_the_rows_of_probes_and_base(self):
+        # on a drifted walk G(a, x) != G(x, a): K must be row(v) / row(base),
+        # exactly (q/p)^(max(v - x, 0) - max(base - x, 0))
+        prov = DriftedZ()
+        probes, base = [(-3,), (0,), (2,), (5,)], (1,)
+        targets = [(-4,), (0,), (3,), (7,)]
+        values, errors = martin_kernel(probes, base, targets,
+                                       SourcesOnly(prov, probes + [base]))
+        r = prov.q / prov.p
+        want = [[r ** (max(v - x, 0) - max(base[0] - x, 0)) for (x,) in targets]
+                for (v,) in probes]
+        assert values.tolist() == [pytest.approx(w, rel=1e-12) for w in want]
+        assert (errors == 0.0).all()
+        swapped = [[r ** (max(x - v, 0) - max(x - base[0], 0)) for (x,) in targets]
+                   for (v,) in probes]
+        assert not np.allclose(values, swapped)
+
+    def test_tree_rays_match_closed_form(self, tree):
+        # G(x, y) / G(e, y) = q^(|y| - d(x, y)) is the ray kernel
+        # K(x, xi) = q^(2 c(x) - |x|) as soon as y lies on the ray at
+        # length >= |x|
+        rng = np.random.default_rng(2828)
+        probes = sorted(reference_ball(F2, 3))
+        for _ in range(5):
+            word = [int(rng.choice([1, -1, 2, -2]))]
+            while len(word) < 10:
+                letter = int(rng.choice([1, -1, 2, -2]))
+                if letter != -word[-1]:
+                    word.append(letter)
+            ray = tuple(word)
+            targets = [ray[:m] for m in range(3, 11)]
+            values, errors = martin_kernel(probes, (), targets,
+                                           SourcesOnly(tree, probes + [()]))
+            for v, row in zip(probes, values.tolist()):
+                exact = float(tree_martin_kernel(F2, ray, v))
+                assert row == pytest.approx([exact] * len(targets), rel=1e-12)
+            assert (errors == 0.0).all()
 
 
 class TestKernelSequence:
-    def test_psi_at_base_is_one_and_defects_vanish(self):
-        mu = srw(Z3)
-        om = ball_domain(Z3, mu, 16, with_boundary=False)
-        targets = [(6, 0, 0), (0, 8, 0), (10, 0, 0)]
-        prov = killed_green_solve(om, targets, mu, tol=1e-12)
-        probes = [E3, E1, (1, 1, 0), (0, 0, 2)]
-        seq = normalized_kernel_sequence(probes, E3, targets, mu, prov, Z3)
-        assert np.allclose(seq.psi[:, 0], 1.0, atol=1e-12)
-        # defect vanishes when the target is not in the probe's one-step
-        # neighborhood (solver-exact one-step identity)
-        assert seq.defects.max() < 1e-8
+    """psi_k(v) = K(v, x_k) along a target sequence x_k."""
 
     def test_psi_domination_by_green_comparison(self):
         mu = srw(Z3)
         om = ball_domain(Z3, mu, 16, with_boundary=False)
         targets = [(6, 0, 0), (0, 8, 0)]
-        prov = killed_green_solve(om, targets, mu, tol=1e-12)
         probes = [E1, (1, 1, 0), (2, 0, 0)]
-        seq = normalized_kernel_sequence(probes, E3, targets, mu, prov, Z3)
+        prov = killed_green_solve(om, probes + [E3], mu, tol=1e-12)
+        psi = martin_kernel(probes, E3, targets, prov)[0]
         rho = 1 / 6
         for i, v in enumerate(probes):
             bound = rho ** -groups.word_length(Z3, v)
-            assert np.all(seq.psi[:, i] <= bound + 1e-9)
+            assert np.all(psi[i] <= bound + 1e-9)
 
     def test_f2_ray_limit_three(self, tree):
         # psi_k(t) -> 3 along a ray through t
         targets = [(1, 2) * k for k in (2, 3, 4)]
-        seq = normalized_kernel_sequence([(1,)], (), targets, srw(F2), tree, F2)
-        assert np.allclose(seq.psi[:, 0], 3.0, atol=1e-12)
-
-    def test_distinct_targets_required(self, tree):
-        with pytest.raises(ValueError):
-            normalized_kernel_sequence([()], (), [(1,), (1,)], srw(F2), tree, F2)
+        psi = martin_kernel([(1,)], (), targets, SourcesOnly(tree, [(1,), ()]))[0]
+        assert np.allclose(psi[0], 3.0, atol=1e-12)
 
 
 class RowOnlyTree:
@@ -217,19 +269,15 @@ class TestOneMethodProtocol:
         assert row.value == pytest.approx(2.0, abs=1e-12) and row.err == 0.0
         assert row.argmax == delta(dom, (), (1,), tree).argmax
 
-    def test_martin_kernel(self):
-        s = martin_kernel(F2, (1,), (1, 2, -1, 2), RowOnlyTree())
-        assert s.value == pytest.approx(3.0, abs=1e-12) and s.err == 0.0
-
-    def test_normalized_kernel_sequence(self, tree):
+    def test_martin_kernel(self, tree):
         targets = [(1, 2) * k for k in (2, 3, 4)]
         probes = [(1,), (2,), (1, 2)]
-        seq = normalized_kernel_sequence(probes, (), targets, srw(F2),
-                                         RowOnlyTree(), F2)
-        assert np.allclose(seq.psi, [[3.0, 1 / 3, 9.0]] * 3, rtol=1e-14)
-        assert seq.defects.max() < 1e-14
-        ref = normalized_kernel_sequence(probes, (), targets, srw(F2), tree, F2)
-        assert np.array_equal(seq.psi, ref.psi)
+        values, errors = martin_kernel(
+            probes, (), targets, SourcesOnly(RowOnlyTree(), probes + [()]))
+        assert np.allclose(values.T, [[3.0, 1 / 3, 9.0]] * 3, rtol=1e-14)
+        assert (errors == 0.0).all()
+        ref = martin_kernel(probes, (), targets, tree)[0]
+        assert np.array_equal(values, ref)
 
 
 class TestTreeMartinKernel:

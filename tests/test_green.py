@@ -855,8 +855,9 @@ class TestProviders:
         want = [1.5 * 3.0 ** -tree_distance(a, x) / (1 - laziness) for x in xs]
         assert v.tolist() == pytest.approx(want, rel=1e-15, abs=0)
         assert lo.tolist() == v.tolist() == hi.tolist()
-        assert [oracle.hitting(a, x) for x in xs] == \
-            [3.0 ** -tree_distance(a, x) for x in xs]
+        # F(a, x) = G(a, x) / G(e, e)
+        assert (v / oracle.gee()).tolist() == pytest.approx(
+            [3.0 ** -tree_distance(a, x) for x in xs], rel=1e-15, abs=0)
 
     def test_tree_oracle_rejects_other_finite_laws(self):
         # a finite law on F_2 that is not SRW up to laziness has another G

@@ -22,7 +22,7 @@ from greenlab.walks import (_batch_positions, _shell_tail_probability,
                             increment_ratio_max, product_dispersion_bound,
                             sample_jump_lengths, speed_in_probability,
                             truncated_coordinate_moments, tv_dispersion_z)
-from running_max_oracle import radius_tail, running_max_cdf
+from running_max_oracle import radius_mass, radius_tail, running_max_cdf
 from word_ball_oracle import reference_ball
 
 Z1 = groups.integer_lattice(1)
@@ -279,7 +279,7 @@ class TestIncrementRatioMax:
         rng = derive_stream(13, "incr-law")
         lens = sample_jump_lengths(mu, rng, 10 ** 5)
         assert set(np.unique(lens[lens < 3])) <= {1.0}
-        p3 = mu.shell_radius_mass(3)
+        p3 = radius_mass(mu, 3)
         assert abs((lens == 3).mean() - p3) < 4 * np.sqrt(p3 / 10 ** 5)
 
     def test_stable_jump_lengths_draw_no_sign(self):
@@ -308,8 +308,8 @@ class TestIncrementRatioMax:
         lens = sample_jump_lengths(mu, derive_stream(15, "incr-lazy-shell"), n)
         assert 2.0 not in lens
         for length, p in [(0, mu.pmf((0, 0, 0))), (1, 0.5 * UNIT_MASS),
-                          (3, mu.shell_radius_mass(3)),
-                          (4, mu.shell_radius_mass(4))]:
+                          (3, radius_mass(mu, 3)),
+                          (4, radius_mass(mu, 4))]:
             freq = (lens == length).mean()
             assert abs(freq - p) < 4 * np.sqrt(p * (1 - p) / n), length
 
@@ -321,7 +321,7 @@ class TestIncrementRatioMax:
         unit[1] = 1.0
         masses = {
             "srw": unit,
-            "shell": np.array([shell.shell_radius_mass(r) for r in range(r_max + 1)])
+            "shell": np.array([radius_mass(shell, r) for r in range(r_max + 1)])
             + UNIT_MASS * unit,
             "stable": np.array([0.0] + [stable.pmf((r,)) + stable.pmf((-r,))
                                         for r in range(1, r_max + 1)]),
