@@ -269,7 +269,14 @@ class TestOneMethodProtocol:
         assert row.value == pytest.approx(2.0, abs=1e-12) and row.err == 0.0
         assert row.argmax == delta(dom, (), (1,), tree).argmax
 
-    def test_martin_kernel(self, tree):
+    def test_martin_kernel(self):
+        values, errors = martin_kernel([(1,)], (), [(1, 2, -1, 2)],
+                                       SourcesOnly(RowOnlyTree(), [(1,), ()]))
+        assert values[0, 0] == pytest.approx(3.0, abs=1e-12)
+        assert errors[0, 0] == 0.0
+
+    def test_normalized_kernel_sequence(self, tree):
+        # psi_k(v) = K(v, x_k) normalised at the base e, along a ray
         targets = [(1, 2) * k for k in (2, 3, 4)]
         probes = [(1,), (2,), (1, 2)]
         values, errors = martin_kernel(
