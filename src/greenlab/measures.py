@@ -21,7 +21,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from . import CPUS, _LazyModule, groups
+from . import CPUS, _LazyModule, groups, thread_map
 from .groups import GroupSpec, GeneratorSet, identity
 
 fft = _LazyModule("scipy.fft")
@@ -100,9 +100,6 @@ class PmfOnZ:
             return float(self.vals[k - self.lo])
         return 0.0
 
-    def support(self) -> np.ndarray:
-        return np.nonzero(self.vals)[0] + self.lo
-
 
 def pmf_from_dict(d: dict, delta_trunc: float = 0.0) -> PmfOnZ:
     lo, hi = min(d), max(d)
@@ -123,15 +120,19 @@ def convolve_z(p: PmfOnZ, q: PmfOnZ, cap: int) -> PmfOnZ:
     which exceeds n - 1, or k - N, which is negative.  So the kept values
     are the linear convolution's, up to round-off, from a transform about
     3 cap long once the window is full, where the whole product needs
-    4 cap.  When q is p its spectrum is computed once and squared.
-    Round-off negatives are clamped to 0.  All clipped mass (and any mass
-    already missing from the inputs) is accumulated into delta_trunc of
-    the result.  delta_trunc = 1 - sum(kept) also absorbs the FFT's
-    round-off in the total mass, which each squaring of a doubling chain
-    doubles (the mass is squared) and adds to: for the alpha = 1 stable
-    law at cap 4.2e6, a change of the twiddles' rounding alone moved
-    delta_trunc by 5e-14 to 2.7e-12 over n = 16..4096 (2.1e-13 at
-    n = 4096), against clipped masses of 2.3e-6 to 5.9e-4.
+    4 cap.  When q is p its spectrum is computed once and squared.  The
+    inputs' arrays are handed to the squaring and this call keeps no
+    reference to them, so a caller that holds no other reference (the
+    doubling chain) has each input freed once it is transformed, before
+    the window is written.  Round-off negatives are clamped to 0.  All
+    clipped mass (and any mass already missing from the inputs) is
+    accumulated into delta_trunc of the result.  delta_trunc =
+    1 - sum(kept) also absorbs the FFT's round-off in the total mass,
+    which each squaring of a doubling chain doubles (the mass is squared)
+    and adds to: for the alpha = 1 stable law at cap 4.2e6, a change of
+    the twiddles' rounding alone moved delta_trunc by 5e-14 to 2.7e-12
+    over n = 16..4096 (2.1e-13 at n = 4096), against clipped masses of
+    2.3e-6 to 5.9e-4.
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
@@ -144,55 +145,93 @@ def convolve_z(p: PmfOnZ, q: PmfOnZ, cap: int) -> PmfOnZ:
     a, b = lo_keep - lo, hi_keep - lo
     if n > 4096:
         need = max(b + 1, n - a, len(p.vals), len(q.vals))
-        raw = _cyclic_convolution(p.vals, None if q is p else q.vals, need)
+        inputs = [p.vals] if q is p else [p.vals, q.vals]
+        del p, q
+        kept = _cyclic_convolution(inputs, need, a, b)
     else:
-        raw = np.convolve(p.vals, q.vals)
-    # A clamped copy, so the full-length product is freed once the window
-    # is cut.
-    kept = np.maximum(raw[a: b + 1], 0.0)
+        kept = np.maximum(np.convolve(p.vals, q.vals)[a: b + 1], 0.0)
     delta = 1.0 - float(kept.sum())
     return PmfOnZ(kept, lo_keep, max(delta, 0.0))
 
 
-def _cyclic_convolution(x: np.ndarray, y: Optional[np.ndarray],
-                        need: int) -> np.ndarray:
-    """Cyclic convolution of x and y (y None: x with itself), zero-padded to
-    a length N = n1 * n2 >= need, by the four-step FFT (Bailey, "FFTs in
-    external or hierarchical memory", J. Supercomputing 4, 1990).
+# Spectrum columns per slab of _cyclic_convolution: at the acceptance sizes
+# (n1 about 3,500) a slab, its transform and its twiddles take about 1 MB
+# each, so a slab stays in cache and CPUS of them cost little beside a
+# window.
+SLAB_COLUMNS = 32
 
-    The signal is viewed as an (n1, n2) array, j = j1 n2 + j2.  A real FFT
+
+def _cyclic_convolution(inputs: list, need: int, a: int, b: int) -> np.ndarray:
+    """Indices a..b of the cyclic convolution of the one or two arrays in
+    inputs (one: that array with itself), zero-padded to a length
+    N = n1 * n2 >= need, clamped at 0.  The arrays are taken out of inputs,
+    which is left empty, and each is dropped once it is transformed.  The
+    transform is the four-step FFT (Bailey, "FFTs in external or
+    hierarchical memory", J. Supercomputing 4, 1990).
+
+    A signal is viewed as an (n1, n2) array, j = j1 n2 + j2.  A real FFT
     down axis 0, the twiddles exp(-2 pi i k1 j2 / N) and a complex FFT
     along axis 1 give the spectrum at k = k1 + n1 k2 in slot [k1, k2] for
     k1 <= n1 / 2, which determines the rest; the pointwise product does not
     care about this transposed layout, and the inverse runs the three steps
-    backwards.  No transpose is materialised, and every transform is a
-    batch of short ones spread over ``CPUS`` threads (the CPUs this
-    process may use).  The twiddles come from two small tables built per
-    call (_Twiddles), so nothing of the grid's size outlives the call.  A
-    squaring holds at most two grid-sized arrays at once (a product of two
-    inputs three), besides the inputs.
+    backwards.  The axis-0 steps stream through slabs of SLAB_COLUMNS
+    columns, spread over ``CPUS`` threads (the CPUs this process may use):
+    a forward slab gathers its columns from the signal, transforms them,
+    multiplies by its twiddles and writes them into the half spectrum S,
+    and an inverse slab writes only the rows that cover [a, b] into the
+    output window.  The axis-1 transforms run in place on S, batched over
+    ``CPUS`` threads.  Each column's arithmetic is the same as in one
+    whole-grid transform, so the result does not depend on the slab width
+    or on CPUS.  No real n1 x n2 grid is built and the twiddles come from
+    two small tables (_Twiddles), so a squaring holds S, one window (the
+    input, then the output) and a slab per thread; a product of two inputs
+    holds one more S.
     """
     n1, n2 = _four_step_shape(need)
+    twiddles = _Twiddles(n1, n2)
+    slabs = [(lo, min(lo + SLAB_COLUMNS, n2))
+             for lo in range(0, n2, SLAB_COLUMNS)]
     spectra = []
-    for v in (x,) if y is None else (x, y):
-        grid = np.zeros((n1, n2))
-        grid.reshape(-1)[:len(v)] = v
-        s = fft.rfft(grid, axis=0, workers=CPUS)
-        del grid    # not held while the inverse allocates its output
-        if not spectra:
-            # built once the first grid is freed, and freed before the
-            # inverse's output is allocated: the tables are never held at
-            # a squaring's peak
-            twiddles = _Twiddles(n1, n2)
-        twiddles.apply(s)
+    while inputs:
+        v = inputs.pop(0)
+        s = np.empty((n1 // 2 + 1, n2), dtype=np.complex128)
+        full, rest = divmod(len(v), n2)
+
+        def forward(i):
+            lo, hi = slabs[i]
+            block = np.zeros((n1, hi - lo))
+            block[:full] = v[:full * n2].reshape(full, n2)[:, lo:hi]
+            if rest > lo:
+                tail = v[full * n2 + lo: full * n2 + min(hi, rest)]
+                block[full, :len(tail)] = tail
+            t = fft.rfft(block, axis=0, workers=1)
+            del block
+            np.multiply(t, twiddles.cols(lo, hi), out=s[:, lo:hi])
+
+        thread_map(forward, len(slabs))
+        # the input goes before another S or the output is allocated
+        del v, forward
         spectra.append(fft.fft(s, axis=1, overwrite_x=True, workers=CPUS))
     s = spectra[0]
     np.multiply(s, spectra[-1], out=s)
     del spectra
     s = fft.ifft(s, axis=1, overwrite_x=True, workers=CPUS)
-    twiddles.apply(s, inverse=True)
-    del twiddles
-    return fft.irfft(s, n1, axis=0, workers=CPUS).reshape(-1)
+    # rows r0.. of the grid cover [a, b]; out starts at r0's first column,
+    # so the window is out's flat view from a - r0 n2
+    r0 = a // n2
+    out = np.empty((b // n2 - r0 + 1, n2))
+
+    def inverse(i):
+        lo, hi = slabs[i]
+        # t * conj(w) as conj(conj(t) * w): no conjugated copy of w
+        t = np.conjugate(s[:, lo:hi])
+        t *= twiddles.cols(lo, hi)
+        np.conjugate(t, out=t)
+        r = fft.irfft(t, n1, axis=0, workers=1)
+        np.maximum(r[r0:r0 + len(out)], 0.0, out=out[:, lo:hi])
+
+    thread_map(inverse, len(slabs))
+    return out.reshape(-1)[a - r0 * n2: b - r0 * n2 + 1]
 
 
 def _four_step_shape(need: int) -> tuple:
@@ -200,11 +239,6 @@ def _four_step_shape(need: int) -> tuple:
     least need: n1 just above sqrt(need), both fast FFT lengths."""
     n1 = fft.next_fast_len(math.isqrt(need) + 1, True)
     return n1, fft.next_fast_len(-(-need // n1))
-
-
-# Spectrum rows per twiddle block: at the acceptance sizes (n2 about 3,500)
-# a block and its twiddles take about 1 MB, so they stay in cache.
-TWIDDLE_ROWS = 8
 
 
 class _Twiddles:
@@ -220,31 +254,17 @@ class _Twiddles:
 
     def __init__(self, n1: int, n2: int):
         size = n1 * n2
-        b = math.isqrt(n2 - 1) + 1
+        self.b = math.isqrt(n2 - 1) + 1
         k1 = np.arange(n1 // 2 + 1, dtype=np.int64)[:, None]
-        self.n2 = n2
-        self.coarse = _unit_roots(k1 * np.arange(0, n2, b), size)
-        self.fine = _unit_roots(k1 * np.arange(b), size)
+        self.coarse = _unit_roots(k1 * np.arange(0, n2, self.b), size)
+        self.fine = _unit_roots(k1 * np.arange(self.b), size)
 
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        """The twiddles of rows lo <= k1 < hi, shape (hi - lo, n2)."""
-        w = self.coarse[lo:hi, :, None] * self.fine[lo:hi, None, :]
-        return w.reshape(len(w), -1)[:, :self.n2]
-
-    def apply(self, s: np.ndarray, inverse: bool = False) -> None:
-        """s *= the twiddles, or by their conjugates if inverse, in place,
-        TWIDDLE_ROWS rows at a time."""
-        for lo in range(0, len(s), TWIDDLE_ROWS):
-            block = s[lo:lo + TWIDDLE_ROWS]
-            w = self.rows(lo, lo + len(block))
-            if inverse:
-                # block * conj(w) as conj(conj(block) * w): the same value,
-                # with no conjugated copy of w
-                np.conjugate(block, out=block)
-                block *= w
-                np.conjugate(block, out=block)
-            else:
-                block *= w
+    def cols(self, lo: int, hi: int) -> np.ndarray:
+        """The twiddles of columns lo <= j2 < hi, shape (n1 // 2 + 1, hi - lo)."""
+        q, r = np.divmod(np.arange(lo, hi), self.b)
+        w = self.coarse[:, q]
+        w *= self.fine[:, r]
+        return w
 
 
 def _unit_roots(m: np.ndarray, size: int) -> np.ndarray:
@@ -264,11 +284,12 @@ def self_convolution_powers(p: PmfOnZ, exponents, cap: int) -> Iterator:
     the FFT branch of convolve_z, at the cyclic length max(b + 1, n - a)
     that wraps nothing into the kept window [a, b]: once the window |k| <=
     cap is full that is 3 cap + 1 points, not the 4 cap + 1 of the whole
-    product.  The chain holds only the current power, and not p once it
-    is squared.  A caller that passes p without keeping it and drops each
-    checkpoint before asking for the next holds one power at a time, so
-    a squaring's peak is two arrays of its n1 x n2 grid plus one window
-    (about 2.7 grids on a full window).
+    product.  The chain hands each power to its squaring and keeps no
+    reference to it, and the squaring frees it once it is transformed.  A
+    caller that passes p without keeping it and drops each checkpoint
+    before asking for the next holds one power at a time, so a squaring's
+    peak is the half spectrum (about one n1 x n2 grid of reals), one window
+    and a column slab per thread: about 1.7 grids on a full window.
     """
     want = sorted(set(exponents))
     for n in want:
@@ -281,11 +302,16 @@ def _doubling_chain(cur: PmfOnZ, want: list, cap: int):
     n = 1
     if n in want:
         yield n, cur
+    held = [cur]
+    del cur
     while n < want[-1]:
-        cur = convolve_z(cur, cur, cap)
+        # the power leaves held as the call's arguments, so the squaring
+        # holds the only references to it and frees it once it is
+        # transformed
+        held.append(convolve_z(held[0], held.pop(), cap))
         n *= 2
         if n in want:
-            yield n, cur
+            yield n, held[0]
 
 
 def total_variation_shift(p: PmfOnZ, k: int) -> float:

@@ -333,12 +333,28 @@ class DispersionCurve:
     periodic: bool
 
 
+# Points of a pmf window per chunk of _support_gcd.
+_GCD_CHUNK = 2 ** 16
+
+
 def _support_gcd(pmf: PmfOnZ) -> int:
-    """gcd of the gaps between support points (0 for a single point)."""
-    sup = pmf.support()
-    if len(sup) < 2:
-        return 0
-    return int(np.gcd.reduce(np.diff(sup)))
+    """gcd of the gaps between support points (0 for a single point).
+
+    The window is read _GCD_CHUNK points at a time, the gap across a chunk
+    edge carried from the last support point seen, and the scan stops at
+    gcd 1; so it allocates a chunk's worth, not the whole support."""
+    g, last = 0, None
+    for lo in range(0, len(pmf.vals), _GCD_CHUNK):
+        sup = np.flatnonzero(pmf.vals[lo:lo + _GCD_CHUNK]) + lo
+        if not len(sup):
+            continue
+        if last is not None:
+            g = math.gcd(g, int(sup[0]) - last)
+        g = math.gcd(g, int(np.gcd.reduce(np.diff(sup))))
+        if g == 1:
+            return 1
+        last = int(sup[-1])
+    return g
 
 
 def _doubling_sizes(n_list) -> list:
@@ -361,8 +377,11 @@ def tv_dispersion_z(pmf: PmfOnZ, shift: int, n_list, cap: int) -> DispersionCurv
     reached, and neither pmf nor a checkpoint is kept while the chain
     squares, so one power is live at a time (self_convolution_powers)
     if the caller passes pmf without keeping it (a temporary argument,
-    which CPython 3.11 and later hand to the callee).  Periodic supports
-    (gcd of support differences > 1) are computed but flagged."""
+    which CPython 3.11 and later hand to the callee).  Each squaring frees
+    its input once it is transformed, so the peak is one half spectrum,
+    one window and a column slab per thread.  Periodic supports (gcd of
+    support differences > 1, found by a chunked scan) are computed but
+    flagged."""
     n_list = _doubling_sizes(n_list)
     periodic = _support_gcd(pmf) > 1
     powers = self_convolution_powers(pmf, n_list, cap)

@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+import greenlab
 from greenlab import groups, measures
 from greenlab.groups import identity
 from greenlab.measures import (PmfOnZ, SAMPLE_HEAD, SHELL_SAMPLE_RADIUS_MAX,
@@ -631,17 +633,138 @@ class TestConvolveZ:
     @pytest.mark.parametrize("n1, n2", [(3600, 3520), (75, 81)])
     def test_factored_twiddles_within_4_ulp(self, n1, n2):
         # the two small tables' product against the whole table
-        # exp(-2 pi i (k1 j2 mod N) / N) over the whole grid, in row blocks
+        # exp(-2 pi i (k1 j2 mod N) / N) over the whole grid, in column blocks
         tw = measures._Twiddles(n1, n2)
         size = n1 * n2
+        k1 = np.arange(n1 // 2 + 1, dtype=np.int64)[:, None]
         worst = 0.0
-        for lo in range(0, n1 // 2 + 1, 64):
-            hi = min(lo + 64, n1 // 2 + 1)
-            k1 = np.arange(lo, hi, dtype=np.int64)[:, None]
-            angle = (k1 * np.arange(n2, dtype=np.int64) % size) * (-2.0 * np.pi / size)
+        for lo in range(0, n2, 64):
+            hi = min(lo + 64, n2)
+            angle = (k1 * np.arange(lo, hi, dtype=np.int64) % size) * (-2.0 * np.pi / size)
             whole = np.cos(angle) + 1j * np.sin(angle)
-            worst = max(worst, float(np.abs(tw.rows(lo, hi) - whole).max()))
+            worst = max(worst, float(np.abs(tw.cols(lo, hi) - whole).max()))
         assert worst <= 4 * np.finfo(np.float64).eps, worst
+
+
+def whole_grid_cyclic_convolution(x, y, need):
+    """The whole cyclic convolution of x and y (y None: x with itself) from
+    whole n1 x n2 grids: each input's real grid and half spectrum, the
+    twiddles applied eight spectrum rows at a time, and one inverse of the
+    whole product.  The reference that measures._cyclic_convolution's
+    column slabs must equal bit for bit."""
+    fft = measures.fft
+    n1, n2 = measures._four_step_shape(need)
+    tw = measures._Twiddles(n1, n2)
+
+    def apply(s, inverse=False):
+        for lo in range(0, len(s), 8):
+            block = s[lo:lo + 8]
+            w = tw.coarse[lo:lo + 8, :, None] * tw.fine[lo:lo + 8, None, :]
+            w = w.reshape(len(w), -1)[:, :n2]
+            if inverse:
+                np.conjugate(block, out=block)
+                block *= w
+                np.conjugate(block, out=block)
+            else:
+                block *= w
+
+    spectra = []
+    for v in (x,) if y is None else (x, y):
+        grid = np.zeros((n1, n2))
+        grid.reshape(-1)[:len(v)] = v
+        s = fft.rfft(grid, axis=0, workers=measures.CPUS)
+        apply(s)
+        spectra.append(fft.fft(s, axis=1, workers=measures.CPUS))
+    s = spectra[0] * spectra[-1]
+    s = fft.ifft(s, axis=1, workers=measures.CPUS)
+    apply(s, inverse=True)
+    return fft.irfft(s, n1, axis=0, workers=measures.CPUS).reshape(-1)
+
+
+class TestStreamedSquaring:
+    """convolve_z's FFT branch streams the four-step transform through
+    column slabs; it must equal the whole-grid transform bit for bit, for
+    any slab width and thread count."""
+
+    @staticmethod
+    def streamed_and_whole(p, q, cap):
+        """(convolve_z(p, q, cap).vals, the same window of the whole-grid
+        reference clamped at 0, the (n1, n2) grid, [a, b])."""
+        n = len(p.vals) + len(q.vals) - 1
+        lo = p.lo + q.lo
+        a, b = max(lo, -cap) - lo, min(lo + n - 1, cap) - lo
+        need = max(b + 1, n - a, len(p.vals), len(q.vals))
+        whole = whole_grid_cyclic_convolution(
+            p.vals, None if q is p else q.vals, need)
+        got = convolve_z(p, q, cap).vals
+        return got, np.maximum(whole[a: b + 1], 0.0), \
+            measures._four_step_shape(need), (a, b)
+
+    @pytest.mark.parametrize("cut", ["none", "low", "high", "both"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), same=st.booleans(), slab=st.integers(1, 40),
+           len_p=st.integers(2049, 6000), seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_whole_grid(self, cut, data, same, slab, len_p, seed):
+        rng = np.random.default_rng(seed)
+        len_q = len_p if same else data.draw(st.integers(max(1, 4098 - len_p), 6000))
+        n = len_p + len_q - 1
+        lo = data.draw({"none": st.integers(-2 * n, 2 * n),
+                        "low": st.integers(-3 * n, -(n + 1) // 2 - 1),
+                        "high": st.integers(2 - (n - 1) // 2, 2 * n),
+                        "both": st.integers(4 - n, -2)}[cut])
+        if same:
+            lo -= lo % 2
+            lo_p = lo_q = lo // 2
+        else:
+            lo_p = data.draw(st.integers(-n, n))
+            lo_q = lo - lo_p
+        cap = data.draw(st.integers(*TestConvolveZ.cap_range(cut, lo, lo + n - 1)))
+        p = TestConvolveZ.random_pmf(rng, len_p, lo_p)
+        q = p if same else TestConvolveZ.random_pmf(rng, len_q, lo_q)
+        with mock.patch.object(measures, "SLAB_COLUMNS", slab):
+            got, want, _, _ = self.streamed_and_whole(p, q, cap)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("same", [True, False])
+    @pytest.mark.parametrize("lo, cap", [(-6000, 4500), (-2000, 3000),
+                                         (-4500, 2000)],
+                             ids=["cut-low", "cut-high", "cut-both"])
+    def test_ragged_slab_and_mid_row_window(self, same, lo, cap):
+        # the last slab is narrower than the rest, and the window ends (and,
+        # where the cap cuts the low side, starts) inside a grid row
+        rng = np.random.default_rng(31)
+        p = TestConvolveZ.random_pmf(rng, 5001, lo // 2)
+        q = p if same else TestConvolveZ.random_pmf(rng, 5001, lo - lo // 2)
+        n = 2 * 5001 - 1
+        cut_low, cut_high = lo < -cap, lo + n - 1 > cap
+        with mock.patch.object(measures, "SLAB_COLUMNS", 11):
+            got, want, (n1, n2), (a, b) = self.streamed_and_whole(p, q, cap)
+        assert n2 % 11 and (b + 1) % n2 and (a % n2 > 0) == cut_low
+        assert (a > 0, b < n - 1) == (cut_low, cut_high)
+        assert np.array_equal(got, want)
+
+    def test_independent_of_cpu_count(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        p = TestConvolveZ.random_pmf(rng, 40001, -20000)
+        q = TestConvolveZ.random_pmf(rng, 30001, -9000)
+        runs = []
+        for cpus in (greenlab.CPUS, 1):
+            monkeypatch.setattr(greenlab, "CPUS", cpus)
+            monkeypatch.setattr(measures, "CPUS", cpus)
+            runs.append((convolve_z(p, p, 30000).vals, convolve_z(p, q, 25000).vals))
+        for many, one in zip(*runs):
+            assert np.array_equal(many, one)
+
+    def test_inputs_handed_over(self):
+        # the squaring takes the arrays out of its list and leaves the
+        # inputs themselves unchanged
+        p = TestConvolveZ.random_pmf(np.random.default_rng(33), 3000, -1500)
+        before = p.vals.copy()
+        inputs = [p.vals]
+        n = 2 * len(before) - 1
+        measures._cyclic_convolution(inputs, n, 0, n - 1)
+        assert inputs == []
+        assert np.array_equal(p.vals, before)
 
 
 class TestSelfConvolutionPowers:

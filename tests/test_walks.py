@@ -391,11 +391,15 @@ class TestDispersion:
             assert a == pytest.approx(b, abs=1e-14)
 
     def test_chain_peak_allocation(self):
-        # one live power: the pmf is passed without being kept, no
-        # checkpoint is held while the chain squares past it, and the
-        # twiddles are two small tables; so the peak is two arrays of the
-        # n1 x n2 grid and one window (the input of the squaring)
-        cap = 2 * 10 ** 5
+        # one live power: the pmf is passed without being kept, the chain
+        # hands each power to its squaring, which frees it once it is
+        # transformed, and no real grid is built; so the peak is the half
+        # spectrum S, one window (the input or the output) and the scratch
+        # of one column slab per thread: the slab, its transform and its
+        # twiddles' two gathered factors, each about n1 x SLAB_COLUMNS x 8
+        # bytes, and the two twiddle tables.  At this cap the window is
+        # about 9 times a thread's scratch.
+        cap = 10 ** 6
         mu = stable_z_measure(1.0)
         # a full window squares at cyclic length 3 cap + 1 (this also loads
         # scipy.fft before tracing starts)
@@ -406,8 +410,13 @@ class TestDispersion:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        grid = 8 * n1 * n2
-        assert peak <= 8 * (2 * n1 * n2 + 2 * cap + 1) + 2 ** 20, peak / grid
+        spectrum = 16 * (n1 // 2 + 1) * n2
+        window = 8 * (2 * cap + 1)
+        threads = min(greenlab.CPUS, -(-n2 // measures.SLAB_COLUMNS))
+        slabs = threads * 4 * 8 * n1 * measures.SLAB_COLUMNS
+        tables = 16 * (n1 // 2 + 1) * 2 * (math.isqrt(n2 - 1) + 1)
+        assert peak <= spectrum + window + slabs + tables + 2 ** 20, \
+            (peak - spectrum - window) / (slabs + tables)
 
     def test_non_power_checkpoint_rejected(self):
         pmf = pmf_from_dict({-1: 0.5, 1: 0.5})
@@ -451,6 +460,38 @@ class TestSupportGcd:
 
     def test_single_point_gives_zero(self):
         assert _support_gcd(pmf_from_dict({7: 1.0})) == 0
+
+    @pytest.mark.parametrize("step", [2, 3])
+    def test_periodic_support_over_several_chunks(self, step):
+        chunk = walks._GCD_CHUNK
+        sup = np.arange(1, 3 * chunk + 5, step)
+        assert _support_gcd(self.pmf_on(sup, -chunk)) == step
+        # one gap of step + 1 in the last chunk breaks the period
+        assert _support_gcd(self.pmf_on(np.append(sup, sup[-1] + step + 1), 0)) == 1
+
+    @pytest.mark.parametrize("step", [2, 3])
+    def test_gap_across_a_chunk_edge(self, step):
+        # the only gap that is not a multiple of 6 spans a chunk edge
+        chunk = walks._GCD_CHUNK
+        left = np.arange(chunk - 6 * 40, chunk, 6)
+        right = left[-1] + 6 * step + step + np.arange(0, 6 * 40, 6)
+        sup = np.concatenate([left, right])
+        assert sup[-len(right) - 1] < chunk <= sup[-len(right)]
+        assert _support_gcd(self.pmf_on(sup, 0)) == step
+
+    def test_empty_chunks_are_skipped(self):
+        # the gap from the first chunk to the fourth is carried over two
+        # chunks with no atom
+        chunk = walks._GCD_CHUNK
+        for gap in (3 * chunk + 10, 3 * chunk + 21):
+            assert _support_gcd(self.pmf_on(np.array([5, 5 + gap]), 0)) == gap
+        sup = np.array([5, 11, 11 + 3 * chunk])
+        assert _support_gcd(self.pmf_on(sup, 0)) == 6
+
+    def test_single_atom_in_a_long_window_gives_zero(self):
+        vals = np.zeros(3 * walks._GCD_CHUNK + 1)
+        vals[2 * walks._GCD_CHUNK - 1] = 1.0
+        assert _support_gcd(PmfOnZ(vals, -5)) == 0
 
 
 class TestProductDispersion:
