@@ -12,15 +12,23 @@ boundary of a set S is always taken with respect to T = supp(mu), and that
 choice is recorded on the domain.  Exit laws are arrays over that
 boundary, one row per start point, from one killed solve.
 
-A lattice table above QUOTIENT_MIN points is solved on the orbit quotient
-of its symmetries.  The signed permutations of the axes that fix every
-source, preserve mu and map Omega onto itself form a group H, and
-G_Omega(a, .) is constant on the H-orbits; on a ball about the origin with
-SRW and the origin as source, |H| = 48.  The solver assembles the Galerkin
-quotient Q^T (I - P) Q (Q the orbit indicator) on one representative per
-orbit, solves it, and lifts the solution back to Omega (Fassler &
-Stiefel, *Group Theoretical Methods and Their Applications*, 1992).  Any
-other table is the quotient by the trivial orbits: there is one assembly.
+Domains on Z^d and Heis3 are sorted int64 keys of their points in a
+mixed-radix box that also holds every neighbour (``_KeyBox``): a lookup is
+a binary search, a step shifts the keys, and coordinates are decoded a
+chunk at a time where a caller needs them.  A domain costs 8 bytes a point.
+
+A lattice or Heis3 table above QUOTIENT_MIN points is solved on the orbit
+quotient of its symmetries.  The maps that fix every source, preserve mu
+and map Omega onto itself form a group H, and G_Omega(a, .) is constant on
+the H-orbits.  On Z^d they are the signed permutations of the axes; on a
+ball about the origin with SRW and the origin as source, |H| = 48.  On
+Heis3 they are the sign automorphisms (a, b, c) -> (e a, f b, e f c), e, f
+= +-1; from the sources e and (1, 0, 0) only (a, -b, -c) is left, |H| = 2.
+The solver assembles the Galerkin quotient Q^T (I - P) Q (Q the orbit
+indicator) on one representative per orbit, solves it, and lifts the
+solution back to Omega (Fassler & Stiefel, *Group Theoretical Methods and
+Their Applications*, 1992).  Any other table is the quotient by the
+trivial orbits: there is one assembly.
 
 Every killed system, full or quotient, is solved by one of two methods: a
 direct factorization, or plain conjugate gradients.  SciPy's sparse
@@ -42,6 +50,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import gc
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -57,13 +66,14 @@ spla = _LazyModule("scipy.sparse.linalg")
 
 DIRECT_SOLVE_MAX = 4000       # direct factorization below this many unknowns
 DEFAULT_TOL = 1e-10
-# Lattice tables above this many points are solved on the orbit quotient
-# of their axis symmetries.  Smaller tables are solved on the full system,
+# Lattice and Heis3 tables above this many points are solved on the orbit
+# quotient of their symmetries.  Smaller tables are solved on the full system,
 # where plain CG takes at most ~0.3 s, so they (and every value recorded
 # from them) do not depend on the quotient's arithmetic.
 QUOTIENT_MIN = 100_000
-# Lattice domains are built, orbits labelled and killed systems assembled
-# this many rows at a time, so their temporaries stay a few MB at any size.
+# Lattice domains are built and decoded, orbits labelled and killed systems
+# assembled this many rows at a time, so their temporaries stay a few MB at
+# any size.
 _CHUNK_ROWS = 2 ** 16
 
 
@@ -89,10 +99,12 @@ def check_transient(spec: GroupSpec) -> None:
 class Domain:
     """Finite element set S with optional outer boundary w.r.t. support T.
 
-    Two kinds exist: ``_LatticeDomain`` (int64 coordinate rows on Z^d or
-    Heis3, with a dense grid lookup) and ``_FreeBallDomain`` (int-coded
-    word balls in F_k for the standard support about the identity).  Every
-    consumer reads a domain through one index protocol:
+    Two kinds exist: ``_LatticeDomain`` (sorted int64 keys of the points
+    of Z^d or Heis3 in a mixed-radix box) and ``_FreeBallDomain`` (sorted
+    int codes of the words of a ball in F_k, for the standard support
+    about the identity).  Both look points up by binary search
+    (``_sorted_positions``).  Every consumer reads a domain through one
+    index protocol:
 
     * ``positions(payloads)``: the index of each payload in ``elements``,
       or -1 outside S (int64 array);
@@ -276,87 +288,181 @@ class _FreeBallDomain(Domain):
         return table
 
 
+class _KeyBox:
+    """The box [lo, hi] of coordinate rows, with the mixed-radix int64 key
+    of each of its points: key(x) = sum_k (x_k - lo_k) stride_k, strides in
+    C order.  Keys are dense in [0, volume) and increase in lexicographic
+    order, and between two points of the box they differ by the key offset
+    sum_k v_k stride_k of the coordinate difference v."""
+
+    def __init__(self, lo, hi):
+        self.lo = np.asarray(lo, dtype=np.int64)
+        self.hi = np.asarray(hi, dtype=np.int64)
+        self.shape = tuple(int(k) for k in self.hi - self.lo + 1)
+        self.strides = np.array([math.prod(self.shape[k + 1:])
+                                 for k in range(len(self.shape))], dtype=np.int64)
+
+    def keys(self, rows: np.ndarray) -> np.ndarray:
+        """The key of each row, -1 outside the box, _CHUNK_ROWS rows at a
+        time."""
+        out = np.empty(len(rows), dtype=np.int64)
+        for s in _chunks(len(rows)):
+            rel = rows[s] - self.lo
+            # column by column: np.all over the short axis 1 is several times slower
+            ok = np.logical_and.reduce([(c >= 0) & (c < size)
+                                        for c, size in zip(rel.T, self.shape)])
+            flat = np.ravel_multi_index(tuple(rel.T), self.shape, mode="clip")
+            out[s] = np.where(ok, flat, -1)
+        return out
+
+    def rows(self, keys: np.ndarray) -> np.ndarray:
+        """The coordinate rows of keys of the box."""
+        return np.stack(np.unravel_index(keys, self.shape), axis=1) + self.lo
+
+    def holds(self, lo, hi) -> bool:
+        """Whether the box [lo, hi] lies inside this one."""
+        return bool((self.lo <= lo).all() and (hi <= self.hi).all())
+
+
+def _image_span(spec: GroupSpec, lo: np.ndarray, hi: np.ndarray, step) -> tuple:
+    """(lo, hi) of the products x * step over the box [lo, hi]: every
+    coordinate of a product is affine in each coordinate of x (c + c' + a b'
+    on Heis3 too), so the corners of the box attain its bounds."""
+    corners = np.array(list(itertools.product(*zip(lo, hi))), dtype=np.int64)
+    img = groups.mul_rows(spec, corners, np.asarray(step, dtype=np.int64))
+    return img.min(axis=0), img.max(axis=0)
+
+
+def _reach_box(spec: GroupSpec, support: tuple, span: tuple, lo, hi) -> _KeyBox:
+    """The key box of a domain whose points span the box `span` and whose
+    points and boundary span [lo, hi]: that box grown to hold every
+    product of a point with a step of the support."""
+    for s in support:
+        img_lo, img_hi = _image_span(spec, *span, s)
+        lo, hi = np.minimum(lo, img_lo), np.maximum(hi, img_hi)
+    return _KeyBox(lo, hi)
+
+
 class _LatticeDomain(Domain):
-    """Finite set of int64 coordinate rows, on Z^d or on Heis3 (rows
-    (a, b, c)), in lexicographic order, with a dense grid over the bounding
-    window of S and its boundary for O(1) vector lookups: the grid holds i
-    at elements[i], n + j at boundary[j] and -1 elsewhere.  A step table
-    looks each row's product with a step (``groups.mul_rows``, the one
-    place the group law lives) up in the grid, -1 outside its window.
-    Elements are decoded to tuples lazily.  The grid is filled in chunks of
-    rows (``_chunks``), so building it holds no whole-domain temporary."""
+    """Finite set S on Z^d or on Heis3 (rows (a, b, c)), stored as the
+    sorted int64 keys of its points in a key box (``_KeyBox``) and, apart,
+    the sorted keys of its boundary: elements[i] has the i-th key and
+    boundary[j] the j-th boundary key, since key order is lexicographic
+    order.  Every lookup is a binary search of the keys
+    (``_sorted_positions``).
+
+    The key box holds S, its boundary and every product of a point of S
+    with a step of the support.  A step table therefore shifts the keys:
+    the key of x s is key(x) + offset(s), plus a b_s stride_c on Heis3 (x =
+    (a, b, c); ``groups.mul_rows`` is the group law), whenever the products
+    of S's span with s stay in the box.  A step that leaves it, as far
+    steps do, is taken on the decoded rows.  Rows are decoded a chunk at a
+    time (``_chunks``), only where coordinates are needed, and the element
+    and boundary tuples are decoded on first read.  Built from rows in
+    lexicographic order, or with ``from_keys`` from keys already sorted."""
 
     def __init__(self, spec: GroupSpec, label: str, coords: np.ndarray,
                  bcoords: Optional[np.ndarray], support: tuple):
+        span = (coords.min(axis=0), coords.max(axis=0))
+        parts = [p for p in (coords, bcoords) if p is not None and len(p)]
+        box = _reach_box(spec, support, span, np.min([p.min(axis=0) for p in parts], axis=0),
+                         np.max([p.max(axis=0) for p in parts], axis=0))
+        self._adopt(spec, label, support, span, box, box.keys(coords),
+                    None if bcoords is None else box.keys(bcoords))
+
+    @classmethod
+    def from_keys(cls, spec: GroupSpec, label: str, support: tuple, span: tuple,
+                  box: _KeyBox, keys: np.ndarray,
+                  bkeys: Optional[np.ndarray]) -> "_LatticeDomain":
+        """The domain of sorted keys of `box` spanning `span`, which must be
+        a ``_reach_box`` of the support."""
+        dom = cls.__new__(cls)
+        dom._adopt(spec, label, support, span, box, keys, bkeys)
+        return dom
+
+    def _adopt(self, spec, label, support, span, box, keys, bkeys):
         self.spec, self.label, self.support = spec, label, support
-        self.coords = coords
-        parts = [p for p in (coords, bcoords) if p is not None]
-        self.lo = np.min([p.min(axis=0) for p in parts if len(p)], axis=0)
-        hi = np.max([p.max(axis=0) for p in parts if len(p)], axis=0)
-        self.grid = np.full(tuple(hi - self.lo + 1), -1, dtype=np.int32)
-        flat = self.grid.reshape(-1)
-        start = 0
-        for p in parts:
-            for s in _chunks(len(p)):
-                rel = p[s] - self.lo
-                flat[np.ravel_multi_index(tuple(rel.T), self.grid.shape)] = \
-                    np.arange(start + s.start, start + s.stop, dtype=np.int32)
-            start += len(p)
-        self.boundary = None if bcoords is None else [tuple(r) for r in bcoords.tolist()]
-        self._elements = None
+        self.span, self.box, self.keys, self._bkeys = span, box, keys, bkeys
+        self._elements = self._boundary = None
+
+    def _decoded(self, keys: np.ndarray) -> list:
+        with _gc_paused():
+            out = []
+            for s in _chunks(len(keys)):
+                out += map(tuple, self.box.rows(keys[s]).tolist())
+        return out
 
     @property
     def elements(self):
         if self._elements is None:
-            self._elements = [tuple(r) for r in self.coords.tolist()]
+            self._elements = self._decoded(self.keys)
         return self._elements
 
+    @property
+    def boundary(self):
+        if self._boundary is None and self._bkeys is not None:
+            self._boundary = self._decoded(self._bkeys)
+        return self._boundary
+
     def __len__(self):
-        return len(self.coords)
+        return len(self.keys)
 
     def _rows(self, payloads) -> np.ndarray:
-        return np.asarray(payloads, dtype=np.int64).reshape(-1, self.coords.shape[1])
+        return np.asarray(payloads, dtype=np.int64).reshape(-1, len(self.box.shape))
 
-    def _grid_at(self, pts: np.ndarray) -> np.ndarray:
-        rel = pts - self.lo
-        # column by column: np.all over the short axis 1 is several times slower
-        ok = np.logical_and.reduce([(c >= 0) & (c < size)
-                                    for c, size in zip(rel.T, self.grid.shape)])
-        flat = np.ravel_multi_index(tuple(rel.T), self.grid.shape, mode="clip")
-        return np.where(ok, self.grid.ravel()[flat], np.int64(-1))
+    def _locate(self, keys: np.ndarray) -> np.ndarray:
+        """i for the key of elements[i], n + j for that of boundary[j], and
+        -1 for any other key (-1 included)."""
+        i = _sorted_positions(self.keys, keys)
+        if self._bkeys is None:
+            return i
+        j = _sorted_positions(self._bkeys, keys)
+        return np.where(i >= 0, i, np.where(j >= 0, len(self.keys) + j, -1))
 
     def positions(self, payloads) -> np.ndarray:
-        i = self._grid_at(self._rows(payloads))
-        return np.where(i < len(self), i, -1)
+        return _sorted_positions(self.keys, self.box.keys(self._rows(payloads)))
 
     def step_table(self, steps, rows=slice(None)) -> np.ndarray:
-        g = self.coords[rows]
+        keys = self.keys[rows]
         steps = self._rows(steps)
-        table = np.empty((len(g), len(steps)), dtype=np.int64)
+        table = np.empty((len(keys), len(steps)), dtype=np.int64)
+        heis = self.spec.variant == "heisenberg"
+        a = None
         for k, s in enumerate(steps):
-            table[:, k] = self._grid_at(groups.mul_rows(self.spec, g, s))
+            if not self.box.holds(*_image_span(self.spec, *self.span, s)):
+                for c in _chunks(len(keys)):
+                    moved = groups.mul_rows(self.spec, self.box.rows(keys[c]), s)
+                    table[c, k] = self._locate(self.box.keys(moved))
+                continue
+            moved = keys + s @ self.box.strides
+            if heis and s[1]:
+                if a is None:
+                    a = keys // self.box.strides[0] + self.box.lo[0]
+                moved += a * (s[1] * self.box.strides[2])
+            table[:, k] = self._locate(moved)
         return table
 
 
-def _l1_ball_coords(d: int, radius: int, shell: bool) -> np.ndarray:
-    """Points of Z^d with |x|_1 <= radius (or == radius + 1 when shell), in
-    lexicographic order.
+def _l1_ball_keys(box: _KeyBox, center: np.ndarray, radius: int,
+                  shell: bool) -> np.ndarray:
+    """Keys in `box` of the points x of Z^d with |x - center|_1 <= radius
+    (or == radius + 1 when shell), in lexicographic order.
 
-    The rows fill one preallocated array, a run of slabs x_1 = const at a
+    The keys fill one preallocated array, a run of slabs x_1 = const at a
     time.  The slab at x_1 holds the points of the other d - 1 axes at L1
     norm at most (or exactly) top - |x_1|, top the largest norm kept; it is
     counted from the norm histogram of the cube [-top, top]^(d-1) and read
     off one mask over the part of that cube the run can reach.  A run holds
     at most _CHUNK_ROWS rows, or one slab, so the temporaries stay small
-    however large the ball.  The array is column-major, so the per-axis
-    passes over it (bounds, canonical points) read contiguous columns."""
+    however large the ball."""
+    d = len(box.shape)
     top = radius + 1 if shell else radius
     ax = np.abs(np.arange(-top, top + 1, dtype=np.int32))
     rest = functools.reduce(np.add.outer, [ax] * (d - 1), np.int32(0))
     hist = np.bincount(np.ravel(rest), minlength=top + 1)[:top + 1]
     counts = (hist if shell else np.cumsum(hist))[top - ax]
     ends = np.cumsum(counts)
-    out = np.empty((int(ends[-1]), d), dtype=np.int64, order="F")
+    out = np.empty(int(ends[-1]), dtype=np.int64)
     offset = np.full(d, top, dtype=np.int64)
     i = 0
     while i < len(ax):
@@ -367,8 +473,9 @@ def _l1_ball_coords(d: int, radius: int, shell: bool) -> np.ndarray:
         window = rest[(slice(top - b, top + b + 1),) * (d - 1)]
         norm = ax[i:j].reshape((-1,) + (1,) * (d - 1)) + window
         offset[0], offset[1:] = top - i, b
-        np.subtract(np.argwhere(norm == top if shell else norm <= top), offset,
-                    out=out[start:ends[j - 1]])
+        rows = np.argwhere(norm == top if shell else norm <= top)
+        rows += center - offset
+        out[start:ends[j - 1]] = box.keys(rows)
         i = j
     return out
 
@@ -394,13 +501,14 @@ def ball_domain(spec: GroupSpec, mu: StepMeasure, radius: int, center=None,
     if center != e:
         label = f"ball[{spec.label()},R={radius},center={center!r}]"
     if spec.variant == "lattice" and standard:
+        # the L1 ball spans center +- radius on every axis; its boundary
+        # lies among the products with a unit step
         c = np.asarray(center, dtype=np.int64)
-        coords, bcoords = _l1_ball_coords(spec.d, radius, False), None
-        coords += c
-        if with_boundary:
-            bcoords = _l1_ball_coords(spec.d, radius, True)
-            bcoords += c
-        return _LatticeDomain(spec, label, coords, bcoords, support)
+        span = (c - radius, c + radius)
+        box = _reach_box(spec, support, span, *span)
+        bkeys = _l1_ball_keys(box, c, radius, True) if with_boundary else None
+        return _LatticeDomain.from_keys(spec, label, support, span, box,
+                                        _l1_ball_keys(box, c, radius, False), bkeys)
     coords, _, bcoords = groups.layer_ball(spec, center, steps, radius,
                                            with_boundary)
     return _LatticeDomain(spec, label, coords, bcoords, support)
@@ -507,26 +615,20 @@ class _Orbits:
         return cls(1, index, index, np.ones(n))
 
 
-def _axis_symmetries(omega: Domain, mu: StepMeasure, sources: list) -> tuple:
-    """(flippable axes, blocks of interchangeable axes) of a lattice domain.
-
-    A move x -> sign * x[perm] is a single-axis sign flip or an axis
-    transposition; it is kept when it fixes every source, preserves mu on
-    its support, and maps Omega onto itself.  A move is an involution, so
-    the last holds when it maps the bounding box of Omega onto itself and
-    Omega's indicator over that box (a slice of the dense grid) onto
-    itself, by a transpose or a flip.  The kept moves generate the group H
-    of signed permutations that flip any flippable axis and permute each
-    block: a product of two kept moves is a symmetry too, so the flippable
-    axes are a union of blocks and every transposition inside a block is
-    kept.
-    """
-    d = omega.spec.d
+def _symmetry_test(omega: Domain, mu: StepMeasure, sources: list):
+    """symmetry(perm, sign): whether the involution x -> sign * x[perm] of
+    the coordinates fixes every source, preserves mu on its support, and
+    maps Omega onto itself.  An involution maps Omega onto itself when it
+    maps the bounding box of Omega onto itself and Omega's indicator over
+    that box (a boolean mask set from the keys) onto itself, by a transpose
+    and a flip."""
+    d = len(omega.box.shape)
     src = np.array(sources, dtype=np.int64).reshape(-1, d)
     probs = [(np.array(s), mu.pmf(s)) for s in mu.support_elements()]
-    lo, hi = omega.coords.min(axis=0), omega.coords.max(axis=0)
-    box = omega.grid[tuple(slice(a, b + 1) for a, b in zip(lo - omega.lo, hi - omega.lo))]
-    inside = (box >= 0) & (box < len(omega))
+    lo, hi = omega.span
+    mask = np.zeros(omega.box.shape, dtype=bool)
+    mask.reshape(-1)[omega.keys] = True
+    inside = mask[tuple(slice(a, b + 1) for a, b in zip(lo - omega.box.lo, hi - omega.box.lo))]
 
     def symmetry(perm, sign) -> bool:
         corners = np.sort([sign * lo[perm], sign * hi[perm]], axis=0)
@@ -537,7 +639,21 @@ def _axis_symmetries(omega: Domain, mu: StepMeasure, sources: list) -> tuple:
                 and np.array_equal(np.flip(inside.transpose(perm),
                                            axis=tuple(np.flatnonzero(sign < 0))),
                                    inside))
+    return symmetry
 
+
+def _axis_symmetries(omega: Domain, mu: StepMeasure, sources: list) -> tuple:
+    """(flippable axes, blocks of interchangeable axes) of a lattice domain.
+
+    A move x -> sign * x[perm] is a single-axis sign flip or an axis
+    transposition; it is kept when it passes ``_symmetry_test``.  The kept
+    moves generate the group H of signed permutations that flip any
+    flippable axis and permute each block: a product of two kept moves is
+    a symmetry too, so the flippable axes are a union of blocks and every
+    transposition inside a block is kept.
+    """
+    d = omega.spec.d
+    symmetry = _symmetry_test(omega, mu, sources)
     axes = np.arange(d)
     flips = [k for k in range(d) if symmetry(axes, np.where(axes == k, -1, 1))]
     block = list(range(d))          # the smallest axis of each axis's block
@@ -550,36 +666,60 @@ def _axis_symmetries(omega: Domain, mu: StepMeasure, sources: list) -> tuple:
     return flips, blocks
 
 
-def _symmetry_orbits(omega: Domain, mu: StepMeasure, sources: list) -> _Orbits:
-    """Orbits of the axis symmetries H (``_axis_symmetries``) on a lattice
-    domain above QUOTIENT_MIN points; the trivial orbits elsewhere.
+def _sign_automorphisms(omega: Domain, mu: StepMeasure, sources: list) -> list:
+    """The sign vectors (e, f, e f) of the automorphisms (a, b, c) -> (e a,
+    f b, e f c) of Heis3, e, f = +-1, other than the identity, that pass
+    ``_symmetry_test``.  With the identity they form a group: a product of
+    two kept maps is a symmetry too."""
+    symmetry = _symmetry_test(omega, mu, sources)
+    signs = [np.array([e, f, e * f]) for e in (1, -1) for f in (1, -1)][1:]
+    return [sign for sign in signs if symmetry(np.arange(3), sign)]
 
-    The representative of an orbit is its canonical point: |x_k| on the
+
+def _symmetry_orbits(omega: Domain, mu: StepMeasure, sources: list) -> _Orbits:
+    """Orbits of a symmetry group H of a lattice or Heis3 domain above
+    QUOTIENT_MIN points; the trivial orbits elsewhere.
+
+    On Z^d, H is generated by the axis moves of ``_axis_symmetries``, and
+    the representative of an orbit is its canonical point: |x_k| on the
     flippable axes, then the coordinates of each block in ascending order
-    (sorted by compare-exchange passes over the block's columns).  Points
-    are canonicalised and located _CHUNK_ROWS at a time, and the orbit
-    numbers overwrite the located indices in place, so beyond the domain
-    the pass holds two n-length int64 arrays and one boolean one.
+    (sorted by compare-exchange passes over the block's columns).  On
+    Heis3, H is the sign automorphisms of ``_sign_automorphisms``, and the
+    representative of an orbit is its point of least index, the least
+    position among a point's images.  Points are decoded, mapped and
+    located _CHUNK_ROWS at a time, and the orbit numbers overwrite the
+    located indices in place, so beyond the domain the pass holds two
+    n-length int64 arrays and one boolean one.
     """
     n = len(omega)
-    if omega.spec.variant != "lattice" or n <= QUOTIENT_MIN:
+    if omega.spec.variant == "free" or n <= QUOTIENT_MIN:
         return _Orbits.trivial(n)
-    flips, blocks = _axis_symmetries(omega, mu, sources)
-    order = 2 ** len(flips) * math.prod(math.factorial(len(b)) for b in blocks)
+    if omega.spec.variant == "heisenberg":
+        signs = _sign_automorphisms(omega, mu, sources)
+        order = 1 + len(signs)
+    else:
+        flips, blocks = _axis_symmetries(omega, mu, sources)
+        order = 2 ** len(flips) * math.prod(math.factorial(len(b)) for b in blocks)
     if order == 1:
         return _Orbits.trivial(n)
-    # the canonical point of each row, located chunk by chunk; then each
-    # entry of `first` is relabelled in place by its orbit's number
+    # the representative of each row's orbit, located chunk by chunk; then
+    # each entry of `first` is relabelled in place by its orbit's number
     first = np.empty(n, dtype=np.int64)
     for s in _chunks(n):
-        canon = omega.coords[s].T.copy()    # one contiguous row per axis
-        canon[flips] = np.abs(canon[flips])
-        for b in blocks:
-            for top in range(len(b) - 1, 0, -1):
-                for j in range(top):
-                    x, y = canon[b[j]], canon[b[j + 1]]
-                    canon[b[j]], canon[b[j + 1]] = np.minimum(x, y), np.maximum(x, y)
-        first[s] = omega.positions(canon.T)
+        rows = omega.box.rows(omega.keys[s])
+        if omega.spec.variant == "heisenberg":
+            first[s] = np.arange(s.start, s.stop)
+            for sign in signs:
+                np.minimum(first[s], omega.positions(rows * sign), out=first[s])
+        else:
+            canon = rows.T.copy()           # one contiguous row per axis
+            canon[flips] = np.abs(canon[flips])
+            for b in blocks:
+                for top in range(len(b) - 1, 0, -1):
+                    for j in range(top):
+                        x, y = canon[b[j]], canon[b[j + 1]]
+                        canon[b[j]], canon[b[j + 1]] = np.minimum(x, y), np.maximum(x, y)
+            first[s] = omega.positions(canon.T)
     is_rep = np.zeros(n, dtype=bool)
     is_rep[first] = True
     number = is_rep.astype(np.int64)
@@ -681,8 +821,8 @@ def killed_green_solve(omega: Domain, sources: list, mu: StepMeasure,
                        tol: float = DEFAULT_TOL, method: str = "auto") -> GreenTable:
     """Solve (I - P_Omega) v = delta_a per source by an SPD method.
 
-    A lattice table above QUOTIENT_MIN points is solved on the orbit
-    quotient of its axis symmetries H (``_symmetry_orbits``): v is constant
+    A lattice or Heis3 table above QUOTIENT_MIN points is solved on the
+    orbit quotient of its symmetries H (``_symmetry_orbits``): v is constant
     on H-orbits, so it lifts from the solution u of the Galerkin quotient
     M u = e_{orbit(a)} (``_operator``) by v = u[orbit].  The residual of v
     is H-invariant, so its max norm is max_i |(M u - rhs)_i| / w_i, and
@@ -785,6 +925,12 @@ def boundary_green_matrix(domain: Domain, table: GreenTable) -> BoundaryGreenMat
     eigenvalue.  Failure is flagged as a numerical-error signal (the matrix
     is provably SPD for symmetric transient kernels, being a principal
     submatrix of the inverse of the SPD operator I - P).
+
+    ``min_eigenvalue`` keeps 12 significant digits, as report bodies print
+    numbers.  eigvalsh is backward stable, so its eigenvalues are exact to
+    about n eps ||M||, and their last digits depend on the BLAS thread
+    count; on Heis3's B(6) (476 boundary points, ||M|| = 8.36) that bound
+    is 8.8e-13, which the 12 digits of min_eigenvalue = 1.04 clear.
     """
     bdry = domain.boundary
     mat = np.ascontiguousarray(np.array([table.row_at(z, bdry) for z in bdry]).T)
@@ -795,7 +941,7 @@ def boundary_green_matrix(domain: Domain, table: GreenTable) -> BoundaryGreenMat
         chol_ok = True
     except np.linalg.LinAlgError:
         chol_ok = False
-    min_eig = float(np.linalg.eigvalsh(mat_sym)[0])
+    min_eig = float(f"{np.linalg.eigvalsh(mat_sym)[0]:.12g}")
     return BoundaryGreenMatrix(domain, mat, chol_ok and min_eig > 0,
                                min_eig, sym_defect)
 

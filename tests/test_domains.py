@@ -3,11 +3,14 @@ the exit law built on them, for every domain kind."""
 
 import gc
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from greenlab import groups
+from greenlab import green, groups
 from greenlab.green import (ball_domain, box_domain, exit_distribution,
                             killed_green_solve)
 from greenlab.groups import identity, mul
@@ -248,3 +251,60 @@ def test_exit_law_matches_element_loop(bounded):
                 want[h] += gv * mu.pmf(s)
     got = exit_distribution(dom, [start], mu)[0]
     assert got.tolist() == list(want.values())
+
+
+# A key domain (``green._LatticeDomain``) against brute force: the point set
+# and its boundary from the pure-Python BFS (or the box's definition), every
+# lookup from a dict.  The key builders run _CHUNK_ROWS = 7 rows at a time.
+KEY_DOMAINS = {
+    "lattice-ball": lambda r, c, b: (ball_domain(Z3, srw(Z3), r, center=c, with_boundary=b),
+                                     srw(Z3)),
+    "lattice-box": lambda r, c, b: (box_domain(Z3, Z3_STRETCHED, r), Z3_STRETCHED),
+    "stretched-ball": lambda r, c, b: (ball_domain(Z3, Z3_STRETCHED, r, center=c,
+                                                   with_boundary=b), Z3_STRETCHED),
+    "heis3-ball": lambda r, c, b: (ball_domain(HEIS, srw(HEIS), r, center=c,
+                                               with_boundary=b), srw(HEIS)),
+}
+_SMALL = st.integers(-4, 4)
+
+
+def brute_force_index(dom, mu, radius, center):
+    """{point: i} over S and {point: n + j} over its boundary, each in
+    lexicographic order, from the BFS ball (or the box) and its products
+    with the support."""
+    spec = dom.spec
+    if dom.label.startswith("box"):
+        members = set(itertools.product(range(-radius, radius + 1), repeat=3))
+    else:
+        members = set(reference_ball(spec, radius, mu.support_elements(), center))
+    index = {g: i for i, g in enumerate(sorted(members))}
+    if dom.boundary is not None:
+        outer = {mul(spec, g, s) for g in members for s in mu.support_elements()}
+        index.update((g, len(members) + j) for j, g in enumerate(sorted(outer - members)))
+    return index
+
+
+@given(kind=st.sampled_from(sorted(KEY_DOMAINS)), radius=st.integers(0, 3),
+       center=st.one_of(st.just((0, 0, 0)), st.tuples(_SMALL, _SMALL, st.integers(-9, 9))),
+       with_boundary=st.booleans(),
+       far=st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9),
+                              st.integers(-20, 20)), min_size=1, max_size=4))
+def test_key_domain_matches_brute_force(kind, radius, center, with_boundary, far):
+    with mock.patch.object(green, "_CHUNK_ROWS", 7):
+        dom, mu = KEY_DOMAINS[kind](radius, center, with_boundary)
+        index = brute_force_index(dom, mu, radius, center)
+        n = len(dom)
+        assert n == sum(i < n for i in index.values())
+        assert dom.elements == sorted(g for g, i in index.items() if i < n)
+        # every cell of the bounding box of S and its boundary, and a margin
+        pts = np.array(list(index), dtype=np.int64)
+        axes = [range(lo - 3, hi + 4) for lo, hi in zip(pts.min(axis=0), pts.max(axis=0))]
+        cells = list(itertools.product(*axes))
+        want = [i if i < n else -1 for i in (index.get(g, -1) for g in cells)]
+        assert dom.positions(cells).tolist() == want
+        steps = list(mu.support_elements()) + far
+        table = dom.step_table(steps)
+        want = [[index.get(mul(dom.spec, g, s), -1) for s in steps] for g in dom.elements]
+        assert table.tolist() == want
+        rows = np.arange(n)[::-2]
+        assert np.array_equal(dom.step_table(steps, rows), table[rows])

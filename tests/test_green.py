@@ -96,14 +96,14 @@ def whole_ball_coords(d, radius, shell):
     return np.argwhere(mask) - (radius + 1)
 
 
-def whole_grid(omega):
-    """(lo, grid) of a lattice domain from one fill over all its points."""
-    pts = omega.coords
-    if omega.boundary is not None:
-        pts = np.concatenate([pts, np.array(omega.boundary, dtype=np.int64)])
-    lo = pts.min(axis=0)
-    grid = np.full(tuple(pts.max(axis=0) - lo + 1), -1, dtype=np.int32)
-    grid[tuple((pts - lo).T)] = np.arange(len(pts), dtype=np.int32)
+def whole_grid(omega, margin):
+    """(lo, grid) of a lattice domain from one fill over all its points:
+    a dense grid over their bounding box grown by `margin` on every side,
+    holding i at elements[i], n + j at boundary[j] and -1 elsewhere."""
+    pts = np.array(omega.elements + (omega.boundary or []), dtype=np.int64)
+    lo = pts.min(axis=0) - margin
+    grid = np.full(tuple(pts.max(axis=0) + margin - lo + 1), -1, dtype=np.int64)
+    grid[tuple((pts - lo).T)] = np.arange(len(pts))
     return lo, grid
 
 
@@ -112,7 +112,7 @@ def whole_orbits(omega, mu, sources):
     points of all rows at once: |x| on the flippable axes, each block's
     coordinates sorted by np.sort."""
     flips, blocks = green._axis_symmetries(omega, mu, sources)
-    canon = omega.coords.copy()
+    canon = np.array(omega.elements, dtype=np.int64)
     canon[:, flips] = np.abs(canon[:, flips])
     for b in blocks:
         canon[:, b] = np.sort(canon[:, b], axis=1)
@@ -136,9 +136,14 @@ class TestChunkedBuilders:
     @pytest.mark.parametrize("radius", [0, 1, 2, 5, 9])
     @pytest.mark.parametrize("shell", [False, True])
     def test_l1_ball_coords(self, d, radius, shell):
-        coords = green._l1_ball_coords(d, radius, shell)
-        want = whole_ball_coords(d, radius, shell)
-        assert coords.dtype == np.int64 and coords.shape == want.shape
+        # the keys, in a box with room to spare about an off-origin centre,
+        # decode to the rows of the ball in lexicographic order
+        center = np.arange(1, d + 1) * [(-1) ** k for k in range(d)]
+        box = green._KeyBox(center - radius - 3, center + radius + 2)
+        keys = green._l1_ball_keys(box, center, radius, shell)
+        coords = box.rows(keys)
+        want = whole_ball_coords(d, radius, shell) + center
+        assert keys.dtype == np.int64 and coords.shape == want.shape
         assert np.array_equal(coords, want)
 
     @pytest.mark.parametrize("build", [
@@ -147,10 +152,14 @@ class TestChunkedBuilders:
         lambda mu: ball_domain(Z3, mu, 6, center=(2, -1, 3)),
     ], ids=["ball", "box", "off-centre-ball"])
     def test_grid(self, build):
+        # every cell of the bounding box and a margin around it is located
+        # (S, boundary or neither) as the reference grid has it
         omega = build(srw(Z3))
-        lo, grid = whole_grid(omega)
-        assert np.array_equal(omega.lo, lo)
-        assert omega.grid.dtype == grid.dtype and np.array_equal(omega.grid, grid)
+        lo, grid = whole_grid(omega, 3)
+        cells = np.argwhere(np.ones(grid.shape, dtype=bool)) + lo
+        n = len(omega)
+        assert np.array_equal(omega.positions(cells), np.where(grid < n, grid, -1).ravel())
+        assert np.array_equal(omega._locate(omega.box.keys(cells)), grid.ravel())
 
     @pytest.mark.parametrize("build, source, order", [
         (lambda mu: ball_domain(Z3, mu, 9, with_boundary=False), E3, 48),
@@ -372,10 +381,13 @@ class TestCG:
     def test_quotient_solve_peak_allocation(self):
         # the domain is built and its orbits labelled in chunks of rows, and
         # each source is lifted straight into its table row; so beyond the
-        # domain's own arrays the peak is a few n-length arrays (orbit
-        # labels, the cumulative rep count, the table row).  On B(0, 60),
-        # 295,361 points, (peak - own) / 8n is 3.7; it was 9.0 when the ball
-        # and the orbit labels were built from whole-ball temporaries
+        # domain's own arrays (its sorted keys) the peak is a few n-length
+        # arrays (orbit labels, the cumulative rep count, the table row) and
+        # the domain's indicator mask, one byte per cell of its bounding
+        # box.  On B(0, 60), 295,361 points, (peak - own) / 8n is 4.3; own
+        # was 5.2 times as large when the domain kept its rows and a dense
+        # grid, and (peak - own) / 8n was 9.0 when the ball and the orbit
+        # labels were built from whole-ball temporaries
         mu = srw(Z3)
         tracemalloc.start()
         try:
@@ -386,8 +398,30 @@ class TestCG:
             tracemalloc.stop()
         n = len(omega)
         assert n > green.QUOTIENT_MIN and table.symmetry_order == 48
-        own = omega.coords.nbytes + omega.grid.nbytes
+        own = omega.keys.nbytes
         assert peak <= own + 5 * 8 * n + 2 ** 20, (peak - own) / (8 * n)
+
+    def test_heis3_quotient_solve_peak_allocation(self):
+        # Heis3's B(28), 261,815 points, is solved from e and (1, 0, 0) on
+        # the quotient by (a, b, c) -> (a, -b, -c), 130,936 unknowns.  The
+        # solve holds the orbit labels and one table row per source, 8n
+        # bytes each, and per unknown the quotient operator, its assembly
+        # scratch and the CG vectors of the sources solved at once:
+        # (peak - 8n(1 + k)) / 8m reads 24.1, a peak of 30.1 MiB.  The full
+        # system's solve (m = n) peaked at 52.0 MiB
+        mu = srw(HEIS)
+        omega = ball_domain(HEIS, mu, 28, with_boundary=False)
+        sources = [E3, (1, 0, 0)]
+        tracemalloc.start()
+        try:
+            table = killed_green_solve(omega, sources, mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, m = len(omega), table.unknowns
+        assert n > green.QUOTIENT_MIN and (table.symmetry_order, m) == (2, 130_936)
+        fixed = 8 * n * (1 + len(sources))
+        assert peak <= fixed + 26 * 8 * m + 2 ** 20, (peak - fixed) / (8 * m)
 
     def test_full_system_assembly_peak_allocation(self):
         # no axis symmetry fixes the source, so B(0, 60), 295,361 points, is
@@ -474,7 +508,7 @@ def heis3_flip_orbits(omega):
     """Orbits of the automorphism (a, b, c) -> (a, -b, -c) of Heis3 on a
     domain it maps onto itself, each represented by its first point."""
     n = len(omega)
-    image = omega.positions(omega.coords * [1, -1, -1])
+    image = omega.positions(np.array(omega.elements) * [1, -1, -1])
     assert (image >= 0).all()
     first = np.minimum(np.arange(n), image)
     reps = np.flatnonzero(first == np.arange(n))
@@ -566,6 +600,11 @@ class TestOrbitQuotient:
         mu = srw(HEIS)
         omega = ball_domain(HEIS, mu, 6, with_boundary=False)
         orbits = heis3_flip_orbits(omega)
+        # the library finds the same orbits from the two sources
+        found = green._symmetry_orbits(omega, mu, [E3, (1, 0, 0)])
+        assert found.order == orbits.order == 2
+        for field in ("label", "reps", "sizes"):
+            assert np.array_equal(getattr(found, field), getattr(orbits, field)), field
         n, m = len(omega), len(orbits.reps)
         assert m < n
         q = sp.csr_matrix((np.ones(n), (np.arange(n), orbits.label)))
@@ -577,6 +616,25 @@ class TestOrbitQuotient:
             rhs[orbits.label[omega.lookup(a)]] = 1.0
             lifted = lu.solve(rhs)[orbits.label]
             assert np.max(np.abs(lifted - full_direct_row(omega, mu, a))) <= 1e-11
+
+    @pytest.mark.parametrize("radius", [10, 20])
+    @pytest.mark.parametrize("sources, order", [([E3], 4), ([E3, (1, 0, 0)], 2)],
+                             ids=["e", "e-and-x"])
+    def test_heis3_quotient_matches_the_full_system(self, radius, sources, order,
+                                                     monkeypatch):
+        # all four sign automorphisms (a, b, c) -> (e a, f b, e f c) fix e
+        # and SRW's ball; only (a, -b, -c) also fixes (1, 0, 0).  The
+        # quotient's table and the full system's agree to the tolerance
+        # both are solved to (1.1e-11 to 1.9e-11 apart at tol 1e-10)
+        mu = srw(HEIS)
+        omega = ball_domain(HEIS, mu, radius, with_boundary=False)
+        table = killed_green_solve(omega, sources, mu)
+        monkeypatch.setattr(green, "QUOTIENT_MIN", len(omega))
+        full = killed_green_solve(omega, sources, mu)
+        assert (table.symmetry_order, full.symmetry_order) == (order, 1)
+        assert table.unknowns < len(omega) / order + radius ** 2
+        assert full.unknowns == len(omega)
+        assert np.max(np.abs(table.values - full.values)) <= table.tol
 
     @pytest.mark.parametrize("center, source", [(None, ASYMMETRIC), (ASYMMETRIC, E3)])
     def test_trivial_stabiliser_solves_the_full_system(self, center, source):
