@@ -687,9 +687,11 @@ def _symmetry_orbits(omega: Domain, mu: StepMeasure, sources: list) -> _Orbits:
     Heis3, H is the sign automorphisms of ``_sign_automorphisms``, and the
     representative of an orbit is its point of least index, the least
     position among a point's images.  Points are decoded, mapped and
-    located _CHUNK_ROWS at a time, and the orbit numbers overwrite the
-    located indices in place, so beyond the domain the pass holds two
-    n-length int64 arrays and one boolean one.
+    located _CHUNK_ROWS at a time, and the orbit numbers (the rank of each
+    representative among the m of them, by a chunked binary search)
+    overwrite the located indices in place, so beyond the domain the pass
+    holds one n-length int64 array, one boolean one and the m
+    representatives.
     """
     n = len(omega)
     if omega.spec.variant == "free" or n <= QUOTIENT_MIN:
@@ -722,13 +724,11 @@ def _symmetry_orbits(omega: Domain, mu: StepMeasure, sources: list) -> _Orbits:
             first[s] = omega.positions(canon.T)
     is_rep = np.zeros(n, dtype=bool)
     is_rep[first] = True
-    number = is_rep.astype(np.int64)
-    np.cumsum(number, out=number)
-    number -= 1
+    reps = np.flatnonzero(is_rep)
+    del is_rep
     for s in _chunks(n):
-        first[s] = number[first[s]]
-    return _Orbits(order, first, np.flatnonzero(is_rep),
-                   np.bincount(first).astype(np.float64))
+        first[s] = np.searchsorted(reps, first[s])
+    return _Orbits(order, first, reps, np.bincount(first).astype(np.float64))
 
 
 def _operator(omega: Domain, mu: StepMeasure,

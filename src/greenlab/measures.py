@@ -113,26 +113,31 @@ def convolve_z(p: PmfOnZ, q: PmfOnZ, cap: int) -> PmfOnZ:
     """Exact convolution of two integer pmfs restricted to |k| <= cap.
 
     Long products (n = len(p) + len(q) - 1 > 4096) are cyclic convolutions
-    by a four-step FFT (_cyclic_convolution).  If [a, b] are the indices of
-    the linear product that fall in the window, a cyclic length of at least
+    by a four-step FFT.  If [a, b] are the indices of the linear product
+    that fall in the window, a cyclic length of at least
     need = max(b + 1, n - a) (and at least each input's length) wraps
     nothing into [a, b]: an index k there could only receive index k + N,
     which exceeds n - 1, or k - N, which is negative.  So the kept values
     are the linear convolution's, up to round-off, from a transform about
     3 cap long once the window is full, where the whole product needs
-    4 cap.  When q is p its spectrum is computed once and squared.  The
-    inputs' arrays are handed to the squaring and this call keeps no
-    reference to them, so a caller that holds no other reference (the
-    doubling chain) has each input freed once it is transformed, before
-    the window is written.  Round-off negatives are clamped to 0.  All
-    clipped mass (and any mass already missing from the inputs) is
-    accumulated into delta_trunc of the result.  delta_trunc =
-    1 - sum(kept) also absorbs the FFT's round-off in the total mass,
-    which each squaring of a doubling chain doubles (the mass is squared)
-    and adds to: for the alpha = 1 stable law at cap 4.2e6, a change of
-    the twiddles' rounding alone moved delta_trunc by 5e-14 to 2.7e-12
-    over n = 16..4096 (2.1e-13 at n = 4096), against clipped masses of
-    2.3e-6 to 5.9e-4.
+    4 cap.  When q is p and p is exactly even about 0 (lo = -hi and vals
+    equal to their reverse, as every law that reaches a doubling chain is)
+    the square is taken on a real half spectrum (_even_square), whose
+    window is exactly even again; any other product is _cyclic_convolution,
+    which computes one spectrum when q is p and squares it.  The route
+    depends on the inputs alone.  The inputs' arrays are handed to the
+    transform and this call keeps no reference to them, so a caller that
+    holds no other reference (the doubling chain) has each input freed
+    once it is transformed, before the window is written.  Round-off
+    negatives are clamped to 0.  All clipped mass (and any mass already
+    missing from the inputs) is accumulated into delta_trunc of the
+    result.  delta_trunc = 1 - sum(kept) also absorbs the FFT's round-off
+    in the total mass, which each squaring of a doubling chain doubles
+    (the mass is squared) and adds to: for the alpha = 1 stable law at
+    cap 2e4, against a direct np.convolve chain summed by math.fsum, the
+    even route's delta_trunc is off by -1.3e-14, -5.2e-14 and -2.0e-13 at
+    n = 16, 64 and 256 (the general route's by -6.9e-15, -2.8e-14 and
+    -1.2e-13), against clipped masses of 4.9e-4 and up.
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
@@ -145,20 +150,57 @@ def convolve_z(p: PmfOnZ, q: PmfOnZ, cap: int) -> PmfOnZ:
     a, b = lo_keep - lo, hi_keep - lo
     if n > 4096:
         need = max(b + 1, n - a, len(p.vals), len(q.vals))
+        even = q is p and p.lo == -p.hi and _is_mirrored(p.vals)
         inputs = [p.vals] if q is p else [p.vals, q.vals]
         del p, q
-        kept = _cyclic_convolution(inputs, need, a, b)
+        if even:
+            kept = _even_square(inputs, hi_keep)
+        else:
+            kept = _cyclic_convolution(inputs, need, a, b)
     else:
         kept = np.maximum(np.convolve(p.vals, q.vals)[a: b + 1], 0.0)
     delta = 1.0 - float(kept.sum())
     return PmfOnZ(kept, lo_keep, max(delta, 0.0))
 
 
-# Spectrum columns per slab of _cyclic_convolution: at the acceptance sizes
-# (n1 about 3,500) a slab, its transform and its twiddles take about 1 MB
-# each, so a slab stays in cache and CPUS of them cost little beside a
+def _is_mirrored(v: np.ndarray) -> bool:
+    """Whether v equals its reverse exactly."""
+    m = len(v) // 2
+    return bool(np.array_equal(v[:m], v[:-m - 1:-1]))
+
+
+# Spectrum columns per slab of the four-step squarings: at the acceptance
+# sizes (n1 about 3,500) a slab, its transform and its twiddles take about
+# 1 MB each, so a slab stays in cache and CPUS of them cost little beside a
 # window.
 SLAB_COLUMNS = 32
+
+
+def _slabs(columns: int) -> list:
+    """The (lo, hi) column ranges of SLAB_COLUMNS columns covering
+    0..columns - 1; the last one may be narrower."""
+    return [(lo, min(lo + SLAB_COLUMNS, columns))
+            for lo in range(0, columns, SLAB_COLUMNS)]
+
+
+def _place(block: np.ndarray, seg: np.ndarray, off: int, n2: int,
+           lo: int, hi: int) -> None:
+    """Copy seg, laid out row by row from flat slot off of a grid of n2
+    columns, into block, which holds that grid's columns lo..hi - 1 and is
+    zero elsewhere."""
+    r, c0 = divmod(off, n2)
+    if c0:
+        head = seg[:n2 - c0]
+        j, k = max(lo, c0), min(hi, c0 + len(head))
+        if j < k:
+            block[r, j - lo:k - lo] = head[j - c0:k - c0]
+        seg = seg[n2 - c0:]
+        r += 1
+    full, rest = divmod(len(seg), n2)
+    block[r:r + full] = seg[:full * n2].reshape(full, n2)[:, lo:hi]
+    if rest > lo:
+        tail = seg[full * n2 + lo: full * n2 + min(hi, rest)]
+        block[r + full, :len(tail)] = tail
 
 
 def _cyclic_convolution(inputs: list, need: int, a: int, b: int) -> np.ndarray:
@@ -167,7 +209,8 @@ def _cyclic_convolution(inputs: list, need: int, a: int, b: int) -> np.ndarray:
     N = n1 * n2 >= need, clamped at 0.  The arrays are taken out of inputs,
     which is left empty, and each is dropped once it is transformed.  The
     transform is the four-step FFT (Bailey, "FFTs in external or
-    hierarchical memory", J. Supercomputing 4, 1990).
+    hierarchical memory", J. Supercomputing 4, 1990).  This is the route
+    of every product that is not the square of an even pmf (_even_square).
 
     A signal is viewed as an (n1, n2) array, j = j1 n2 + j2.  A real FFT
     down axis 0, the twiddles exp(-2 pi i k1 j2 / N) and a complex FFT
@@ -183,27 +226,22 @@ def _cyclic_convolution(inputs: list, need: int, a: int, b: int) -> np.ndarray:
     ``CPUS`` threads.  Each column's arithmetic is the same as in one
     whole-grid transform, so the result does not depend on the slab width
     or on CPUS.  No real n1 x n2 grid is built and the twiddles come from
-    two small tables (_Twiddles), so a squaring holds S, one window (the
-    input, then the output) and a slab per thread; a product of two inputs
-    holds one more S.
+    two small tables (_Twiddles), so a squaring holds S (16 bytes a slot of
+    (n1 / 2 + 1) x n2), one window (the input, then the output) and a slab
+    per thread; a product of two inputs holds one more S.
     """
     n1, n2 = _four_step_shape(need)
     twiddles = _Twiddles(n1, n2)
-    slabs = [(lo, min(lo + SLAB_COLUMNS, n2))
-             for lo in range(0, n2, SLAB_COLUMNS)]
+    slabs = _slabs(n2)
     spectra = []
     while inputs:
         v = inputs.pop(0)
         s = np.empty((n1 // 2 + 1, n2), dtype=np.complex128)
-        full, rest = divmod(len(v), n2)
 
         def forward(i):
             lo, hi = slabs[i]
             block = np.zeros((n1, hi - lo))
-            block[:full] = v[:full * n2].reshape(full, n2)[:, lo:hi]
-            if rest > lo:
-                tail = v[full * n2 + lo: full * n2 + min(hi, rest)]
-                block[full, :len(tail)] = tail
+            _place(block, v, 0, n2, lo, hi)
             t = fft.rfft(block, axis=0, workers=1)
             del block
             np.multiply(t, twiddles.cols(lo, hi), out=s[:, lo:hi])
@@ -232,6 +270,85 @@ def _cyclic_convolution(inputs: list, need: int, a: int, b: int) -> np.ndarray:
 
     thread_map(inverse, len(slabs))
     return out.reshape(-1)[a - r0 * n2: b - r0 * n2 + 1]
+
+
+def _even_square(inputs: list, c: int) -> np.ndarray:
+    """The square of the even pmf inputs[0] on [-m, m] (vals equal to their
+    reverse) at indices -c..c, c <= 2m, clamped at 0 and exactly even.  The
+    array is taken out of inputs and dropped once it is transformed.
+
+    The four-step squaring of _cyclic_convolution on a real half spectrum
+    (an even sequence has a real, even spectrum: Martucci, "Symmetric
+    convolution and the discrete sine and cosine transforms", IEEE Trans.
+    Signal Process. 42, 1994).  The signal is placed centred,
+    x[j] = p(j) and x[N - j] = p(-j) for 0 <= j <= m, over a cyclic length
+    N = n1 n2 >= 2m + c + 1, so nothing wraps into |k| <= c.  On the grid
+    g[j1, j2] = x[j1 n2 + j2] this gives g[n1 - 1 - j1, n2 - j2] = g[j1, j2]
+    for j2 >= 1 and an even column 0, so T = rfft0(g) * twiddles is
+    Hermitian along axis 1: T[k1, n2 - j2] = conj T[k1, j2].  Only the
+    h2 = n2 // 2 + 1 columns j2 <= n2 / 2 go through the forward slabs,
+    and the axis-1 step is a c2r transform whose slot [k1, k2] is the real
+    spectrum X at k1 + n1 k2: (n1 / 2 + 1) x n2 reals, half the bytes of
+    _cyclic_convolution's S.  The inverse squares X in place, takes an r2c
+    transform along axis 1 and, through the same h2 slabs, the twiddles
+    and an inverse real FFT down axis 0.  Of each column it keeps rows
+    0..R, R = c // n2, and, for the columns j2 > n2 / 2 it did not
+    compute, reads r[j1 n2 + j2] = r[(n1 - 1 - j1) n2 + n2 - j2] from rows
+    n1 - 1 - R.. reversed.  The window is r[0..c] mirrored.  As there,
+    each column's arithmetic is that of a whole-grid transform, so the
+    result depends neither on SLAB_COLUMNS nor on CPUS.  A squaring holds
+    the input and the complex half of T (16 bytes a slot of
+    (n1 / 2 + 1) x h2), then X and T or X and its r2c transform, then that
+    transform and the output window, and a slab per thread.
+    """
+    v = inputs.pop()
+    m = len(v) // 2
+    n1, n2 = _four_step_shape(2 * m + c + 1)
+    twiddles = _Twiddles(n1, n2)
+    slabs = _slabs(n2 // 2 + 1)
+    s = np.empty((n1 // 2 + 1, n2 // 2 + 1), dtype=np.complex128)
+
+    def forward(i):
+        lo, hi = slabs[i]
+        block = np.zeros((n1, hi - lo))
+        _place(block, v[m:], 0, n2, lo, hi)
+        _place(block, v[:m], n1 * n2 - m, n2, lo, hi)
+        t = fft.rfft(block, axis=0, workers=1)
+        del block
+        np.multiply(t, twiddles.cols(lo, hi), out=s[:, lo:hi])
+
+    thread_map(forward, len(slabs))
+    # the input goes before the real spectrum or the output is allocated;
+    # X = sum_j2 T w^(j2 k2) is real, so it equals its conjugate, the
+    # unscaled c2r transform of conj T
+    del v, forward
+    np.conjugate(s, out=s)
+    x = fft.irfft(s, n2, axis=1, norm="forward", workers=CPUS)
+    del s
+    np.multiply(x, x, out=x)
+    s = fft.rfft(x, axis=1, norm="forward", workers=CPUS)
+    del x
+    rows = c // n2 + 1
+    # the output grid's rows 0..R start at buf[c], so buf[c + k] = r[k];
+    # buf[:c] is filled by the mirror image after the slabs
+    buf = np.empty(c + rows * n2)
+    out = buf[c:].reshape(rows, n2)
+    mirrored = (n2 + 1) // 2      # columns 1..mirrored - 1 give the rest
+
+    def inverse(i):
+        lo, hi = slabs[i]
+        t = s[:, lo:hi] * twiddles.cols(lo, hi)
+        np.conjugate(t, out=t)
+        r = fft.irfft(t, n1, axis=0, workers=1)
+        np.maximum(r[:rows], 0.0, out=out[:, lo:hi])
+        j, k = max(lo, 1), min(hi, mirrored)
+        if j < k:
+            np.maximum(r[n1 - rows:, j - lo:k - lo][::-1, ::-1], 0.0,
+                       out=out[:, n2 - k + 1:n2 - j + 1])
+
+    thread_map(inverse, len(slabs))
+    buf[:c] = buf[2 * c:c:-1]
+    return buf[:2 * c + 1]
 
 
 def _four_step_shape(need: int) -> tuple:
@@ -284,12 +401,16 @@ def self_convolution_powers(p: PmfOnZ, exponents, cap: int) -> Iterator:
     the FFT branch of convolve_z, at the cyclic length max(b + 1, n - a)
     that wraps nothing into the kept window [a, b]: once the window |k| <=
     cap is full that is 3 cap + 1 points, not the 4 cap + 1 of the whole
-    product.  The chain hands each power to its squaring and keeps no
-    reference to it, and the squaring frees it once it is transformed.  A
-    caller that passes p without keeping it and drops each checkpoint
-    before asking for the next holds one power at a time, so a squaring's
-    peak is the half spectrum (about one n1 x n2 grid of reals), one window
-    and a column slab per thread: about 1.7 grids on a full window.
+    product.  If p is even (lo = -hi, vals equal to their reverse, as
+    every law's to_pmf_on_z is) so is every power, and each squaring is on
+    the real half spectrum (_even_square).  The chain hands each power to
+    its squaring and keeps no reference to it, and the squaring frees it
+    once it is transformed.  A caller that passes p without keeping it and
+    drops each checkpoint before asking for the next holds one power at a
+    time, so an even squaring's peak is one window beside half an n1 x n2
+    grid of complex values (about 0.7 grids of reals on a full window),
+    plus a column slab per thread; a squaring that is not even holds one
+    grid of complex values in place of the half.
     """
     want = sorted(set(exponents))
     for n in want:
@@ -314,24 +435,38 @@ def _doubling_chain(cur: PmfOnZ, want: list, cap: int):
             yield n, held[0]
 
 
+# Points per block of total_variation_shift's differences: 512 KiB of
+# scratch whatever the window.  A window and shift within one block sum in
+# one pass, as one whole array would.
+_TV_BLOCK = 2 ** 16
+
+
 def total_variation_shift(p: PmfOnZ, k: int) -> float:
-    """TV distance between p and its shift by k, on the represented window."""
+    """TV distance between p and its shift by k, on the represented window.
+
+    (1/2) sum |a(x) - a(x - s)| over the n + s points x of either window
+    (s = |k|; the sign of k flips every difference, which the absolute
+    value undoes), summed _TV_BLOCK points at a time in one reused buffer;
+    a is 0 outside 0..n - 1."""
     if k == 0:
         return 0.0
     a = p.vals
     n, s = len(a), abs(k)
-    # |a(x) - a(x - s)| over the n + s points of either window: the sign of
-    # k flips every difference, which the absolute value undoes
-    out = np.zeros(n + s)
-    if s < n:
-        out[:s] = a[:s]
-        np.subtract(a[s:], a[:-s], out=out[s:n])
-        out[n:] = a[n - s:]
-    else:
-        out[:n] = a
-        out[s:] = a
-    np.abs(out, out=out)
-    return 0.5 * float(out.sum())
+    buf = np.empty(min(n + s, _TV_BLOCK))
+    total = 0.0
+    for lo in range(0, n + s, len(buf)):
+        hi = min(lo + len(buf), n + s)
+        out = buf[:hi - lo]
+        cut = min(max(n - lo, 0), hi - lo)
+        out[:cut] = a[lo:lo + cut]
+        out[cut:] = 0.0
+        start = max(lo, s)
+        if start < hi:
+            np.subtract(out[start - lo:], a[start - s:hi - s],
+                        out=out[start - lo:])
+        np.abs(out, out=out)
+        total += float(out.sum())
+    return 0.5 * total
 
 
 # ---------------------------------------------------------------------------

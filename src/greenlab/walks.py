@@ -378,10 +378,12 @@ def tv_dispersion_z(pmf: PmfOnZ, shift: int, n_list, cap: int) -> DispersionCurv
     squares, so one power is live at a time (self_convolution_powers)
     if the caller passes pmf without keeping it (a temporary argument,
     which CPython 3.11 and later hand to the callee).  Each squaring frees
-    its input once it is transformed, so the peak is one half spectrum,
-    one window and a column slab per thread.  Periodic supports (gcd of
-    support differences > 1, found by a chunked scan) are computed but
-    flagged."""
+    its input once it is transformed.  An even pmf (every law's
+    to_pmf_on_z) is squared on the real half spectrum, so the peak is one
+    window beside half a grid of complex values, and a column slab per
+    thread; a checkpoint's TV adds one block of measures._TV_BLOCK points.
+    Periodic supports (gcd of support differences > 1, found by a chunked
+    scan) are computed but flagged."""
     n_list = _doubling_sizes(n_list)
     periodic = _support_gcd(pmf) > 1
     powers = self_convolution_powers(pmf, n_list, cap)
@@ -429,20 +431,32 @@ def product_dispersion_bound(h_pmf: PmfOnZ, z_pmf: PmfOnZ, shift: tuple,
     return rows
 
 
-def _tv_product_shift(a: np.ndarray, sh: int, b: np.ndarray, sz: int,
-                      chunk: int = 256) -> float:
-    """(1/2) sum_{u,v} |a_u b_v - a_{u-sh} b_{v-sz}| streamed over u."""
+# Bytes per temporary of _tv_product_shift: each block of rows u holds its
+# two products a_u b_v and a_{u-sh} b_{v-sz} in two reused buffers of
+# about this size.
+_PRODUCT_BLOCK_BYTES = 2 ** 20
+
+
+def _tv_product_shift(a: np.ndarray, sh: int, b: np.ndarray, sz: int) -> float:
+    """(1/2) sum_{u,v} |a_u b_v - a_{u-sh} b_{v-sz}|, streamed over blocks
+    of rows u of about _PRODUCT_BLOCK_BYTES each (at least one row)."""
     pad_a = np.zeros(abs(sh))
     a_full = np.concatenate([a, pad_a]) if sh >= 0 else np.concatenate([pad_a, a])
     a_shift = np.concatenate([pad_a, a]) if sh >= 0 else np.concatenate([a, pad_a])
     pad_b = np.zeros(abs(sz))
     b_full = np.concatenate([b, pad_b]) if sz >= 0 else np.concatenate([pad_b, b])
     b_shift = np.concatenate([pad_b, b]) if sz >= 0 else np.concatenate([b, pad_b])
+    rows = min(len(a_full), max(1, _PRODUCT_BLOCK_BYTES // (8 * len(b_full))))
+    lhs = np.empty((rows, len(b_full)))
+    rhs = np.empty_like(lhs)
     total = 0.0
-    for lo in range(0, len(a_full), chunk):
-        au = a_full[lo:lo + chunk, None]
-        av = a_shift[lo:lo + chunk, None]
-        total += float(np.abs(au * b_full[None, :] - av * b_shift[None, :]).sum())
+    for lo in range(0, len(a_full), rows):
+        x, y = lhs[:len(a_full) - lo], rhs[:len(a_full) - lo]
+        np.multiply(a_full[lo:lo + rows, None], b_full, out=x)
+        np.multiply(a_shift[lo:lo + rows, None], b_shift, out=y)
+        np.subtract(x, y, out=x)
+        np.abs(x, out=x)
+        total += float(x.sum())
     return 0.5 * total
 
 

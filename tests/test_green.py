@@ -116,8 +116,13 @@ def whole_orbits(omega, mu, sources):
     canon[:, flips] = np.abs(canon[:, flips])
     for b in blocks:
         canon[:, b] = np.sort(canon[:, b], axis=1)
-    first = omega.positions(canon)
-    is_rep = np.zeros(len(omega), dtype=bool)
+    return cumsum_relabel(omega.positions(canon))
+
+
+def cumsum_relabel(first):
+    """(label, reps, sizes) of the orbits whose representative of point i
+    is first[i], numbered by a cumulative count of the representatives."""
+    is_rep = np.zeros(len(first), dtype=bool)
     is_rep[first] = True
     label = (np.cumsum(is_rep) - 1)[first]
     return label, np.flatnonzero(is_rep), np.bincount(label).astype(np.float64)
@@ -177,6 +182,31 @@ class TestChunkedBuilders:
         assert orbits.label.dtype == label.dtype and np.array_equal(orbits.label, label)
         assert np.array_equal(orbits.reps, reps)
         assert np.array_equal(orbits.sizes, sizes)
+
+
+@pytest.mark.parametrize("spec, radius, order", [(Z3, 44, 48), (HEIS, 23, 4)],
+                         ids=["z3", "heis3"])
+def test_orbit_labels_match_the_cumsum_relabel(spec, radius, order):
+    # at the default gate, on balls just above QUOTIENT_MIN: the chunked
+    # binary search of the representatives numbers the orbits as a
+    # cumulative count over all points does, from representatives found
+    # from the whole row array at once
+    mu = srw(spec)
+    omega = ball_domain(spec, mu, radius, with_boundary=False)
+    assert len(omega) > green.QUOTIENT_MIN
+    orbits = green._symmetry_orbits(omega, mu, [E3])
+    if spec is Z3:
+        label, reps, sizes = whole_orbits(omega, mu, [E3])
+    else:
+        rows = np.array(omega.elements, dtype=np.int64)
+        first = np.arange(len(omega))
+        for sign in ([1, -1, -1], [-1, 1, -1], [-1, -1, 1]):
+            np.minimum(first, omega.positions(rows * sign), out=first)
+        label, reps, sizes = cumsum_relabel(first)
+    assert orbits.order == order
+    assert orbits.label.dtype == label.dtype and np.array_equal(orbits.label, label)
+    assert np.array_equal(orbits.reps, reps)
+    assert np.array_equal(orbits.sizes, sizes)
 
 
 class TestKilledSolve:

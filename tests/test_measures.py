@@ -612,13 +612,17 @@ class TestConvolveZ:
         assert np.max(np.abs(c.vals - want)) <= 1e-15
         assert c.delta_trunc == pytest.approx(1.0 - want.sum(), abs=1e-13)
 
-    @pytest.mark.parametrize("low", [False, True])
+    @pytest.mark.parametrize("low", [False, True, None])
     def test_fft_branch_does_not_alias(self, low):
         # atoms at both ends of a 3241-point support: the square's support
         # has n = 6481 points and the cap cuts one side only, so the cyclic
         # length must be n.  6480 = 81 * 80 is itself a four-step length, so
         # a length one shorter would wrap the far atom onto the near one
-        # (cut high) or drop the kept end (cut low)
+        # (cut high) or drop the kept end (cut low).  low None: the even
+        # square, cut on both sides
+        if low is None:
+            self.even_square_does_not_alias()
+            return
         p = pmf_from_dict({-3240 * low: 0.5, 3240 - 3240 * low: 0.5})
         c = convolve_z(p, p, cap=5000)
         near, mid, far = (0, -3240, -6480) if low else (0, 3240, 6480)
@@ -629,6 +633,68 @@ class TestConvolveZ:
         rest = np.delete(c.vals, [near - c.lo, mid - c.lo])
         assert np.max(rest) < 1e-15
         assert c.delta_trunc == pytest.approx(0.25, abs=1e-14)
+
+    @staticmethod
+    def even_square_does_not_alias():
+        # atoms at -+1100 square to -+2200, which cap 1832 clips; the centred
+        # placement needs 2 * 1100 + 1832 + 1 points, and one fewer,
+        # 4032 = 64 * 63, is itself a four-step length, which would wrap
+        # -2200 onto +-1832
+        p = pmf_from_dict({-1100: 0.5, 1100: 0.5})
+        assert measures._four_step_shape(4032) == (64, 63)
+        c = convolve_z(p, p, cap=1832)
+        assert (c.lo, c.hi) == (-1832, 1832)
+        assert c.at(0) == pytest.approx(0.5, abs=1e-15)
+        assert np.max(np.delete(c.vals, 1832)) < 1e-15
+        assert c.delta_trunc == pytest.approx(0.5, abs=1e-14)
+        assert np.array_equal(c.vals, c.vals[::-1])
+
+    @staticmethod
+    def even_pmf(rng, m):
+        """A random pmf on [-m, m] equal to its reverse."""
+        w = rng.random(m + 1)
+        v = np.concatenate([w[:0:-1], w])
+        return PmfOnZ(v / v.sum(), -m)
+
+    @staticmethod
+    def square_against_np_convolve(p, cap):
+        """convolve_z(p, p, cap), checked against np.convolve and for being
+        exactly even."""
+        m = p.hi
+        c = convolve_z(p, p, cap)
+        assert (c.lo, c.hi) == (-min(cap, 2 * m), min(cap, 2 * m))
+        want = np.convolve(p.vals, p.vals)[c.lo + 2 * m: c.hi + 2 * m + 1]
+        assert np.max(np.abs(c.vals - want)) <= 1e-15
+        assert c.delta_trunc == pytest.approx(1.0 - want.sum(), abs=1e-13)
+        assert np.array_equal(c.vals, c.vals[::-1])
+        return c
+
+    @pytest.mark.parametrize("full", [True, False])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), m=st.integers(1024, 3000), slab=st.integers(1, 40),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_even_square_matches_np_convolve(self, full, data, m, slab, seed):
+        # the square of an even pmf on the real half spectrum, with the cap
+        # inside the product's support (a full window) or past it
+        cap = data.draw(st.integers(1, 2 * m - 1) if full
+                        else st.integers(2 * m, 3 * m))
+        p = self.even_pmf(np.random.default_rng(seed), m)
+        with mock.patch.object(measures, "SLAB_COLUMNS", slab):
+            self.square_against_np_convolve(p, cap)
+
+    @pytest.mark.parametrize("m, cap, n2, edge", [
+        (1100, 48, 48, 0), (1100, 47, 48, -1), (2115, 4230, 90, 0),
+        (1100, 245, 49, 0), (1100, 244, 49, -1), (1387, 2774, 75, -1)])
+    def test_even_square_at_grid_edges(self, m, cap, n2, edge):
+        # n2 even (a Nyquist column) and odd, the window's last point c the
+        # first (edge 0) or last (edge -1) of its grid row, the window full
+        # and not (cap = 2m), and a last slab narrower than the rest
+        need = 2 * m + min(cap, 2 * m) + 1
+        assert measures._four_step_shape(need)[1] == n2
+        assert cap % n2 == edge % n2 and (n2 // 2 + 1) % 11
+        p = self.even_pmf(np.random.default_rng(m + cap), m)
+        with mock.patch.object(measures, "SLAB_COLUMNS", 11):
+            self.square_against_np_convolve(p, cap)
 
     @pytest.mark.parametrize("n1, n2", [(3600, 3520), (75, 81)])
     def test_factored_twiddles_within_4_ulp(self, n1, n2):
@@ -743,28 +809,72 @@ class TestStreamedSquaring:
         assert (a > 0, b < n - 1) == (cut_low, cut_high)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("case", ["not-even-at-0", "not-even-at-m-1",
+                                      "off-centre", "copy", "even"])
+    def test_routes(self, case):
+        # only the square of a pmf on [-m, m] equal to its reverse takes the
+        # real half spectrum; anything else is the general four-step
+        # product, equal to the whole-grid transform bit for bit.  One ulp
+        # off at the window's end or next to its centre is not even
+        rng = np.random.default_rng(34)
+        p = TestConvolveZ.even_pmf(rng, 2500)
+        q = p
+        if case.startswith("not-even"):
+            vals = p.vals.copy()
+            i = 0 if case.endswith("0") else 2500 - 1
+            vals[i] = np.nextafter(vals[i], 1.0)
+            p = q = PmfOnZ(vals, p.lo)
+        elif case == "off-centre":
+            p = q = PmfOnZ(p.vals, p.lo + 3)
+        elif case == "copy":
+            q = PmfOnZ(p.vals.copy(), p.lo)
+        with mock.patch.object(measures, "_even_square",
+                               wraps=measures._even_square) as even:
+            if case == "even":
+                TestConvolveZ.square_against_np_convolve(p, 3000)
+            else:
+                got, want, _, _ = self.streamed_and_whole(p, q, 3000)
+                assert np.array_equal(got, want)
+        assert even.called == (case == "even")
+
     def test_independent_of_cpu_count(self, monkeypatch):
         rng = np.random.default_rng(32)
         p = TestConvolveZ.random_pmf(rng, 40001, -20000)
         q = TestConvolveZ.random_pmf(rng, 30001, -9000)
+        e = TestConvolveZ.even_pmf(rng, 20000)
         runs = []
         for cpus in (greenlab.CPUS, 1):
             monkeypatch.setattr(greenlab, "CPUS", cpus)
             monkeypatch.setattr(measures, "CPUS", cpus)
-            runs.append((convolve_z(p, p, 30000).vals, convolve_z(p, q, 25000).vals))
+            runs.append((convolve_z(p, p, 30000).vals, convolve_z(p, q, 25000).vals,
+                         convolve_z(e, e, 30000).vals, convolve_z(e, e, 50000).vals))
         for many, one in zip(*runs):
             assert np.array_equal(many, one)
 
+    def test_even_square_independent_of_slab_width(self):
+        e = TestConvolveZ.even_pmf(np.random.default_rng(35), 20000)
+        runs = []
+        for slab in (1, 7, measures.SLAB_COLUMNS, 40, 10 ** 6):
+            with mock.patch.object(measures, "SLAB_COLUMNS", slab):
+                runs.append((convolve_z(e, e, 30000).vals, convolve_z(e, e, 50000).vals))
+        for run in runs[1:]:
+            for got, want in zip(run, runs[0]):
+                assert np.array_equal(got, want)
+
     def test_inputs_handed_over(self):
-        # the squaring takes the arrays out of its list and leaves the
+        # the squarings take the arrays out of their lists and leave the
         # inputs themselves unchanged
-        p = TestConvolveZ.random_pmf(np.random.default_rng(33), 3000, -1500)
-        before = p.vals.copy()
-        inputs = [p.vals]
-        n = 2 * len(before) - 1
-        measures._cyclic_convolution(inputs, n, 0, n - 1)
-        assert inputs == []
-        assert np.array_equal(p.vals, before)
+        rng = np.random.default_rng(33)
+        p = TestConvolveZ.random_pmf(rng, 3000, -1500)
+        e = TestConvolveZ.even_pmf(rng, 1500)
+        for v, square in ((p.vals, lambda inputs: measures._cyclic_convolution(
+                              inputs, 5999, 0, 5998)),
+                          (e.vals, lambda inputs: measures._even_square(inputs, 2000))):
+            before = v.copy()
+            inputs = [v]
+            square(inputs)
+            assert inputs == []
+            assert np.array_equal(v, before)
 
 
 class TestSelfConvolutionPowers:
@@ -809,6 +919,31 @@ class TestTotalVariationShift:
             p = PmfOnZ(vals / vals.sum(), -n // 2)
             for k in {0, 1, -1, 3, -3, n - 1, -(n - 1), n, -n, n + 5, -(n + 5)}:
                 assert total_variation_shift(p, k) == tv_shift_padded(p, k), (n, k)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_blocks_match_padded_copies(self, block, monkeypatch):
+        # windows and shifts over several blocks, the last one ragged and
+        # the edge runs across block ends, equal the one-pass sum to rounding
+        monkeypatch.setattr(measures, "_TV_BLOCK", block)
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 7, 300, 1001):
+            vals = rng.random(n)
+            p = PmfOnZ(vals / vals.sum(), -n // 2)
+            for k in {1, -1, 3, -3, 65, n - 1, -(n - 1), n, -n, n + 5, -(n + 70)} - {0}:
+                assert total_variation_shift(p, k) == pytest.approx(
+                    tv_shift_padded(p, k), rel=1e-13, abs=1e-16), (n, k)
+
+    def test_peak_allocation(self):
+        # a checkpoint's TV holds one block beside its window, not a second
+        # window
+        p = stable_z_measure(1.0).to_pmf_on_z(10 ** 6)
+        tracemalloc.start()
+        try:
+            total_variation_shift(p, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * measures._TV_BLOCK + 2 ** 12, peak
 
     def test_disjoint_shift_is_one(self):
         p = pmf_from_dict({-1: 0.25, 0: 0.5, 1: 0.25})
@@ -865,6 +1000,18 @@ class TestPmfOnZ:
         want *= 1.0 - lazy
         want[cap] += lazy
         assert mu.to_pmf_on_z(cap).vals.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lazy", [0.0, 0.5])
+    @pytest.mark.parametrize("law", ["srw", "shell", 0.5, 1.0, 1.5])
+    def test_laws_on_z_are_exactly_even(self, law, lazy):
+        # every window a doubling chain starts from is on [-cap, cap] and
+        # equal to its reverse, so its squarings take the even route
+        base = {"srw": lambda: srw(Z1), "shell": lambda: shell_measure(Z1)}
+        mu = lazy_transform(base.get(law, lambda: stable_z_measure(law))(), lazy)
+        p = mu.to_pmf_on_z(5000)
+        assert p.lo == -p.hi == -5000
+        assert np.array_equal(p.vals, p.vals[::-1])
+        assert measures._is_mirrored(p.vals)
 
     def test_mass_validation(self):
         with pytest.raises(ValueError):

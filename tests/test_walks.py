@@ -393,12 +393,15 @@ class TestDispersion:
     def test_chain_peak_allocation(self):
         # one live power: the pmf is passed without being kept, the chain
         # hands each power to its squaring, which frees it once it is
-        # transformed, and no real grid is built; so the peak is the half
-        # spectrum S, one window (the input or the output) and the scratch
-        # of one column slab per thread: the slab, its transform and its
+        # transformed, and no real grid is built.  The law is even, so each
+        # squaring is on the real half spectrum: its peak is one window
+        # (the input or the output) beside the complex half of T, which
+        # takes the bytes of (n1 / 2 + 1) x n2 reals, and the scratch of
+        # one column slab per thread: the slab, its transform and its
         # twiddles' two gathered factors, each about n1 x SLAB_COLUMNS x 8
-        # bytes, and the two twiddle tables.  At this cap the window is
-        # about 9 times a thread's scratch.
+        # bytes, and the two twiddle tables.  A checkpoint's TV adds a
+        # block of a few hundred KiB to its power.  At this cap the window
+        # is about 9 times a thread's scratch.
         cap = 10 ** 6
         mu = stable_z_measure(1.0)
         # a full window squares at cyclic length 3 cap + 1 (this also loads
@@ -410,7 +413,7 @@ class TestDispersion:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        spectrum = 16 * (n1 // 2 + 1) * n2
+        spectrum = 8 * (n1 // 2 + 1) * n2
         window = 8 * (2 * cap + 1)
         threads = min(greenlab.CPUS, -(-n2 // measures.SLAB_COLUMNS))
         slabs = threads * 4 * 8 * n1 * measures.SLAB_COLUMNS
@@ -515,6 +518,37 @@ class TestProductDispersion:
         for r in rows:
             assert r.tv_product == pytest.approx(r.tv_h, abs=2 * r.error_budget)
             assert r.tv_product <= r.tv_h + 1e-12
+
+    @pytest.mark.parametrize("shift", [(0, 0), (1, 1), (-2, 3), (5, -1)])
+    @pytest.mark.parametrize("rows", [1, 3, 40])
+    def test_product_tv_matches_the_whole_product(self, shift, rows, monkeypatch):
+        # blocks of `rows` rows u, the last one ragged, against the whole
+        # outer products of the zero-padded factors
+        rng = np.random.default_rng(41)
+        a, b = rng.random(37), rng.random(23)
+        sh, sz = shift
+        pad = lambda v, s, late: np.concatenate(
+            [v, np.zeros(abs(s))] if (s >= 0) == late else [np.zeros(abs(s)), v])
+        want = 0.5 * np.abs(np.outer(pad(a, sh, True), pad(b, sz, True))
+                            - np.outer(pad(a, sh, False), pad(b, sz, False))).sum()
+        monkeypatch.setattr(walks, "_PRODUCT_BLOCK_BYTES", 8 * (len(b) + abs(sz)) * rows)
+        assert walks._tv_product_shift(a, sh, b, sz) == pytest.approx(want, rel=1e-14)
+
+    def test_product_tv_peak_allocation(self):
+        # criterion 12's factors: an H window of 601 points and a Z window
+        # of 100,001; beside the four padded copies the blocks take two
+        # buffers of at most _PRODUCT_BLOCK_BYTES (here one row each)
+        a = self.lazy_srw_pmf(300).vals
+        b = stable_z_measure(1.0).to_pmf_on_z(5 * 10 ** 4).vals
+        tracemalloc.start()
+        try:
+            walks._tv_product_shift(a, 1, b, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        copies = 2 * 8 * (len(a) + 1) + 2 * 8 * (len(b) + 1)
+        rows = max(1, walks._PRODUCT_BLOCK_BYTES // (8 * (len(b) + 1)))
+        assert peak <= copies + 2 * 8 * rows * (len(b) + 1) + 2 ** 16, peak
 
     def test_tensor_inequality_holds(self):
         h = self.lazy_srw_pmf(300)
