@@ -14,14 +14,15 @@ runs that sample shell or finite laws, load none of it (the benchmark's
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from typing import Iterator, Optional
 
 import numpy as np
 
-from . import CPUS, _LazyModule, groups, thread_map
+from . import _LazyModule, groups, thread_map
 from .groups import GroupSpec, GeneratorSet, identity
 
 fft = _LazyModule("scipy.fft")
@@ -77,17 +78,24 @@ def _shell_f(r: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PmfOnZ:
-    """Pmf on Z as a dense array over [lo, lo+len), with tracked clipped mass."""
+    """Pmf on Z as a dense array over [lo, lo+len), with tracked clipped mass.
+
+    _mass is float(vals.sum()) where the constructing code has just taken
+    it for delta_trunc, so a window is summed once."""
 
     vals: np.ndarray
     lo: int
     delta_trunc: float = 0.0
+    _mass: InitVar[Optional[float]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _mass):
         self.vals = np.asarray(self.vals, dtype=np.float64)
-        if np.any(self.vals < -1e-15):
+        # a reduction, not an n-byte boolean temporary
+        if self.vals.size and self.vals.min() < -1e-15:
             raise ValueError("pmf values must be nonnegative")
-        total = float(self.vals.sum()) + self.delta_trunc
+        if _mass is None:
+            _mass = float(self.vals.sum())
+        total = _mass + self.delta_trunc
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"mass + delta_trunc = {total} is not 1")
 
@@ -122,20 +130,24 @@ def convolve_z(p: PmfOnZ, q: PmfOnZ, cap: int) -> PmfOnZ:
     3 cap long once the window is full, where the whole product needs
     4 cap.  When q is p and p is exactly even about 0 (lo = -hi and vals
     equal to their reverse, as every law that reaches a doubling chain is)
-    the square is taken on a real half spectrum (_even_square), whose
-    window is exactly even again; any other product is _cyclic_convolution,
-    which computes one spectrum when q is p and squares it.  The route
-    depends on the inputs alone.  The inputs' arrays are handed to the
-    transform and this call keeps no reference to them, so a caller that
-    holds no other reference (the doubling chain) has each input freed
-    once it is transformed, before the window is written.  Round-off
-    negatives are clamped to 0.  All clipped mass (and any mass already
-    missing from the inputs) is accumulated into delta_trunc of the
-    result.  delta_trunc = 1 - sum(kept) also absorbs the FFT's round-off
-    in the total mass, which each squaring of a doubling chain doubles
-    (the mass is squared) and adds to: for the alpha = 1 stable law at
-    cap 2e4, against a direct np.convolve chain summed by math.fsum, the
-    even route's delta_trunc is off by -1.3e-14, -5.2e-14 and -2.0e-13 at
+    the square is taken on a real half spectrum from p's nonnegative half
+    (_even_square), and its window is exactly even again; any other
+    product is _cyclic_convolution, which computes one spectrum when q is
+    p and squares it.  The route depends on the inputs alone.  The inputs'
+    arrays are handed to the transform and this call keeps no reference to
+    them, so a caller that holds no other reference (the doubling chain)
+    has each input freed once it is transformed (an even input once its
+    half is copied), before the window is written.  A caller that keeps
+    its input holds it beside the squaring: on the even route that is a
+    window, the half window and the spectrum at once.  Round-off negatives
+    are clamped to 0.  All clipped mass (and any mass already missing from
+    the inputs) is accumulated into delta_trunc of the result; the window
+    is summed once, for delta_trunc and for PmfOnZ's mass check.
+    delta_trunc = 1 - sum(kept) also absorbs the FFT's round-off in the
+    total mass, which each squaring of a doubling chain doubles (the mass
+    is squared) and adds to: for the alpha = 1 stable law at cap 2e4,
+    against a direct np.convolve chain summed by math.fsum, the even
+    route's delta_trunc is off by -1.3e-14, -5.2e-14 and -2.0e-13 at
     n = 16, 64 and 256 (the general route's by -6.9e-15, -2.8e-14 and
     -1.2e-13), against clipped masses of 4.9e-4 and up.
     """
@@ -159,14 +171,21 @@ def convolve_z(p: PmfOnZ, q: PmfOnZ, cap: int) -> PmfOnZ:
             kept = _cyclic_convolution(inputs, need, a, b)
     else:
         kept = np.maximum(np.convolve(p.vals, q.vals)[a: b + 1], 0.0)
-    delta = 1.0 - float(kept.sum())
-    return PmfOnZ(kept, lo_keep, max(delta, 0.0))
+    mass = float(kept.sum())
+    return PmfOnZ(kept, lo_keep, max(1.0 - mass, 0.0), mass)
 
 
 def _is_mirrored(v: np.ndarray) -> bool:
-    """Whether v equals its reverse exactly."""
-    m = len(v) // 2
-    return bool(np.array_equal(v[:m], v[:-m - 1:-1]))
+    """Whether v equals its reverse exactly, compared _TV_BLOCK pairs at a
+    time: a window-sized boolean temporary, once freed, raises glibc's
+    mmap threshold, and the pool threads' arenas then keep their slab
+    scratch."""
+    n, m = len(v), len(v) // 2
+    for lo in range(0, m, _TV_BLOCK):
+        hi = min(lo + _TV_BLOCK, m)
+        if not np.array_equal(v[lo:hi], v[n - 1 - lo:n - 1 - hi:-1]):
+            return False
+    return True
 
 
 # Spectrum columns per slab of the four-step squarings: at the acceptance
@@ -174,6 +193,11 @@ def _is_mirrored(v: np.ndarray) -> bool:
 # 1 MB each, so a slab stays in cache and CPUS of them cost little beside a
 # window.
 SLAB_COLUMNS = 32
+
+# Bytes of spectrum rows per block of the four-step squarings' row stage
+# (at least one row): a block and the transforms made from it stay about
+# as large as a slab's.
+_ROW_BLOCK_BYTES = 2 ** 20
 
 
 def _slabs(columns: int) -> list:
@@ -183,11 +207,23 @@ def _slabs(columns: int) -> list:
             for lo in range(0, columns, SLAB_COLUMNS)]
 
 
+def _row_stage(s: np.ndarray, step) -> None:
+    """step(lo, hi) for consecutive blocks lo..hi - 1 of the rows of the
+    spectrum s, each about _ROW_BLOCK_BYTES (at least one row), spread over
+    CPUS threads; step writes its rows of s back in place.  Each row's
+    transforms are those of one whole-array transform along axis 1, so s
+    depends neither on the block size nor on CPUS."""
+    rows = max(1, _ROW_BLOCK_BYTES // s[0].nbytes)
+    starts = range(0, len(s), rows)
+    thread_map(lambda i: step(starts[i], min(starts[i] + rows, len(s))),
+               len(starts))
+
+
 def _place(block: np.ndarray, seg: np.ndarray, off: int, n2: int,
            lo: int, hi: int) -> None:
     """Copy seg, laid out row by row from flat slot off of a grid of n2
     columns, into block, which holds that grid's columns lo..hi - 1 and is
-    zero elsewhere."""
+    zero elsewhere.  seg may be a reversed view."""
     r, c0 = divmod(off, n2)
     if c0:
         head = seg[:n2 - c0]
@@ -217,21 +253,31 @@ def _cyclic_convolution(inputs: list, need: int, a: int, b: int) -> np.ndarray:
     along axis 1 give the spectrum at k = k1 + n1 k2 in slot [k1, k2] for
     k1 <= n1 / 2, which determines the rest; the pointwise product does not
     care about this transposed layout, and the inverse runs the three steps
-    backwards.  The axis-0 steps stream through slabs of SLAB_COLUMNS
-    columns, spread over ``CPUS`` threads (the CPUs this process may use):
-    a forward slab gathers its columns from the signal, transforms them,
-    multiplies by its twiddles and writes them into the half spectrum S,
-    and an inverse slab writes only the rows that cover [a, b] into the
-    output window.  The axis-1 transforms run in place on S, batched over
-    ``CPUS`` threads.  Each column's arithmetic is the same as in one
-    whole-grid transform, so the result does not depend on the slab width
-    or on CPUS.  No real n1 x n2 grid is built and the twiddles come from
-    two small tables (_Twiddles), so a squaring holds S (16 bytes a slot of
-    (n1 / 2 + 1) x n2), one window (the input, then the output) and a slab
-    per thread; a product of two inputs holds one more S.
+    backwards.  Stage by stage:
+
+    - forward slabs: the axis-0 steps stream through slabs of SLAB_COLUMNS
+      columns, spread over ``CPUS`` threads (the CPUs this process may
+      use); a slab gathers its columns from the signal, transforms them,
+      multiplies by its twiddles and writes them into the half spectrum S
+      (one S per input; the input is dropped before the next is
+      allocated);
+    - row stage (_row_stage): blocks of S's rows are transformed along
+      axis 1, multiplied (squared, or by the same rows of the second S)
+      and sent back by the inverse transform, in place in S;
+    - inverse slabs: each slab conjugates its columns, applies the
+      twiddles and an inverse real FFT down axis 0, and writes only the
+      rows that cover [a, b] into the output window.
+
+    Each row's and column's arithmetic is the same as in one whole-grid
+    transform, so the result does not depend on the slab width, the row
+    block or CPUS.  No real n1 x n2 grid is built and the twiddles come
+    from two small tables (_twiddles, built once per grid shape), so a
+    squaring holds S (16 bytes a slot of (n1 / 2 + 1) x n2), one window
+    (the input, then the output) and a slab or row block per thread; a
+    product of two inputs holds one more S.
     """
     n1, n2 = _four_step_shape(need)
-    twiddles = _Twiddles(n1, n2)
+    twiddles = _twiddles(n1, n2)
     slabs = _slabs(n2)
     spectra = []
     while inputs:
@@ -244,16 +290,27 @@ def _cyclic_convolution(inputs: list, need: int, a: int, b: int) -> np.ndarray:
             _place(block, v, 0, n2, lo, hi)
             t = fft.rfft(block, axis=0, workers=1)
             del block
-            np.multiply(t, twiddles.cols(lo, hi), out=s[:, lo:hi])
+            w = twiddles.cols(lo, hi, s[:, lo:hi])
+            np.multiply(t, w, out=w)
 
         thread_map(forward, len(slabs))
         # the input goes before another S or the output is allocated
         del v, forward
-        spectra.append(fft.fft(s, axis=1, overwrite_x=True, workers=CPUS))
-    s = spectra[0]
-    np.multiply(s, spectra[-1], out=s)
+        spectra.append(s)
+    s, other = spectra[0], spectra[-1]
     del spectra
-    s = fft.ifft(s, axis=1, overwrite_x=True, workers=CPUS)
+
+    def product(lo, hi):
+        t = fft.fft(s[lo:hi], axis=1, workers=1)
+        if other is s:
+            np.multiply(t, t, out=t)
+        else:
+            t *= fft.fft(other[lo:hi], axis=1, workers=1)
+        s[lo:hi] = fft.ifft(t, axis=1, overwrite_x=True, workers=1)
+
+    _row_stage(s, product)
+    # a second S goes before the output is allocated
+    del other, product
     # rows r0.. of the grid cover [a, b]; out starts at r0's first column,
     # so the window is out's flat view from a - r0 n2
     r0 = a // n2
@@ -261,8 +318,10 @@ def _cyclic_convolution(inputs: list, need: int, a: int, b: int) -> np.ndarray:
 
     def inverse(i):
         lo, hi = slabs[i]
-        # t * conj(w) as conj(conj(t) * w): no conjugated copy of w
-        t = np.conjugate(s[:, lo:hi])
+        # t * conj(w) as conj(conj(t) * w), in place in S: no conjugated
+        # copy of w
+        t = s[:, lo:hi]
+        np.conjugate(t, out=t)
         t *= twiddles.cols(lo, hi)
         np.conjugate(t, out=t)
         r = fft.irfft(t, n1, axis=0, workers=1)
@@ -275,69 +334,89 @@ def _cyclic_convolution(inputs: list, need: int, a: int, b: int) -> np.ndarray:
 def _even_square(inputs: list, c: int) -> np.ndarray:
     """The square of the even pmf inputs[0] on [-m, m] (vals equal to their
     reverse) at indices -c..c, c <= 2m, clamped at 0 and exactly even.  The
-    array is taken out of inputs and dropped once it is transformed.
+    array is taken out of inputs, its nonnegative half p(0..m) is copied,
+    and the array is dropped before the spectrum is allocated.
 
     The four-step squaring of _cyclic_convolution on a real half spectrum
     (an even sequence has a real, even spectrum: Martucci, "Symmetric
     convolution and the discrete sine and cosine transforms", IEEE Trans.
     Signal Process. 42, 1994).  The signal is placed centred,
-    x[j] = p(j) and x[N - j] = p(-j) for 0 <= j <= m, over a cyclic length
-    N = n1 n2 >= 2m + c + 1, so nothing wraps into |k| <= c.  On the grid
-    g[j1, j2] = x[j1 n2 + j2] this gives g[n1 - 1 - j1, n2 - j2] = g[j1, j2]
-    for j2 >= 1 and an even column 0, so T = rfft0(g) * twiddles is
-    Hermitian along axis 1: T[k1, n2 - j2] = conj T[k1, j2].  Only the
-    h2 = n2 // 2 + 1 columns j2 <= n2 / 2 go through the forward slabs,
-    and the axis-1 step is a c2r transform whose slot [k1, k2] is the real
-    spectrum X at k1 + n1 k2: (n1 / 2 + 1) x n2 reals, half the bytes of
-    _cyclic_convolution's S.  The inverse squares X in place, takes an r2c
-    transform along axis 1 and, through the same h2 slabs, the twiddles
-    and an inverse real FFT down axis 0.  Of each column it keeps rows
-    0..R, R = c // n2, and, for the columns j2 > n2 / 2 it did not
-    compute, reads r[j1 n2 + j2] = r[(n1 - 1 - j1) n2 + n2 - j2] from rows
-    n1 - 1 - R.. reversed.  The window is r[0..c] mirrored.  As there,
-    each column's arithmetic is that of a whole-grid transform, so the
-    result depends neither on SLAB_COLUMNS nor on CPUS.  A squaring holds
-    the input and the complex half of T (16 bytes a slot of
-    (n1 / 2 + 1) x h2), then X and T or X and its r2c transform, then that
-    transform and the output window, and a slab per thread.
+    x[j] = p(j) and x[N - j] = p(-j) = p(j) for 0 <= j <= m, over a cyclic
+    length N = n1 n2 >= 2m + c + 1, so nothing wraps into |k| <= c.  On the
+    grid g[j1, j2] = x[j1 n2 + j2] this gives
+    g[n1 - 1 - j1, n2 - j2] = g[j1, j2] for j2 >= 1 and an even column 0,
+    so T = rfft0(g) * twiddles is Hermitian along axis 1:
+    T[k1, n2 - j2] = conj T[k1, j2].  Stage by stage:
+
+    - forward slabs: only the h2 = n2 // 2 + 1 columns j2 <= n2 / 2 go
+      through the slabs, which place the half at slot 0 and, through a
+      reversed view, its mirror at slot N - m, and write T's columns,
+      twiddles applied, into its complex half S (16 bytes a slot of
+      (n1 / 2 + 1) x h2);
+    - row stage (_row_stage), in place in S, block by block: conjugate, a
+      c2r transform along axis 1 whose slot [k1, k2] is the real spectrum
+      X at k1 + n1 k2 (X = sum_j2 T w^(j2 k2) is real, so it equals its
+      conjugate, the unscaled c2r transform of conj T), the square of X,
+      and an r2c transform back into the block's rows of S;
+    - inverse slabs: through the same h2 slabs, the twiddles (in place in
+      S) and an inverse real FFT down axis 0.  Of each column they keep
+      grid rows 0..R, R = c // n2, and, for the columns j2 > n2 / 2 they
+      did not compute, read r[j1 n2 + j2] = r[(n1 - 1 - j1) n2 + n2 - j2]
+      from rows n1 - 1 - R.. reversed.  The rows go into the half's
+      buffer, which is no longer read;
+    - mirror: S is dropped and the window is r[0..c] mirrored.
+
+    As there, each row's and column's arithmetic is that of a whole-grid
+    transform, so the result depends neither on SLAB_COLUMNS, nor on the
+    row block, nor on CPUS.  A squaring whose input is handed over holds
+    the window and the half, then the half's buffer (the half, later rows
+    0..R: about a half window on a full window) beside S, then that buffer
+    and the output window, and a slab or row block per thread.  On a full
+    window (N about 3c) S takes about 4N bytes, three quarters of a
+    window, so the peak is a window and a half window: 100.8 MB at cap
+    4.2e6, where a window beside S took 117.9 MB.
     """
     v = inputs.pop()
     m = len(v) // 2
     n1, n2 = _four_step_shape(2 * m + c + 1)
-    twiddles = _Twiddles(n1, n2)
+    rows = c // n2 + 1
+    # the half, in a buffer that takes the grid rows 0..R once the half
+    # is transformed (c >= m in a chain, so the rows need the larger part)
+    buf = np.empty(max(m + 1, rows * n2))
+    half = buf[:m + 1]
+    half[:] = v[m:]
+    del v
+    twiddles = _twiddles(n1, n2)
     slabs = _slabs(n2 // 2 + 1)
     s = np.empty((n1 // 2 + 1, n2 // 2 + 1), dtype=np.complex128)
 
     def forward(i):
         lo, hi = slabs[i]
         block = np.zeros((n1, hi - lo))
-        _place(block, v[m:], 0, n2, lo, hi)
-        _place(block, v[:m], n1 * n2 - m, n2, lo, hi)
+        _place(block, half, 0, n2, lo, hi)
+        _place(block, half[:0:-1], n1 * n2 - m, n2, lo, hi)
         t = fft.rfft(block, axis=0, workers=1)
         del block
-        np.multiply(t, twiddles.cols(lo, hi), out=s[:, lo:hi])
+        w = twiddles.cols(lo, hi, s[:, lo:hi])
+        np.multiply(t, w, out=w)
 
     thread_map(forward, len(slabs))
-    # the input goes before the real spectrum or the output is allocated;
-    # X = sum_j2 T w^(j2 k2) is real, so it equals its conjugate, the
-    # unscaled c2r transform of conj T
-    del v, forward
-    np.conjugate(s, out=s)
-    x = fft.irfft(s, n2, axis=1, norm="forward", workers=CPUS)
-    del s
-    np.multiply(x, x, out=x)
-    s = fft.rfft(x, axis=1, norm="forward", workers=CPUS)
-    del x
-    rows = c // n2 + 1
-    # the output grid's rows 0..R start at buf[c], so buf[c + k] = r[k];
-    # buf[:c] is filled by the mirror image after the slabs
-    buf = np.empty(c + rows * n2)
-    out = buf[c:].reshape(rows, n2)
+
+    def square(lo, hi):
+        t = s[lo:hi]
+        np.conjugate(t, out=t)
+        x = fft.irfft(t, n2, axis=1, norm="forward", workers=1)
+        np.multiply(x, x, out=x)
+        s[lo:hi] = fft.rfft(x, axis=1, norm="forward", workers=1)
+
+    _row_stage(s, square)
+    out = buf[:rows * n2].reshape(rows, n2)
     mirrored = (n2 + 1) // 2      # columns 1..mirrored - 1 give the rest
 
     def inverse(i):
         lo, hi = slabs[i]
-        t = s[:, lo:hi] * twiddles.cols(lo, hi)
+        t = s[:, lo:hi]
+        t *= twiddles.cols(lo, hi)
         np.conjugate(t, out=t)
         r = fft.irfft(t, n1, axis=0, workers=1)
         np.maximum(r[:rows], 0.0, out=out[:, lo:hi])
@@ -347,8 +426,12 @@ def _even_square(inputs: list, c: int) -> np.ndarray:
                        out=out[:, n2 - k + 1:n2 - j + 1])
 
     thread_map(inverse, len(slabs))
-    buf[:c] = buf[2 * c:c:-1]
-    return buf[:2 * c + 1]
+    # S goes before the window is allocated
+    del s, inverse
+    window = np.empty(2 * c + 1)
+    window[c:] = buf[:c + 1]
+    window[:c] = buf[c:0:-1]
+    return window
 
 
 def _four_step_shape(need: int) -> tuple:
@@ -376,12 +459,28 @@ class _Twiddles:
         self.coarse = _unit_roots(k1 * np.arange(0, n2, self.b), size)
         self.fine = _unit_roots(k1 * np.arange(self.b), size)
 
-    def cols(self, lo: int, hi: int) -> np.ndarray:
-        """The twiddles of columns lo <= j2 < hi, shape (n1 // 2 + 1, hi - lo)."""
-        q, r = np.divmod(np.arange(lo, hi), self.b)
-        w = self.coarse[:, q]
-        w *= self.fine[:, r]
-        return w
+    def cols(self, lo: int, hi: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The twiddles of columns lo <= j2 < hi, shape (n1 // 2 + 1, hi - lo),
+        written into out if it is given: one coarse column times a run of
+        fine columns for each q, so nothing is gathered."""
+        if out is None:
+            out = np.empty((len(self.coarse), hi - lo), dtype=np.complex128)
+        j = lo
+        while j < hi:
+            q, r = divmod(j, self.b)
+            k = min(hi, (q + 1) * self.b)
+            np.multiply(self.coarse[:, q:q + 1], self.fine[:, r:r + k - j],
+                        out=out[:, j - lo:k - lo])
+            j = k
+        return out
+
+
+@functools.lru_cache(maxsize=2)
+def _twiddles(n1: int, n2: int) -> _Twiddles:
+    """_Twiddles(n1, n2), kept for the last two grid shapes: the squarings
+    of a doubling chain on a full window share one grid, and
+    walks.product_dispersion_bound runs two chains in turn."""
+    return _Twiddles(n1, n2)
 
 
 def _unit_roots(m: np.ndarray, size: int) -> np.ndarray:
@@ -404,13 +503,18 @@ def self_convolution_powers(p: PmfOnZ, exponents, cap: int) -> Iterator:
     product.  If p is even (lo = -hi, vals equal to their reverse, as
     every law's to_pmf_on_z is) so is every power, and each squaring is on
     the real half spectrum (_even_square).  The chain hands each power to
-    its squaring and keeps no reference to it, and the squaring frees it
-    once it is transformed.  A caller that passes p without keeping it and
-    drops each checkpoint before asking for the next holds one power at a
-    time, so an even squaring's peak is one window beside half an n1 x n2
-    grid of complex values (about 0.7 grids of reals on a full window),
-    plus a column slab per thread; a squaring that is not even holds one
-    grid of complex values in place of the half.
+    its squaring and keeps no reference to it; an even squaring copies
+    the power's nonnegative half and frees it before its spectrum is
+    allocated (any other squaring frees it once it is transformed).  A
+    caller that passes p without keeping it and drops each checkpoint
+    before asking for the next holds one power at a time, so an even
+    squaring on a full window peaks at a window beside a half window (the
+    input and its half, or grid rows 0..R and the output), and otherwise
+    holds the half window beside the complex half spectrum, three
+    quarters of a window, plus a column slab or row block per thread; a
+    squaring that is not even holds a window beside one n1 x n2 grid of
+    complex values.  The twiddle tables are built once per grid shape
+    (_twiddles), so the squarings of a full window share them.
     """
     want = sorted(set(exponents))
     for n in want:
@@ -435,9 +539,10 @@ def _doubling_chain(cur: PmfOnZ, want: list, cap: int):
             yield n, held[0]
 
 
-# Points per block of total_variation_shift's differences: 512 KiB of
-# scratch whatever the window.  A window and shift within one block sum in
-# one pass, as one whole array would.
+# Points per block of total_variation_shift's differences (and of
+# _is_mirrored's comparisons): 512 KiB of scratch whatever the window.  A
+# window and shift within one block sum in one pass, as one whole array
+# would.
 _TV_BLOCK = 2 ** 16
 
 
@@ -826,7 +931,8 @@ class StepMeasure:
                     vals[g[0] + cap] = self.pmf(g)
         else:
             vals = np.array([self.pmf((k,)) for k in range(-cap, cap + 1)])
-        return PmfOnZ(vals, -cap, max(0.0, 1.0 - float(vals.sum())))
+        mass = float(vals.sum())
+        return PmfOnZ(vals, -cap, max(0.0, 1.0 - mass), mass)
 
 
 def standard_support(spec: GroupSpec) -> tuple:

@@ -1,5 +1,6 @@
 """Step laws: construction, exact pmfs, sampling, convolution."""
 
+import math
 import sys
 import threading
 import tracemalloc
@@ -711,6 +712,21 @@ class TestConvolveZ:
             worst = max(worst, float(np.abs(tw.cols(lo, hi) - whole).max()))
         assert worst <= 4 * np.finfo(np.float64).eps, worst
 
+    def test_twiddle_columns_equal_the_gathered_product(self):
+        # runs of columns within one coarse column and across several,
+        # returned or written into a strided view, equal coarse[:, q] *
+        # fine[:, r] gathered column by column, bit for bit
+        tw = measures._Twiddles(75, 81)
+        assert tw.b == 9
+        dest = np.zeros((38, 100), dtype=np.complex128)
+        for lo, hi in ((0, 1), (3, 9), (8, 10), (0, 81), (17, 50), (80, 81)):
+            q, r = np.divmod(np.arange(lo, hi), tw.b)
+            want = tw.coarse[:, q] * tw.fine[:, r]
+            assert np.array_equal(tw.cols(lo, hi), want)
+            out = dest[:, 7:7 + hi - lo]
+            assert tw.cols(lo, hi, out) is out
+            assert np.array_equal(out, want)
+
 
 def whole_grid_cyclic_convolution(x, y, need):
     """The whole cyclic convolution of x and y (y None: x with itself) from
@@ -738,13 +754,13 @@ def whole_grid_cyclic_convolution(x, y, need):
     for v in (x,) if y is None else (x, y):
         grid = np.zeros((n1, n2))
         grid.reshape(-1)[:len(v)] = v
-        s = fft.rfft(grid, axis=0, workers=measures.CPUS)
+        s = fft.rfft(grid, axis=0, workers=greenlab.CPUS)
         apply(s)
-        spectra.append(fft.fft(s, axis=1, workers=measures.CPUS))
+        spectra.append(fft.fft(s, axis=1, workers=greenlab.CPUS))
     s = spectra[0] * spectra[-1]
-    s = fft.ifft(s, axis=1, workers=measures.CPUS)
+    s = fft.ifft(s, axis=1, workers=greenlab.CPUS)
     apply(s, inverse=True)
-    return fft.irfft(s, n1, axis=0, workers=measures.CPUS).reshape(-1)
+    return fft.irfft(s, n1, axis=0, workers=greenlab.CPUS).reshape(-1)
 
 
 class TestStreamedSquaring:
@@ -845,7 +861,6 @@ class TestStreamedSquaring:
         runs = []
         for cpus in (greenlab.CPUS, 1):
             monkeypatch.setattr(greenlab, "CPUS", cpus)
-            monkeypatch.setattr(measures, "CPUS", cpus)
             runs.append((convolve_z(p, p, 30000).vals, convolve_z(p, q, 25000).vals,
                          convolve_z(e, e, 30000).vals, convolve_z(e, e, 50000).vals))
         for many, one in zip(*runs):
@@ -860,6 +875,101 @@ class TestStreamedSquaring:
         for run in runs[1:]:
             for got, want in zip(run, runs[0]):
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_independent_of_row_block(self, cpus, monkeypatch):
+        # the row stage of both routes in blocks of one row, seven rows
+        # (with a ragged last block), the default budget and all rows, on
+        # one thread and on two; the general route also equals the
+        # whole-grid transform
+        monkeypatch.setattr(greenlab, "CPUS", cpus)
+        rng = np.random.default_rng(36)
+        p = TestConvolveZ.random_pmf(rng, 40001, -20000)
+        q = TestConvolveZ.random_pmf(rng, 30001, -9000)
+        e = TestConvolveZ.even_pmf(rng, 20000)
+        shapes = []
+        stage = measures._row_stage
+
+        def spy(s, step):
+            shapes.append((len(s), s[0].nbytes))
+            stage(s, step)
+
+        for x, y, cap in ((p, p, 30000), (p, q, 25000), (e, e, 30000),
+                          (e, e, 50000)):
+            shapes.clear()
+            with mock.patch.object(measures, "_row_stage", spy):
+                want = convolve_z(x, y, cap).vals
+            [(rows, row_bytes)] = shapes
+            assert rows % 7
+            if x is not e:
+                assert np.array_equal(want, self.streamed_and_whole(x, y, cap)[1])
+            for budget in (1, 7 * row_bytes, rows * row_bytes):
+                with mock.patch.object(measures, "_ROW_BLOCK_BYTES", budget):
+                    assert np.array_equal(convolve_z(x, y, cap).vals, want)
+
+    def test_row_stage_blocks(self, monkeypatch):
+        # the blocks cover every row once, in budget-sized runs
+        s = np.zeros((23, 5), dtype=np.complex128)
+        for budget, size in ((1, 1), (7 * 80, 7), (80 * 23, 23), (10 ** 9, 23),
+                             (8 * 80 + 79, 8)):
+            monkeypatch.setattr(measures, "_ROW_BLOCK_BYTES", budget)
+            seen = []
+            measures._row_stage(s, lambda lo, hi: seen.append((lo, hi)))
+            assert sorted(seen) == [(lo, min(lo + size, 23))
+                                    for lo in range(0, 23, size)]
+
+    def test_even_square_peak_allocation(self):
+        # a full-window squaring whose input is handed over holds at most
+        # the window and the half window (the input and its half, then the
+        # grid rows 0..R and the output), beside the twiddle tables and a
+        # slab or row block per thread; the spectrum is smaller than the
+        # window
+        m = 500_000
+        vals = TestConvolveZ.even_pmf(np.random.default_rng(37), m).vals
+        n1, n2 = measures._four_step_shape(3 * m + 1)
+        measures._twiddles.cache_clear()
+        tracemalloc.start()
+        try:
+            inputs = [vals.copy()]
+            out = measures._even_square(inputs, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 2 * m + 1
+        window, half = 8 * (2 * m + 1), 8 * (m + 1)
+        spectrum = 16 * (n1 // 2 + 1) * (n2 // 2 + 1)
+        assert spectrum < window
+        threads = min(greenlab.CPUS, -(-(n2 // 2 + 1) // measures.SLAB_COLUMNS))
+        scratch = threads * max(4 * 8 * n1 * measures.SLAB_COLUMNS,
+                                2 * measures._ROW_BLOCK_BYTES + 16 * n2)
+        tables = 16 * (n1 // 2 + 1) * 2 * (math.isqrt(n2 - 1) + 1)
+        assert peak <= window + half + tables + scratch, \
+            (peak - window - half) / (tables + scratch)
+
+    def test_twiddles_built_once_per_grid(self, monkeypatch):
+        # the squarings of a chain on a full window share one grid and one
+        # pair of twiddle tables; two chains in turn keep both
+        built = []
+        real = measures._Twiddles
+
+        def counting(n1, n2):
+            built.append((n1, n2))
+            return real(n1, n2)
+
+        monkeypatch.setattr(measures, "_Twiddles", counting)
+        measures._twiddles.cache_clear()
+        try:
+            mu = stable_z_measure(1.0)
+            # the chains square in turn, as product_dispersion_bound's do
+            n_list = [2, 4, 8, 16]
+            z = self_convolution_powers(mu.to_pmf_on_z(20000), n_list, 20000)
+            h = self_convolution_powers(mu.to_pmf_on_z(30000), n_list, 30000)
+            for _ in zip(z, h):
+                pass
+            assert built == [measures._four_step_shape(60001),
+                             measures._four_step_shape(90001)]
+        finally:
+            measures._twiddles.cache_clear()
 
     def test_inputs_handed_over(self):
         # the squarings take the arrays out of their lists and leave the
@@ -1016,3 +1126,38 @@ class TestPmfOnZ:
     def test_mass_validation(self):
         with pytest.raises(ValueError):
             PmfOnZ(np.array([0.5, 0.4]), 0)    # mass 0.9, no delta
+
+    def test_negative_entry_rejected(self):
+        # one entry below -1e-15 anywhere in the window
+        for i in (0, 2, 4):
+            vals = np.full(5, 0.2)
+            vals[i] = -1e-14
+            vals[(i + 1) % 5] += 1e-14
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                PmfOnZ(vals, -2)
+        PmfOnZ(np.array([0.5, -1e-16, 0.5]), -1)
+
+    def test_mass_off_by_2e_9_rejected(self):
+        # the window's own sum, and the sum a caller passes with it
+        for vals, delta in (([0.5, 0.5 - 2e-9], 0.0), ([0.5, 0.5], 2e-9),
+                            ([0.5, 0.5 + 2e-9], 0.0)):
+            with pytest.raises(ValueError, match="is not 1"):
+                PmfOnZ(np.array(vals), 0, delta)
+            with pytest.raises(ValueError, match="is not 1"):
+                PmfOnZ(np.array(vals), 0, delta, float(np.sum(vals)))
+        PmfOnZ(np.array([0.5, 0.5 - 5e-10]), 0)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_mirror_check_in_blocks(self, block, monkeypatch):
+        # one ulp off at any index, in blocks that split the halves
+        # anywhere, is found; an exact mirror is not rejected
+        monkeypatch.setattr(measures, "_TV_BLOCK", block)
+        rng = np.random.default_rng(39)
+        for n in (1, 2, 3, 8, 101, 130):
+            w = rng.random(n)
+            v = w + w[::-1]
+            assert measures._is_mirrored(v)
+            for i in range(n):
+                u = v.copy()
+                u[i] = np.nextafter(u[i], 2.0)
+                assert measures._is_mirrored(u) == (2 * i + 1 == n)

@@ -392,34 +392,40 @@ class TestDispersion:
 
     def test_chain_peak_allocation(self):
         # one live power: the pmf is passed without being kept, the chain
-        # hands each power to its squaring, which frees it once it is
-        # transformed, and no real grid is built.  The law is even, so each
-        # squaring is on the real half spectrum: its peak is one window
-        # (the input or the output) beside the complex half of T, which
-        # takes the bytes of (n1 / 2 + 1) x n2 reals, and the scratch of
-        # one column slab per thread: the slab, its transform and its
-        # twiddles' two gathered factors, each about n1 x SLAB_COLUMNS x 8
-        # bytes, and the two twiddle tables.  A checkpoint's TV adds a
-        # block of a few hundred KiB to its power.  At this cap the window
-        # is about 9 times a thread's scratch.
+        # hands each power to its squaring, which copies its nonnegative
+        # half and frees it before the spectrum is allocated, and no real
+        # grid is built.  The law is even, so each squaring is on the real
+        # half spectrum: its peak is a window beside the half window (the
+        # input and its half, or the grid rows 0..R and the output), or the
+        # half window beside the complex half S of T, (n1 / 2 + 1) x
+        # (n2 / 2 + 1) values, whichever is larger; the scratch of one
+        # column slab per thread: at most four arrays (the slab, its
+        # transform, its twiddles and its inverse transform) of about
+        # n1 x SLAB_COLUMNS x 8 bytes each; and the two twiddle tables.  The row stage holds S alone
+        # beside its blocks, below both.  A checkpoint's TV adds a block of
+        # a few hundred KiB to its power.  At this cap the window is about
+        # 9 times a thread's scratch.
         cap = 10 ** 6
         mu = stable_z_measure(1.0)
         # a full window squares at cyclic length 3 cap + 1 (this also loads
         # scipy.fft before tracing starts)
         n1, n2 = measures._four_step_shape(3 * cap + 1)
+        measures._twiddles.cache_clear()
         tracemalloc.start()
         try:
             tv_dispersion_z(mu.to_pmf_on_z(cap), 1, [16, 256, 4096], cap)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        spectrum = 8 * (n1 // 2 + 1) * n2
+        spectrum = 16 * (n1 // 2 + 1) * (n2 // 2 + 1)
         window = 8 * (2 * cap + 1)
-        threads = min(greenlab.CPUS, -(-n2 // measures.SLAB_COLUMNS))
+        half = 8 * (cap + 1)
+        held = max(window + half, half + spectrum)
+        threads = min(greenlab.CPUS, -(-(n2 // 2 + 1) // measures.SLAB_COLUMNS))
         slabs = threads * 4 * 8 * n1 * measures.SLAB_COLUMNS
         tables = 16 * (n1 // 2 + 1) * 2 * (math.isqrt(n2 - 1) + 1)
-        assert peak <= spectrum + window + slabs + tables + 2 ** 20, \
-            (peak - spectrum - window) / (slabs + tables)
+        assert peak <= held + slabs + tables + 2 ** 20, \
+            (peak - held) / (slabs + tables)
 
     def test_non_power_checkpoint_rejected(self):
         pmf = pmf_from_dict({-1: 0.5, 1: 0.5})
