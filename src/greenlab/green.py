@@ -13,9 +13,13 @@ choice is recorded on the domain.  Exit laws are arrays over that
 boundary, one row per start point, from one killed solve.
 
 Domains on Z^d and Heis3 are sorted int64 keys of their points in a
-mixed-radix box that also holds every neighbour (``_KeyBox``): a lookup is
-a binary search, a step shifts the keys, and coordinates are decoded a
-chunk at a time where a caller needs them.  A domain costs 8 bytes a point.
+mixed-radix box that also holds every neighbour (``groups.KeyBox``): a
+lookup is a binary search, a step shifts the keys, and coordinates are
+decoded by integer division, a chunk at a time, where a caller needs them.
+A domain costs 8 bytes a point.  L1 balls on Z^d are written as keys slab
+by slab; every other ball (Heis3's, or one of a non-unit support) is the
+key BFS ``groups.ball_keys``, whose keys are re-keyed into the domain's
+box in one pass.
 
 A lattice or Heis3 table above QUOTIENT_MIN points is solved on the orbit
 quotient of its symmetries.  The maps that fix every source, preserve mu
@@ -24,11 +28,16 @@ the H-orbits.  On Z^d they are the signed permutations of the axes; on a
 ball about the origin with SRW and the origin as source, |H| = 48.  On
 Heis3 they are the sign automorphisms (a, b, c) -> (e a, f b, e f c), e, f
 = +-1; from the sources e and (1, 0, 0) only (a, -b, -c) is left, |H| = 2.
+Each point's orbit is named by its canonical key, the key of one point
+of the orbit computed from the point's coordinates, so the orbits are
+labelled in one pass with a binary search among the representatives only.
 The solver assembles the Galerkin quotient Q^T (I - P) Q (Q the orbit
 indicator) on one representative per orbit, solves it, and lifts the
 solution back to Omega (Fassler & Stiefel, *Group Theoretical Methods and
-Their Applications*, 1992).  Any other table is the quotient by the
-trivial orbits: there is one assembly.
+Their Applications*, 1992).  CG on a quotient runs on its symmetric
+scaling by the orbit sizes, whose residual has the full system's 2-norm.
+Any other table is the quotient by the trivial orbits: there is one
+assembly.
 
 Every killed system, full or quotient, is solved by one of two methods: a
 direct factorization, or plain conjugate gradients.  SciPy's sparse
@@ -50,7 +59,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import gc
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -288,74 +296,26 @@ class _FreeBallDomain(Domain):
         return table
 
 
-class _KeyBox:
-    """The box [lo, hi] of coordinate rows, with the mixed-radix int64 key
-    of each of its points: key(x) = sum_k (x_k - lo_k) stride_k, strides in
-    C order.  Keys are dense in [0, volume) and increase in lexicographic
-    order, and between two points of the box they differ by the key offset
-    sum_k v_k stride_k of the coordinate difference v."""
-
-    def __init__(self, lo, hi):
-        self.lo = np.asarray(lo, dtype=np.int64)
-        self.hi = np.asarray(hi, dtype=np.int64)
-        self.shape = tuple(int(k) for k in self.hi - self.lo + 1)
-        self.strides = np.array([math.prod(self.shape[k + 1:])
-                                 for k in range(len(self.shape))], dtype=np.int64)
-
-    def keys(self, rows: np.ndarray) -> np.ndarray:
-        """The key of each row, -1 outside the box, _CHUNK_ROWS rows at a
-        time."""
-        out = np.empty(len(rows), dtype=np.int64)
-        for s in _chunks(len(rows)):
-            rel = rows[s] - self.lo
-            # column by column: np.all over the short axis 1 is several times slower
-            ok = np.logical_and.reduce([(c >= 0) & (c < size)
-                                        for c, size in zip(rel.T, self.shape)])
-            flat = np.ravel_multi_index(tuple(rel.T), self.shape, mode="clip")
-            out[s] = np.where(ok, flat, -1)
-        return out
-
-    def rows(self, keys: np.ndarray) -> np.ndarray:
-        """The coordinate rows of keys of the box."""
-        return np.stack(np.unravel_index(keys, self.shape), axis=1) + self.lo
-
-    def holds(self, lo, hi) -> bool:
-        """Whether the box [lo, hi] lies inside this one."""
-        return bool((self.lo <= lo).all() and (hi <= self.hi).all())
-
-
-def _image_span(spec: GroupSpec, lo: np.ndarray, hi: np.ndarray, step) -> tuple:
-    """(lo, hi) of the products x * step over the box [lo, hi]: every
-    coordinate of a product is affine in each coordinate of x (c + c' + a b'
-    on Heis3 too), so the corners of the box attain its bounds."""
-    corners = np.array(list(itertools.product(*zip(lo, hi))), dtype=np.int64)
-    img = groups.mul_rows(spec, corners, np.asarray(step, dtype=np.int64))
-    return img.min(axis=0), img.max(axis=0)
-
-
-def _reach_box(spec: GroupSpec, support: tuple, span: tuple, lo, hi) -> _KeyBox:
+def _reach_box(spec: GroupSpec, support: tuple, span: tuple, lo, hi) -> groups.KeyBox:
     """The key box of a domain whose points span the box `span` and whose
     points and boundary span [lo, hi]: that box grown to hold every
     product of a point with a step of the support."""
-    for s in support:
-        img_lo, img_hi = _image_span(spec, *span, s)
-        lo, hi = np.minimum(lo, img_lo), np.maximum(hi, img_hi)
-    return _KeyBox(lo, hi)
+    img_lo, img_hi = groups.image_span(spec, *span, support)
+    return groups.KeyBox(np.minimum(lo, img_lo), np.maximum(hi, img_hi))
 
 
 class _LatticeDomain(Domain):
     """Finite set S on Z^d or on Heis3 (rows (a, b, c)), stored as the
-    sorted int64 keys of its points in a key box (``_KeyBox``) and, apart,
+    sorted int64 keys of its points in a key box (``groups.KeyBox``) and, apart,
     the sorted keys of its boundary: elements[i] has the i-th key and
     boundary[j] the j-th boundary key, since key order is lexicographic
     order.  Every lookup is a binary search of the keys
     (``_sorted_positions``).
 
     The key box holds S, its boundary and every product of a point of S
-    with a step of the support.  A step table therefore shifts the keys:
-    the key of x s is key(x) + offset(s), plus a b_s stride_c on Heis3 (x =
-    (a, b, c); ``groups.mul_rows`` is the group law), whenever the products
-    of S's span with s stay in the box.  A step that leaves it, as far
+    with a step of the support.  A step table therefore shifts the keys
+    (``KeyBox.product_keys``) whenever the products of S's span with s
+    stay in the box.  A step that leaves it, as far
     steps do, is taken on the decoded rows.  Rows are decoded a chunk at a
     time (``_chunks``), only where coordinates are needed, and the element
     and boundary tuples are decoded on first read.  Built from rows in
@@ -372,7 +332,7 @@ class _LatticeDomain(Domain):
 
     @classmethod
     def from_keys(cls, spec: GroupSpec, label: str, support: tuple, span: tuple,
-                  box: _KeyBox, keys: np.ndarray,
+                  box: groups.KeyBox, keys: np.ndarray,
                   bkeys: Optional[np.ndarray]) -> "_LatticeDomain":
         """The domain of sorted keys of `box` spanning `span`, which must be
         a ``_reach_box`` of the support."""
@@ -426,24 +386,19 @@ class _LatticeDomain(Domain):
         keys = self.keys[rows]
         steps = self._rows(steps)
         table = np.empty((len(keys), len(steps)), dtype=np.int64)
-        heis = self.spec.variant == "heisenberg"
-        a = None
+        first = self.box.first(keys) if self.spec.variant == "heisenberg" else None
         for k, s in enumerate(steps):
-            if not self.box.holds(*_image_span(self.spec, *self.span, s)):
-                for c in _chunks(len(keys)):
-                    moved = groups.mul_rows(self.spec, self.box.rows(keys[c]), s)
-                    table[c, k] = self._locate(self.box.keys(moved))
+            if self.box.holds(*groups.image_span(self.spec, *self.span, s)):
+                moved = self.box.product_keys(self.spec, keys, s, first)
+                table[:, k] = self._locate(moved)
                 continue
-            moved = keys + s @ self.box.strides
-            if heis and s[1]:
-                if a is None:
-                    a = keys // self.box.strides[0] + self.box.lo[0]
-                moved += a * (s[1] * self.box.strides[2])
-            table[:, k] = self._locate(moved)
+            for c in _chunks(len(keys)):
+                moved = groups.mul_rows(self.spec, self.box.rows(keys[c]), s)
+                table[c, k] = self._locate(self.box.keys(moved))
         return table
 
 
-def _l1_ball_keys(box: _KeyBox, center: np.ndarray, radius: int,
+def _l1_ball_keys(box: groups.KeyBox, center: np.ndarray, radius: int,
                   shell: bool) -> np.ndarray:
     """Keys in `box` of the points x of Z^d with |x - center|_1 <= radius
     (or == radius + 1 when shell), in lexicographic order.
@@ -509,9 +464,36 @@ def ball_domain(spec: GroupSpec, mu: StepMeasure, radius: int, center=None,
         bkeys = _l1_ball_keys(box, c, radius, True) if with_boundary else None
         return _LatticeDomain.from_keys(spec, label, support, span, box,
                                         _l1_ball_keys(box, c, radius, False), bkeys)
-    coords, _, bcoords = groups.layer_ball(spec, center, steps, radius,
-                                           with_boundary)
-    return _LatticeDomain(spec, label, coords, bcoords, support)
+    # the BFS box holds B(center, radius + 1); the domain's own box is the
+    # _reach_box of its span, and both key orders are lexicographic, so the
+    # re-keyed keys stay sorted
+    bfs, keys, _, bkeys = groups.ball_keys(spec, center, steps, radius, with_boundary)
+    span = _key_span(bfs, keys)
+    lo, hi = span if bkeys is None else _key_span(bfs, bkeys, *span)
+    box = _reach_box(spec, support, span, lo, hi)
+    return _LatticeDomain.from_keys(spec, label, support, span, box,
+                                    _rekeyed(bfs, keys, box),
+                                    None if bkeys is None else _rekeyed(bfs, bkeys, box))
+
+
+def _key_span(box: groups.KeyBox, keys: np.ndarray, lo=None, hi=None) -> tuple:
+    """(lo, hi) of the points of keys of `box`, and of the box [lo, hi]
+    when given, decoded _CHUNK_ROWS keys at a time."""
+    lo = box.hi if lo is None else lo
+    hi = box.lo if hi is None else hi
+    for s in _chunks(len(keys)):
+        rows = box.rows(keys[s])
+        lo, hi = np.minimum(lo, rows.min(axis=0)), np.maximum(hi, rows.max(axis=0))
+    return lo, hi
+
+
+def _rekeyed(box: groups.KeyBox, keys: np.ndarray, into: groups.KeyBox) -> np.ndarray:
+    """The keys in `into`, which holds their points, of keys of `box`,
+    _CHUNK_ROWS at a time; sorted keys stay sorted."""
+    out = np.empty_like(keys)
+    for s in _chunks(len(keys)):
+        out[s] = into.inner_keys(box.rows(keys[s]))
+    return out
 
 
 def box_domain(spec: GroupSpec, mu: StepMeasure, halfwidth: int) -> Domain:
@@ -680,18 +662,21 @@ def _symmetry_orbits(omega: Domain, mu: StepMeasure, sources: list) -> _Orbits:
     """Orbits of a symmetry group H of a lattice or Heis3 domain above
     QUOTIENT_MIN points; the trivial orbits elsewhere.
 
-    On Z^d, H is generated by the axis moves of ``_axis_symmetries``, and
-    the representative of an orbit is its canonical point: |x_k| on the
-    flippable axes, then the coordinates of each block in ascending order
-    (sorted by compare-exchange passes over the block's columns).  On
-    Heis3, H is the sign automorphisms of ``_sign_automorphisms``, and the
-    representative of an orbit is its point of least index, the least
-    position among a point's images.  Points are decoded, mapped and
-    located _CHUNK_ROWS at a time, and the orbit numbers (the rank of each
-    representative among the m of them, by a chunked binary search)
-    overwrite the located indices in place, so beyond the domain the pass
-    holds one n-length int64 array, one boolean one and the m
-    representatives.
+    Each point's orbit is named by its canonical key.  On Z^d, H is
+    generated by the axis moves of ``_axis_symmetries``, and the canonical
+    key is the key of the canonical point: |x_k| on the flippable axes,
+    then the coordinates of each block in ascending order (sorted by
+    compare-exchange passes over the block's columns).  On Heis3, H is the
+    sign automorphisms of ``_sign_automorphisms``, and the canonical key is
+    the least key among the point's images, that is its image of least
+    index.  Omega is H-invariant, so every image lies in the key box and
+    its key is computed, not looked up.  A point represents its orbit
+    exactly when its canonical key is its own key, and its orbit number is
+    the rank of its canonical key among the m representatives' keys, by a
+    binary search.  Points are decoded and canonicalised _CHUNK_ROWS at a
+    time, and the orbit numbers overwrite the canonical keys in place, so
+    beyond the domain the pass holds one n-length int64 array, one boolean
+    one and the m representatives.
     """
     n = len(omega)
     if omega.spec.variant == "free" or n <= QUOTIENT_MIN:
@@ -704,31 +689,31 @@ def _symmetry_orbits(omega: Domain, mu: StepMeasure, sources: list) -> _Orbits:
         order = 2 ** len(flips) * math.prod(math.factorial(len(b)) for b in blocks)
     if order == 1:
         return _Orbits.trivial(n)
-    # the representative of each row's orbit, located chunk by chunk; then
-    # each entry of `first` is relabelled in place by its orbit's number
-    first = np.empty(n, dtype=np.int64)
+    box = omega.box
+    label = np.empty(n, dtype=np.int64)     # canonical keys, then orbit numbers
+    is_rep = np.empty(n, dtype=bool)
     for s in _chunks(n):
-        rows = omega.box.rows(omega.keys[s])
+        rows = box.rows(omega.keys[s])
         if omega.spec.variant == "heisenberg":
-            first[s] = np.arange(s.start, s.stop)
+            label[s] = omega.keys[s]
             for sign in signs:
-                np.minimum(first[s], omega.positions(rows * sign), out=first[s])
+                np.minimum(label[s], box.inner_keys(rows * sign), out=label[s])
         else:
-            canon = rows.T.copy()           # one contiguous row per axis
+            canon = rows.T                  # one contiguous row per axis
             canon[flips] = np.abs(canon[flips])
             for b in blocks:
                 for top in range(len(b) - 1, 0, -1):
                     for j in range(top):
                         x, y = canon[b[j]], canon[b[j + 1]]
                         canon[b[j]], canon[b[j + 1]] = np.minimum(x, y), np.maximum(x, y)
-            first[s] = omega.positions(canon.T)
-    is_rep = np.zeros(n, dtype=bool)
-    is_rep[first] = True
+            label[s] = box.inner_keys(canon.T)
+        np.equal(label[s], omega.keys[s], out=is_rep[s])
     reps = np.flatnonzero(is_rep)
     del is_rep
+    rep_keys = omega.keys[reps]
     for s in _chunks(n):
-        first[s] = np.searchsorted(reps, first[s])
-    return _Orbits(order, first, reps, np.bincount(first).astype(np.float64))
+        label[s] = np.searchsorted(rep_keys, label[s])
+    return _Orbits(order, label, reps, np.bincount(label).astype(np.float64))
 
 
 def _operator(omega: Domain, mu: StepMeasure,
@@ -817,6 +802,16 @@ def cg(mat, rhs: np.ndarray, tol: float, maxiter: int) -> tuple:
     raise SolverError(f"CG did not reach the tolerance {tol:g} in {maxiter} iterations")
 
 
+def _scale_symmetrically(mat, scale: np.ndarray) -> None:
+    """mat <- D mat D for D = diag(scale), in place, _CHUNK_ROWS rows at a
+    time with one temporary at once."""
+    for rows in _chunks(mat.shape[0]):
+        lo, hi = mat.indptr[rows.start], mat.indptr[rows.stop]
+        part = mat.data[lo:hi]
+        part *= scale[mat.indices[lo:hi]]
+        part *= np.repeat(scale[rows], np.diff(mat.indptr[rows.start:rows.stop + 1]))
+
+
 def killed_green_solve(omega: Domain, sources: list, mu: StepMeasure,
                        tol: float = DEFAULT_TOL, method: str = "auto") -> GreenTable:
     """Solve (I - P_Omega) v = delta_a per source by an SPD method.
@@ -825,9 +820,14 @@ def killed_green_solve(omega: Domain, sources: list, mu: StepMeasure,
     orbit quotient of its symmetries H (``_symmetry_orbits``): v is constant
     on H-orbits, so it lifts from the solution u of the Galerkin quotient
     M u = e_{orbit(a)} (``_operator``) by v = u[orbit].  The residual of v
-    is H-invariant, so its max norm is max_i |(M u - rhs)_i| / w_i, and
-    the 2-norm of the quotient residual bounds the full one from above.
-    When H is trivial the quotient is the full system.
+    is H-invariant, equal to (M u - e)_i / w_i on orbit i (w_i its size),
+    so its max norm is max_i |(M u - e)_i| / w_i and its squared 2-norm
+    sum_i (M u - e)_i^2 / w_i.  CG on a quotient of order > 1 therefore
+    runs on D^-1/2 M D^-1/2 y = D^-1/2 e, D = diag(w) and u = D^-1/2 y:
+    that system's residual D^-1/2 (M u - e) has the full residual's 2-norm,
+    so CG stops where it would on the full system, and the max norm is
+    read from it as max_i |D^-1/2 (M u - e)|_i / w_i^1/2.  When H is
+    trivial the quotient is the full system.
 
     method "direct" factorizes the system once (``splu``), "cg" runs plain
     conjugate gradients (``cg``) per source, and "auto" factorizes below
@@ -843,13 +843,21 @@ def killed_green_solve(omega: Domain, sources: list, mu: StepMeasure,
             raise ValueError(f"source {a!r} outside the domain")
     orbits = _symmetry_orbits(omega, mu, sources)
     mat = _operator(omega, mu, orbits)
-    m = len(orbits.reps)
+    order, label, sizes, m = orbits.order, orbits.label, orbits.sizes, len(orbits.reps)
+    del orbits                  # frees the representatives: M is assembled
     if method == "auto":
         if m <= DIRECT_SOLVE_MAX or (len(sources) > 8 and m <= 120000):
             method = "direct"
         else:
             method = "cg"
     lu = spla.splu(mat.tocsc()) if method == "direct" else None
+    # CG on a quotient of order > 1 runs on D^-1/2 M D^-1/2 (D the orbit
+    # sizes), whose residual's 2-norm is the lifted full residual's; the
+    # sizes are not read again, so they become D^-1/2 in place
+    scale = None
+    if lu is None and order > 1:
+        scale = np.reciprocal(np.sqrt(sizes, out=sizes), out=sizes)
+        _scale_symmetrically(mat, scale)
     vals = np.zeros((len(sources), len(omega)))
     residuals = np.zeros(len(sources))
     iterations = np.zeros(len(sources), dtype=np.int64)
@@ -857,21 +865,28 @@ def killed_green_solve(omega: Domain, sources: list, mu: StepMeasure,
     def solve(i: int) -> None:
         a = sources[i]
         rhs = np.zeros(m)
-        rhs[orbits.label[omega.lookup(a)]] = 1.0
+        rhs[label[omega.lookup(a)]] = 1.0
+        if scale is not None:
+            rhs *= scale
         if lu is not None:
             u = lu.solve(rhs)
         else:
             u, iterations[i] = cg(mat, rhs, tol, 20 * m)
-        res = float(np.max(np.abs(mat @ u - rhs) / orbits.sizes))
+        # the full residual on orbit i is (M u - e)_i / w_i, which is the
+        # scaled system's residual times scale_i
+        res = np.abs(mat @ u - rhs)
+        res = float(np.max(res / sizes if scale is None else res * scale))
         if res > 100 * max(tol, 1e-14):
             raise SolverError(f"residual {res:g} above tolerance for source {a!r}")
+        if scale is not None:
+            u *= scale
         # every label lies in [0, m); mode "raise" would buffer the whole row
-        np.take(u, orbits.label, out=vals[i], mode="clip")
+        np.take(u, label, out=vals[i], mode="clip")
         residuals[i] = res
 
     thread_map(solve, len(sources))
     return GreenTable(omega, list(sources), vals, residuals, tol, method,
-                      iterations, orbits.order, m)
+                      iterations, order, m)
 
 
 # ---------------------------------------------------------------------------

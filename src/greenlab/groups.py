@@ -12,13 +12,17 @@ equality:
   (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a*b')
 
 ``word_length`` is the one word metric in the standard generators, and
-``layer_ball`` the one enumerator of word balls.
+``ball_keys`` (decoded to rows by ``layer_ball``) the one enumerator of
+word balls on lattices and Heis3, over int64 keys in a ``KeyBox``.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -191,36 +195,141 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[np.append(True, keys[1:] != keys[:-1])]
 
 
+class KeyBox:
+    """The box [lo, hi] of coordinate rows, with the mixed-radix int64 key
+    of each of its points: key(x) = sum_k (x_k - lo_k) stride_k, strides in
+    C order.  Keys are dense in [0, volume) and increase in lexicographic
+    order, and between two points of the box they differ by the key offset
+    sum_k v_k stride_k of the coordinate difference v.  A box of more than
+    KEY_VOLUME_MAX points raises OverflowError, so that a key plus a step's
+    offset never leaves int64."""
+
+    def __init__(self, lo, hi):
+        shape = [int(b) - int(a) + 1 for a, b in zip(lo, hi)]
+        if math.prod(shape) > KEY_VOLUME_MAX:
+            raise OverflowError(f"a key box of shape {tuple(shape)} has more "
+                                f"than {KEY_VOLUME_MAX} points")
+        self.lo = np.array([int(a) for a in lo], dtype=np.int64)
+        self.hi = np.array([int(b) for b in hi], dtype=np.int64)
+        self.shape = tuple(shape)
+        self.strides = np.array([math.prod(shape[k + 1:]) for k in range(len(shape))],
+                                dtype=np.int64)
+
+    def keys(self, rows: np.ndarray) -> np.ndarray:
+        """The key of each row, -1 outside the box."""
+        rows = np.asarray(rows, dtype=np.int64)
+        # column by column: np.all over the short axis 1 is several times slower
+        ok = np.logical_and.reduce([(c >= a) & (c <= b)
+                                    for c, a, b in zip(rows.T, self.lo, self.hi)])
+        return np.where(ok, self.inner_keys(rows), -1)
+
+    def inner_keys(self, rows: np.ndarray) -> np.ndarray:
+        """The key of each row, every row lying in the box (unchecked)."""
+        return (rows - self.lo) @ self.strides
+
+    def rows(self, keys: np.ndarray) -> np.ndarray:
+        """The coordinate rows of keys of the box, by integer division: a
+        (len(keys), d) view of one array that holds an axis at a time."""
+        out = np.empty((len(self.shape), len(keys)), dtype=np.int64)
+        rest = out[0] = keys
+        for k, stride in enumerate(self.strides[:-1]):
+            np.divmod(rest, stride, out=(out[k], out[k + 1]))
+            rest = out[k + 1]
+        out += self.lo[:, None]
+        return out.T
+
+    def first(self, keys: np.ndarray) -> np.ndarray:
+        """The first coordinate of the point of each key."""
+        return keys // self.strides[0] + self.lo[0]
+
+    def holds(self, lo, hi) -> bool:
+        """Whether the box [lo, hi] lies inside this one."""
+        return bool((self.lo <= lo).all() and (hi <= self.hi).all())
+
+    def product_keys(self, spec: GroupSpec, keys: np.ndarray, step,
+                     first: Optional[np.ndarray] = None) -> np.ndarray:
+        """The keys of the products x * step for the keys of points x, every
+        product lying in the box: key(x) plus the step's key offset, and on
+        Heis3, where x * step = (a + a', b + b', c + c' + a b'), plus a b'
+        stride_c.  `first` is the first coordinate a of each x, decoded
+        from the keys when not given."""
+        step = np.asarray(step, dtype=np.int64)
+        moved = keys + step @ self.strides
+        if spec.variant == "heisenberg" and step[1]:
+            if first is None:
+                first = self.first(keys)
+            moved += first * (step[1] * self.strides[2])
+        return moved
+
+
+# Largest key box: a key plus a step's offset and, on Heis3, its a b' term
+# stays below 4 x KEY_VOLUME_MAX.
+KEY_VOLUME_MAX = 2 ** 60
+
+
+def image_span(spec: GroupSpec, lo, hi, steps) -> tuple:
+    """(lo, hi) of the box [lo, hi] and of the products x * s of its points
+    x with the steps s: every coordinate of a product is affine in each
+    coordinate of x (c + c' + a b' on Heis3 too), so the corners of the box
+    attain its bounds.  Exact in the dtype of lo, int64 or object (Python
+    ints)."""
+    lo = np.asarray(lo)
+    corners = np.array(list(itertools.product(*zip(lo, hi))), dtype=lo.dtype)
+    steps = np.asarray(steps, dtype=lo.dtype).reshape(-1, len(lo))
+    img = np.concatenate([corners, mul_rows(spec, corners[:, None], steps)
+                          .reshape(-1, len(lo))])
+    return img.min(axis=0), img.max(axis=0)
+
+
+def ball_keys(spec: GroupSpec, center, steps, radius: int,
+              with_boundary: bool = False) -> tuple:
+    """(box, keys, layers, bkeys): the sorted keys in `box` of B(center,
+    radius) in the Cayley graph of the finite step set `steps` on a lattice
+    or on Heis3, the layer (distance from center) of each key, and, when
+    asked, the sorted keys of the outer boundary (the layer at distance
+    radius + 1); otherwise None.  No symmetry of the steps is assumed.
+
+    The box is fixed up front to hold B(center, radius + 1): the span of
+    each ball holds the span of the last one and its products with every
+    step (``image_span``, in exact integers), and a box whose keys would not
+    fit int64 raises OverflowError.  So the keys of a layer's products with
+    the steps are shifts of its keys (``KeyBox.product_keys``).  The next
+    layer is their sorted unique keys not yet visited, found by one binary
+    search against the visited keys and then merged into them."""
+    steps = np.array(steps, dtype=np.int64).reshape(len(steps), len(center))
+    lo = hi = np.array(center, dtype=object)
+    for _ in range(radius + 1):
+        lo, hi = image_span(spec, lo, hi, steps)
+    box = KeyBox(lo, hi)
+    keys = frontier = box.keys(np.array([center], dtype=np.int64))
+    layers = np.zeros(1, dtype=np.int32)
+    heis = spec.variant == "heisenberg"
+    for r in range(radius + int(with_boundary)):
+        first = box.first(frontier) if heis else None
+        nbrs = np.empty((len(steps), len(frontier)), dtype=np.int64)
+        for k, s in enumerate(steps):
+            nbrs[k] = box.product_keys(spec, frontier, s, first)
+        nbrs = sorted_unique(nbrs.ravel())
+        at = np.searchsorted(keys, nbrs)
+        new = keys[np.minimum(at, len(keys) - 1)] != nbrs
+        frontier = nbrs[new]
+        if r < radius:
+            keys = np.insert(keys, at[new], frontier)
+            layers = np.insert(layers, at[new], r + 1)
+    return box, keys, layers, (frontier if with_boundary else None)
+
+
 def layer_ball(spec: GroupSpec, center, steps, radius: int,
                with_boundary: bool = False) -> tuple:
     """(rows, layers, boundary): the int64 coordinate rows of B(center,
     radius) in the Cayley graph of `steps` on a lattice or on Heis3, in
     lexicographic order, the layer (distance from center) of each row, and,
     when asked, the rows of the outer boundary (the layer at distance
-    radius + 1), also in lexicographic order; otherwise None.
-
-    A layer is one row product of the frontier with every step.  Rows are
-    deduplicated by int64 keys in the mixed radix of the bounding box of
-    the rows seen so far; such a key is monotone in lexicographic order, so
-    sorted keys decode to sorted rows."""
-    ball = frontier = np.array([center], dtype=np.int64)
-    layers = np.zeros(1, dtype=np.int32)
-    lo = hi = ball[0]
-    steps = np.array(steps, dtype=np.int64).reshape(len(steps), len(lo))
-    for r in range(radius + int(with_boundary)):
-        nbrs = mul_rows(spec, frontier[:, None], steps).reshape(-1, len(lo))
-        span = np.vstack([lo, hi, nbrs])
-        lo, hi = span.min(axis=0), span.max(axis=0)
-        shape = tuple(hi - lo + 1)
-        known = np.ravel_multi_index(tuple((ball - lo).T), shape)
-        keys = sorted_unique(np.ravel_multi_index(tuple((nbrs - lo).T), shape))
-        at = np.searchsorted(known, keys)
-        new = known[np.minimum(at, len(known) - 1)] != keys
-        frontier = np.stack(np.unravel_index(keys[new], shape), axis=1) + lo
-        if r < radius:
-            ball = np.insert(ball, at[new], frontier, axis=0)
-            layers = np.insert(layers, at[new], r + 1)
-    return ball, layers, (frontier if with_boundary else None)
+    radius + 1), also in lexicographic order; otherwise None.  The rows
+    are the decoded keys of ``ball_keys``, in key order, which is
+    lexicographic order."""
+    box, keys, layers, bkeys = ball_keys(spec, center, steps, radius, with_boundary)
+    return box.rows(keys), layers, (None if bkeys is None else box.rows(bkeys))
 
 
 # ---------------------------------------------------------------------------

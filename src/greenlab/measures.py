@@ -90,13 +90,14 @@ class PmfOnZ:
 
     def __post_init__(self, _mass):
         self.vals = np.asarray(self.vals, dtype=np.float64)
-        # a reduction, not an n-byte boolean temporary
-        if self.vals.size and self.vals.min() < -1e-15:
+        # a reduction, not an n-byte boolean temporary; each check is
+        # written "not (x >= bound)" so that a NaN fails it
+        if self.vals.size and not self.vals.min() >= -1e-15:
             raise ValueError("pmf values must be nonnegative")
         if _mass is None:
             _mass = float(self.vals.sum())
         total = _mass + self.delta_trunc
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"mass + delta_trunc = {total} is not 1")
 
     @property

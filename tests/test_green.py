@@ -81,6 +81,22 @@ class TestDomains:
         assert len(dom) == 125
         assert (3, 0, 0) in dom.boundary and (2, 2, 2) in dom
 
+    def test_heis3_ball_build_peak_allocation(self):
+        # the key BFS holds its visited keys and their layers, twice while a
+        # layer is merged in, and the last frontier's products; the keys are
+        # then re-keyed into the domain's box.  B(28), 261,815 points and
+        # 39,508 boundary points, reads 3.8 x the domain's keys (8.8 MiB);
+        # the row BFS and the round trip through rows read 10.9 (25.1 MiB)
+        tracemalloc.start()
+        try:
+            dom = ball_domain(HEIS, srw(HEIS), 28)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        own = dom.keys.nbytes + dom._bkeys.nbytes
+        assert (len(dom), len(dom.boundary)) == (261_815, 39_508)
+        assert peak <= 4 * own + 2 ** 20, peak / own
+
     def test_transience_guard(self):
         check_transient(Z3)
         for d in (1, 2):
@@ -144,7 +160,7 @@ class TestChunkedBuilders:
         # the keys, in a box with room to spare about an off-origin centre,
         # decode to the rows of the ball in lexicographic order
         center = np.arange(1, d + 1) * [(-1) ** k for k in range(d)]
-        box = green._KeyBox(center - radius - 3, center + radius + 2)
+        box = groups.KeyBox(center - radius - 3, center + radius + 2)
         keys = green._l1_ball_keys(box, center, radius, shell)
         coords = box.rows(keys)
         want = whole_ball_coords(d, radius, shell) + center
@@ -182,6 +198,34 @@ class TestChunkedBuilders:
         assert orbits.label.dtype == label.dtype and np.array_equal(orbits.label, label)
         assert np.array_equal(orbits.reps, reps)
         assert np.array_equal(orbits.sizes, sizes)
+
+    @pytest.mark.parametrize("sources, order", [([E3], 4), ([E3, (1, 0, 0)], 2)],
+                             ids=["e", "e-and-x"])
+    def test_heis3_symmetry_orbits(self, sources, order, monkeypatch):
+        # the least key among the sign images, a chunk at a time, names the
+        # orbits as the least index among their located images does, from
+        # all rows at once
+        monkeypatch.setattr(green, "QUOTIENT_MIN", 100)
+        mu = srw(HEIS)
+        omega = ball_domain(HEIS, mu, 8, with_boundary=False)
+        orbits = green._symmetry_orbits(omega, mu, sources)
+        signs = [[1, -1, -1], [-1, 1, -1], [-1, -1, 1]][:order - 1]
+        label, reps, sizes = whole_heis3_orbits(omega, signs)
+        assert orbits.order == order and len(omega) > 7 * green._CHUNK_ROWS
+        assert orbits.label.dtype == label.dtype and np.array_equal(orbits.label, label)
+        assert np.array_equal(orbits.reps, reps)
+        assert np.array_equal(orbits.sizes, sizes)
+
+
+def whole_heis3_orbits(omega, signs):
+    """(label, reps, sizes) of the orbits of the given sign automorphisms
+    (a, b, c) -> (e a, f b, e f c), each represented by its point of least
+    index among its images, located from all rows at once."""
+    rows = np.array(omega.elements, dtype=np.int64)
+    first = np.arange(len(omega))
+    for sign in signs:
+        np.minimum(first, omega.positions(rows * sign), out=first)
+    return cumsum_relabel(first)
 
 
 @pytest.mark.parametrize("spec, radius, order", [(Z3, 44, 48), (HEIS, 23, 4)],
@@ -665,6 +709,30 @@ class TestOrbitQuotient:
         assert table.unknowns < len(omega) / order + radius ** 2
         assert full.unknowns == len(omega)
         assert np.max(np.abs(table.values - full.values)) <= table.tol
+
+    @pytest.mark.parametrize("spec, radius, source", [(Z3, 20, E3), (Z3, 20, (1, 0, 0)),
+                                                      (HEIS, 10, E3)],
+                             ids=["z3-e", "z3-x", "heis3-e"])
+    def test_scaled_cg_stops_on_the_full_residual(self, spec, radius, source):
+        # CG on D^-1/2 M D^-1/2 (D the orbit sizes) takes fewer iterations
+        # than on M (Z^3 B(20): 68 against 94 from e, 96 against 125 from
+        # (1, 0, 0); Heis3 B(10) from e: 47 against 49), stops where the
+        # full system's 2-norm rule would, reports the full max-norm
+        # residual, and agrees with the full system to the tolerance
+        mu = srw(spec)
+        omega = ball_domain(spec, mu, radius, with_boundary=False)
+        table = killed_green_solve(omega, [source], mu, method="cg")
+        orbits = green._symmetry_orbits(omega, mu, [source])
+        m = len(orbits.reps)
+        rhs = np.zeros(m)
+        rhs[orbits.label[omega.lookup(source)]] = 1.0
+        _, unscaled = green.cg(green._operator(omega, mu, orbits), rhs, table.tol, 20 * m)
+        assert table.symmetry_order > 1 and table.iterations[0] < unscaled
+        full = green._operator(omega, mu) @ table.row(source) - unit_rhs(omega, source)
+        assert np.linalg.norm(full) < table.tol
+        assert np.max(np.abs(full)) == pytest.approx(table.residuals[0], rel=1e-6, abs=0)
+        direct = full_direct_row(omega, mu, source)
+        assert np.max(np.abs(table.row(source) - direct)) <= table.tol
 
     @pytest.mark.parametrize("center, source", [(None, ASYMMETRIC), (ASYMMETRIC, E3)])
     def test_trivial_stabiliser_solves_the_full_system(self, center, source):

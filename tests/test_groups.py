@@ -30,6 +30,16 @@ def srw(spec):
     return uniform_on_generators(standard_generators(spec))
 
 
+# step sets for the layer BFS: Heis3's generators, Z^3 with +-2 e2 in
+# place of +-e2, and a one-way Heis3 set (no step's inverse is a step)
+LAYER_LAWS = {
+    "heis3": (H, standard_generators(H).elements),
+    "stretched": (Z3, ((1, 0, 0), (-1, 0, 0), (0, 2, 0), (0, -2, 0), (0, 0, 1),
+                       (0, 0, -1))),
+    "one-way": (H, ((1, 0, 0), (0, 1, 0), (-1, -1, 1))),
+}
+
+
 class TestMul:
     def test_lattice_addition(self):
         assert mul(Z3, (1, 0, 0), (0, 1, 0)) == (1, 1, 0)
@@ -203,6 +213,41 @@ class TestLayerBall:
             H, center, standard_generators(H).elements, 4)
         dist = reference_ball(H, 4, center=center)
         assert bdry is None
+        assert dict(zip(map(tuple, rows.tolist()), layers.tolist())) == dist
+
+    @given(law=st.sampled_from(sorted(LAYER_LAWS)), radius=st.integers(0, 4),
+           center=st.one_of(st.just((0, 0, 0)),
+                            st.tuples(st.integers(-5, 5), st.integers(-5, 5),
+                                      st.integers(-9, 9))),
+           with_boundary=st.booleans())
+    def test_matches_reference_bfs(self, law, radius, center, with_boundary):
+        # rows, layers and boundary of the key BFS against the pure-Python
+        # one, for unit, stretched and one-way steps, on and off centre
+        spec, steps = LAYER_LAWS[law]
+        rows, layers, bdry = groups.layer_ball(spec, center, steps, radius,
+                                               with_boundary)
+        dist = reference_ball(spec, radius + 1, steps, center)
+        got = [tuple(g) for g in rows.tolist()]
+        assert got == sorted(g for g, d in dist.items() if d <= radius)
+        assert layers.tolist() == [dist[g] for g in got]
+        if with_boundary:
+            assert [tuple(g) for g in bdry.tolist()] == sorted(
+                g for g, d in dist.items() if d == radius + 1)
+        else:
+            assert bdry is None
+
+    def test_key_range_is_guarded(self):
+        # the Heis3 step (0, 1, 0) moves c by a, so the key box of a ball
+        # grows with |a| at its centre: at a = 2^30 it still fits int64
+        # keys, at a = 2^56 it does not, although the ball is small
+        with pytest.raises(OverflowError):
+            groups.KeyBox((0, 0), (2 ** 31, 2 ** 31))
+        gens = standard_generators(H).elements
+        with pytest.raises(OverflowError):
+            groups.layer_ball(H, (2 ** 56, 0, 0), gens, 2)
+        center = (2 ** 30, 1, -3)
+        rows, layers, _ = groups.layer_ball(H, center, gens, 2)
+        dist = reference_ball(H, 2, center=center)
         assert dict(zip(map(tuple, rows.tolist()), layers.tolist())) == dist
 
 

@@ -1147,6 +1147,25 @@ class TestPmfOnZ:
                 PmfOnZ(np.array(vals), 0, delta, float(np.sum(vals)))
         PmfOnZ(np.array([0.5, 0.5 - 5e-10]), 0)
 
+    def test_nan_value_rejected(self):
+        # NaN compares false with everything, so a "below the bound" test
+        # would let it through
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            PmfOnZ(np.array([np.nan, 1.0]), 0)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            PmfOnZ(np.array([0.5, np.nan, 0.5]), -1, 0.0, 1.0)
+
+    def test_nan_mass_rejected(self):
+        # a NaN sum passed with the window
+        with pytest.raises(ValueError, match="is not 1"):
+            PmfOnZ(np.array([0.5, 0.5]), 0, 0.0, float("nan"))
+
+    def test_nan_delta_trunc_rejected(self):
+        # with the window's own sum and with a sum passed with it
+        for mass in (None, 1.0):
+            with pytest.raises(ValueError, match="is not 1"):
+                PmfOnZ(np.array([0.5, 0.5]), 0, float("nan"), mass)
+
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_mirror_check_in_blocks(self, block, monkeypatch):
         # one ulp off at any index, in blocks that split the halves
