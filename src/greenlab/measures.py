@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
 import numpy as np
@@ -76,38 +76,129 @@ def _shell_f(r: np.ndarray) -> np.ndarray:
 # Integer pmfs with truncation bookkeeping
 # ---------------------------------------------------------------------------
 
-@dataclass
 class PmfOnZ:
-    """Pmf on Z as a dense array over [lo, lo+len), with tracked clipped mass.
+    """Pmf on Z over the window [lo, hi], with tracked clipped mass.
 
-    _mass is float(vals.sum()) where the constructing code has just taken
+    A dense pmf holds the window's values.  An even one, p(-k) = p(k) on
+    [-m, m] (PmfOnZ.even), holds only its nonnegative half p(0..m) in
+    `half`; `vals` then builds the mirrored window anew on each read, and
+    the streaming readers (pieces, read) serve any run of window points
+    from the half.
+
+    _mass is the window's sum where the constructing code has just taken
     it for delta_trunc, so a window is summed once."""
 
-    vals: np.ndarray
-    lo: int
-    delta_trunc: float = 0.0
-    _mass: InitVar[Optional[float]] = None
+    def __init__(self, vals, lo: int, delta_trunc: float = 0.0,
+                 _mass: Optional[float] = None):
+        self._dense = np.asarray(vals, dtype=np.float64)
+        self.half = None
+        self.lo, self.delta_trunc = lo, delta_trunc
+        self._check(self._dense, _mass)
 
-    def __post_init__(self, _mass):
-        self.vals = np.asarray(self.vals, dtype=np.float64)
+    @classmethod
+    def even(cls, half, delta_trunc: float = 0.0,
+             _mass: Optional[float] = None) -> "PmfOnZ":
+        """The even pmf on [-m, m] whose nonnegative half p(0..m) is half."""
+        p = cls.__new__(cls)
+        p._dense, p.half = None, np.asarray(half, dtype=np.float64)
+        p.lo, p.delta_trunc = 1 - len(p.half), delta_trunc
+        p._check(p.half, _mass)
+        return p
+
+    def _check(self, stored: np.ndarray, mass: Optional[float]) -> None:
         # a reduction, not an n-byte boolean temporary; each check is
         # written "not (x >= bound)" so that a NaN fails it
-        if self.vals.size and not self.vals.min() >= -1e-15:
+        if stored.size and not stored.min() >= -1e-15:
             raise ValueError("pmf values must be nonnegative")
-        if _mass is None:
-            _mass = float(self.vals.sum())
-        total = _mass + self.delta_trunc
+        if mass is None:
+            mass = float(stored.sum()) if self.half is None else _window_sum(stored)
+        total = mass + self.delta_trunc
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"mass + delta_trunc = {total} is not 1")
 
+    def __len__(self) -> int:
+        return len(self._dense) if self.half is None else 2 * len(self.half) - 1
+
+    @property
+    def vals(self) -> np.ndarray:
+        """The window's values; a new mirrored window for an even pmf."""
+        if self.half is None:
+            return self._dense
+        return np.concatenate([self.half[:0:-1], self.half])
+
     @property
     def hi(self) -> int:
-        return self.lo + len(self.vals) - 1
+        return self.lo + len(self) - 1
 
     def at(self, k: int) -> float:
-        if self.lo <= k <= self.hi:
-            return float(self.vals[k - self.lo])
-        return 0.0
+        if not self.lo <= k <= self.hi:
+            return 0.0
+        if self.half is None:
+            return float(self._dense[k - self.lo])
+        return float(self.half[abs(k)])
+
+    def pieces(self, i: int, j: int) -> list:
+        """Window points i..j - 1 (0 <= i <= j <= len) as (offset, view)
+        runs: the dense slice, or, from the half, the reversed run of the
+        points below 0 and the run of the rest."""
+        if self.half is None:
+            return [(i, self._dense[i:j])]
+        return _half_runs(self.half, i, j)
+
+    def read(self, i: int, j: int, out: np.ndarray) -> np.ndarray:
+        """Window points i..j - 1 written into out[:j - i], which is
+        returned."""
+        return _gather(self.pieces(i, j), i, out[:j - i])
+
+
+def _half_runs(half: np.ndarray, i: int, j: int) -> list:
+    """Points i..j - 1 of the mirrored window of half, whose point w is
+    half[|w - m|] (m = len(half) - 1), as (offset, view) runs of half: the
+    reversed run below point m and the run from it."""
+    m, out = len(half) - 1, []
+    if i < m:
+        out.append((i, half[m - i:m - min(j, m):-1]))
+    if j > m:
+        out.append((max(i, m), half[max(i, m) - m:j - m]))
+    return out
+
+
+# Points per run of _window_sum: any run of at least NumPy's pairwise leaf
+# of 128 points sums as np.sum does inside the whole window.
+_SUM_RUN = 2 ** 16
+
+
+def _window_sum(half: np.ndarray) -> float:
+    """float(np.sum(w)) of the mirrored window w of half, bit for bit,
+    without building w.  NumPy sums a contiguous float64 array pairwise,
+    splitting n > 128 points at n // 2 rounded down to a multiple of 8 (its
+    pairwise_sum, numpy/_core/src/umath/loops_utils.h.src): w is split the
+    same way down to runs of at most _SUM_RUN points, and each run is
+    summed by np.sum, from a view of half where it lies at or above 0 and
+    from a block copy otherwise."""
+    n = 2 * len(half) - 1
+    return _run_sum(half, 0, n, np.empty(min(n, _SUM_RUN)))
+
+
+def _run_sum(half: np.ndarray, i: int, j: int, buf: np.ndarray) -> float:
+    """np.sum of points i..j - 1 of the mirrored window of half, with buf
+    as the block scratch (_window_sum)."""
+    if j - i > len(buf):
+        h = (j - i) // 2
+        h -= h % 8
+        return _run_sum(half, i, i + h, buf) + _run_sum(half, i + h, j, buf)
+    m = len(half) - 1
+    if i >= m:
+        return float(half[i - m:j - m].sum())
+    return float(_gather(_half_runs(half, i, j), i, buf[:j - i]).sum())
+
+
+def _gather(runs: list, i: int, out: np.ndarray) -> np.ndarray:
+    """out, holding the (offset, view) runs of window points from point i
+    on."""
+    for k, v in runs:
+        out[k - i:k - i + len(v)] = v
+    return out
 
 
 def pmf_from_dict(d: dict, delta_trunc: float = 0.0) -> PmfOnZ:
@@ -129,21 +220,23 @@ def convolve_z(p: PmfOnZ, q: PmfOnZ, cap: int) -> PmfOnZ:
     which exceeds n - 1, or k - N, which is negative.  So the kept values
     are the linear convolution's, up to round-off, from a transform about
     3 cap long once the window is full, where the whole product needs
-    4 cap.  When q is p and p is exactly even about 0 (lo = -hi and vals
-    equal to their reverse, as every law that reaches a doubling chain is)
-    the square is taken on a real half spectrum from p's nonnegative half
-    (_even_square), and its window is exactly even again; any other
-    product is _cyclic_convolution, which computes one spectrum when q is
-    p and squares it.  The route depends on the inputs alone.  The inputs'
+    4 cap.  When q is p and p is even about 0 (a half-form pmf, as every
+    symmetric law's to_pmf_on_z is, or a dense window on [-m, m] equal to
+    its reverse) the square is taken on a real half spectrum from p's
+    nonnegative half (_even_square) and returned in half form, so the
+    powers of a doubling chain are even by construction and only a dense
+    input is scanned for evenness; any other product is
+    _cyclic_convolution, which computes one spectrum when q is p and
+    squares it.  The route depends on the inputs alone.  The inputs'
     arrays are handed to the transform and this call keeps no reference to
     them, so a caller that holds no other reference (the doubling chain)
-    has each input freed once it is transformed (an even input once its
-    half is copied), before the window is written.  A caller that keeps
-    its input holds it beside the squaring: on the even route that is a
-    window, the half window and the spectrum at once.  Round-off negatives
-    are clamped to 0.  All clipped mass (and any mass already missing from
-    the inputs) is accumulated into delta_trunc of the result; the window
-    is summed once, for delta_trunc and for PmfOnZ's mass check.
+    has each input freed once it is transformed (a dense even input once
+    its half is copied), before the output is written.  A caller that
+    keeps its input holds it beside the squaring.  Round-off negatives are
+    clamped to 0.  All clipped mass (and any mass already missing from the
+    inputs) is accumulated into delta_trunc of the result; the window is
+    summed once, for delta_trunc and for PmfOnZ's mass check (a half
+    through _window_sum, bit for bit np.sum of its mirrored window).
     delta_trunc = 1 - sum(kept) also absorbs the FFT's round-off in the
     total mass, which each squaring of a doubling chain doubles (the mass
     is squared) and adds to: for the alpha = 1 stable law at cap 2e4,
@@ -154,24 +247,27 @@ def convolve_z(p: PmfOnZ, q: PmfOnZ, cap: int) -> PmfOnZ:
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
-    n = len(p.vals) + len(q.vals) - 1
+    n = len(p) + len(q) - 1
     lo = p.lo + q.lo
     lo_keep = max(lo, -cap)
     hi_keep = min(lo + n - 1, cap)
     if hi_keep < lo_keep:
         raise ValueError("cap window misses the whole convolution support")
     a, b = lo_keep - lo, hi_keep - lo
-    if n > 4096:
-        need = max(b + 1, n - a, len(p.vals), len(q.vals))
-        even = q is p and p.lo == -p.hi and _is_mirrored(p.vals)
+    if n <= 4096:
+        kept = np.maximum(np.convolve(p.vals, q.vals)[a: b + 1], 0.0)
+    elif q is p and (p.half is not None
+                     or p.lo == -p.hi and _is_mirrored(p.vals)):
+        inputs = [p.half if p.half is not None else p.vals[-p.lo:].copy()]
+        del p, q
+        half = _even_square(inputs, hi_keep)
+        mass = _window_sum(half)
+        return PmfOnZ.even(half, max(1.0 - mass, 0.0), mass)
+    else:
+        need = max(b + 1, n - a, len(p), len(q))
         inputs = [p.vals] if q is p else [p.vals, q.vals]
         del p, q
-        if even:
-            kept = _even_square(inputs, hi_keep)
-        else:
-            kept = _cyclic_convolution(inputs, need, a, b)
-    else:
-        kept = np.maximum(np.convolve(p.vals, q.vals)[a: b + 1], 0.0)
+        kept = _cyclic_convolution(inputs, need, a, b)
     mass = float(kept.sum())
     return PmfOnZ(kept, lo_keep, max(1.0 - mass, 0.0), mass)
 
@@ -291,8 +387,7 @@ def _cyclic_convolution(inputs: list, need: int, a: int, b: int) -> np.ndarray:
             _place(block, v, 0, n2, lo, hi)
             t = fft.rfft(block, axis=0, workers=1)
             del block
-            w = twiddles.cols(lo, hi, s[:, lo:hi])
-            np.multiply(t, w, out=w)
+            np.multiply(t, twiddles.cols(lo, hi), out=s[:, lo:hi])
 
         thread_map(forward, len(slabs))
         # the input goes before another S or the output is allocated
@@ -319,13 +414,14 @@ def _cyclic_convolution(inputs: list, need: int, a: int, b: int) -> np.ndarray:
 
     def inverse(i):
         lo, hi = slabs[i]
-        # t * conj(w) as conj(conj(t) * w), in place in S: no conjugated
-        # copy of w
+        # t * conj(w) as conj(conj(t) * w), into w's contiguous columns: no
+        # conjugated copy of w
         t = s[:, lo:hi]
         np.conjugate(t, out=t)
-        t *= twiddles.cols(lo, hi)
-        np.conjugate(t, out=t)
-        r = fft.irfft(t, n1, axis=0, workers=1)
+        w = twiddles.cols(lo, hi)
+        np.multiply(t, w, out=w)
+        np.conjugate(w, out=w)
+        r = fft.irfft(w, n1, axis=0, workers=1)
         np.maximum(r[r0:r0 + len(out)], 0.0, out=out[:, lo:hi])
 
     thread_map(inverse, len(slabs))
@@ -333,10 +429,10 @@ def _cyclic_convolution(inputs: list, need: int, a: int, b: int) -> np.ndarray:
 
 
 def _even_square(inputs: list, c: int) -> np.ndarray:
-    """The square of the even pmf inputs[0] on [-m, m] (vals equal to their
-    reverse) at indices -c..c, c <= 2m, clamped at 0 and exactly even.  The
-    array is taken out of inputs, its nonnegative half p(0..m) is copied,
-    and the array is dropped before the spectrum is allocated.
+    """The nonnegative half r(0..c), clamped at 0, of the square of the even
+    pmf on [-m, m] whose nonnegative half p(0..m) is inputs[0], c <= 2m.
+    The array is taken out of inputs and dropped once the forward slabs
+    have read it.
 
     The four-step squaring of _cyclic_convolution on a real half spectrum
     (an even sequence has a real, even spectrum: Martucci, "Symmetric
@@ -351,42 +447,33 @@ def _even_square(inputs: list, c: int) -> np.ndarray:
 
     - forward slabs: only the h2 = n2 // 2 + 1 columns j2 <= n2 / 2 go
       through the slabs, which place the half at slot 0 and, through a
-      reversed view, its mirror at slot N - m, and write T's columns,
-      twiddles applied, into its complex half S (16 bytes a slot of
-      (n1 / 2 + 1) x h2);
+      reversed view, its mirror at slot N - m, and write T's columns (the
+      slab's transform times its contiguous twiddles) into its complex
+      half S (16 bytes a slot of (n1 / 2 + 1) x h2);
     - row stage (_row_stage), in place in S, block by block: conjugate, a
       c2r transform along axis 1 whose slot [k1, k2] is the real spectrum
       X at k1 + n1 k2 (X = sum_j2 T w^(j2 k2) is real, so it equals its
       conjugate, the unscaled c2r transform of conj T), the square of X,
       and an r2c transform back into the block's rows of S;
-    - inverse slabs: through the same h2 slabs, the twiddles (in place in
-      S) and an inverse real FFT down axis 0.  Of each column they keep
-      grid rows 0..R, R = c // n2, and, for the columns j2 > n2 / 2 they
-      did not compute, read r[j1 n2 + j2] = r[(n1 - 1 - j1) n2 + n2 - j2]
-      from rows n1 - 1 - R.. reversed.  The rows go into the half's
-      buffer, which is no longer read;
-    - mirror: S is dropped and the window is r[0..c] mirrored.
+    - inverse slabs: through the same h2 slabs, S's columns times their
+      twiddles (into the twiddles' own array) and an inverse real FFT down
+      axis 0.  Of each column they keep grid rows 0..R, R = c // n2, and,
+      for the columns j2 > n2 / 2 they did not compute, read
+      r[j1 n2 + j2] = r[(n1 - 1 - j1) n2 + n2 - j2] from rows
+      n1 - 1 - R.. reversed.  Rows 0..R hold r(0..c), which is returned.
 
     As there, each row's and column's arithmetic is that of a whole-grid
     transform, so the result depends neither on SLAB_COLUMNS, nor on the
     row block, nor on CPUS.  A squaring whose input is handed over holds
-    the window and the half, then the half's buffer (the half, later rows
-    0..R: about a half window on a full window) beside S, then that buffer
-    and the output window, and a slab or row block per thread.  On a full
-    window (N about 3c) S takes about 4N bytes, three quarters of a
-    window, so the peak is a window and a half window: 100.8 MB at cap
-    4.2e6, where a window beside S took 117.9 MB.
+    the input half beside S, then S alone, then S beside the output rows,
+    and a slab or row block per thread.  On a full window (N about 3c) S
+    takes about 4N bytes, three quarters of a window, so the peak is a
+    half window beside S: 33.6 + 50.7 = 84.3 MB at cap 4.2e6, where a
+    window beside the half window took 100.8 MB.
     """
-    v = inputs.pop()
-    m = len(v) // 2
+    h = inputs.pop()
+    m = len(h) - 1
     n1, n2 = _four_step_shape(2 * m + c + 1)
-    rows = c // n2 + 1
-    # the half, in a buffer that takes the grid rows 0..R once the half
-    # is transformed (c >= m in a chain, so the rows need the larger part)
-    buf = np.empty(max(m + 1, rows * n2))
-    half = buf[:m + 1]
-    half[:] = v[m:]
-    del v
     twiddles = _twiddles(n1, n2)
     slabs = _slabs(n2 // 2 + 1)
     s = np.empty((n1 // 2 + 1, n2 // 2 + 1), dtype=np.complex128)
@@ -394,14 +481,15 @@ def _even_square(inputs: list, c: int) -> np.ndarray:
     def forward(i):
         lo, hi = slabs[i]
         block = np.zeros((n1, hi - lo))
-        _place(block, half, 0, n2, lo, hi)
-        _place(block, half[:0:-1], n1 * n2 - m, n2, lo, hi)
+        _place(block, h, 0, n2, lo, hi)
+        _place(block, h[:0:-1], n1 * n2 - m, n2, lo, hi)
         t = fft.rfft(block, axis=0, workers=1)
         del block
-        w = twiddles.cols(lo, hi, s[:, lo:hi])
-        np.multiply(t, w, out=w)
+        np.multiply(t, twiddles.cols(lo, hi), out=s[:, lo:hi])
 
     thread_map(forward, len(slabs))
+    # the input goes before the output is allocated
+    del h, forward
 
     def square(lo, hi):
         t = s[lo:hi]
@@ -411,15 +499,16 @@ def _even_square(inputs: list, c: int) -> np.ndarray:
         s[lo:hi] = fft.rfft(x, axis=1, norm="forward", workers=1)
 
     _row_stage(s, square)
-    out = buf[:rows * n2].reshape(rows, n2)
+    rows = c // n2 + 1
+    out = np.empty((rows, n2))
     mirrored = (n2 + 1) // 2      # columns 1..mirrored - 1 give the rest
 
     def inverse(i):
         lo, hi = slabs[i]
-        t = s[:, lo:hi]
-        t *= twiddles.cols(lo, hi)
-        np.conjugate(t, out=t)
-        r = fft.irfft(t, n1, axis=0, workers=1)
+        w = twiddles.cols(lo, hi)
+        np.multiply(s[:, lo:hi], w, out=w)
+        np.conjugate(w, out=w)
+        r = fft.irfft(w, n1, axis=0, workers=1)
         np.maximum(r[:rows], 0.0, out=out[:, lo:hi])
         j, k = max(lo, 1), min(hi, mirrored)
         if j < k:
@@ -427,12 +516,7 @@ def _even_square(inputs: list, c: int) -> np.ndarray:
                        out=out[:, n2 - k + 1:n2 - j + 1])
 
     thread_map(inverse, len(slabs))
-    # S goes before the window is allocated
-    del s, inverse
-    window = np.empty(2 * c + 1)
-    window[c:] = buf[:c + 1]
-    window[:c] = buf[c:0:-1]
-    return window
+    return out.reshape(-1)[:c + 1]
 
 
 def _four_step_shape(need: int) -> tuple:
@@ -460,12 +544,11 @@ class _Twiddles:
         self.coarse = _unit_roots(k1 * np.arange(0, n2, self.b), size)
         self.fine = _unit_roots(k1 * np.arange(self.b), size)
 
-    def cols(self, lo: int, hi: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    def cols(self, lo: int, hi: int) -> np.ndarray:
         """The twiddles of columns lo <= j2 < hi, shape (n1 // 2 + 1, hi - lo),
-        written into out if it is given: one coarse column times a run of
-        fine columns for each q, so nothing is gathered."""
-        if out is None:
-            out = np.empty((len(self.coarse), hi - lo), dtype=np.complex128)
+        contiguous: one coarse column times a run of fine columns for each
+        q, so nothing is gathered."""
+        out = np.empty((len(self.coarse), hi - lo), dtype=np.complex128)
         j = lo
         while j < hi:
             q, r = divmod(j, self.b)
@@ -501,21 +584,21 @@ def self_convolution_powers(p: PmfOnZ, exponents, cap: int) -> Iterator:
     the FFT branch of convolve_z, at the cyclic length max(b + 1, n - a)
     that wraps nothing into the kept window [a, b]: once the window |k| <=
     cap is full that is 3 cap + 1 points, not the 4 cap + 1 of the whole
-    product.  If p is even (lo = -hi, vals equal to their reverse, as
-    every law's to_pmf_on_z is) so is every power, and each squaring is on
-    the real half spectrum (_even_square).  The chain hands each power to
-    its squaring and keeps no reference to it; an even squaring copies
-    the power's nonnegative half and frees it before its spectrum is
-    allocated (any other squaring frees it once it is transformed).  A
-    caller that passes p without keeping it and drops each checkpoint
-    before asking for the next holds one power at a time, so an even
-    squaring on a full window peaks at a window beside a half window (the
-    input and its half, or grid rows 0..R and the output), and otherwise
-    holds the half window beside the complex half spectrum, three
-    quarters of a window, plus a column slab or row block per thread; a
-    squaring that is not even holds a window beside one n1 x n2 grid of
-    complex values.  The twiddle tables are built once per grid shape
-    (_twiddles), so the squarings of a full window share them.
+    product.  If p is even (a half-form pmf, as every symmetric law's
+    to_pmf_on_z is, or a dense window equal to its reverse) every power
+    is a half-form pmf, squared on the real half spectrum (_even_square)
+    from its nonnegative half alone; no window is mirrored and none is
+    scanned for evenness.  The chain hands each power to its squaring and
+    keeps no reference to it, so a power is freed once its forward slabs
+    are done (a dense even p once its half is copied).  A caller that
+    passes p without keeping it and drops each checkpoint before asking
+    for the next holds one power at a time, so an even squaring on a full
+    window peaks at a half window beside the complex half spectrum (the
+    input half, then the output half), about 1.25 windows, plus a column
+    slab or row block per thread; a squaring that is not even holds a
+    window beside one n1 x n2 grid of complex values.  The twiddle tables
+    are built once per grid shape (_twiddles), so the squarings of a full
+    window share them.
     """
     want = sorted(set(exponents))
     for n in want:
@@ -553,23 +636,24 @@ def total_variation_shift(p: PmfOnZ, k: int) -> float:
     (1/2) sum |a(x) - a(x - s)| over the n + s points x of either window
     (s = |k|; the sign of k flips every difference, which the absolute
     value undoes), summed _TV_BLOCK points at a time in one reused buffer;
-    a is 0 outside 0..n - 1."""
+    a is 0 outside 0..n - 1.  The window is read through p.read and
+    p.pieces, so a half-form p fills the same blocks as its mirrored
+    window and gives the same sum, bit for bit."""
     if k == 0:
         return 0.0
-    a = p.vals
-    n, s = len(a), abs(k)
+    n, s = len(p), abs(k)
     buf = np.empty(min(n + s, _TV_BLOCK))
     total = 0.0
     for lo in range(0, n + s, len(buf)):
         hi = min(lo + len(buf), n + s)
         out = buf[:hi - lo]
         cut = min(max(n - lo, 0), hi - lo)
-        out[:cut] = a[lo:lo + cut]
+        p.read(lo, lo + cut, out)
         out[cut:] = 0.0
-        start = max(lo, s)
-        if start < hi:
-            np.subtract(out[start - lo:], a[start - s:hi - s],
-                        out=out[start - lo:])
+        if max(lo, s) < hi:
+            for i, v in p.pieces(max(lo, s) - s, hi - s):
+                d = out[i + s - lo:i + s - lo + len(v)]
+                np.subtract(d, v, out=d)
         np.abs(out, out=out)
         total += float(out.sum())
     return 0.5 * total
@@ -912,28 +996,54 @@ class StepMeasure:
 
     def to_pmf_on_z(self, cap: int) -> PmfOnZ:
         """Exact truncated pmf for Z-backed measures on |k| <= cap.  A
-        stable law's window is built in place, in one array; a finite
-        law's support is scattered into a zero window."""
+        symmetric law (stable, shell, or finite with p(-k) = p(k)) comes in
+        half form, p(0..cap) in one array: a stable or shell law's built in
+        place by pmf's float64 expressions, a finite law's support
+        scattered into zeros; any other finite law's support is scattered
+        into a zero window."""
         if self.spec.variant != "lattice" or self.spec.d != 1:
             raise ValueError("pmf-on-Z view requires the Z backend")
         if self.kind == "stable_z":
-            vals = np.arange(-cap, cap + 1, dtype=np.float64)
-            np.abs(vals, out=vals)
+            half = np.arange(cap + 1, dtype=np.float64)
             with np.errstate(divide="ignore"):
-                np.power(vals, -(1.0 + self.alpha), out=vals)
-            np.multiply(vals, self.c_alpha, out=vals)
-            vals[cap] = 0.0
-            vals *= (1.0 - self.laziness)
-            vals[cap] += self.laziness
-        elif self.kind == "finite":
-            vals = np.zeros(2 * cap + 1)
-            for g in self.support_elements():
-                if abs(g[0]) <= cap:
-                    vals[g[0] + cap] = self.pmf(g)
+                np.power(half, -(1.0 + self.alpha), out=half)
+            np.multiply(half, self.c_alpha, out=half)
+            half[0] = 0.0
+            half *= (1.0 - self.laziness)
+            half[0] += self.laziness
+        elif self.kind == "shell":
+            half = self._shell_half(cap)
         else:
-            vals = np.array([self.pmf((k,)) for k in range(-cap, cap + 1)])
-        mass = float(vals.sum())
-        return PmfOnZ(vals, -cap, max(0.0, 1.0 - mass), mass)
+            probs = {g[0]: self.pmf(g) for g in self.support_elements()
+                     if abs(g[0]) <= cap}
+            if any(probs.get(-k) != v for k, v in probs.items()):
+                vals = np.zeros(2 * cap + 1)
+                for k, v in probs.items():
+                    vals[k + cap] = v
+                mass = float(vals.sum())
+                return PmfOnZ(vals, -cap, max(0.0, 1.0 - mass), mass)
+            half = np.zeros(cap + 1)
+            for k, v in probs.items():
+                if k >= 0:
+                    half[k] = v
+        mass = _window_sum(half)
+        return PmfOnZ.even(half, max(0.0, 1.0 - mass), mass)
+
+    def _shell_half(self, cap: int) -> np.ndarray:
+        """p(0..cap) of a shell law on Z: pmf at 0 and 1, and _base_pmf's
+        float64 expression, times 1 - laziness, on the radii r0..cap."""
+        half = np.zeros(cap + 1)
+        half[:2] = [self.pmf((k,)) for k in range(min(cap + 1, 2))]
+        if cap >= self.r0:
+            r = half[self.r0:]
+            r[:] = np.arange(self.r0, cap + 1, dtype=np.float64)
+            log_r = np.log(r)
+            np.multiply(r, r, out=r)
+            np.multiply(r, log_r, out=r)
+            np.divide((1.0 - UNIT_MASS) * self.shell_norm, r, out=r)
+            r /= 2 * len(self.axes)
+            r *= 1.0 - self.laziness
+        return half
 
 
 def standard_support(spec: GroupSpec) -> tuple:

@@ -340,12 +340,15 @@ _GCD_CHUNK = 2 ** 16
 def _support_gcd(pmf: PmfOnZ) -> int:
     """gcd of the gaps between support points (0 for a single point).
 
-    The window is read _GCD_CHUNK points at a time, the gap across a chunk
-    edge carried from the last support point seen, and the scan stops at
-    gcd 1; so it allocates a chunk's worth, not the whole support."""
+    The window is read _GCD_CHUNK points at a time (PmfOnZ.read, so a
+    half-form pmf is read from its half), the gap across a chunk edge
+    carried from the last support point seen, and the scan stops at gcd 1;
+    so it allocates a chunk's worth, not the whole support."""
     g, last = 0, None
-    for lo in range(0, len(pmf.vals), _GCD_CHUNK):
-        sup = np.flatnonzero(pmf.vals[lo:lo + _GCD_CHUNK]) + lo
+    buf = np.empty(min(len(pmf), _GCD_CHUNK))
+    for lo in range(0, len(pmf), _GCD_CHUNK):
+        chunk = pmf.read(lo, min(lo + _GCD_CHUNK, len(pmf)), buf)
+        sup = np.flatnonzero(chunk) + lo
         if not len(sup):
             continue
         if last is not None:
@@ -378,15 +381,17 @@ def tv_dispersion_z(pmf: PmfOnZ, shift: int, n_list, cap: int) -> DispersionCurv
     squares, so one power is live at a time (self_convolution_powers)
     if the caller passes pmf without keeping it (a temporary argument,
     which CPython 3.11 and later hand to the callee).  An even pmf (every
-    law's to_pmf_on_z) is squared on the real half spectrum, stage by
-    stage: its nonnegative half is copied and the power freed, the
-    forward column slabs fill the complex half spectrum, the row stage
-    squares it in place block by block, the inverse slabs write grid rows
-    0..R into the half's buffer, and the mirrored window is built once the
-    spectrum is freed.  So the peak is a window beside a half window
-    (100.8 MB at cap 4.2e6, where the alpha = 1 stable law's chain traces
-    99.5 MiB), and a column slab or row block per thread; a checkpoint's
-    TV adds one block of measures._TV_BLOCK points.
+    symmetric law's to_pmf_on_z) comes as its nonnegative half, and every
+    power stays one: each squaring is on the real half spectrum, stage by
+    stage: the forward column slabs fill the complex half spectrum from
+    the power's half, which is then freed, the row stage squares the
+    spectrum in place block by block, and the inverse slabs write grid
+    rows 0..R, the next power's half.  No window is mirrored or scanned
+    for evenness, so the peak is a half window beside the spectrum
+    (33.6 + 50.7 = 84.3 MB at cap 4.2e6, where the alpha = 1 stable law's
+    chain traces 88.2 MiB), and a column slab or row block per thread;
+    the support gcd and a checkpoint's TV read the half a block of 2^16
+    points at a time.
     Periodic supports (gcd of support differences > 1, found by a chunked
     scan) are computed but flagged."""
     n_list = _doubling_sizes(n_list)
@@ -428,7 +433,7 @@ def product_dispersion_bound(h_pmf: PmfOnZ, z_pmf: PmfOnZ, shift: tuple,
         _, b = next(z_powers)
         tv_h = total_variation_shift(a, zh)
         tv_z = total_variation_shift(b, zz)
-        tv_prod = _tv_product_shift(a.vals, zh, b.vals, zz)
+        tv_prod = _tv_product_shift(a, zh, b, zz)
         budget = a.delta_trunc + b.delta_trunc
         rows.append(ProductDispersionRow(n, tv_prod, tv_h, tv_z,
                                          tv_h + tv_z - tv_prod, budget))
@@ -442,15 +447,12 @@ def product_dispersion_bound(h_pmf: PmfOnZ, z_pmf: PmfOnZ, shift: tuple,
 _PRODUCT_BLOCK_BYTES = 2 ** 20
 
 
-def _tv_product_shift(a: np.ndarray, sh: int, b: np.ndarray, sz: int) -> float:
+def _tv_product_shift(a: PmfOnZ, sh: int, b: PmfOnZ, sz: int) -> float:
     """(1/2) sum_{u,v} |a_u b_v - a_{u-sh} b_{v-sz}|, streamed over blocks
-    of rows u of about _PRODUCT_BLOCK_BYTES each (at least one row)."""
-    pad_a = np.zeros(abs(sh))
-    a_full = np.concatenate([a, pad_a]) if sh >= 0 else np.concatenate([pad_a, a])
-    a_shift = np.concatenate([pad_a, a]) if sh >= 0 else np.concatenate([a, pad_a])
-    pad_b = np.zeros(abs(sz))
-    b_full = np.concatenate([b, pad_b]) if sz >= 0 else np.concatenate([pad_b, b])
-    b_shift = np.concatenate([pad_b, b]) if sz >= 0 else np.concatenate([b, pad_b])
+    of rows u of about _PRODUCT_BLOCK_BYTES each (at least one row); each
+    factor's two zero-padded copies are read from it by PmfOnZ.read."""
+    a_full, a_shift = _padded_pair(a, sh)
+    b_full, b_shift = _padded_pair(b, sz)
     rows = min(len(a_full), max(1, _PRODUCT_BLOCK_BYTES // (8 * len(b_full))))
     lhs = np.empty((rows, len(b_full)))
     rhs = np.empty_like(lhs)
@@ -463,6 +465,16 @@ def _tv_product_shift(a: np.ndarray, sh: int, b: np.ndarray, sz: int) -> float:
         np.abs(x, out=x)
         total += float(x.sum())
     return 0.5 * total
+
+
+def _padded_pair(p: PmfOnZ, s: int) -> tuple:
+    """(full, shifted): p's window followed by |s| zeros, and |s| zeros
+    followed by it (the other way round for s < 0)."""
+    n, pad = len(p), abs(s)
+    full, shifted = np.zeros(n + pad), np.zeros(n + pad)
+    p.read(0, n, full[:n] if s >= 0 else full[pad:])
+    p.read(0, n, shifted[pad:] if s >= 0 else shifted[:n])
+    return full, shifted
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,16 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 import greenlab
-from greenlab import groups, measures
+from greenlab import groups, measures, walks
 from greenlab.groups import identity
 from greenlab.measures import (PmfOnZ, SAMPLE_HEAD, SHELL_SAMPLE_RADIUS_MAX,
-                               STABLE_SAMPLE_MAGNITUDE_MAX, UNIT_MASS,
+                               STABLE_SAMPLE_MAGNITUDE_MAX, UNIT_MASS, StepMeasure,
                                convolve_z, first_moment_partial, lazy_transform,
                                pmf_from_dict, self_convolution_powers,
                                shell_measure, shell_norm_constant,
                                stable_z_measure, total_variation_shift,
                                uniform_on_generators)
+from greenlab.walks import _support_gcd
 from running_max_oracle import radius_mass
 
 Z1 = groups.integer_lattice(1)
@@ -713,19 +714,17 @@ class TestConvolveZ:
         assert worst <= 4 * np.finfo(np.float64).eps, worst
 
     def test_twiddle_columns_equal_the_gathered_product(self):
-        # runs of columns within one coarse column and across several,
-        # returned or written into a strided view, equal coarse[:, q] *
-        # fine[:, r] gathered column by column, bit for bit
+        # runs of columns within one coarse column and across several equal
+        # coarse[:, q] * fine[:, r] gathered column by column, bit for bit,
+        # in a contiguous array
         tw = measures._Twiddles(75, 81)
         assert tw.b == 9
-        dest = np.zeros((38, 100), dtype=np.complex128)
         for lo, hi in ((0, 1), (3, 9), (8, 10), (0, 81), (17, 50), (80, 81)):
             q, r = np.divmod(np.arange(lo, hi), tw.b)
             want = tw.coarse[:, q] * tw.fine[:, r]
-            assert np.array_equal(tw.cols(lo, hi), want)
-            out = dest[:, 7:7 + hi - lo]
-            assert tw.cols(lo, hi, out) is out
-            assert np.array_equal(out, want)
+            got = tw.cols(lo, hi)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want)
 
 
 def whole_grid_cyclic_convolution(x, y, need):
@@ -919,32 +918,31 @@ class TestStreamedSquaring:
                                     for lo in range(0, 23, size)]
 
     def test_even_square_peak_allocation(self):
-        # a full-window squaring whose input is handed over holds at most
-        # the window and the half window (the input and its half, then the
-        # grid rows 0..R and the output), beside the twiddle tables and a
-        # slab or row block per thread; the spectrum is smaller than the
-        # window
+        # a full-window squaring whose input half is handed over holds the
+        # spectrum beside one half window (the input half, then the output
+        # rows 0..R), the twiddle tables and a slab or row block per
+        # thread, and no window
         m = 500_000
-        vals = TestConvolveZ.even_pmf(np.random.default_rng(37), m).vals
+        half = TestConvolveZ.even_pmf(np.random.default_rng(37), m).vals[m:]
         n1, n2 = measures._four_step_shape(3 * m + 1)
         measures._twiddles.cache_clear()
         tracemalloc.start()
         try:
-            inputs = [vals.copy()]
+            inputs = [half.copy()]
             out = measures._even_square(inputs, m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(out) == 2 * m + 1
-        window, half = 8 * (2 * m + 1), 8 * (m + 1)
+        assert len(out) == m + 1
+        rows = 8 * n2 * (m // n2 + 1)
         spectrum = 16 * (n1 // 2 + 1) * (n2 // 2 + 1)
-        assert spectrum < window
         threads = min(greenlab.CPUS, -(-(n2 // 2 + 1) // measures.SLAB_COLUMNS))
         scratch = threads * max(4 * 8 * n1 * measures.SLAB_COLUMNS,
                                 2 * measures._ROW_BLOCK_BYTES + 16 * n2)
         tables = 16 * (n1 // 2 + 1) * 2 * (math.isqrt(n2 - 1) + 1)
-        assert peak <= window + half + tables + scratch, \
-            (peak - window - half) / (tables + scratch)
+        held = spectrum + max(8 * (m + 1), rows)
+        assert peak <= held + tables + scratch, \
+            (peak - held) / (tables + scratch)
 
     def test_twiddles_built_once_per_grid(self, monkeypatch):
         # the squarings of a chain on a full window share one grid and one
@@ -972,14 +970,14 @@ class TestStreamedSquaring:
             measures._twiddles.cache_clear()
 
     def test_inputs_handed_over(self):
-        # the squarings take the arrays out of their lists and leave the
-        # inputs themselves unchanged
+        # the squarings take the arrays out of their lists (the even one a
+        # half) and leave the inputs themselves unchanged
         rng = np.random.default_rng(33)
         p = TestConvolveZ.random_pmf(rng, 3000, -1500)
         e = TestConvolveZ.even_pmf(rng, 1500)
         for v, square in ((p.vals, lambda inputs: measures._cyclic_convolution(
                               inputs, 5999, 0, 5998)),
-                          (e.vals, lambda inputs: measures._even_square(inputs, 2000))):
+                          (e.vals[1500:], lambda inputs: measures._even_square(inputs, 2000))):
             before = v.copy()
             inputs = [v]
             square(inputs)
@@ -1115,13 +1113,16 @@ class TestPmfOnZ:
     @pytest.mark.parametrize("law", ["srw", "shell", 0.5, 1.0, 1.5])
     def test_laws_on_z_are_exactly_even(self, law, lazy):
         # every window a doubling chain starts from is on [-cap, cap] and
-        # equal to its reverse, so its squarings take the even route
+        # equal to its reverse, and comes as its nonnegative half, so its
+        # squarings take the even route with no scan
         base = {"srw": lambda: srw(Z1), "shell": lambda: shell_measure(Z1)}
         mu = lazy_transform(base.get(law, lambda: stable_z_measure(law))(), lazy)
         p = mu.to_pmf_on_z(5000)
         assert p.lo == -p.hi == -5000
+        assert p.half is not None and len(p.half) == 5001
         assert np.array_equal(p.vals, p.vals[::-1])
         assert measures._is_mirrored(p.vals)
+        assert p.delta_trunc == max(0.0, 1.0 - float(p.vals.sum()))
 
     def test_mass_validation(self):
         with pytest.raises(ValueError):
@@ -1180,3 +1181,104 @@ class TestPmfOnZ:
                 u = v.copy()
                 u[i] = np.nextafter(u[i], 2.0)
                 assert measures._is_mirrored(u) == (2 * i + 1 == n)
+
+
+class TestHalfForm:
+    """An even pmf stored as its nonnegative half reads, sums and squares
+    exactly as its mirrored window stored dense."""
+
+    @staticmethod
+    def pair(rng, m, zeros=0.0):
+        """(half form, dense window) of one random even pmf on [-m, m],
+        with about a `zeros` share of its points 0."""
+        w = rng.random(m + 1) * (rng.random(m + 1) >= zeros)
+        w[int(rng.integers(0, m + 1))] += 1.0
+        w /= 2 * w.sum() - w[0]
+        half = PmfOnZ.even(w)
+        return half, PmfOnZ(half.vals, -m)
+
+    @settings(max_examples=40)
+    @given(m=st.integers(0, 3000), zeros=st.sampled_from([0.0, 0.9]),
+           block=st.sampled_from([1, 7, 64, 2 ** 16]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_reads_match_the_window(self, m, zeros, block, seed):
+        # TV at shifts inside, at and past the window, in blocks that cross
+        # the centre anywhere, at, hi, the window sum and the support gcd
+        rng = np.random.default_rng(seed)
+        half, dense = self.pair(rng, m, zeros)
+        n = 2 * m + 1
+        assert (half.lo, half.hi, len(half)) == (dense.lo, dense.hi, n)
+        assert measures._window_sum(half.half) == float(dense.vals.sum())
+        assert half.delta_trunc == dense.delta_trunc == 0.0
+        with mock.patch.object(measures, "_TV_BLOCK", block):
+            for k in {1, 2, 3, m, m + 1, n - 1, n, n + 5,
+                      int(rng.integers(1, n + 9))}:
+                for s in (k, -k):
+                    assert total_variation_shift(half, s) == \
+                        total_variation_shift(dense, s), s
+        for k in range(-m - 3, m + 4):
+            assert half.at(k) == dense.at(k)
+        ends = {0, m, m + 1, n, *rng.integers(0, n + 1, 2).tolist()}
+        for i in ends:
+            for j in ends - set(range(i)):
+                out = half.read(i, j, np.full(n + 1, np.nan))
+                assert out.tobytes() == dense.vals[i:j].tobytes()
+        with mock.patch.object(walks, "_GCD_CHUNK", max(block, 2)):
+            assert _support_gcd(half) == _support_gcd(dense)
+
+    @pytest.mark.parametrize("full", [True, False])
+    @settings(max_examples=20)
+    @given(data=st.data(), m=st.integers(1, 3000),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_squaring_matches_the_dense_square(self, full, data, m, seed):
+        # on the FFT branch (4m + 1 > 4096 points) and the direct one, the
+        # square of the half form is the dense even window's, bit for bit,
+        # with the same delta_trunc; the even route returns a half form
+        cap = data.draw(st.integers(1, 2 * m - 1) if full and m > 1
+                        else st.integers(2 * m, 3 * m))
+        half, dense = self.pair(np.random.default_rng(seed), m)
+        a, b = convolve_z(half, half, cap), convolve_z(dense, dense, cap)
+        assert (a.lo, a.hi) == (b.lo, b.hi)
+        assert a.vals.tobytes() == b.vals.tobytes()
+        assert a.delta_trunc == b.delta_trunc
+        fft_branch = 4 * m + 1 > 4096
+        assert (a.half is not None) == (b.half is not None) == fft_branch
+
+    @pytest.mark.parametrize("run", [128, 1000, measures._SUM_RUN])
+    @settings(max_examples=30)
+    @given(m=st.integers(0, 70_000), seed=st.integers(0, 2 ** 32 - 1))
+    def test_window_sum_is_np_sum(self, run, m, seed):
+        # NumPy's pairwise tree over the mirrored window, from the half,
+        # with runs of any length of at least NumPy's 128-point leaf
+        half = np.random.default_rng(seed).random(m + 1) ** 4
+        window = np.concatenate([half[:0:-1], half])
+        with mock.patch.object(measures, "_SUM_RUN", run):
+            assert measures._window_sum(half) == float(np.sum(window))
+
+    def test_window_sum_at_the_acceptance_size(self):
+        # the alpha = 1 stable law's window at cap 4.2e6
+        half = stable_z_measure(1.0).to_pmf_on_z(4_200_000).half
+        assert measures._window_sum(half) == \
+            float(np.sum(np.concatenate([half[:0:-1], half])))
+
+    @pytest.mark.parametrize("lazy", [0.0, 0.5])
+    def test_asymmetric_law_stays_dense(self, lazy):
+        mu = lazy_transform(StepMeasure(Z1, "finite", "drift",
+                                        probs={(1,): 0.7, (-1,): 0.3}), lazy)
+        for cap in (1, 2, 7):
+            p = mu.to_pmf_on_z(cap)
+            assert p.half is None
+            want = np.array([mu.pmf((k,)) for k in range(-cap, cap + 1)])
+            assert p.vals.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("r0", [3, 5])
+    @pytest.mark.parametrize("lazy", [0.0, 0.3])
+    def test_shell_half_matches_per_point_pmf(self, r0, lazy):
+        # the vectorised half, against one pmf call per window point
+        mu = lazy_transform(shell_measure(Z1, r0=r0), lazy)
+        for cap in (0, 1, 2, 3, 4, 5, 6, 50, 2000):
+            got = mu.to_pmf_on_z(cap)
+            want = np.array([mu.pmf((k,)) for k in range(-cap, cap + 1)])
+            assert got.vals.tobytes() == want.tobytes(), cap
+            assert (got.lo, got.delta_trunc) == \
+                (-cap, max(0.0, 1.0 - float(want.sum())))

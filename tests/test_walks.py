@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -391,21 +392,20 @@ class TestDispersion:
             assert a == pytest.approx(b, abs=1e-14)
 
     def test_chain_peak_allocation(self):
-        # one live power: the pmf is passed without being kept, the chain
-        # hands each power to its squaring, which copies its nonnegative
-        # half and frees it before the spectrum is allocated, and no real
-        # grid is built.  The law is even, so each squaring is on the real
-        # half spectrum: its peak is a window beside the half window (the
-        # input and its half, or the grid rows 0..R and the output), or the
-        # half window beside the complex half S of T, (n1 / 2 + 1) x
-        # (n2 / 2 + 1) values, whichever is larger; the scratch of one
-        # column slab per thread: at most four arrays (the slab, its
-        # transform, its twiddles and its inverse transform) of about
-        # n1 x SLAB_COLUMNS x 8 bytes each; and the two twiddle tables.  The row stage holds S alone
-        # beside its blocks, below both.  A checkpoint's TV adds a block of
-        # a few hundred KiB to its power.  At this cap the window is about
-        # 9 times a thread's scratch.
-        cap = 10 ** 6
+        # one live power, and no window: the pmf is passed without being
+        # kept and in half form, the chain hands each power's half to its
+        # squaring, which frees it after the forward slabs, and no real grid
+        # is built.  The law is even, so each squaring is on the real half
+        # spectrum: its peak is a half window (the input half, then the
+        # output rows 0..R) beside the complex half S of T,
+        # (n1 / 2 + 1) x (n2 / 2 + 1) values; the scratch of one column slab
+        # per thread: at most four arrays (the slab, its transform, its
+        # twiddles and its inverse transform) of about n1 x SLAB_COLUMNS x 8
+        # bytes each; and the two twiddle tables.  The row stage holds S
+        # alone beside its blocks.  The support gcd and a checkpoint's TV
+        # add blocks of a few hundred KiB to a power.  A mirrored window
+        # beside the half (the chain before half forms) breaks the bound.
+        cap = 5 * 10 ** 5
         mu = stable_z_measure(1.0)
         # a full window squares at cyclic length 3 cap + 1 (this also loads
         # scipy.fft before tracing starts)
@@ -418,14 +418,32 @@ class TestDispersion:
         finally:
             tracemalloc.stop()
         spectrum = 16 * (n1 // 2 + 1) * (n2 // 2 + 1)
-        window = 8 * (2 * cap + 1)
-        half = 8 * (cap + 1)
-        held = max(window + half, half + spectrum)
+        half = 8 * n2 * (cap // n2 + 1)
         threads = min(greenlab.CPUS, -(-(n2 // 2 + 1) // measures.SLAB_COLUMNS))
         slabs = threads * 4 * 8 * n1 * measures.SLAB_COLUMNS
         tables = 16 * (n1 // 2 + 1) * 2 * (math.isqrt(n2 - 1) + 1)
-        assert peak <= held + slabs + tables + 2 ** 20, \
-            (peak - held) / (slabs + tables)
+        assert peak <= half + spectrum + slabs + tables + 2 ** 19, \
+            (peak - half - spectrum) / (slabs + tables)
+
+    def test_chains_never_scan_for_evenness(self):
+        # every law's pmf comes in half form, so neither chain mirrors a
+        # window or scans one for evenness, and the TVs equal those of the
+        # dense even windows, which are scanned once and then squared as
+        # half forms
+        mu = stable_z_measure(1.0)
+        h = lazy_transform(srw(Z1), 0.5)
+        with mock.patch.object(measures, "_is_mirrored",
+                               side_effect=AssertionError("scanned")):
+            curve = tv_dispersion_z(mu.to_pmf_on_z(20000), 1, [16, 256], 20000)
+            rows = product_dispersion_bound(h.to_pmf_on_z(300),
+                                            mu.to_pmf_on_z(3000), (1, 1),
+                                            [16, 64], 300, 3000)
+        dense = lambda p: PmfOnZ(p.vals, p.lo, p.delta_trunc)
+        assert tv_dispersion_z(dense(mu.to_pmf_on_z(20000)), 1, [16, 256],
+                               20000).rows == curve.rows
+        assert product_dispersion_bound(
+            dense(h.to_pmf_on_z(300)), dense(mu.to_pmf_on_z(3000)), (1, 1),
+            [16, 64], 300, 3000) == rows
 
     def test_non_power_checkpoint_rejected(self):
         pmf = pmf_from_dict({-1: 0.5, 1: 0.5})
@@ -497,6 +515,18 @@ class TestSupportGcd:
         sup = np.array([5, 11, 11 + 3 * chunk])
         assert _support_gcd(self.pmf_on(sup, 0)) == 6
 
+    @pytest.mark.parametrize("chunk", [2, 5, walks._GCD_CHUNK])
+    def test_half_form_reads_the_whole_window(self, chunk, monkeypatch):
+        # an even pmf's support is its half's mirrored: {2, 5} spans gaps
+        # 3 and 4 (gcd 1), a lone atom at 4 spans the gap 8
+        monkeypatch.setattr(walks, "_GCD_CHUNK", chunk)
+        for atoms in ((2, 5), (1, 3), (0, 3, 6), (4,), (0,), (3, 9, 12)):
+            half = np.zeros(max(atoms) + 4)
+            half[list(atoms)] = 1.0
+            pmf = PmfOnZ.even(half / (2 * half.sum() - half[0]))
+            support = np.flatnonzero(pmf.vals)
+            assert _support_gcd(pmf) == self.reference_gcd(support), atoms
+
     def test_single_atom_in_a_long_window_gives_zero(self):
         vals = np.zeros(3 * walks._GCD_CHUNK + 1)
         vals[2 * walks._GCD_CHUNK - 1] = 1.0
@@ -532,20 +562,24 @@ class TestProductDispersion:
         # outer products of the zero-padded factors
         rng = np.random.default_rng(41)
         a, b = rng.random(37), rng.random(23)
+        a, b = a / a.sum(), b / b.sum()
         sh, sz = shift
         pad = lambda v, s, late: np.concatenate(
             [v, np.zeros(abs(s))] if (s >= 0) == late else [np.zeros(abs(s)), v])
         want = 0.5 * np.abs(np.outer(pad(a, sh, True), pad(b, sz, True))
                             - np.outer(pad(a, sh, False), pad(b, sz, False))).sum()
         monkeypatch.setattr(walks, "_PRODUCT_BLOCK_BYTES", 8 * (len(b) + abs(sz)) * rows)
-        assert walks._tv_product_shift(a, sh, b, sz) == pytest.approx(want, rel=1e-14)
+        got = walks._tv_product_shift(PmfOnZ(a, -5), sh, PmfOnZ(b, 3), sz)
+        assert got == pytest.approx(want, rel=1e-14)
 
     def test_product_tv_peak_allocation(self):
         # criterion 12's factors: an H window of 601 points and a Z window
-        # of 100,001; beside the four padded copies the blocks take two
-        # buffers of at most _PRODUCT_BLOCK_BYTES (here one row each)
-        a = self.lazy_srw_pmf(300).vals
-        b = stable_z_measure(1.0).to_pmf_on_z(5 * 10 ** 4).vals
+        # of 100,001, both in half form; beside the four padded copies the
+        # blocks take two buffers of at most _PRODUCT_BLOCK_BYTES (here one
+        # row each)
+        a = self.lazy_srw_pmf(300)
+        b = stable_z_measure(1.0).to_pmf_on_z(5 * 10 ** 4)
+        assert a.half is not None and b.half is not None
         tracemalloc.start()
         try:
             walks._tv_product_shift(a, 1, b, 1)
