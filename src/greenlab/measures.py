@@ -202,48 +202,65 @@ def _gather(runs: list, i: int, out: np.ndarray) -> np.ndarray:
 
 
 def pmf_from_dict(d: dict, delta_trunc: float = 0.0) -> PmfOnZ:
-    lo, hi = min(d), max(d)
+    """The pmf with the values of d on [min(d), max(d)], in half form if d
+    is symmetric about 0 (d[-k] == d[k] for every key k)."""
+    return _scatter(d, min(d), max(d), delta_trunc)
+
+
+def _scatter(d: dict, lo: int, hi: int,
+             delta_trunc: Optional[float] = None) -> PmfOnZ:
+    """The values of d (keys in [lo, hi]) scattered into zeros: the half
+    p(0..hi) if d[-k] == d[k] for every key k (then lo = -hi), else the
+    window [lo, hi]; delta_trunc defaults to the window's missing mass."""
+    even = all(d.get(-k) == v for k, v in d.items())
+    lo = 0 if even else lo
     vals = np.zeros(hi - lo + 1)
-    for k, p in d.items():
-        vals[k - lo] = p
-    return PmfOnZ(vals, lo, delta_trunc)
+    for k, v in d.items():
+        if k >= lo:
+            vals[k - lo] = v
+    mass = _window_sum(vals) if even else float(vals.sum())
+    delta = max(0.0, 1.0 - mass) if delta_trunc is None else delta_trunc
+    return (PmfOnZ.even(vals, delta, mass) if even
+            else PmfOnZ(vals, lo, delta, mass))
 
 
 def convolve_z(p: PmfOnZ, q: PmfOnZ, cap: int) -> PmfOnZ:
     """Exact convolution of two integer pmfs restricted to |k| <= cap.
 
-    Long products (n = len(p) + len(q) - 1 > 4096) are cyclic convolutions
-    by a four-step FFT.  If [a, b] are the indices of the linear product
+    Three routes, read off the inputs alone.  A product of at most 4096
+    points (n = len(p) + len(q) - 1) is np.convolve.  The square of a
+    half-form pmf (q is p, as every symmetric law's to_pmf_on_z is) is
+    taken on a real half spectrum from p's nonnegative half (_even_square)
+    and returned in half form, so the powers of a doubling chain stay even
+    by construction.  Any other product is one real-FFT product, with one
+    spectrum when q is p.  If [a, b] are the indices of the linear product
     that fall in the window, a cyclic length of at least
     need = max(b + 1, n - a) (and at least each input's length) wraps
     nothing into [a, b]: an index k there could only receive index k + N,
     which exceeds n - 1, or k - N, which is negative.  So the kept values
     are the linear convolution's, up to round-off, from a transform about
     3 cap long once the window is full, where the whole product needs
-    4 cap.  When q is p and p is even about 0 (a half-form pmf, as every
-    symmetric law's to_pmf_on_z is, or a dense window on [-m, m] equal to
-    its reverse) the square is taken on a real half spectrum from p's
-    nonnegative half (_even_square) and returned in half form, so the
-    powers of a doubling chain are even by construction and only a dense
-    input is scanned for evenness; any other product is
-    _cyclic_convolution, which computes one spectrum when q is p and
-    squares it.  The route depends on the inputs alone.  The inputs'
-    arrays are handed to the transform and this call keeps no reference to
-    them, so a caller that holds no other reference (the doubling chain)
-    has each input freed once it is transformed (a dense even input once
-    its half is copied), before the output is written.  A caller that
-    keeps its input holds it beside the squaring.  Round-off negatives are
-    clamped to 0.  All clipped mass (and any mass already missing from the
-    inputs) is accumulated into delta_trunc of the result; the window is
-    summed once, for delta_trunc and for PmfOnZ's mass check (a half
-    through _window_sum, bit for bit np.sum of its mirrored window).
-    delta_trunc = 1 - sum(kept) also absorbs the FFT's round-off in the
-    total mass, which each squaring of a doubling chain doubles (the mass
-    is squared) and adds to: for the alpha = 1 stable law at cap 2e4,
-    against a direct np.convolve chain summed by math.fsum, the even
-    route's delta_trunc is off by -1.3e-14, -5.2e-14 and -2.0e-13 at
-    n = 16, 64 and 256 (the general route's by -6.9e-15, -2.8e-14 and
-    -1.2e-13), against clipped masses of 4.9e-4 and up.
+    4 cap.  This call keeps no reference to its inputs, so a caller that
+    holds no other (the doubling chain) has each input freed once it is
+    transformed.  Round-off negatives are clamped to 0.  All clipped mass
+    (and any mass already missing from the inputs) is accumulated into
+    delta_trunc of the result; the window is summed once, for delta_trunc
+    and for PmfOnZ's mass check (a half through _window_sum, bit for bit
+    np.sum of its mirrored window).  delta_trunc = 1 - sum(kept) also
+    absorbs the FFT's round-off in the total mass, which each squaring of
+    a doubling chain doubles (the mass is squared) and adds to: for the
+    alpha = 1 stable law at cap 2e4, against a direct np.convolve chain
+    summed by math.fsum, delta_trunc is off by -1.3e-14, -5.2e-14 and
+    -2.0e-13 at n = 16, 64 and 256 on the even route (-1.2e-14, -5.0e-14
+    and -2.0e-13 on the real-FFT product, from the dense window), against
+    clipped masses of 4.9e-4 and up.  The real-FFT product holds its input
+    beside two arrays of 8 N bytes (the padded input and its spectrum,
+    then the spectrum and its inverse): a doubling chain on an asymmetric
+    law's full window traces 12.9 MB at cap 2e5 and 269.7 MB at cap 4.2e6,
+    where the stable law's even chain traces 92.5 MB (88.2 MiB).  It runs
+    on one thread: on 2 vCPUs that chain took 6.6 s at cap 4.2e6, against
+    5.7 s on the threaded route it replaced (one run each; more CPUs
+    untimed).
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
@@ -256,44 +273,38 @@ def convolve_z(p: PmfOnZ, q: PmfOnZ, cap: int) -> PmfOnZ:
     a, b = lo_keep - lo, hi_keep - lo
     if n <= 4096:
         kept = np.maximum(np.convolve(p.vals, q.vals)[a: b + 1], 0.0)
-    elif q is p and (p.half is not None
-                     or p.lo == -p.hi and _is_mirrored(p.vals)):
-        inputs = [p.half if p.half is not None else p.vals[-p.lo:].copy()]
+    elif q is p and p.half is not None:
+        inputs = [p.half]
         del p, q
         half = _even_square(inputs, hi_keep)
         mass = _window_sum(half)
         return PmfOnZ.even(half, max(1.0 - mass, 0.0), mass)
     else:
-        need = max(b + 1, n - a, len(p), len(q))
+        # one real-FFT product at the fast real length N >= need; each
+        # input's array is dropped once it is transformed
+        size = fft.next_fast_len(max(b + 1, n - a, len(p), len(q)), True)
         inputs = [p.vals] if q is p else [p.vals, q.vals]
         del p, q
-        kept = _cyclic_convolution(inputs, need, a, b)
+        x = fft.rfft(inputs.pop(0), size)
+        y = fft.rfft(inputs.pop(), size) if inputs else x
+        np.multiply(x, y, out=x)
+        del y
+        r = fft.irfft(x, size)
+        del x
+        kept = np.maximum(r[a:b + 1], 0.0)
     mass = float(kept.sum())
     return PmfOnZ(kept, lo_keep, max(1.0 - mass, 0.0), mass)
 
 
-def _is_mirrored(v: np.ndarray) -> bool:
-    """Whether v equals its reverse exactly, compared _TV_BLOCK pairs at a
-    time: a window-sized boolean temporary, once freed, raises glibc's
-    mmap threshold, and the pool threads' arenas then keep their slab
-    scratch."""
-    n, m = len(v), len(v) // 2
-    for lo in range(0, m, _TV_BLOCK):
-        hi = min(lo + _TV_BLOCK, m)
-        if not np.array_equal(v[lo:hi], v[n - 1 - lo:n - 1 - hi:-1]):
-            return False
-    return True
-
-
-# Spectrum columns per slab of the four-step squarings: at the acceptance
-# sizes (n1 about 3,500) a slab, its transform and its twiddles take about
-# 1 MB each, so a slab stays in cache and CPUS of them cost little beside a
+# Spectrum columns per slab of the even squaring: at the acceptance sizes
+# (n1 about 3,500) a slab, its transform and its twiddles take about 1 MB
+# each, so a slab stays in cache and CPUS of them cost little beside a
 # window.
 SLAB_COLUMNS = 32
 
-# Bytes of spectrum rows per block of the four-step squarings' row stage
-# (at least one row): a block and the transforms made from it stay about
-# as large as a slab's.
+# Bytes of spectrum rows per block of the even squaring's row stage (at
+# least one row): a block and the transforms made from it stay about as
+# large as a slab's.
 _ROW_BLOCK_BYTES = 2 ** 20
 
 
@@ -336,114 +347,28 @@ def _place(block: np.ndarray, seg: np.ndarray, off: int, n2: int,
         block[r + full, :len(tail)] = tail
 
 
-def _cyclic_convolution(inputs: list, need: int, a: int, b: int) -> np.ndarray:
-    """Indices a..b of the cyclic convolution of the one or two arrays in
-    inputs (one: that array with itself), zero-padded to a length
-    N = n1 * n2 >= need, clamped at 0.  The arrays are taken out of inputs,
-    which is left empty, and each is dropped once it is transformed.  The
-    transform is the four-step FFT (Bailey, "FFTs in external or
-    hierarchical memory", J. Supercomputing 4, 1990).  This is the route
-    of every product that is not the square of an even pmf (_even_square).
-
-    A signal is viewed as an (n1, n2) array, j = j1 n2 + j2.  A real FFT
-    down axis 0, the twiddles exp(-2 pi i k1 j2 / N) and a complex FFT
-    along axis 1 give the spectrum at k = k1 + n1 k2 in slot [k1, k2] for
-    k1 <= n1 / 2, which determines the rest; the pointwise product does not
-    care about this transposed layout, and the inverse runs the three steps
-    backwards.  Stage by stage:
-
-    - forward slabs: the axis-0 steps stream through slabs of SLAB_COLUMNS
-      columns, spread over ``CPUS`` threads (the CPUs this process may
-      use); a slab gathers its columns from the signal, transforms them,
-      multiplies by its twiddles and writes them into the half spectrum S
-      (one S per input; the input is dropped before the next is
-      allocated);
-    - row stage (_row_stage): blocks of S's rows are transformed along
-      axis 1, multiplied (squared, or by the same rows of the second S)
-      and sent back by the inverse transform, in place in S;
-    - inverse slabs: each slab conjugates its columns, applies the
-      twiddles and an inverse real FFT down axis 0, and writes only the
-      rows that cover [a, b] into the output window.
-
-    Each row's and column's arithmetic is the same as in one whole-grid
-    transform, so the result does not depend on the slab width, the row
-    block or CPUS.  No real n1 x n2 grid is built and the twiddles come
-    from two small tables (_twiddles, built once per grid shape), so a
-    squaring holds S (16 bytes a slot of (n1 / 2 + 1) x n2), one window
-    (the input, then the output) and a slab or row block per thread; a
-    product of two inputs holds one more S.
-    """
-    n1, n2 = _four_step_shape(need)
-    twiddles = _twiddles(n1, n2)
-    slabs = _slabs(n2)
-    spectra = []
-    while inputs:
-        v = inputs.pop(0)
-        s = np.empty((n1 // 2 + 1, n2), dtype=np.complex128)
-
-        def forward(i):
-            lo, hi = slabs[i]
-            block = np.zeros((n1, hi - lo))
-            _place(block, v, 0, n2, lo, hi)
-            t = fft.rfft(block, axis=0, workers=1)
-            del block
-            np.multiply(t, twiddles.cols(lo, hi), out=s[:, lo:hi])
-
-        thread_map(forward, len(slabs))
-        # the input goes before another S or the output is allocated
-        del v, forward
-        spectra.append(s)
-    s, other = spectra[0], spectra[-1]
-    del spectra
-
-    def product(lo, hi):
-        t = fft.fft(s[lo:hi], axis=1, workers=1)
-        if other is s:
-            np.multiply(t, t, out=t)
-        else:
-            t *= fft.fft(other[lo:hi], axis=1, workers=1)
-        s[lo:hi] = fft.ifft(t, axis=1, overwrite_x=True, workers=1)
-
-    _row_stage(s, product)
-    # a second S goes before the output is allocated
-    del other, product
-    # rows r0.. of the grid cover [a, b]; out starts at r0's first column,
-    # so the window is out's flat view from a - r0 n2
-    r0 = a // n2
-    out = np.empty((b // n2 - r0 + 1, n2))
-
-    def inverse(i):
-        lo, hi = slabs[i]
-        # t * conj(w) as conj(conj(t) * w), into w's contiguous columns: no
-        # conjugated copy of w
-        t = s[:, lo:hi]
-        np.conjugate(t, out=t)
-        w = twiddles.cols(lo, hi)
-        np.multiply(t, w, out=w)
-        np.conjugate(w, out=w)
-        r = fft.irfft(w, n1, axis=0, workers=1)
-        np.maximum(r[r0:r0 + len(out)], 0.0, out=out[:, lo:hi])
-
-    thread_map(inverse, len(slabs))
-    return out.reshape(-1)[a - r0 * n2: b - r0 * n2 + 1]
-
-
 def _even_square(inputs: list, c: int) -> np.ndarray:
     """The nonnegative half r(0..c), clamped at 0, of the square of the even
     pmf on [-m, m] whose nonnegative half p(0..m) is inputs[0], c <= 2m.
     The array is taken out of inputs and dropped once the forward slabs
     have read it.
 
-    The four-step squaring of _cyclic_convolution on a real half spectrum
-    (an even sequence has a real, even spectrum: Martucci, "Symmetric
-    convolution and the discrete sine and cosine transforms", IEEE Trans.
-    Signal Process. 42, 1994).  The signal is placed centred,
-    x[j] = p(j) and x[N - j] = p(-j) = p(j) for 0 <= j <= m, over a cyclic
-    length N = n1 n2 >= 2m + c + 1, so nothing wraps into |k| <= c.  On the
-    grid g[j1, j2] = x[j1 n2 + j2] this gives
+    A four-step FFT (Bailey, "FFTs in external or hierarchical memory",
+    J. Supercomputing 4, 1990) on a real half spectrum (an even sequence
+    has a real, even spectrum: Martucci, "Symmetric convolution and the
+    discrete sine and cosine transforms", IEEE Trans. Signal Process. 42,
+    1994).  A signal of cyclic length N = n1 n2 is viewed as the grid
+    g[j1, j2] = x[j1 n2 + j2]: a real FFT down axis 0, the twiddles
+    exp(-2 pi i k1 j2 / N) and an FFT along axis 1 give its spectrum at
+    k = k1 + n1 k2 in slot [k1, k2] for k1 <= n1 / 2, which determines the
+    rest; the square does not care about this transposed layout, and the
+    inverse runs the steps backwards.  The signal is placed centred,
+    x[j] = p(j) and x[N - j] = p(-j) = p(j) for 0 <= j <= m, over
+    N >= 2m + c + 1, so nothing wraps into |k| <= c.  This gives
     g[n1 - 1 - j1, n2 - j2] = g[j1, j2] for j2 >= 1 and an even column 0,
     so T = rfft0(g) * twiddles is Hermitian along axis 1:
-    T[k1, n2 - j2] = conj T[k1, j2].  Stage by stage:
+    T[k1, n2 - j2] = conj T[k1, j2].  Stage by stage, each spread over
+    ``CPUS`` threads (the CPUs this process may use):
 
     - forward slabs: only the h2 = n2 // 2 + 1 columns j2 <= n2 / 2 go
       through the slabs, which place the half at slot 0 and, through a
@@ -462,14 +387,15 @@ def _even_square(inputs: list, c: int) -> np.ndarray:
       r[j1 n2 + j2] = r[(n1 - 1 - j1) n2 + n2 - j2] from rows
       n1 - 1 - R.. reversed.  Rows 0..R hold r(0..c), which is returned.
 
-    As there, each row's and column's arithmetic is that of a whole-grid
-    transform, so the result depends neither on SLAB_COLUMNS, nor on the
-    row block, nor on CPUS.  A squaring whose input is handed over holds
-    the input half beside S, then S alone, then S beside the output rows,
-    and a slab or row block per thread.  On a full window (N about 3c) S
-    takes about 4N bytes, three quarters of a window, so the peak is a
-    half window beside S: 33.6 + 50.7 = 84.3 MB at cap 4.2e6, where a
-    window beside the half window took 100.8 MB.
+    Each row's and column's arithmetic is that of a whole-grid transform,
+    so the result depends neither on SLAB_COLUMNS, nor on the row block,
+    nor on CPUS.  No real n1 x n2 grid is built, and the twiddles come
+    from two small tables (_twiddles, built once per grid shape).  A
+    squaring whose input is handed over holds the input half beside S,
+    then S alone, then S beside the output rows, and a slab or row block
+    per thread.  On a full window (N about 3c) S takes about 4N bytes,
+    three quarters of a window, so the peak is a half window beside S:
+    33.6 + 50.7 = 84.3 MB at cap 4.2e6.
     """
     h = inputs.pop()
     m = len(h) - 1
@@ -520,8 +446,9 @@ def _even_square(inputs: list, c: int) -> np.ndarray:
 
 
 def _four_step_shape(need: int) -> tuple:
-    """The (n1, n2) grid of _cyclic_convolution for a cyclic length of at
-    least need: n1 just above sqrt(need), both fast FFT lengths."""
+    """The (n1, n2) grid of _even_square for a cyclic length of at least
+    need: n1 the first fast real FFT length above sqrt(need), n2 a fast
+    complex one."""
     n1 = fft.next_fast_len(math.isqrt(need) + 1, True)
     return n1, fft.next_fast_len(-(-need // n1))
 
@@ -580,25 +507,23 @@ def _unit_roots(m: np.ndarray, size: int) -> np.ndarray:
 def self_convolution_powers(p: PmfOnZ, exponents, cap: int) -> Iterator:
     """Yield (n, p^(n)) for n in a set of powers of two, ascending.
 
-    The powers come from repeated squaring, one spectrum per squaring on
-    the FFT branch of convolve_z, at the cyclic length max(b + 1, n - a)
-    that wraps nothing into the kept window [a, b]: once the window |k| <=
-    cap is full that is 3 cap + 1 points, not the 4 cap + 1 of the whole
-    product.  If p is even (a half-form pmf, as every symmetric law's
-    to_pmf_on_z is, or a dense window equal to its reverse) every power
-    is a half-form pmf, squared on the real half spectrum (_even_square)
-    from its nonnegative half alone; no window is mirrored and none is
-    scanned for evenness.  The chain hands each power to its squaring and
-    keeps no reference to it, so a power is freed once its forward slabs
-    are done (a dense even p once its half is copied).  A caller that
-    passes p without keeping it and drops each checkpoint before asking
-    for the next holds one power at a time, so an even squaring on a full
-    window peaks at a half window beside the complex half spectrum (the
-    input half, then the output half), about 1.25 windows, plus a column
-    slab or row block per thread; a squaring that is not even holds a
-    window beside one n1 x n2 grid of complex values.  The twiddle tables
-    are built once per grid shape (_twiddles), so the squarings of a full
-    window share them.
+    The powers come from repeated squaring by convolve_z, at the cyclic
+    length max(b + 1, n - a) that wraps nothing into the kept window
+    [a, b]: once the window |k| <= cap is full that is 3 cap + 1 points,
+    not the 4 cap + 1 of the whole product.  If p is in half form (as
+    every symmetric law's to_pmf_on_z is) every power is too, squared on
+    the real half spectrum (_even_square) from its nonnegative half alone,
+    so no window is mirrored.  The chain hands each power to its squaring
+    and keeps no reference to it, so a power is freed once it is
+    transformed.  A caller that passes p without keeping it and drops each
+    checkpoint before asking for the next holds one power at a time: an
+    even squaring on a full window peaks at a half window beside the
+    complex half spectrum, about 1.25 windows (88.2 MiB traced at cap
+    4.2e6), plus a column slab or row block per thread, and any other
+    squaring at its window beside two real arrays of the cyclic length,
+    about 4 windows (257.2 MiB at cap 4.2e6).  The twiddle tables are
+    built once per grid shape (_twiddles), so the even squarings of a
+    full window share them.
     """
     want = sorted(set(exponents))
     for n in want:
@@ -623,10 +548,9 @@ def _doubling_chain(cur: PmfOnZ, want: list, cap: int):
             yield n, held[0]
 
 
-# Points per block of total_variation_shift's differences (and of
-# _is_mirrored's comparisons): 512 KiB of scratch whatever the window.  A
-# window and shift within one block sum in one pass, as one whole array
-# would.
+# Points per block of total_variation_shift's differences: 512 KiB of
+# scratch whatever the window.  A window and shift within one block sum in
+# one pass, as one whole array would.
 _TV_BLOCK = 2 ** 16
 
 
@@ -1000,7 +924,7 @@ class StepMeasure:
         half form, p(0..cap) in one array: a stable or shell law's built in
         place by pmf's float64 expressions, a finite law's support
         scattered into zeros; any other finite law's support is scattered
-        into a zero window."""
+        into a zero window (_scatter, as pmf_from_dict)."""
         if self.spec.variant != "lattice" or self.spec.d != 1:
             raise ValueError("pmf-on-Z view requires the Z backend")
         if self.kind == "stable_z":
@@ -1014,18 +938,8 @@ class StepMeasure:
         elif self.kind == "shell":
             half = self._shell_half(cap)
         else:
-            probs = {g[0]: self.pmf(g) for g in self.support_elements()
-                     if abs(g[0]) <= cap}
-            if any(probs.get(-k) != v for k, v in probs.items()):
-                vals = np.zeros(2 * cap + 1)
-                for k, v in probs.items():
-                    vals[k + cap] = v
-                mass = float(vals.sum())
-                return PmfOnZ(vals, -cap, max(0.0, 1.0 - mass), mass)
-            half = np.zeros(cap + 1)
-            for k, v in probs.items():
-                if k >= 0:
-                    half[k] = v
+            return _scatter({g[0]: self.pmf(g) for g in self.support_elements()
+                             if abs(g[0]) <= cap}, -cap, cap)
         mass = _window_sum(half)
         return PmfOnZ.even(half, max(0.0, 1.0 - mass), mass)
 

@@ -134,15 +134,18 @@ def _tree_distance_chain(rank: int, walkers: int, rng: np.random.Generator,
     """Word lengths |X_k|, k = 0, 1, ..., of ``walkers`` independent (lazy)
     SRWs from e on the 2k-regular tree, one rng.random(walkers) draw per
     step.  From |x| >= 1 exactly one of the 2k neighbours is closer, so
-    |X_k| is a birth-death chain, exact in law by vertex-isotropy."""
-    two_k = 2 * rank
+    |X_k| is a birth-death chain, exact in law by vertex-isotropy.  Each
+    step yields a new array, so callers may keep the ones yielded."""
+    below = laziness + (1 - laziness) / (2 * rank)
     d = np.zeros(walkers, dtype=np.int64)
     while True:
         yield d
         u = rng.random(walkers)
-        stay = u < laziness
-        down = (~stay) & (d > 0) & (u < laziness + (1 - laziness) / two_k)
-        d = d + np.where(stay, 0, np.where(down, -1, 1))
+        move = u >= laziness
+        down = u < below
+        down &= d > 0
+        down &= move
+        d = d + move - 2 * down
 
 
 def batch_lengths(spec: GroupSpec, mu: StepMeasure, n: int, trials: int,
@@ -371,29 +374,21 @@ def _doubling_sizes(n_list) -> list:
 
 def tv_dispersion_z(pmf: PmfOnZ, shift: int, n_list, cap: int) -> DispersionCurve:
     """TV(n) = (1/2) sum_m |p^(n)(m) - p^(n)(m - shift)| by exact doubling
-    convolutions on the window |m| <= cap; the reported TV error includes
-    the tracked truncation loss.  Each squaring is one four-step FFT
-    squaring (measures.convolve_z) at the cyclic length max(b + 1, n - a),
-    3 cap + 1 on a full window, which wraps nothing into the kept indices
-    [a, b], so the window holds the linear convolution's values.  The
-    checkpoints are streamed: TV is taken from each power as it is
-    reached, and neither pmf nor a checkpoint is kept while the chain
-    squares, so one power is live at a time (self_convolution_powers)
-    if the caller passes pmf without keeping it (a temporary argument,
-    which CPython 3.11 and later hand to the callee).  An even pmf (every
-    symmetric law's to_pmf_on_z) comes as its nonnegative half, and every
-    power stays one: each squaring is on the real half spectrum, stage by
-    stage: the forward column slabs fill the complex half spectrum from
-    the power's half, which is then freed, the row stage squares the
-    spectrum in place block by block, and the inverse slabs write grid
-    rows 0..R, the next power's half.  No window is mirrored or scanned
-    for evenness, so the peak is a half window beside the spectrum
-    (33.6 + 50.7 = 84.3 MB at cap 4.2e6, where the alpha = 1 stable law's
-    chain traces 88.2 MiB), and a column slab or row block per thread;
-    the support gcd and a checkpoint's TV read the half a block of 2^16
-    points at a time.
-    Periodic supports (gcd of support differences > 1, found by a chunked
-    scan) are computed but flagged."""
+    convolutions on the window |m| <= cap (self_convolution_powers); the
+    reported TV error includes the tracked truncation loss.  Each squaring
+    (measures.convolve_z) wraps nothing into the kept window, so it holds
+    the linear convolution's values.  The checkpoints are streamed: TV is
+    taken from each power as it is reached, and neither pmf nor a
+    checkpoint is kept while the chain squares, so one power is live at a
+    time if the caller passes pmf without keeping it (a temporary
+    argument, which CPython 3.11 and later hand to the callee).  An even
+    pmf (every symmetric law's to_pmf_on_z) comes as its nonnegative half
+    and every power stays one, so the peak is a half window beside the
+    real half spectrum (33.6 + 50.7 = 84.3 MB at cap 4.2e6, where the
+    alpha = 1 stable law's chain traces 88.2 MiB) and a column slab or row
+    block per thread; the support gcd and a checkpoint's TV read the half
+    a block of 2^16 points at a time.  Periodic supports (gcd of support
+    differences > 1, found by a chunked scan) are computed but flagged."""
     n_list = _doubling_sizes(n_list)
     periodic = _support_gcd(pmf) > 1
     powers = self_convolution_powers(pmf, n_list, cap)

@@ -562,13 +562,16 @@ class TestConvolveZ:
 
     def test_fft_branch_clamps_round_off(self):
         # two atoms 4000 apart: the square is three atoms and zeros between,
-        # where the FFT's round-off (about -7e-17 here) must be clamped to 0
-        p = pmf_from_dict({-2000: 0.5, 2000: 0.5})
-        c = convolve_z(p, p, cap=5000)
-        assert c.vals.min() >= 0.0
-        assert c.at(0) == pytest.approx(0.5, abs=1e-15)
-        assert c.at(-4000) == pytest.approx(0.25, abs=1e-15)
-        assert np.max(c.vals[1:4000]) < 1e-15
+        # where the FFT's round-off (about -7e-17 here) must be clamped to 0;
+        # centred at 0 on the even route, at 4000 on the real-FFT product
+        for d, mid in (({-2000: 0.5, 2000: 0.5}, 0), ({0: 0.5, 4000: 0.5}, 4000)):
+            p = pmf_from_dict(d)
+            c = convolve_z(p, p, cap=5000)
+            assert (c.half is not None) == (mid == 0)
+            assert c.vals.min() >= 0.0
+            assert c.at(mid) == pytest.approx(0.5, abs=1e-15)
+            assert c.at(mid - 4000) == pytest.approx(0.25, abs=1e-15)
+            assert np.max(c.vals[1:4000]) < 1e-15
 
     @staticmethod
     def cap_range(cut, lo, hi):
@@ -588,8 +591,10 @@ class TestConvolveZ:
     @given(data=st.data(), same=st.booleans(),
            len_p=st.integers(2049, 6000), seed=st.integers(0, 2 ** 32 - 1))
     def test_fft_branch_matches_np_convolve(self, cut, data, same, len_p, seed):
+        # the real-FFT product of dense pmfs, a square or a product of two:
         # the cyclic length max(b + 1, n - a) wraps nothing into the kept
-        # window, whichever sides the cap cuts
+        # window, whichever sides the cap cuts, and the inputs stay as they
+        # were
         rng = np.random.default_rng(seed)
         len_q = len_p if same else data.draw(st.integers(max(1, 4098 - len_p), 6000))
         n = len_p + len_q - 1
@@ -608,9 +613,36 @@ class TestConvolveZ:
         assert (lo < -cap, hi > cap) == (cut in ("low", "both"), cut in ("high", "both"))
         p = self.random_pmf(rng, len_p, lo_p)
         q = p if same else self.random_pmf(rng, len_q, lo_q)
+        before = p.vals.tobytes() + q.vals.tobytes()
         c = convolve_z(p, q, cap)
+        assert p.vals.tobytes() + q.vals.tobytes() == before
         assert (c.lo, c.hi) == (max(lo, -cap), min(hi, cap))
+        assert c.half is None and c.vals.min() >= 0.0
         want = np.convolve(p.vals, q.vals)[c.lo - lo: c.hi - lo + 1]
+        assert np.max(np.abs(c.vals - want)) <= 1e-15
+        assert c.delta_trunc == pytest.approx(1.0 - want.sum(), abs=1e-13)
+
+    @pytest.mark.parametrize("len_p, len_q, lo, cap", [
+        (5063, 5063, -6000, 4128), (5100, 3001, -6000, 2105),
+        (5063, 5063, -2000, 2000), (5100, 3001, -2000, 2000),
+        (5001, 5001, -4500, 3715), (5001, 3001, -4500, 1124)],
+        ids=["cut-low-square", "cut-low-product", "cut-high-square",
+             "cut-high-product", "cut-both-square", "cut-both-product"])
+    def test_real_product_at_the_shortest_length(self, len_p, len_q, lo, cap):
+        # need = max(b + 1, n - a) is itself a fast real length here, so
+        # the transform is exactly need points long and any shorter one
+        # would wrap random mass into the kept window
+        rng = np.random.default_rng(len_q + cap)
+        p = self.random_pmf(rng, len_p, lo // 2)
+        q = p if len_q == len_p else self.random_pmf(rng, len_q, lo - lo // 2)
+        n = len_p + len_q - 1
+        a, b = max(lo, -cap) - lo, min(lo + n - 1, cap) - lo
+        need = max(b + 1, n - a)
+        assert measures.fft.next_fast_len(need, True) == need
+        assert (a > 0, b < n - 1) == (lo < -cap, lo + n - 1 > cap)
+        c = convolve_z(p, q, cap)
+        want = np.convolve(p.vals, q.vals)[a: b + 1]
+        assert (c.lo, c.hi, c.half) == (lo + a, lo + b, None)
         assert np.max(np.abs(c.vals - want)) <= 1e-15
         assert c.delta_trunc == pytest.approx(1.0 - want.sum(), abs=1e-13)
 
@@ -618,14 +650,16 @@ class TestConvolveZ:
     def test_fft_branch_does_not_alias(self, low):
         # atoms at both ends of a 3241-point support: the square's support
         # has n = 6481 points and the cap cuts one side only, so the cyclic
-        # length must be n.  6480 = 81 * 80 is itself a four-step length, so
-        # a length one shorter would wrap the far atom onto the near one
+        # length must be n.  6480 = 2^4 3^4 5 is itself a fast real length,
+        # so a length one shorter would wrap the far atom onto the near one
         # (cut high) or drop the kept end (cut low).  low None: the even
         # square, cut on both sides
         if low is None:
             self.even_square_does_not_alias()
             return
+        assert measures.fft.next_fast_len(6480, True) == 6480
         p = pmf_from_dict({-3240 * low: 0.5, 3240 - 3240 * low: 0.5})
+        assert p.half is None
         c = convolve_z(p, p, cap=5000)
         near, mid, far = (0, -3240, -6480) if low else (0, 3240, 6480)
         assert (c.lo, c.hi) == ((-5000, 0) if low else (0, 5000))
@@ -643,9 +677,10 @@ class TestConvolveZ:
         # 4032 = 64 * 63, is itself a four-step length, which would wrap
         # -2200 onto +-1832
         p = pmf_from_dict({-1100: 0.5, 1100: 0.5})
+        assert p.half is not None
         assert measures._four_step_shape(4032) == (64, 63)
         c = convolve_z(p, p, cap=1832)
-        assert (c.lo, c.hi) == (-1832, 1832)
+        assert (c.lo, c.hi) == (-1832, 1832) and c.half is not None
         assert c.at(0) == pytest.approx(0.5, abs=1e-15)
         assert np.max(np.delete(c.vals, 1832)) < 1e-15
         assert c.delta_trunc == pytest.approx(0.5, abs=1e-14)
@@ -653,18 +688,18 @@ class TestConvolveZ:
 
     @staticmethod
     def even_pmf(rng, m):
-        """A random pmf on [-m, m] equal to its reverse."""
+        """A random even pmf on [-m, m], in half form."""
         w = rng.random(m + 1)
-        v = np.concatenate([w[:0:-1], w])
-        return PmfOnZ(v / v.sum(), -m)
+        return PmfOnZ.even(w / (2 * w.sum() - w[0]))
 
     @staticmethod
     def square_against_np_convolve(p, cap):
-        """convolve_z(p, p, cap), checked against np.convolve and for being
-        exactly even."""
+        """convolve_z(p, p, cap) of a half-form p on the even route,
+        checked against np.convolve and for being exactly even."""
         m = p.hi
         c = convolve_z(p, p, cap)
         assert (c.lo, c.hi) == (-min(cap, 2 * m), min(cap, 2 * m))
+        assert c.half is not None
         want = np.convolve(p.vals, p.vals)[c.lo + 2 * m: c.hi + 2 * m + 1]
         assert np.max(np.abs(c.vals - want)) <= 1e-15
         assert c.delta_trunc == pytest.approx(1.0 - want.sum(), abs=1e-13)
@@ -727,141 +762,53 @@ class TestConvolveZ:
             assert np.array_equal(got, want)
 
 
-def whole_grid_cyclic_convolution(x, y, need):
-    """The whole cyclic convolution of x and y (y None: x with itself) from
-    whole n1 x n2 grids: each input's real grid and half spectrum, the
-    twiddles applied eight spectrum rows at a time, and one inverse of the
-    whole product.  The reference that measures._cyclic_convolution's
-    column slabs must equal bit for bit."""
-    fft = measures.fft
-    n1, n2 = measures._four_step_shape(need)
-    tw = measures._Twiddles(n1, n2)
-
-    def apply(s, inverse=False):
-        for lo in range(0, len(s), 8):
-            block = s[lo:lo + 8]
-            w = tw.coarse[lo:lo + 8, :, None] * tw.fine[lo:lo + 8, None, :]
-            w = w.reshape(len(w), -1)[:, :n2]
-            if inverse:
-                np.conjugate(block, out=block)
-                block *= w
-                np.conjugate(block, out=block)
-            else:
-                block *= w
-
-    spectra = []
-    for v in (x,) if y is None else (x, y):
-        grid = np.zeros((n1, n2))
-        grid.reshape(-1)[:len(v)] = v
-        s = fft.rfft(grid, axis=0, workers=greenlab.CPUS)
-        apply(s)
-        spectra.append(fft.fft(s, axis=1, workers=greenlab.CPUS))
-    s = spectra[0] * spectra[-1]
-    s = fft.ifft(s, axis=1, workers=greenlab.CPUS)
-    apply(s, inverse=True)
-    return fft.irfft(s, n1, axis=0, workers=greenlab.CPUS).reshape(-1)
-
-
 class TestStreamedSquaring:
-    """convolve_z's FFT branch streams the four-step transform through
-    column slabs; it must equal the whole-grid transform bit for bit, for
-    any slab width and thread count."""
-
-    @staticmethod
-    def streamed_and_whole(p, q, cap):
-        """(convolve_z(p, q, cap).vals, the same window of the whole-grid
-        reference clamped at 0, the (n1, n2) grid, [a, b])."""
-        n = len(p.vals) + len(q.vals) - 1
-        lo = p.lo + q.lo
-        a, b = max(lo, -cap) - lo, min(lo + n - 1, cap) - lo
-        need = max(b + 1, n - a, len(p.vals), len(q.vals))
-        whole = whole_grid_cyclic_convolution(
-            p.vals, None if q is p else q.vals, need)
-        got = convolve_z(p, q, cap).vals
-        return got, np.maximum(whole[a: b + 1], 0.0), \
-            measures._four_step_shape(need), (a, b)
-
-    @pytest.mark.parametrize("cut", ["none", "low", "high", "both"])
-    @settings(max_examples=30, deadline=None)
-    @given(data=st.data(), same=st.booleans(), slab=st.integers(1, 40),
-           len_p=st.integers(2049, 6000), seed=st.integers(0, 2 ** 32 - 1))
-    def test_equals_whole_grid(self, cut, data, same, slab, len_p, seed):
-        rng = np.random.default_rng(seed)
-        len_q = len_p if same else data.draw(st.integers(max(1, 4098 - len_p), 6000))
-        n = len_p + len_q - 1
-        lo = data.draw({"none": st.integers(-2 * n, 2 * n),
-                        "low": st.integers(-3 * n, -(n + 1) // 2 - 1),
-                        "high": st.integers(2 - (n - 1) // 2, 2 * n),
-                        "both": st.integers(4 - n, -2)}[cut])
-        if same:
-            lo -= lo % 2
-            lo_p = lo_q = lo // 2
-        else:
-            lo_p = data.draw(st.integers(-n, n))
-            lo_q = lo - lo_p
-        cap = data.draw(st.integers(*TestConvolveZ.cap_range(cut, lo, lo + n - 1)))
-        p = TestConvolveZ.random_pmf(rng, len_p, lo_p)
-        q = p if same else TestConvolveZ.random_pmf(rng, len_q, lo_q)
-        with mock.patch.object(measures, "SLAB_COLUMNS", slab):
-            got, want, _, _ = self.streamed_and_whole(p, q, cap)
-        assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("same", [True, False])
-    @pytest.mark.parametrize("lo, cap", [(-6000, 4500), (-2000, 3000),
-                                         (-4500, 2000)],
-                             ids=["cut-low", "cut-high", "cut-both"])
-    def test_ragged_slab_and_mid_row_window(self, same, lo, cap):
-        # the last slab is narrower than the rest, and the window ends (and,
-        # where the cap cuts the low side, starts) inside a grid row
-        rng = np.random.default_rng(31)
-        p = TestConvolveZ.random_pmf(rng, 5001, lo // 2)
-        q = p if same else TestConvolveZ.random_pmf(rng, 5001, lo - lo // 2)
-        n = 2 * 5001 - 1
-        cut_low, cut_high = lo < -cap, lo + n - 1 > cap
-        with mock.patch.object(measures, "SLAB_COLUMNS", 11):
-            got, want, (n1, n2), (a, b) = self.streamed_and_whole(p, q, cap)
-        assert n2 % 11 and (b + 1) % n2 and (a % n2 > 0) == cut_low
-        assert (a > 0, b < n - 1) == (cut_low, cut_high)
-        assert np.array_equal(got, want)
+    """convolve_z's even route streams the four-step transform through
+    column slabs and row blocks; its result must not depend on the slab
+    width, the row block or the thread count."""
 
     @pytest.mark.parametrize("case", ["not-even-at-0", "not-even-at-m-1",
-                                      "off-centre", "copy", "even"])
+                                      "off-centre", "copy", "dense", "even"])
     def test_routes(self, case):
-        # only the square of a pmf on [-m, m] equal to its reverse takes the
-        # real half spectrum; anything else is the general four-step
-        # product, equal to the whole-grid transform bit for bit.  One ulp
-        # off at the window's end or next to its centre is not even
+        # only the square of a half-form pmf takes the real half spectrum;
+        # its exactly even dense window, that window off centre, its
+        # product with a copy, or pmf_from_dict of its values one ulp off
+        # at the window's end or next to its centre (a dense window, as
+        # the dict is not symmetric) is the real-FFT product, which
+        # matches np.convolve
         rng = np.random.default_rng(34)
         p = TestConvolveZ.even_pmf(rng, 2500)
         q = p
         if case.startswith("not-even"):
-            vals = p.vals.copy()
+            vals = p.vals
             i = 0 if case.endswith("0") else 2500 - 1
             vals[i] = np.nextafter(vals[i], 1.0)
-            p = q = PmfOnZ(vals, p.lo)
+            p = q = pmf_from_dict(dict(zip(range(p.lo, p.hi + 1), vals)))
+            assert p.half is None and (p.lo, p.hi) == (-2500, 2500)
         elif case == "off-centre":
             p = q = PmfOnZ(p.vals, p.lo + 3)
         elif case == "copy":
-            q = PmfOnZ(p.vals.copy(), p.lo)
+            q = PmfOnZ(p.vals, p.lo)
+        elif case == "dense":
+            p = q = PmfOnZ(p.vals, p.lo)
         with mock.patch.object(measures, "_even_square",
                                wraps=measures._even_square) as even:
             if case == "even":
                 TestConvolveZ.square_against_np_convolve(p, 3000)
             else:
-                got, want, _, _ = self.streamed_and_whole(p, q, 3000)
-                assert np.array_equal(got, want)
+                c = convolve_z(p, q, 3000)
+                lo = p.lo + q.lo
+                want = np.convolve(p.vals, q.vals)[c.lo - lo: c.hi - lo + 1]
+                assert c.half is None
+                assert np.max(np.abs(c.vals - want)) <= 1e-15
         assert even.called == (case == "even")
 
     def test_independent_of_cpu_count(self, monkeypatch):
-        rng = np.random.default_rng(32)
-        p = TestConvolveZ.random_pmf(rng, 40001, -20000)
-        q = TestConvolveZ.random_pmf(rng, 30001, -9000)
-        e = TestConvolveZ.even_pmf(rng, 20000)
+        e = TestConvolveZ.even_pmf(np.random.default_rng(32), 20000)
         runs = []
         for cpus in (greenlab.CPUS, 1):
             monkeypatch.setattr(greenlab, "CPUS", cpus)
-            runs.append((convolve_z(p, p, 30000).vals, convolve_z(p, q, 25000).vals,
-                         convolve_z(e, e, 30000).vals, convolve_z(e, e, 50000).vals))
+            runs.append((convolve_z(e, e, 30000).vals, convolve_z(e, e, 50000).vals))
         for many, one in zip(*runs):
             assert np.array_equal(many, one)
 
@@ -877,15 +824,11 @@ class TestStreamedSquaring:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_independent_of_row_block(self, cpus, monkeypatch):
-        # the row stage of both routes in blocks of one row, seven rows
-        # (with a ragged last block), the default budget and all rows, on
-        # one thread and on two; the general route also equals the
-        # whole-grid transform
+        # the even route's row stage in blocks of one row, seven rows (with
+        # a ragged last block), the default budget and all rows, on one
+        # thread and on two
         monkeypatch.setattr(greenlab, "CPUS", cpus)
-        rng = np.random.default_rng(36)
-        p = TestConvolveZ.random_pmf(rng, 40001, -20000)
-        q = TestConvolveZ.random_pmf(rng, 30001, -9000)
-        e = TestConvolveZ.even_pmf(rng, 20000)
+        e = TestConvolveZ.even_pmf(np.random.default_rng(36), 20000)
         shapes = []
         stage = measures._row_stage
 
@@ -893,18 +836,15 @@ class TestStreamedSquaring:
             shapes.append((len(s), s[0].nbytes))
             stage(s, step)
 
-        for x, y, cap in ((p, p, 30000), (p, q, 25000), (e, e, 30000),
-                          (e, e, 50000)):
+        for cap in (30000, 50000):
             shapes.clear()
             with mock.patch.object(measures, "_row_stage", spy):
-                want = convolve_z(x, y, cap).vals
+                want = convolve_z(e, e, cap).vals
             [(rows, row_bytes)] = shapes
             assert rows % 7
-            if x is not e:
-                assert np.array_equal(want, self.streamed_and_whole(x, y, cap)[1])
             for budget in (1, 7 * row_bytes, rows * row_bytes):
                 with mock.patch.object(measures, "_ROW_BLOCK_BYTES", budget):
-                    assert np.array_equal(convolve_z(x, y, cap).vals, want)
+                    assert np.array_equal(convolve_z(e, e, cap).vals, want)
 
     def test_row_stage_blocks(self, monkeypatch):
         # the blocks cover every row once, in budget-sized runs
@@ -923,7 +863,7 @@ class TestStreamedSquaring:
         # rows 0..R), the twiddle tables and a slab or row block per
         # thread, and no window
         m = 500_000
-        half = TestConvolveZ.even_pmf(np.random.default_rng(37), m).vals[m:]
+        half = TestConvolveZ.even_pmf(np.random.default_rng(37), m).half
         n1, n2 = measures._four_step_shape(3 * m + 1)
         measures._twiddles.cache_clear()
         tracemalloc.start()
@@ -970,19 +910,14 @@ class TestStreamedSquaring:
             measures._twiddles.cache_clear()
 
     def test_inputs_handed_over(self):
-        # the squarings take the arrays out of their lists (the even one a
-        # half) and leave the inputs themselves unchanged
-        rng = np.random.default_rng(33)
-        p = TestConvolveZ.random_pmf(rng, 3000, -1500)
-        e = TestConvolveZ.even_pmf(rng, 1500)
-        for v, square in ((p.vals, lambda inputs: measures._cyclic_convolution(
-                              inputs, 5999, 0, 5998)),
-                          (e.vals[1500:], lambda inputs: measures._even_square(inputs, 2000))):
-            before = v.copy()
-            inputs = [v]
-            square(inputs)
-            assert inputs == []
-            assert np.array_equal(v, before)
+        # the even squaring takes the half out of its list and leaves the
+        # half itself unchanged
+        v = TestConvolveZ.even_pmf(np.random.default_rng(33), 1500).half
+        before = v.copy()
+        inputs = [v]
+        measures._even_square(inputs, 2000)
+        assert inputs == []
+        assert np.array_equal(v, before)
 
 
 class TestSelfConvolutionPowers:
@@ -1114,14 +1049,13 @@ class TestPmfOnZ:
     def test_laws_on_z_are_exactly_even(self, law, lazy):
         # every window a doubling chain starts from is on [-cap, cap] and
         # equal to its reverse, and comes as its nonnegative half, so its
-        # squarings take the even route with no scan
+        # squarings take the even route
         base = {"srw": lambda: srw(Z1), "shell": lambda: shell_measure(Z1)}
         mu = lazy_transform(base.get(law, lambda: stable_z_measure(law))(), lazy)
         p = mu.to_pmf_on_z(5000)
         assert p.lo == -p.hi == -5000
         assert p.half is not None and len(p.half) == 5001
         assert np.array_equal(p.vals, p.vals[::-1])
-        assert measures._is_mirrored(p.vals)
         assert p.delta_trunc == max(0.0, 1.0 - float(p.vals.sum()))
 
     def test_mass_validation(self):
@@ -1167,20 +1101,32 @@ class TestPmfOnZ:
             with pytest.raises(ValueError, match="is not 1"):
                 PmfOnZ(np.array([0.5, 0.5]), 0, float("nan"), mass)
 
-    @pytest.mark.parametrize("block", [1, 7, 64])
-    def test_mirror_check_in_blocks(self, block, monkeypatch):
-        # one ulp off at any index, in blocks that split the halves
-        # anywhere, is found; an exact mirror is not rejected
-        monkeypatch.setattr(measures, "_TV_BLOCK", block)
-        rng = np.random.default_rng(39)
-        for n in (1, 2, 3, 8, 101, 130):
-            w = rng.random(n)
-            v = w + w[::-1]
-            assert measures._is_mirrored(v)
-            for i in range(n):
-                u = v.copy()
-                u[i] = np.nextafter(u[i], 2.0)
-                assert measures._is_mirrored(u) == (2 * i + 1 == n)
+    @settings(max_examples=40)
+    @given(m=st.integers(0, 300), lo=st.integers(-3, 3),
+           flip=st.sampled_from(["none", "ulp", "add"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_pmf_from_dict_half_form_exactly_when_symmetric(self, m, lo, flip,
+                                                           seed):
+        # a dict symmetric about 0 (lo 0, zero values among its entries)
+        # becomes a half form; a window off centre, one value one ulp off
+        # its mirror's, or a key past the end (value 0) stays dense.
+        # Either way every value is read back at its key
+        rng = np.random.default_rng(seed)
+        w = rng.random(m + 1) * (rng.random(m + 1) >= 0.3)
+        w[0] += 1.0
+        w /= 2 * w.sum() - w[0]
+        d = {k + lo: w[abs(k)] for k in range(-m, m + 1)}
+        if flip == "ulp" and m:
+            k = int(rng.integers(1, m + 1)) * int(rng.choice([-1, 1])) + lo
+            d[k] = np.nextafter(d[k], 1.0)
+        elif flip == "add":
+            d[m + 1 + lo] = 0.0
+        p = pmf_from_dict(d)
+        symmetric = lo == 0 and (flip == "none" or flip == "ulp" and m == 0)
+        assert (p.half is not None) == symmetric
+        assert (p.lo, p.hi) == (min(d), max(d))
+        for j in range(p.lo - 1, p.hi + 2):
+            assert p.at(j) == d.get(j, 0.0), j
 
 
 class TestHalfForm:
@@ -1232,17 +1178,28 @@ class TestHalfForm:
            seed=st.integers(0, 2 ** 32 - 1))
     def test_squaring_matches_the_dense_square(self, full, data, m, seed):
         # on the FFT branch (4m + 1 > 4096 points) and the direct one, the
-        # square of the half form is the dense even window's, bit for bit,
-        # with the same delta_trunc; the even route returns a half form
+        # square of the half form is that of the same law built by
+        # pmf_from_dict from the dense even window, also a half form, bit
+        # for bit, with the same delta_trunc; the even route returns a half
+        # form.  The dense window's own square (the real-FFT product on the
+        # FFT branch) agrees to 1e-15, and bit for bit on the direct one
         cap = data.draw(st.integers(1, 2 * m - 1) if full and m > 1
                         else st.integers(2 * m, 3 * m))
         half, dense = self.pair(np.random.default_rng(seed), m)
-        a, b = convolve_z(half, half, cap), convolve_z(dense, dense, cap)
+        built = pmf_from_dict(dict(zip(range(-m, m + 1), dense.vals)))
+        assert built.half is not None
+        a, b = convolve_z(half, half, cap), convolve_z(built, built, cap)
         assert (a.lo, a.hi) == (b.lo, b.hi)
         assert a.vals.tobytes() == b.vals.tobytes()
         assert a.delta_trunc == b.delta_trunc
         fft_branch = 4 * m + 1 > 4096
         assert (a.half is not None) == (b.half is not None) == fft_branch
+        c = convolve_z(dense, dense, cap)
+        assert (c.lo, c.hi, c.half) == (a.lo, a.hi, None)
+        if fft_branch:
+            assert np.max(np.abs(c.vals - a.vals)) <= 1e-15
+        else:
+            assert c.vals.tobytes() == a.vals.tobytes()
 
     @pytest.mark.parametrize("run", [128, 1000, measures._SUM_RUN])
     @settings(max_examples=30)

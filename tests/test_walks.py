@@ -210,6 +210,28 @@ class TestBatchPositions:
         lazy = lazy_transform(srw(F2), 0.5)
         assert batch_lengths(F2, lazy, 5, 10, rng, [5])[5].shape == (10,)
 
+    @pytest.mark.parametrize("rank, laziness", [(2, 0.0), (2, 0.3), (3, 0.5)])
+    def test_tree_chain_matches_per_walker_steps(self, rank, laziness):
+        # the vectorised birth-death chain against one walker at a time on
+        # the same uniforms: stay below the laziness, step towards e with
+        # the next 1 / (2k) of the rest when away from it, else away; each
+        # step yields a new array
+        walkers, steps = 50, 40
+        chain = walks._tree_distance_chain(rank, walkers,
+                                           derive_stream(37, "tree"), laziness)
+        got = [next(chain) for _ in range(steps + 1)]
+        rng = derive_stream(37, "tree")
+        d = [0] * walkers
+        want = [list(d)]
+        for _ in range(steps):
+            for i, u in enumerate(rng.random(walkers)):
+                if u >= laziness:
+                    closer = d[i] > 0 and u < laziness + (1 - laziness) / (2 * rank)
+                    d[i] += -1 if closer else 1
+            want.append(list(d))
+        assert [g.tolist() for g in got] == want
+        assert len({id(g) for g in got}) == len(got)
+
     @pytest.mark.parametrize("backend", ["Z^3", "Heis3"])
     def test_speed_with_stable_law_off_z_exits_2(self, backend, tmp_path):
         cfg = {"kind": "speed", "backend": backend,
@@ -426,24 +448,34 @@ class TestDispersion:
             (peak - half - spectrum) / (slabs + tables)
 
     def test_chains_never_scan_for_evenness(self):
-        # every law's pmf comes in half form, so neither chain mirrors a
-        # window or scans one for evenness, and the TVs equal those of the
-        # dense even windows, which are scanned once and then squared as
-        # half forms
+        # every law's pmf comes in half form, so every squaring of either
+        # chain past the direct branch takes the even route: the route is
+        # read off the form, and no window is scanned.  The TVs agree with
+        # those of the dense even windows, squared by the real-FFT product
         mu = stable_z_measure(1.0)
         h = lazy_transform(srw(Z1), 0.5)
-        with mock.patch.object(measures, "_is_mirrored",
-                               side_effect=AssertionError("scanned")):
+        with mock.patch.object(measures, "_even_square",
+                               wraps=measures._even_square) as even:
             curve = tv_dispersion_z(mu.to_pmf_on_z(20000), 1, [16, 256], 20000)
             rows = product_dispersion_bound(h.to_pmf_on_z(300),
                                             mu.to_pmf_on_z(3000), (1, 1),
                                             [16, 64], 300, 3000)
+        # 8 squarings of the first chain, 6 of the second's Z^1 chain; the
+        # lazy SRW chain's 1201-point window stays on the direct branch
+        assert even.call_count == 8 + 6
         dense = lambda p: PmfOnZ(p.vals, p.lo, p.delta_trunc)
-        assert tv_dispersion_z(dense(mu.to_pmf_on_z(20000)), 1, [16, 256],
-                               20000).rows == curve.rows
-        assert product_dispersion_bound(
+        dense_curve = tv_dispersion_z(dense(mu.to_pmf_on_z(20000)), 1,
+                                      [16, 256], 20000)
+        for got, want in zip(dense_curve.rows, curve.rows):
+            assert got[0] == want[0]
+            assert got[1:] == pytest.approx(want[1:], rel=0, abs=1e-14)
+        dense_rows = product_dispersion_bound(
             dense(h.to_pmf_on_z(300)), dense(mu.to_pmf_on_z(3000)), (1, 1),
-            [16, 64], 300, 3000) == rows
+            [16, 64], 300, 3000)
+        for got, want in zip(dense_rows, rows):
+            assert got.n == want.n and got.tv_h == want.tv_h
+            assert (got.tv_product, got.tv_z, got.error_budget) == pytest.approx(
+                (want.tv_product, want.tv_z, want.error_budget), rel=0, abs=1e-14)
 
     def test_non_power_checkpoint_rejected(self):
         pmf = pmf_from_dict({-1: 0.5, 1: 0.5})
