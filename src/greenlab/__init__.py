@@ -35,7 +35,10 @@ class _LazyModule:
     Layers bind SciPy through it (``spla = _LazyModule("scipy.sparse.linalg")``)
     so that importing greenlab loads no SciPy, and a run that never solves,
     convolves or evaluates a special function never pays for it.  The
-    binding stays an ordinary module attribute that callers may replace."""
+    Monte Carlo samplers evaluate none: a stable law's sampling table and
+    tail mass take their Hurwitz zeta values from measures._hurwitz_zeta.
+    The binding stays an ordinary module attribute that callers may
+    replace."""
 
     def __init__(self, name: str):
         self._name = name

@@ -6,9 +6,11 @@ is p_r = const / (r^2 log r) carried by axis powers, and power-tail
 measures on Z with pmf proportional to |k|^{-(1+alpha)}.
 
 ``special`` and ``fft`` are lazy module attributes
-(``greenlab._LazyModule``): SciPy loads the first time a stable law needs
-zeta or digamma or a convolution needs an FFT, so importing greenlab, and
-runs that sample shell or finite laws, load none of it (the benchmark's
+(``greenlab._LazyModule``): SciPy loads the first time a stable law's pmf
+needs C_alpha, first_moment_partial needs digamma, or a convolution needs
+an FFT.  The samplers take their Hurwitz zeta values from _hurwitz_zeta, a
+port of SciPy's, so importing greenlab, and runs that only sample (speed
+and increment-probe, on any law), load none of it (the benchmark's
 ``setup_s`` is that import).
 """
 
@@ -55,13 +57,94 @@ SAMPLE_HEAD = 2 ** 16
 
 def _range_sum(f, lo: int, hi: int, block: int = 10 ** 6) -> float:
     """sum_{lo <= n < hi} f(n) for a vectorised f, over float64 blocks of
-    `block` terms starting at lo (bounded memory; the blocks fix the
-    rounding)."""
+    `block` terms starting at lo (the blocks fix the rounding).  Each block
+    is float(np.sum(f(n))) of its terms n, bit for bit, taken by
+    _pairwise_sum on runs of at most _SUM_RUN terms, so a run's f(n), not a
+    block's, is live at a time.  A run's terms are made in one reused
+    buffer, as i + 0, 1, ..., which are arange's values while exact (below
+    2^53); f may overwrite them.  On a 2-vCPU machine shell_norm_constant(3)
+    takes 0.045 s this way, against 0.13 s with a new arange per run and
+    0.06 s with one 8 MB arange per block."""
+    ramp = np.arange(min(_SUM_RUN, block, max(hi - lo, 0)), dtype=np.float64)
+    n = np.empty_like(ramp)
+
+    def run(i: int, j: int) -> float:
+        return float(np.sum(f(np.add(ramp[:j - i], i, out=n[:j - i]))))
+
     total = 0.0
     for start in range(lo, hi, block):
-        n = np.arange(start, min(start + block, hi), dtype=np.float64)
-        total += float(np.sum(f(n)))
+        total += _pairwise_sum(start, min(start + block, hi), _SUM_RUN, run)
     return total
+
+
+# Points per run of _pairwise_sum's callers: any run of at least NumPy's
+# pairwise leaf of 128 points sums as np.sum does inside the whole array.
+_SUM_RUN = 2 ** 16
+
+
+def _pairwise_sum(i: int, j: int, run: int, run_sum) -> float:
+    """float(np.sum(x)) of an array x of points i..j - 1, bit for bit, from
+    run_sum(i', j') = float(np.sum(x[i':j'])) on runs of at most `run`
+    points.  NumPy sums a contiguous float64 array pairwise, splitting
+    n > 128 points at n // 2 rounded down to a multiple of 8 (its
+    pairwise_sum, numpy/_core/src/umath/loops_utils.h.src): the points are
+    split the same way down to runs of at most `run` (>= 128) points, whose
+    sums np.sum takes in the same tree."""
+    if j - i > run:
+        h = (j - i) // 2
+        h -= h % 8
+        return (_pairwise_sum(i, i + h, run, run_sum)
+                + _pairwise_sum(i + h, j, run, run_sum))
+    return run_sum(i, j)
+
+
+# Cephes zeta(x, q)'s Euler-Maclaurin coefficients (2k)! / B_2k, k = 1..12.
+_ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
+           -1.8924375803183791606e9, 7.47242496e10, -2.950130727918164224e12,
+           1.1646782814350067249e14, -4.5979787224074726105e15,
+           1.8152105401943546773e17, -7.1661652561756670113e18)
+
+# Cephes' MACHEP, 2^-53.
+_MACHEP = 2.0 ** -53
+
+
+def _hurwitz_zeta(x: float, q: float) -> float:
+    """The Hurwitz zeta sum_{k >= 0} (k + q)^-x for x > 1 and q > 0: Cephes
+    zeta(x, q) (Moshier, Methods and Programs for Mathematical Functions,
+    1989) step for step, as scipy.special.zeta(x, q) computes it, so that
+    stable samplers load no SciPy.  For q > 1e8 the asymptotic form
+    (1/(x - 1) + 1/(2q)) q^(1-x) (DLMF 25.11.43); else the terms from q
+    until the ninth past q and past 9, stopping once a term is below 2^-53
+    of the sum, then the Euler-Maclaurin tail with up to twelve Bernoulli
+    terms."""
+    x, q = float(x), float(q)
+    if q > 1e8:
+        return (1 / (x - 1) + 1 / (2 * q)) * q ** (1 - x)
+    s = q ** -x
+    a, i, b = q, 0, 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = a ** -x
+        s += b
+        if abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a, k = 1.0, 0.0
+    for coef in _ZETA_A:
+        a *= x + k
+        b /= w
+        t = a * b / coef
+        s = s + t
+        if abs(t / s) < _MACHEP:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
 
 
 def _shell_f(r: np.ndarray) -> np.ndarray:
@@ -163,34 +246,20 @@ def _half_runs(half: np.ndarray, i: int, j: int) -> list:
     return out
 
 
-# Points per run of _window_sum: any run of at least NumPy's pairwise leaf
-# of 128 points sums as np.sum does inside the whole window.
-_SUM_RUN = 2 ** 16
-
-
 def _window_sum(half: np.ndarray) -> float:
     """float(np.sum(w)) of the mirrored window w of half, bit for bit,
-    without building w.  NumPy sums a contiguous float64 array pairwise,
-    splitting n > 128 points at n // 2 rounded down to a multiple of 8 (its
-    pairwise_sum, numpy/_core/src/umath/loops_utils.h.src): w is split the
-    same way down to runs of at most _SUM_RUN points, and each run is
-    summed by np.sum, from a view of half where it lies at or above 0 and
-    from a block copy otherwise."""
-    n = 2 * len(half) - 1
-    return _run_sum(half, 0, n, np.empty(min(n, _SUM_RUN)))
+    without building w: _pairwise_sum on runs of at most _SUM_RUN points,
+    each summed by np.sum, from a view of half where it lies at or above 0
+    and from a block copy otherwise."""
+    n, m = 2 * len(half) - 1, len(half) - 1
+    buf = np.empty(min(n, _SUM_RUN))
 
+    def run(i: int, j: int) -> float:
+        if i >= m:
+            return float(half[i - m:j - m].sum())
+        return float(_gather(_half_runs(half, i, j), i, buf[:j - i]).sum())
 
-def _run_sum(half: np.ndarray, i: int, j: int, buf: np.ndarray) -> float:
-    """np.sum of points i..j - 1 of the mirrored window of half, with buf
-    as the block scratch (_window_sum)."""
-    if j - i > len(buf):
-        h = (j - i) // 2
-        h -= h % 8
-        return _run_sum(half, i, i + h, buf) + _run_sum(half, i + h, j, buf)
-    m = len(half) - 1
-    if i >= m:
-        return float(half[i - m:j - m].sum())
-    return float(_gather(_half_runs(half, i, j), i, buf[:j - i]).sum())
+    return _pairwise_sum(0, n, _SUM_RUN, run)
 
 
 def _gather(runs: list, i: int, out: np.ndarray) -> np.ndarray:
@@ -587,6 +656,32 @@ def total_variation_shift(p: PmfOnZ, k: int) -> float:
 # Inverse-CDF sampling tables
 # ---------------------------------------------------------------------------
 
+class _DrawBuffers:
+    """The arrays one caller's draws of `size` steps of `dim` coordinates
+    are made in: the uniforms u, a float64 scratch f, an int64 scratch i
+    (the guide-table buckets, then the signs), the lengths k, a mask and
+    the step rows.  A caller that draws block after block (the batched
+    walker's replicas) allocates them once and passes them to each draw;
+    each draw overwrites them, so threads that draw at once each need their
+    own."""
+
+    def __init__(self, size: int, dim: int = 0):
+        self.u, self.f = np.empty(size), np.empty(size)
+        self.i = np.empty(size, dtype=np.int64)
+        self.k = np.empty(size, dtype=np.int64)
+        self.mask = np.empty(size, dtype=bool)
+        self.steps = np.empty((size, dim), dtype=np.int64)
+
+    def head(self, size: int) -> "_DrawBuffers":
+        """The first `size` entries of each buffer (self if that is all)."""
+        if size == len(self.u):
+            return self
+        out = _DrawBuffers.__new__(_DrawBuffers)
+        for name, arr in vars(self).items():
+            setattr(out, name, arr[:size])
+        return out
+
+
 class _GuidedCdf:
     """A CDF over n entries with a guide table for inversion (Chen & Asau
     1974; Devroye, Non-Uniform Random Variate Generation, 1986, III.2.4).
@@ -615,12 +710,18 @@ class _GuidedCdf:
         self.guide = np.searchsorted(table, np.arange(self.K + 1) / self.K)
         self.wide = np.diff(self.guide) > 1
 
-    def index(self, u: np.ndarray) -> np.ndarray:
-        """min(searchsorted(cdf, u), n - 1) for u in [0, 1)."""
-        b = (u * self.K).astype(np.intp)
-        g = self.guide[b]
-        idx = g + (self.cdf[g] < u)
-        wide = np.flatnonzero(self.wide[b])
+    def index(self, u: np.ndarray,
+              buf: Optional[_DrawBuffers] = None) -> np.ndarray:
+        """min(searchsorted(cdf, u), n - 1) for u in [0, 1), in buf.k
+        (buf's other arrays but u are scratch; new ones if buf is None)."""
+        if buf is None:
+            buf = _DrawBuffers(len(u))
+        # u * K is exact, so the cast truncates it as astype(intp) would
+        b = np.multiply(u, self.K, out=buf.i, casting="unsafe")
+        idx = np.take(self.guide, b, out=buf.k, mode="clip")
+        idx += np.less(np.take(self.cdf, idx, out=buf.f, mode="clip"), u,
+                       out=buf.mask)
+        wide = np.flatnonzero(np.take(self.wide, b, out=buf.mask, mode="clip"))
         idx[wide] = np.searchsorted(self.cdf, u[wide])
         return np.minimum(idx, self.n - 1, out=idx)
 
@@ -646,10 +747,13 @@ class _HeadTailCdf(_GuidedCdf):
         self.start, self.tail_lo, self.tail_hi = start, tail_lo, tail_hi
         self.alpha, self.accept = alpha, accept
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """int64 lengths: one uniform each, plus the tail's redraws."""
-        k = self.index(rng.random(size))
-        tail = np.flatnonzero(k == self.n - 1)
+    def draw(self, rng: np.random.Generator, size: int,
+             buf: Optional[_DrawBuffers] = None) -> np.ndarray:
+        """int64 lengths: one uniform each, plus the tail's redraws; made
+        in buf's arrays (returned in buf.k) or in new ones."""
+        buf = _DrawBuffers(size) if buf is None else buf.head(size)
+        k = self.index(rng.random(out=buf.u), buf)
+        tail = np.flatnonzero(np.equal(k, self.n - 1, out=buf.mask))
         k += self.start
         if len(tail):
             k[tail] = self.tail_draws(rng, len(tail))
@@ -731,7 +835,6 @@ class StepMeasure:
     shell_norm: float = 0.0               # 1/Z for the radius law
     axes: tuple = ()                      # shell direction set (axis, sign) roots
     alpha: float = 0.0                    # stable kind
-    c_alpha: float = 0.0
     # sampling caches; not init fields, so replace() (as in lazy_transform)
     # rebuilds them
     _radius_cdf: Optional[_HeadTailCdf] = field(default=None, init=False,
@@ -740,6 +843,14 @@ class StepMeasure:
                                                 repr=False, compare=False)
     _support_law: Optional[tuple] = field(default=None, init=False,
                                           repr=False, compare=False)
+
+    @functools.cached_property
+    def c_alpha(self) -> float:
+        """C_alpha = 1 / (2 zeta(1 + alpha)) of a stable law, from SciPy's
+        Riemann zeta on the first read (pmf, to_pmf_on_z,
+        first_moment_partial): the samplers need no C_alpha, so a run that
+        only samples loads no SciPy."""
+        return 1.0 / (2.0 * special.zeta(1.0 + self.alpha))
 
     # -- generic interface ---------------------------------------------------
 
@@ -794,14 +905,17 @@ class StepMeasure:
         """Mass of the law beyond the sampler's table, which the sampler
         renormalises away: 0 for finite laws; for stable laws the exact
         (1 - lazy) zeta(1+alpha, M+1) / zeta(1+alpha) with
-        M = STABLE_SAMPLE_MAGNITUDE_MAX; for shell laws an upper bound, from
-        sum_{r>M} 1/(r^2 log r) <= 1/(M log M) with M = SHELL_SAMPLE_RADIUS_MAX.
+        M = STABLE_SAMPLE_MAGNITUDE_MAX, both zetas from _hurwitz_zeta
+        (zeta(s) as zeta(s, 1), within 1 ulp of SciPy's Riemann zeta); for
+        shell laws an upper bound, from sum_{r>M} 1/(r^2 log r) <=
+        1/(M log M) with M = SHELL_SAMPLE_RADIUS_MAX.
         """
         if self.kind == "finite":
             return 0.0
         if self.kind == "stable_z":
             s = 1.0 + self.alpha
-            tail = special.zeta(s, STABLE_SAMPLE_MAGNITUDE_MAX + 1) / special.zeta(s)
+            tail = (_hurwitz_zeta(s, STABLE_SAMPLE_MAGNITUDE_MAX + 1)
+                    / _hurwitz_zeta(s, 1))
             return float((1.0 - self.laziness) * tail)
         m = SHELL_SAMPLE_RADIUS_MAX
         return float(self.shell_constants()[1] / (m * np.log(m)))
@@ -842,49 +956,71 @@ class StepMeasure:
         w = self._finite_law()[1]
         return rng.choice(len(w), size=size, p=w)
 
-    def sample_steps(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample_steps(self, rng: np.random.Generator, size: int,
+                     _buf: Optional[_DrawBuffers] = None) -> np.ndarray:
         """Steps as int64 coordinate rows (lattice and Heisenberg backends).
 
         Finite laws make one sample_support_index draw.  Stable laws draw
-        sample_stable_ints, then one integers(0, 2) sign per step; shell
-        laws draw sample_shell_radii, then one integers(0, 2 len(axes))
-        direction d per step: axis d // 2, sign + for even d.  Length 0 is the identity and shell length 1 a unit
-        generator, i.e. an axis power of length 1.
+        sample_stable_ints, then one integers(0, 2) sign per step, - for 0.
+        Shell laws draw sample_shell_radii, then one integers(0, 2 len(axes))
+        direction d per step: axis d // 2, sign + for even d.
+
+        Length 0 is the identity and shell length 1 a unit generator, i.e.
+        an axis power of length 1.  The steps are made in _buf's arrays
+        (returned in its step rows) if given, else in new ones; only the
+        integers and choice draws allocate.
         """
         if self.spec.variant not in ("lattice", "heisenberg"):
             raise ValueError("coordinate steps need a lattice or Heisenberg backend")
         dim = self.spec.d if self.spec.variant == "lattice" else 3
+        buf = _DrawBuffers(size, dim) if _buf is None else _buf.head(size)
+        steps, sign = buf.steps, buf.i
         if self.kind == "finite":
-            return self._finite_law()[2][self.sample_support_index(rng, size)]
+            return np.take(self._finite_law()[2],
+                           self.sample_support_index(rng, size), axis=0,
+                           out=steps, mode="clip")
         if self.kind == "stable_z":
-            mag = self.sample_stable_ints(rng, size)
-            return (mag * (rng.integers(0, 2, size=size) * 2 - 1))[:, None]
-        r = self.sample_shell_radii(rng, size)
+            mag = self.sample_stable_ints(rng, size, buf)
+            np.multiply(rng.integers(0, 2, size=size), 2, out=sign)
+            sign -= 1
+            np.multiply(mag, sign, out=steps[:, 0])
+            return steps
+        r = self.sample_shell_radii(rng, size, buf)
         d = rng.integers(0, 2 * len(self.axes), size=size)
-        r *= 1 - 2 * (d & 1)
+        # r *= 1 - 2 (d & 1), in place
+        np.bitwise_and(d, 1, out=sign)
+        sign *= -2
+        sign += 1
+        r *= sign
         d >>= 1
-        steps = np.zeros((size, dim), dtype=np.int64)
-        for j, ax in enumerate(self.axes):
-            np.multiply(r, d == j, out=steps[:, ax])
+        for ax in range(dim):
+            if ax in self.axes:
+                np.multiply(r, np.equal(d, self.axes.index(ax), out=buf.mask),
+                            out=steps[:, ax])
+            else:
+                steps[:, ax] = 0
         return steps
 
-    def sample_shell_radii(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample_shell_radii(self, rng: np.random.Generator, size: int,
+                           _buf: Optional[_DrawBuffers] = None) -> np.ndarray:
         """Step lengths of a shell law: 0 marks a lazy step, 1 a unit
-        generator, r >= r0 an axis power."""
+        generator, r >= r0 an axis power.  Made in _buf.k if given."""
         with _TABLE_LOCK:
             if self._radius_cdf is None:
                 self._radius_cdf = self._length_table(
                     self.r0, self.r0 + SAMPLE_HEAD, SHELL_SAMPLE_RADIUS_MAX)
-        return self._radius_cdf.draw(rng, size)
+        return self._radius_cdf.draw(rng, size, _buf)
 
-    def sample_stable_ints(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample_stable_ints(self, rng: np.random.Generator, size: int,
+                           _buf: Optional[_DrawBuffers] = None) -> np.ndarray:
         """Step magnitudes of a stable law, 0 for a lazy step: one uniform
-        each, and any tail redraws.  sample_steps draws the signs."""
+        each, and any tail redraws.  sample_steps draws the signs.  Made in
+        _buf.k if given."""
         with _TABLE_LOCK:
             if self._stable_cdf is None:
                 self._stable_cdf = self._length_table(
                     1, SAMPLE_HEAD + 1, STABLE_SAMPLE_MAGNITUDE_MAX)
-        return self._stable_cdf.draw(rng, size)
+        return self._stable_cdf.draw(rng, size, _buf)
 
     def _length_table(self, lo: int, tail_lo: int, tail_hi: int) -> _HeadTailCdf:
         """The _HeadTailCdf of step lengths: weight lazy at 0, (1 - lazy)
@@ -902,7 +1038,7 @@ class StepMeasure:
         if self.kind == "stable_z":
             s = 1.0 + self.alpha
             np.power(head, -s, out=head)
-            tail = float(special.zeta(s, tail_lo) - special.zeta(s, tail_hi + 1))
+            tail = _hurwitz_zeta(s, tail_lo) - _hurwitz_zeta(s, tail_hi + 1)
             accept = _stable_acceptance(self.alpha, tail_lo)
             alpha, body = self.alpha, 1.0 - lazy
         else:
@@ -1033,9 +1169,8 @@ def stable_z_measure(alpha: float) -> StepMeasure:
     so the gcd of support differences is 1 (aperiodicity)."""
     if not (0.0 < alpha < 2.0):
         raise ValueError("alpha must lie in (0, 2)")
-    c = 1.0 / (2.0 * special.zeta(1.0 + alpha))
     return StepMeasure(groups.integer_lattice(1), "stable_z",
-                       f"stable[alpha={alpha:g}]", alpha=alpha, c_alpha=c)
+                       f"stable[alpha={alpha:g}]", alpha=alpha)
 
 
 def first_moment_partial(mu: StepMeasure, radius: int) -> float:

@@ -7,7 +7,8 @@ derived deterministically from a master seed (see rng.derive_stream).
 The batched lattice and Heis3 walker splits its trials into replicas of at
 most REPLICA_WALKERS walkers, each on its own spawned stream, and runs
 them in up to greenlab.CPUS threads; a replica draws about BLOCK_STEPS
-walker-steps per sample_steps call.  Its positions depend only on the
+walker-steps per sample_steps call, into draw buffers it allocates once
+(measures._DrawBuffers).  Its positions depend only on the
 seed, n and the trial count: not on CPUS, nor on the checkpoints asked
 for.  The tree walker follows only the word length of (lazy) SRW on F_k,
 an exact birth-death chain (_tree_distance_chain) with one
@@ -26,8 +27,9 @@ import numpy as np
 from . import groups, thread_map
 from .green import GreenTable, TreeGreenOracle, ball_domain, killed_green_solve
 from .groups import GroupSpec, identity
-from .measures import (PmfOnZ, StepMeasure, UNIT_MASS, _is_srw, _range_sum,
-                       _shell_f, self_convolution_powers, total_variation_shift)
+from .measures import (PmfOnZ, StepMeasure, UNIT_MASS, _DrawBuffers, _is_srw,
+                       _range_sum, _shell_f, self_convolution_powers,
+                       total_variation_shift)
 
 # The batched walker's replicas hold at most this many walkers each, and a
 # replica draws about this many walker-steps per sample_steps call.  On the
@@ -82,6 +84,16 @@ def _batch_positions(spec: GroupSpec, mu: StepMeasure, n: int, trials: int,
     replica's blocks only on its size and n, so the positions depend
     neither on CPUS nor on the checkpoint set.
 
+    Each replica allocates one _DrawBuffers of b t steps (its uniforms,
+    guide-table indices, lengths, signs and step rows: 3.6 MB on Heis3 at
+    b t = 64,000) and every block's draw refills it; the replicas share the
+    law but not the buffers.  New arrays on every block ran fast only while
+    glibc's mmap threshold stood above their size: on the Heis3 shell speed
+    run (8000 trials, n = 10^4, 2 vCPUs), with the threshold pinned at
+    128 KiB (MALLOC_MMAP_THRESHOLD_=131072), that walk took 3.5-4.5 s
+    against 1.6-2.0 s unpinned, and the reused buffers take 1.8-2.0 s
+    either way.
+
     Steps whose coordinates have L1 norm above truncate_at (the word length
     of an axis power) become the identity.  On Heis3 a step acts by
     (a, b, c)(a', b', c') = (a + a', b + b', c + c' + a b'), so over a block
@@ -104,10 +116,11 @@ def _batch_positions(spec: GroupSpec, mu: StepMeasure, n: int, trials: int,
         lo, hi = edges[i], edges[i + 1]
         b = hi - lo
         block = max(1, BLOCK_STEPS // b)
+        buf = _DrawBuffers(b * min(block, n), dim)
         pos = np.zeros((b, dim), dtype=np.int64)
         for k0 in range(0, n, block):
             t = min(block, n - k0)
-            steps = mu.sample_steps(streams[i], b * t).reshape(t, b, dim)
+            steps = mu.sample_steps(streams[i], b * t, buf).reshape(t, b, dim)
             if truncate_at is not None:
                 steps[np.abs(steps).sum(axis=2) > truncate_at] = 0
             if heis:

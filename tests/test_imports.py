@@ -54,16 +54,25 @@ def test_import_cli_loads_no_thread_pool(tmp_path):
 
 
 SHELL = {"type": "shell", "r0": 3}
+STABLE = {"type": "stable", "alpha": 1.0}
 
 
+# A stable law's sampling table and sampler_tail_mass take their Hurwitz
+# zetas from measures._hurwitz_zeta, and nothing a sampling run reports
+# reads C_alpha
 @pytest.mark.parametrize("cfg", [
     {"kind": "speed", "backend": "Heis3", "measure": SHELL,
      "n_list": [10], "eps_list": [0.5], "trials": 20},
     {"kind": "increment-probe", "backend": "Heis3", "measure": SHELL,
      "n": 50, "trials": 5},
+    {"kind": "speed", "backend": "Z^1", "measure": STABLE,
+     "n_list": [10], "eps_list": [0.5], "trials": 20},
+    {"kind": "increment-probe", "backend": "Z^1", "measure": STABLE,
+     "n": 50, "trials": 5},
     {"kind": "green-speed", "backend": "F_2", "measure": {"type": "srw"},
      "n_list": [10], "trials": 20},
-], ids=["speed-heis3-shell", "increment-probe-heis3-shell", "green-speed-f2"])
+], ids=["speed-heis3-shell", "increment-probe-heis3-shell", "speed-z1-stable",
+        "increment-probe-z1-stable", "green-speed-f2"])
 def test_sampling_kinds_load_no_scipy(cfg, tmp_path):
     assert modules_after(cli_run(cfg, tmp_path), tmp_path) == []
 

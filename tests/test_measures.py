@@ -9,8 +9,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import scipy
 from scipy import integrate, special
 
 import greenlab
@@ -124,6 +125,54 @@ class TestShell:
         assert mu.pmf((5, 5, 0)) == 0.0
         assert mu.pmf((2, 0, 0)) == 0.0       # below r0, not a unit generator
         assert mu.pmf((1, 0, 0)) == pytest.approx(UNIT_MASS / 4, rel=1e-12)
+
+
+def block_sums(f, lo, hi, block=10 ** 6):
+    """_range_sum as one whole float64 array and np.sum per block."""
+    total = 0.0
+    for start in range(lo, hi, block):
+        n = np.arange(start, min(start + block, hi), dtype=np.float64)
+        total += float(np.sum(f(n)))
+    return total
+
+
+class TestRangeSum:
+    @settings(max_examples=40)
+    @given(lo=st.integers(2, 3 * 10 ** 6), length=st.integers(0, 2_200_000),
+           block=st.sampled_from([128, 1000, 65_536, 100_003, 10 ** 6]),
+           run=st.sampled_from([128, 1000, measures._SUM_RUN]),
+           f=st.sampled_from(["shell", "power", "r_log_r"]))
+    # the default block, with runs crossing block edges
+    @example(lo=3, length=2_200_000, block=10 ** 6, run=measures._SUM_RUN,
+             f="shell")
+    @example(lo=999_990, length=1_000_020, block=10 ** 6, run=1000, f="power")
+    @example(lo=2, length=10 ** 6, block=10 ** 6, run=128, f="r_log_r")
+    def test_equals_one_array_per_block(self, lo, length, block, run, f):
+        # the runs of a block's pairwise tree give np.sum's bits, whether
+        # f works in place (_shell_f) or not, and whether a block is shorter
+        # than a run, one run, or many
+        f = {"shell": measures._shell_f, "power": lambda k: k ** -0.7,
+             "r_log_r": lambda r: 1.0 / (r * np.log(r))}[f]
+        with mock.patch.object(measures, "_SUM_RUN", run):
+            got = measures._range_sum(f, lo, lo + length, block)
+        assert got == block_sums(f, lo, lo + length, block)
+
+    @pytest.mark.parametrize("r0", [3, 4, 5, 17])
+    def test_shell_norm_constant_bits(self, r0):
+        hi = 10 ** 7
+        total = block_sums(measures._shell_f, r0, hi) + 1.0 / (hi * np.log(hi))
+        assert shell_norm_constant(r0) == 1.0 / total
+
+    def test_shell_norm_constant_peak_allocation(self):
+        # a run's terms and its log, in place of two 8 MB blocks
+        shell_norm_constant(3)
+        tracemalloc.start()
+        try:
+            shell_norm_constant(3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20, peak
 
 
 class TestStable:
@@ -478,6 +527,58 @@ class TestSamplerTailMass:
 
     def test_finite_law_has_no_tail(self):
         assert lazy_transform(srw(Z3), 0.5).sampler_tail_mass() == 0.0
+
+
+class TestHurwitzZeta:
+    """measures._hurwitz_zeta against scipy.special.zeta(s, q), whose Cephes
+    code it ports; a failure names the SciPy it ran against."""
+
+    S = sorted({1.0001, 1.5, 2.0, 2.9999, *np.linspace(1.01, 2.99, 34).tolist()})
+
+    # q = 1 and 2 take the Euler-Maclaurin tail; 65537 and 2e6 + 1 are the
+    # stable and shell table edges, 1e7 the stable cap + 1, 2e8 the
+    # asymptotic branch
+    @pytest.mark.parametrize("q", [1, 2, 65537, 2 * 10 ** 6 + 1, 10 ** 7,
+                                   2 * 10 ** 8])
+    def test_equals_scipy_bit_for_bit(self, q):
+        for s in self.S:
+            assert measures._hurwitz_zeta(s, q) == float(special.zeta(s, q)), \
+                (s, q, f"scipy {scipy.__version__}")
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("lazy", [0.0, 0.2])
+    def test_stable_table_as_with_scipy(self, alpha, lazy):
+        # the sampling table's bytes, tail atom included, are those of a
+        # table built on SciPy's Hurwitz zeta
+        def table():
+            mu = lazy_transform(stable_z_measure(alpha), lazy)
+            mu.sample_stable_ints(np.random.default_rng(0), 1)
+            return mu._stable_cdf.cdf.tobytes()
+
+        ported = table()
+        with mock.patch.object(measures, "_hurwitz_zeta",
+                               lambda s, q: float(special.zeta(s, q))):
+            assert table() == ported, f"scipy {scipy.__version__}"
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.5, 1.9])
+    def test_c_alpha_is_scipy_riemann_zeta(self, alpha):
+        assert stable_z_measure(alpha).c_alpha == \
+            1.0 / (2.0 * special.zeta(1.0 + alpha))
+
+    def test_sampling_reads_no_c_alpha(self):
+        # sampling, the tail mass and the steps evaluate no special function:
+        # C_alpha stays unread and measures.special untouched
+        class NoSpecial:
+            def __getattr__(self, name):
+                raise AssertionError(f"special.{name} called")
+
+        mu = lazy_transform(stable_z_measure(1.0), 0.2)
+        with mock.patch.object(measures, "special", NoSpecial()):
+            mu.sample_stable_ints(np.random.default_rng(1), 1000)
+            mu.sample_steps(np.random.default_rng(2), 1000)
+            assert mu.sampler_tail_mass() > 0
+        assert "c_alpha" not in vars(mu)
+        assert mu.pmf((3,)) > 0 and "c_alpha" in vars(mu)
 
 
 class TestConvolveZ:

@@ -125,6 +125,50 @@ class TestBatchPositions:
                 assert got[k].dtype == np.int64
                 assert [tuple(r) for r in got[k].tolist()] == want[k], (sizes, k)
 
+    @pytest.mark.parametrize("name", ["heis3-shell", "z1-stable-lazy",
+                                      "heis3-central"])
+    def test_peak_does_not_grow_with_n(self, name):
+        # one replica of 1000 walkers in blocks of 65 steps: its draw
+        # buffers are refilled each block, so 128 blocks peak as 4 do
+        spec, law = BATCH_LAWS[name]
+        mu = law()
+        _batch_positions(spec, mu, 1, 10, derive_stream(40, name), [1])
+        peaks = []
+        for n in (256, 8192):
+            tracemalloc.start()
+            try:
+                _batch_positions(spec, mu, n, 1000, derive_stream(40, name), [n])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+
+    def test_replicas_reuse_their_buffers(self, monkeypatch):
+        # three replicas, each over five blocks of four steps: one set of
+        # buffers per replica, and every block's steps are its step rows
+        monkeypatch.setattr(walks, "REPLICA_WALKERS", 16)
+        monkeypatch.setattr(walks, "BLOCK_STEPS", 64)
+        made, rows = [], []
+
+        class Counted(measures._DrawBuffers):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        mu = shell_measure(H, r0=3)
+        draw = mu.sample_steps
+
+        def recording(rng, size, buf):
+            steps = draw(rng, size, buf)
+            rows.append(np.shares_memory(steps, buf.steps))
+            return steps
+
+        monkeypatch.setattr(walks, "_DrawBuffers", Counted)
+        monkeypatch.setattr(mu, "sample_steps", recording)
+        _batch_positions(H, mu, 18, 40, derive_stream(41, "b"), [18])
+        assert len(made) == 3 and len({id(b) for b in made}) == 3
+        assert len(rows) == 15 and all(rows)
+
     def test_central_steps_move_the_centre(self):
         mu = heis_central_law()
         pos = _batch_positions(H, mu, 200, 300, derive_stream(32, "c"), [200])[200]
